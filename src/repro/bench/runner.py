@@ -7,7 +7,8 @@ suite and returns one JSON-serialisable document::
       "schema": 1,
       "suite": "micro" | "macro" | "all",
       "created": "2026-08-06T12:00:00Z",
-      "host": {"python": ..., "numpy": ..., "scipy": ..., "platform": ..., "machine": ...},
+      "host": {"python": ..., "numpy": ..., "scipy": ..., "platform": ..., "machine": ...,
+               "kernel_backend": ...},
       "config": {... BenchScale echo ...},
       "benchmarks": [
         {
@@ -55,12 +56,16 @@ def host_fingerprint() -> dict[str, str]:
     import numpy
     import scipy
 
+    from repro import kernels
+
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),
+        # Timings are only comparable between runs on the same backend.
+        "kernel_backend": kernels.active().name,
     }
 
 

@@ -52,9 +52,10 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _add_backend_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--backend", default="numpy", metavar="NAME",
+        "--backend", default="auto", metavar="NAME",
         help="kernel backend for the codec hot loops (repro.kernels): "
-             "numpy (reference), sharded, cext, numba — all bit-identical",
+             "auto (cext when it compiles and proves itself here, else numpy), "
+             "numpy (reference), cext, sharded, numba — all bit-identical",
     )
     p.add_argument(
         "--kernel-workers", type=int, default=2,
@@ -841,18 +842,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "backend", "numpy") != "numpy" and not getattr(
-        args, "compare_backends", False
-    ):
+    if hasattr(args, "backend") and not getattr(args, "compare_backends", False):
         # Activate here, on the driver thread, before any command spawns
         # stream/fleet workers (repro.kernels pool-ownership rule).
         from repro import kernels
 
         try:
-            kernels.activate(args.backend, workers=getattr(args, "kernel_workers", None))
+            inst = kernels.activate(args.backend, workers=getattr(args, "kernel_workers", None))
         except (ValueError, RuntimeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        header = f"kernel backend: {inst.name}"
+        if args.backend == kernels.AUTO and inst.name != "cext":
+            header += f" (cext unavailable: {kernels.backend('cext').why_unavailable()})"
+        # JSON output stays one document on stdout.
+        as_json = getattr(args, "format", "text") == "json"
+        print(header, file=sys.stderr if as_json else sys.stdout)
     if args.command == "lint":
         return _cmd_lint(args)
     if args.command == "bench":

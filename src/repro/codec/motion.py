@@ -104,6 +104,12 @@ class _BlockSadEvaluator:
     The arithmetic (gather, subtract, abs, per-block contiguous sum) is
     identical operation-for-operation to a per-block fancy-indexed version,
     so SAD values are bit-exact either way.
+
+    ``sad_int`` / ``sad_int_subset`` hand the whole evaluation to the active
+    kernel backend's ``block_sad`` hook when it has one (looked up once, at
+    construction).  ``reference_only=True`` pins the NumPy path: backend
+    self-probes and row-band workers, which already run *inside* a backend,
+    use it as the oracle.
     """
 
     def __init__(
@@ -114,7 +120,9 @@ class _BlockSadEvaluator:
         block: int,
         *,
         row0: int = 0,
+        reference_only: bool = False,
     ):
+        self._block_sad = None if reference_only else kernels.override("block_sad")
         self.block = block
         self.pad = search_range + 2  # +2 headroom for subpel neighbours
         self.search_range = search_range
@@ -159,6 +167,8 @@ class _BlockSadEvaluator:
 
     def sad_int(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """SAD of every block at its own integer displacement."""
+        if self._block_sad is not None:
+            return self._block_sad(self, None, dx, dy)
         ref = self._windows[self.pad + self.by - dy, self.pad + self.bx - dx]
         np.subtract(self.cur_blocks, ref, out=self._diff_buf3)
         np.abs(self._diff_buf3, out=self._diff_buf3)
@@ -166,6 +176,8 @@ class _BlockSadEvaluator:
 
     def sad_int_subset(self, idx: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """SAD for a subset of blocks (``idx`` flat indices)."""
+        if self._block_sad is not None:
+            return self._block_sad(self, idx, dx, dy)
         m = idx.shape[0]
         cur = self._cur_buf3[:m]
         if idx is not self._subset_idx:
@@ -591,7 +603,8 @@ def _exhaustive_search(
     over it) but re-ranks all (block, candidate) pairs with one batched
     gather + matmul SATD instead of a Python loop per block.
     """
-    if row_count is None:
+    banded = row_count is not None
+    if not banded:
         impl = kernels.override("exhaustive_search")
         if impl is not None:
             # Full-frame calls dispatch to the active backend; banded calls
@@ -608,7 +621,7 @@ def _exhaustive_search(
             )
     h, w = current.shape
     full_rows, cols = h // block, w // block
-    if row_count is None:
+    if not banded:
         row0 = 0
         row_count = full_rows
     rows = row_count
@@ -747,7 +760,12 @@ def _exhaustive_search(
     int_mv = disp_arr[best_idx]
     if subpel:
         ev = _BlockSadEvaluator(
-            current[row_px0 : row_px0 + rows * block], reference, search_range, block, row0=row0
+            current[row_px0 : row_px0 + rows * block],
+            reference,
+            search_range,
+            block,
+            row0=row0,
+            reference_only=banded,
         )
         dx = int_mv[..., 0].ravel()
         dy = int_mv[..., 1].ravel()

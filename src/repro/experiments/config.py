@@ -105,10 +105,14 @@ class ExperimentConfig:
         into a recorder instance.
     kernel_backend:
         Which :mod:`repro.kernels` backend runs the codec hot kernels:
-        ``numpy`` (the reference, default), ``sharded``
-        (multiprocess row sharding), ``cext`` (runtime-compiled C) or
-        ``numba`` (optional JIT).  Every backend is bit-exact by
-        contract, so results are identical — only wall-clock changes.
+        ``auto`` (the default: ``cext`` when the host can compile it and
+        it passes its bitwise self-probe, otherwise ``numpy`` — also what
+        a run gets when nothing is activated at all), ``numpy`` (the
+        reference), ``cext`` (runtime-compiled C), ``sharded``
+        (multiprocess row sharding) or ``numba`` (optional JIT).  Every
+        backend is bit-exact by contract, so results are identical — only
+        wall-clock changes.  An explicit name forces that backend or
+        raises; ``repro.kernels.active().name`` tells what ``auto`` chose.
         :func:`repro.experiments.runner.activate_kernel_backend` applies
         this before a run (and before any stream/fleet threads start —
         the pool-ownership rule).
@@ -129,7 +133,7 @@ class ExperimentConfig:
     stream_deadline: float | None = None
     metrics: bool = False
     flight_recorder: bool = False
-    kernel_backend: str = "numpy"
+    kernel_backend: str = "auto"
     kernel_workers: int = 2
 
     def stream_config(self):

@@ -144,8 +144,10 @@ def activate_kernel_backend(config: ExperimentConfig):
 
     Call this from the driver thread *before* any stream/fleet worker
     threads start (the pooled backends fork here — pool-ownership rule).
-    Results are bit-identical for every backend; an unavailable backend
-    raises with its reason rather than silently falling back.
+    Results are bit-identical for every backend.  The default ``"auto"``
+    settles on ``cext`` or the ``numpy`` reference, whichever the host
+    supports; an explicitly named backend that is unavailable raises with
+    its reason rather than silently falling back.
     """
     from repro import kernels
 

@@ -13,11 +13,20 @@ and backends that cannot prove themselves (a failed self-probe, a missing
 compiler, an absent optional dependency) report unavailable and the
 dispatch falls through to the reference implementation per kernel.
 
+**Default.**  Nothing is chosen at import.  The first kernel dispatch (or
+:func:`active`) resolves the default from what the host can prove:
+``cext`` when it compiles and passes its bitwise self-probe, otherwise the
+``numpy`` reference — ``kernels.backend("cext").why_unavailable()`` then
+says why.  ``"auto"`` names that choice in :func:`activate` /
+:func:`use_backend`; an explicit name forces that backend or raises.
+``sharded`` and ``numba`` are never picked automatically.
+
 Backends
 --------
 ``numpy``
     The reference: all kernel hooks are ``None`` so the codec modules run
-    their own (already vectorised) implementations.  Always available.
+    their own (already vectorised) implementations.  Always available;
+    the fallback default, and what the tests compare every backend to.
 ``sharded``
     A persistent ``multiprocessing`` fork-pool sharding macroblock *rows*
     across workers, with shared-memory frame buffers.  Row bands are
@@ -26,10 +35,11 @@ Backends
     reference for any worker count.
 ``cext``
     Runtime-compiled C (via the system ``cc``/``gcc``) for the per-block
-    sequential pattern-search sweeps and motion compensation.  The C code
-    replicates NumPy's pairwise summation and the exact IEEE operation
-    order of the reference; a self-probe at activation verifies bitwise
-    agreement and the backend reports unavailable otherwise.
+    SADs, the sequential pattern-search sweeps and motion compensation —
+    the whole DIA/HEX/UMH search.  The C code replicates NumPy's pairwise
+    summation and the exact IEEE operation order of the reference; a
+    self-probe before first use verifies bitwise agreement and the backend
+    reports unavailable otherwise.  Re-entrant; the default when available.
 ``numba``
     Optional, import-guarded JIT versions of the same sweeps; warmed at
     activation and self-probed like ``cext``.
@@ -37,11 +47,13 @@ Backends
 Thread-safety / pool ownership
 ------------------------------
 Backends are process-global (one active backend per process, like the
-tracer).  The ``sharded`` pool must be created by the thread that calls
-:func:`activate` **before** the ``repro.stream``/``repro.fleet`` worker
-threads start, and every pooled kernel call is serialised through the
-backend's own lock — see ``sharded.py`` for the S012 lock-discipline
-annotations.
+tracer).  The default is resolved under a lock, so worker threads racing
+the first dispatch build and probe once; ``numpy`` and ``cext`` kernels
+may then be called from any number of threads.  The ``sharded`` pool must
+be created by the thread that calls :func:`activate` **before** the
+``repro.stream``/``repro.fleet`` worker threads start, and every pooled
+kernel call is serialised through the backend's own lock — see
+``sharded.py`` for the S012 lock-discipline annotations.
 """
 
 from __future__ import annotations
@@ -51,6 +63,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator
 
 __all__ = [
+    "AUTO",
     "KERNEL_NAMES",
     "KernelBackend",
     "activate",
@@ -63,6 +76,9 @@ __all__ = [
     "use_backend",
 ]
 
+#: Backend name meaning "whatever the default resolves to on this host".
+AUTO = "auto"
+
 #: The kernel hooks a backend may override (``None`` = reference path).
 KERNEL_NAMES = (
     "exhaustive_search",  # full-frame ESA/TESA block search
@@ -73,6 +89,7 @@ KERNEL_NAMES = (
     "descend_sweep",  # pattern-search descent (DIA/HEX cores)
     "seed_sweep",  # coarse absolute-grid seeding (HEX/UMH)
     "offset_sweep",  # relative clipped offset pass (UMH cross/hexagon)
+    "block_sad",  # per-block SAD at per-block integer displacements
 )
 
 
@@ -97,6 +114,7 @@ class KernelBackend:
     descend_sweep: Callable | None = None
     seed_sweep: Callable | None = None
     offset_sweep: Callable | None = None
+    block_sad: Callable | None = None
 
     def available(self) -> bool:
         """Whether this backend can run (deps present, self-probe passed)."""
@@ -141,7 +159,7 @@ def backend(name: str) -> KernelBackend:
         factory = _REGISTRY[name]
     except KeyError:
         raise ValueError(
-            f"unknown kernel backend {name!r}; registered: {tuple(_ORDER)}"
+            f"unknown kernel backend {name!r}; choose {AUTO!r} or one of {tuple(_ORDER)}"
         ) from None
     with _lock:
         inst = _instances.get(name)
@@ -161,37 +179,68 @@ class _NumpyReference(KernelBackend):
     name = "numpy"
 
 
-_active: KernelBackend = _NumpyReference()
+#: The active backend; ``None`` until the first dispatch resolves the default.
+_active: KernelBackend | None = None
+
+
+def _default_backend() -> KernelBackend:
+    """``cext`` when it builds and proves itself on this host, else ``numpy``."""
+    cext = backend("cext")
+    return cext if cext.available() else backend("numpy")
+
+
+def _resolve() -> KernelBackend:
+    """Settle the default once, however many threads dispatch first.
+
+    The build + probe is serialised inside the backend, so racing threads
+    wait for one result; an explicit :func:`activate` that got in first
+    keeps its choice.
+    """
+    global _active
+    inst = _default_backend()
+    with _lock:
+        if _active is None:
+            _active = inst
+        return _active
 
 
 def active() -> KernelBackend:
-    """The currently active backend (the ``numpy`` reference by default)."""
-    return _active
+    """The currently active backend (resolving the default on first use)."""
+    inst = _active
+    return inst if inst is not None else _resolve()
 
 
 def override(kernel: str) -> Callable | None:
     """The active backend's hook for ``kernel``, or ``None`` (reference).
 
-    This is the per-call dispatch primitive the codec modules use; it must
-    stay a single attribute lookup.
+    This is the per-call dispatch primitive the codec modules use; once
+    the default is resolved it is a single attribute lookup.
     """
-    return getattr(_active, kernel)
+    inst = _active
+    if inst is None:
+        inst = _resolve()
+    return getattr(inst, kernel)
 
 
 def activate(name: str, *, workers: int | None = None) -> KernelBackend:
     """Make ``name`` the process-wide active backend (warming it first).
 
-    Must be called from the main/driver thread before any
-    ``repro.stream``/``repro.fleet`` worker threads start — pooled
-    backends fork their workers here (pool-ownership rule).
+    ``"auto"`` picks the host's default (see the module docstring) and
+    never raises; any other name forces that backend or raises with its
+    reason.  Pooled backends must be activated from the main/driver thread
+    before any ``repro.stream``/``repro.fleet`` worker threads start —
+    they fork their workers here (pool-ownership rule).
     """
     global _active
-    inst = backend(name)
-    inst.configure(workers=workers)
-    if not inst.available():
-        reason = inst.why_unavailable() or "unavailable on this host"
-        raise RuntimeError(f"kernel backend {name!r} is unavailable: {reason}")
-    inst.warm()
+    if name == AUTO:
+        inst = _default_backend()
+    else:
+        inst = backend(name)
+        inst.configure(workers=workers)
+        if not inst.available():
+            reason = inst.why_unavailable() or "unavailable on this host"
+            raise RuntimeError(f"kernel backend {name!r} is unavailable: {reason}")
+        inst.warm()
     _active = inst
     return inst
 

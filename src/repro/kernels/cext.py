@@ -16,13 +16,25 @@ Bit-exactness is engineered, then verified:
 - Motion compensation orders every multiply/add exactly as the reference's
   vectorised expression, and the source is compiled with
   ``-ffp-contract=off`` so no FMA contraction can change a rounding.
-- At activation a self-probe runs every C kernel against the codec
+- Before the first use a self-probe runs every C kernel against the codec
   reference on adversarial random inputs; any mismatch marks the backend
   unavailable (the registry then falls back to the reference).
 
-The shared object is compiled once per source hash into a per-user cache
-directory with the system ``cc``/``gcc``; hosts without a C compiler simply
-report the backend unavailable.
+Every kernel call is re-entrant: the C code keeps no state between calls
+and its only scratch (one block of |differences|) is allocated per call,
+so concurrent encodes (``agent_workers > 1``, stream workers — ctypes
+drops the GIL around each call) cannot see each other's data.
+
+The shared object is compiled once per source hash with the system
+``cc``/``gcc``/``clang`` into a private per-user cache directory
+(``$XDG_CACHE_HOME/repro/kernels``, default ``~/.cache/repro/kernels``;
+the temp dir is the fallback when the home is read-only).  A directory
+that is not owned by this user with mode 0700 is never loaded from, and
+the object is written under a unique name and moved into place
+atomically, named after its own content hash, so concurrent first runs
+cannot load a half-written file and a truncated one is rebuilt.
+Hosts without a C compiler report the backend unavailable, with the
+reason in :meth:`CExtBackend.why_unavailable`.
 """
 
 from __future__ import annotations
@@ -30,8 +42,10 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import stat
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +58,7 @@ _C_SOURCE = r"""
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 /* NumPy's pairwise summation (scalar form): n<8 naive, n<=128 8-way
  * unrolled with the ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) combine, larger n
@@ -76,11 +91,31 @@ void pairwise_rows(const double *a, int64_t rows, int64_t n, double *out) {
     for (int64_t r = 0; r < rows; r++) out[r] = pairwise(a + (size_t)r * n, (size_t)n);
 }
 
+/* One 128-element leaf of the pairwise sum over a 16-wide block: eight
+ * rows of two 8-lane chunks, accumulated lane-wise straight from the two
+ * sources (what pairwise() does over the scratch row, minus the scratch). */
+static inline double sad_leaf16(const double *c, const double *r, int64_t ref_stride) {
+    double acc[8];
+    for (int j = 0; j < 8; j++) acc[j] = fabs(c[j] - r[j]);
+    for (int j = 0; j < 8; j++) acc[j] += fabs(c[8 + j] - r[8 + j]);
+    for (int i = 1; i < 8; i++) {
+        const double *cc = c + 16 * i;
+        const double *rr = r + ref_stride * i;
+        for (int j = 0; j < 8; j++) acc[j] += fabs(cc[j] - rr[j]);
+        for (int j = 0; j < 8; j++) acc[j] += fabs(cc[8 + j] - rr[8 + j]);
+    }
+    return ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+}
+
 /* |cur - ref| over one block, then the NumPy-pairwise reduction.  The
  * scratch buffer makes the reduction read a contiguous row exactly like
- * the evaluator's (m, b, b) difference buffer. */
+ * the evaluator's (m, b, b) difference buffer; the codec's own macroblock
+ * size (16: 256 elements = two 128-element leaves) skips it. */
 static double sad_block(const double *cur, const double *refp, int64_t ref_stride,
                         int64_t block, double *scratch) {
+    if (block == 16)
+        return sad_leaf16(cur, refp, ref_stride)
+               + sad_leaf16(cur + 128, refp + 8 * ref_stride, ref_stride);
     int64_t k = 0;
     for (int64_t i = 0; i < block; i++) {
         const double *r = refp + i * ref_stride;
@@ -191,6 +226,21 @@ void sweep_rel_clip(const double *cur_blocks, const double *ref_pad, int64_t rp_
     }
 }
 
+/* SAD of block idx[k] (block k when idx is NULL) at its own integer
+ * displacement (dx[k], dy[k]): the evaluator's sad_int / sad_int_subset,
+ * one fused pass instead of gather + subtract + abs + sum. */
+void block_sad(const double *cur_blocks, const double *ref_pad, int64_t rp_stride,
+               const int64_t *by, const int64_t *bx, int64_t pad,
+               const int64_t *idx, int64_t m, int64_t block,
+               const int64_t *dx, const int64_t *dy, double *out, double *scratch) {
+    for (int64_t k = 0; k < m; k++) {
+        int64_t b = idx ? idx[k] : k;
+        const double *r =
+            ref_pad + (pad + by[b] - dy[k]) * rp_stride + (pad + bx[b] - dx[k]);
+        out[k] = sad_block(cur_blocks + b * block * block, r, rp_stride, block, scratch);
+    }
+}
+
 /* Motion compensation: per-block bilinear gather/blend from the padded
  * reference, float64 arithmetic in the reference's exact operation order
  * (weights formed as (1-ay)*(1-ax) etc., taps combined left-to-right),
@@ -235,115 +285,167 @@ void motion_comp(const double *ref_pad, int64_t rp_stride,
 #: Compile flags: -ffp-contract=off forbids FMA contraction (a contracted
 #: a*b+c rounds once, NumPy's separate ops round twice); -O2 never
 #: reassociates FP without -ffast-math, so the operation order above is
-#: what runs.
-_CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno"]
+#: what runs.  An implicit declaration is an error on gcc >= 14 / clang >= 16
+#: anyway; asking for it everywhere keeps older compilers from hiding one.
+_CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno",
+           "-Werror=implicit-function-declaration"]
+_COMPILERS = ("cc", "gcc", "clang")
 
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
 _F64 = ctypes.c_double
 
+#: C entry points and their argument types (all return void).
+_SIGNATURES = {
+    "pairwise_rows": [_PTR, _I64, _I64, _PTR],
+    "descend": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _I64, _I64, _PTR, _I64,
+                _PTR, _PTR, _PTR, _PTR, _PTR, _F64, _I64, _I64, _PTR],
+    "sweep_abs": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64, _I64, _PTR,
+                  _I64, _PTR, _PTR, _PTR, _F64, _PTR],
+    "sweep_rel_clip": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64, _I64,
+                       _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _F64, _I64, _PTR],
+    "block_sad": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64, _I64, _PTR,
+                  _PTR, _PTR, _PTR],
+    "motion_comp": [_PTR, _I64, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _I64],
+}
 
-def _build_library() -> ctypes.CDLL | None:
-    """Compile (or reuse) the shared object; None when no compiler works."""
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-    cache = Path(tempfile.gettempdir()) / f"repro-kernels-{os.getuid()}" / digest
-    so_path = cache / "kernels.so"
-    if not so_path.exists():
-        try:
-            cache.mkdir(parents=True, exist_ok=True)
-            c_path = cache / "kernels.c"
-            c_path.write_text(_C_SOURCE)
-            tmp = cache / "kernels.so.tmp"
-            last_err: Exception | None = None
-            for compiler in ("cc", "gcc", "clang"):
-                try:
-                    subprocess.run(
-                        [compiler, *_CFLAGS, str(c_path), "-o", str(tmp), "-lm"],
-                        check=True,
-                        capture_output=True,
-                        timeout=120,
-                    )
-                    os.replace(tmp, so_path)
-                    break
-                except (OSError, subprocess.SubprocessError) as exc:
-                    last_err = exc
-            else:
-                raise RuntimeError(f"no working C compiler: {last_err}")
-        except (OSError, RuntimeError):
-            return None
+
+class _Unavailable(Exception):
+    """The shared object cannot be built or loaded; the message says why."""
+
+
+def _cache_dir() -> Path:
+    """The private directory the shared object is built into and loaded from.
+
+    Only a directory owned by this user with mode 0700 qualifies — anything
+    else could hold an object someone else wrote.
+    """
+    candidates = []
+    xdg = os.environ.get("XDG_CACHE_HOME")
     try:
-        lib = ctypes.CDLL(str(so_path))
-    except OSError:
-        return None
-    lib.pairwise_rows.argtypes = [_PTR, _I64, _I64, _PTR]
-    lib.descend.argtypes = [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _I64, _I64,
-                            _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR,
-                            _F64, _I64, _I64, _PTR]
-    lib.sweep_abs.argtypes = [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64,
-                              _I64, _PTR, _I64, _PTR, _PTR, _PTR, _F64, _PTR]
-    lib.sweep_rel_clip.argtypes = [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR,
-                                   _I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR,
-                                   _PTR, _PTR, _F64, _I64, _PTR]
-    lib.motion_comp.argtypes = [_PTR, _I64, _PTR, _PTR, _I64, _I64, _I64,
-                                _I64, _PTR, _I64]
+        candidates.append((Path(xdg) if xdg else Path.home() / ".cache") / "repro" / "kernels")
+    except RuntimeError:  # no home directory for this uid
+        pass
+    candidates.append(Path(tempfile.gettempdir()) / f"repro-kernels-{os.getuid()}")
+    refused = []
+    for path in candidates:
+        try:
+            path.mkdir(mode=0o700, parents=True, exist_ok=True)
+            st = os.lstat(path)
+        except OSError as exc:
+            refused.append(f"{path}: {exc.strerror or exc}")
+            continue
+        mode = stat.S_IMODE(st.st_mode)
+        if not stat.S_ISDIR(st.st_mode):
+            refused.append(f"{path}: not a directory")
+        elif st.st_uid != os.getuid():
+            refused.append(f"{path}: owned by uid {st.st_uid}")
+        elif mode != 0o700:
+            refused.append(f"{path}: mode {mode:04o}, want 0700")
+        else:
+            return path
+    raise _Unavailable("no private cache directory (" + "; ".join(refused) + ")")
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _compile(cache: Path, stem: str) -> Path:
+    """Compile the source into ``cache``; returns the object's path.
+
+    The object is written under a unique temp name and moved into place
+    atomically, named after its own content hash so a loader can tell a
+    whole file from a truncated one.
+    """
+    fd, tmp = tempfile.mkstemp(dir=cache, prefix=stem + ".", suffix=".tmp")
+    os.close(fd)
+    errors = []
+    try:
+        for compiler in _COMPILERS:
+            try:
+                subprocess.run(
+                    [compiler, *_CFLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+                    input=_C_SOURCE.encode(),
+                    check=True,
+                    capture_output=True,
+                    timeout=120,
+                )
+            except FileNotFoundError:
+                errors.append(f"{compiler}: not found")
+            except subprocess.CalledProcessError as exc:
+                stderr = exc.stderr.decode(errors="replace").strip()
+                errors.append(f"{compiler}: {stderr[-400:] or f'exit {exc.returncode}'}")
+            except (OSError, subprocess.SubprocessError) as exc:
+                errors.append(f"{compiler}: {exc}")
+            else:
+                so_path = cache / f"{stem}-{_digest(Path(tmp).read_bytes())}.so"
+                os.replace(tmp, so_path)
+                return so_path
+        raise _Unavailable("no working C compiler (" + "; ".join(errors) + ")")
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load(so_path: Path) -> ctypes.CDLL:
+    lib = ctypes.CDLL(str(so_path))
+    for name, argtypes in _SIGNATURES.items():
+        func = getattr(lib, name)
+        func.argtypes = argtypes
+        func.restype = None
     return lib
+
+
+def _build_library() -> ctypes.CDLL:
+    """Load the shared object, compiling it when missing or damaged."""
+    cache = _cache_dir()
+    stem = "kernels-" + _digest((_C_SOURCE + " ".join(_CFLAGS)).encode())
+    for so_path in sorted(cache.glob(f"{stem}-*.so")):
+        # dlopen of a truncated object can kill the process (SIGBUS), so a
+        # file is only loaded once it matches the content hash in its name.
+        try:
+            if _digest(so_path.read_bytes()) == so_path.stem.rpartition("-")[2]:
+                return _load(so_path)
+        except (OSError, AttributeError):
+            pass
+        so_path.unlink(missing_ok=True)
+    so_path = _compile(cache, stem)
+    try:
+        return _load(so_path)
+    except (OSError, AttributeError) as exc:
+        raise _Unavailable(f"cannot load {so_path}: {exc}") from None
 
 
 def _as_i64(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
-class CExtBackend(KernelBackend):
-    """Compiled-C sweeps + motion compensation, self-probed for exactness."""
+def _frame_args(ev) -> tuple:
+    """The leading arguments every block kernel takes: current blocks, the
+    padded reference with its row stride, block origins and the padding."""
+    return (
+        ev.cur_blocks.ctypes.data, ev.ref_pad.ctypes.data, ev.ref_pad.shape[1],
+        ev.by.ctypes.data, ev.bx.ctypes.data, ev.pad,
+    )
 
-    name = "cext"
 
-    def __init__(self) -> None:
-        self._lib: ctypes.CDLL | None = None
-        self._checked = False
-        self._reason: str | None = None
-        self._scratch = np.empty(64 * 64, dtype=np.float64)
+class _CKernels:
+    """ctypes call wrappers over one loaded library.
 
-    # -- availability -----------------------------------------------------
+    Holds nothing but the library handle and every call allocates its own
+    scratch and outputs, so one instance serves any number of threads.
+    """
 
-    def available(self) -> bool:
-        if not self._checked:
-            self._checked = True
-            self._lib = _build_library()
-            if self._lib is None:
-                self._reason = "no C compiler (cc/gcc/clang) or dlopen failed"
-            elif not self._self_probe():
-                self._lib = None
-                self._reason = "self-probe found a bitwise mismatch vs the reference"
-        if self._lib is not None:
-            # Hooks are bound only once the probe has passed.
-            self.descend_sweep = self._descend_sweep
-            self.seed_sweep = self._seed_sweep
-            self.offset_sweep = self._offset_sweep
-            self.motion_compensate = self._motion_compensate
-        return self._lib is not None
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        self._lib = lib
 
-    def why_unavailable(self) -> str | None:
-        return self._reason
-
-    def warm(self) -> None:
-        self.available()
-
-    # -- kernels ----------------------------------------------------------
-
-    def _ensure_scratch(self, block: int) -> np.ndarray:
-        if self._scratch.size < block * block:
-            self._scratch = np.empty(block * block, dtype=np.float64)
-        return self._scratch
-
-    def _descend_sweep(self, ev, pattern, dx, dy, cost, pred_x, pred_y,
-                       lambda_mv, *, max_iter=16):
-        lib = self._lib
+    def descend_sweep(self, ev, pattern, dx, dy, cost, pred_x, pred_y,
+                      lambda_mv, *, max_iter=16):
         pat = _as_i64(np.asarray(pattern).reshape(-1, 2))
-        scratch = self._ensure_scratch(ev.block)
-        lib.descend(
-            ev.cur_blocks.ctypes.data, ev.ref_pad.ctypes.data, ev.ref_pad.shape[1],
-            ev.by.ctypes.data, ev.bx.ctypes.data, ev.pad, ev.n, ev.block,
+        scratch = np.empty(ev.block * ev.block, dtype=np.float64)
+        self._lib.descend(
+            *_frame_args(ev), ev.n, ev.block,
             pat.ctypes.data, pat.shape[0],
             dx.ctypes.data, dy.ctypes.data, cost.ctypes.data,
             pred_x.ctypes.data, pred_y.ctypes.data,
@@ -351,14 +453,12 @@ class CExtBackend(KernelBackend):
         )
         return dx, dy, cost
 
-    def _seed_sweep(self, ev, idx, offsets, dx, dy, cost, lambda_mv):
-        lib = self._lib
+    def seed_sweep(self, ev, idx, offsets, dx, dy, cost, lambda_mv):
         offs = _as_i64(np.asarray(offsets).reshape(-1, 2))
         idx = _as_i64(idx)
-        scratch = self._ensure_scratch(ev.block)
-        lib.sweep_abs(
-            ev.cur_blocks.ctypes.data, ev.ref_pad.ctypes.data, ev.ref_pad.shape[1],
-            ev.by.ctypes.data, ev.bx.ctypes.data, ev.pad,
+        scratch = np.empty(ev.block * ev.block, dtype=np.float64)
+        self._lib.sweep_abs(
+            *_frame_args(ev),
             idx.ctypes.data, idx.shape[0], ev.block,
             offs.ctypes.data, offs.shape[0],
             dx.ctypes.data, dy.ctypes.data, cost.ctypes.data,
@@ -366,14 +466,12 @@ class CExtBackend(KernelBackend):
         )
         return dx, dy, cost
 
-    def _offset_sweep(self, ev, idx, offsets, dx, dy, cost, pred_x, pred_y, lambda_mv):
-        lib = self._lib
+    def offset_sweep(self, ev, idx, offsets, dx, dy, cost, pred_x, pred_y, lambda_mv):
         offs = _as_i64(np.asarray(offsets).reshape(-1, 2))
         idx = _as_i64(idx)
-        scratch = self._ensure_scratch(ev.block)
-        lib.sweep_rel_clip(
-            ev.cur_blocks.ctypes.data, ev.ref_pad.ctypes.data, ev.ref_pad.shape[1],
-            ev.by.ctypes.data, ev.bx.ctypes.data, ev.pad,
+        scratch = np.empty(ev.block * ev.block, dtype=np.float64)
+        self._lib.sweep_rel_clip(
+            *_frame_args(ev),
             idx.ctypes.data, idx.shape[0], ev.block,
             offs.ctypes.data, offs.shape[0],
             dx.ctypes.data, dy.ctypes.data, cost.ctypes.data,
@@ -382,7 +480,31 @@ class CExtBackend(KernelBackend):
         )
         return dx, dy, cost
 
-    def _motion_compensate(self, reference, mv, *, block=16):
+    def block_sad(self, ev, idx, dx, dy):
+        """SAD of blocks ``idx`` (all blocks when ``None``) at ``(dx, dy)``."""
+        dx = _as_i64(dx)
+        dy = _as_i64(dy)
+        m = dx.shape[0]
+        if idx is not None:
+            idx = _as_i64(idx)
+        # The C loop trusts its indices; the reference would raise on these.
+        if dy.shape[0] != m or (ev.n if idx is None else idx.shape[0]) != m:
+            raise ValueError("block_sad: idx, dx and dy must have one entry per block")
+        if m and (
+            max(-dx.min(), dx.max(), -dy.min(), dy.max()) > ev.pad
+            or (idx is not None and not 0 <= idx.min() <= idx.max() < ev.n)
+        ):
+            raise IndexError("block_sad: displacement or block index out of range")
+        out = np.empty(m, dtype=np.float64)
+        scratch = np.empty(ev.block * ev.block, dtype=np.float64)
+        self._lib.block_sad(
+            *_frame_args(ev),
+            None if idx is None else idx.ctypes.data, m, ev.block,
+            dx.ctypes.data, dy.ctypes.data, out.ctypes.data, scratch.ctypes.data,
+        )
+        return out
+
+    def motion_compensate(self, reference, mv, *, block=16):
         reference = np.asarray(reference, dtype=np.float32)
         rows, cols = mv.shape[0], mv.shape[1]
         rng = int(np.ceil(np.abs(mv).max())) + 2
@@ -397,67 +519,118 @@ class CExtBackend(KernelBackend):
         )
         return out
 
-    # -- self-probe -------------------------------------------------------
+    def self_probe(self) -> str | None:
+        """Bitwise-compare every C kernel against the codec reference.
 
-    def _self_probe(self) -> bool:
-        """Bitwise-compare every C kernel against the codec reference."""
-        try:
-            from repro.codec.motion import (
-                _BlockSadEvaluator,
-                _descend_reference,
-                _motion_compensate_reference,
-                _mv_bits_vec,
-                _SMALL_DIAMOND,
-            )
-        except ImportError:
-            return False
+        Returns the name of the first kernel that disagrees, ``None`` when
+        all agree.
+        """
+        from repro.codec.motion import (
+            _BlockSadEvaluator,
+            _descend_reference,
+            _motion_compensate_reference,
+            _mv_bits_vec,
+            _SMALL_DIAMOND,
+        )
+
         gen = np.random.default_rng(0xCE)
         # Pairwise summation, adversarial magnitudes.
         for n in (49, 64, 200, 256, 1024):
             a = np.exp(gen.normal(0.0, 12.0, size=(64, n)))
             out = np.empty(64, dtype=np.float64)
-            self._lib.pairwise_rows(
-                np.ascontiguousarray(a).ctypes.data, 64, n, out.ctypes.data
-            )
-            if not np.array_equal(out, a.reshape(64, n).sum(axis=1)):
-                return False
-        # Full descent + sweeps + MC against the reference implementations.
+            self._lib.pairwise_rows(a.ctypes.data, 64, n, out.ctypes.data)
+            if not np.array_equal(out, a.sum(axis=1)):
+                return f"pairwise_rows (n={n})"
+        # SADs, descent, sweeps and MC against the reference implementations.
         for block, shape in ((16, (96, 128)), (8, (48, 64))):
+            where = f"(block {block})"
             ref = gen.uniform(0, 255, size=shape).astype(np.float32)
             cur = np.clip(ref + gen.normal(0, 9, size=shape), 0, 255).astype(np.float32)
-            ev_a = _BlockSadEvaluator(cur, ref, 10, block)
-            ev_b = _BlockSadEvaluator(cur, ref, 10, block)
-            zero = np.zeros(ev_a.n, dtype=np.int64)
-            cost0 = ev_a.sad_int(zero, zero) + 4.0 * _mv_bits_vec(zero, zero, zero, zero)
-            pred = gen.integers(-3, 4, size=ev_a.n)
-            args_a = (zero.copy(), zero.copy(), cost0.copy(), pred, -pred, 4.0)
-            args_b = (zero.copy(), zero.copy(), cost0.copy(), pred, -pred, 4.0)
-            ra = _descend_reference(ev_a, _SMALL_DIAMOND, *args_a)
-            rb = self._descend_sweep(ev_b, _SMALL_DIAMOND, *args_b)
+            # reference_only: the oracle side must not dispatch to a backend.
+            ev = _BlockSadEvaluator(cur, ref, 10, block, reference_only=True)
+            zero = np.zeros(ev.n, dtype=np.int64)
+            rdx = gen.integers(-10, 11, size=ev.n)
+            rdy = gen.integers(-10, 11, size=ev.n)
+            idx = np.flatnonzero(gen.uniform(size=ev.n) < 0.7)
+            if not (
+                np.array_equal(self.block_sad(ev, None, rdx, rdy), ev.sad_int(rdx, rdy))
+                and np.array_equal(
+                    self.block_sad(ev, idx, rdx[idx], rdy[idx]),
+                    ev.sad_int_subset(idx, rdx[idx], rdy[idx]),
+                )
+            ):
+                return f"block_sad {where}"
+            cost0 = ev.sad_int(zero, zero) + 4.0 * _mv_bits_vec(zero, zero, zero, zero)
+            pred = gen.integers(-3, 4, size=ev.n)
+            ra = _descend_reference(
+                ev, _SMALL_DIAMOND, zero.copy(), zero.copy(), cost0.copy(), pred, -pred, 4.0
+            )
+            rb = self.descend_sweep(
+                ev, _SMALL_DIAMOND, zero.copy(), zero.copy(), cost0.copy(), pred, -pred, 4.0
+            )
             if not all(np.array_equal(x, y) for x, y in zip(ra, rb)):
-                return False
+                return f"descend {where}"
             offs = [(o, p) for o in (-8, -3, 5) for p in (-6, 2, 7)]
-            idx = np.flatnonzero(gen.uniform(size=ev_a.n) < 0.7)
-            sa = (ra[0].copy(), ra[1].copy(), ra[2].copy())
-            sb = (ra[0].copy(), ra[1].copy(), ra[2].copy())
-            _probe_seed_reference(ev_a, idx, offs, *sa, 4.0)
-            self._seed_sweep(ev_b, idx, offs, *sb, 4.0)
+            sa = tuple(x.copy() for x in ra)
+            sb = tuple(x.copy() for x in ra)
+            _probe_seed_reference(ev, idx, offs, *sa, 4.0)
+            self.seed_sweep(ev, idx, offs, *sb, 4.0)
             if not all(np.array_equal(x, y) for x, y in zip(sa, sb)):
-                return False
-            ua = (sa[0].copy(), sa[1].copy(), sa[2].copy())
-            ub = (sa[0].copy(), sa[1].copy(), sa[2].copy())
-            _probe_rel_reference(ev_a, idx, offs, *ua, pred, -pred, 4.0)
-            self._offset_sweep(ev_b, idx, offs, *ub, pred, -pred, 4.0)
+                return f"sweep_abs {where}"
+            ua = tuple(x.copy() for x in sa)
+            ub = tuple(x.copy() for x in sa)
+            _probe_rel_reference(ev, idx, offs, *ua, pred, -pred, 4.0)
+            self.offset_sweep(ev, idx, offs, *ub, pred, -pred, 4.0)
             if not all(np.array_equal(x, y) for x, y in zip(ua, ub)):
-                return False
+                return f"sweep_rel_clip {where}"
             mv = (gen.integers(-28, 29, size=(shape[0] // block, shape[1] // block, 2))
                   * 0.25).astype(np.float32)
             if not np.array_equal(
-                self._motion_compensate(ref, mv, block=block),
+                self.motion_compensate(ref, mv, block=block),
                 _motion_compensate_reference(ref, mv, block=block),
             ):
-                return False
-        return True
+                return f"motion_comp {where}"
+        return None
+
+
+class CExtBackend(KernelBackend):
+    """Compiled-C block SADs, sweeps + motion compensation, self-probed."""
+
+    name = "cext"
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._checked = False
+        self._reason: str | None = None
+
+    def available(self) -> bool:
+        # Build + probe exactly once however many threads ask first.
+        with self._lock:
+            if not self._checked:
+                self._reason = self._check()
+                self._checked = True
+            return self._reason is None
+
+    def why_unavailable(self) -> str | None:
+        with self._lock:
+            return self._reason
+
+    def _check(self) -> str | None:
+        """Build, load and probe; bind the hooks or return why not."""
+        try:
+            kernels = _CKernels(_build_library())
+        except (_Unavailable, OSError) as exc:  # OSError: full disk, read-only cache
+            return str(exc)
+        failed = kernels.self_probe()
+        if failed is not None:
+            return f"self-probe: {failed} differs bitwise from the reference"
+        # Hooks are bound only once the probe has passed.
+        self.descend_sweep = kernels.descend_sweep
+        self.seed_sweep = kernels.seed_sweep
+        self.offset_sweep = kernels.offset_sweep
+        self.block_sad = kernels.block_sad
+        self.motion_compensate = kernels.motion_compensate
+        return None
 
 
 def _probe_seed_reference(ev, idx, offsets, dx, dy, cost, lambda_mv):

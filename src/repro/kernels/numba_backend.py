@@ -328,8 +328,9 @@ class NumbaBackend(KernelBackend):
         for block, shape in ((16, (96, 128)), (8, (48, 64))):
             ref = gen.uniform(0, 255, size=shape).astype(np.float32)
             cur = np.clip(ref + gen.normal(0, 9, size=shape), 0, 255).astype(np.float32)
-            ev_a = _BlockSadEvaluator(cur, ref, 10, block)
-            ev_b = _BlockSadEvaluator(cur, ref, 10, block)
+            # reference_only: the oracle side must not dispatch to a backend.
+            ev_a = _BlockSadEvaluator(cur, ref, 10, block, reference_only=True)
+            ev_b = _BlockSadEvaluator(cur, ref, 10, block, reference_only=True)
             zero = np.zeros(ev_a.n, dtype=np.int64)
             cost0 = ev_a.sad_int(zero, zero) + 4.0 * _mv_bits_vec(zero, zero, zero, zero)
             pred = gen.integers(-3, 4, size=ev_a.n)

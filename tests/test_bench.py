@@ -99,7 +99,9 @@ class TestRunner:
         doc = run_suite("micro", scale=TINY, names=CHEAP)
         assert doc["schema"] == SCHEMA_VERSION
         assert doc["config"]["frame_width"] == TINY.frame_width
-        assert {"python", "numpy", "scipy", "platform", "machine"} <= set(doc["host"])
+        assert {"python", "numpy", "scipy", "platform", "machine", "kernel_backend"} <= set(
+            doc["host"]
+        )
         assert [e["name"] for e in doc["benchmarks"]] == CHEAP
         path = write_doc(doc, tmp_path / "BENCH_t.json")
         # JSON round-trip turns the config's tuples into lists; compare in

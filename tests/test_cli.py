@@ -39,6 +39,11 @@ class TestMain:
         rc = main(["demo", "--frames", "6", "--clips", "1"])
         out = capsys.readouterr().out
         assert rc == 0
+        # The header names the kernel backend `auto` resolved to.
+        header = out.splitlines()[0]
+        assert header == "kernel backend: cext" or header.startswith(
+            "kernel backend: numpy (cext unavailable: "
+        )
         assert "mAP" in out
         assert "response time" in out
 

@@ -15,6 +15,9 @@ compiled C, numba when installed — because the backend contract is
 bit-identity, not closeness.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -147,6 +150,73 @@ def _frames(seed, shape=(64, 96), kind="noise"):
     else:
         raise AssertionError(kind)
     return cur, ref
+
+
+@pytest.mark.usefixtures("kernel_backend")
+class TestBlockSadDispatch:
+    """``sad_int`` / ``sad_int_subset`` go through the backend's
+    ``block_sad`` hook; the pinned-reference evaluator is the oracle."""
+
+    @pytest.mark.parametrize("block,shape", [(16, (64, 96)), (8, (48, 40)), (4, (16, 24))])
+    def test_matches_reference_evaluator(self, block, shape):
+        gen = np.random.default_rng(61)
+        # Adversarial magnitudes: a different summation order would show.
+        ref = np.exp(gen.normal(0.0, 6.0, size=shape)).astype(np.float32)
+        cur = np.exp(gen.normal(0.0, 6.0, size=shape)).astype(np.float32)
+        ev = _BlockSadEvaluator(cur, ref, 7, block)
+        oracle = _BlockSadEvaluator(cur, ref, 7, block, reference_only=True)
+        # Up to the pad: the sub-pel neighbours reach one past the range.
+        dx = gen.integers(-ev.pad, ev.pad + 1, size=ev.n)
+        dy = gen.integers(-ev.pad, ev.pad + 1, size=ev.n)
+        np.testing.assert_array_equal(ev.sad_int(dx, dy), oracle.sad_int(dx, dy))
+        for idx in (np.flatnonzero(gen.uniform(size=ev.n) < 0.5), np.arange(0), np.array([ev.n - 1])):
+            np.testing.assert_array_equal(
+                ev.sad_int_subset(idx, dx[idx], dy[idx]),
+                oracle.sad_int_subset(idx, dx[idx], dy[idx]),
+            )
+
+    def test_out_of_range_raises_instead_of_reading_wild(self):
+        cur, ref = _frames(62)
+        ev = _BlockSadEvaluator(cur, ref, 4, 16)
+        zero = np.zeros(ev.n, dtype=np.int64)
+        with pytest.raises(IndexError):
+            ev.sad_int(zero + 10 * ev.pad + 10_000, zero)
+        with pytest.raises(IndexError):
+            ev.sad_int_subset(np.array([ev.n]), zero[:1], zero[:1])
+
+
+class TestCExtReentrant:
+    """``cext`` kernels share nothing between calls: concurrent encodes
+    (``agent_workers > 1``, stream workers) must equal the serial results."""
+
+    @pytest.mark.timeout(120)
+    def test_threads_match_serial(self):
+        if "cext" not in kernels.available_backends():
+            pytest.skip(f"cext: {kernels.backend('cext').why_unavailable()}")
+        # Frames big enough that the C calls of different threads overlap
+        # (at 96x128 a shared scratch buffer went unnoticed).
+        jobs = []
+        for seed, method in enumerate(["dia", "hex", "umh"] * 4):
+            cur, ref = _frames(70 + seed, shape=(288, 480))
+            jobs.append((method, np.roll(cur, seed % 9 - 4, axis=1), ref))
+
+        def run(job):
+            method, cur, ref = job
+            est = estimate_motion(cur, ref, method=method, search_range=8)
+            return est.mv, est.sad, motion_compensate(ref, est.mv)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with kernels.use_backend("cext"):
+                serial = [run(job) for job in jobs]
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    threaded = list(pool.map(run, jobs * 3))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(threaded, serial * 3):
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro import kernels
 from repro.core import DiVEScheme
 from repro.edge import EdgeServer, QualityAwareDetector
 from repro.experiments import scaled_bandwidth
@@ -237,6 +238,18 @@ class TestFleetRunner:
         rerun = FleetRunner(base.config).run()
         assert rerun.digest() == base.digest()
         wide = FleetRunner(replace(base.config, agent_workers=4)).run()
+        assert wide.digest() == base.digest()
+
+    def test_digest_same_on_numpy_reference(self, small_fleet_result):
+        """The test above runs on the host's default kernel backend; the
+        reference must agree with it, again for any ``agent_workers``."""
+        from dataclasses import replace
+
+        base = small_fleet_result
+        with kernels.use_backend("numpy"):
+            narrow = FleetRunner(base.config).run()
+            wide = FleetRunner(replace(base.config, agent_workers=4)).run()
+        assert narrow.digest() == base.digest()
         assert wide.digest() == base.digest()
 
     def test_reports_cover_every_agent(self, small_fleet_result):

@@ -172,6 +172,19 @@ def test_determinism_across_worker_counts(policy):
     assert solo.stats.dropped + solo.stats.degraded + solo.stats.late > 0
 
 
+def test_determinism_across_worker_counts_on_numpy_reference():
+    """The test above runs on the host's default kernel backend; the
+    reference makes the same decisions, for 1 and 4 workers alike."""
+    from repro import kernels
+
+    default = _strict_run(4, "drop-oldest")
+    with kernels.use_backend("numpy"):
+        solo = _strict_run(1, "drop-oldest")
+        quad = _strict_run(4, "drop-oldest")
+    assert solo.stats.digest() == quad.stats.digest() == default.stats.digest()
+    assert [f.bytes_sent for f in solo.run.frames] == [f.bytes_sent for f in default.run.frames]
+
+
 class _CallServer(AnalyticsScheme):
     """Minimal scheme driving one server call (stage-plumbing tests)."""
 
