@@ -412,12 +412,20 @@ def _build_fleet(scale: BenchScale) -> BenchCase:
     )
 
     def fn() -> object:
-        return FleetRunner(fleet_config).run()
+        result = FleetRunner(fleet_config).run()
+        # The fleet's two phases as the bench's stages, so a regression
+        # names which one moved.
+        tracer = Tracer(meta={"scheme": "fleet"})
+        tracer.frame_record(0).spans.update(
+            agents=result.agents_wall_time, settle=result.settle_wall_time)
+        case.tracers.append(tracer)
+        return result
 
     case.fn = fn
     # One reference run pins the deterministic fleet outcome into the
     # gated work dict (same story as pipeline/stream above).
     reference = fn()
+    case.tracers.clear()
     delivered = sum(
         1 for run in reference.runs for f in run.frames
         if np.isfinite(f.response_time)

@@ -621,7 +621,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             ["metric", "value"], sorted(summary.items()),
             title="fleet aggregate",
         ))
-        print(f"fleet digest {digest[:16]}  metrics digest {registry_digest(registry)[:16]}")
+        print(f"fleet digest {digest[:16]}  metrics digest {registry_digest(registry)[:16]}  "
+              f"wall: agents {result.agents_wall_time:.2f} s, settle {result.settle_wall_time:.2f} s")
     if args.metrics_out:
         # Keep --format json machine-readable: the artefact notice goes
         # to stderr there, stdout stays one JSON document.

@@ -49,6 +49,7 @@ from repro.experiments.runner import (
     run_scheme,
     sanitizer_for,
     tracer_for,
+    truth_clip,
 )
 from repro.experiments.table1 import DatasetSummary, run_table1
 
@@ -94,5 +95,6 @@ __all__ = [
     "metrics_for",
     "sanitizer_for",
     "tracer_for",
+    "truth_clip",
     "scaled_bandwidth",
 ]

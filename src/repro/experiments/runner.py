@@ -17,7 +17,7 @@ from repro.metrics.flight import NULL_FLIGHT_RECORDER, FlightRecorder, NullFligh
 from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry, NullRegistry
 from repro.network.trace import BandwidthTrace
 from repro.obs import NULL_TRACER, NullTracer, Tracer
-from repro.world.datasets import Clip
+from repro.world.datasets import Clip, ScoredClip
 
 __all__ = [
     "EvaluationResult",
@@ -31,6 +31,7 @@ __all__ = [
     "run_scheme",
     "sanitizer_for",
     "tracer_for",
+    "truth_clip",
 ]
 
 
@@ -80,10 +81,21 @@ class EvaluationResult:
         return self.ap["mAP"]
 
 
+def truth_clip(clip: Clip, *, detector_seed: int = 7) -> ScoredClip:
+    """``clip`` behind a facade that scores ground truth as frames go by.
+
+    Every record the facade hands out — to a scheme, or to the streaming
+    capture stage — is passed through ``QualityAwareDetector.ground_truth``
+    once; ``.scores()`` is then the clip's ground truth without a second
+    render.  The one ground-truth mechanism of the batch, stream and fleet
+    drivers alike.
+    """
+    return ScoredClip(clip, QualityAwareDetector(seed=detector_seed).ground_truth)
+
+
 def ground_truth_for(clip: Clip, *, detector_seed: int = 7) -> list[list[Detection]]:
     """Raw-frame detections for every frame of a clip (the paper's GT)."""
-    detector = QualityAwareDetector(seed=detector_seed)
-    return [detector.ground_truth(clip.frame(i)) for i in range(clip.n_frames)]
+    return truth_clip(clip, detector_seed=detector_seed).scores()
 
 
 def tracer_for(config: ExperimentConfig) -> Tracer | NullTracer:
@@ -172,7 +184,10 @@ def run_scheme(
 
     A fresh :class:`EdgeServer` (with the shared detector seed) is created
     per run so decoder state never leaks between schemes; ground truth can
-    be passed in to avoid recomputing it across schemes.  A ``tracer``
+    be passed in to avoid recomputing it across schemes, and is otherwise
+    scored on the frames as the run fetches them (:func:`truth_clip` — an
+    un-preloaded clip is rendered once, not once more for scoring).  A
+    ``tracer``
     (see :mod:`repro.obs` and :func:`tracer_for`) is threaded through the
     scheme and the server so the run emits a per-frame trace; a
     ``sanitizer`` (see :mod:`repro.check` and :func:`sanitizer_for`) is
@@ -210,6 +225,8 @@ def run_scheme(
         registry.meta.setdefault("runs", []).append(
             {"scheme": scheme.name, "clip": clip.name, "n_frames": clip.n_frames}
         )
+    if ground_truth is None:
+        clip = truth_clip(clip, detector_seed=detector_seed)
     server = EdgeServer(
         QualityAwareDetector(seed=detector_seed),
         tracer=scheme.tracer,
@@ -232,6 +249,8 @@ def run_scheme(
             )
     else:
         run = scheme.run(clip, trace, server)
+    if ground_truth is None:
+        ground_truth = clip.scores()
     evaluated = evaluate_run(run, clip, detector_seed=detector_seed, ground_truth=ground_truth)
     evaluated.stream = stats
     evaluated.metrics = registry if registry.enabled else None

@@ -24,11 +24,15 @@ mirroring the belief/truth epistemics of :mod:`repro.stream`:
    bit-identical to a plain streamed run); frames whose every request
    was rejected go *stale* (detections = last good edge result, response
    never arrives).  Accuracy is then scored on the settled detections
-   and all fleet metrics are recorded with ``agent=…`` labels.
+   — against ground truth that phase 1 scored on the frames it captured,
+   so no clip is rendered twice — and all fleet metrics are recorded
+   with ``agent=…`` labels.
 """
 
 from __future__ import annotations
 
+import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -37,10 +41,11 @@ import numpy as np
 from repro.baselines import DDSScheme, EAARScheme, O3Scheme
 from repro.baselines.base import SchemeRun
 from repro.core.agent import DiVEScheme
-from repro.edge.detector import QualityAwareDetector
+from repro.edge.detector import Detection, QualityAwareDetector
 from repro.edge.evaluation import evaluate_detections
 from repro.edge.server import EdgeServer
 from repro.experiments.config import scaled_bandwidth
+from repro.experiments.runner import truth_clip
 from repro.fleet.batch import (
     ADMISSIONS,
     BatchingEdgeServer,
@@ -241,13 +246,18 @@ class FleetConfig:
 
 @dataclass
 class _AgentRun:
-    """Phase-1 output for one agent (belief timeline + request log)."""
+    """Phase-1 output for one agent (belief timeline + request log).
+
+    ``truth`` is the clip's per-frame ground truth, scored on the frames
+    the capture stage rendered (see :func:`~repro.experiments.truth_clip`)
+    — ``settle`` never touches the clip.
+    """
 
     spec: AgentSpec
-    clip: Clip
     run: SchemeRun
     stream_stats: object
     calls: list[RecordedCall]
+    truth: list[list[Detection]]
 
     def fork(self) -> "_AgentRun":
         """A copy whose frames can be settled without mutating this run.
@@ -257,17 +267,18 @@ class _AgentRun:
         prefix of one agent pool) fork first so deltas never accumulate.
         """
         frames = [replace(f, detections=list(f.detections)) for f in self.run.frames]
-        return _AgentRun(
-            spec=self.spec, clip=self.clip,
-            run=SchemeRun(scheme=self.run.scheme, clip_name=self.run.clip_name,
-                          frames=frames),
-            stream_stats=self.stream_stats, calls=self.calls,
-        )
+        return replace(self, run=replace(self.run, frames=frames))
 
 
 @dataclass
 class FleetResult:
-    """Settled outcome of one fleet run."""
+    """Settled outcome of one fleet run.
+
+    ``agents_wall_time`` / ``settle_wall_time`` are the wall-clock
+    seconds :meth:`FleetRunner.run` spent in phase 1 and in phases 2+3
+    (``0.0`` for a result built by calling ``settle`` directly); like
+    ``StreamStats.wall_time`` they are not part of :meth:`digest`.
+    """
 
     config: FleetConfig
     specs: tuple[AgentSpec, ...]
@@ -277,6 +288,8 @@ class FleetResult:
     stats: FleetStats = field(default_factory=FleetStats)
     metrics: object = NULL_REGISTRY
     flight: object = NULL_FLIGHT_RECORDER
+    agents_wall_time: float = 0.0
+    settle_wall_time: float = 0.0
 
     def digest(self) -> str:
         """SHA-256 over every settled per-frame result, request outcome
@@ -390,10 +403,11 @@ class FleetRunner:
                 downlink_latency=cfg.downlink_latency,
             )
             recording = RecordingEdgeServer(server)
-            result = StreamRunner(scheme, cfg.stream_config()).run(clip, trace, recording)
+            scored = truth_clip(clip, detector_seed=cfg.detector_seed)
+            result = StreamRunner(scheme, cfg.stream_config()).run(scored, trace, recording)
             return _AgentRun(
-                spec=spec, clip=clip, run=result.run,
-                stream_stats=result.stats, calls=recording.calls,
+                spec=spec, run=result.run, stream_stats=result.stats,
+                calls=recording.calls, truth=scored.scores(),
             )
 
         if cfg.agent_workers == 1 or len(specs) == 1:
@@ -448,6 +462,7 @@ class FleetRunner:
         )
         outcomes = batcher.serve(requests)
         outcome_map = {(o.agent, o.seq): o for o in outcomes}
+        requests_by_agent = Counter(o.agent for o in outcomes)
 
         # ---- phase 3: settle every agent's belief against the truth.
         m_resp = metrics.histogram(
@@ -458,7 +473,6 @@ class FleetRunner:
         m_goodput = metrics.counter(
             "fleet_goodput_bytes", unit="bytes",
             help="uplink bytes of frames whose result arrived")
-        gt_cache: dict[tuple, list] = {}
         reports: list[AgentReport] = []
         pooled_responses: list[float] = []
         makespan = 0.0
@@ -472,8 +486,9 @@ class FleetRunner:
             a_good = m_goodput.labels(agent=spec.agent) if flabel else m_goodput
             for f in sorted(run.frames, key=lambda fr: fr.index):
                 calls = by_frame.get(f.index, [])
-                outs = [outcome_map[(spec.agent, c.seq)] for c in calls
-                        if (spec.agent, c.seq) in outcome_map]
+                paired = [(c, o) for c in calls
+                          if (o := outcome_map.get((spec.agent, c.seq))) is not None]
+                outs = [o for _, o in paired]
                 served_req += sum(o.status == "served" for o in outs)
                 degraded_req += sum(o.status == "degraded" for o in outs)
                 rejected_req += sum(o.status == "rejected" for o in outs)
@@ -493,10 +508,9 @@ class FleetRunner:
                     status = "stale"
                 else:
                     if np.isfinite(f.response_time):
-                        paired = [(c, outcome_map[(spec.agent, c.seq)]) for c in calls
-                                  if (spec.agent, c.seq) in outcome_map
-                                  and outcome_map[(spec.agent, c.seq)].status != "rejected"]
-                        last_call, last_out = max(paired, key=lambda p: p[0].result_time)
+                        last_call, last_out = max(
+                            (p for p in paired if p[1].status != "rejected"),
+                            key=lambda p: p[0].result_time)
                         # Shift by the queueing/batching delay; exactly
                         # 0.0 on an unloaded fleet, so solo runs keep
                         # their belief bit-for-bit.
@@ -521,13 +535,7 @@ class FleetRunner:
                     m_frames.labels(agent=spec.agent, status=status).inc(
                         1.0, at=spec.start + f.capture_time)
 
-            key = (spec.dataset, spec.clip_seed, cfg.n_frames, cfg.resolution,
-                   cfg.detector_seed)
-            if key not in gt_cache:
-                detector = QualityAwareDetector(seed=cfg.detector_seed)
-                gt_cache[key] = [detector.ground_truth(ar.clip.frame(i))
-                                 for i in range(ar.clip.n_frames)]
-            ap = evaluate_detections(run.detections_per_frame, gt_cache[key])
+            ap = evaluate_detections(run.detections_per_frame, ar.truth)
             finite = [f.response_time for f in run.frames if np.isfinite(f.response_time)]
             reports.append(AgentReport(
                 agent=spec.agent, scheme=run.scheme, clip_name=run.clip_name,
@@ -539,7 +547,7 @@ class FleetRunner:
                 p99_response=quantile(finite, 0.99),
                 goodput_bytes=int(sum(
                     f.bytes_sent for f in run.frames if np.isfinite(f.response_time))),
-                requests=len([o for o in outcomes if o.agent == spec.agent]),
+                requests=requests_by_agent[spec.agent],
                 served=served_req, degraded=degraded_req, rejected=rejected_req,
                 stale_frames=stale, late_frames=late,
                 stream_digest=ar.stream_stats.digest(),
@@ -562,4 +570,10 @@ class FleetRunner:
             specs = self.config.specs()
         else:
             self.config.validate()
-        return self.settle(specs, self.run_agents(specs))
+        started = time.perf_counter()
+        agent_runs = self.run_agents(specs)
+        settling = time.perf_counter()
+        result = self.settle(specs, agent_runs)
+        result.agents_wall_time = settling - started
+        result.settle_wall_time = time.perf_counter() - settling
+        return result

@@ -57,6 +57,11 @@ __all__ = [
 
 _INF = float("inf")
 
+#: Wall-clock seconds between a blocked stage's checks of the abort flag
+#: and its watchdog deadline.  Start-up, hand-off and shutdown are all by
+#: notification or message; nothing on the success path waits this out.
+_HEARTBEAT = 0.1
+
 
 class StreamError(RuntimeError):
     """A pipeline stage failed or the run was aborted."""
@@ -180,7 +185,7 @@ class _CaptureStage:
                     while (not self._stop and not self._abort.is_set()
                            and self._next_claim < self._clip.n_frames
                            and self._next_claim - self._delivered >= self._prefetch):
-                        self._cond.wait(0.1)
+                        self._cond.wait(_HEARTBEAT)
                     if self._stop or self._abort.is_set() or self._next_claim >= self._clip.n_frames:
                         return
                     index = self._next_claim
@@ -220,7 +225,7 @@ class _CaptureStage:
                         f"capture stage stalled past the {self._watchdog}s watchdog "
                         f"waiting for frame {index}"
                     )
-                self._cond.wait(0.1)
+                self._cond.wait(_HEARTBEAT)
             record = self._buffer.pop(index)
             self._delivered = index + 1
             self._recent[index] = record
@@ -283,7 +288,7 @@ class _InferenceStage:
     def _serve(self) -> None:
         while True:
             try:
-                req = self._requests.get(timeout=0.1)
+                req = self._requests.get(timeout=_HEARTBEAT)
             except _queuemod.Empty:
                 if self._abort.is_set():
                     return
@@ -302,7 +307,7 @@ class _InferenceStage:
         deadline = time.perf_counter() + self._watchdog if self._watchdog else None
         while True:
             try:
-                kind, payload = reply.get(timeout=0.1)
+                kind, payload = reply.get(timeout=_HEARTBEAT)
                 break
             except _queuemod.Empty:
                 if self._abort.is_set():
@@ -356,12 +361,12 @@ class _ServerProxy:
 class _Accounting:
     """Drains sealed queue outcomes, stamping the clock as truth advances."""
 
-    def __init__(self, clock: VirtualClock, abort: threading.Event):
+    _STOP = object()
+
+    def __init__(self, clock: VirtualClock):
         self._clock = clock
-        self._abort = abort
         self._channel: _queuemod.SimpleQueue = _queuemod.SimpleQueue()
         self._thread: threading.Thread | None = None
-        self._done = threading.Event()
 
     def on_seal(self, outcome: QueueOutcome) -> None:
         self._channel.put(outcome)
@@ -371,17 +376,12 @@ class _Accounting:
         self._thread.start()
 
     def _drain(self) -> None:
-        while True:
-            try:
-                outcome = self._channel.get(timeout=0.1)
-            except _queuemod.Empty:
-                if self._done.is_set() or self._abort.is_set():
-                    return
-                continue
+        while (outcome := self._channel.get()) is not self._STOP:
             self._clock.stamp("uplink", outcome.release_time)
 
     def stop(self) -> None:
-        self._done.set()
+        # FIFO: every outcome sealed before this call is stamped first.
+        self._channel.put(self._STOP)
         if self._thread is not None:
             self._thread.join(timeout=5.0)
 
@@ -470,7 +470,7 @@ class StreamRunner:
         clock = VirtualClock(lock_sanitizer=lock_sanitizer)
         abort = threading.Event()
         ctx = _RunContext()
-        accounting = _Accounting(clock, abort)
+        accounting = _Accounting(clock)
 
         def factory(trace_: BandwidthTrace, *, hol_timeout: float | None = None, tracer=NULL_TRACER):
             # One truth queue per run (one physical bottleneck), shared if
@@ -504,6 +504,7 @@ class StreamRunner:
             inference.start()
             accounting.start()
             run = self.scheme.run(stream_clip, trace, proxy)
+            outcomes = ctx.queue.close() if ctx.queue is not None else []
         except (SanitizeError, LockOrderError) as exc:
             # Sanitizer trips are exactly what a post-mortem is for:
             # snapshot the recent lifecycle events before unwinding.
@@ -521,8 +522,7 @@ class StreamRunner:
             self.scheme.use_uplink_factory(None)
             capture.stop()
             inference.stop()
-        outcomes = ctx.queue.close() if ctx.queue is not None else []
-        accounting.stop()
+            accounting.stop()
         wall = time.perf_counter() - started
         stats = self._reconcile(run, ctx, outcomes, server, cfg, clock, wall)
         return StreamResult(run=run, stats=stats, metrics=self.metrics, flight=self.flight)

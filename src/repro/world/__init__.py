@@ -9,7 +9,7 @@ holds in the rendered pixels by construction.
 """
 
 from repro.world.annotations import EgoState, FrameRecord, MotionState, ObjectAnnotation
-from repro.world.datasets import Clip, kitti_like, nuscenes_like, robotcar_like, summarize_clips
+from repro.world.datasets import Clip, ScoredClip, kitti_like, nuscenes_like, robotcar_like, summarize_clips
 from repro.world.objects import SceneObject, building, moving_car, parked_car, pedestrian
 from repro.world.renderer import Renderer
 from repro.world.scene import Scene
@@ -25,6 +25,7 @@ __all__ = [
     "Renderer",
     "Scene",
     "SceneObject",
+    "ScoredClip",
     "Segment",
     "StopSegment",
     "StraightSegment",

@@ -20,7 +20,9 @@ experiments are scaled by pixel count accordingly (see
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +34,7 @@ from repro.world.renderer import Renderer
 from repro.world.scene import Scene
 from repro.world.trajectory import EgoTrajectory, Segment, StopSegment, StraightSegment, TurnSegment
 
-__all__ = ["Clip", "kitti_like", "nuscenes_like", "robotcar_like", "summarize_clips"]
+__all__ = ["Clip", "ScoredClip", "kitti_like", "nuscenes_like", "robotcar_like", "summarize_clips"]
 
 
 @dataclass
@@ -115,6 +117,68 @@ class Clip:
 
     def motion_state(self, index: int) -> str:
         return self.scene.trajectory.motion_state_at(self.time_of(index))
+
+
+class ScoredClip:
+    """Clip facade that scores every frame it hands out, once per index.
+
+    ``score(record)`` — e.g. ``QualityAwareDetector.ground_truth`` — runs
+    on whichever thread fetched the frame (the streaming capture workers,
+    or the scheme itself in a batch run), on the record that fetch
+    produced anyway, so scoring a clip never costs a second render.  Only
+    the per-index result is kept, never the record: a retained record
+    pins the frame's image, depth and id buffers.  ``score`` must be a
+    pure function of the record; everything but the three fetch methods
+    and :meth:`scores` is the wrapped clip's.
+    """
+
+    def __init__(self, clip: Clip, score: Callable[[FrameRecord], object]):
+        self._clip = clip
+        self._score = score
+        self._lock = threading.Lock()
+        self._scores: dict[int, object] = {}
+
+    def _scored(self, record: FrameRecord | None) -> FrameRecord | None:
+        if record is not None:
+            with self._lock:
+                known = record.index in self._scores
+            if not known:
+                # Outside the lock: workers score different frames in
+                # parallel, and a racing duplicate is equal by purity.
+                value = self._score(record)
+                with self._lock:
+                    self._scores.setdefault(record.index, value)
+        return record
+
+    def frame(self, index: int) -> FrameRecord:
+        return self._scored(self._clip.frame(index))
+
+    def cached(self, index: int) -> FrameRecord | None:
+        return self._scored(self._clip.cached(index))
+
+    def render_at(self, index: int) -> FrameRecord:
+        return self._scored(self._clip.render_at(index))
+
+    def frames(self):
+        for i in range(self._clip.n_frames):
+            yield self.frame(i)
+
+    def scores(self) -> list:
+        """The score of every frame, in index order.
+
+        Frames nothing has fetched yet are fetched (and scored) now, so
+        the list is complete whatever the run skipped.
+        """
+        indices = range(self._clip.n_frames)
+        with self._lock:
+            missing = [i for i in indices if i not in self._scores]
+        for i in missing:
+            self.frame(i)
+        with self._lock:
+            return [self._scores[i] for i in indices]
+
+    def __getattr__(self, name):
+        return getattr(self._clip, name)
 
 
 def _default_intrinsics(resolution: tuple[int, int]) -> CameraIntrinsics:

@@ -102,6 +102,24 @@ def kernel_backend(request):
         yield name
 
 
+@pytest.fixture
+def render_calls(monkeypatch):
+    """Every ``Renderer.render`` call while the test runs, as a list that
+    grows by one per call (``list.append`` is atomic, so render workers on
+    any thread count)."""
+    from repro.world import Renderer
+
+    calls = []
+    original = Renderer.render
+
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs.get("frame_index"))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Renderer, "render", counted)
+    return calls
+
+
 def pytest_configure(config):
     if not config.pluginmanager.hasplugin("timeout"):
         config.addinivalue_line(

@@ -167,6 +167,119 @@ class TestFig16:
         assert by_scheme["DiVE"].map > by_scheme["O3"].map
 
 
+class TestGroundTruthAtCapture:
+    """``run_scheme`` scores ground truth on the frames the run fetches
+    (``truth_clip``), so an un-preloaded clip is rendered exactly once."""
+
+    N = 6
+
+    def _inputs(self):
+        from repro.network import constant_trace
+
+        clip = nuscenes_like(3, n_frames=self.N, resolution=(192, 96))
+        return clip, constant_trace(scaled_bandwidth(2.0, clip))
+
+    @pytest.mark.parametrize("scheme", ["dive", "dds", "eaar", "o3"])
+    @pytest.mark.parametrize("stream", [None, True])
+    def test_renders_each_frame_once(self, render_calls, scheme, stream):
+        from repro.experiments import ground_truth_for, run_scheme
+        from repro.fleet import SCHEMES
+
+        clip, trace = self._inputs()
+        result = run_scheme(SCHEMES[scheme](), clip, trace, stream=stream)
+        assert sorted(render_calls) == list(range(self.N))
+        reference = run_scheme(
+            SCHEMES[scheme](), clip, trace, stream=stream,
+            ground_truth=ground_truth_for(self._inputs()[0]))
+        assert result.ap == reference.ap
+
+    def test_collected_truth_and_map_match_the_two_pass_values(self):
+        from repro.core import DiVEScheme
+        from repro.experiments import ground_truth_for, run_scheme, truth_clip
+
+        clip, trace = self._inputs()
+        scored = truth_clip(clip)
+        DiVEScheme().run(scored, trace, _server())
+        assert scored.scores() == ground_truth_for(self._inputs()[0])
+        # mAP of this run at the commit before truth moved to capture.
+        for stream in (None, True):
+            fresh, _ = self._inputs()
+            assert run_scheme(DiVEScheme(), fresh, trace, stream=stream).map == 0.41666666666666663
+
+    def test_passed_ground_truth_bypasses_the_facade(self, render_calls):
+        from repro.core import DiVEScheme
+        from repro.experiments import ground_truth_for, run_scheme
+        from repro.world import ScoredClip
+
+        class Spy(DiVEScheme):
+            def run(self, clip, trace, server):
+                self.clip = clip
+                return super().run(clip, trace, server)
+
+        clip, trace = self._inputs()
+        clip.preload()
+        truth = ground_truth_for(clip)
+        del render_calls[:]
+        spy = Spy()
+        run_scheme(spy, clip, trace, ground_truth=truth)
+        assert spy.clip is clip
+        assert render_calls == []
+        run_scheme(spy, clip, trace)
+        assert isinstance(spy.clip, ScoredClip)
+        assert render_calls == []
+
+    def test_scored_clip_keeps_scores_not_records(self):
+        from repro.world import FrameRecord, ScoredClip
+
+        clip, _ = self._inputs()
+        scored = ScoredClip(clip, lambda record: record.index * 10)
+        assert scored.cached(2) is None
+        assert isinstance(scored.render_at(2), FrameRecord)
+        assert scored.scores() == [0, 10, 20, 30, 40, 50]
+        assert scored.name == clip.name and scored.n_frames == self.N
+        assert not any(isinstance(v, FrameRecord) for v in vars(scored).values())
+        assert not any(isinstance(v, FrameRecord) for v in scored._scores.values())
+
+    @pytest.mark.timeout(60)
+    def test_scored_clip_under_racing_fetchers(self):
+        """More fetchers than cores on one facade, with a short switch
+        interval: every index ends up with exactly its own score."""
+        import sys
+        import threading
+
+        from repro.world import ScoredClip
+
+        clip, _ = self._inputs()
+        clip.preload()
+        scored = ScoredClip(clip, lambda record: [record.index] * 3)
+        start = threading.Barrier(8)
+
+        def fetch(k):
+            start.wait(timeout=30)
+            for i in range(200):
+                index = (i * (k + 1)) % self.N
+                (scored.frame, scored.cached, scored.render_at)[i % 3](index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fetch, args=(k,)) for k in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert scored.scores() == [[i] * 3 for i in range(self.N)]
+
+
+def _server():
+    from repro.edge import EdgeServer, QualityAwareDetector
+
+    return EdgeServer(QualityAwareDetector(seed=7))
+
+
 class TestReporting:
     def test_format_table(self):
         out = format_table(["a", "bb"], [[1, 2.0], ["x", 3.14159]], title="T")

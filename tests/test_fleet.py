@@ -252,6 +252,51 @@ class TestFleetRunner:
         assert narrow.digest() == base.digest()
         assert wide.digest() == base.digest()
 
+    def test_golden_digest_and_accuracy(self, small_fleet_result):
+        """Values recorded at the commit before ground truth moved to the
+        capture path (PR 14): scoring at capture must not change a result."""
+        res = small_fleet_result
+        assert res.digest() == (
+            "c8508e516adae05b307c2db68316be05d8bbdc6dbdf21d7a5216eb2cba3e7b60")
+        assert [r.map for r in res.reports] == [
+            0.4901960784313726, 0.4818627450980392, 0.4833333333333334]
+        assert res.agents_wall_time > 0.0 and res.settle_wall_time > 0.0
+
+    @pytest.mark.timeout(600)
+    def test_every_frame_rendered_exactly_once(self, render_calls):
+        """Ground truth is scored on the frames capture renders: a fleet
+        run renders n_agents x n_frames frames whatever the pool widths,
+        and the digest does not move with them."""
+        from dataclasses import replace
+
+        config = FleetConfig(
+            n_agents=3, n_frames=4, schemes=("dive", "dds", "o3"), resolution=RES,
+            stagger=0.03, cell_mbps=3.0, workers=1, max_batch=2, queue_capacity=2,
+        )
+        digests = set()
+        for agent_workers in (1, 4):
+            for stream_workers in (1, 2):
+                del render_calls[:]
+                result = FleetRunner(replace(
+                    config, agent_workers=agent_workers, stream_workers=stream_workers)).run()
+                assert len(render_calls) == config.n_agents * config.n_frames, (
+                    agent_workers, stream_workers)
+                digests.add(result.digest())
+        assert len(digests) == 1
+
+    def test_agent_truth_equals_ground_truth_of_a_fresh_clip(self):
+        from repro.experiments import ground_truth_for
+
+        config = FleetConfig(
+            n_agents=2, n_frames=4, schemes=("dive", "eaar"), resolution=RES,
+            stream_workers=2, detector_seed=11)
+        runner = FleetRunner(config)
+        specs = config.specs()
+        for spec, agent_run in zip(specs, runner.run_agents(specs)):
+            fresh = ground_truth_for(runner._clip_for(spec), detector_seed=11)
+            assert agent_run.truth == fresh
+            assert agent_run.fork().truth is agent_run.truth
+
     def test_reports_cover_every_agent(self, small_fleet_result):
         res = small_fleet_result
         assert [r.agent for r in res.reports] == ["a000", "a001", "a002"]

@@ -6,6 +6,7 @@ virtual clock must give identical drop/degrade decisions and digests with
 results.
 """
 
+import threading
 import time
 
 import pytest
@@ -223,6 +224,51 @@ def test_watchdog_aborts_instead_of_hanging():
     runner = StreamRunner(_CallServer(), StreamConfig(watchdog=0.3))
     with pytest.raises(StreamTimeoutError):
         runner.run(clip, constant_trace(RATE), _HangingServer())
+
+
+class _RaisingScheme(AnalyticsScheme):
+    name = "boom"
+
+    def run(self, clip, trace, server):
+        clip.frame(0)
+        raise RuntimeError("scheme exploded")
+
+
+def _stream_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("stream-")]
+
+
+@pytest.fixture
+def slow_heartbeat(monkeypatch):
+    """Stretch the stages' abort/watchdog check interval to 30 s: any
+    start-up, hand-off or shutdown step that waits a poll out, instead of
+    being notified, then hangs into the 25 s test timeout."""
+    from repro.stream import runner
+
+    monkeypatch.setattr(runner, "_HEARTBEAT", 30.0)
+
+
+@pytest.mark.timeout(25)
+@pytest.mark.parametrize("workers, prefetch", [(1, 1), (2, 8)])
+def test_run_starts_and_stops_by_message_not_by_poll(slow_heartbeat, workers, prefetch):
+    clip = nuscenes_like(0, n_frames=3, resolution=(192, 96)).preload()
+    trace = constant_trace(scaled_bandwidth(2.0, clip))
+    result = StreamRunner(DiVEScheme(), StreamConfig(workers=workers, prefetch=prefetch)).run(
+        clip, trace, EdgeServer(QualityAwareDetector(seed=7)))
+    assert [f.index for f in result.run.frames] == [0, 1, 2]
+    assert result.stats.marks["uplink"] > 0.0
+    assert _stream_threads() == []
+
+
+@pytest.mark.timeout(25)
+def test_abort_tears_down_promptly_and_keeps_the_exception(slow_heartbeat):
+    """prefetch=1 leaves the capture worker parked on a full window when
+    the scheme raises: the abort path must wake it, not wait for it."""
+    clip = nuscenes_like(0, n_frames=3, resolution=(192, 96)).preload()
+    runner = StreamRunner(_RaisingScheme(), StreamConfig(workers=1, prefetch=1))
+    with pytest.raises(RuntimeError, match="scheme exploded"):
+        runner.run(clip, constant_trace(RATE), EdgeServer(QualityAwareDetector(seed=7)))
+    assert _stream_threads() == []
 
 
 def test_run_scheme_stream_integration():
