@@ -15,6 +15,9 @@ mAP"):
 - ``codec/rate_control`` — the CBR binary search (bit-curve counter
   construction plus QP probes) on the DCT of a real residual with a
   two-level DiVE-style QP offset map.
+- ``world/render`` — one frame of the synthetic world through the
+  painter's-algorithm renderer (value-noise textures included): the
+  capture cost of every un-preloaded run, and most of a fleet frame.
 - ``core/foreground_cluster`` — region growing, cluster merging and convex
   rasterisation on a synthetic translational field with planted objects.
 - ``core/ransac_rotation`` — R-sampling + RANSAC rotation fit on a
@@ -145,6 +148,21 @@ def _build_rate_control(scale: BenchScale) -> BenchCase:
         return VideoEncoder._rate_control(counter, budget_bits)
 
     return BenchCase(fn=fn, work={"frames": 1.0, "macroblocks": float(rows * cols)})
+
+
+# -- capture ----------------------------------------------------------------
+
+
+@benchmark("world/render", suite="micro", group="world")
+def _build_render(scale: BenchScale) -> BenchCase:
+    from repro.world import nuscenes_like
+
+    clip = nuscenes_like(scale.seed, n_frames=2, resolution=(scale.frame_width, scale.frame_height))
+
+    def fn() -> object:
+        return clip.render_at(1)  # never cached: every call renders
+
+    return BenchCase(fn=fn, work={"frames": 1.0, "pixels": float(scale.frame_width * scale.frame_height)})
 
 
 # -- foreground clustering --------------------------------------------------

@@ -1,10 +1,12 @@
-"""Pluggable backends for the codec's hot kernels, bit-exact by contract.
+"""Pluggable backends for the repo's hot kernels, bit-exact by contract.
 
 PR 5 vectorised the encoder hot loop as far as single-threaded NumPy goes;
 this package adds the next multiplier: a small registry that lets
-accelerated implementations of the extracted kernels — exhaustive/TESA
-block search, the pattern-search sweeps, motion compensation, and the
-DCT/quantiser trio — be swapped in behind the ``KernelBackend`` seam.
+accelerated implementations of the extracted kernels — the codec's
+exhaustive/TESA block search, pattern-search sweeps, per-block SADs, motion
+compensation and DCT/quantiser trio, and the synthetic world's value noise
+(every texture the renderer samples) — be swapped in behind the
+``KernelBackend`` seam.
 
 **Contract.**  Every backend must be *bit-identical* to the ``numpy``
 reference: the kernel bit-exactness suite (``tests/test_codec_kernels.py``)
@@ -24,7 +26,7 @@ says why.  ``"auto"`` names that choice in :func:`activate` /
 Backends
 --------
 ``numpy``
-    The reference: all kernel hooks are ``None`` so the codec modules run
+    The reference: all kernel hooks are ``None`` so the dispatching modules run
     their own (already vectorised) implementations.  Always available;
     the fallback default, and what the tests compare every backend to.
 ``sharded``
@@ -36,10 +38,12 @@ Backends
 ``cext``
     Runtime-compiled C (via the system ``cc``/``gcc``) for the per-block
     SADs, the sequential pattern-search sweeps and motion compensation —
-    the whole DIA/HEX/UMH search.  The C code replicates NumPy's pairwise
-    summation and the exact IEEE operation order of the reference; a
-    self-probe before first use verifies bitwise agreement and the backend
-    reports unavailable otherwise.  Re-entrant; the default when available.
+    the whole DIA/HEX/UMH search — and for the renderer's value noise.
+    The C code replicates NumPy's pairwise summation, the lattice hash's
+    uint64 wrap-around and the exact IEEE operation order of the
+    reference; a self-probe before first use verifies bitwise agreement
+    and the backend reports unavailable otherwise.  Re-entrant; the
+    default when available.
 ``numba``
     Optional, import-guarded JIT versions of the same sweeps; warmed at
     activation and self-probed like ``cext``.
@@ -90,6 +94,7 @@ KERNEL_NAMES = (
     "seed_sweep",  # coarse absolute-grid seeding (HEX/UMH)
     "offset_sweep",  # relative clipped offset pass (UMH cross/hexagon)
     "block_sad",  # per-block SAD at per-block integer displacements
+    "value_noise",  # fractal 2-D value noise (repro.utils.noise, the renderer's textures)
 )
 
 
@@ -115,6 +120,7 @@ class KernelBackend:
     seed_sweep: Callable | None = None
     offset_sweep: Callable | None = None
     block_sad: Callable | None = None
+    value_noise: Callable | None = None
 
     def available(self) -> bool:
         """Whether this backend can run (deps present, self-probe passed)."""
@@ -174,7 +180,7 @@ def available_backends() -> tuple[str, ...]:
 
 
 class _NumpyReference(KernelBackend):
-    """The reference backend: every hook ``None`` → codec runs its own code."""
+    """The reference backend: every hook ``None`` → callers run their own code."""
 
     name = "numpy"
 
@@ -213,8 +219,9 @@ def active() -> KernelBackend:
 def override(kernel: str) -> Callable | None:
     """The active backend's hook for ``kernel``, or ``None`` (reference).
 
-    This is the per-call dispatch primitive the codec modules use; once
-    the default is resolved it is a single attribute lookup.
+    This is the per-call dispatch primitive the codec modules and
+    ``repro.utils.noise`` use; once the default is resolved it is a single
+    attribute lookup.
     """
     inst = _active
     if inst is None:

@@ -1,4 +1,4 @@
-"""Runtime-compiled C backend for the pattern-search sweeps and MC.
+"""Runtime-compiled C backend for the pattern-search sweeps, MC and value noise.
 
 The pattern searches (DIA/HEX/UMH) are *sequentially* dependent per block:
 each candidate offset is evaluated against the block's current best, which
@@ -16,7 +16,13 @@ Bit-exactness is engineered, then verified:
 - Motion compensation orders every multiply/add exactly as the reference's
   vectorised expression, and the source is compiled with
   ``-ffp-contract=off`` so no FMA contraction can change a rounding.
-- Before the first use a self-probe runs every C kernel against the codec
+- Value noise (the renderer's textures) is a per-array pipeline in NumPy —
+  four lattice hashes per octave, each a dozen full-size temporaries; C
+  keeps a point's octaves and hashes in registers.  The hash is uint64
+  wrap-around arithmetic (exact), the blend keeps the reference's operation
+  order, and a call holding a coordinate int64 cannot represent (NaN, inf,
+  ``|u| >= 2^63`` — an undefined cast in C) is answered by the reference.
+- Before the first use a self-probe runs every C kernel against its
   reference on adversarial random inputs; any mismatch marks the backend
   unavailable (the registry then falls back to the reference).
 
@@ -280,6 +286,52 @@ void motion_comp(const double *ref_pad, int64_t rp_stride,
         }
     }
 }
+
+/* Fractal value noise (repro.utils.noise) at n points: per octave o the
+ * point is scaled by freq[o], the four lattice corners around it hashed
+ * (splitmix64 avalanche; sterm[o] is that octave's seed * PRIME_S, and the
+ * corners differ from the first by +PX, +PY, +PX+PY — uint64 wrap-around,
+ * exact) and blended with the smoothstep fade.  Integer steps are exact;
+ * every float step keeps the reference's operation order.  Returns 1
+ * (out unspecified) as soon as a lattice coordinate does not fit int64 —
+ * NaN, +-inf, |u| >= 2^63 — where the C cast is undefined and numpy's is
+ * platform-defined: the caller then takes the reference path. */
+static inline double lattice(uint64_t h) {
+    h ^= h >> 30; h *= 0xBF58476D1CE4E5B9ull;
+    h ^= h >> 27; h *= 0x94D049BB133111EBull;
+    h ^= h >> 31;
+    return (double)(h >> 11) / 9007199254740992.0;
+}
+
+int64_t value_noise(const double *x, const double *y, int64_t n,
+                    const double *freq, const uint64_t *sterm, int64_t octaves,
+                    double *out) {
+    const uint64_t PX = 0x9E3779B97F4A7C15ull, PY = 0xC2B2AE3D27D4EB4Full;
+    const double lim = 9223372036854775808.0;  /* 2^63 */
+    for (int64_t i = 0; i < n; i++) {
+        double total = 0.0, amp = 1.0, amp_sum = 0.0;
+        for (int64_t o = 0; o < octaves; o++) {
+            double u = x[i] * freq[o], v = y[i] * freq[o];
+            if (!(u >= -lim && u < lim && v >= -lim && v < lim)) return 1;
+            /* floor() as truncate-and-step-down: exact in range, no libm call */
+            int64_t iu = (int64_t)u, iv = (int64_t)v;
+            iu -= (double)iu > u; iv -= (double)iv > v;
+            double fu = u - (double)iu, fv = v - (double)iv;
+            double su = fu * fu * (3.0 - 2.0 * fu);
+            double sv = fv * fv * (3.0 - 2.0 * fv);
+            uint64_t h = (uint64_t)iu * PX + (uint64_t)iv * PY + sterm[o];
+            double v00 = lattice(h), v10 = lattice(h + PX);
+            double v01 = lattice(h + PY), v11 = lattice(h + PX + PY);
+            double top = v00 + su * (v10 - v00);
+            double bot = v01 + su * (v11 - v01);
+            total += amp * (top + sv * (bot - top));
+            amp_sum += amp;
+            amp *= 0.5;
+        }
+        out[i] = total / amp_sum;
+    }
+    return 0;
+}
 """
 
 #: Compile flags: -ffp-contract=off forbids FMA contraction (a contracted
@@ -295,7 +347,8 @@ _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
 _F64 = ctypes.c_double
 
-#: C entry points and their argument types (all return void).
+#: C entry points and their argument types (all return void but
+#: ``value_noise``, see :data:`_RESTYPES`).
 _SIGNATURES = {
     "pairwise_rows": [_PTR, _I64, _I64, _PTR],
     "descend": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _I64, _I64, _PTR, _I64,
@@ -307,7 +360,11 @@ _SIGNATURES = {
     "block_sad": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64, _I64, _PTR,
                   _PTR, _PTR, _PTR],
     "motion_comp": [_PTR, _I64, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _I64],
+    "value_noise": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR],
 }
+_RESTYPES = {"value_noise": _I64}
+
+_U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 class _Unavailable(Exception):
@@ -393,7 +450,7 @@ def _load(so_path: Path) -> ctypes.CDLL:
     for name, argtypes in _SIGNATURES.items():
         func = getattr(lib, name)
         func.argtypes = argtypes
-        func.restype = None
+        func.restype = _RESTYPES.get(name)
     return lib
 
 
@@ -519,8 +576,35 @@ class _CKernels:
         )
         return out
 
+    def value_noise(self, x, y, *, seed, scale=1.0, octaves=1):
+        """``value_noise_2d``: all octaves and lattice hashes of a point in one pass."""
+        from repro.utils.noise import _PRIME_S, _value_noise_2d_reference
+
+        if scale > 0 and octaves >= 1:
+            x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+            out = np.empty(x.shape, dtype=np.float64)
+            x = np.ascontiguousarray(x)
+            y = np.ascontiguousarray(y)
+            # Per-octave frequency and seed term, formed as the reference
+            # forms them (whatever numeric type ``scale`` is; any int seed).
+            freq = 1.0 / scale
+            freqs = np.empty(octaves, dtype=np.float64)
+            sterm = np.empty(octaves, dtype=np.uint64)
+            for octave in range(octaves):
+                freqs[octave] = freq
+                sterm[octave] = ((seed + octave * 7919) * int(_PRIME_S)) & _U64_MASK
+                freq *= 2.0
+            if not self._lib.value_noise(
+                x.ctypes.data, y.ctypes.data, out.size,
+                freqs.ctypes.data, sterm.ctypes.data, octaves, out.ctypes.data,
+            ):
+                return out[()]  # 0-d -> scalar, as the reference's arithmetic yields
+        # Parameters the reference rejects (it raises), or a coordinate int64
+        # cannot hold (C leaves the cast undefined): the reference answers.
+        return _value_noise_2d_reference(x, y, seed=seed, scale=scale, octaves=octaves)
+
     def self_probe(self) -> str | None:
-        """Bitwise-compare every C kernel against the codec reference.
+        """Bitwise-compare every C kernel against its reference.
 
         Returns the name of the first kernel that disagrees, ``None`` when
         all agree.
@@ -532,6 +616,7 @@ class _CKernels:
             _mv_bits_vec,
             _SMALL_DIAMOND,
         )
+        from repro.utils.noise import _value_noise_2d_reference
 
         gen = np.random.default_rng(0xCE)
         # Pairwise summation, adversarial magnitudes.
@@ -590,11 +675,23 @@ class _CKernels:
                 _motion_compensate_reference(ref, mv, block=block),
             ):
                 return f"motion_comp {where}"
+        # Value noise: the renderer's three call shapes over world-sized,
+        # lattice-exact, negative and 2^40-scale coordinates, with seeds on
+        # both sides of the uint64 wrap.
+        px = np.concatenate([gen.uniform(-300.0, 300.0, 1500), gen.integers(-9, 9, 200) * 0.35,
+                             gen.normal(0.0, 2.0**40, 300)])
+        py = gen.permutation(px) * 0.7
+        for seed, scale, octaves in ((11, 1.5, 2), (-(2**70) - 3, 0.35, 1), (2**63 + 101, 0.6, 3)):
+            params = dict(seed=seed, scale=scale, octaves=octaves)
+            if not np.array_equal(
+                self.value_noise(px, py, **params), _value_noise_2d_reference(px, py, **params)
+            ):
+                return f"value_noise (scale {scale}, octaves {octaves})"
         return None
 
 
 class CExtBackend(KernelBackend):
-    """Compiled-C block SADs, sweeps + motion compensation, self-probed."""
+    """Compiled-C block SADs, sweeps, motion compensation + value noise, self-probed."""
 
     name = "cext"
 
@@ -630,6 +727,7 @@ class CExtBackend(KernelBackend):
         self.offset_sweep = kernels.offset_sweep
         self.block_sad = kernels.block_sad
         self.motion_compensate = kernels.motion_compensate
+        self.value_noise = kernels.value_noise
         return None
 
 

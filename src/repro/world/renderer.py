@@ -60,9 +60,11 @@ class Renderer:
         self._render_ground(image, id_buffer, dirs, origin, scene)
         # Sky only where the ground did not land — roughly half the frame.
         sky_mask = id_buffer == SKY_ID
-        image[sky_mask] = self._render_sky(dirs[sky_mask], scene)
-        drawn_counts = self._render_objects(image, id_buffer, dirs, origin, scene, camera, t)
-        annotations = self._make_annotations(id_buffer, drawn_counts, scene, pose, t)
+        # One gather per direction component: masking the (H, W, 3) array
+        # itself is ~20x slower than masking its three strided planes.
+        image[sky_mask] = self._render_sky(*(dirs[..., k][sky_mask] for k in range(3)), scene)
+        drawn = self._render_objects(image, id_buffer, dirs, origin, scene, camera, t)
+        annotations = self._make_annotations(id_buffer, drawn, scene, pose, t)
 
         ego = EgoState(
             speed=scene.trajectory.speed_at(t),
@@ -79,11 +81,11 @@ class Renderer:
             ego=ego,
         )
 
-    def _render_sky(self, dirs: np.ndarray, scene: Scene) -> np.ndarray:
-        """Sky gray values for an ``(..., 3)`` array of ray directions."""
-        norm = np.sqrt(dirs[..., 0] ** 2 + dirs[..., 1] ** 2 + dirs[..., 2] ** 2)
-        azimuth = np.arctan2(dirs[..., 0], dirs[..., 2])
-        elevation = -dirs[..., 1] / norm  # positive above the horizon
+    def _render_sky(self, dx: np.ndarray, dy: np.ndarray, dz: np.ndarray, scene: Scene) -> np.ndarray:
+        """Sky gray values for ray directions given by component."""
+        norm = np.sqrt(dx**2 + dy**2 + dz**2)
+        azimuth = np.arctan2(dx, dz)
+        elevation = -dy / norm  # positive above the horizon
         return sky_texture(azimuth, elevation, seed=scene.texture_seed)
 
     def _render_ground(
@@ -101,17 +103,21 @@ class Renderer:
         max_depth = scene.max_ground_depth
         # Everything below the horizon is ground in the id-buffer; pixels
         # beyond max_depth just fade into haze rather than showing texture.
-        gx = origin[0] + tg * dirs[..., 0]
-        gz = origin[2] + tg * dirs[..., 2]
+        # Only the near pixels are textured, so they are gathered once (per
+        # component, as for the sky) and everything below works on the
+        # compact arrays.
         near = hit & (tg <= max_depth)
-        tex = np.zeros_like(image)
-        tex[near] = ground_texture(
-            gx[near], gz[near], seed=scene.texture_seed, weather_contrast=scene.weather_contrast
+        t_near = tg[near]
+        tex = ground_texture(
+            origin[0] + t_near * dirs[..., 0][near],
+            origin[2] + t_near * dirs[..., 2][near],
+            seed=scene.texture_seed,
+            weather_contrast=scene.weather_contrast,
         )
         haze = 165.0
         fade_start = 0.7 * max_depth
-        weight = np.clip((max_depth - tg) / (max_depth - fade_start), 0.0, 1.0)
-        image[near] = weight[near] * tex[near] + (1.0 - weight[near]) * haze
+        weight = np.clip((max_depth - t_near) / (max_depth - fade_start), 0.0, 1.0)
+        image[near] = weight * tex + (1.0 - weight) * haze
         far = hit & (tg > max_depth)
         image[far] = haze
         id_buffer[hit] = GROUND_ID
@@ -125,17 +131,22 @@ class Renderer:
         scene: Scene,
         camera: PinholeCamera,
         t: float,
-    ) -> dict[int, int]:
+    ) -> dict[int, tuple[int, tuple[slice, slice]]]:
+        """Paint the objects; returns ``{object_id: (pixels drawn, window)}``
+        where ``window`` is the frame-clipped ``(rows, cols)`` slice pair the
+        object was drawn inside — its id occurs nowhere else in the buffer."""
         h, w = image.shape
-        # Painter's order: far to near by camera depth of the footprint.
+
         def depth_of(obj) -> float:
             cx, cz = obj.position_at(t)
             return float(camera.pose.world_to_camera(np.array([cx, 0.0, cz]))[2])
 
-        drawn: dict[int, int] = {}
-        ordered = sorted(scene.objects, key=depth_of, reverse=True)
-        for obj in ordered:
-            depth = depth_of(obj)
+        drawn: dict[int, tuple[int, tuple[slice, slice]]] = {}
+        # Painter's order: far to near by camera depth of the footprint.
+        by_depth = sorted(
+            ((depth_of(obj), obj) for obj in scene.objects), key=lambda pair: pair[0], reverse=True
+        )
+        for depth, obj in by_depth:
             if depth < 0.5 or depth > scene.max_ground_depth * 1.3:
                 continue
             px, py, z = camera.project_to_pixels(obj.corners_at(t))
@@ -148,8 +159,9 @@ class Renderer:
             if x0 >= x1 or y0 >= y1:
                 continue
 
+            window = (slice(y0, y1), slice(x0, x1))
             point, normal, u_dir = obj.plane_at(t)
-            sub_dirs = dirs[y0:y1, x0:x1]
+            sub_dirs = dirs[window]
             denom = sub_dirs @ normal
             num = float((point - origin) @ normal)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -174,43 +186,46 @@ class Renderer:
                 seed=obj.texture_seed,
                 weather_contrast=scene.weather_contrast,
             )
-            sub_img = image[y0:y1, x0:x1]
-            sub_ids = id_buffer[y0:y1, x0:x1]
-            sub_img[mask] = tex
-            sub_ids[mask] = obj.object_id
-            drawn[obj.object_id] = count
+            image[window][mask] = tex
+            id_buffer[window][mask] = obj.object_id
+            drawn[obj.object_id] = (count, window)
         return drawn
 
     def _make_annotations(
         self,
         id_buffer: np.ndarray,
-        drawn_counts: dict[int, int],
+        drawn: dict[int, tuple[int, tuple[slice, slice]]],
         scene: Scene,
         pose,
         t: float,
     ) -> list[ObjectAnnotation]:
         annotations: list[ObjectAnnotation] = []
-        present, counts = np.unique(id_buffer, return_counts=True)
-        count_of = dict(zip(present.tolist(), counts.tolist()))
         for obj in scene.objects:
-            if not obj.detectable:
+            if not obj.detectable or obj.object_id not in drawn:
                 continue
-            visible = count_of.get(obj.object_id, 0)
-            if visible < self.min_annotation_pixels:
-                continue
-            ys, xs = np.nonzero(id_buffer == obj.object_id)
-            bbox = (float(xs.min()), float(ys.min()), float(xs.max() + 1), float(ys.max() + 1))
+            # What nearer objects left of it, scanned where it was drawn.
+            drawn_count, window = drawn[obj.object_id]
+            ys, xs = np.nonzero(id_buffer[window] == obj.object_id)
+            visible = ys.size
+            if visible < max(self.min_annotation_pixels, 1):
+                continue  # fully occluded, or too small to annotate
+            y0, x0 = window[0].start, window[1].start
+            bbox = (
+                float(x0 + xs.min()),
+                float(y0 + ys.min()),
+                float(x0 + xs.max() + 1),
+                float(y0 + ys.max() + 1),
+            )
             cx, cz = obj.position_at(t)
             center = np.array([cx, -obj.height / 2.0, cz])
             depth = float(pose.world_to_camera(center)[2])
-            visibility = visible / max(drawn_counts.get(obj.object_id, visible), 1)
             annotations.append(
                 ObjectAnnotation(
                     object_id=obj.object_id,
                     kind=obj.kind,
                     bbox=bbox,
                     depth=depth,
-                    visibility=float(min(visibility, 1.0)),
+                    visibility=float(min(visible / drawn_count, 1.0)),
                     pixel_count=visible,
                 )
             )
