@@ -15,6 +15,9 @@ mAP"):
 - ``codec/rate_control`` — the CBR binary search (bit-curve counter
   construction plus QP probes) on the DCT of a real residual with a
   two-level DiVE-style QP offset map.
+- ``codec/intra_encode`` / ``codec/intra_decode`` — the I-frame wavefront
+  (DC/H/V mode decision, transform, quantise, bit cost, reconstruct) on one
+  640x192 ``kitti_like`` frame, the ruler's ``drive_outage`` geometry.
 - ``world/render`` — one frame of the synthetic world through the
   painter's-algorithm renderer (value-noise textures included): the
   capture cost of every un-preloaded run, and most of a fleet frame.
@@ -148,6 +151,42 @@ def _build_rate_control(scale: BenchScale) -> BenchCase:
         return VideoEncoder._rate_control(counter, budget_bits)
 
     return BenchCase(fn=fn, work={"frames": 1.0, "macroblocks": float(rows * cols)})
+
+
+def _intra_inputs(scale: BenchScale) -> tuple[np.ndarray, np.ndarray]:
+    """The ruler's I-frame — frame 0 of a turning ``kitti_like`` clip at
+    640x192 (``drive_outage``'s geometry: 12 x 40 macroblocks, 51
+    anti-diagonals) — and a three-level QP map."""
+    from repro.world import kitti_like
+
+    frame = kitti_like(scale.seed, n_frames=1, resolution=(640, 192), turning=True).frame(0).image
+    r, c = np.meshgrid(np.arange(192 // _BLOCK), np.arange(640 // _BLOCK), indexing="ij")
+    return frame, (26.0 + 6.0 * ((r + c) % 3)).astype(np.float64)
+
+
+@benchmark("codec/intra_encode", suite="micro", group="codec")
+def _build_intra_encode(scale: BenchScale) -> BenchCase:
+    from repro.codec.intra import intra_encode
+
+    frame, qp_map = _intra_inputs(scale)
+
+    def fn() -> float:
+        return float(intra_encode(frame, qp_map, block=_BLOCK)[3].sum())
+
+    return BenchCase(fn=fn, work={"frames": 1.0, "macroblocks": float(qp_map.size), "encoded_kbit": fn() / 1e3})
+
+
+@benchmark("codec/intra_decode", suite="micro", group="codec")
+def _build_intra_decode(scale: BenchScale) -> BenchCase:
+    from repro.codec.intra import intra_decode, intra_encode
+
+    frame, qp_map = _intra_inputs(scale)
+    levels, modes, _, _ = intra_encode(frame, qp_map, block=_BLOCK)
+
+    def fn() -> np.ndarray:
+        return intra_decode(levels, modes, qp_map, block=_BLOCK)
+
+    return BenchCase(fn=fn, work={"frames": 1.0, "macroblocks": float(qp_map.size)})
 
 
 # -- capture ----------------------------------------------------------------

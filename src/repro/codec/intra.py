@@ -23,12 +23,17 @@ block plane.  Every per-block value is bit-identical to the sequential
 scan: the batched DCT transforms each 8-point line independently, the
 quantiser divides by the same per-block scalar step, and the bit totals are
 sums of exact multiples of 0.25 (order-free in float64).
+
+:func:`intra_encode` and :func:`intra_decode` dispatch through
+:mod:`repro.kernels` (hooks of the same names); the ``_reference`` bodies
+below are the oracle a backend's hook must equal bitwise, and the fallback.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.codec.transform import dct_blocks, idct_blocks, qstep, transform_cost_bits
 
 __all__ = ["intra_decode", "intra_encode", "intra_predict_block"]
@@ -96,6 +101,20 @@ def intra_encode(
     the chosen mode per macroblock, the decoder-identical reconstruction,
     and per-macroblock coefficient+mode bits.
     """
+    impl = kernels.override("intra_encode")
+    if impl is not None:
+        return impl(frame, qp_map, block=block)
+    return _intra_encode_reference(frame, qp_map, block=block)
+
+
+def _intra_encode_reference(
+    frame: np.ndarray,
+    qp_map: np.ndarray,
+    *,
+    block: int = 16,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Reference implementation of :func:`intra_encode`: the oracle every
+    backend's hook must equal bitwise, and the fallback."""
     frame = np.asarray(frame, dtype=np.float64)
     h, w = frame.shape
     rows, cols = h // block, w // block
@@ -165,6 +184,20 @@ def intra_decode(
     comes from the already-reconstructed neighbours, then the dequantised
     residual is added — bit-exact with the encoder's reconstruction.
     """
+    impl = kernels.override("intra_decode")
+    if impl is not None:
+        return impl(levels, modes, qp_map, block=block)
+    return _intra_decode_reference(levels, modes, qp_map, block=block)
+
+
+def _intra_decode_reference(
+    levels: np.ndarray,
+    modes: np.ndarray,
+    qp_map: np.ndarray,
+    *,
+    block: int = 16,
+) -> np.ndarray:
+    """Reference implementation of :func:`intra_decode` (oracle and fallback)."""
     rows, cols = modes.shape
     sub = block // 8
     qp_map = np.asarray(qp_map, dtype=float)

@@ -4,13 +4,14 @@ PR 5 vectorised the encoder hot loop as far as single-threaded NumPy goes;
 this package adds the next multiplier: a small registry that lets
 accelerated implementations of the extracted kernels — the codec's
 exhaustive/TESA block search, pattern-search sweeps, per-block SADs, motion
-compensation and DCT/quantiser trio, and the synthetic world's value noise
-(every texture the renderer samples) — be swapped in behind the
-``KernelBackend`` seam.
+compensation, DCT/quantiser trio and I-frame wavefront (``intra_encode`` /
+``intra_decode``), and the synthetic world's value noise (every texture the
+renderer samples) — be swapped in behind the ``KernelBackend`` seam.
 
 **Contract.**  Every backend must be *bit-identical* to the ``numpy``
-reference: the kernel bit-exactness suite (``tests/test_codec_kernels.py``)
-and the golden e2e digest are parametrized over every registered backend,
+reference: the kernel bit-exactness suites (``tests/test_codec_kernels.py``,
+``tests/test_intra_kernels.py``, ``tests/test_noise_kernel.py``) and the
+golden e2e digest are parametrized over every registered backend,
 and backends that cannot prove themselves (a failed self-probe, a missing
 compiler, an absent optional dependency) report unavailable and the
 dispatch falls through to the reference implementation per kernel.
@@ -38,7 +39,9 @@ Backends
 ``cext``
     Runtime-compiled C (via the system ``cc``/``gcc``) for the per-block
     SADs, the sequential pattern-search sweeps and motion compensation —
-    the whole DIA/HEX/UMH search — and for the renderer's value noise.
+    the whole DIA/HEX/UMH search — for the I-frame wavefront (everything
+    of ``intra_encode`` / ``intra_decode`` but the scipy transforms, which
+    stay the reference's own calls) and for the renderer's value noise.
     The C code replicates NumPy's pairwise summation, the lattice hash's
     uint64 wrap-around and the exact IEEE operation order of the
     reference; a self-probe before first use verifies bitwise agreement
@@ -95,6 +98,8 @@ KERNEL_NAMES = (
     "offset_sweep",  # relative clipped offset pass (UMH cross/hexagon)
     "block_sad",  # per-block SAD at per-block integer displacements
     "value_noise",  # fractal 2-D value noise (repro.utils.noise, the renderer's textures)
+    "intra_encode",  # I-frame wavefront: DC/H/V mode decision, quantise, bits, reconstruct
+    "intra_decode",  # I-frame wavefront replay from levels + modes
 )
 
 
@@ -121,6 +126,8 @@ class KernelBackend:
     offset_sweep: Callable | None = None
     block_sad: Callable | None = None
     value_noise: Callable | None = None
+    intra_encode: Callable | None = None
+    intra_decode: Callable | None = None
 
     def available(self) -> bool:
         """Whether this backend can run (deps present, self-probe passed)."""
@@ -219,8 +226,8 @@ def active() -> KernelBackend:
 def override(kernel: str) -> Callable | None:
     """The active backend's hook for ``kernel``, or ``None`` (reference).
 
-    This is the per-call dispatch primitive the codec modules and
-    ``repro.utils.noise`` use; once the default is resolved it is a single
+    This is the per-call dispatch primitive the codec modules
+    (``motion``, ``transform``, ``intra``) and ``repro.utils.noise`` use; once the default is resolved it is a single
     attribute lookup.
     """
     inst = _active

@@ -1,4 +1,4 @@
-"""Runtime-compiled C backend for the pattern-search sweeps, MC and value noise.
+"""Runtime-compiled C backend: pattern-search sweeps, MC, value noise, I-frames.
 
 The pattern searches (DIA/HEX/UMH) are *sequentially* dependent per block:
 each candidate offset is evaluated against the block's current best, which
@@ -22,12 +22,23 @@ Bit-exactness is engineered, then verified:
   wrap-around arithmetic (exact), the blend keeps the reference's operation
   order, and a call holding a coordinate int64 cannot represent (NaN, inf,
   ``|u| >= 2^63`` — an undefined cast in C) is answered by the reference.
+- The I-frame wavefront (``intra_encode`` / ``intra_decode``) keeps the
+  reference's anti-diagonal schedule and its scipy DCT/IDCT calls — pocketfft
+  cannot be proven bit-identical from outside — and moves everything between
+  them into three C steps per diagonal: predictions + SAD mode decision +
+  residual, quantise + bit cost + dequantise, clip + scatter.  The DC mean
+  and the SADs are the pairwise sums above, ``rint`` is ``np.round``, a
+  level's ``floor(log2)`` is its integer bit length, bit totals are sums of
+  multiples of 0.25 (order-free), and a call that produces a level the bit
+  length cannot be proven on (NaN, inf, ``>= 2^32``) is answered by the
+  reference, as is any argument the C loops could not index safely.
 - Before the first use a self-probe runs every C kernel against its
   reference on adversarial random inputs; any mismatch marks the backend
   unavailable (the registry then falls back to the reference).
 
 Every kernel call is re-entrant: the C code keeps no state between calls
-and its only scratch (one block of |differences|) is allocated per call,
+and its scratch (a few blocks of predictions and |differences|) is
+allocated per call,
 so concurrent encodes (``agent_workers > 1``, stream workers — ctypes
 drops the GIL around each call) cannot see each other's data.
 
@@ -46,6 +57,7 @@ reason in :meth:`CExtBackend.why_unavailable`.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import stat
@@ -56,7 +68,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.kernels import KernelBackend
+from repro.kernels import KernelBackend, use_backend
 
 __all__ = ["CExtBackend"]
 
@@ -332,6 +344,153 @@ int64_t value_noise(const double *x, const double *y, int64_t n,
     }
     return 0;
 }
+
+/* ---- I-frame wavefront (repro.codec.intra) ----
+ * One anti-diagonal of the macroblock grid at a time: its k-th block is
+ * macroblock (r0 + k, c0 - k).  A block-major (rows8, 8, cols8, 8) array is
+ * the same memory as a (rows8*8, cols8*8) plane, so pixels, coefficients and
+ * levels are all addressed as planes with a line stride.  The DCT/IDCT
+ * between the steps stay scipy calls made by the Python wrapper. */
+
+/* intra_predict_block: the prediction for `mode` with the H.264 border
+ * fallbacks (H without a left column -> V, V without a top row -> H, neither
+ * -> DC; any mode id other than 1/2 is DC).  The DC value is
+ * np.mean(concatenate(left, top)): the pairwise sum of the 1-D concatenation
+ * divided by its length.  edge holds 2*block doubles. */
+static void intra_pred(const double *recon, int64_t stride, int64_t r0, int64_t c0,
+                       int64_t block, int64_t mode, double *pred, double *edge) {
+    const double *left = c0 > 0 ? recon + r0 * stride + c0 - 1 : NULL;
+    const double *top = r0 > 0 ? recon + (r0 - 1) * stride + c0 : NULL;
+    if (mode == 1 && !left) mode = top ? 2 : 0;
+    if (mode == 2 && !top) mode = left ? 1 : 0;
+    if (mode == 1) {
+        for (int64_t i = 0; i < block; i++)
+            for (int64_t j = 0; j < block; j++) pred[i * block + j] = left[i * stride];
+    } else if (mode == 2) {
+        for (int64_t i = 0; i < block; i++)
+            for (int64_t j = 0; j < block; j++) pred[i * block + j] = top[j];
+    } else {
+        double dc = 128.0;
+        int64_t n = 0;
+        if (left) for (int64_t i = 0; i < block; i++) edge[n++] = left[i * stride];
+        if (top) for (int64_t j = 0; j < block; j++) edge[n++] = top[j];
+        if (n) dc = pairwise(edge, (size_t)n) / (double)n;
+        for (int64_t i = 0; i < block * block; i++) pred[i] = dc;
+    }
+}
+
+/* Encoder step 1: per block the DC/H/V predictions, each one's SAD against
+ * the source (|src - pred| over the contiguous block, NumPy-pairwise), the
+ * first strictly smaller SAD wins; the winner goes to best[k] and the
+ * residual into column block k of the (block, m*block) plane.  scratch
+ * holds 4*block*block + 2*block doubles. */
+void intra_pre(const double *frame, const double *recon, int64_t stride,
+               int64_t r0, int64_t c0, int64_t m, int64_t block,
+               int8_t *modes, int64_t cols, double *best, double *plane, double *scratch) {
+    int64_t bb = block * block;
+    double *preds = scratch, *diff = scratch + 3 * bb, *edge = scratch + 4 * bb;
+    for (int64_t k = 0; k < m; k++) {
+        int64_t r = r0 + k, c = c0 - k;
+        const double *src = frame + r * block * stride + c * block;
+        int64_t best_mode = 0;
+        double best_sad = INFINITY;
+        for (int64_t mode = 0; mode < 3; mode++) {
+            intra_pred(recon, stride, r * block, c * block, block, mode, preds + mode * bb, edge);
+            /* |pred - src| == |src - pred| bit for bit */
+            double sad = sad_block(preds + mode * bb, src, stride, block, diff);
+            if (sad < best_sad) { best_mode = mode; best_sad = sad; }
+        }
+        modes[r * cols + c] = (int8_t)best_mode;
+        const double *p = preds + best_mode * bb;
+        for (int64_t i = 0; i < block; i++)
+            for (int64_t j = 0; j < block; j++) {
+                best[k * bb + i * block + j] = p[i * block + j];
+                plane[i * m * block + k * block + j] = src[i * stride + j] - p[i * block + j];
+            }
+    }
+}
+
+/* Levels at or beyond this magnitude (and NaN) send the call to the
+ * reference: below it the level is an integer a uint64 holds and its
+ * bit length is floor(log2) with a margin of ~1e5 ulp on np.log2. */
+#define LEVEL_LIMIT 4294967296.0 /* 2^32 */
+
+/* Step 2, frame-shaped: quantise / cost / dequantise an mb_rows x mb_cols
+ * grid of macroblocks of a coefficient plane (line doubles per row) with one
+ * step q per macroblock.  level = rint(c / q) is np.round (half-even);
+ * deq = level * q has the coefficients' layout; bits[] gets each
+ * macroblock's transform_cost_bits — per 8x8 block the sum of
+ * 2*floor(log2|level|) + 3 over non-zero levels plus 4.0, or 0.25 when the
+ * block is empty; every partial sum is a multiple of 0.25, so the order is
+ * free.  Macroblock (R, C) stores its levels at levels + R*lv_row + C*lv_col
+ * with lv_line doubles per row — a whole frame, or the diagonal's final
+ * place in one.  Returns 1 on the first level past LEVEL_LIMIT. */
+int64_t quant_cost(const double *coeffs, int64_t line, int64_t mb_rows, int64_t mb_cols,
+                   int64_t block, const double *q, double *levels, int64_t lv_line,
+                   int64_t lv_row, int64_t lv_col, double *deq, double *bits) {
+    for (int64_t R = 0; R < mb_rows; R++)
+        for (int64_t C = 0; C < mb_cols; C++) {
+            double step = q[R * mb_cols + C], total = 0.0;
+            int64_t at = R * block * line + C * block;
+            double *lv = levels + R * lv_row + C * lv_col;
+            for (int64_t i8 = 0; i8 < block; i8 += 8)
+                for (int64_t j8 = 0; j8 < block; j8 += 8) {
+                    int64_t nbits = 0;
+                    for (int64_t i = i8; i < i8 + 8; i++)
+                        for (int64_t j = j8; j < j8 + 8; j++) {
+                            double level = rint(coeffs[at + i * line + j] / step);
+                            double mag = fabs(level);
+                            if (!(mag < LEVEL_LIMIT)) return 1;
+                            lv[i * lv_line + j] = level;
+                            deq[at + i * line + j] = level * step;
+                            if (mag > 0.0)
+                                nbits += 2 * (63 - __builtin_clzll((uint64_t)mag)) + 3;
+                        }
+                    total += (double)nbits + (nbits > 0 ? 4.0 : 0.25);
+                }
+            bits[R * mb_cols + C] = total;
+        }
+    return 0;
+}
+
+/* Last step of both directions: recon block = clip(pred + residual, 0, 255)
+ * with np.clip's compares (a NaN stays a NaN, -0.0 stays -0.0). */
+void intra_post(const double *best, const double *rec, int64_t r0, int64_t c0,
+                int64_t m, int64_t block, double *recon, int64_t stride) {
+    for (int64_t k = 0; k < m; k++) {
+        double *out = recon + (r0 + k) * block * stride + (c0 - k) * block;
+        for (int64_t i = 0; i < block; i++)
+            for (int64_t j = 0; j < block; j++) {
+                double v = best[(k * block + i) * block + j] + rec[i * m * block + k * block + j];
+                if (v < 0.0) v = 0.0;
+                if (v > 255.0) v = 255.0;
+                out[i * stride + j] = v;
+            }
+    }
+}
+
+/* Decoder step 1: prediction by stored mode into best[k], and the block's
+ * levels times its step q[k] gathered into the (block, m*block) plane the
+ * IDCT takes.  Returns 1 on a level past LEVEL_LIMIT, as quant_cost does.
+ * edge holds 2*block doubles. */
+int64_t intra_unpre(const double *levels, const int64_t *modes, int64_t cols,
+                    const double *q, const double *recon, int64_t stride,
+                    int64_t r0, int64_t c0, int64_t m, int64_t block,
+                    double *best, double *deq, double *edge) {
+    for (int64_t k = 0; k < m; k++) {
+        int64_t r = r0 + k, c = c0 - k;
+        intra_pred(recon, stride, r * block, c * block, block, modes[r * cols + c],
+                   best + k * block * block, edge);
+        const double *lv = levels + r * block * stride + c * block;
+        for (int64_t i = 0; i < block; i++)
+            for (int64_t j = 0; j < block; j++) {
+                double level = lv[i * stride + j];
+                if (!(fabs(level) < LEVEL_LIMIT)) return 1;
+                deq[i * m * block + k * block + j] = level * q[k];
+            }
+    }
+    return 0;
+}
 """
 
 #: Compile flags: -ffp-contract=off forbids FMA contraction (a contracted
@@ -347,8 +506,8 @@ _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
 _F64 = ctypes.c_double
 
-#: C entry points and their argument types (all return void but
-#: ``value_noise``, see :data:`_RESTYPES`).
+#: C entry points and their argument types (all return void but the ones in
+#: :data:`_RESTYPES`, which report input the reference must answer).
 _SIGNATURES = {
     "pairwise_rows": [_PTR, _I64, _I64, _PTR],
     "descend": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _I64, _I64, _PTR, _I64,
@@ -361,8 +520,13 @@ _SIGNATURES = {
                   _PTR, _PTR, _PTR],
     "motion_comp": [_PTR, _I64, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _I64],
     "value_noise": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR],
+    "intra_pre": [_PTR, _PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR],
+    "quant_cost": [_PTR, _I64, _I64, _I64, _I64, _PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR],
+    "intra_post": [_PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _I64],
+    "intra_unpre": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _I64, _I64, _I64, _I64,
+                    _PTR, _PTR, _PTR],
 }
-_RESTYPES = {"value_noise": _I64}
+_RESTYPES = {"value_noise": _I64, "quant_cost": _I64, "intra_unpre": _I64}
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -472,6 +636,32 @@ def _build_library() -> ctypes.CDLL:
         return _load(so_path)
     except (OSError, AttributeError) as exc:
         raise _Unavailable(f"cannot load {so_path}: {exc}") from None
+
+
+def _intra_grid(shape: tuple, block) -> tuple[int, int] | None:
+    """The macroblock grid of a pixel plane the compiled wavefront may walk:
+    whole 8-multiple blocks, at least one — else ``None``."""
+    if type(block) is not int or block <= 0 or block % 8 or len(shape) != 2:
+        return None
+    h, w = shape
+    if not (h and w) or h % block or w % block:
+        return None
+    return h // block, w // block
+
+
+@functools.lru_cache(maxsize=16)
+def _diagonals(rows: int, cols: int) -> tuple:
+    """The wavefront of a grid, built once per shape: per anti-diagonal its
+    first block ``(r0, c0)`` — block ``k`` is ``(r0 + k, c0 - k)`` — and the
+    reference's index arrays."""
+    from repro.codec.intra import _wavefront
+
+    return tuple((int(rs[0]), int(cs[0]), rs, cs) for rs, cs in _wavefront(rows, cols))
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bit-identity, not equality: tells -0.0 from 0.0 and one NaN from another."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _as_i64(a: np.ndarray) -> np.ndarray:
@@ -603,6 +793,93 @@ class _CKernels:
         # cannot hold (C leaves the cast undefined): the reference answers.
         return _value_noise_2d_reference(x, y, seed=seed, scale=scale, octaves=octaves)
 
+    def intra_encode(self, frame, qp_map, *, block=16):
+        """``intra_encode``: per anti-diagonal three C steps around the
+        reference's own scipy transforms."""
+        from repro.codec.intra import _MODE_BITS, _intra_encode_reference
+        from repro.codec.transform import _dct_blocks_reference, idct_blocks, qstep
+
+        pixels = np.ascontiguousarray(frame, dtype=np.float64)
+        qp = np.asarray(qp_map, dtype=float)
+        grid = _intra_grid(pixels.shape, block)
+        if grid is None or qp.shape != grid:
+            # The C loops trust their geometry: whatever the reference makes
+            # of these arguments (its exceptions included) is the answer.
+            return _intra_encode_reference(frame, qp_map, block=block)
+        rows, cols = grid
+        width = pixels.shape[1]
+        recon = np.zeros_like(pixels)
+        modes = np.zeros(grid, dtype=np.int8)
+        bits_per_mb = np.empty(grid, dtype=np.float64)
+        # Block-major (rows*sub, 8, cols*sub, 8) is the frame's own plane layout.
+        levels = np.empty((pixels.shape[0] // 8, 8, width // 8, 8), dtype=np.float64)
+        best = np.empty(min(grid) * block * block, dtype=np.float64)
+        scratch = np.empty(4 * block * block + 2 * block, dtype=np.float64)
+        lib = self._lib
+        frame_p, recon_p, modes_p = pixels.ctypes.data, recon.ctypes.data, modes.ctypes.data
+        levels_p, best_p, scratch_p = levels.ctypes.data, best.ctypes.data, scratch.ctypes.data
+        for r0, c0, rs, cs in _diagonals(rows, cols):
+            m = rs.size
+            plane = np.empty((block, m * block), dtype=np.float64)
+            lib.intra_pre(frame_p, recon_p, width, r0, c0, m, block,
+                          modes_p, cols, best_p, plane.ctypes.data, scratch_p)
+            coeffs = _dct_blocks_reference(plane)
+            q = qstep(qp[rs, cs])
+            dequantised = np.empty_like(coeffs)
+            diag_bits = np.empty(m, dtype=np.float64)
+            # The diagonal is a 1 x m grid whose k-th macroblock's levels
+            # belong one block row down and one block column left of the last.
+            if lib.quant_cost(
+                coeffs.ctypes.data, m * block, 1, m, block, q.ctypes.data,
+                levels_p + 8 * (r0 * block * width + c0 * block), width,
+                0, block * width - block, dequantised.ctypes.data, diag_bits.ctypes.data,
+            ):
+                # NaN / inf / a level too large to cost in integers.
+                return _intra_encode_reference(frame, qp_map, block=block)
+            rec_plane = idct_blocks(dequantised)
+            lib.intra_post(best_p, rec_plane.ctypes.data, r0, c0, m, block, recon_p, width)
+            bits_per_mb[rs, cs] = diag_bits + _MODE_BITS
+        return levels, modes, recon, bits_per_mb
+
+    def intra_decode(self, levels, modes, qp_map, *, block=16):
+        """``intra_decode``: predict + dequantise in C, the reference's IDCT,
+        clip + scatter in C."""
+        from repro.codec.intra import _intra_decode_reference
+        from repro.codec.transform import idct_blocks, qstep
+
+        grid = None
+        if isinstance(levels, np.ndarray) and levels.ndim == 4 and levels.shape[1::2] == (8, 8):
+            grid = _intra_grid((levels.shape[0] * 8, levels.shape[2] * 8), block)
+        qp = np.asarray(qp_map, dtype=float)
+        if (
+            grid is None
+            or not isinstance(modes, np.ndarray)
+            or modes.shape != grid
+            or modes.dtype.kind not in "iub"
+            or qp.shape != grid
+        ):
+            return _intra_decode_reference(levels, modes, qp_map, block=block)
+        coded = np.ascontiguousarray(levels, dtype=np.float64)
+        mode_map = np.ascontiguousarray(modes, dtype=np.int64)
+        rows, cols = grid
+        width = cols * block
+        recon = np.zeros((rows * block, width), dtype=np.float64)
+        best = np.empty(min(grid) * block * block, dtype=np.float64)
+        edge = np.empty(2 * block, dtype=np.float64)
+        lib = self._lib
+        levels_p, modes_p, recon_p = coded.ctypes.data, mode_map.ctypes.data, recon.ctypes.data
+        best_p, edge_p = best.ctypes.data, edge.ctypes.data
+        for r0, c0, rs, cs in _diagonals(rows, cols):
+            m = rs.size
+            q = qstep(qp[rs, cs])
+            dequantised = np.empty((block // 8, 8, m * block // 8, 8), dtype=np.float64)
+            if lib.intra_unpre(levels_p, modes_p, cols, q.ctypes.data, recon_p, width,
+                               r0, c0, m, block, best_p, dequantised.ctypes.data, edge_p):
+                return _intra_decode_reference(levels, modes, qp_map, block=block)
+            rec_plane = idct_blocks(dequantised)
+            lib.intra_post(best_p, rec_plane.ctypes.data, r0, c0, m, block, recon_p, width)
+        return recon
+
     def self_probe(self) -> str | None:
         """Bitwise-compare every C kernel against its reference.
 
@@ -616,6 +893,7 @@ class _CKernels:
             _mv_bits_vec,
             _SMALL_DIAMOND,
         )
+        from repro.codec.intra import _intra_encode_reference
         from repro.utils.noise import _value_noise_2d_reference
 
         gen = np.random.default_rng(0xCE)
@@ -687,11 +965,38 @@ class _CKernels:
                 self.value_noise(px, py, **params), _value_noise_2d_reference(px, py, **params)
             ):
                 return f"value_noise (scale {scale}, octaves {octaves})"
+        # I-frame wavefront, both directions: every border shape (one block,
+        # one row, one column, ragged), content where all three SADs tie
+        # (flat), where H or V wins (ramp), exact arithmetic (steps) and
+        # noise, under fractional and 0/51-saturated QP maps.
+        yy, xx = np.mgrid[0:48, 0:64]
+        contents = {
+            "flat": np.full((48, 64), 77.0),
+            "ramp": (xx * 2.75 + (yy // 7) * 9.5) % 256.0,
+            "steps": gen.integers(0, 8, size=(48, 64)) * 32.0,
+            "noise": gen.uniform(0.0, 255.0, size=(48, 64)),
+        }
+        cases = ((16, (1, 1), "flat"), (16, (1, 4), "ramp"), (16, (3, 1), "steps"),
+                 (16, (2, 3), "noise"), (8, (2, 2), "flat"), (8, (2, 3), "noise"))
+        for block, (rows, cols), content in cases:
+            where = f"(block {block}, {rows}x{cols} {content})"
+            frame = contents[content][: rows * block, : cols * block]
+            qp = gen.uniform(0.0, 51.0, size=(rows, cols))
+            if content in ("flat", "steps"):
+                qp = np.where(qp < 17.0, 0.0, np.where(qp > 34.0, 51.0, qp))
+            want = _intra_encode_reference(frame, qp, block=block)
+            got = self.intra_encode(frame, qp, block=block)
+            if not all(_same_bytes(g, w) for g, w in zip(got, want)):
+                return f"intra_encode {where}"
+            levels, modes, recon, _ = want
+            if not _same_bytes(self.intra_decode(levels, modes, qp, block=block), recon):
+                return f"intra_decode {where}"
         return None
 
 
 class CExtBackend(KernelBackend):
-    """Compiled-C block SADs, sweeps, motion compensation + value noise, self-probed."""
+    """Compiled-C block SADs, sweeps, motion compensation, value noise and the
+    I-frame wavefront (``intra_encode`` / ``intra_decode``), self-probed."""
 
     name = "cext"
 
@@ -718,7 +1023,11 @@ class CExtBackend(KernelBackend):
             kernels = _CKernels(_build_library())
         except (_Unavailable, OSError) as exc:  # OSError: full disk, read-only cache
             return str(exc)
-        failed = kernels.self_probe()
+        # The intra oracles dispatch their DCT: pinned to the reference they
+        # compare against numpy alone and cannot re-enter this (locked)
+        # check through the registry's default resolution.
+        with use_backend("numpy"):
+            failed = kernels.self_probe()
         if failed is not None:
             return f"self-probe: {failed} differs bitwise from the reference"
         # Hooks are bound only once the probe has passed.
@@ -728,6 +1037,8 @@ class CExtBackend(KernelBackend):
         self.block_sad = kernels.block_sad
         self.motion_compensate = kernels.motion_compensate
         self.value_noise = kernels.value_noise
+        self.intra_encode = kernels.intra_encode
+        self.intra_decode = kernels.intra_decode
         return None
 
 

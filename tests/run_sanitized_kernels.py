@@ -1,0 +1,54 @@
+"""Run the kernel suites with the ``cext`` source built under ASan + UBSan.
+
+Twelve kernels write through raw pointers; the bit-exactness suites prove
+their *values*, this proves their *addresses*.  The runner appends the
+sanitizer flags to ``repro.kernels.cext._CFLAGS`` in-process, before the
+first dispatch builds anything — the cache stem hashes the flags, so the
+sanitised object never collides with the normal one — and hands the suites
+to ``pytest.main``.  It is test tooling, not a product knob: ``repro``
+reads no flag or environment variable for it.
+
+The interpreter itself is not instrumented, so the ASan runtime has to be
+loaded first and leak checking (CPython "leaks" by design) turned off::
+
+    LD_PRELOAD="$(gcc -print-file-name=libasan.so)" ASAN_OPTIONS=detect_leaks=0 \\
+        PYTHONPATH=src python tests/run_sanitized_kernels.py [pytest args / test files]
+
+Any ASan/UBSan finding aborts the process (``-fno-sanitize-recover=all``).
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro import kernels
+from repro.kernels import cext
+
+SANITIZER_FLAGS = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-g"]
+
+#: Every suite that drives a compiled kernel through its public seam.
+SUITES = [
+    "test_codec_kernels.py",
+    "test_noise_kernel.py",
+    "test_codec_intra.py",
+    "test_intra_kernels.py",
+    "test_golden_iframes.py",
+    "test_golden_e2e.py",
+    "test_golden_frames.py",
+]
+
+
+def main(argv: list[str]) -> int:
+    cext._CFLAGS.extend(SANITIZER_FLAGS)
+    if kernels.active().name != "cext":
+        # Without this check a host that cannot build the sanitised object
+        # would run everything on numpy and report a clean bill of health.
+        print(f"sanitised cext did not build: {kernels.backend('cext').why_unavailable()}", file=sys.stderr)
+        return 2
+    here = Path(__file__).resolve().parent
+    return int(pytest.main(argv or ["-x", "-q", *(str(here / name) for name in SUITES)]))
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.codec import EncoderConfig, VideoDecoder, VideoEncoder
 from repro.utils.noise import value_noise_2d
 
@@ -20,6 +21,27 @@ def drifting_sequence(seed: int, n: int, shape=(48, 64)):
         yield (255 * value_noise_2d(xx + i, yy, seed=seed, scale=6.0, octaves=2)).astype(np.float32)
 
 
+def closed_loop_on_both_backends(config, frames, **encode_args):
+    """Encode + decode ``frames`` on the ``numpy`` reference and on ``cext``
+    (when this host has it): under each the decoder reproduces the encoder's
+    reconstruction bit-for-bit, and the two backends' streams are the same
+    bytes."""
+    streams = []
+    for backend in ("numpy", "cext"):
+        if backend not in kernels.available_backends():
+            continue
+        with kernels.use_backend(backend):
+            enc = VideoEncoder(config)
+            dec = VideoDecoder()
+            stream = []
+            for frame in frames:
+                encoded = enc.encode(frame, **encode_args)
+                np.testing.assert_array_equal(dec.decode(encoded), encoded.reconstruction)
+                stream.append((encoded.frame_type, encoded.bits, encoded.reconstruction.tobytes()))
+        streams.append(stream)
+    assert all(stream == streams[0] for stream in streams)
+
+
 class TestEncodeDecodeConsistency:
     @settings(max_examples=15, deadline=None)
     @given(
@@ -30,24 +52,19 @@ class TestEncodeDecodeConsistency:
     )
     def test_decoder_matches_encoder_any_gop(self, seed, qp, gop, n_frames):
         """Whatever the GoP length and QP, the decoder reproduces the
-        encoder's reconstruction bit-for-bit."""
-        enc = VideoEncoder(EncoderConfig(gop=gop, search_range=8))
-        dec = VideoDecoder()
-        for frame in drifting_sequence(seed, n_frames):
-            encoded = enc.encode(frame, base_qp=float(qp))
-            out = dec.decode(encoded)
-            np.testing.assert_array_equal(out, encoded.reconstruction)
+        encoder's reconstruction bit-for-bit — on either backend."""
+        closed_loop_on_both_backends(
+            EncoderConfig(gop=gop, search_range=8), list(drifting_sequence(seed, n_frames)), base_qp=float(qp)
+        )
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000), st.integers(0, 500))
     def test_random_qp_offsets_consistent(self, seed, offset_seed):
         rng = np.random.default_rng(offset_seed)
         offsets = rng.integers(0, 30, size=(3, 4)).astype(float)
-        enc = VideoEncoder(EncoderConfig(search_range=8))
-        dec = VideoDecoder()
-        for frame in drifting_sequence(seed, 3):
-            encoded = enc.encode(frame, base_qp=12.0, qp_offsets=offsets)
-            np.testing.assert_array_equal(dec.decode(encoded), encoded.reconstruction)
+        closed_loop_on_both_backends(
+            EncoderConfig(search_range=8), list(drifting_sequence(seed, 3)), base_qp=12.0, qp_offsets=offsets
+        )
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000), st.floats(8_000, 400_000))
