@@ -1,17 +1,17 @@
 """Deterministic perf/memory benchmark harness (``repro bench``).
 
-The measurement substrate the ROADMAP's "as fast as the hardware allows"
-goal needs: a registry of micro benchmarks (ME search per method, DCT+quant
-round trip, foreground clustering, RANSAC rotation fit) and macro
-benchmarks (the per-frame DiVE pipeline and each baseline on a seeded
-``repro.world`` scene, traced per stage), measured with warmup/repeat
-wall-clock (:func:`~repro.bench.measure.measure`) and tracemalloc peak
-memory, serialised to schema-versioned ``BENCH_*.json`` documents, and
-compared across runs with noise-tolerant regression classification
-(:func:`~repro.bench.compare.compare_docs`).
+A registry of micro benchmarks, one per hot path (ME search per method,
+motion compensation, DCT+quant round trip, rate control, the I-frame
+wavefront, a rendered frame, foreground clustering, RANSAC rotation fit,
+telemetry recording, the linter), measured with warmup/repeat wall-clock
+(:func:`~repro.bench.measure.measure`) and tracemalloc peak memory,
+serialised to schema-versioned JSON documents, and compared across runs
+with noise-tolerant regression classification
+(:func:`~repro.bench.compare.compare_docs`).  End-to-end speed of the
+batch, stream and fleet drivers is the job of ``benchmarks/perf/run.py``.
 
-CLI: ``repro bench [--suite micro|macro|all] [--out PATH]
-[--compare BASELINE --fail-on-regress] [--format text|json]`` and
+CLI: ``repro bench [--only NAME] [--out PATH] [--compare BASELINE
+--fail-on-regress] [--compare-backends] [--format text|json]`` and
 ``repro report --bench BENCH.json --trace trace.jsonl``.  See the
 "Benchmarking & regression tracking" sections of README.md / API.md.
 """
@@ -25,7 +25,7 @@ from repro.bench.compare import (
     render_comparison,
 )
 from repro.bench.measure import Measurement, measure
-from repro.bench.registry import SUITES, BenchCase, Benchmark, all_benchmarks, benchmark
+from repro.bench.registry import BenchCase, Benchmark, all_benchmarks, benchmark
 from repro.bench.report import render_bench_json, render_bench_text, run_report
 from repro.bench.runner import (
     SCHEMA_VERSION,
@@ -44,7 +44,6 @@ __all__ = [
     "Measurement",
     "MetricDelta",
     "SCHEMA_VERSION",
-    "SUITES",
     "SchemaMismatchError",
     "all_benchmarks",
     "benchmark",

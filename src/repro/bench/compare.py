@@ -1,4 +1,4 @@
-"""Comparator: classify two ``BENCH_*.json`` documents metric by metric.
+"""Comparator: classify two bench documents metric by metric.
 
 :func:`compare_docs` matches benchmarks by name, flattens each into its
 tracked metrics (median/min/p95 wall time, peak memory, every throughput

@@ -1,4 +1,4 @@
-"""Benchmark registry: named, suite-tagged benchmark definitions.
+"""Benchmark registry: named benchmark definitions.
 
 A benchmark is a *build function* taking a
 :class:`~repro.experiments.config.BenchScale` and returning a
@@ -18,16 +18,11 @@ set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.experiments.config import BenchScale
-from repro.obs.tracer import Tracer
 
-__all__ = ["SUITES", "BenchCase", "Benchmark", "all_benchmarks", "benchmark"]
-
-#: Valid suite names.  ``micro`` benchmarks isolate one hot path; ``macro``
-#: benchmarks run a whole per-frame pipeline with a tracer attached.
-SUITES = ("micro", "macro")
+__all__ = ["BenchCase", "Benchmark", "all_benchmarks", "benchmark"]
 
 
 @dataclass
@@ -43,15 +38,10 @@ class BenchCase:
         Deterministic per-iteration workload counts (``frames``,
         ``macroblocks``, ``encoded_kbit``, ...).  The runner derives
         throughput as ``value / median_time`` per key.
-    tracers:
-        For macro benchmarks: one :class:`~repro.obs.Tracer` appended per
-        ``fn`` invocation, in call order, so the runner can attribute spans
-        to the timed repeats (and drop the warmup/memory passes).
     """
 
     fn: Callable[[], Any]
     work: dict[str, float] = field(default_factory=dict)
-    tracers: list[Tracer] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -59,7 +49,6 @@ class Benchmark:
     """A registered benchmark: identity plus its build function."""
 
     name: str
-    suite: str
     group: str
     build: Callable[[BenchScale], BenchCase]
 
@@ -67,29 +56,27 @@ class Benchmark:
 _REGISTRY: dict[str, Benchmark] = {}
 
 
-def benchmark(name: str, *, suite: str, group: str) -> Callable[[Callable[[BenchScale], BenchCase]], Callable[[BenchScale], BenchCase]]:
+def benchmark(name: str, *, group: str) -> Callable[[Callable[[BenchScale], BenchCase]], Callable[[BenchScale], BenchCase]]:
     """Decorator registering a build function under ``name``.
 
     ::
 
-        @benchmark("me/hex", suite="micro", group="me")
+        @benchmark("me/hex", group="me")
         def _build(scale: BenchScale) -> BenchCase: ...
     """
-    if suite not in SUITES:
-        raise ValueError(f"suite {suite!r} not in {SUITES}")
 
     def deco(build: Callable[[BenchScale], BenchCase]) -> Callable[[BenchScale], BenchCase]:
         existing = _REGISTRY.get(name)
         if existing is not None and existing.build is not build:
             raise ValueError(f"duplicate benchmark name {name!r}")
-        _REGISTRY[name] = Benchmark(name=name, suite=suite, group=group, build=build)
+        _REGISTRY[name] = Benchmark(name=name, group=group, build=build)
         return build
 
     return deco
 
 
-def all_benchmarks(suite: str = "all") -> list[Benchmark]:
-    """Registered benchmarks of one suite (or ``"all"``), ordered by name.
+def all_benchmarks() -> list[Benchmark]:
+    """The registered benchmarks, ordered by name.
 
     Importing :mod:`repro.bench.scenarios` here (not at module import) keeps
     the registry cheap to import and lets tests register ad-hoc benchmarks
@@ -97,16 +84,4 @@ def all_benchmarks(suite: str = "all") -> list[Benchmark]:
     """
     import repro.bench.scenarios  # noqa: F401  (registers the built-in set)
 
-    if suite != "all" and suite not in SUITES:
-        raise ValueError(f"suite must be one of {('all', *SUITES)}, got {suite!r}")
-    return [
-        b
-        for _, b in sorted(_REGISTRY.items())
-        if suite == "all" or b.suite == suite
-    ]
-
-
-def iter_names(suite: str = "all") -> Iterator[str]:
-    """Names of the registered benchmarks in ``suite``."""
-    for b in all_benchmarks(suite):
-        yield b.name
+    return [b for _, b in sorted(_REGISTRY.items())]

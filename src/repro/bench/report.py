@@ -1,7 +1,7 @@
 """Rendering: bench results as text/JSON, and the unified run report.
 
 The run report is the artefact a perf PR quotes as its before/after story:
-one markdown (or plain-text) document joining a ``BENCH_*.json`` with a
+one markdown (or plain-text) document joining a bench document with a
 ``repro trace`` JSONL — benchmark timings and throughput, per-stage span
 latency, per-frame counters and peak memory, all in one place.  A metrics
 JSONL (``repro.metrics``) adds the virtual-time telemetry view: pooled
@@ -34,7 +34,6 @@ def _bench_rows(doc: Mapping[str, Any]) -> list[list[object]]:
         rows.append(
             [
                 entry["name"],
-                entry.get("suite", "?"),
                 timing.get("median", 0.0) * 1e3,
                 timing.get("p95", 0.0) * 1e3,
                 entry.get("memory", {}).get("peak_bytes", 0) / 1e3,
@@ -45,7 +44,7 @@ def _bench_rows(doc: Mapping[str, Any]) -> list[list[object]]:
     return rows
 
 
-_BENCH_HEADERS = ["benchmark", "suite", "median ms", "p95 ms", "peak kB", "frames/s", "MB/s"]
+_BENCH_HEADERS = ["benchmark", "median ms", "p95 ms", "peak kB", "frames/s", "MB/s"]
 
 
 def render_bench_text(doc: Mapping[str, Any]) -> str:
@@ -54,7 +53,7 @@ def render_bench_text(doc: Mapping[str, Any]) -> str:
 
     host = doc.get("host", {})
     lines = [
-        f"suite={doc.get('suite')}  schema=v{doc.get('schema')}  "
+        f"schema=v{doc.get('schema')}  "
         f"python={host.get('python')}  numpy={host.get('numpy')}  {host.get('machine', '')}".rstrip(),
         "",
         format_table(_BENCH_HEADERS, _bench_rows(doc), title="repro.bench results (MB/s = macroblocks/s)"),
@@ -153,26 +152,12 @@ def run_report(
     if doc:
         host = doc.get("host", {})
         lines.append(
-            f"bench suite `{doc.get('suite')}` (schema v{doc.get('schema')}), "
+            f"bench document (schema v{doc.get('schema')}), "
             f"python {host.get('python')}, numpy {host.get('numpy')}, "
             f"{host.get('machine', 'unknown machine')}, created {doc.get('created')}"
         )
         lines.append("")
         lines.extend(table(_BENCH_HEADERS, _bench_rows(doc), "Benchmarks"))
-        span_agg: list[list[object]] = []
-        for entry in doc.get("benchmarks", []):
-            for path, stats in entry.get("spans_ms", {}).items():
-                span_agg.append(
-                    [f"{entry['name']}:{path}", stats["count"], stats["mean"], stats["p50"], stats["p95"]]
-                )
-        if span_agg:
-            lines.extend(
-                table(
-                    ["benchmark:stage", "frames", "mean ms", "p50 ms", "p95 ms"],
-                    span_agg,
-                    "Per-stage latency (macro benchmarks)",
-                )
-            )
     if trace_frames:
         summary = summarize(list(trace_frames))
         meta = dict(trace_meta or {})

@@ -1,8 +1,7 @@
 """The built-in benchmark set.
 
-Micro benchmarks isolate the hot paths every DiVE latency claim rests on
-(the paper's Fig 9 is literally "ME milliseconds per frame at a given
-mAP"):
+Each benchmark isolates one hot path a DiVE latency claim rests on (the
+paper's Fig 9 is literally "ME milliseconds per frame at a given mAP"):
 
 - ``me/<method>`` — block-matching motion estimation per search method
   (:func:`repro.codec.motion.estimate_motion`) on two rendered frames of a
@@ -30,12 +29,8 @@ mAP"):
 - ``stream/flight_recorder`` — flight-recorder ring throughput with
   periodic trigger dumps.
 
-Macro benchmarks run a whole per-frame pipeline (DiVE and each baseline)
-on a small seeded ``repro.world`` scene with a live tracer attached, so
-each result embeds the per-stage span breakdown the ``repro report``
-command renders.  ``pipeline/stream_metrics`` repeats the streaming
-macro with full telemetry live, so the stream/stream_metrics pair is the
-measured observability overhead.
+Whole-pipeline speed (batch, stream and fleet drivers end to end) is
+measured by the repo's benchmark, ``benchmarks/perf/run.py``, not here.
 
 Every input is derived from :class:`BenchScale.seed` — the *work* two runs
 perform at the same scale is bit-identical; only wall-clock differs.
@@ -53,10 +48,9 @@ from repro.codec.transform import dct_blocks, dequantize, idct_blocks, quantize,
 from repro.core.clustering import clusters_to_mask, merge_clusters, region_grow
 from repro.core.grid import block_centers
 from repro.core.rotation import estimate_rotation
-from repro.experiments.config import BenchScale, ExperimentConfig, scaled_bandwidth
+from repro.experiments.config import BenchScale
 from repro.geometry.camera import CameraIntrinsics
 from repro.geometry.flow import rotational_flow
-from repro.obs.tracer import Tracer
 
 _BLOCK = 16
 
@@ -84,10 +78,10 @@ def _build_me(method: str, scale: BenchScale) -> BenchCase:
 
 
 for _method in ME_METHODS:
-    benchmark(f"me/{_method}", suite="micro", group="me")(partial(_build_me, _method))
+    benchmark(f"me/{_method}", group="me")(partial(_build_me, _method))
 
 
-@benchmark("me/motion_compensate", suite="micro", group="me")
+@benchmark("me/motion_compensate", group="me")
 def _build_motion_compensate(scale: BenchScale) -> BenchCase:
     from repro.codec.motion import motion_compensate
 
@@ -106,7 +100,7 @@ def _build_motion_compensate(scale: BenchScale) -> BenchCase:
 # -- transform coding -------------------------------------------------------
 
 
-@benchmark("codec/dct_quant_roundtrip", suite="micro", group="codec")
+@benchmark("codec/dct_quant_roundtrip", group="codec")
 def _build_dct_quant(scale: BenchScale) -> BenchCase:
     current, reference = _micro_frames(scale)
     residual = current.astype(np.float64) - reference.astype(np.float64)
@@ -131,7 +125,7 @@ def _build_dct_quant(scale: BenchScale) -> BenchCase:
     )
 
 
-@benchmark("codec/rate_control", suite="micro", group="codec")
+@benchmark("codec/rate_control", group="codec")
 def _build_rate_control(scale: BenchScale) -> BenchCase:
     from repro.codec.encoder import VideoEncoder
     from repro.codec.transform import QuantBitCounter
@@ -164,7 +158,7 @@ def _intra_inputs(scale: BenchScale) -> tuple[np.ndarray, np.ndarray]:
     return frame, (26.0 + 6.0 * ((r + c) % 3)).astype(np.float64)
 
 
-@benchmark("codec/intra_encode", suite="micro", group="codec")
+@benchmark("codec/intra_encode", group="codec")
 def _build_intra_encode(scale: BenchScale) -> BenchCase:
     from repro.codec.intra import intra_encode
 
@@ -176,7 +170,7 @@ def _build_intra_encode(scale: BenchScale) -> BenchCase:
     return BenchCase(fn=fn, work={"frames": 1.0, "macroblocks": float(qp_map.size), "encoded_kbit": fn() / 1e3})
 
 
-@benchmark("codec/intra_decode", suite="micro", group="codec")
+@benchmark("codec/intra_decode", group="codec")
 def _build_intra_decode(scale: BenchScale) -> BenchCase:
     from repro.codec.intra import intra_decode, intra_encode
 
@@ -192,7 +186,7 @@ def _build_intra_decode(scale: BenchScale) -> BenchCase:
 # -- capture ----------------------------------------------------------------
 
 
-@benchmark("world/render", suite="micro", group="world")
+@benchmark("world/render", group="world")
 def _build_render(scale: BenchScale) -> BenchCase:
     from repro.world import nuscenes_like
 
@@ -232,7 +226,7 @@ def _cluster_inputs(scale: BenchScale) -> tuple[np.ndarray, np.ndarray]:
     return mv, seed_mask
 
 
-@benchmark("core/foreground_cluster", suite="micro", group="core")
+@benchmark("core/foreground_cluster", group="core")
 def _build_cluster(scale: BenchScale) -> BenchCase:
     mv, seed_mask = _cluster_inputs(scale)
     rows, cols = mv.shape[:2]
@@ -255,7 +249,7 @@ def _build_cluster(scale: BenchScale) -> BenchCase:
 # -- rotation fit -----------------------------------------------------------
 
 
-@benchmark("core/ransac_rotation", suite="micro", group="core")
+@benchmark("core/ransac_rotation", group="core")
 def _build_rotation(scale: BenchScale) -> BenchCase:
     intrinsics = CameraIntrinsics(focal=500.0, width=640, height=384)
     rows, cols = intrinsics.height // _BLOCK, intrinsics.width // _BLOCK
@@ -273,233 +267,10 @@ def _build_rotation(scale: BenchScale) -> BenchCase:
     return BenchCase(fn=fn, work={"frames": 1.0, "macroblocks": float(rows * cols), "samples": float(k)})
 
 
-# -- per-frame pipelines (macro) --------------------------------------------
-
-
-def _build_pipeline(scheme_key: str, scale: BenchScale) -> BenchCase:
-    from repro.baselines import DDSScheme, EAARScheme, O3Scheme
-    from repro.core import DiVEScheme
-    from repro.experiments.runner import ground_truth_for, run_scheme
-    from repro.network import constant_trace
-    from repro.world import nuscenes_like
-
-    schemes = {"dive": DiVEScheme, "dds": DDSScheme, "eaar": EAARScheme, "o3": O3Scheme}
-    scheme_cls = schemes[scheme_key]
-    config = ExperimentConfig(n_clips=1, n_frames=scale.macro_frames)
-    # Pre-render the clip at build time: the macro benchmarks measure the
-    # per-frame pipeline (ME, encode, transmit, server), not the synthetic
-    # world's renderer, and the small default frame cache would otherwise
-    # re-render every frame on every repeat.
-    clip = nuscenes_like(scale.seed, n_frames=config.n_frames).preload()
-    trace = constant_trace(scaled_bandwidth(scale.macro_bandwidth_mbps, clip))
-    ground_truth = ground_truth_for(clip, detector_seed=config.detector_seed)
-    blocks = (clip.intrinsics.height // _BLOCK) * (clip.intrinsics.width // _BLOCK)
-    case = BenchCase(
-        fn=lambda: None,
-        work={"frames": float(scale.macro_frames), "macroblocks": float(blocks * scale.macro_frames)},
-    )
-
-    def fn() -> object:
-        tracer = Tracer(meta={"scheme": scheme_key, "clip": clip.name})
-        result = run_scheme(
-            scheme_cls(),
-            clip,
-            trace,
-            detector_seed=config.detector_seed,
-            ground_truth=ground_truth,
-            tracer=tracer,
-        )
-        case.tracers.append(tracer)
-        return result
-
-    case.fn = fn
-    return case
-
-
-for _scheme in ("dive", "dds", "eaar", "o3"):
-    benchmark(f"pipeline/{_scheme}", suite="macro", group="pipeline")(partial(_build_pipeline, _scheme))
-
-
-def _build_pipeline_backend(backend_name: str, scale: BenchScale) -> BenchCase:
-    """The DiVE pipeline with a non-reference kernel backend active.
-
-    Wraps the plain ``pipeline/dive`` case's ``fn`` in
-    :func:`repro.kernels.use_backend`, so the measured work (and the
-    regression-gated trace counters) are identical by the bit-exactness
-    contract — only wall-clock may differ.  On hosts where the backend is
-    unavailable (no fork, no C compiler) the case runs on the reference
-    instead of failing the whole suite: the bit-exactness tests, not the
-    bench harness, are the availability gate.
-    """
-    from repro import kernels
-
-    case = _build_pipeline("dive", scale)
-    plain_fn = case.fn
-
-    def fn() -> object:
-        if kernels.backend(backend_name).available():
-            with kernels.use_backend(backend_name):
-                return plain_fn()
-        return plain_fn()
-
-    case.fn = fn
-    return case
-
-
-for _backend in ("sharded", "cext"):
-    benchmark(f"pipeline/dive_{_backend}", suite="macro", group="pipeline")(
-        partial(_build_pipeline_backend, _backend)
-    )
-
-
-def _build_stream(scale: BenchScale, *, telemetry: bool = False) -> BenchCase:
-    """DiVE through the pipelined streaming runtime under backpressure.
-
-    Unlike the batch pipeline benchmarks the clip is *not* preloaded:
-    capture-stage render overlap is part of what streaming buys, so the
-    render cost belongs in the measurement.  A bounded drop-oldest queue
-    and a per-frame deadline exercise the backpressure path; the sealed
-    outcome counts are deterministic (virtual-time decisions), so they are
-    regression-gated as throughput work alongside frames/macroblocks.
-
-    With ``telemetry`` (the ``pipeline/stream_metrics`` variant) the same
-    run carries a live :class:`~repro.metrics.MetricsRegistry` and
-    :class:`~repro.metrics.FlightRecorder`, so the pair of benchmarks is
-    the measured cost of full streaming telemetry; the flight-recorder
-    dump count is pinned into the gated work dict.
-    """
-    from repro.core import DiVEScheme
-    from repro.edge.detector import QualityAwareDetector
-    from repro.edge.server import EdgeServer
-    from repro.experiments.config import ExperimentConfig as _EC
-    from repro.metrics import NULL_FLIGHT_RECORDER, NULL_REGISTRY, FlightRecorder, MetricsRegistry
-    from repro.network import constant_trace, with_outages
-    from repro.stream import StreamConfig, StreamRunner
-    from repro.world import nuscenes_like
-
-    config = _EC(n_clips=1, n_frames=scale.macro_frames)
-    clip = nuscenes_like(scale.seed, n_frames=config.n_frames)
-    # Periodic outages (Fig 13 style) make the queue actually shed work —
-    # DiVE's rate control adapts to any steady rate, so a constant trace
-    # would never exercise the backpressure path.
-    trace = with_outages(
-        constant_trace(scaled_bandwidth(scale.macro_bandwidth_mbps, clip)),
-        outage_duration=0.2, interval=0.4, first_outage=0.2,
-    )
-    stream_config = StreamConfig(
-        workers=4, queue_capacity=2, policy="drop-oldest", deadline=0.25, watchdog=60.0,
-    )
-    blocks = (clip.intrinsics.height // _BLOCK) * (clip.intrinsics.width // _BLOCK)
-    case = BenchCase(
-        fn=lambda: None,
-        work={
-            "frames": float(scale.macro_frames),
-            "macroblocks": float(blocks * scale.macro_frames),
-        },
-    )
-
-    def fn() -> object:
-        tracer = Tracer(meta={"scheme": "dive", "clip": clip.name, "mode": "stream"})
-        registry = MetricsRegistry() if telemetry else NULL_REGISTRY
-        recorder = FlightRecorder() if telemetry else NULL_FLIGHT_RECORDER
-        scheme = DiVEScheme().use_tracer(tracer)
-        server = EdgeServer(
-            QualityAwareDetector(seed=config.detector_seed), tracer=tracer, metrics=registry,
-        )
-        result = StreamRunner(
-            scheme, stream_config, metrics=registry, flight_recorder=recorder,
-        ).run(clip, trace, server)
-        tracer.meta["stream"] = result.stats.summary()
-        case.tracers.append(tracer)
-        return result
-
-    # One reference run pins the deterministic outcome counts into the
-    # gated work dict (virtual-time decisions, identical on every repeat).
-    case.fn = fn
-    reference = fn()
-    case.tracers.clear()
-    case.work["delivered"] = float(reference.stats.delivered)
-    case.work["shed"] = float(reference.stats.dropped + reference.stats.degraded + reference.stats.late)
-    if telemetry:
-        case.work["dumps"] = float(len(reference.flight.dumps))
-    return case
-
-
-benchmark("pipeline/stream", suite="macro", group="pipeline")(_build_stream)
-benchmark("pipeline/stream_metrics", suite="macro", group="pipeline")(
-    partial(_build_stream, telemetry=True)
-)
-
-
-def _build_fleet(scale: BenchScale) -> BenchCase:
-    """Multi-tenant fleet: 8 mixed-scheme agents, one cell, one edge.
-
-    The whole PR 1–9 stack in one number: eight streaming agents (all
-    four schemes, staggered starts) contend for a bursty-outage shared
-    cell and a one-worker batching edge with a bounded admission queue.
-    All outcome counts are virtual-time decisions — identical on every
-    repeat — so delivered frames, admission rejects and the fleet p99
-    response are pinned into the gated work dict; ``delivered_per_s`` is
-    the headline throughput.
-    """
-    from repro.fleet import FleetConfig, FleetRunner
-
-    fleet_config = FleetConfig(
-        n_agents=8,
-        n_frames=scale.macro_frames,
-        schemes=("dive", "dds", "eaar", "o3"),
-        datasets=("nuscenes",),
-        seed=scale.seed,
-        stagger=0.03,
-        resolution=(scale.frame_width, scale.frame_height),
-        demand_mbps=scale.macro_bandwidth_mbps,
-        uplink="constant",
-        cell_mbps=8.0,          # ~1 Mbps per agent when everyone uploads
-        cell_outages=True,
-        workers=1,
-        max_batch=2,
-        max_wait=0.005,
-        queue_capacity=2,
-        admission="reject",
-        deadline=0.25,
-    )
-    case = BenchCase(
-        fn=lambda: None,
-        work={"frames": float(fleet_config.n_agents * scale.macro_frames)},
-    )
-
-    def fn() -> object:
-        result = FleetRunner(fleet_config).run()
-        # The fleet's two phases as the bench's stages, so a regression
-        # names which one moved.
-        tracer = Tracer(meta={"scheme": "fleet"})
-        tracer.frame_record(0).spans.update(
-            agents=result.agents_wall_time, settle=result.settle_wall_time)
-        case.tracers.append(tracer)
-        return result
-
-    case.fn = fn
-    # One reference run pins the deterministic fleet outcome into the
-    # gated work dict (same story as pipeline/stream above).
-    reference = fn()
-    case.tracers.clear()
-    delivered = sum(
-        1 for run in reference.runs for f in run.frames
-        if np.isfinite(f.response_time)
-    )
-    case.work["delivered"] = float(delivered)
-    case.work["rejects"] = float(reference.stats.rejected)
-    case.work["p99_response_ms"] = float(reference.stats.p99_response * 1000.0)
-    return case
-
-
-benchmark("pipeline/fleet", suite="macro", group="pipeline")(_build_fleet)
-
-
 # -- telemetry --------------------------------------------------------------
 
 
-@benchmark("obs/metrics_overhead", suite="micro", group="obs")
+@benchmark("obs/metrics_overhead", group="obs")
 def _build_metrics_overhead(scale: BenchScale) -> BenchCase:
     """Raw recording cost of the virtual-time metrics registry.
 
@@ -529,7 +300,7 @@ def _build_metrics_overhead(scale: BenchScale) -> BenchCase:
     return BenchCase(fn=fn, work={"samples": float(3 * n)})
 
 
-@benchmark("stream/flight_recorder", suite="micro", group="stream")
+@benchmark("stream/flight_recorder", group="stream")
 def _build_flight_recorder(scale: BenchScale) -> BenchCase:
     """Flight-recorder ring throughput plus periodic trigger dumps."""
     from repro.metrics import FlightRecorder
@@ -549,7 +320,7 @@ def _build_flight_recorder(scale: BenchScale) -> BenchCase:
 # -- static analysis --------------------------------------------------------
 
 
-@benchmark("check/analyze_tree", suite="micro", group="check")
+@benchmark("check/analyze_tree", group="check")
 def _build_analyze_tree(scale: BenchScale) -> BenchCase:
     """Full semantic lint of the shipped ``repro`` package.
 

@@ -544,15 +544,15 @@ class KernelBypassRule(Rule):
         "library code calling an extracted kernel internal "
         "(_exhaustive_search, _descend*, _BlockSadEvaluator, the "
         "_*_reference bodies) directly skips the repro.kernels backend "
-        "dispatch: the call silently runs the reference even when an "
-        "accelerated backend is active, and band/worker invariants the "
-        "public wrappers maintain no longer hold.  Call estimate_motion/"
-        "motion_compensate/dct_blocks/quantize/dequantize instead."
+        "dispatch: the call silently runs the reference even when cext "
+        "is active, and the shape checks and float32 casts the public "
+        "wrappers perform are skipped.  Call estimate_motion/"
+        "motion_compensate/dct_blocks instead."
     )
     scope = ("repro",)
     node_types = (ast.Call,)
 
-    #: The dispatch-site internals: the banded reference bodies and the
+    #: The dispatch-site internals: the search and reference bodies and the
     #: evaluator the sweeps run on.  Only ``codec/`` (the dispatch sites),
     #: ``kernels/`` (the backends) and tests may touch them.
     _INTERNALS = frozenset(
@@ -565,8 +565,6 @@ class KernelBypassRule(Rule):
             "_BlockSadEvaluator",
             "_motion_compensate_reference",
             "_dct_blocks_reference",
-            "_quantize_reference",
-            "_dequantize_reference",
         }
     )
 

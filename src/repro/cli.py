@@ -7,7 +7,7 @@ Every experiment accepts ``--clips`` / ``--frames`` to trade fidelity for
 time; results print as the same text tables the benchmark suite emits.
 ``lint`` runs the project-specific static analyser, ``bench`` the
 perf/memory benchmark harness (with ``--compare`` regression gating),
-``report`` joins a ``BENCH_*.json``, a trace JSONL and a metrics JSONL
+``report`` joins a bench document, a trace JSONL and a metrics JSONL
 into one run report, ``fleet`` runs a multi-tenant fleet against one
 shared cell and batching edge, and ``top`` is the live telemetry dashboard over a
 streaming run (``--once`` for a CI snapshot).
@@ -55,11 +55,7 @@ def _add_backend_args(p: argparse.ArgumentParser) -> None:
         "--backend", default="auto", metavar="NAME",
         help="kernel backend for the codec hot loops (repro.kernels): "
              "auto (cext when it compiles and proves itself here, else numpy), "
-             "numpy (reference), cext, sharded, numba — all bit-identical",
-    )
-    p.add_argument(
-        "--kernel-workers", type=int, default=2,
-        help="worker processes for `--backend sharded` (others ignore it)",
+             "numpy (reference) or cext — bit-identical",
     )
 
 
@@ -311,7 +307,7 @@ def _cmd_trace(args: argparse.Namespace) -> str:
 
 
 def _bench_compare_backends(args: argparse.Namespace) -> int:
-    """Time the pipeline benchmarks under every kernel backend.
+    """Time the kernel micro benchmarks under every kernel backend.
 
     One table row per (benchmark, backend): median wall time, frames/s and
     the speedup over the ``numpy`` reference.  Unavailable backends get a
@@ -322,7 +318,10 @@ def _bench_compare_backends(args: argparse.Namespace) -> int:
     from repro import kernels
     from repro.bench import run_suite
 
-    names = args.only or ["pipeline/dive"]
+    names = args.only or [
+        "me/dia", "me/hex", "me/umh", "me/motion_compensate",
+        "codec/intra_encode", "codec/intra_decode", "world/render",
+    ]
     rows = []
     base_median: dict[str, float] = {}
     for backend_name in kernels.registered_backends():
@@ -331,8 +330,8 @@ def _bench_compare_backends(args: argparse.Namespace) -> int:
             reason = inst.why_unavailable() or "unavailable"
             rows.append(["-", backend_name, "-", "-", reason])
             continue
-        with kernels.use_backend(backend_name, workers=args.kernel_workers):
-            doc = run_suite("macro", names=names)
+        with kernels.use_backend(backend_name):
+            doc = run_suite(names=names)
         for entry in doc["benchmarks"]:
             median = entry["timing_s"]["median"]
             fps = entry["throughput"].get("frames_per_s", 0.0)
@@ -340,9 +339,9 @@ def _bench_compare_backends(args: argparse.Namespace) -> int:
                 base_median[entry["name"]] = median
             base = base_median.get(entry["name"])
             speedup = f"{base / median:.2f}x" if base and median > 0 else "-"
-            rows.append([entry["name"], backend_name, f"{median:.3f}", f"{fps:.2f}", speedup])
+            rows.append([entry["name"], backend_name, f"{median * 1e3:.2f}", f"{fps:.1f}", speedup])
     print(format_table(
-        ["benchmark", "backend", "median s", "frames/s", "vs numpy"],
+        ["benchmark", "backend", "median ms", "frames/s", "vs numpy"],
         rows,
         title="kernel backends — bit-identical outputs, wall-clock only",
     ))
@@ -350,7 +349,7 @@ def _bench_compare_backends(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run (or load) a benchmark suite; optionally compare against a baseline."""
+    """Run (or load) the benchmark suite; optionally compare against a baseline."""
     from repro.bench import (
         DEFAULT_TOLERANCES,
         SchemaMismatchError,
@@ -383,15 +382,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return 2
     if args.list:
         print(format_table(
-            ["benchmark", "suite", "group"],
-            [[b.name, b.suite, b.group] for b in all_benchmarks(args.suite)],
+            ["benchmark", "group"],
+            [[b.name, b.group] for b in all_benchmarks()],
             title="registered benchmarks",
         ))
         return 0
     if args.load:
         doc = load_doc(args.load)
     else:
-        doc = run_suite(args.suite, names=args.only or None)
+        doc = run_suite(names=args.only or None)
     if args.out:
         print(f"wrote {write_doc(doc, args.out)}")
     print(render_bench_json(doc) if args.format == "json" else render_bench_text(doc))
@@ -729,12 +728,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench = sub.add_parser(
         "bench",
-        help="Perf/memory benchmark suite: run, save BENCH_*.json, compare runs",
+        help="Perf/memory micro benchmarks: run, save the document, compare runs",
     )
-    bench.add_argument("--suite", choices=("micro", "macro", "all"), default="micro")
     bench.add_argument("--out", default=None, help="write the results document (JSON) here")
     bench.add_argument("--load", default=None, help="use an existing results file instead of running")
-    bench.add_argument("--compare", default=None, metavar="BASELINE", help="baseline BENCH_*.json to compare against")
+    bench.add_argument("--compare", default=None, metavar="BASELINE", help="baseline bench document to compare against")
     bench.add_argument(
         "--fail-on-regress",
         action="store_true",
@@ -753,13 +751,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--compare-backends",
         action="store_true",
-        help="time the pipeline benchmarks under every available kernel backend "
+        help="time the kernel micro benchmarks under every registered kernel backend "
              "and print a speedup table (honours --only)",
     )
     _add_backend_args(bench)
     report = sub.add_parser(
         "report",
-        help="Unified run report joining a BENCH_*.json, a repro-trace JSONL and a metrics JSONL",
+        help="Unified run report joining a bench document, a repro-trace JSONL and a metrics JSONL",
     )
     report.add_argument("--bench", default=None, metavar="BENCH_JSON", help="bench results document")
     report.add_argument("--trace", default=None, metavar="TRACE_JSONL", help="frame trace from `repro trace`")
@@ -844,12 +842,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if hasattr(args, "backend") and not getattr(args, "compare_backends", False):
-        # Activate here, on the driver thread, before any command spawns
-        # stream/fleet workers (repro.kernels pool-ownership rule).
         from repro import kernels
 
         try:
-            inst = kernels.activate(args.backend, workers=getattr(args, "kernel_workers", None))
+            inst = kernels.activate(args.backend)
         except (ValueError, RuntimeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -108,8 +108,7 @@ class _BlockSadEvaluator:
     ``sad_int`` / ``sad_int_subset`` hand the whole evaluation to the active
     kernel backend's ``block_sad`` hook when it has one (looked up once, at
     construction).  ``reference_only=True`` pins the NumPy path: backend
-    self-probes and row-band workers, which already run *inside* a backend,
-    use it as the oracle.
+    self-probes use it as the oracle.
     """
 
     def __init__(
@@ -119,7 +118,6 @@ class _BlockSadEvaluator:
         search_range: int,
         block: int,
         *,
-        row0: int = 0,
         reference_only: bool = False,
     ):
         self._block_sad = None if reference_only else kernels.override("block_sad")
@@ -135,10 +133,7 @@ class _BlockSadEvaluator:
         self.cur_blocks = (
             cur.reshape(self.rows, block, self.cols, block).transpose(0, 2, 1, 3).reshape(self.n, block, block)
         )
-        # ``row0`` supports row-band sharding: ``current`` may be a band of
-        # a taller frame whose first macroblock row is ``row0``, while
-        # ``reference`` is always the full frame.
-        by = ((row0 + np.arange(self.rows)) * block).repeat(self.cols)
+        by = (np.arange(self.rows) * block).repeat(self.cols)
         bx = np.tile(np.arange(self.cols) * block, self.rows)
         self.by = by
         self.bx = bx
@@ -533,8 +528,6 @@ def _exact_sad_scan(
     indices: np.ndarray,
     pad: int,
     block: int,
-    *,
-    row_px0: int = 0,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Exact per-macroblock SAD maps for the given displacement indices.
 
@@ -542,11 +535,6 @@ def _exact_sad_scan(
     displacement is a zero-copy slice of the edge-padded reference
     (bit-identical to ``shift_with_edge_pad``) followed by the tiled block
     reduction; the |difference| buffer is reused across displacements.
-
-    ``cur64`` may be a row band of a taller frame starting at pixel row
-    ``row_px0`` of the frame ``refp`` pads; the per-block sums of a band are
-    the same contiguous reductions the full-frame scan computes for those
-    rows, so banding is bit-exact.
     """
     h, w = cur64.shape
     rows8 = h // block
@@ -555,7 +543,7 @@ def _exact_sad_scan(
     for i in indices:
         dx = int(disp_arr[i, 0])
         dy = int(disp_arr[i, 1])
-        shifted = refp[pad - dy + row_px0 : pad - dy + row_px0 + h, pad - dx : pad - dx + w]
+        shifted = refp[pad - dy : pad - dy + h, pad - dx : pad - dx + w]
         np.subtract(cur64, shifted, out=buf)
         np.abs(buf, out=buf)
         yield i, buf.reshape(rows8, block, cols8, block).sum(axis=(1, 3))
@@ -570,17 +558,9 @@ def _exhaustive_search(
     lambda_mv: float,
     transformed: bool,
     subpel: bool,
-    row0: int = 0,
-    row_count: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Displacement-major full search (ESA), optionally with an SATD
     re-ranking of the top candidates (TESA).
-
-    ``row0``/``row_count`` restrict the search to a band of macroblock rows
-    (results returned for that band only) — the row-sharding hook of the
-    ``sharded`` kernel backend.  Every per-block quantity (screen, exact
-    SAD, penalty, argmin) is computed per macroblock row independently, so
-    a banded call is bit-identical to the matching rows of a full call.
 
     For each displacement the SAD of *every* macroblock is computed at once
     with whole-frame vector ops.  The MV-bit penalty uses the zero-MV
@@ -603,31 +583,10 @@ def _exhaustive_search(
     over it) but re-ranks all (block, candidate) pairs with one batched
     gather + matmul SATD instead of a Python loop per block.
     """
-    banded = row_count is not None
-    if not banded:
-        impl = kernels.override("exhaustive_search")
-        if impl is not None:
-            # Full-frame calls dispatch to the active backend; banded calls
-            # (row_count set) are already *inside* a backend and run the
-            # reference body below.
-            return impl(
-                current,
-                reference,
-                search_range=search_range,
-                block=block,
-                lambda_mv=lambda_mv,
-                transformed=transformed,
-                subpel=subpel,
-            )
     h, w = current.shape
-    full_rows, cols = h // block, w // block
-    if not banded:
-        row0 = 0
-        row_count = full_rows
-    rows = row_count
+    rows, cols = h // block, w // block
     n = rows * cols
-    row_px0 = row0 * block
-    cur64 = current[row_px0 : row_px0 + rows * block].astype(np.float64)
+    cur64 = current.astype(np.float64)
     ref64 = reference.astype(np.float64)
     pad = search_range
     refp = np.pad(ref64, pad, mode="edge")
@@ -649,9 +608,7 @@ def _exhaustive_search(
         # difference), as x264 does.
         costs = np.empty((n_disp, rows, cols), dtype=np.float64)
         sads = np.empty_like(costs)
-        for i, sad in _exact_sad_scan(
-            cur64, refp, disp_arr, np.arange(n_disp), pad, block, row_px0=row_px0
-        ):
+        for i, sad in _exact_sad_scan(cur64, refp, disp_arr, np.arange(n_disp), pad, block):
             sads[i] = sad
             costs[i] = sad + penalty[i]
         top_k = 5
@@ -662,7 +619,7 @@ def _exhaustive_search(
         # as the scalar loop applied them per block.
         cand = part.reshape(top_k, n)
         cur_blocks = cur64.reshape(rows, block, cols, block).transpose(0, 2, 1, 3).reshape(n, block, block)
-        by = ((row0 + np.arange(rows)) * block).repeat(cols)
+        by = (np.arange(rows) * block).repeat(cols)
         bx = np.tile(np.arange(cols) * block, rows)
         win = sliding_window_view(refp, (block, block))
         ref_blocks = win[by[None, :] - disp_arr[cand, 1] + pad, bx[None, :] - disp_arr[cand, 0] + pad]
@@ -686,11 +643,10 @@ def _exhaustive_search(
         buf32v = buf32.reshape(rows, block, cols, block)
         screen = np.empty((n_disp, rows, cols), dtype=np.float32)
         pen32 = penalty.astype(np.float32)
-        bh = rows * block
         for i in range(n_disp):
             dx = int(disp_arr[i, 0])
             dy = int(disp_arr[i, 1])
-            shifted = refp32[pad - dy + row_px0 : pad - dy + row_px0 + bh, pad - dx : pad - dx + w]
+            shifted = refp32[pad - dy : pad - dy + h, pad - dx : pad - dx + w]
             np.subtract(cur32, shifted, out=buf32)
             np.abs(buf32, out=buf32)
             # einsum instead of sum(axis=(1, 3)): ~3x faster on the strided
@@ -723,7 +679,7 @@ def _exhaustive_search(
             cur_blocks = (
                 cur64.reshape(rows, block, cols, block).transpose(0, 2, 1, 3).reshape(n, block, block)
             )
-            by = ((row0 + np.arange(rows)) * block).repeat(cols)
+            by = (np.arange(rows) * block).repeat(cols)
             bx = np.tile(np.arange(cols) * block, rows)
             win = sliding_window_view(refp, (block, block))
             flat_mask = cand_mask.reshape(n_disp, n)
@@ -759,14 +715,7 @@ def _exhaustive_search(
 
     int_mv = disp_arr[best_idx]
     if subpel:
-        ev = _BlockSadEvaluator(
-            current[row_px0 : row_px0 + rows * block],
-            reference,
-            search_range,
-            block,
-            row0=row0,
-            reference_only=banded,
-        )
+        ev = _BlockSadEvaluator(current, reference, search_range, block)
         dx = int_mv[..., 0].ravel()
         dy = int_mv[..., 1].ravel()
         fx, fy = _parabolic_subpel(ev, dx, dy, sad_out.ravel(), block)
@@ -893,29 +842,11 @@ def _motion_compensate_reference(
     mv: np.ndarray,
     *,
     block: int = 16,
-    row0: int = 0,
-    row_count: int | None = None,
-    rng: int | None = None,
 ) -> np.ndarray:
-    """Reference implementation of :func:`motion_compensate`.
-
-    ``row0``/``row_count`` compensate only a band of macroblock rows (the
-    ``sharded`` backend's unit of work); every block is gathered and blended
-    independently, so banding is bit-exact.  ``rng`` overrides the padding
-    radius — banded callers pass the full-field radius so every worker
-    shares one padded-reference geometry (any radius covering the band's
-    MVs reads the same edge-replicated pixels, but sharing one keeps the
-    arithmetic transparently identical).
-    """
+    """Reference implementation of :func:`motion_compensate`."""
     reference = np.asarray(reference, dtype=np.float32)
-    full_rows, cols = mv.shape[0], mv.shape[1]
-    if row_count is None:
-        row0 = 0
-        row_count = full_rows
-    rows = row_count
-    if rng is None:
-        rng = int(np.ceil(np.abs(mv).max())) + 2
-    mv = mv[row0 : row0 + rows]
+    rows, cols = mv.shape[0], mv.shape[1]
+    rng = int(np.ceil(np.abs(mv).max())) + 2
     ref_pad = np.pad(reference.astype(np.float64), rng, mode="edge")
     w = reference.shape[1]
     n = rows * cols
@@ -930,7 +861,7 @@ def _motion_compensate_reference(
     fdy = np.floor(mvy).astype(np.int64)
     ax = mvx - fdx
     ay = mvy - fdy
-    by = ((row0 + np.arange(rows)) * block).repeat(cols)
+    by = (np.arange(rows) * block).repeat(cols)
     bx = np.tile(np.arange(cols) * block, rows)
     win = sliding_window_view(ref_pad, (block, block))
     r00 = by - fdy + rng

@@ -16,8 +16,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.fft import dctn, idctn
 
-from repro import kernels
-
 __all__ = [
     "QuantBitCounter",
     "dct_blocks",
@@ -48,15 +46,13 @@ def dct_blocks(plane: np.ndarray) -> np.ndarray:
     Returns an array shaped ``(rows8, 8, cols8, 8)`` — block-major layout
     that quantisation and bit counting operate on directly.
     """
-    impl = kernels.override("dct_blocks")
-    if impl is not None:
-        return impl(plane)
     return _dct_blocks_reference(plane)
 
 
 def _dct_blocks_reference(plane: np.ndarray) -> np.ndarray:
-    """Reference implementation of :func:`dct_blocks` (each 8x8 block is
-    transformed independently, so row-band shards concatenate exactly)."""
+    """The body of :func:`dct_blocks`.  ``cext``'s I-frame wavefront calls it
+    under this name, so a tool that rebinds the public ``dct_blocks`` sees one
+    ``intra_encode`` call and not its per-diagonal transforms."""
     h, w = plane.shape
     if h % _TRANSFORM or w % _TRANSFORM:
         raise ValueError(f"plane shape {plane.shape} not a multiple of {_TRANSFORM}")
@@ -89,17 +85,6 @@ def quantize(coeffs: np.ndarray, qp_per_mb: np.ndarray, *, mb_size: int = 16) ->
         ``(mb_rows, mb_cols)`` QP values (floats allowed; typically base QP
         plus DiVE's offset map).
     """
-    impl = kernels.override("quantize")
-    if impl is not None:
-        return impl(coeffs, qp_per_mb, mb_size=mb_size)
-    return _quantize_reference(coeffs, qp_per_mb, mb_size=mb_size)
-
-
-def _quantize_reference(
-    coeffs: np.ndarray, qp_per_mb: np.ndarray, *, mb_size: int = 16
-) -> np.ndarray:
-    """Reference implementation of :func:`quantize` (per-block scalar step,
-    so macroblock-row shards are bit-exact)."""
     q = _expand_qstep(np.asarray(qp_per_mb, dtype=float), mb_size)
     if q.shape != (coeffs.shape[0], coeffs.shape[2]):
         raise ValueError(
@@ -111,16 +96,6 @@ def _quantize_reference(
 
 def dequantize(levels: np.ndarray, qp_per_mb: np.ndarray, *, mb_size: int = 16) -> np.ndarray:
     """Rescale quantised levels back to coefficient magnitudes."""
-    impl = kernels.override("dequantize")
-    if impl is not None:
-        return impl(levels, qp_per_mb, mb_size=mb_size)
-    return _dequantize_reference(levels, qp_per_mb, mb_size=mb_size)
-
-
-def _dequantize_reference(
-    levels: np.ndarray, qp_per_mb: np.ndarray, *, mb_size: int = 16
-) -> np.ndarray:
-    """Reference implementation of :func:`dequantize`."""
     q = _expand_qstep(np.asarray(qp_per_mb, dtype=float), mb_size)
     return levels * q[:, None, :, None]
 

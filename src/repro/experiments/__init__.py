@@ -37,10 +37,9 @@ from repro.experiments.fig13 import MOTResult, run_fig13
 from repro.experiments.fig14 import MotionStateResult, run_fig14
 from repro.experiments.fig16 import EndToEndResult, run_fig16_17
 from repro.experiments.reporting import format_table, print_table
-from repro.experiments.scalability import ScalabilityResult, replay_shared_server, run_scalability
+from repro.experiments.scalability import ScalabilityResult, run_scalability
 from repro.experiments.runner import (
     EvaluationResult,
-    activate_kernel_backend,
     evaluate_run,
     flight_recorder_for,
     ground_truth_for,
@@ -60,7 +59,6 @@ __all__ = [
     "EndToEndResult",
     "EvaluationResult",
     "ExperimentConfig",
-    "activate_kernel_backend",
     "ForegroundQualityResult",
     "KSweepResult",
     "MEMethodResult",
@@ -86,7 +84,6 @@ __all__ = [
     "run_fig14",
     "run_fig16_17",
     "run_scalability",
-    "replay_shared_server",
     "ScalabilityResult",
     "run_scheme",
     "run_table1",

@@ -103,22 +103,6 @@ class ExperimentConfig:
         burst, sustained queue saturation, sanitizer errors).
         :func:`repro.experiments.runner.flight_recorder_for` turns this
         into a recorder instance.
-    kernel_backend:
-        Which :mod:`repro.kernels` backend runs the codec hot kernels:
-        ``auto`` (the default: ``cext`` when the host can compile it and
-        it passes its bitwise self-probe, otherwise ``numpy`` — also what
-        a run gets when nothing is activated at all), ``numpy`` (the
-        reference), ``cext`` (runtime-compiled C), ``sharded``
-        (multiprocess row sharding) or ``numba`` (optional JIT).  Every
-        backend is bit-exact by contract, so results are identical — only
-        wall-clock changes.  An explicit name forces that backend or
-        raises; ``repro.kernels.active().name`` tells what ``auto`` chose.
-        :func:`repro.experiments.runner.activate_kernel_backend` applies
-        this before a run (and before any stream/fleet threads start —
-        the pool-ownership rule).
-    kernel_workers:
-        Worker-process count for the ``sharded`` backend (ignored by the
-        others).
     """
 
     n_clips: int = 3
@@ -133,8 +117,6 @@ class ExperimentConfig:
     stream_deadline: float | None = None
     metrics: bool = False
     flight_recorder: bool = False
-    kernel_backend: str = "auto"
-    kernel_workers: int = 2
 
     def stream_config(self):
         """The :class:`repro.stream.StreamConfig` these knobs describe, or
@@ -155,48 +137,36 @@ class ExperimentConfig:
 class BenchScale:
     """Workload scale of the :mod:`repro.bench` perf suite.
 
-    The defaults are sized so ``repro bench --suite all`` finishes in well
-    under two minutes on a laptop while each benchmark still does enough
-    work to time meaningfully.  Tests shrink these further; a paper-scale
-    perf run passes larger values.  Everything here is deterministic input
+    The defaults are sized so ``repro bench`` finishes in seconds on a
+    laptop while each benchmark still does enough work to time
+    meaningfully.  Tests shrink these further; a paper-scale perf run
+    passes larger values.  Everything here is deterministic input
     to the benchmarks — two runs with the same :class:`BenchScale` perform
     bit-identical work (only the measured wall-clock differs).
 
     Attributes
     ----------
     warmup, repeats:
-        Measurement schedule for micro benchmarks (discarded warmup calls,
-        then timed repeats).
-    macro_warmup, macro_repeats:
-        Same for the per-frame pipeline (macro) benchmarks, which cost
-        seconds per call.
+        Measurement schedule (discarded warmup calls, then timed repeats).
     seed:
         Seed for every clip / synthetic field a benchmark builds.
     frame_width, frame_height:
-        Micro-benchmark frame size (multiples of 16); smaller than the
+        Benchmark frame size (multiples of 16); smaller than the
         experiment default so ESA/TESA stay fast.
     exhaustive_search_range:
-        Search range for the ESA/TESA micro benchmarks (pattern searches
-        keep the codec default of 16).
+        Search range for the ESA/TESA benchmarks (pattern searches keep the
+        codec default of 16).
     cluster_grid:
         ``(rows, cols)`` macroblock grid of the clustering benchmark.
-    macro_frames:
-        Frames per pipeline benchmark run.
-    macro_bandwidth_mbps:
-        Paper-scale uplink label for the pipeline benchmarks.
     """
 
     warmup: int = 1
     repeats: int = 3
-    macro_warmup: int = 0
-    macro_repeats: int = 2
     seed: int = 0
     frame_width: int = 320
     frame_height: int = 192
     exhaustive_search_range: int = 8
     cluster_grid: tuple[int, int] = (40, 64)
-    macro_frames: int = 10
-    macro_bandwidth_mbps: float = 2.0
 
 
 def scaled_bandwidth(mbps_label: float, clip: Clip) -> float:

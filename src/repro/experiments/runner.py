@@ -21,7 +21,6 @@ from repro.world.datasets import Clip, ScoredClip
 
 __all__ = [
     "EvaluationResult",
-    "activate_kernel_backend",
     "aggregate",
     "evaluate_run",
     "flight_recorder_for",
@@ -149,21 +148,6 @@ def flight_recorder_for(config: ExperimentConfig) -> FlightRecorder | NullFlight
     :func:`run_scheme` and check ``.dumps`` afterwards.
     """
     return FlightRecorder() if config.flight_recorder else NULL_FLIGHT_RECORDER
-
-
-def activate_kernel_backend(config: ExperimentConfig):
-    """Activate the :mod:`repro.kernels` backend the config names.
-
-    Call this from the driver thread *before* any stream/fleet worker
-    threads start (the pooled backends fork here — pool-ownership rule).
-    Results are bit-identical for every backend.  The default ``"auto"``
-    settles on ``cext`` or the ``numpy`` reference, whichever the host
-    supports; an explicitly named backend that is unavailable raises with
-    its reason rather than silently falling back.
-    """
-    from repro import kernels
-
-    return kernels.activate(config.kernel_backend, workers=config.kernel_workers)
 
 
 def run_scheme(

@@ -16,30 +16,17 @@ is independent (``cell_mbps=None``: cellular links are per-agent), so
 only the inference stage contends.  Schemes that upload (and infer)
 every frame — DiVE, DDS — load the fabric N times harder than the
 key-frame schemes, which is exactly the trade-off worth seeing.
-
-The old post-hoc heap replay (:func:`replay_shared_server`) is kept for
-compatibility but deprecated: it reconstructs arrivals from recorded
-responses instead of replaying the recorded requests themselves, and
-knows nothing of batching or admission control.
 """
 
 from __future__ import annotations
 
-import heapq
-import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.baselines import EAARScheme, O3Scheme
-from repro.baselines.base import SchemeRun
 from repro.core.agent import DiVEScheme
 from repro.experiments.config import ExperimentConfig
 
-__all__ = ["ScalabilityResult", "replay_shared_server", "run_scalability"]
-
-_INFERENCE = 0.020
-_DOWNLINK = 0.010
+__all__ = ["ScalabilityResult", "run_scalability"]
 
 
 @dataclass
@@ -50,59 +37,6 @@ class ScalabilityResult:
     n_agents: int
     response_time: float
     inference_load: float  # inference requests per second offered to the fabric
-
-
-def replay_shared_server(
-    runs: list[SchemeRun],
-    *,
-    workers: int = 1,
-    inference_latency: float = _INFERENCE,
-    downlink_latency: float = _DOWNLINK,
-) -> float:
-    """Mean response time when the runs' edge inferences share W workers.
-
-    .. deprecated::
-        Superseded by :class:`repro.fleet.FleetRunner` (and the
-        fleet-based :func:`run_scalability`), which replays the actual
-        recorded requests with batching and admission control instead of
-        reconstructing arrivals from recorded responses.
-
-    Edge-frame arrival times are reconstructed from each frame's recorded
-    response (arrival = capture + response - inference - downlink), pooled
-    across agents, and served in arrival order by ``workers`` parallel
-    workers; locally-served frames keep their original response times.
-    """
-    warnings.warn(
-        "replay_shared_server is deprecated; use repro.fleet.FleetRunner "
-        "(run_scalability already does)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    requests: list[tuple[float, int, int]] = []  # (arrival, run_idx, frame_idx)
-    for ri, run in enumerate(runs):
-        for fi, frame in enumerate(run.frames):
-            if frame.source == "edge" and np.isfinite(frame.response_time):
-                arrival = frame.capture_time + frame.response_time - inference_latency - downlink_latency
-                requests.append((arrival, ri, fi))
-    requests.sort()
-    free: list[float] = [0.0] * workers
-    heapq.heapify(free)
-    new_response: dict[tuple[int, int], float] = {}
-    for arrival, ri, fi in requests:
-        start = max(arrival, heapq.heappop(free))
-        done = start + inference_latency
-        heapq.heappush(free, done)
-        capture = runs[ri].frames[fi].capture_time
-        new_response[(ri, fi)] = done + downlink_latency - capture
-
-    times = []
-    for ri, run in enumerate(runs):
-        for fi, frame in enumerate(run.frames):
-            if (ri, fi) in new_response:
-                times.append(new_response[(ri, fi)])
-            elif np.isfinite(frame.response_time):
-                times.append(frame.response_time)
-    return float(np.mean(times)) if times else float("inf")
 
 
 def run_scalability(

@@ -1,20 +1,20 @@
 """Pluggable backends for the repo's hot kernels, bit-exact by contract.
 
 PR 5 vectorised the encoder hot loop as far as single-threaded NumPy goes;
-this package adds the next multiplier: a small registry that lets
-accelerated implementations of the extracted kernels — the codec's
-exhaustive/TESA block search, pattern-search sweeps, per-block SADs, motion
-compensation, DCT/quantiser trio and I-frame wavefront (``intra_encode`` /
-``intra_decode``), and the synthetic world's value noise (every texture the
-renderer samples) — be swapped in behind the ``KernelBackend`` seam.
+this package adds the next multiplier: a small registry that lets a
+compiled implementation of the extracted kernels — the codec's
+pattern-search sweeps, per-block SADs, motion compensation and I-frame
+wavefront (``intra_encode`` / ``intra_decode``), and the synthetic world's
+value noise (every texture the renderer samples) — be swapped in behind the
+``KernelBackend`` seam.
 
 **Contract.**  Every backend must be *bit-identical* to the ``numpy``
 reference: the kernel bit-exactness suites (``tests/test_codec_kernels.py``,
 ``tests/test_intra_kernels.py``, ``tests/test_noise_kernel.py``) and the
 golden e2e digest are parametrized over every registered backend,
-and backends that cannot prove themselves (a failed self-probe, a missing
-compiler, an absent optional dependency) report unavailable and the
-dispatch falls through to the reference implementation per kernel.
+and a backend that cannot prove itself (a failed self-probe, a missing
+compiler) reports unavailable and the dispatch falls through to the
+reference implementation per kernel.
 
 **Default.**  Nothing is chosen at import.  The first kernel dispatch (or
 :func:`active`) resolves the default from what the host can prove:
@@ -22,20 +22,16 @@ dispatch falls through to the reference implementation per kernel.
 ``numpy`` reference — ``kernels.backend("cext").why_unavailable()`` then
 says why.  ``"auto"`` names that choice in :func:`activate` /
 :func:`use_backend`; an explicit name forces that backend or raises.
-``sharded`` and ``numba`` are never picked automatically.
 
 Backends
 --------
+Two are registered — one reference, one compiled implementation — and every
+hook in :data:`KERNEL_NAMES` is bound by the second.
+
 ``numpy``
     The reference: all kernel hooks are ``None`` so the dispatching modules run
     their own (already vectorised) implementations.  Always available;
     the fallback default, and what the tests compare every backend to.
-``sharded``
-    A persistent ``multiprocessing`` fork-pool sharding macroblock *rows*
-    across workers, with shared-memory frame buffers.  Row bands are
-    computed with the very same reference code (``row0``/``row_count``
-    banding) and merged in row order, so results are bit-identical to the
-    reference for any worker count.
 ``cext``
     Runtime-compiled C (via the system ``cc``/``gcc``) for the per-block
     SADs, the sequential pattern-search sweeps and motion compensation —
@@ -47,20 +43,13 @@ Backends
     reference; a self-probe before first use verifies bitwise agreement
     and the backend reports unavailable otherwise.  Re-entrant; the
     default when available.
-``numba``
-    Optional, import-guarded JIT versions of the same sweeps; warmed at
-    activation and self-probed like ``cext``.
 
-Thread-safety / pool ownership
-------------------------------
+Thread-safety
+-------------
 Backends are process-global (one active backend per process, like the
 tracer).  The default is resolved under a lock, so worker threads racing
 the first dispatch build and probe once; ``numpy`` and ``cext`` kernels
-may then be called from any number of threads.  The ``sharded`` pool must
-be created by the thread that calls :func:`activate` **before** the
-``repro.stream``/``repro.fleet`` worker threads start, and every pooled
-kernel call is serialised through the backend's own lock — see
-``sharded.py`` for the S012 lock-discipline annotations.
+may then be called from any number of threads.
 """
 
 from __future__ import annotations
@@ -88,11 +77,7 @@ AUTO = "auto"
 
 #: The kernel hooks a backend may override (``None`` = reference path).
 KERNEL_NAMES = (
-    "exhaustive_search",  # full-frame ESA/TESA block search
     "motion_compensate",  # MV-field prediction (bilinear taps)
-    "dct_blocks",  # 8x8 forward DCT over a plane
-    "quantize",  # per-macroblock-QP quantiser
-    "dequantize",  # inverse quantiser
     "descend_sweep",  # pattern-search descent (DIA/HEX cores)
     "seed_sweep",  # coarse absolute-grid seeding (HEX/UMH)
     "offset_sweep",  # relative clipped offset pass (UMH cross/hexagon)
@@ -109,18 +94,13 @@ class KernelBackend:
     Subclasses set :attr:`name` and assign callables to any subset of the
     :data:`KERNEL_NAMES` hooks; hooks left ``None`` fall through to the
     reference implementation at the dispatch site.  ``available()`` must
-    be cheap after the first call; ``warm()`` runs once at activation and
-    may compile / fork / JIT.
+    be cheap after the first call.
     """
 
     name: str = "base"
 
     # Kernel hooks — reference fallback when None.
-    exhaustive_search: Callable | None = None
     motion_compensate: Callable | None = None
-    dct_blocks: Callable | None = None
-    quantize: Callable | None = None
-    dequantize: Callable | None = None
     descend_sweep: Callable | None = None
     seed_sweep: Callable | None = None
     offset_sweep: Callable | None = None
@@ -136,15 +116,6 @@ class KernelBackend:
     def why_unavailable(self) -> str | None:
         """Human-readable reason when :meth:`available` is False."""
         return None
-
-    def warm(self) -> None:
-        """One-time activation work (compile, fork pool, JIT-warm)."""
-
-    def configure(self, *, workers: int | None = None) -> None:
-        """Apply runtime knobs (worker count); default backends ignore them."""
-
-    def close(self) -> None:
-        """Release pools/arenas; the backend may be re-warmed later."""
 
 
 _REGISTRY: dict[str, Callable[[], KernelBackend]] = {}
@@ -236,35 +207,31 @@ def override(kernel: str) -> Callable | None:
     return getattr(inst, kernel)
 
 
-def activate(name: str, *, workers: int | None = None) -> KernelBackend:
-    """Make ``name`` the process-wide active backend (warming it first).
+def activate(name: str) -> KernelBackend:
+    """Make ``name`` the process-wide active backend.
 
     ``"auto"`` picks the host's default (see the module docstring) and
     never raises; any other name forces that backend or raises with its
-    reason.  Pooled backends must be activated from the main/driver thread
-    before any ``repro.stream``/``repro.fleet`` worker threads start —
-    they fork their workers here (pool-ownership rule).
+    reason.
     """
     global _active
     if name == AUTO:
         inst = _default_backend()
     else:
         inst = backend(name)
-        inst.configure(workers=workers)
         if not inst.available():
             reason = inst.why_unavailable() or "unavailable on this host"
             raise RuntimeError(f"kernel backend {name!r} is unavailable: {reason}")
-        inst.warm()
     _active = inst
     return inst
 
 
 @contextmanager
-def use_backend(name: str, *, workers: int | None = None) -> Iterator[KernelBackend]:
+def use_backend(name: str) -> Iterator[KernelBackend]:
     """Context manager: activate ``name``, restore the previous backend after."""
     global _active
     prev = _active
-    inst = activate(name, workers=workers)
+    inst = activate(name)
     try:
         yield inst
     finally:
@@ -274,12 +241,8 @@ def use_backend(name: str, *, workers: int | None = None) -> Iterator[KernelBack
 def _register_builtin() -> None:
     register_backend("numpy", _NumpyReference)
     from repro.kernels.cext import CExtBackend
-    from repro.kernels.numba_backend import NumbaBackend
-    from repro.kernels.sharded import ShardedBackend
 
-    register_backend("sharded", ShardedBackend)
     register_backend("cext", CExtBackend)
-    register_backend("numba", NumbaBackend)
 
 
 _register_builtin()

@@ -1023,8 +1023,8 @@ class CExtBackend(KernelBackend):
             kernels = _CKernels(_build_library())
         except (_Unavailable, OSError) as exc:  # OSError: full disk, read-only cache
             return str(exc)
-        # The intra oracles dispatch their DCT: pinned to the reference they
-        # compare against numpy alone and cannot re-enter this (locked)
+        # Pinned to the reference, the oracles compare against numpy alone
+        # and a dispatching call inside one cannot re-enter this (locked)
         # check through the registry's default resolution.
         with use_backend("numpy"):
             failed = kernels.self_probe()

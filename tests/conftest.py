@@ -88,11 +88,12 @@ def golden_batch_run(golden_clips, golden_ground_truth):
 
 @pytest.fixture(params=kernels.registered_backends())
 def kernel_backend(request):
-    """Activate each registered kernel backend in turn (skip unavailable).
+    """Activate the two registered kernel backends in turn: the ``numpy``
+    reference, then ``cext`` (skipped on a host that cannot build it).
 
     Applying ``@pytest.mark.usefixtures("kernel_backend")`` to a test (or
-    class) re-runs it under every backend — the bit-exactness contract says
-    the assertions must hold unchanged.
+    class) re-runs it under both — the bit-exactness contract says the
+    assertions must hold unchanged.
     """
     name = request.param
     if name not in kernels.available_backends():

@@ -1,6 +1,6 @@
 """Tests for the repro.bench harness: measurement, registry, runner
 document schema, comparator classification, run reports, the CLI, and the
-determinism / non-perturbation contracts."""
+determinism contract."""
 
 import json
 
@@ -28,13 +28,10 @@ from repro.experiments.config import BenchScale
 TINY = BenchScale(
     warmup=0,
     repeats=1,
-    macro_warmup=0,
-    macro_repeats=1,
     frame_width=128,
     frame_height=96,
     exhaustive_search_range=4,
     cluster_grid=(12, 16),
-    macro_frames=3,
 )
 
 #: Cheap micro subset used by the determinism and CLI tests.
@@ -67,26 +64,22 @@ class TestMeasure:
 
 class TestRegistry:
     def test_builtin_set_is_complete(self):
-        names = {b.name for b in all_benchmarks("all")}
+        names = {b.name for b in all_benchmarks()}
         assert len(names) >= 8
         for expected in ("me/dia", "me/hex", "me/esa", "codec/dct_quant_roundtrip",
-                         "core/foreground_cluster", "core/ransac_rotation", "pipeline/dive"):
+                         "core/foreground_cluster", "core/ransac_rotation", "world/render"):
             assert expected in names
-
-    def test_suite_filter(self):
-        assert all(b.suite == "micro" for b in all_benchmarks("micro"))
-        assert all(b.suite == "macro" for b in all_benchmarks("macro"))
-        with pytest.raises(ValueError):
-            all_benchmarks("nano")
+        # End-to-end pipelines are the job of benchmarks/perf/run.py.
+        assert not any(name.startswith("pipeline/") for name in names)
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError):
-            benchmark("me/dia", suite="micro", group="me")(lambda scale: None)
+            benchmark("me/dia", group="me")(lambda scale: None)
 
 
 class TestRunner:
     def test_micro_entry_schema(self):
-        bench = next(b for b in all_benchmarks("micro") if b.name == "core/ransac_rotation")
+        bench = next(b for b in all_benchmarks() if b.name == "core/ransac_rotation")
         entry = run_benchmark(bench, TINY)
         assert entry["name"] == "core/ransac_rotation"
         assert entry["timing_s"]["median"] > 0
@@ -96,7 +89,7 @@ class TestRunner:
         assert entry["throughput"]["macroblocks_per_s"] > 0
 
     def test_document_shape_and_roundtrip(self, tmp_path):
-        doc = run_suite("micro", scale=TINY, names=CHEAP)
+        doc = run_suite(scale=TINY, names=CHEAP)
         assert doc["schema"] == SCHEMA_VERSION
         assert doc["config"]["frame_width"] == TINY.frame_width
         assert {"python", "numpy", "scipy", "platform", "machine", "kernel_backend"} <= set(
@@ -110,7 +103,7 @@ class TestRunner:
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown benchmark"):
-            run_suite("micro", scale=TINY, names=["me/nope"])
+            run_suite(scale=TINY, names=["me/nope"])
 
     def test_load_doc_rejects_non_bench_json(self, tmp_path):
         p = tmp_path / "x.json"
@@ -119,74 +112,14 @@ class TestRunner:
             load_doc(p)
 
     def test_render_text(self):
-        doc = run_suite("micro", scale=TINY, names=["core/foreground_cluster"])
+        doc = run_suite(scale=TINY, names=["core/foreground_cluster"])
         text = render_bench_text(doc)
         assert "core/foreground_cluster" in text
-        assert "suite=micro" in text
-
-
-@pytest.fixture(scope="module")
-def dive_macro_entry():
-    """One tiny pipeline/dive bench result (shared: the macro build is the
-    expensive part of this module)."""
-    bench = next(b for b in all_benchmarks("macro") if b.name == "pipeline/dive")
-    return run_benchmark(bench, TINY)
-
-
-class TestMacroTracing:
-    def test_span_breakdown_embedded(self, dive_macro_entry):
-        spans = dive_macro_entry["spans_ms"]
-        for stage in ("me", "foreground", "qp_map", "encode"):
-            assert stage in spans, f"missing stage {stage}"
-            # Frame 0 has no reference frame, so ME fires on n-1 frames.
-            assert 1 <= spans[stage]["count"] <= TINY.macro_frames
-            assert spans[stage]["total"] >= spans[stage]["p50"] >= 0
-        assert spans["encode"]["count"] == TINY.macro_frames
-        assert dive_macro_entry["counters"]["bits"]["total"] > 0
-        assert dive_macro_entry["work"]["encoded_kbit"] > 0
-        assert dive_macro_entry["throughput"]["encoded_kbit_per_s"] > 0
-
-    def test_all_pipelines_traced(self):
-        # The baselines thread the bench tracer through their encoder/ME the
-        # same way DiVE does, so every macro entry embeds a span breakdown.
-        for name in ("pipeline/dds", "pipeline/eaar", "pipeline/o3"):
-            bench = next(b for b in all_benchmarks("macro") if b.name == name)
-            entry = run_benchmark(bench, TINY)
-            assert {"me", "encode"} <= set(entry["spans_ms"]), name
-
-    def test_benchmarking_does_not_perturb_results(self, dive_macro_entry):
-        # The seeded pipeline must produce bit-identical results with the
-        # bench tracer attached and without any tracer at all.
-        from repro.core import DiVEScheme
-        from repro.experiments.config import ExperimentConfig, scaled_bandwidth
-        from repro.experiments.runner import ground_truth_for, run_scheme
-        from repro.network import constant_trace
-        from repro.world import nuscenes_like
-
-        config = ExperimentConfig(n_clips=1, n_frames=TINY.macro_frames)
-        clip = nuscenes_like(TINY.seed, n_frames=config.n_frames)
-        trace = constant_trace(scaled_bandwidth(TINY.macro_bandwidth_mbps, clip))
-        result = run_scheme(
-            DiVEScheme(), clip, trace,
-            detector_seed=config.detector_seed,
-            ground_truth=ground_truth_for(clip, detector_seed=config.detector_seed),
-        )
-        untraced = [
-            (f.index, f.bytes_sent, f.source, len(f.detections), f.response_time)
-            for f in result.run.frames
-        ]
-        bench = next(b for b in all_benchmarks("macro") if b.name == "pipeline/dive")
-        case = bench.build(TINY)
-        traced_result = case.fn()
-        traced = [
-            (f.index, f.bytes_sent, f.source, len(f.detections), f.response_time)
-            for f in traced_result.run.frames
-        ]
-        assert traced == untraced
+        assert f"schema=v{SCHEMA_VERSION}" in text
 
 
 def _doc(benchmarks):
-    return {"schema": SCHEMA_VERSION, "suite": "micro", "benchmarks": benchmarks}
+    return {"schema": SCHEMA_VERSION, "benchmarks": benchmarks}
 
 
 def _entry(name, median=1.0, peak=1000, fps=10.0):
@@ -265,13 +198,13 @@ class TestDeterminism:
             out = {k: v for k, v in doc.items() if k not in ("created", "host")}
             out["benchmarks"] = [
                 {k: v for k, v in e.items()
-                 if k not in ("times_s", "timing_s", "memory", "throughput", "spans_ms", "counters")}
+                 if k not in ("times_s", "timing_s", "memory", "throughput")}
                 for e in doc["benchmarks"]
             ]
             return out
 
-        a = run_suite("micro", scale=TINY, names=CHEAP)
-        b = run_suite("micro", scale=TINY, names=CHEAP)
+        a = run_suite(scale=TINY, names=CHEAP)
+        b = run_suite(scale=TINY, names=CHEAP)
         assert strip(a) == strip(b)
         assert json.dumps(strip(a), sort_keys=True) == json.dumps(strip(b), sort_keys=True)
 
@@ -289,12 +222,10 @@ class TestRunReport:
 
     def test_joined_report(self):
         doc = _doc([_entry("me/hex")])
-        doc["benchmarks"][0]["spans_ms"] = {"me": {"count": 3, "mean": 1.0, "p50": 1.0, "p95": 1.2, "total": 3.0}}
         meta, frames = self._trace()
         text = run_report(doc, meta, frames)
         assert "# Run report" in text
         assert "me/hex" in text
-        assert "Per-stage latency" in text
         assert "Traced per-stage latency" in text
         assert "scheme=dive" in text
 
@@ -308,7 +239,7 @@ class TestRunReport:
 
 class TestCli:
     def _write_docs(self, tmp_path, perturb=1.0):
-        base = run_suite("micro", scale=TINY, names=CHEAP)
+        base = run_suite(scale=TINY, names=CHEAP)
         cur = json.loads(json.dumps(base))
         for e in cur["benchmarks"]:
             for key in e["timing_s"]:
@@ -358,10 +289,10 @@ class TestCli:
     def test_bench_list(self, capsys):
         from repro.cli import main
 
-        rc = main(["bench", "--list", "--suite", "all"])
+        rc = main(["bench", "--list"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "pipeline/dive" in out
+        assert "world/render" in out
         assert "me/tesa" in out
 
     def test_report_cli_joins_bench_and_trace(self, tmp_path, capsys):

@@ -248,7 +248,7 @@ class TestRuleDetails:
         # two places that legitimately call the extracted internals.
         src = "def f(ev, args):\n    return _descend_reference(ev, *args)\n"
         assert check_source(src, path="src/repro/codec/motion.py") == []
-        assert check_source(src, path="src/repro/kernels/sharded.py") == []
+        assert check_source(src, path="src/repro/kernels/cext.py") == []
         assert "S017" in {f.rule for f in check_source(src, path="src/repro/fleet/x.py")}
 
     def test_kernel_evaluator_construction_flagged_outside_codec(self):

@@ -10,9 +10,8 @@ search ranges, fractional MVs and tie-heavy content.
 
 The classes exercising *dispatched* kernels carry the ``kernel_backend``
 fixture (see ``conftest.py``): every assertion re-runs under each
-registered ``repro.kernels`` backend — numpy reference, sharded pool,
-compiled C, numba when installed — because the backend contract is
-bit-identity, not closeness.
+registered ``repro.kernels`` backend — the numpy reference and the compiled
+C — because the backend contract is bit-identity, not closeness.
 """
 
 import sys
@@ -32,7 +31,6 @@ from repro.codec.motion import (
 from repro.codec.transform import (
     QuantBitCounter,
     dct_blocks,
-    dequantize,
     quantize,
     transform_cost_bits,
 )
@@ -429,54 +427,6 @@ class TestQuantBitCounter:
             QuantBitCounter(coeffs, np.zeros((3, 3)), mb_size=16)
         with pytest.raises(ValueError):
             QuantBitCounter(coeffs, np.zeros(4), mb_size=16)
-
-
-# ---------------------------------------------------------------------------
-# Sharded backend: worker-count invariance
-# ---------------------------------------------------------------------------
-
-
-class TestShardedWorkerDeterminism:
-    """The sharded pool must be bit-identical for *any* worker count.
-
-    Band boundaries move with the worker count; if banding were not exact
-    (a predictor crossing a band edge, a padding radius computed per band)
-    different worker counts would disagree.  Pin 1, 2 and 4 workers against
-    the single-process reference on every dispatched kernel.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _needs_sharded(self):
-        if "sharded" not in kernels.available_backends():
-            pytest.skip("sharded backend unavailable on this platform")
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_search_and_mc_match_reference(self, workers):
-        cur, ref = _frames(51, shape=(96, 128))
-        want = estimate_motion(cur, ref, method="esa", search_range=5, subpel=False)
-        want_mc = motion_compensate(ref, want.mv)
-        with kernels.use_backend("sharded", workers=workers):
-            got = estimate_motion(cur, ref, method="esa", search_range=5, subpel=False)
-            got_mc = motion_compensate(ref, got.mv)
-        np.testing.assert_array_equal(got.mv, want.mv)
-        np.testing.assert_array_equal(got.sad, want.sad)
-        np.testing.assert_array_equal(got_mc, want_mc)
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_transform_chain_matches_reference(self, workers):
-        gen = np.random.default_rng(52)
-        plane = gen.normal(0, 30, size=(160, 192))
-        qp = gen.uniform(5, 45, size=(10, 12))
-        want_c = dct_blocks(plane)
-        want_l = quantize(want_c, qp)
-        want_d = dequantize(want_l, qp)
-        with kernels.use_backend("sharded", workers=workers):
-            got_c = dct_blocks(plane)
-            got_l = quantize(got_c, qp)
-            got_d = dequantize(got_l, qp)
-        np.testing.assert_array_equal(got_c, want_c)
-        np.testing.assert_array_equal(got_l, want_l)
-        np.testing.assert_array_equal(got_d, want_d)
 
 
 # ---------------------------------------------------------------------------

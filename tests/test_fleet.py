@@ -119,6 +119,10 @@ class TestBatchingEdgeServer:
         outs = b.serve([_req("a", 0, 0.0), _req("b", 0, 0.001)])
         assert outs[0].start_time == 0.0
         assert outs[1].start_time == pytest.approx(b.inference_latency)
+        # A second worker takes the queueing away.
+        outs = BatchingEdgeServer(workers=2, max_batch=1).serve(
+            [_req("a", 0, 0.0), _req("b", 0, 0.001)])
+        assert [o.start_time for o in outs] == [0.0, 0.001]
 
     def test_full_batch_dispatches_at_fill_instant(self):
         b = BatchingEdgeServer(workers=1, max_batch=2, max_wait=1.0)
@@ -421,10 +425,3 @@ class TestScalabilityRewrite:
         assert set(by) == {("DiVE", 1), ("DiVE", 4)}
         assert by[("DiVE", 4)].response_time >= by[("DiVE", 1)].response_time - 1e-9
         assert by[("DiVE", 4)].inference_load > by[("DiVE", 1)].inference_load
-
-    def test_replay_shared_server_deprecated(self):
-        from repro.baselines.base import SchemeRun
-        from repro.experiments import replay_shared_server
-
-        with pytest.deprecated_call():
-            replay_shared_server([SchemeRun(scheme="x", clip_name="c")])

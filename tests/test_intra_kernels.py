@@ -4,7 +4,7 @@ The I-frame wavefront is a dispatched kernel pair: whatever backend is
 active, all four encoder outputs and the decoder's frame equal
 ``_intra_encode_reference`` / ``_intra_decode_reference`` to the byte
 (``tobytes()``, so ``-0.0`` and NaN payloads count).  The dispatch tests
-carry the ``kernel_backend`` fixture — backends without the hooks pass
+carry the ``kernel_backend`` fixture — ``numpy``, which binds no hook, passes
 through the reference trivially — and the fault tests show that a C step
 that breaks a tie the other way, or is one ulp off in the DC mean, never
 gets bound.

@@ -81,13 +81,22 @@ class TestLazyResolution:
 
     def test_config_and_cli_default_to_auto(self):
         from repro.cli import build_parser
-        from repro.experiments import ExperimentConfig
 
-        assert ExperimentConfig().kernel_backend == kernels.AUTO
         assert build_parser().parse_args(["demo"]).backend == kernels.AUTO
 
-    def test_auto_never_picks_sharded_or_numba(self):
-        assert kernels.activate(kernels.AUTO).name in ("cext", "numpy")
+    def test_two_backends_and_no_dead_hook(self):
+        """One reference that binds nothing, one compiled backend that binds
+        every hook, one dispatch site per hook, and ``auto`` picks between
+        the two."""
+        assert kernels.registered_backends() == ("numpy", "cext")
+        reference, compiled = kernels.backend("numpy"), kernels.backend("cext")
+        assert all(getattr(reference, name) is None for name in kernels.KERNEL_NAMES)
+        if compiled.available():
+            assert all(callable(getattr(compiled, name)) for name in kernels.KERNEL_NAMES)
+        source = "".join(p.read_text(encoding="utf-8") for p in sorted((SRC / "repro").rglob("*.py")))
+        sites = {name: source.count(f'kernels.override("{name}")') for name in kernels.KERNEL_NAMES}
+        assert sites == dict.fromkeys(kernels.KERNEL_NAMES, 1)
+        assert kernels.activate(kernels.AUTO) is (compiled if compiled.available() else reference)
 
     def test_explicit_name_still_forces_or_raises(self, fresh_host):
         with pytest.raises(RuntimeError, match="cext.*unavailable.*not found"):

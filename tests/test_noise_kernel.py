@@ -4,8 +4,8 @@
 texture the renderer samples goes through it.  The contract is the codec
 kernels' — whatever backend is active, the result equals
 ``_value_noise_2d_reference`` to the last bit — so the dispatch tests carry
-the ``kernel_backend`` fixture (backends without the hook pass through the
-reference trivially), and the fault test shows that a kernel that is off
+the ``kernel_backend`` fixture (``numpy``, which binds no hook, passes through
+the reference trivially), and the fault test shows that a kernel that is off
 by one ulp never gets bound.
 """
 

@@ -279,3 +279,36 @@ class TestNullTracerOverhead:
         for f in tr.frames:
             assert f.counters["bits"] > 0
             assert 0 <= f.counters["qp_mean"] <= 51
+
+
+class TestSchemeTracing:
+    """Every scheme threads the tracer through its encoder and ME, and a
+    traced run returns exactly what an untraced one does."""
+
+    N_FRAMES = 3
+
+    @pytest.mark.parametrize("scheme_key", ["dive", "dds", "eaar", "o3"])
+    def test_traced_run_is_complete_and_unperturbed(self, scheme_key):
+        from repro.experiments import ground_truth_for, run_scheme, scaled_bandwidth
+        from repro.fleet import SCHEMES
+        from repro.network import constant_trace
+        from repro.world import nuscenes_like
+
+        clip = nuscenes_like(0, n_frames=self.N_FRAMES, resolution=(320, 192)).preload()
+        trace = constant_trace(scaled_bandwidth(2.0, clip))
+        truth = ground_truth_for(clip)
+
+        def outcome(**kwargs):
+            run = run_scheme(SCHEMES[scheme_key](), clip, trace, ground_truth=truth, **kwargs).run
+            return [(f.index, f.bytes_sent, f.source, len(f.detections), f.response_time) for f in run.frames]
+
+        tracer = Tracer()
+        assert outcome(tracer=tracer) == outcome()
+        summary = summarize(tracer.frames)
+        assert {"me", "encode"} <= set(summary.spans)
+        if scheme_key == "dive":
+            # Frame 0 has no reference frame, so ME fires on n-1 frames.
+            for stage in ("me", "foreground", "qp_map"):
+                assert 1 <= summary.spans[stage].count <= self.N_FRAMES, stage
+            assert summary.spans["encode"].count == self.N_FRAMES
+            assert summary.counters["bits"].total > 0
