@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.check.lockorder import NULL_LOCK_SANITIZER, LockOrderSanitizer, NullLockSanitizer
 from repro.check.sanitize import NULL_SANITIZER, ArraySanitizer, NullSanitizer
 from repro.edge.detector import Detection
 from repro.edge.server import EdgeServer
@@ -146,18 +145,6 @@ class AnalyticsScheme(abc.ABC):
     def use_sanitizer(self, sanitizer: ArraySanitizer | NullSanitizer) -> "AnalyticsScheme":
         """Install an array sanitizer on this scheme instance; returns ``self``."""
         self.sanitizer = sanitizer
-        return self
-
-    #: Runtime lock-order hook (see :mod:`repro.check.lockorder`); the
-    #: shared no-op sanitizer unless :meth:`use_lock_sanitizer` installs a
-    #: live one, so unsanitized runs take their locks unwrapped.
-    lock_sanitizer: LockOrderSanitizer | NullLockSanitizer = NULL_LOCK_SANITIZER
-
-    def use_lock_sanitizer(
-        self, lock_sanitizer: LockOrderSanitizer | NullLockSanitizer
-    ) -> "AnalyticsScheme":
-        """Install a lock-order sanitizer on this scheme instance; returns ``self``."""
-        self.lock_sanitizer = lock_sanitizer
         return self
 
     #: Optional uplink constructor override (see :meth:`use_uplink_factory`).

@@ -17,10 +17,7 @@ Two halves of one correctness net:
   ``# repro: noqa[S001]``.
 - **Runtime**: an opt-in array sanitizer (:mod:`repro.check.sanitize`,
   ``ExperimentConfig(sanitize=True)``) asserting finiteness, dtype and
-  macroblock alignment at stage boundaries, and a lock-order sanitizer
-  (:mod:`repro.check.lockorder`, same switch) that turns lock-order
-  inversions into immediate :class:`LockOrderError` instead of
-  once-in-a-thousand-runs deadlocks.
+  macroblock alignment at stage boundaries.
 
 See the "Static analysis & sanitizer" sections of README.md / API.md.
 """
@@ -44,12 +41,6 @@ from repro.check.engine import (
     check_source,
     register,
 )
-from repro.check.lockorder import (
-    NULL_LOCK_SANITIZER,
-    LockOrderError,
-    LockOrderSanitizer,
-    NullLockSanitizer,
-)
 from repro.check.report import render_json, render_text, rule_table
 from repro.check.sanitize import NULL_SANITIZER, ArraySanitizer, NullSanitizer, SanitizeError
 from repro.check.symbols import ProjectModel, build_project
@@ -62,12 +53,8 @@ __all__ = [
     "CallSite",
     "CheckResult",
     "Finding",
-    "LockOrderError",
-    "LockOrderSanitizer",
     "ModuleContext",
-    "NULL_LOCK_SANITIZER",
     "NULL_SANITIZER",
-    "NullLockSanitizer",
     "NullSanitizer",
     "ProjectModel",
     "Rule",

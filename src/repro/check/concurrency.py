@@ -1,9 +1,11 @@
-"""S012 — lock discipline for the streaming runtime's shared state.
+"""S012 — lock discipline for state shared across threads.
 
-PR 6 made the pipeline concurrent: `StreamRunner` stages, `VirtualClock`
-and `EdgeServer` all guard mutable state with ``threading`` locks.  A
-per-node linter cannot tell a guarded access from a racy one; this
-analyzer reasons over whole classes and the call graph:
+A stream run is a plain call chain on one thread, but `MetricsRegistry`,
+`FlightRecorder`, `ScoredClip` and `CExtBackend` still guard mutable
+state with ``threading`` locks — against ``repro top``'s dashboard thread
+and a fleet's ``agent_workers`` pool.  A per-node linter cannot tell a
+guarded access from a racy one; this analyzer reasons over whole classes
+and the call graph:
 
 1. **Unlocked access to guarded attributes.**  For every class that owns
    a lock (``self._lock = threading.Lock()/RLock()/Condition()``), the
@@ -24,7 +26,7 @@ analyzer reasons over whole classes and the call graph:
    is reachable through the call graph is flagged — streaming decisions
    must come from the :class:`~repro.stream.clock.VirtualClock` or the
    determinism guarantee dies.  ``time.perf_counter()`` is sanctioned
-   (watchdogs and span timing measure real elapsed time on purpose).
+   (``wall_time`` and span timing measure real elapsed time on purpose).
 
 Suppress deliberate exceptions with ``# repro: noqa[S012]``.
 """
@@ -356,5 +358,5 @@ class LockDisciplineRule(Rule):
             yield chain[0].node, (
                 f"{fn.name}() reaches wall clock via {describe_chain(chain)}; "
                 "streaming decisions must come from the VirtualClock "
-                "(time.perf_counter() is fine for watchdogs)"
+                "(time.perf_counter() is fine for reporting elapsed time)"
             )

@@ -42,7 +42,7 @@ from repro.check.rules import _has_conversion_factor, _unit_kind, _unit_kinds_in
 __all__ = ["UnitFlowRule"]
 
 #: Simulated-time attribute names published by the streaming runtime
-#: (FrameJob / BackpressureQueue / StreamStats timestamps).
+#: (QueueOutcome / BackpressureQueue / StreamStats timestamps).
 _VTIME_NAMES = frozenset(
     {
         "capture_time", "enqueue_time", "finish_time", "result_time",

@@ -60,7 +60,7 @@ def _add_backend_args(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_demo(args: argparse.Namespace) -> str:
-    from repro.check import ArraySanitizer, LockOrderSanitizer
+    from repro.check import ArraySanitizer
     from repro.core import DiVEScheme
     from repro.network import constant_trace
     from repro.world import nuscenes_like, robotcar_like
@@ -69,20 +69,18 @@ def _cmd_demo(args: argparse.Namespace) -> str:
     clip = maker(args.seed, n_frames=args.frames)
     trace = constant_trace(scaled_bandwidth(args.bandwidth, clip))
     sanitizer = ArraySanitizer() if args.sanitize else None
-    lock_sanitizer = LockOrderSanitizer() if args.sanitize else None
     stream = None
     if args.streaming:
         from repro.stream import StreamConfig
 
         stream = StreamConfig(
-            workers=args.stream_workers,
             queue_capacity=args.queue_capacity,
             policy=args.policy,
             deadline=args.deadline,
         )
     result = run_scheme(
         DiVEScheme(), clip, trace, ground_truth=ground_truth_for(clip),
-        sanitizer=sanitizer, lock_sanitizer=lock_sanitizer, stream=stream,
+        sanitizer=sanitizer, stream=stream,
     )
     rows = [
         ["mAP", result.map],
@@ -104,7 +102,7 @@ def _cmd_demo(args: argparse.Namespace) -> str:
         ]
     title = f"DiVE on {clip.name} @ {args.bandwidth:g} Mbps"
     if args.streaming:
-        title += f" [streaming: {args.policy}, {args.stream_workers} workers]"
+        title += f" [streaming: {args.policy}]"
     return format_table(["metric", "value"], rows, title=title)
 
 
@@ -495,12 +493,10 @@ def _cmd_top(args: argparse.Namespace) -> int:
         meta={
             "dataset": args.dataset, "seed": args.seed, "frames": args.frames,
             "bandwidth_mbps": args.bandwidth, "policy": args.policy,
-            "workers": args.stream_workers,
         }
     )
     recorder = FlightRecorder()
     config = StreamConfig(
-        workers=args.stream_workers,
         queue_capacity=args.queue_capacity,
         policy=args.policy,
         deadline=args.deadline,
@@ -508,8 +504,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     server = EdgeServer(QualityAwareDetector(seed=args.detector_seed), metrics=registry)
     runner = StreamRunner(DiVEScheme(), config, metrics=registry, flight_recorder=recorder)
     title = (
-        f"repro top — DiVE on {clip.name} @ {args.bandwidth:g} Mbps "
-        f"[{args.policy}, {args.stream_workers} workers]"
+        f"repro top — DiVE on {clip.name} @ {args.bandwidth:g} Mbps [{args.policy}]"
     )
 
     outcome: dict[str, object] = {}
@@ -683,11 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--streaming",
                 action="store_true",
-                help="run through the pipelined streaming runtime (repro.stream)",
-            )
-            p.add_argument(
-                "--stream-workers", type=int, default=2,
-                help="capture render worker threads (streaming mode)",
+                help="run through the streaming runtime (repro.stream)",
             )
             p.add_argument(
                 "--queue-capacity", type=int, default=None,
@@ -776,7 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--frames", type=int, default=24, help="frames in the streamed clip")
     top.add_argument("--detector-seed", type=int, default=7)
     top.add_argument("--bandwidth", type=float, default=2.0, help="paper-scale Mbps")
-    top.add_argument("--stream-workers", type=int, default=2, help="capture render worker threads")
     top.add_argument("--queue-capacity", type=int, default=2, help="uplink queue bound")
     top.add_argument(
         "--policy", choices=("block", "degrade-qp", "drop-oldest"), default="drop-oldest",

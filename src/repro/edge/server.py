@@ -7,12 +7,10 @@ compute, a fixed model-inference latency, and a downlink that returns the
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.check.lockorder import NULL_LOCK_SANITIZER, LockOrderSanitizer, NullLockSanitizer
 from repro.check.sanitize import NULL_SANITIZER, ArraySanitizer, NullSanitizer
 from repro.codec.decoder import VideoDecoder
 from repro.codec.encoder import EncodedFrame
@@ -66,17 +64,12 @@ class EdgeServer:
         Runtime array validation (see :mod:`repro.check.sanitize`);
         shared with the internal decoder, so a corrupt upload fails at
         ``decoder/bitstream`` / ``server/decoded`` with the stage named.
-    lock_sanitizer:
-        Lock-order validation (see :mod:`repro.check.lockorder`); when
-        live, the server's decoder lock is wrapped so acquisition-order
-        inversions against other sanitized locks raise instead of
-        deadlocking.
     metrics:
         Virtual-time metrics registry (see :mod:`repro.metrics`).
         Requests, batch size, per-request detections and modelled
         service time are recorded at the *simulated* arrival time —
-        never wall clock — so server telemetry shares the runtime's
-        worker-count invariance.  The batch size gauge is 1 per request
+        never wall clock — so server telemetry is as reproducible as the
+        run itself.  The batch size gauge is 1 per request
         today; it is the seam the fleet-serving batched-inference work
         (ROADMAP item 1) will report through.
     """
@@ -89,7 +82,6 @@ class EdgeServer:
         downlink_latency: float = 0.010,
         tracer: Tracer | NullTracer = NULL_TRACER,
         sanitizer: ArraySanitizer | NullSanitizer = NULL_SANITIZER,
-        lock_sanitizer: LockOrderSanitizer | NullLockSanitizer = NULL_LOCK_SANITIZER,
         metrics: MetricsRegistry | NullRegistry = NULL_REGISTRY,
     ):
         self.detector = detector or QualityAwareDetector()
@@ -109,22 +101,18 @@ class EdgeServer:
         self._m_service = metrics.counter(
             "edge_service_seconds", unit="s",
             help="modelled inference seconds spent on the serverless fabric")
+        # Stateful (reference frames): one server serves one agent's
+        # stream, from one thread.
         self._decoder = VideoDecoder(sanitizer=sanitizer)
-        # The decoder is stateful (reference frames), so concurrent callers —
-        # the streaming inference stage runs on its own thread — must not
-        # interleave decode/reset.  Uncontended acquisition keeps the
-        # synchronous path essentially free.
-        self._lock = lock_sanitizer.wrap(threading.Lock(), "edge.server")
 
     def reset(self) -> None:
         """Drop decoder state (new stream / after an intra refresh request)."""
-        with self._lock:
-            self._decoder.reset()
+        self._decoder.reset()
 
     def process(self, encoded: EncodedFrame, record: FrameRecord, *, arrival_time: float) -> InferenceResult:
         """Decode an uploaded frame, run inference, schedule the reply."""
         tr = self.tracer
-        with self._lock, tr.span("server"):
+        with tr.span("server"):
             with tr.span("decode"):
                 decoded = self._decoder.decode(encoded)
             if self.sanitizer.enabled:
@@ -151,7 +139,7 @@ class EdgeServer:
         tr = self.tracer
         if self.sanitizer.enabled:
             self.sanitizer.check(image, "server/image", name="uploaded image", block_aligned=True)
-        with self._lock, tr.span("server"):
+        with tr.span("server"):
             with tr.span("detect"):
                 detections = self.detector.detect(image, record)
         if self.metrics.enabled:
@@ -164,12 +152,7 @@ class EdgeServer:
         )
 
     def _record_request(self, method: str, arrival_time: float, n_detections: int) -> None:
-        """Virtual-time server telemetry for one inference request.
-
-        Runs on the streaming inference thread, but the request/reply
-        handshake serialises it with the agent, so recording order is
-        deterministic (same argument as tracer span placement).
-        """
+        """Virtual-time server telemetry for one inference request."""
         self._m_requests.labels(method=method).inc(1.0, at=arrival_time)
         self._m_batch.set(1.0, at=arrival_time)
         self._m_detections.observe(float(n_detections), at=arrival_time)

@@ -43,7 +43,6 @@ from repro.experiments.runner import (
     evaluate_run,
     flight_recorder_for,
     ground_truth_for,
-    lock_sanitizer_for,
     metrics_for,
     run_scheme,
     sanitizer_for,
@@ -88,7 +87,6 @@ __all__ = [
     "run_scheme",
     "run_table1",
     "flight_recorder_for",
-    "lock_sanitizer_for",
     "metrics_for",
     "sanitizer_for",
     "tracer_for",

@@ -72,13 +72,11 @@ class ExperimentConfig:
         sanitizer instance.  Assert-only: results are bit-identical either
         way.
     streaming:
-        Run schemes through the pipelined streaming runtime
+        Run schemes through the streaming runtime
         (:mod:`repro.stream`) instead of the synchronous batch path.
         With the default knobs below the streaming run is bit-identical
         to batch (locked by the differential equivalence tests) — the
         knobs only matter once a queue bound or deadline is set.
-    stream_workers:
-        Capture render worker threads of the streaming runtime.
     stream_queue_capacity:
         Uplink queue bound (``None`` = unbounded, the batch-equivalent
         default).
@@ -93,9 +91,9 @@ class ExperimentConfig:
         default — runs then use the shared :data:`~repro.metrics.
         NULL_REGISTRY` and pay nothing.  When on, the streaming runtime
         and edge server record windowed Counter/Gauge/Histogram
-        timelines keyed to simulated time (bit-identical for any worker
-        count); :func:`repro.experiments.runner.metrics_for` turns this
-        into a registry instance.
+        timelines keyed to simulated time (bit-identical across reruns);
+        :func:`repro.experiments.runner.metrics_for` turns this into a
+        registry instance.
     flight_recorder:
         Flight-recorder switch (see :mod:`repro.metrics.flight`): a
         bounded ring of frame lifecycle events dumped as a deterministic
@@ -111,7 +109,6 @@ class ExperimentConfig:
     tracing: bool = False
     sanitize: bool = False
     streaming: bool = False
-    stream_workers: int = 1
     stream_queue_capacity: int | None = None
     stream_policy: str = "block"
     stream_deadline: float | None = None
@@ -126,7 +123,6 @@ class ExperimentConfig:
         from repro.stream import StreamConfig
 
         return StreamConfig(
-            workers=self.stream_workers,
             queue_capacity=self.stream_queue_capacity,
             policy=self.stream_policy,
             deadline=self.stream_deadline,

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.baselines.base import AnalyticsScheme, SchemeRun
-from repro.check.lockorder import NULL_LOCK_SANITIZER, LockOrderSanitizer, NullLockSanitizer
 from repro.check.sanitize import NULL_SANITIZER, ArraySanitizer, NullSanitizer
 from repro.edge.detector import Detection, QualityAwareDetector
 from repro.edge.evaluation import evaluate_detections
@@ -25,7 +24,6 @@ __all__ = [
     "evaluate_run",
     "flight_recorder_for",
     "ground_truth_for",
-    "lock_sanitizer_for",
     "metrics_for",
     "run_scheme",
     "sanitizer_for",
@@ -54,7 +52,7 @@ class EvaluationResult:
         The underlying per-frame results.
     stream:
         Streaming truth accounting (:class:`repro.stream.StreamStats`)
-        when the run went through the pipelined runtime; ``None`` for
+        when the run went through the streaming runtime; ``None`` for
         batch runs.
     metrics:
         The live :class:`~repro.metrics.MetricsRegistry` threaded into
@@ -83,11 +81,10 @@ class EvaluationResult:
 def truth_clip(clip: Clip, *, detector_seed: int = 7) -> ScoredClip:
     """``clip`` behind a facade that scores ground truth as frames go by.
 
-    Every record the facade hands out — to a scheme, or to the streaming
-    capture stage — is passed through ``QualityAwareDetector.ground_truth``
-    once; ``.scores()`` is then the clip's ground truth without a second
-    render.  The one ground-truth mechanism of the batch, stream and fleet
-    drivers alike.
+    Every record the facade hands out is passed through
+    ``QualityAwareDetector.ground_truth`` once; ``.scores()`` is then the
+    clip's ground truth without a second render.  The one ground-truth
+    mechanism of the batch, stream and fleet drivers alike.
     """
     return ScoredClip(clip, QualityAwareDetector(seed=detector_seed).ground_truth)
 
@@ -116,17 +113,6 @@ def sanitizer_for(config: ExperimentConfig) -> ArraySanitizer | NullSanitizer:
     the result to :func:`run_scheme`.
     """
     return ArraySanitizer() if config.sanitize else NULL_SANITIZER
-
-
-def lock_sanitizer_for(config: ExperimentConfig) -> LockOrderSanitizer | NullLockSanitizer:
-    """The lock-order sanitizer dictated by a config's ``sanitize`` switch.
-
-    Rides the same opt-in as the array sanitizer: a fresh live
-    :class:`~repro.check.LockOrderSanitizer` when ``config.sanitize`` is
-    set, the shared no-op otherwise — pass the result to
-    :func:`run_scheme`.
-    """
-    return LockOrderSanitizer() if config.sanitize else NULL_LOCK_SANITIZER
 
 
 def metrics_for(config: ExperimentConfig) -> MetricsRegistry | NullRegistry:
@@ -159,7 +145,6 @@ def run_scheme(
     ground_truth: list[list[Detection]] | None = None,
     tracer: Tracer | NullTracer | None = None,
     sanitizer: ArraySanitizer | NullSanitizer | None = None,
-    lock_sanitizer: LockOrderSanitizer | NullLockSanitizer | None = None,
     stream=None,
     metrics: MetricsRegistry | NullRegistry | None = None,
     flight_recorder: FlightRecorder | NullFlightRecorder | None = None,
@@ -175,14 +160,12 @@ def run_scheme(
     (see :mod:`repro.obs` and :func:`tracer_for`) is threaded through the
     scheme and the server so the run emits a per-frame trace; a
     ``sanitizer`` (see :mod:`repro.check` and :func:`sanitizer_for`) is
-    threaded the same way so stage boundaries validate their arrays, and a
-    ``lock_sanitizer`` (see :func:`lock_sanitizer_for`) wraps the server's
-    and streaming runtime's locks so acquisition-order inversions raise
-    instead of deadlocking.  When omitted the scheme keeps whatever
-    tracer/sanitizers it already has (the no-ops by default).
+    threaded the same way so stage boundaries validate their arrays.  When
+    omitted the scheme keeps whatever tracer/sanitizer it already has (the
+    no-ops by default).
 
     ``stream`` — a :class:`repro.stream.StreamConfig` (or ``True`` for the
-    defaults) — routes the run through the pipelined streaming runtime
+    defaults) — routes the run through the streaming runtime
     (:class:`repro.stream.StreamRunner`); the result then carries the
     streaming truth accounting in :attr:`EvaluationResult.stream`.
 
@@ -201,8 +184,6 @@ def run_scheme(
             )
     if sanitizer is not None:
         scheme.use_sanitizer(sanitizer)
-    if lock_sanitizer is not None:
-        scheme.use_lock_sanitizer(lock_sanitizer)
     registry = metrics if metrics is not None else NULL_REGISTRY
     flight = flight_recorder if flight_recorder is not None else NULL_FLIGHT_RECORDER
     if registry.enabled:
@@ -215,7 +196,6 @@ def run_scheme(
         QualityAwareDetector(seed=detector_seed),
         tracer=scheme.tracer,
         sanitizer=scheme.sanitizer,
-        lock_sanitizer=scheme.lock_sanitizer,
         metrics=registry,
     )
     stats = None

@@ -13,8 +13,8 @@ batch-serving edge.  The package composes the PR 1–8 substrate:
 - :class:`FleetRunner` + frozen :class:`FleetConfig` run N
   :class:`~repro.stream.StreamRunner` agents and settle belief against
   the shared-edge truth; results and :meth:`FleetResult.digest` are
-  bit-identical for any ``agent_workers`` / ``stream_workers`` width,
-  and a single-agent fleet reproduces a plain streamed run bit-for-bit;
+  bit-identical for any ``agent_workers`` width (the one thread seam:
+  each agent's stream run is inline), and a single-agent fleet reproduces a plain streamed run bit-for-bit;
 - :class:`FleetStats` / :class:`AgentReport` carry per-agent and
   aggregate p50/p95/p99 response, Jain's fairness over accuracy and
   goodput, and admission counts — also exported through ``repro.metrics``

@@ -11,7 +11,8 @@ mirroring the belief/truth epistemics of :mod:`repro.stream`:
    agent's allocated uplink trace from the whole fleet's demands; after
    that, agents are fully independent, so phase 1 can run under an
    ``agent_workers``-wide thread pool with bit-identical results for
-   any pool width.
+   any pool width — the runtime's one thread seam: each agent's stream
+   run is a plain call chain on whichever thread picked it up.
 2. **Batch replay (truth, single-threaded).**  Every request that truly
    crossed an uplink is pooled onto the global timeline (arrival =
    agent start + truth finish) and replayed through the
@@ -151,7 +152,7 @@ class FleetConfig:
     detector_seed:
         Shared detector seed (every agent's private belief server and
         its ground truth use it).
-    stream_workers, stream_queue_capacity, stream_policy:
+    stream_queue_capacity, stream_policy:
         Per-agent :class:`~repro.stream.StreamConfig` knobs for phase 1.
     agent_workers:
         Phase-1 thread-pool width — wall-clock only, never results.
@@ -186,12 +187,10 @@ class FleetConfig:
     downlink_latency: float = 0.010
     deadline: float | None = None
     detector_seed: int = 7
-    stream_workers: int = 1
     stream_queue_capacity: int | None = None
     stream_policy: str = "block"
     agent_workers: int = 1
     drain_margin: float = 5.0
-    watchdog: float | None = 120.0
 
     def validate(self) -> None:
         if self.n_agents < 1:
@@ -237,10 +236,8 @@ class FleetConfig:
 
     def stream_config(self) -> StreamConfig:
         return StreamConfig(
-            workers=self.stream_workers,
             queue_capacity=self.stream_queue_capacity,
             policy=self.stream_policy,
-            watchdog=self.watchdog,
         )
 
 
@@ -249,7 +246,7 @@ class _AgentRun:
     """Phase-1 output for one agent (belief timeline + request log).
 
     ``truth`` is the clip's per-frame ground truth, scored on the frames
-    the capture stage rendered (see :func:`~repro.experiments.truth_clip`)
+    the agent's run fetched (see :func:`~repro.experiments.truth_clip`)
     — ``settle`` never touches the clip.
     """
 
@@ -294,7 +291,7 @@ class FleetResult:
     def digest(self) -> str:
         """SHA-256 over every settled per-frame result, request outcome
         and the aggregate stats — bit-identical across reruns and any
-        ``agent_workers`` / ``stream_workers`` width."""
+        ``agent_workers`` width."""
         import hashlib
 
         parts = [self.stats.digest()]

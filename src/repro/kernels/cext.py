@@ -39,8 +39,8 @@ Bit-exactness is engineered, then verified:
 Every kernel call is re-entrant: the C code keeps no state between calls
 and its scratch (a few blocks of predictions and |differences|) is
 allocated per call,
-so concurrent encodes (``agent_workers > 1``, stream workers — ctypes
-drops the GIL around each call) cannot see each other's data.
+so concurrent encodes (``agent_workers > 1`` — ctypes drops the GIL
+around each call) cannot see each other's data.
 
 The shared object is compiled once per source hash with the system
 ``cc``/``gcc``/``clang`` into a private per-user cache directory

@@ -1,7 +1,7 @@
 """Live windowed telemetry for the streaming runtime.
 
-Three pieces, all driven by *virtual* time so telemetry inherits the
-runtime's worker-count-invariance:
+Three pieces, all driven by *virtual* time so telemetry is as
+reproducible as the run it observes:
 
 - :class:`MetricsRegistry` — label-aware Counter / Gauge / Histogram
   instruments aggregated into fixed windows of simulated time, with

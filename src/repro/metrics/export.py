@@ -11,8 +11,8 @@ header, every following line is one record.  Two record shapes follow:
 
 The digest hashes exactly these body lines (meta excluded), so two runs
 with identical virtual-time timelines produce identical digests no
-matter how many worker threads produced the samples or what wall-clock
-metadata rode along.
+matter in which order the samples arrived or what wall-clock metadata
+rode along.
 """
 
 from __future__ import annotations

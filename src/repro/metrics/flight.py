@@ -5,15 +5,16 @@ run.  The recorder keeps the last ``capacity`` lifecycle events (queue
 submits / evictions / refusals / abandons / seals, reconciled frame
 verdicts) in a ring buffer; when an anomaly trigger fires — a
 deadline-miss burst, sustained queue saturation, or a
-:class:`~repro.check.SanitizeError` / :class:`~repro.check.
-LockOrderError` — the current ring is snapshotted into a dump, which
-:func:`write_flight_jsonl` serialises as deterministic JSONL.
+:class:`~repro.check.SanitizeError` — the current ring is snapshotted
+into a dump, which :func:`write_flight_jsonl` serialises as
+deterministic JSONL.
 
 Determinism: every event carries only virtual-time quantities and is
-recorded from the streaming runtime's single-mutator seams (the queue
-mutates on the agent thread; reconciliation is post-run), so the ring's
-*content and order* — and therefore :meth:`FlightRecorder.digest` — are
-bit-identical across runs and across worker counts.  The acceptance test
+recorded by the streaming run itself, on its one thread (the queue as
+the scheme submits; reconciliation post-run), so the ring's *content and
+order* — and therefore :meth:`FlightRecorder.digest` — are bit-identical
+across runs.  The recorder's lock exists for readers on another thread
+(``repro top``'s live dashboard snapshots it mid-run).  The acceptance test
 locks exactly that for the bursty-outage deadline-miss scenario.
 
 :data:`NULL_FLIGHT_RECORDER` mirrors :data:`~repro.obs.tracer.

@@ -5,11 +5,10 @@ pooling in :mod:`repro.obs.aggregate`) rest on:
 
 - :class:`ExactSum` — a Shewchuk-style exact accumulator.  Plain float
   addition is commutative but not associative, so a sum folded in a
-  different order (e.g. samples arriving from 4 capture workers instead
-  of 1) can differ in the last ulp.  ``ExactSum`` keeps the running sum
-  as non-overlapping partials whose mathematical sum is *exact*; the
-  single rounding happens at read time, so the result is bit-identical
-  for any accumulation order.
+  different order can differ in the last ulp.  ``ExactSum`` keeps the
+  running sum as non-overlapping partials whose mathematical sum is
+  *exact*; the single rounding happens at read time, so the result is
+  bit-identical for any accumulation order.
 - :class:`FixedBucketHistogram` — integer counts over a fixed edge grid
   (no reservoir sampling, no per-sample storage).  Integer counts are
   inherently order-independent, memory is bounded by the number of
@@ -44,7 +43,7 @@ class ExactSum:
     exact real-number sum of everything added so far; :attr:`value`
     rounds that exact sum once.  Because the represented quantity is
     exact, the read-out is independent of insertion order — the property
-    that keeps metric counters bit-identical across worker counts.
+    that keeps metric counters bit-identical whatever the arrival order.
 
     Non-finite inputs are rejected by callers (the registry skips them);
     feeding ``inf``/``nan`` here would poison the partials.

@@ -17,10 +17,9 @@ and every per-window accumulator is order-independent:
 - **Histogram** — integer counts over a :class:`~repro.metrics.hist.
   FixedBucketHistogram` grid (no reservoir sampling).
 
-The streaming runtime records each sample exactly once and each virtual
-timestamp is worker-count-invariant, so the whole windowed timeline —
-and its :meth:`MetricsRegistry.digest` — is bit-identical for 1 or N
-workers.  Mirroring :data:`~repro.obs.tracer.NULL_TRACER`, the default
+The streaming runtime records each sample exactly once at a virtual
+timestamp, so the whole windowed timeline — and its
+:meth:`MetricsRegistry.digest` — is bit-identical across reruns.  Mirroring :data:`~repro.obs.tracer.NULL_TRACER`, the default
 :data:`NULL_REGISTRY` is a shared no-op: instruments come back as inert
 singletons and the batch path pays one attribute lookup per guard.
 Guard any computation of a recorded value with ``if metrics.enabled:``.

@@ -130,7 +130,7 @@ def render_top(snapshot: dict, *, stats=None, flight=None, width: int = 32,
             f"frames={stats.frames}  delivered={stats.delivered}  "
             f"degraded={stats.degraded}  dropped={stats.dropped}  "
             f"late={stats.late}  blocked={stats.blocked_time:.3f}s  "
-            f"policy={stats.policy}  workers={stats.workers}",
+            f"policy={stats.policy}",
         ]
     if flight is not None:
         dumps = flight["dumps"]

@@ -1,4 +1,4 @@
-"""Pipelined streaming runtime (capture / agent / uplink / edge stages).
+"""Streaming runtime: a scheme run inline against a bounded-uplink truth timeline.
 
 See :mod:`repro.stream.runner` for the architecture and
 :mod:`repro.stream.queues` for the backpressure policies and the
@@ -7,30 +7,25 @@ bit-identical to the batch runner.
 """
 
 from repro.stream.clock import VirtualClock
-from repro.stream.messages import FrameJob, QueueOutcome, StreamFrameRecord, StreamStats
+from repro.stream.messages import QueueOutcome, StreamFrameRecord, StreamStats
 from repro.stream.queues import POLICIES, Admission, BackpressureQueue
 from repro.stream.runner import (
     StreamConfig,
-    StreamError,
     StreamResult,
     StreamRunner,
-    StreamTimeoutError,
     StreamingUplink,
 )
 
 __all__ = [
     "Admission",
     "BackpressureQueue",
-    "FrameJob",
     "POLICIES",
     "QueueOutcome",
     "StreamConfig",
-    "StreamError",
     "StreamFrameRecord",
     "StreamResult",
     "StreamRunner",
     "StreamStats",
-    "StreamTimeoutError",
     "StreamingUplink",
     "VirtualClock",
 ]

@@ -1,51 +1,41 @@
-"""Virtual time for the streaming pipeline.
+"""Virtual time for the streaming runtime.
 
-The streaming runtime runs its stages on real threads, but *when* things
-happen is decided entirely by simulated-time arithmetic: capture times come
-from the clip, transmission times from the bandwidth trace, inference and
-downlink latencies from the server model.  The :class:`VirtualClock` is the
-shared ledger of that simulated time — stages publish how far they have
-advanced, and the clock folds those reports into one monotonic "now".
+*When* things happen in a streaming run is decided entirely by
+simulated-time arithmetic: capture times come from the clip, transmission
+times from the bandwidth trace, inference and downlink latencies from the
+server model.  The :class:`VirtualClock` is the ledger of that simulated
+time — the runner's capture, uplink and edge interposers publish how far
+they have advanced, and the clock folds those reports into one monotonic
+"now".
 
-Because no decision ever reads the wall clock, two runs with the same seed
-make identical drop/degrade choices no matter how the OS schedules the
-threads; the threads only change how fast the answer arrives.
+No decision ever reads the wall clock, so two runs with the same seed make
+identical drop/degrade choices.
 """
 
 from __future__ import annotations
-
-import threading
 
 __all__ = ["VirtualClock"]
 
 
 class VirtualClock:
-    """Thread-safe monotonic simulated clock with per-stage high-water marks.
+    """Monotonic simulated clock with per-stage high-water marks.
 
     ``advance(t)`` moves the clock forward to ``t`` (never backward: stages
     report completion times out of order, and the clock keeps the maximum).
     ``stamp(stage, t)`` additionally records the stage's own high-water
     mark, so a finished run can report how far capture, uplink and edge
-    each progressed in simulated seconds.
-
-    ``lock_sanitizer`` (see :mod:`repro.check.lockorder`) wraps the
-    internal lock when live, so the clock participates in global
-    lock-order checking.
+    each progressed in simulated seconds.  One run owns one clock on one
+    thread; it is not locked.
     """
 
-    def __init__(self, start: float = 0.0, *, lock_sanitizer=None):
-        lock = threading.Lock()
-        if lock_sanitizer is not None and lock_sanitizer.enabled:
-            lock = lock_sanitizer.wrap(lock, "stream.clock")
-        self._lock = lock
+    def __init__(self, start: float = 0.0):
         self._now = float(start)
         self._marks: dict[str, float] = {}
 
     @property
     def now(self) -> float:
         """Current simulated time (the furthest any stage has reached)."""
-        with self._lock:
-            return self._now
+        return self._now
 
     def advance(self, t: float) -> float:
         """Move simulated time forward to ``t`` if it is ahead; return now.
@@ -53,22 +43,19 @@ class VirtualClock:
         Non-finite times (a dropped frame "finishes" at ``inf``) are
         ignored — they mark absence of an event, not a moment.
         """
-        with self._lock:
-            if t > self._now and t != float("inf"):
-                self._now = t
-            return self._now
+        if t > self._now and t != float("inf"):
+            self._now = t
+        return self._now
 
     def stamp(self, stage: str, t: float) -> None:
         """Record ``stage`` having reached simulated time ``t`` and advance."""
-        with self._lock:
-            if t != float("inf"):
-                if t > self._marks.get(stage, float("-inf")):
-                    self._marks[stage] = t
-                if t > self._now:
-                    self._now = t
+        if t != float("inf"):
+            if t > self._marks.get(stage, float("-inf")):
+                self._marks[stage] = t
+            if t > self._now:
+                self._now = t
 
     @property
     def marks(self) -> dict[str, float]:
         """Per-stage high-water marks (a copy; safe to mutate)."""
-        with self._lock:
-            return dict(self._marks)
+        return dict(self._marks)

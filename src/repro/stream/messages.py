@@ -1,8 +1,8 @@
-"""Typed messages exchanged between pipeline stages.
+"""Typed records of the streaming runtime.
 
-``FrameJob`` is what the encode stage offers to the uplink queue;
-``QueueOutcome`` is the sealed fate of one job on the *truth* timeline
-(see :mod:`repro.stream.queues`); ``StreamFrameRecord`` / ``StreamStats``
+``QueueOutcome`` is the sealed fate of one job — one
+``BackpressureQueue.submit`` — on the *truth* timeline (see
+:mod:`repro.stream.queues`); ``StreamFrameRecord`` / ``StreamStats``
 are the per-frame and per-run accounting the :class:`~repro.stream.runner.
 StreamRunner` returns alongside the scheme's own results.
 """
@@ -13,7 +13,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 __all__ = [
-    "FrameJob",
     "QueueOutcome",
     "StreamFrameRecord",
     "StreamStats",
@@ -26,26 +25,15 @@ STATUSES = ("delivered", "degraded", "dropped")
 REASONS = ("", "hol", "evicted", "capacity", "abandoned")
 
 
-@dataclass(frozen=True)
-class FrameJob:
-    """One encoded frame offered to the uplink queue.
-
-    ``seq`` is the submission sequence number — distinct from
-    ``frame_index`` because some schemes (DDS) transmit twice per frame.
-    """
-
-    seq: int
-    frame_index: int
-    size_bytes: int
-    enqueue_time: float
-
-
 @dataclass
 class QueueOutcome:
-    """The sealed fate of one :class:`FrameJob` on the truth timeline.
+    """The sealed fate of one submitted job on the truth timeline.
 
     Attributes
     ----------
+    seq:
+        Submission sequence number — distinct from ``frame_index``
+        because some schemes (DDS) transmit twice per frame.
     status:
         ``delivered`` | ``degraded`` | ``dropped``.
     reason:
@@ -115,8 +103,7 @@ class StreamStats:
     ``delivered``/``degraded``/``dropped`` count *jobs* on the truth
     timeline; ``local`` counts frames never offered to the queue; ``late``
     counts frames that missed their deadline.  ``virtual_makespan`` is the
-    final simulated time, ``wall_time`` the real seconds the pipelined run
-    took.
+    final simulated time, ``wall_time`` the real seconds the run took.
     """
 
     frames: int = 0
@@ -129,7 +116,6 @@ class StreamStats:
     virtual_makespan: float = 0.0
     wall_time: float = 0.0
     policy: str = "block"
-    workers: int = 1
     records: list[StreamFrameRecord] = field(default_factory=list)
     outcomes: list[QueueOutcome] = field(default_factory=list)
     marks: dict[str, float] = field(default_factory=dict)
@@ -140,8 +126,7 @@ class StreamStats:
         Covers each job's sealed outcome and each frame's reconciled
         status, so two runs agree iff they made identical drop/degrade
         choices with identical timing.  Wall-clock fields are excluded by
-        construction — the digest must match across 1-thread and 4-thread
-        runs.
+        construction — the digest must match across reruns.
         """
         parts = [o.key() for o in sorted(self.outcomes, key=lambda o: o.seq)]
         for r in sorted(self.records, key=lambda r: r.index):

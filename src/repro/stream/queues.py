@@ -82,10 +82,10 @@ class _Pending:
 class BackpressureQueue:
     """Capacity-bounded FIFO between encoder and uplink, in virtual time.
 
-    Not thread-safe by design: every mutation happens on the agent
-    thread (via the streaming uplink) or after the run ends; sealed
-    outcomes are published through the optional ``on_seal`` callback,
-    which may hand them to another thread.
+    Not thread-safe by design: one run owns one queue and mutates it
+    through the streaming uplink on the calling thread; sealed outcomes
+    are published through the optional ``on_seal`` callback, which runs
+    inline at the moment of sealing.
 
     Parameters
     ----------
@@ -107,8 +107,8 @@ class BackpressureQueue:
         A :class:`~repro.metrics.MetricsRegistry` (default: the shared
         no-op).  Instruments are hoisted here — created once per queue,
         never inside the per-frame path (lint rule S015) — and record
-        only virtual-time quantities, so timelines are identical for any
-        worker count.
+        only virtual-time quantities, so timelines are identical across
+        reruns.
     flight:
         A :class:`~repro.metrics.FlightRecorder` (default: the shared
         no-op) fed every job lifecycle event; sustained saturation

@@ -1,38 +1,31 @@
-"""Pipelined streaming runtime for any :class:`AnalyticsScheme`.
+"""Streaming runtime for any :class:`AnalyticsScheme`, inline.
 
-The :class:`StreamRunner` runs an unchanged scheme as a pipeline of
-concurrent stages:
+The :class:`StreamRunner` runs an unchanged scheme on the calling thread
+and interposes on the three things it touches — no thread is started:
 
-- **capture** — worker threads render frames ahead of the agent through a
-  bounded prefetch window (the clip facade hands them over in order);
-- **agent** — the scheme itself, on the calling thread, exactly as in the
-  batch runner;
+- **capture** — a clip facade stamps the
+  :class:`~repro.stream.clock.VirtualClock` (and counts
+  ``stream_frames_captured``) the first time each frame is handed out;
 - **uplink** — the scheme's transmissions flow through a
   :class:`~repro.stream.queues.BackpressureQueue` (truth timeline) and a
   belief-side FIFO the scheme observes, interposed via the scheme's
-  ``make_uplink`` seam;
-- **edge inference** — the real :class:`~repro.edge.server.EdgeServer`
-  lives on its own thread behind a request/reply proxy; the agent blocks
-  for each reply, which keeps tracer span placement identical to batch;
-- **accounting** — a thread that drains sealed queue outcomes and keeps
-  the :class:`~repro.stream.clock.VirtualClock` stamped.
+  ``make_uplink`` seam; each sealed truth outcome stamps the clock;
+- **edge inference** — a proxy calls the real
+  :class:`~repro.edge.server.EdgeServer` and stamps each result time.
 
-All timing decisions are virtual-time arithmetic, so results are
-deterministic for any worker count; the threads only buy wall-clock
-overlap (rendering frame ``i+1`` while the agent encodes frame ``i``).
-With no queue capacity and no deadline the streaming run is bit-identical
-to the batch runner — the differential tests lock that equivalence.
+All timing decisions are virtual-time arithmetic; the wall clock is read
+only to report how long the run took.  With no queue capacity and no
+deadline the streaming run is bit-identical to the batch runner — the
+differential tests lock that equivalence.  An exception raised by the
+clip, the server or the scheme propagates as raised.
 """
 
 from __future__ import annotations
 
-import queue as _queuemod
-import threading
 import time
 from dataclasses import dataclass, field
 
 from repro.baselines.base import AnalyticsScheme, SchemeRun
-from repro.check.lockorder import LockOrderError
 from repro.check.sanitize import SanitizeError
 from repro.edge.server import EdgeServer
 from repro.metrics.flight import NULL_FLIGHT_RECORDER
@@ -48,27 +41,12 @@ from repro.world.datasets import Clip
 
 __all__ = [
     "StreamConfig",
-    "StreamError",
     "StreamResult",
     "StreamRunner",
-    "StreamTimeoutError",
     "StreamingUplink",
 ]
 
 _INF = float("inf")
-
-#: Wall-clock seconds between a blocked stage's checks of the abort flag
-#: and its watchdog deadline.  Start-up, hand-off and shutdown are all by
-#: notification or message; nothing on the success path waits this out.
-_HEARTBEAT = 0.1
-
-
-class StreamError(RuntimeError):
-    """A pipeline stage failed or the run was aborted."""
-
-
-class StreamTimeoutError(StreamError):
-    """A stage wait exceeded the wall-clock watchdog (likely deadlock)."""
 
 
 @dataclass(frozen=True)
@@ -77,11 +55,6 @@ class StreamConfig:
 
     Attributes
     ----------
-    workers:
-        Capture render worker threads.
-    prefetch:
-        How many frames capture may render ahead of the agent (clamped to
-        at least ``workers``).
     queue_capacity:
         Uplink queue bound; ``None`` (default) is unbounded — the
         batch-equivalent configuration.
@@ -93,25 +66,14 @@ class StreamConfig:
         the agent); ``None`` disables late accounting.
     degrade_factor:
         Payload multiplier for ``degrade-qp`` admissions.
-    watchdog:
-        Wall-clock seconds any single stage wait may take before the run
-        aborts with :class:`StreamTimeoutError` instead of hanging;
-        ``None`` disables (not recommended under CI).
     """
 
-    workers: int = 1
-    prefetch: int = 8
     queue_capacity: int | None = None
     policy: str = "block"
     deadline: float | None = None
     degrade_factor: float = 0.5
-    watchdog: float | None = 120.0
 
     def validate(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.prefetch < 1:
-            raise ValueError(f"prefetch must be >= 1, got {self.prefetch}")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; expected one of {POLICIES}")
         if self.queue_capacity is not None and self.queue_capacity < 1:
@@ -120,8 +82,6 @@ class StreamConfig:
             raise ValueError(f"degrade_factor must be in (0, 1], got {self.degrade_factor}")
         if self.deadline is not None and self.deadline <= 0.0:
             raise ValueError(f"deadline must be positive or None, got {self.deadline}")
-        if self.watchdog is not None and self.watchdog <= 0.0:
-            raise ValueError(f"watchdog must be positive or None, got {self.watchdog}")
 
 
 @dataclass
@@ -139,121 +99,30 @@ class StreamResult:
     flight: object = NULL_FLIGHT_RECORDER
 
 
-# --------------------------------------------------------------- stages
-
-
-class _CaptureStage:
-    """Render workers filling a bounded, in-order prefetch window."""
-
-    def __init__(self, clip: Clip, *, workers: int, prefetch: int,
-                 clock: VirtualClock, abort: threading.Event, watchdog: float | None,
-                 lock_sanitizer=None, metrics=NULL_REGISTRY):
-        self._clip = clip
-        self._metrics = metrics
-        # Hoisted (S015): counted at the frame's virtual capture time on
-        # the agent-side delivery path, so the timeline is identical no
-        # matter how many render workers raced to fill the buffer.
-        self._m_captured = metrics.counter(
-            "stream_frames_captured", help="frames handed to the agent by capture")
-        self._workers = workers
-        self._prefetch = max(prefetch, workers)
-        self._clock = clock
-        self._abort = abort
-        self._watchdog = watchdog
-        cond_lock = threading.Lock()
-        if lock_sanitizer is not None and lock_sanitizer.enabled:
-            cond_lock = lock_sanitizer.wrap(cond_lock, "stream.capture")
-        self._cond = threading.Condition(cond_lock)
-        self._buffer: dict[int, object] = {}
-        self._recent: dict[int, object] = {}
-        self._next_claim = 0
-        self._delivered = 0
-        self._stop = False
-        self._error: BaseException | None = None
-        self._threads: list[threading.Thread] = []
-
-    def start(self) -> None:
-        for k in range(self._workers):
-            th = threading.Thread(target=self._work, name=f"stream-capture-{k}", daemon=True)
-            th.start()
-            self._threads.append(th)
-
-    def _work(self) -> None:
-        try:
-            while True:
-                with self._cond:
-                    while (not self._stop and not self._abort.is_set()
-                           and self._next_claim < self._clip.n_frames
-                           and self._next_claim - self._delivered >= self._prefetch):
-                        self._cond.wait(_HEARTBEAT)
-                    if self._stop or self._abort.is_set() or self._next_claim >= self._clip.n_frames:
-                        return
-                    index = self._next_claim
-                    self._next_claim += 1
-                record = self._render(index)
-                with self._cond:
-                    self._buffer[index] = record
-                    self._cond.notify_all()
-        except BaseException as exc:  # surface renderer failures to the agent
-            with self._cond:
-                self._error = exc
-                self._cond.notify_all()
-
-    def _render(self, index: int):
-        cached = self._clip.cached(index)
-        return cached if cached is not None else self._clip.render_at(index)
-
-    def get(self, index: int):
-        """Hand frame ``index`` to the agent (blocking until rendered)."""
-        deadline = time.perf_counter() + self._watchdog if self._watchdog else None
-        with self._cond:
-            if index in self._recent:
-                return self._recent[index]
-            if index != self._delivered:
-                # Out-of-order access (schemes are sequential; this is a
-                # fallback, e.g. a re-read of an old frame): render
-                # directly, leaving the pipeline untouched.
-                return self._render(index)
-            while index not in self._buffer:
-                if self._error is not None:
-                    raise StreamError("capture stage failed") from self._error
-                if self._abort.is_set():
-                    raise StreamError("streaming run aborted")
-                if deadline is not None and time.perf_counter() > deadline:
-                    self._abort.set()
-                    raise StreamTimeoutError(
-                        f"capture stage stalled past the {self._watchdog}s watchdog "
-                        f"waiting for frame {index}"
-                    )
-                self._cond.wait(_HEARTBEAT)
-            record = self._buffer.pop(index)
-            self._delivered = index + 1
-            self._recent[index] = record
-            while len(self._recent) > 4:
-                self._recent.pop(next(iter(self._recent)))
-            self._cond.notify_all()
-        self._clock.stamp("capture", self._clip.time_of(index))
-        if self._metrics.enabled:
-            self._m_captured.inc(1.0, at=self._clip.time_of(index))
-        return record
-
-    def stop(self) -> None:
-        with self._cond:
-            self._stop = True
-            self._cond.notify_all()
-        for th in self._threads:
-            th.join(timeout=5.0)
+# -------------------------------------------------------------- facades
 
 
 class _StreamClip:
-    """Clip facade whose ``frame()`` is served by the capture stage."""
+    """Clip facade marking each frame's capture the first time it is handed out."""
 
-    def __init__(self, clip: Clip, stage: _CaptureStage):
+    def __init__(self, clip: Clip, clock: VirtualClock, metrics):
         self._clip = clip
-        self._stage = stage
+        self._clock = clock
+        self._metrics = metrics
+        # Hoisted (S015); counted at the frame's virtual capture time.
+        self._m_captured = metrics.counter(
+            "stream_frames_captured", help="frames handed to the agent by capture")
+        self._captured: set[int] = set()
 
     def frame(self, index: int):
-        return self._stage.get(index)
+        record = self._clip.frame(index)
+        if index not in self._captured:
+            self._captured.add(index)
+            at = self._clip.time_of(index)
+            self._clock.stamp("capture", at)
+            if self._metrics.enabled:
+                self._m_captured.inc(1.0, at=at)
+        return record
 
     def frames(self):
         for i in range(self._clip.n_frames):
@@ -263,127 +132,25 @@ class _StreamClip:
         return getattr(self._clip, name)
 
 
-class _InferenceStage:
-    """Owns the real server on its own thread; requests block for replies.
-
-    The request/reply handshake means exactly one of {agent, server} runs
-    at any instant, so the (non-thread-safe) tracer sees the same span
-    placement as the batch runner: the server's ``server/decode`` /
-    ``server/detect`` spans land inside the agent's open frame record.
-    """
-
-    _STOP = object()
-
-    def __init__(self, server: EdgeServer, abort: threading.Event, watchdog: float | None):
-        self._server = server
-        self._abort = abort
-        self._watchdog = watchdog
-        self._requests: _queuemod.SimpleQueue = _queuemod.SimpleQueue()
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> None:
-        self._thread = threading.Thread(target=self._serve, name="stream-infer", daemon=True)
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while True:
-            try:
-                req = self._requests.get(timeout=_HEARTBEAT)
-            except _queuemod.Empty:
-                if self._abort.is_set():
-                    return
-                continue
-            if req is self._STOP:
-                return
-            method, args, kwargs, reply = req
-            try:
-                reply.put(("ok", getattr(self._server, method)(*args, **kwargs)))
-            except BaseException as exc:
-                reply.put(("err", exc))
-
-    def call(self, method: str, args: tuple, kwargs: dict):
-        reply: _queuemod.SimpleQueue = _queuemod.SimpleQueue()
-        self._requests.put((method, args, kwargs, reply))
-        deadline = time.perf_counter() + self._watchdog if self._watchdog else None
-        while True:
-            try:
-                kind, payload = reply.get(timeout=_HEARTBEAT)
-                break
-            except _queuemod.Empty:
-                if self._abort.is_set():
-                    raise StreamError("inference stage aborted") from None
-                if deadline is not None and time.perf_counter() > deadline:
-                    self._abort.set()
-                    raise StreamTimeoutError(
-                        f"inference stage stalled past the {self._watchdog}s "
-                        f"watchdog on {method}()"
-                    )
-        if kind == "err":
-            raise payload
-        return payload
-
-    def stop(self) -> None:
-        self._requests.put(self._STOP)
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-
-    @property
-    def server(self) -> EdgeServer:
-        return self._server
-
-
 class _ServerProxy:
-    """What the scheme sees as its server: same API, different thread."""
+    """What the scheme sees as its server: the real one, results stamped."""
 
-    def __init__(self, stage: _InferenceStage, clock: VirtualClock):
-        self._stage = stage
+    def __init__(self, server: EdgeServer, clock: VirtualClock):
+        self._server = server
         self._clock = clock
 
     def process(self, *args, **kwargs):
-        result = self._stage.call("process", args, kwargs)
+        result = self._server.process(*args, **kwargs)
         self._clock.stamp("edge", result.result_time)
         return result
 
     def process_image(self, *args, **kwargs):
-        result = self._stage.call("process_image", args, kwargs)
+        result = self._server.process_image(*args, **kwargs)
         self._clock.stamp("edge", result.result_time)
         return result
 
-    def reset(self):
-        return self._stage.call("reset", (), {})
-
     def __getattr__(self, name):
-        # Plain attribute reads (latencies, detector, ground_truth) go
-        # straight to the real server — they don't touch decoder state.
-        return getattr(self._stage.server, name)
-
-
-class _Accounting:
-    """Drains sealed queue outcomes, stamping the clock as truth advances."""
-
-    _STOP = object()
-
-    def __init__(self, clock: VirtualClock):
-        self._clock = clock
-        self._channel: _queuemod.SimpleQueue = _queuemod.SimpleQueue()
-        self._thread: threading.Thread | None = None
-
-    def on_seal(self, outcome: QueueOutcome) -> None:
-        self._channel.put(outcome)
-
-    def start(self) -> None:
-        self._thread = threading.Thread(target=self._drain, name="stream-account", daemon=True)
-        self._thread.start()
-
-    def _drain(self) -> None:
-        while (outcome := self._channel.get()) is not self._STOP:
-            self._clock.stamp("uplink", outcome.release_time)
-
-    def stop(self) -> None:
-        # FIFO: every outcome sealed before this call is stamped first.
-        self._channel.put(self._STOP)
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
+        return getattr(self._server, name)
 
 
 # --------------------------------------------------------------- uplink
@@ -443,17 +210,16 @@ class _RunContext:
 
 
 class StreamRunner:
-    """Runs one scheme over one clip as a concurrent pipeline.
+    """Runs one scheme over one clip against the truth timeline, inline.
 
     ``metrics`` (a :class:`~repro.metrics.MetricsRegistry`) and
     ``flight_recorder`` (a :class:`~repro.metrics.FlightRecorder`)
     default to the shared no-ops; live ones are threaded into the truth
-    queue and the capture stage, fed per-frame verdicts at
-    reconciliation, and fired as triggers on a deadline-miss burst or a
-    :class:`SanitizeError` / :class:`LockOrderError` escaping the
-    scheme.  All recorded quantities are virtual-time arithmetic, so the
-    registry digest and flight-recorder dumps are bit-identical for any
-    worker count.
+    queue and the clip facade, fed per-frame verdicts at reconciliation,
+    and fired as triggers on a deadline-miss burst or a
+    :class:`SanitizeError` escaping the scheme.  All recorded quantities
+    are virtual-time arithmetic, so the registry digest and
+    flight-recorder dumps are bit-identical across reruns.
     """
 
     def __init__(self, scheme: AnalyticsScheme, config: StreamConfig | None = None, *,
@@ -466,11 +232,11 @@ class StreamRunner:
     def run(self, clip: Clip, trace: BandwidthTrace, server: EdgeServer) -> StreamResult:
         cfg = self.config
         cfg.validate()
-        lock_sanitizer = getattr(self.scheme, "lock_sanitizer", None)
-        clock = VirtualClock(lock_sanitizer=lock_sanitizer)
-        abort = threading.Event()
+        clock = VirtualClock()
         ctx = _RunContext()
-        accounting = _Accounting(clock)
+
+        def on_seal(outcome: QueueOutcome) -> None:
+            clock.stamp("uplink", outcome.release_time)
 
         def factory(trace_: BandwidthTrace, *, hol_timeout: float | None = None, tracer=NULL_TRACER):
             # One truth queue per run (one physical bottleneck), shared if
@@ -479,8 +245,7 @@ class StreamRunner:
                 ctx.queue = BackpressureQueue(
                     trace_, capacity=cfg.queue_capacity, policy=cfg.policy,
                     degrade_factor=cfg.degrade_factor, hol_timeout=hol_timeout,
-                    on_seal=accounting.on_seal,
-                    metrics=self.metrics, flight=self.flight,
+                    on_seal=on_seal, metrics=self.metrics, flight=self.flight,
                 )
             return StreamingUplink(
                 trace_, hol_timeout=hol_timeout, tracer=tracer,
@@ -488,41 +253,23 @@ class StreamRunner:
                 beliefs=ctx.beliefs, frame_seqs=ctx.frame_seqs,
             )
 
-        capture = _CaptureStage(
-            clip, workers=cfg.workers, prefetch=cfg.prefetch,
-            clock=clock, abort=abort, watchdog=cfg.watchdog,
-            lock_sanitizer=lock_sanitizer, metrics=self.metrics,
-        )
-        stream_clip = _StreamClip(clip, capture)
-        inference = _InferenceStage(server, abort, cfg.watchdog)
-        proxy = _ServerProxy(inference, clock)
-
         self.scheme.use_uplink_factory(factory)
         started = time.perf_counter()
         try:
-            capture.start()
-            inference.start()
-            accounting.start()
-            run = self.scheme.run(stream_clip, trace, proxy)
+            run = self.scheme.run(
+                _StreamClip(clip, clock, self.metrics), trace, _ServerProxy(server, clock))
             outcomes = ctx.queue.close() if ctx.queue is not None else []
-        except (SanitizeError, LockOrderError) as exc:
+        except SanitizeError as exc:
             # Sanitizer trips are exactly what a post-mortem is for:
             # snapshot the recent lifecycle events before unwinding.
-            abort.set()
             if self.flight.enabled:
                 self.flight.trigger(
-                    "sanitize-error" if isinstance(exc, SanitizeError) else "lock-order-error",
-                    clock.now, error=type(exc).__name__, message=str(exc)[:200],
+                    "sanitize-error", clock.now,
+                    error=type(exc).__name__, message=str(exc)[:200],
                 )
-            raise
-        except BaseException:
-            abort.set()
             raise
         finally:
             self.scheme.use_uplink_factory(None)
-            capture.stop()
-            inference.stop()
-            accounting.stop()
         wall = time.perf_counter() - started
         stats = self._reconcile(run, ctx, outcomes, server, cfg, clock, wall)
         return StreamResult(run=run, stats=stats, metrics=self.metrics, flight=self.flight)
@@ -666,7 +413,6 @@ class StreamRunner:
             virtual_makespan=clock.now,
             wall_time=wall,
             policy=cfg.policy,
-            workers=cfg.workers,
             records=records,
             outcomes=outcomes,
             marks=clock.marks,

@@ -77,15 +77,6 @@ class Clip:
             self._cache.popitem(last=False)
         return record
 
-    def cached(self, index: int) -> FrameRecord | None:
-        """The cached record for frame ``index``, or ``None`` — never renders.
-
-        Unlike :meth:`frame` this does not reorder the LRU, so concurrent
-        readers (the streaming capture stage) can probe a preloaded clip
-        without mutating shared state.
-        """
-        return self._cache.get(index)
-
     def render_at(self, index: int) -> FrameRecord:
         """Render frame ``index`` without touching the shared LRU cache.
 
@@ -123,13 +114,13 @@ class ScoredClip:
     """Clip facade that scores every frame it hands out, once per index.
 
     ``score(record)`` — e.g. ``QualityAwareDetector.ground_truth`` — runs
-    on whichever thread fetched the frame (the streaming capture workers,
-    or the scheme itself in a batch run), on the record that fetch
-    produced anyway, so scoring a clip never costs a second render.  Only
-    the per-index result is kept, never the record: a retained record
-    pins the frame's image, depth and id buffers.  ``score`` must be a
-    pure function of the record; everything but the three fetch methods
-    and :meth:`scores` is the wrapped clip's.
+    on whichever thread fetched the frame (the scheme's, in every
+    driver), on the record that fetch produced anyway, so scoring a clip
+    never costs a second render.  Only the per-index result is kept,
+    never the record: a retained record pins the frame's image, depth and
+    id buffers.  ``score`` must be a pure function of the record;
+    everything but the fetch methods and :meth:`scores` is the wrapped
+    clip's.
     """
 
     def __init__(self, clip: Clip, score: Callable[[FrameRecord], object]):
@@ -138,23 +129,19 @@ class ScoredClip:
         self._lock = threading.Lock()
         self._scores: dict[int, object] = {}
 
-    def _scored(self, record: FrameRecord | None) -> FrameRecord | None:
-        if record is not None:
+    def _scored(self, record: FrameRecord) -> FrameRecord:
+        with self._lock:
+            known = record.index in self._scores
+        if not known:
+            # Outside the lock: concurrent fetchers score different frames
+            # in parallel, and a racing duplicate is equal by purity.
+            value = self._score(record)
             with self._lock:
-                known = record.index in self._scores
-            if not known:
-                # Outside the lock: workers score different frames in
-                # parallel, and a racing duplicate is equal by purity.
-                value = self._score(record)
-                with self._lock:
-                    self._scores.setdefault(record.index, value)
+                self._scores.setdefault(record.index, value)
         return record
 
     def frame(self, index: int) -> FrameRecord:
         return self._scored(self._clip.frame(index))
-
-    def cached(self, index: int) -> FrameRecord | None:
-        return self._scored(self._clip.cached(index))
 
     def render_at(self, index: int) -> FrameRecord:
         return self._scored(self._clip.render_at(index))

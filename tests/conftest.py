@@ -5,7 +5,7 @@ is session-scoped so the golden e2e test and the streaming differential
 tests render it exactly once — tier-1 wall time stays flat as streaming
 coverage grows.
 
-The ``timeout`` marker hardens the streaming tests against deadlocks: when
+The ``timeout`` marker is a backstop against a test that hangs: when
 the ``pytest-timeout`` plugin is installed (CI installs the ``[test]``
 extra) it takes over; otherwise a conftest-level watchdog arms
 ``faulthandler.dump_traceback_later`` so a hung test dumps every thread's
@@ -106,8 +106,8 @@ def kernel_backend(request):
 @pytest.fixture
 def render_calls(monkeypatch):
     """Every ``Renderer.render`` call while the test runs, as a list that
-    grows by one per call (``list.append`` is atomic, so render workers on
-    any thread count)."""
+    grows by one per call (``list.append`` is atomic, so renders on an
+    ``agent_workers`` pool's threads count)."""
     from repro.world import Renderer
 
     calls = []

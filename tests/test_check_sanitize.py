@@ -116,20 +116,24 @@ class TestSanitizerForConfig:
 class TestDigestStability:
     def test_sanitize_on_off_bit_identical(self):
         """The sanitizer only asserts — a seeded run yields the exact same
-        per-frame bytes, sources and detections with it on or off (the
-        golden e2e digest therefore holds under sanitize=True)."""
+        per-frame bytes, sources and detections with it on or off, batch
+        or streamed (the golden e2e digest therefore holds under
+        sanitize=True)."""
         clip = nuscenes_like(1, n_frames=8)
         trace = constant_trace(scaled_bandwidth(2.0, clip))
         gt = ground_truth_for(clip)
 
-        def digest(sanitizer):
-            result = run_scheme(DiVEScheme(), clip, trace, ground_truth=gt, sanitizer=sanitizer)
+        def digest(sanitizer, stream=None):
+            result = run_scheme(
+                DiVEScheme(), clip, trace, ground_truth=gt, sanitizer=sanitizer, stream=stream)
             return [
                 (f.index, f.bytes_sent, f.source, len(f.detections), round(f.response_time, 9))
                 for f in result.run.frames
             ]
 
-        assert digest(ArraySanitizer()) == digest(None)
+        streamed = ArraySanitizer()
+        assert digest(ArraySanitizer()) == digest(None) == digest(streamed, stream=True)
+        assert streamed.checks >= 3 * clip.n_frames
 
 
 class TestNullSanitizerOverhead:

@@ -233,7 +233,6 @@ class TestGroundTruthAtCapture:
 
         clip, _ = self._inputs()
         scored = ScoredClip(clip, lambda record: record.index * 10)
-        assert scored.cached(2) is None
         assert isinstance(scored.render_at(2), FrameRecord)
         assert scored.scores() == [0, 10, 20, 30, 40, 50]
         assert scored.name == clip.name and scored.n_frames == self.N
@@ -258,7 +257,7 @@ class TestGroundTruthAtCapture:
             start.wait(timeout=30)
             for i in range(200):
                 index = (i * (k + 1)) % self.N
-                (scored.frame, scored.cached, scored.render_at)[i % 3](index)
+                (scored.frame, scored.render_at)[i % 2](index)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -2,8 +2,8 @@
 
 The load-bearing claims: a single-agent fleet is *bit-identical* to a
 plain streamed run; an N-agent fleet's digest is identical across reruns
-and any thread-pool width (``agent_workers`` / ``stream_workers`` are
-wall-clock knobs, never semantics); the shared cell and the batching
+and any thread-pool width (``agent_workers`` is a wall-clock knob,
+never semantics); the shared cell and the batching
 edge actually change outcomes when contended.
 """
 
@@ -268,9 +268,9 @@ class TestFleetRunner:
 
     @pytest.mark.timeout(600)
     def test_every_frame_rendered_exactly_once(self, render_calls):
-        """Ground truth is scored on the frames capture renders: a fleet
-        run renders n_agents x n_frames frames whatever the pool widths,
-        and the digest does not move with them."""
+        """Ground truth is scored on the frames the agents fetch: a fleet
+        run renders n_agents x n_frames frames whatever the pool width,
+        and the digest does not move with it."""
         from dataclasses import replace
 
         config = FleetConfig(
@@ -279,13 +279,10 @@ class TestFleetRunner:
         )
         digests = set()
         for agent_workers in (1, 4):
-            for stream_workers in (1, 2):
-                del render_calls[:]
-                result = FleetRunner(replace(
-                    config, agent_workers=agent_workers, stream_workers=stream_workers)).run()
-                assert len(render_calls) == config.n_agents * config.n_frames, (
-                    agent_workers, stream_workers)
-                digests.add(result.digest())
+            del render_calls[:]
+            result = FleetRunner(replace(config, agent_workers=agent_workers)).run()
+            assert len(render_calls) == config.n_agents * config.n_frames, agent_workers
+            digests.add(result.digest())
         assert len(digests) == 1
 
     def test_agent_truth_equals_ground_truth_of_a_fresh_clip(self):
@@ -293,7 +290,7 @@ class TestFleetRunner:
 
         config = FleetConfig(
             n_agents=2, n_frames=4, schemes=("dive", "eaar"), resolution=RES,
-            stream_workers=2, detector_seed=11)
+            detector_seed=11)
         runner = FleetRunner(config)
         specs = config.specs()
         for spec, agent_run in zip(specs, runner.run_agents(specs)):

@@ -132,9 +132,10 @@ def test_golden_frames(backend, clip_name):
 
 @pytest.mark.timeout(120)
 def test_concurrent_render_at_is_byte_identical():
-    """``Clip.render_at`` is what ``stream_workers > 1`` calls from several
-    capture threads at once: the renderer keeps nothing about a render on
-    itself, so four threads rendering one index get four equal records."""
+    """Rendering runs on several threads at once under an ``agent_workers``
+    pool, and ``Clip.render_at`` is documented as safe to share: the
+    renderer keeps nothing about a render on itself, so four threads
+    rendering one index get four equal records."""
     clip = CLIPS["nuscenes"]()
     digest, annotations = GOLDEN_FRAMES["nuscenes", 7]
     interval = sys.getswitchinterval()

@@ -1,30 +1,27 @@
-"""Streaming runtime units: clock, queue policies, determinism, hardening.
+"""Streaming runtime units: clock, queue policies, determinism, faults.
 
-The determinism test is the tentpole's contract: identical seeds and
-virtual clock must give identical drop/degrade decisions and digests with
-1 and 4 capture workers — thread interleaving may change wall-clock, never
-results.
+The runtime's contract: identical seeds and virtual clock give identical
+drop/degrade decisions and digests; the run is a plain call chain on the
+calling thread, so no thread is started and whatever raises inside it
+comes out as raised.
 """
 
+import functools
 import threading
-import time
 
 import pytest
 
 from repro.baselines.base import AnalyticsScheme, SchemeRun
+from repro.check import SanitizeError
 from repro.core import DiVEScheme
 from repro.edge.detector import QualityAwareDetector
 from repro.edge.server import EdgeServer
 from repro.experiments import run_scheme, scaled_bandwidth
+from repro.fleet import FleetConfig, FleetRunner
+from repro.metrics import FlightRecorder
 from repro.network import constant_trace, with_outages
-from repro.stream import (
-    BackpressureQueue,
-    StreamConfig,
-    StreamRunner,
-    StreamTimeoutError,
-    VirtualClock,
-)
-from repro.world import nuscenes_like
+from repro.stream import BackpressureQueue, StreamConfig, StreamRunner, VirtualClock
+from repro.world import Clip, nuscenes_like
 
 pytestmark = pytest.mark.timeout(300)
 
@@ -52,14 +49,11 @@ class TestStreamConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"workers": 0},
-            {"prefetch": 0},
             {"policy": "panic"},
             {"queue_capacity": 0},
             {"degrade_factor": 0.0},
             {"degrade_factor": 1.5},
             {"deadline": -1.0},
-            {"watchdog": 0.0},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
@@ -143,51 +137,47 @@ class TestBackpressurePolicies:
         assert out[0].release_time == pytest.approx(1.0)
 
 
-def _strict_run(workers: int, policy: str):
+def _strict_run(policy: str):
     clip = nuscenes_like(3, n_frames=10, resolution=(192, 96))
     trace = with_outages(
         constant_trace(scaled_bandwidth(2.0, clip)),
         outage_duration=0.2, interval=0.4, first_outage=0.2,
     )
-    config = StreamConfig(
-        workers=workers, queue_capacity=2, policy=policy,
-        deadline=0.15, watchdog=60.0,
-    )
+    config = StreamConfig(queue_capacity=2, policy=policy, deadline=0.15)
     server = EdgeServer(QualityAwareDetector(seed=7))
     return StreamRunner(DiVEScheme(), config).run(clip, trace, server)
 
 
 @pytest.mark.parametrize("policy", ["drop-oldest", "degrade-qp"])
-def test_determinism_across_worker_counts(policy):
-    """1-thread and 4-thread runs make identical virtual-time decisions."""
-    solo = _strict_run(1, policy)
-    quad = _strict_run(4, policy)
-    assert solo.stats.digest() == quad.stats.digest()
-    assert solo.stats.summary() == quad.stats.summary()
-    assert [f.bytes_sent for f in solo.run.frames] == [
-        f.bytes_sent for f in quad.run.frames]
-    assert [f.source for f in solo.run.frames] == [
-        f.source for f in quad.run.frames]
+def test_determinism_across_reruns(policy):
+    """Two runs of one configuration make identical virtual-time decisions."""
+    first = _strict_run(policy)
+    again = _strict_run(policy)
+    assert first.stats.digest() == again.stats.digest()
+    assert first.stats.summary() == again.stats.summary()
+    assert [f.bytes_sent for f in first.run.frames] == [
+        f.bytes_sent for f in again.run.frames]
+    assert [f.source for f in first.run.frames] == [
+        f.source for f in again.run.frames]
     # Under pressure the truth timeline actually diverged from belief
     # somewhere — otherwise this test exercises nothing.
-    assert solo.stats.dropped + solo.stats.degraded + solo.stats.late > 0
+    assert first.stats.dropped + first.stats.degraded + first.stats.late > 0
 
 
-def test_determinism_across_worker_counts_on_numpy_reference():
+def test_determinism_on_numpy_reference():
     """The test above runs on the host's default kernel backend; the
-    reference makes the same decisions, for 1 and 4 workers alike."""
+    reference makes the same decisions."""
     from repro import kernels
 
-    default = _strict_run(4, "drop-oldest")
+    default = _strict_run("drop-oldest")
     with kernels.use_backend("numpy"):
-        solo = _strict_run(1, "drop-oldest")
-        quad = _strict_run(4, "drop-oldest")
-    assert solo.stats.digest() == quad.stats.digest() == default.stats.digest()
-    assert [f.bytes_sent for f in solo.run.frames] == [f.bytes_sent for f in default.run.frames]
+        reference = _strict_run("drop-oldest")
+    assert reference.stats.digest() == default.stats.digest()
+    assert [f.bytes_sent for f in reference.run.frames] == [f.bytes_sent for f in default.run.frames]
 
 
 class _CallServer(AnalyticsScheme):
-    """Minimal scheme driving one server call (stage-plumbing tests)."""
+    """Minimal scheme driving one server call."""
 
     name = "probe"
 
@@ -204,26 +194,10 @@ class _FailingServer:
         raise ValueError("detector exploded")
 
 
-class _HangingServer:
-    inference_latency = 0.0
-    downlink_latency = 0.0
-
-    def process(self, *args, **kwargs):
-        time.sleep(1.2)
-
-
 def test_inference_errors_propagate_to_agent():
     clip = nuscenes_like(0, n_frames=2, resolution=(192, 96))
-    runner = StreamRunner(_CallServer(), StreamConfig(watchdog=30.0))
     with pytest.raises(ValueError, match="detector exploded"):
-        runner.run(clip, constant_trace(RATE), _FailingServer())
-
-
-def test_watchdog_aborts_instead_of_hanging():
-    clip = nuscenes_like(0, n_frames=2, resolution=(192, 96))
-    runner = StreamRunner(_CallServer(), StreamConfig(watchdog=0.3))
-    with pytest.raises(StreamTimeoutError):
-        runner.run(clip, constant_trace(RATE), _HangingServer())
+        StreamRunner(_CallServer()).run(clip, constant_trace(RATE), _FailingServer())
 
 
 class _RaisingScheme(AnalyticsScheme):
@@ -234,41 +208,77 @@ class _RaisingScheme(AnalyticsScheme):
         raise RuntimeError("scheme exploded")
 
 
-def _stream_threads():
-    return [t.name for t in threading.enumerate() if t.name.startswith("stream-")]
+def test_streaming_starts_no_thread(monkeypatch):
+    """The runtime is a call chain on the calling thread: a stream run
+    (finishing or raising) and an ``agent_workers=1`` fleet start no
+    thread and leave none behind."""
 
+    def refuse(self):
+        raise AssertionError(f"thread {self.name!r} started")
 
-@pytest.fixture
-def slow_heartbeat(monkeypatch):
-    """Stretch the stages' abort/watchdog check interval to 30 s: any
-    start-up, hand-off or shutdown step that waits a poll out, instead of
-    being notified, then hangs into the 25 s test timeout."""
-    from repro.stream import runner
-
-    monkeypatch.setattr(runner, "_HEARTBEAT", 30.0)
-
-
-@pytest.mark.timeout(25)
-@pytest.mark.parametrize("workers, prefetch", [(1, 1), (2, 8)])
-def test_run_starts_and_stops_by_message_not_by_poll(slow_heartbeat, workers, prefetch):
-    clip = nuscenes_like(0, n_frames=3, resolution=(192, 96)).preload()
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    before = threading.active_count()
+    clip = nuscenes_like(0, n_frames=3, resolution=(192, 96))
     trace = constant_trace(scaled_bandwidth(2.0, clip))
-    result = StreamRunner(DiVEScheme(), StreamConfig(workers=workers, prefetch=prefetch)).run(
+
+    result = StreamRunner(DiVEScheme(), StreamConfig(queue_capacity=2)).run(
         clip, trace, EdgeServer(QualityAwareDetector(seed=7)))
     assert [f.index for f in result.run.frames] == [0, 1, 2]
-    assert result.stats.marks["uplink"] > 0.0
-    assert _stream_threads() == []
-
-
-@pytest.mark.timeout(25)
-def test_abort_tears_down_promptly_and_keeps_the_exception(slow_heartbeat):
-    """prefetch=1 leaves the capture worker parked on a full window when
-    the scheme raises: the abort path must wake it, not wait for it."""
-    clip = nuscenes_like(0, n_frames=3, resolution=(192, 96)).preload()
-    runner = StreamRunner(_RaisingScheme(), StreamConfig(workers=1, prefetch=1))
+    assert set(result.stats.marks) == {"capture", "uplink", "edge"}
     with pytest.raises(RuntimeError, match="scheme exploded"):
-        runner.run(clip, constant_trace(RATE), EdgeServer(QualityAwareDetector(seed=7)))
-    assert _stream_threads() == []
+        StreamRunner(_RaisingScheme()).run(clip, trace, EdgeServer(QualityAwareDetector(seed=7)))
+    fleet = FleetRunner(FleetConfig(
+        n_agents=2, n_frames=3, schemes=("dive", "o3"), resolution=(192, 96), agent_workers=1)).run()
+    assert fleet.stats.frames == 6
+    assert threading.active_count() == before
+
+
+def _fail_frame_one(monkeypatch, site: str, error: Exception) -> None:
+    """From here on, frame 1 of any clip / edge server / DiVE run raises ``error``."""
+    owner, name, index_of = {
+        "clip": (Clip, "frame", lambda args: args[0]),
+        "server": (EdgeServer, "process", lambda args: args[1].index),
+        "scheme": (DiVEScheme, "_run_frame", lambda args: args[3]),
+    }[site]
+    original = getattr(owner, name)
+
+    def faulty(self, *args, **kwargs):
+        if index_of(args) >= 1:
+            raise error
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, faulty)
+
+
+@pytest.mark.parametrize("make_error", [
+    lambda: OSError("disk on fire"),
+    lambda: SanitizeError("agent/capture", "frame", "NaN at (3, 5)"),
+], ids=["oserror", "sanitize"])
+@pytest.mark.parametrize("site", ["clip", "server", "scheme"])
+@pytest.mark.parametrize("driver", ["stream", "fleet"])
+def test_faults_propagate_as_raised(monkeypatch, driver, site, make_error):
+    """Whatever raises under a streaming run — the renderer, the edge
+    server, the scheme — the caller gets that very exception (type and
+    message with it), the scheme gets its uplink seam back, and a live
+    flight recorder dumps on a sanitizer trip."""
+    error = make_error()
+    _fail_frame_one(monkeypatch, site, error)
+    scheme, recorder = DiVEScheme(), FlightRecorder()
+    if driver == "fleet":
+        run = FleetRunner(FleetConfig(
+            n_agents=2, n_frames=3, schemes=("dive",), resolution=(192, 96))).run
+    else:
+        clip = nuscenes_like(0, n_frames=3, resolution=(192, 96))
+        run = functools.partial(
+            StreamRunner(scheme, flight_recorder=recorder).run,
+            clip, constant_trace(scaled_bandwidth(2.0, clip)), EdgeServer(QualityAwareDetector(seed=7)))
+    with pytest.raises(type(error)) as raised:
+        run()
+    assert raised.value is error
+    if driver == "stream":
+        assert scheme.uplink_factory is None
+        expected = ["sanitize-error"] if isinstance(error, SanitizeError) else []
+        assert [d["reason"] for d in recorder.dumps] == expected
 
 
 def test_run_scheme_stream_integration():
@@ -276,7 +286,7 @@ def test_run_scheme_stream_integration():
     clip = nuscenes_like(0, n_frames=6, resolution=(192, 96))
     trace = constant_trace(scaled_bandwidth(2.0, clip))
     batch = run_scheme(DiVEScheme(), clip, trace)
-    stream = run_scheme(DiVEScheme(), clip, trace, stream=StreamConfig(workers=2, watchdog=60.0))
+    stream = run_scheme(DiVEScheme(), clip, trace, stream=StreamConfig())
     assert batch.stream is None
     assert stream.stream is not None
     assert stream.stream.frames == 6
@@ -288,7 +298,7 @@ def test_cli_streaming_demo(capsys):
     from repro.cli import main
 
     code = main([
-        "demo", "--streaming", "--frames", "4", "--stream-workers", "2",
+        "demo", "--streaming", "--frames", "4",
         "--queue-capacity", "2", "--policy", "drop-oldest",
     ])
     out = capsys.readouterr().out

@@ -1,9 +1,9 @@
 """Differential tests: streaming runtime vs synchronous batch runner.
 
-With relaxed limits — unbounded queue, no deadline — the pipelined
-streaming runtime must be *bit-identical* to the batch path: same
-detections, same bytes, same QP trace, same golden digest.  Anything less
-means the stream stages leaked into the scheme's arithmetic.
+With relaxed limits — unbounded queue, no deadline — the streaming
+runtime must be *bit-identical* to the batch path: same detections, same
+bytes, same QP trace, same golden digest.  Anything less means the
+runner's interposers leaked into the scheme's arithmetic.
 """
 
 import pytest
@@ -39,7 +39,7 @@ def test_stream_matches_golden_digest(golden_clips, golden_ground_truth):
         results.append(
             run_scheme(
                 DiVEScheme(), clip, trace, ground_truth=gt, tracer=tracer,
-                stream=StreamConfig(workers=2, watchdog=120.0),
+                stream=StreamConfig(),
             )
         )
     assert e2e_digest(results, tracer) == GOLDEN_DIGEST
@@ -60,7 +60,7 @@ def test_stream_matches_batch_per_frame_o3(golden_clips, golden_ground_truth):
     batch = run_scheme(O3Scheme(), clip, trace, ground_truth=gt)
     stream = run_scheme(
         O3Scheme(), clip, trace, ground_truth=gt,
-        stream=StreamConfig(workers=3, watchdog=120.0),
+        stream=StreamConfig(),
     )
     assert [_frame_key(f) for f in batch.run.frames] == [
         _frame_key(f) for f in stream.run.frames
@@ -77,7 +77,7 @@ def test_stream_runner_restores_scheme(golden_clips):
     from repro.edge.detector import QualityAwareDetector
     from repro.edge.server import EdgeServer
 
-    StreamRunner(scheme, StreamConfig(watchdog=120.0)).run(
+    StreamRunner(scheme, StreamConfig()).run(
         clip, trace, EdgeServer(QualityAwareDetector(seed=7))
     )
     assert scheme.uplink_factory is None

@@ -1,13 +1,13 @@
-"""Streaming-runtime telemetry: worker-count invariance and post-mortems.
+"""Streaming-runtime telemetry: rerun invariance and post-mortems.
 
 The acceptance properties of the metrics layer, locked against the golden
 clip set on the bursty-outage scenario (bounded queue, drop-oldest,
 per-frame deadline, periodic uplink outages):
 
-- the windowed metric timeline — and its digest — is bit-identical for
-  1 vs 4 capture workers and across reruns;
+- the windowed metric timeline — and its digest — is bit-identical
+  across reruns;
 - the deadline-miss burst fires a flight-recorder dump whose JSONL
-  digest is identical across runs and worker counts;
+  digest is identical across runs;
 - running with live telemetry does not change the streaming truth
   accounting (StreamStats digest) relative to the null path.
 """
@@ -42,55 +42,42 @@ def _bursty_trace(clip):
     )
 
 
-def _run(clip, workers, *, metrics=None, flight=None):
+def _run(clip, *, metrics=None, flight=None):
     registry = metrics if metrics is not None else NULL_REGISTRY
     recorder = flight if flight is not None else NULL_FLIGHT_RECORDER
-    config = StreamConfig(
-        workers=workers, queue_capacity=2, policy="drop-oldest",
-        deadline=0.25, watchdog=60.0,
-    )
+    config = StreamConfig(queue_capacity=2, policy="drop-oldest", deadline=0.25)
     server = EdgeServer(QualityAwareDetector(seed=7), metrics=registry)
     runner = StreamRunner(DiVEScheme(), config, metrics=registry, flight_recorder=recorder)
     return runner.run(clip, _bursty_trace(clip), server)
 
 
 class TestWorkerCountInvariance:
-    def test_metric_timeline_bit_identical_1_vs_4_workers(self, golden_clips):
-        clip = golden_clips[0]
-        metric_digests, flight_digests, stats_digests = [], [], []
-        for workers in (1, 4):
-            registry, recorder = MetricsRegistry(), FlightRecorder()
-            result = _run(clip, workers, metrics=registry, flight=recorder)
-            metric_digests.append(registry.digest())
-            flight_digests.append(recorder.digest())
-            stats_digests.append(result.stats.digest())
-        assert metric_digests[0] == metric_digests[1]
-        assert flight_digests[0] == flight_digests[1]
-        assert stats_digests[0] == stats_digests[1]
-
     def test_deadline_burst_dump_reproducible_across_reruns(self, golden_clips):
         clip = golden_clips[0]
-        recorders = []
+        registries, recorders, stats = [], [], []
         for _ in range(2):
-            recorder = FlightRecorder()
-            _run(clip, 2, metrics=MetricsRegistry(), flight=recorder)
+            registry, recorder = MetricsRegistry(), FlightRecorder()
+            stats.append(_run(clip, metrics=registry, flight=recorder).stats)
+            registries.append(registry)
             recorders.append(recorder)
         reasons = [d["reason"] for d in recorders[0].dumps]
         assert "deadline-burst" in reasons
         assert reasons == [d["reason"] for d in recorders[1].dumps]
         assert recorders[0].digest() == recorders[1].digest()
+        assert registries[0].digest() == registries[1].digest()
+        assert stats[0].digest() == stats[1].digest()
 
     def test_live_metrics_do_not_change_stream_truth(self, golden_clips):
         clip = golden_clips[1]
-        null_result = _run(clip, 2)
-        live_result = _run(clip, 2, metrics=MetricsRegistry(), flight=FlightRecorder())
+        null_result = _run(clip)
+        live_result = _run(clip, metrics=MetricsRegistry(), flight=FlightRecorder())
         assert live_result.stats.digest() == null_result.stats.digest()
 
 
 class TestInstrumentation:
     def test_streaming_run_populates_expected_instruments(self, golden_clips):
         registry = MetricsRegistry()
-        _run(golden_clips[0], 2, metrics=registry, flight=FlightRecorder())
+        _run(golden_clips[0], metrics=registry, flight=FlightRecorder())
         names = {inst.name for inst in registry.instruments()}
         assert {
             "stream_frames_captured", "stream_queue_depth",
@@ -109,7 +96,7 @@ class TestInstrumentation:
 
     def test_every_sample_sits_on_the_virtual_timeline(self, golden_clips):
         registry = MetricsRegistry()
-        result = _run(golden_clips[0], 2, metrics=registry, flight=FlightRecorder())
+        result = _run(golden_clips[0], metrics=registry, flight=FlightRecorder())
         horizon_index = registry.window_index(result.stats.virtual_makespan) + 1
         for inst in registry.snapshot()["instruments"]:
             for series in inst["series"]:
