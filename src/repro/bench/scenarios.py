@@ -9,11 +9,14 @@ paper's Fig 9 is literally "ME milliseconds per frame at a given mAP"):
   so the exhaustive searches stay in budget.
 - ``me/motion_compensate`` — batched motion-compensated prediction from a
   hex-estimated (sub-pixel) MV field.
-- ``codec/dct_quant_roundtrip`` — 8x8 DCT → quantise → bit accounting →
-  dequantise → inverse DCT on a real inter-frame residual.
-- ``codec/rate_control`` — the CBR binary search (bit-curve counter
-  construction plus QP probes) on the DCT of a real residual with a
-  two-level DiVE-style QP offset map.
+- ``codec/dct_quant_roundtrip`` — a P-frame's transform chain as the
+  encoder runs it: 8x8 DCT → ``quantize_cost`` (quantise + bit accounting)
+  → ``reconstruct`` (dequantise, inverse DCT, clip) on a real inter-frame
+  residual.
+- ``codec/rate_control`` — the CBR search as it runs on a P-frame
+  (``QuantBitCounter`` construction plus the QP probes, started one QP off
+  the answer as if from the previous frame's) on the DCT of a real residual
+  with a two-level DiVE-style QP offset map.
 - ``codec/intra_encode`` / ``codec/intra_decode`` — the I-frame wavefront
   (DC/H/V mode decision, transform, quantise, bit cost, reconstruct) on one
   640x192 ``kitti_like`` frame, the ruler's ``drive_outage`` geometry.
@@ -44,7 +47,7 @@ import numpy as np
 
 from repro.bench.registry import BenchCase, benchmark
 from repro.codec.motion import ME_METHODS, estimate_motion
-from repro.codec.transform import dct_blocks, dequantize, idct_blocks, quantize, transform_cost_bits
+from repro.codec.transform import dct_blocks, quantize_cost, reconstruct
 from repro.core.clustering import clusters_to_mask, merge_clusters, region_grow
 from repro.core.grid import block_centers
 from repro.core.rotation import estimate_rotation
@@ -103,17 +106,16 @@ def _build_motion_compensate(scale: BenchScale) -> BenchCase:
 @benchmark("codec/dct_quant_roundtrip", group="codec")
 def _build_dct_quant(scale: BenchScale) -> BenchCase:
     current, reference = _micro_frames(scale)
-    residual = current.astype(np.float64) - reference.astype(np.float64)
+    residual = current - reference  # float32, as the encoder's
     rows, cols = residual.shape[0] // _BLOCK, residual.shape[1] // _BLOCK
     r, c = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
     qp_map = (28.0 + 8.0 * ((r + c) % 3)).astype(np.float64)
 
     def fn() -> float:
         coeffs = dct_blocks(residual)
-        levels = quantize(coeffs, qp_map, mb_size=_BLOCK)
-        bits = float(transform_cost_bits(levels, mb_size=_BLOCK).sum())
-        idct_blocks(dequantize(levels, qp_map, mb_size=_BLOCK))
-        return bits
+        levels, bits_per_mb = quantize_cost(coeffs, qp_map, mb_size=_BLOCK)
+        reconstruct(reference, levels, qp_map, mb_size=_BLOCK)
+        return float(bits_per_mb.sum())
 
     return BenchCase(
         fn=fn,
@@ -131,18 +133,20 @@ def _build_rate_control(scale: BenchScale) -> BenchCase:
     from repro.codec.transform import QuantBitCounter
 
     current, reference = _micro_frames(scale)
-    residual = current.astype(np.float64) - reference.astype(np.float64)
+    residual = current - reference  # float32, as the encoder's
     coeffs = dct_blocks(residual)
     rows, cols = residual.shape[0] // _BLOCK, residual.shape[1] // _BLOCK
     r, c = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
     # Two-level offset map, the shape DiVE's foreground/background QP
     # differential produces.
     offsets = np.where((r + c) % 3 == 0, 0.0, 6.0)
-    budget_bits = float(residual.size) * 0.4  # mid-curve: search spans several QPs
+    budget_bits = float(residual.size) * 0.4  # mid-curve
+    # The previous frame's answer is rarely further off than this.
+    hint = int(VideoEncoder._rate_control(QuantBitCounter(coeffs, offsets, mb_size=_BLOCK), budget_bits)) + 1
 
     def fn() -> float:
         counter = QuantBitCounter(coeffs, offsets, mb_size=_BLOCK)
-        return VideoEncoder._rate_control(counter, budget_bits)
+        return VideoEncoder._rate_control(counter, budget_bits, hint)
 
     return BenchCase(fn=fn, work={"frames": 1.0, "macroblocks": float(rows * cols)})
 

@@ -318,6 +318,7 @@ def _bench_compare_backends(args: argparse.Namespace) -> int:
 
     names = args.only or [
         "me/dia", "me/hex", "me/umh", "me/motion_compensate",
+        "codec/dct_quant_roundtrip", "codec/rate_control",
         "codec/intra_encode", "codec/intra_decode", "world/render",
     ]
     rows = []

@@ -1,8 +1,9 @@
 """Video decoder.
 
 Reconstructs frames from the quantised levels, QP maps and motion vectors
-carried by :class:`~repro.codec.encoder.EncodedFrame` — the same arithmetic
-as the encoder's reconstruction path, driven from its own reference chain.
+carried by :class:`~repro.codec.encoder.EncodedFrame` — the encoder's own
+reconstruction function (:func:`repro.codec.transform.reconstruct`), driven
+from the decoder's own reference chain.
 The edge server decodes received frames with this class; a mid-stream drop
 of a reference frame therefore corrupts decoding exactly as it would in a
 real codec (the server requests an intra refresh instead, handled at the
@@ -17,7 +18,7 @@ from repro.check.sanitize import NULL_SANITIZER, ArraySanitizer, NullSanitizer
 from repro.codec.encoder import EncodedFrame, _INTRA_DC
 from repro.codec.intra import intra_decode
 from repro.codec.motion import motion_compensate
-from repro.codec.transform import dequantize, idct_blocks
+from repro.codec.transform import reconstruct
 
 __all__ = ["VideoDecoder"]
 
@@ -59,16 +60,16 @@ class VideoDecoder:
                 san.check(frame, "decoder/frame", name="decoded frame", dtype=np.float32, block_aligned=True)
             self._reference = frame
             return frame
-        residual = idct_blocks(dequantize(encoded.levels, encoded.qp_map, mb_size=self.block))
         if encoded.frame_type == "I":
-            prediction = np.full_like(residual, _INTRA_DC)
+            rows8, _, cols8, _ = encoded.levels.shape
+            prediction = np.full((rows8 * 8, cols8 * 8), _INTRA_DC, dtype=np.float32)
         else:
             if self._reference is None:
                 raise ValueError("P-frame received with no reference frame decoded")
             if encoded.mv is None:
                 raise ValueError("P-frame carries no motion field")
             prediction = motion_compensate(self._reference, encoded.mv, block=self.block)
-        frame = np.clip(prediction + residual, 0.0, 255.0).astype(np.float32)
+        frame = reconstruct(prediction, encoded.levels, encoded.qp_map, mb_size=self.block)
         if san.enabled:
             san.check(frame, "decoder/frame", name="decoded frame", dtype=np.float32, block_aligned=True)
         self._reference = frame

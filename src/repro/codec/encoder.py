@@ -9,9 +9,10 @@ quantisation distortion.
 
 Two rate modes:
 
-- **CBR**: ``target_bits`` per frame; a binary search over the base QP
-  finds the highest quality that fits the budget (the DCT is computed once
-  and re-quantised per probe, so the search is cheap).
+- **CBR**: ``target_bits`` per frame; a search over the base QP finds the
+  highest quality that fits the budget (the DCT is computed once and
+  re-quantised per probe, and the search starts from the previous frame's
+  answer, so it is cheap).
 - **CRF**: fixed ``base_qp`` (used by the Fig 12 foreground-quality
   experiment, where the foreground QP is pinned to 0).
 """
@@ -30,8 +31,8 @@ from repro.codec.transform import (
     dct_blocks,
     dequantize,
     idct_blocks,
-    quantize,
-    transform_cost_bits,
+    quantize_cost,
+    reconstruct,
 )
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
@@ -145,6 +146,8 @@ class VideoEncoder:
         self.tracer = tracer
         self.sanitizer = sanitizer
         self._reference: np.ndarray | None = None
+        #: The base QP rate control chose last: where the next search starts.
+        self._qp_hint: int | None = None
         self._frame_index = 0
 
     @property
@@ -162,8 +165,10 @@ class VideoEncoder:
         return self._reference
 
     def reset(self) -> None:
-        """Drop the reference frame; the next frame becomes an I-frame."""
+        """Drop the reference frame (and rate control's starting point);
+        the next frame becomes an I-frame."""
         self._reference = None
+        self._qp_hint = None
         self._frame_index = 0
 
     def encode(
@@ -202,6 +207,7 @@ class VideoEncoder:
         tr = self.tracer
         with tr.span("encode"):
             intra = force_intra or self._reference is None or (self._frame_index % cfg.gop == 0)
+            predicted_intra = intra and cfg.intra_prediction
             if intra:
                 motion = None
                 prediction = np.full_like(frame, _INTRA_DC)
@@ -223,21 +229,24 @@ class VideoEncoder:
                     prediction = motion_compensate(self._reference, motion.mv, block=cfg.block)
                 overhead = _FRAME_OVERHEAD_BITS + _MV_BITS_PER_MB * mb_shape[0] * mb_shape[1]
 
-            residual = frame - prediction
-            with tr.span("dct"):
-                coeffs = dct_blocks(residual)
+            # The residual's coefficients feed rate control and the flat
+            # quantiser; a fixed-QP neighbour-predicted I-frame reads neither.
+            if target_bits is not None or not predicted_intra:
+                with tr.span("dct"):
+                    coeffs = dct_blocks(frame - prediction)
 
             if base_qp is not None:
                 chosen_qp = float(np.clip(base_qp, 0, _MAX_QP))
             else:
                 with tr.span("rate_control"):
                     counter = QuantBitCounter(coeffs, offsets, mb_size=cfg.block, max_qp=_MAX_QP)
-                    chosen_qp = self._rate_control(counter, float(target_bits) - overhead)
+                    chosen_qp = self._rate_control(counter, float(target_bits) - overhead, self._qp_hint)
+                    self._qp_hint = int(chosen_qp)
 
             qp_map = np.clip(chosen_qp + offsets, 0, _MAX_QP)
             intra_modes = None
             with tr.span("quant"):
-                if intra and cfg.intra_prediction:
+                if predicted_intra:
                     # Neighbour-predicted intra coding.  Rate control above probed
                     # the flat-prediction residual — usually an over-estimate, but
                     # on noise-like content the mode syntax can tip the real cost
@@ -254,10 +263,8 @@ class VideoEncoder:
                         qp_map = np.clip(chosen_qp + offsets, 0, _MAX_QP)
                     reconstruction = recon64.astype(np.float32)
                 else:
-                    levels = quantize(coeffs, qp_map, mb_size=cfg.block)
-                    bits_per_mb = transform_cost_bits(levels, mb_size=cfg.block)
-                    recon_residual = idct_blocks(dequantize(levels, qp_map, mb_size=cfg.block))
-                    reconstruction = np.clip(prediction + recon_residual, 0.0, 255.0).astype(np.float32)
+                    levels, bits_per_mb = quantize_cost(coeffs, qp_map, mb_size=cfg.block)
+                    reconstruction = reconstruct(prediction, levels, qp_map, mb_size=cfg.block)
 
         total_bits = float(bits_per_mb.sum() + overhead)
         if san.enabled:
@@ -294,26 +301,55 @@ class VideoEncoder:
         return encoded
 
     @staticmethod
-    def _rate_control(counter: QuantBitCounter, budget_bits: float) -> float:
+    def _rate_control(counter: QuantBitCounter, budget_bits: float, hint: int | None = None) -> float:
         """Smallest base QP whose coded size fits the bit budget.
 
-        Coefficient bits decrease monotonically with QP, so a binary search
-        over integer QPs suffices.  If even QP 51 overshoots, 51 is
-        returned (the frame will simply take longer to transmit — the
-        network simulator handles queueing).  ``counter`` caches the
-        per-offset-group bit curves, so each probe costs one scalar
-        re-quantisation per distinct offset value instead of a full-frame
-        ``quantize`` + ``transform_cost_bits`` pass.
+        ``counter.bits_at`` is non-increasing over the integer QPs (a
+        coarser step never raises a level, and a block that loses its last
+        coefficient drops from 4.0 bits of overhead to 0.25), so the answer
+        is one boundary and any bracketing search finds the same one.  If
+        even QP 51 overshoots, 51 is returned (the frame will simply take
+        longer to transmit — the network simulator handles queueing).
+
+        ``hint`` is where to look first — the previous frame's answer,
+        which is rarely more than a few QPs away: the search gallops
+        outward from it (steps 1, 2, 4, ...) until the boundary is
+        bracketed, then bisects.  Without one the bracket is the whole
+        range.  The hint moves the probes, never the answer.
         """
-        bits_at = counter.bits_at
-        lo, hi = 0, _MAX_QP
-        if bits_at(float(lo)) <= budget_bits:
-            return float(lo)
-        if bits_at(float(hi)) > budget_bits:
-            return float(hi)
+
+        def fits(qp: int) -> bool:
+            return counter.bits_at(float(qp)) <= budget_bits
+
+        # Invariant: every QP <= lo overshoots, hi fits.
+        if hint is None:
+            lo, hi = 0, _MAX_QP
+            if fits(lo):
+                return float(lo)
+            if not fits(hi):
+                return float(hi)
+        else:
+            lo = hi = min(max(hint, 0), _MAX_QP)
+            step = 1
+            if fits(hi):
+                while True:
+                    if hi == 0:
+                        return 0.0
+                    lo = max(hi - step, 0)
+                    if not fits(lo):
+                        break
+                    hi, step = lo, 2 * step
+            else:
+                while True:
+                    if lo == _MAX_QP:
+                        return float(_MAX_QP)
+                    hi = min(lo + step, _MAX_QP)
+                    if fits(hi):
+                        break
+                    lo, step = hi, 2 * step
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if bits_at(float(mid)) <= budget_bits:
+            if fits(mid):
                 hi = mid
             else:
                 lo = mid
@@ -360,8 +396,7 @@ def encode_region_update(
     residual = np.where(pixel_mask, target - base, 0.0)
     coeffs = dct_blocks(residual)
     qp_map = np.full(mb_shape, float(qp))
-    levels = quantize(coeffs, qp_map, mb_size=block)
-    bits_per_mb = transform_cost_bits(levels, mb_size=block)
+    levels, bits_per_mb = quantize_cost(coeffs, qp_map, mb_size=block)
     # Only region blocks are transmitted: coefficient bits plus 8 bits of
     # addressing per block, plus a message header.
     bits = float(bits_per_mb[mask].sum()) + 8.0 * int(mask.sum()) + 64.0

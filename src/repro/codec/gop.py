@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.codec.encoder import EncoderConfig, _FRAME_OVERHEAD_BITS, _INTRA_DC, _MAX_QP, _MV_BITS_PER_MB
 from repro.codec.motion import estimate_motion, motion_compensate
-from repro.codec.transform import dct_blocks, dequantize, idct_blocks, quantize, transform_cost_bits
+from repro.codec.transform import dct_blocks, quantize_cost, reconstruct
 
 __all__ = ["BFrameEncodedFrame", "GopStructure", "encode_gop_sequence"]
 
@@ -101,14 +101,14 @@ class BFrameEncodedFrame:
     prediction_modes: np.ndarray | None = None  # per-MB 0=fwd, 1=bwd, 2=bi (B only)
 
 
-def _code_residual(residual: np.ndarray, qp: float, block: int) -> tuple[float, np.ndarray]:
-    coeffs = dct_blocks(residual)
-    mb_shape = (residual.shape[0] // block, residual.shape[1] // block)
+def _code_frame(frame: np.ndarray, prediction: np.ndarray, qp: float, block: int) -> tuple[float, np.ndarray]:
+    """Transform-code ``frame`` against ``prediction`` at one QP:
+    ``(coefficient bits, reconstruction)``."""
+    coeffs = dct_blocks(frame - prediction)
+    mb_shape = (frame.shape[0] // block, frame.shape[1] // block)
     qp_map = np.full(mb_shape, float(np.clip(qp, 0, _MAX_QP)))
-    levels = quantize(coeffs, qp_map, mb_size=block)
-    bits = float(transform_cost_bits(levels, mb_size=block).sum())
-    recon = idct_blocks(dequantize(levels, qp_map, mb_size=block))
-    return bits, recon
+    levels, bits_per_mb = quantize_cost(coeffs, qp_map, mb_size=block)
+    return float(bits_per_mb.sum()), reconstruct(prediction, levels, qp_map, mb_size=block)
 
 
 def _best_b_prediction(
@@ -188,8 +188,7 @@ def encode_gop_sequence(
                 )
                 prediction = motion_compensate(anchor_recon[prev_anchor], me.mv, block=cfg.block)
                 mv_bits = _MV_BITS_PER_MB * (frame.size / cfg.block**2)
-            bits, recon_res = _code_residual(frame - prediction, base_qp, cfg.block)
-            recon = np.clip(prediction + recon_res, 0, 255).astype(np.float32)
+            bits, recon = _code_frame(frame, prediction, base_qp, cfg.block)
             anchor_of_prev[disp] = prev_anchor if prev_anchor is not None else disp
             anchor_recon[disp] = recon
             prev_anchor = disp
@@ -206,8 +205,7 @@ def encode_gop_sequence(
             fwd = max(a for a in anchor_recon if a < disp)
             bwd = min(a for a in anchor_recon if a > disp)
             prediction, modes = _best_b_prediction(frame, anchor_recon[fwd], anchor_recon[bwd], cfg)
-            bits, recon_res = _code_residual(frame - prediction, base_qp + b_qp_offset, cfg.block)
-            recon = np.clip(prediction + recon_res, 0, 255).astype(np.float32)
+            bits, recon = _code_frame(frame, prediction, base_qp + b_qp_offset, cfg.block)
             # Two motion fields for a B-frame.
             total = bits + 2 * _MV_BITS_PER_MB * (frame.size / cfg.block**2) + _FRAME_OVERHEAD_BITS
             results[disp] = BFrameEncodedFrame(

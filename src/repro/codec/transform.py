@@ -9,12 +9,23 @@ Bit costs are an exp-Golomb-style model over the quantised coefficient
 levels plus a small per-8x8-block overhead, which reproduces the two
 properties rate control relies on: bits decrease monotonically with QP and
 grow with residual energy.
+
+Everything after the DCT dispatches through :mod:`repro.kernels`:
+:func:`quantize_cost` (quantise + bit cost in one pass), :func:`reconstruct`
+(dequantise + IDCT + clip, the one spelling encoder and decoder share) and
+:class:`QuantBitCounter` (rate control's probe).  The step-by-step functions
+(:func:`quantize`, :func:`transform_cost_bits`, :func:`dequantize`,
+:func:`idct_blocks`) and the counter's sorted NumPy body are what the
+``_reference`` bodies are made of: the oracle a backend's hook must equal
+bitwise, and the fallback.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.fft import dctn, idctn
+
+from repro import kernels
 
 __all__ = [
     "QuantBitCounter",
@@ -23,6 +34,8 @@ __all__ = [
     "idct_blocks",
     "qstep",
     "quantize",
+    "quantize_cost",
+    "reconstruct",
     "transform_cost_bits",
 ]
 
@@ -67,11 +80,18 @@ def idct_blocks(coeffs: np.ndarray) -> np.ndarray:
     return blocks.reshape(r8 * _TRANSFORM, c8 * _TRANSFORM)
 
 
-def _expand_qstep(qp_per_mb: np.ndarray, mb_size: int) -> np.ndarray:
-    """Per-8x8-block quantiser steps from a per-macroblock QP map."""
+def _expand_qstep(qp_per_mb: np.ndarray, mb_size: int, blocks: np.ndarray) -> np.ndarray:
+    """Per-8x8-block quantiser steps from a per-macroblock QP map, checked
+    against the block grid of the ``(rows8, 8, cols8, 8)`` array they scale."""
+    qp_per_mb = np.asarray(qp_per_mb, dtype=float)
     reps = mb_size // _TRANSFORM
-    q = qstep(qp_per_mb)
-    return np.repeat(np.repeat(q, reps, axis=0), reps, axis=1)
+    q = np.repeat(np.repeat(qstep(qp_per_mb), reps, axis=0), reps, axis=1)
+    if q.shape != (blocks.shape[0], blocks.shape[2]):
+        raise ValueError(
+            f"QP map {qp_per_mb.shape} inconsistent with coefficient blocks "
+            f"{(blocks.shape[0], blocks.shape[2])} (mb_size={mb_size})"
+        )
+    return q
 
 
 def quantize(coeffs: np.ndarray, qp_per_mb: np.ndarray, *, mb_size: int = 16) -> np.ndarray:
@@ -85,18 +105,17 @@ def quantize(coeffs: np.ndarray, qp_per_mb: np.ndarray, *, mb_size: int = 16) ->
         ``(mb_rows, mb_cols)`` QP values (floats allowed; typically base QP
         plus DiVE's offset map).
     """
-    q = _expand_qstep(np.asarray(qp_per_mb, dtype=float), mb_size)
-    if q.shape != (coeffs.shape[0], coeffs.shape[2]):
-        raise ValueError(
-            f"QP map {qp_per_mb.shape} inconsistent with coefficient blocks "
-            f"{(coeffs.shape[0], coeffs.shape[2])} (mb_size={mb_size})"
-        )
+    q = _expand_qstep(qp_per_mb, mb_size, coeffs)
     return np.round(coeffs / q[:, None, :, None])
 
 
 def dequantize(levels: np.ndarray, qp_per_mb: np.ndarray, *, mb_size: int = 16) -> np.ndarray:
-    """Rescale quantised levels back to coefficient magnitudes."""
-    q = _expand_qstep(np.asarray(qp_per_mb, dtype=float), mb_size)
+    """Rescale quantised levels back to coefficient magnitudes.
+
+    A QP map that does not cover the level blocks raises the ``ValueError``
+    :func:`quantize` raises — a malformed bitstream, not a broadcast.
+    """
+    q = _expand_qstep(qp_per_mb, mb_size, levels)
     return levels * q[:, None, :, None]
 
 
@@ -116,6 +135,55 @@ def transform_cost_bits(levels: np.ndarray, *, mb_size: int = 16) -> np.ndarray:
     reps = mb_size // _TRANSFORM
     r8, c8 = per_block.shape
     return per_block.reshape(r8 // reps, reps, c8 // reps, reps).sum(axis=(1, 3))
+
+
+def quantize_cost(
+    coeffs: np.ndarray, qp_per_mb: np.ndarray, *, mb_size: int = 16
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quantise and cost in one pass: ``(levels, bits_per_mb)``.
+
+    Exactly ``levels = quantize(coeffs, qp_per_mb)`` and
+    ``transform_cost_bits(levels)`` — what the encoder does to every frame
+    once the base QP is chosen — as one dispatched kernel, so a backend can
+    read each coefficient once instead of sweeping the volume per step.
+    """
+    impl = kernels.override("quantize_cost")
+    if impl is not None:
+        return impl(coeffs, qp_per_mb, mb_size=mb_size)
+    return _quantize_cost_reference(coeffs, qp_per_mb, mb_size=mb_size)
+
+
+def _quantize_cost_reference(
+    coeffs: np.ndarray, qp_per_mb: np.ndarray, *, mb_size: int = 16
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference implementation of :func:`quantize_cost` (oracle and fallback)."""
+    levels = quantize(coeffs, qp_per_mb, mb_size=mb_size)
+    return levels, transform_cost_bits(levels, mb_size=mb_size)
+
+
+def reconstruct(
+    prediction: np.ndarray, levels: np.ndarray, qp_per_mb: np.ndarray, *, mb_size: int = 16
+) -> np.ndarray:
+    """The decoded frame: prediction plus the dequantised, inverse-transformed
+    levels, clipped to 8-bit range, as float32.
+
+    Encoder and decoder both call this — their reconstructions are the same
+    bytes by construction.  A backend may skip the 8x8 blocks whose levels
+    are all zero (most of a P-frame at the operating QP): their residual is
+    all ±0.0 and the pixel is the clipped prediction.
+    """
+    impl = kernels.override("reconstruct")
+    if impl is not None:
+        return impl(prediction, levels, qp_per_mb, mb_size=mb_size)
+    return _reconstruct_reference(prediction, levels, qp_per_mb, mb_size=mb_size)
+
+
+def _reconstruct_reference(
+    prediction: np.ndarray, levels: np.ndarray, qp_per_mb: np.ndarray, *, mb_size: int = 16
+) -> np.ndarray:
+    """Reference implementation of :func:`reconstruct` (oracle and fallback)."""
+    residual = idct_blocks(dequantize(levels, qp_per_mb, mb_size=mb_size))
+    return np.clip(prediction + residual, 0.0, 255.0).astype(np.float32)
 
 
 class QuantBitCounter:
@@ -140,6 +208,12 @@ class QuantBitCounter:
     scalar divisor is IEEE-identical to a broadcast array of that scalar.
     :meth:`bits_at` therefore returns exactly
     ``float(transform_cost_bits(quantize(coeffs, clip(qp + offsets, 0, max_qp))).sum())``.
+
+    The grouping, sorting and memo above are the NumPy body.  A backend's
+    ``rate_counter`` hook may answer the probes instead (same totals, by
+    the same argument); it is asked once, at construction, and whenever it
+    declines — at construction, or at a probe it cannot prove (NaN, inf, a
+    level too large to cost in integers) — the NumPy body takes over.
     """
 
     def __init__(
@@ -161,8 +235,17 @@ class QuantBitCounter:
                 f"{(r8, c8)} (mb_size={mb_size})"
             )
         self.max_qp = float(max_qp)
-        # |coeffs| flattened to one row per 8x8 block, grouped by the
-        # macroblock offset value the block inherits.
+        impl = kernels.override("rate_counter")
+        self._probe = None if impl is None else impl(coeffs, offs, mb_size=mb_size, max_qp=self.max_qp)
+        if self._probe is None:
+            self._group(coeffs, offs, reps)
+        else:
+            self._grouping = (coeffs, offs, reps)  # what the NumPy body needs, should the probe decline
+
+    def _group(self, coeffs: np.ndarray, offs: np.ndarray, reps: int) -> None:
+        """Set up the NumPy body: |coeffs| flattened to one row per 8x8
+        block, grouped by the macroblock offset value the block inherits."""
+        r8, _, c8, _ = coeffs.shape
         mag = np.abs(np.asarray(coeffs, dtype=np.float64)).transpose(0, 2, 1, 3).reshape(r8 * c8, _TRANSFORM * _TRANSFORM)
         block_offs = np.repeat(np.repeat(offs, reps, axis=0), reps, axis=1).ravel()
         self._offsets, inverse = np.unique(block_offs, return_inverse=True)
@@ -182,6 +265,12 @@ class QuantBitCounter:
 
     def bits_at(self, qp: float) -> float:
         """Total coded bits at base QP ``qp`` (before clipping offsets)."""
+        if self._probe is not None:
+            bits = self._probe(qp)
+            if bits is not None:
+                return bits
+            self._probe = None
+            self._group(*self._grouping)
         total = 0.0
         for gi, off in enumerate(self._offsets):
             eff = float(min(max(qp + off, 0.0), self.max_qp))

@@ -3,15 +3,18 @@
 PR 5 vectorised the encoder hot loop as far as single-threaded NumPy goes;
 this package adds the next multiplier: a small registry that lets a
 compiled implementation of the extracted kernels — the codec's
-pattern-search sweeps, per-block SADs, motion compensation and I-frame
-wavefront (``intra_encode`` / ``intra_decode``), and the synthetic world's
-value noise (every texture the renderer samples) — be swapped in behind the
-``KernelBackend`` seam.
+pattern-search sweeps, per-block SADs, motion compensation, I-frame
+wavefront (``intra_encode`` / ``intra_decode``) and P-frame transform tail
+(``quantize_cost`` / ``rate_counter`` / ``reconstruct``: everything between
+the forward DCT and the reconstruction but the scipy IDCT), and the
+synthetic world's value noise (every texture the renderer samples) — be
+swapped in behind the ``KernelBackend`` seam.
 
 **Contract.**  Every backend must be *bit-identical* to the ``numpy``
 reference: the kernel bit-exactness suites (``tests/test_codec_kernels.py``,
-``tests/test_intra_kernels.py``, ``tests/test_noise_kernel.py``) and the
-golden e2e digest are parametrized over every registered backend,
+``tests/test_intra_kernels.py``, ``tests/test_transform_kernels.py``,
+``tests/test_noise_kernel.py``) and the golden e2e digest, frames, I-frames
+and P-frames are parametrized over every registered backend,
 and a backend that cannot prove itself (a failed self-probe, a missing
 compiler) reports unavailable and the dispatch falls through to the
 reference implementation per kernel.
@@ -37,7 +40,10 @@ hook in :data:`KERNEL_NAMES` is bound by the second.
     SADs, the sequential pattern-search sweeps and motion compensation —
     the whole DIA/HEX/UMH search — for the I-frame wavefront (everything
     of ``intra_encode`` / ``intra_decode`` but the scipy transforms, which
-    stay the reference's own calls) and for the renderer's value noise.
+    stay the reference's own calls), for the P-frame's transform tail
+    (``quantize_cost``, ``QuantBitCounter``'s probe, and a ``reconstruct``
+    that hands only the coded 8x8 blocks to that same scipy IDCT) and for
+    the renderer's value noise.
     The C code replicates NumPy's pairwise summation, the lattice hash's
     uint64 wrap-around and the exact IEEE operation order of the
     reference; a self-probe before first use verifies bitwise agreement
@@ -85,6 +91,9 @@ KERNEL_NAMES = (
     "value_noise",  # fractal 2-D value noise (repro.utils.noise, the renderer's textures)
     "intra_encode",  # I-frame wavefront: DC/H/V mode decision, quantise, bits, reconstruct
     "intra_decode",  # I-frame wavefront replay from levels + modes
+    "quantize_cost",  # quantise + per-macroblock bit cost in one pass (P-frames, flat I-frames)
+    "rate_counter",  # QuantBitCounter's probe: total bits of one coefficient set at a base QP
+    "reconstruct",  # dequantise + IDCT + clip, skipping all-zero 8x8 blocks (encoder and decoder)
 )
 
 
@@ -108,6 +117,9 @@ class KernelBackend:
     value_noise: Callable | None = None
     intra_encode: Callable | None = None
     intra_decode: Callable | None = None
+    quantize_cost: Callable | None = None
+    rate_counter: Callable | None = None
+    reconstruct: Callable | None = None
 
     def available(self) -> bool:
         """Whether this backend can run (deps present, self-probe passed)."""

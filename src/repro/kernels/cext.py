@@ -1,4 +1,5 @@
-"""Runtime-compiled C backend: pattern-search sweeps, MC, value noise, I-frames.
+"""Runtime-compiled C backend: pattern-search sweeps, MC, value noise, I-frames
+and the P-frame's transform tail.
 
 The pattern searches (DIA/HEX/UMH) are *sequentially* dependent per block:
 each candidate offset is evaluated against the block's current best, which
@@ -32,13 +33,24 @@ Bit-exactness is engineered, then verified:
   multiples of 0.25 (order-free), and a call that produces a level the bit
   length cannot be proven on (NaN, inf, ``>= 2^32``) is answered by the
   reference, as is any argument the C loops could not index safely.
+- The P-frame's transform tail is that same quantise + cost loop run
+  frame-shaped over float32 coefficients (``quantize_cost``), a rate-control
+  probe that divides only the magnitudes that can still reach a non-zero
+  level (``rate_counter``: one compacting pass, no sort), and a
+  reconstruction that inverse-transforms only the 8x8 blocks that carry a
+  level (``reconstruct``) — through the reference's own scipy IDCT, on a
+  compact block list: pocketfft transforms every 8-point line on its own.
+  ``np.round`` is the add-and-subtract-1.5*2^52 idiom (exact below 2^51, no
+  libm call); a skipped block's pixel is the clipped prediction because its
+  dense residual is all +-0.0 — unless the prediction pixel is ``-0.0`` or a
+  NaN, or a step is infinite, and then the reference answers.
 - Before the first use a self-probe runs every C kernel against its
   reference on adversarial random inputs; any mismatch marks the backend
   unavailable (the registry then falls back to the reference).
 
 Every kernel call is re-entrant: the C code keeps no state between calls
-and its scratch (a few blocks of predictions and |differences|) is
-allocated per call,
+and its scratch (a few blocks of predictions and |differences|, a rate
+counter's candidate list) is allocated per call or per counter,
 so concurrent encodes (``agent_workers > 1`` — ctypes drops the GIL
 around each call) cannot see each other's data.
 
@@ -77,6 +89,7 @@ _C_SOURCE = r"""
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* NumPy's pairwise summation (scalar form): n<8 naive, n<=128 8-way
  * unrolled with the ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) combine, larger n
@@ -415,40 +428,241 @@ void intra_pre(const double *frame, const double *recon, int64_t stride,
  * bit length is floor(log2) with a margin of ~1e5 ulp on np.log2. */
 #define LEVEL_LIMIT 4294967296.0 /* 2^32 */
 
-/* Step 2, frame-shaped: quantise / cost / dequantise an mb_rows x mb_cols
- * grid of macroblocks of a coefficient plane (line doubles per row) with one
- * step q per macroblock.  level = rint(c / q) is np.round (half-even);
- * deq = level * q has the coefficients' layout; bits[] gets each
+/* transform_cost_bits' per-8x8-block overhead: a block that carries a
+ * coefficient, and the amortised skip flag of one that does not. */
+#define CODED_BLOCK_BITS 4.0
+#define SKIP_BLOCK_BITS 0.25
+
+/* Nothing below this share of its quantiser step quantises to a non-zero
+ * level: |c| < 0.25 q puts the IEEE quotient under 0.5 with a factor 2 to
+ * spare.  quant_cost fills a block whose largest coefficient is under the
+ * cut with signed zeros, no division; the rate counter keeps the magnitudes
+ * at or above the cut of its first probe's steps, and the spare factor is
+ * what keeps that list complete for _RC_DESCENT QPs below that probe (see
+ * _RateCounter). */
+#define ZERO_CUT 0.25
+
+/* np.round — rint in the default rounding mode — without the libm call the
+ * baseline ISA would make of it: adding and subtracting 1.5 * 2^52 leaves
+ * the nearest integer, ties to even, exactly for |x| < 2^51; copysign keeps
+ * np.round(-0.3) == -0.0.  Beyond 2^51 the result is off but still past
+ * LEVEL_LIMIT (NaN stays NaN), which every caller hands to the reference. */
+static inline double round_even(double x) {
+    return copysign((fabs(x) + 0x1.8p52) - 0x1.8p52, x);
+}
+
+/* A block-major coefficient array holds float64 (the I-frame's diagonal
+ * planes) or float32 (scipy keeps a P-frame residual's dtype); the
+ * reference's float32 / float64 divide promotes exactly, as this does. */
+static inline double coeff_at(const void *coeffs, int f32, int64_t k) {
+    return f32 ? (double)((const float *)coeffs)[k] : ((const double *)coeffs)[k];
+}
+
+/* The largest magnitude in the 8x8 block at coeffs[at] — INFINITY when the
+ * block holds an inf or a NaN (a NaN loses every compare, so it is mapped
+ * first).  Eight running maxima down the columns: element-wise, so no
+ * dependency chain and nothing the vectoriser has to reassociate. */
+static inline double block_top(const void *coeffs, int f32, int64_t at, int64_t line) {
+    double lane[8] = {0.0};
+    for (int64_t i = 0; i < 8; i++)
+        for (int64_t j = 0; j < 8; j++) {
+            double mag = fabs(coeff_at(coeffs, f32, at + i * line + j));
+            mag = mag < INFINITY ? mag : INFINITY;
+            lane[j] = mag > lane[j] ? mag : lane[j];
+        }
+    double top = lane[0];
+    for (int64_t j = 1; j < 8; j++) top = lane[j] > top ? lane[j] : top;
+    return top;
+}
+
+/* Quantise / cost / dequantise, frame-shaped: an mb_rows x mb_cols grid of
+ * macroblocks of a coefficient plane (line elements per row) with one step
+ * q per macroblock.  level = round_even(c / q) is np.round; deq (skipped
+ * when NULL) = level * q has the coefficients' layout; bits[] gets each
  * macroblock's transform_cost_bits — per 8x8 block the sum of
- * 2*floor(log2|level|) + 3 over non-zero levels plus 4.0, or 0.25 when the
- * block is empty; every partial sum is a multiple of 0.25, so the order is
- * free.  Macroblock (R, C) stores its levels at levels + R*lv_row + C*lv_col
+ * 2*floor(log2|level|) + 3 over non-zero levels plus the block overhead;
+ * every partial sum is a multiple of 0.25, so the order is free.
+ * Macroblock (R, C) stores its levels at levels + R*lv_row + C*lv_col
  * with lv_line doubles per row — a whole frame, or the diagonal's final
- * place in one.  Returns 1 on the first level past LEVEL_LIMIT. */
-int64_t quant_cost(const double *coeffs, int64_t line, int64_t mb_rows, int64_t mb_cols,
-                   int64_t block, const double *q, double *levels, int64_t lv_line,
-                   int64_t lv_row, int64_t lv_col, double *deq, double *bits) {
+ * place in one.  Returns 1 on the first level past LEVEL_LIMIT.  Inlined
+ * once per dtype: with f32 a run-time value the 8x8 loops do not vectorise
+ * (a 480x288 frame 0.43 ms against 0.32). */
+static inline __attribute__((always_inline)) int64_t quant_cost_any(
+        const void *restrict coeffs, const int f32, int64_t line, int64_t mb_rows, int64_t mb_cols,
+        int64_t block, const double *restrict q, double *restrict levels, int64_t lv_line,
+        int64_t lv_row, int64_t lv_col, double *restrict deq, double *restrict bits) {
     for (int64_t R = 0; R < mb_rows; R++)
         for (int64_t C = 0; C < mb_cols; C++) {
-            double step = q[R * mb_cols + C], total = 0.0;
+            double step = q[R * mb_cols + C], cut = ZERO_CUT * step, total = 0.0;
             int64_t at = R * block * line + C * block;
             double *lv = levels + R * lv_row + C * lv_col;
             for (int64_t i8 = 0; i8 < block; i8 += 8)
                 for (int64_t j8 = 0; j8 < block; j8 += 8) {
-                    int64_t nbits = 0;
-                    for (int64_t i = i8; i < i8 + 8; i++)
-                        for (int64_t j = j8; j < j8 + 8; j++) {
-                            double level = rint(coeffs[at + i * line + j] / step);
-                            double mag = fabs(level);
-                            if (!(mag < LEVEL_LIMIT)) return 1;
-                            lv[i * lv_line + j] = level;
-                            deq[at + i * line + j] = level * step;
-                            if (mag > 0.0)
-                                nbits += 2 * (63 - __builtin_clzll((uint64_t)mag)) + 3;
-                        }
-                    total += (double)nbits + (nbits > 0 ? 4.0 : 0.25);
+                    int64_t nbits = 0, unbounded = 0;
+                    /* Most of a P-frame: nothing in the block reaches the cut. */
+                    if (block_top(coeffs, f32, at + i8 * line + j8, line) < cut) {
+                        for (int64_t i = i8; i < i8 + 8; i++)
+                            for (int64_t j = j8; j < j8 + 8; j++)
+                                lv[i * lv_line + j] = copysign(0.0, coeff_at(coeffs, f32, at + i * line + j));
+                    } else {
+                        for (int64_t i = i8; i < i8 + 8; i++)
+                            for (int64_t j = j8; j < j8 + 8; j++) {
+                                double level = round_even(coeff_at(coeffs, f32, at + i * line + j) / step);
+                                double mag = fabs(level);
+                                unbounded |= !(mag < LEVEL_LIMIT);
+                                if (mag > 0.0 && mag < LEVEL_LIMIT)
+                                    nbits += 2 * (63 - __builtin_clzll((uint64_t)mag)) + 3;
+                                lv[i * lv_line + j] = level;
+                            }
+                        if (unbounded) return 1;
+                    }
+                    if (deq)
+                        for (int64_t i = i8; i < i8 + 8; i++)
+                            for (int64_t j = j8; j < j8 + 8; j++)
+                                deq[at + i * line + j] = lv[i * lv_line + j] * step;
+                    total += (double)nbits + (nbits > 0 ? CODED_BLOCK_BITS : SKIP_BLOCK_BITS);
                 }
             bits[R * mb_cols + C] = total;
+        }
+    return 0;
+}
+
+int64_t quant_cost(const void *coeffs, int64_t f32, int64_t line, int64_t mb_rows,
+                   int64_t mb_cols, int64_t block, const double *q, double *levels,
+                   int64_t lv_line, int64_t lv_row, int64_t lv_col, double *deq, double *bits) {
+    if (f32)
+        return quant_cost_any(coeffs, 1, line, mb_rows, mb_cols, block, q, levels,
+                              lv_line, lv_row, lv_col, deq, bits);
+    return quant_cost_any(coeffs, 0, line, mb_rows, mb_cols, block, q, levels,
+                          lv_line, lv_row, lv_col, deq, bits);
+}
+
+/* ---- rate control's probe (repro.codec.transform.QuantBitCounter) ----
+ * Set-up, one pass over the coefficients: per 8x8 block its largest
+ * magnitude (block_max, macroblock-major: the per_mb blocks of macroblock 0,
+ * then of macroblock 1, ...) and, per macroblock, the magnitudes at or
+ * above ZERO_CUT of its step packed into cand — macroblock mb owns
+ * cand[start[mb] .. start[mb + 1]).  cand needs room for every coefficient;
+ * only what is kept gets written (and paged in).  Returns the number kept,
+ * or -1 on a NaN or infinite coefficient. */
+static inline __attribute__((always_inline)) int64_t rc_compact_any(
+        const void *coeffs, const int f32, int64_t line, int64_t mb_rows, int64_t mb_cols,
+        int64_t block, const double *step, double *block_max, double *cand, int64_t *start) {
+    int64_t n = 0, b = 0;
+    for (int64_t R = 0; R < mb_rows; R++)
+        for (int64_t C = 0; C < mb_cols; C++) {
+            double cut = ZERO_CUT * step[R * mb_cols + C];
+            int64_t at = R * block * line + C * block;
+            start[R * mb_cols + C] = n;
+            for (int64_t i8 = 0; i8 < block; i8 += 8)
+                for (int64_t j8 = 0; j8 < block; j8 += 8) {
+                    double top = block_top(coeffs, f32, at + i8 * line + j8, line);
+                    if (!(top < INFINITY)) return -1;
+                    block_max[b++] = top;
+                    if (top < cut) continue;
+                    for (int64_t i = i8; i < i8 + 8; i++)
+                        for (int64_t j = j8; j < j8 + 8; j++) {
+                            double mag = fabs(coeff_at(coeffs, f32, at + i * line + j));
+                            cand[n] = mag;  /* kept only if the count moves past it */
+                            n += mag >= cut;
+                        }
+                }
+        }
+    start[mb_rows * mb_cols] = n;
+    return n;
+}
+
+int64_t rc_compact(const void *coeffs, int64_t f32, int64_t line, int64_t mb_rows,
+                   int64_t mb_cols, int64_t block, const double *step, double *block_max,
+                   double *cand, int64_t *start) {
+    if (f32)
+        return rc_compact_any(coeffs, 1, line, mb_rows, mb_cols, block, step, block_max, cand, start);
+    return rc_compact_any(coeffs, 0, line, mb_rows, mb_cols, block, step, block_max, cand, start);
+}
+
+/* One probe: the frame's total transform_cost_bits under the per-macroblock
+ * steps.  Quantising a magnitude is quantising the coefficient (divide and
+ * round are odd), a block carries a coefficient iff its largest magnitude
+ * rounds to a non-zero level (both are monotone), and the total is an
+ * integer plus multiples of 0.25 — exact in any order.  The caller has
+ * bounded every level below LEVEL_LIMIT. */
+double rc_bits(const double *cand, const int64_t *start, const double *block_max,
+               int64_t mbs, int64_t per_mb, const double *step) {
+    int64_t coeff_bits = 0, coded = 0;
+    for (int64_t mb = 0; mb < mbs; mb++) {
+        double s = step[mb], cut = ZERO_CUT * s;
+        for (int64_t k = start[mb]; k < start[mb + 1]; k++)
+            if (!(cand[k] < cut)) {
+                uint64_t level = (uint64_t)round_even(cand[k] / s);
+                if (level) coeff_bits += 2 * (63 - __builtin_clzll(level)) + 3;
+            }
+        for (int64_t b = mb * per_mb; b < (mb + 1) * per_mb; b++)
+            coded += round_even(block_max[b] / s) > 0.0;
+    }
+    return (double)coeff_bits + CODED_BLOCK_BITS * (double)coded
+           + SKIP_BLOCK_BITS * (double)(mbs * per_mb - coded);
+}
+
+/* ---- skip-aware reconstruction (repro.codec.transform.reconstruct) ----
+ * Step 1: walk the rows8 x cols8 grid of 8x8 level blocks in raster order;
+ * a block holding a non-zero level (-0.0 is zero) gets the next slot and
+ * its levels times its macroblock's step as rows 8*slot .. 8*slot + 7 of
+ * the (n*8, 8) plane the IDCT takes; an all-zero block gets slot -1.
+ * Returns n, or -1 on a level past LEVEL_LIMIT (as quant_cost does). */
+int64_t dequant_coded(const double *restrict levels, int64_t rows8, int64_t cols8,
+                      int64_t per_side, const double *restrict q, int64_t *restrict slot,
+                      double *restrict deq) {
+    int64_t n = 0, line = cols8 * 8, mb_cols = cols8 / per_side;
+    for (int64_t br = 0; br < rows8; br++)
+        for (int64_t bc = 0; bc < cols8; bc++) {
+            const double *lv = levels + br * 8 * line + bc * 8;
+            double top = block_top(levels, 0, br * 8 * line + bc * 8, line);
+            if (!(top < LEVEL_LIMIT)) return -1;
+            if (!(top > 0.0)) { slot[br * cols8 + bc] = -1; continue; }
+            double step = q[(br / per_side) * mb_cols + bc / per_side];
+            double *out = deq + n * 64;
+            for (int64_t i = 0; i < 8; i++)
+                for (int64_t j = 0; j < 8; j++) out[i * 8 + j] = lv[i * line + j] * step;
+            slot[br * cols8 + bc] = n++;
+        }
+    return n;
+}
+
+/* Step 2: out = (float)clip((double)pred + residual, 0, 255) with np.clip's
+ * compares (a NaN stays a NaN).  A coded block's residual is its slot's rows
+ * of the IDCT'd plane.  A skipped block's dense residual is all +-0.0 and
+ * p + +-0.0 is p to the bit — unless p is -0.0 (the sum's sign would be the
+ * residual's) or a NaN (the sum quiets it): returns 1 on those, and the
+ * reference answers the call. */
+int64_t recon_post(const float *restrict pred, const int64_t *restrict slot,
+                   const double *restrict rec, int64_t rows8, int64_t cols8, float *restrict out) {
+    int64_t line = cols8 * 8;
+    for (int64_t br = 0; br < rows8; br++)
+        for (int64_t bc = 0; bc < cols8; bc++) {
+            const float *p = pred + br * 8 * line + bc * 8;
+            float *o = out + br * 8 * line + bc * 8;
+            int64_t s = slot[br * cols8 + bc];
+            if (s < 0) {
+                uint32_t unproven = 0;
+                for (int64_t i = 0; i < 8; i++)
+                    for (int64_t j = 0; j < 8; j++) {
+                        float v = p[i * line + j];
+                        uint32_t pattern;
+                        memcpy(&pattern, &v, sizeof pattern);
+                        /* -0.0, or anything past +-inf */
+                        unproven |= (pattern == 0x80000000u) | ((pattern & 0x7fffffffu) > 0x7f800000u);
+                        v = v < 0.0f ? 0.0f : v;
+                        o[i * line + j] = v > 255.0f ? 255.0f : v;
+                    }
+                if (unproven) return 1;
+                continue;
+            }
+            for (int64_t i = 0; i < 8; i++)
+                for (int64_t j = 0; j < 8; j++) {
+                    double v = (double)p[i * line + j] + rec[s * 64 + i * 8 + j];
+                    v = v < 0.0 ? 0.0 : v;
+                    o[i * line + j] = (float)(v > 255.0 ? 255.0 : v);
+                }
         }
     return 0;
 }
@@ -521,12 +735,17 @@ _SIGNATURES = {
     "motion_comp": [_PTR, _I64, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _I64],
     "value_noise": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR],
     "intra_pre": [_PTR, _PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR],
-    "quant_cost": [_PTR, _I64, _I64, _I64, _I64, _PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR],
+    "quant_cost": [_PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR],
+    "rc_compact": [_PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR],
+    "rc_bits": [_PTR, _PTR, _PTR, _I64, _I64, _PTR],
+    "dequant_coded": [_PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR],
+    "recon_post": [_PTR, _PTR, _PTR, _I64, _I64, _PTR],
     "intra_post": [_PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _I64],
     "intra_unpre": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _I64, _I64, _I64, _I64,
                     _PTR, _PTR, _PTR],
 }
-_RESTYPES = {"value_noise": _I64, "quant_cost": _I64, "intra_unpre": _I64}
+_RESTYPES = {"value_noise": _I64, "quant_cost": _I64, "intra_unpre": _I64, "rc_compact": _I64,
+             "rc_bits": _F64, "dequant_coded": _I64, "recon_post": _I64}
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -647,6 +866,85 @@ def _intra_grid(shape: tuple, block) -> tuple[int, int] | None:
     if not (h and w) or h % block or w % block:
         return None
     return h // block, w // block
+
+
+def _block_grid(blocks, mb_size, dtypes=(np.float32, np.float64)) -> tuple[int, int] | None:
+    """The macroblock grid of a block-major ``(rows8, 8, cols8, 8)`` array the
+    C loops may walk as a plane — C-contiguous, of one of ``dtypes``, covering
+    whole macroblocks, at least one — else ``None``."""
+    if (
+        not isinstance(blocks, np.ndarray)
+        or blocks.ndim != 4
+        or blocks.shape[1::2] != (8, 8)
+        or blocks.dtype not in dtypes
+        or not blocks.flags.c_contiguous
+    ):
+        return None
+    return _intra_grid((blocks.shape[0] * 8, blocks.shape[2] * 8), mb_size)
+
+
+#: How many QPs below the probe it was compacted at a rate counter's candidate
+#: list stays complete: the list keeps every magnitude from a quarter of that
+#: probe's step (the C source's ZERO_CUT), a level needs half of its own, and
+#: five QPs down the steps are 2^(-5/6) = 0.56 of what they were — so
+#: 0.25 / 0.56 = 0.45 < 0.5 with a margin no rounding of ``qstep`` can close.
+_RC_DESCENT = 5.0
+
+
+class _RateCounter:
+    """``QuantBitCounter``'s compiled probe over one coefficient set: call it
+    with a base QP for the frame's total bits, ``None`` when the reference
+    must answer (a NaN or infinite coefficient, one too large to cost in
+    integers).
+
+    The first probe makes the one pass over the coefficients — per-8x8
+    maxima, and per macroblock the magnitudes that can still quantise to a
+    non-zero level down to ``_RC_DESCENT`` QPs below it — and every probe
+    after that divides only those candidates; a probe that descends further
+    compacts again from there.  No sort, any offset map.
+    """
+
+    def __init__(self, lib, coeffs, offsets, grid, mb_size, max_qp):
+        self._lib = lib
+        self._coeffs = coeffs
+        self._offsets = offsets
+        self._grid = grid
+        self._mb_size = mb_size
+        self._max_qp = max_qp
+        self._per_mb = (mb_size // 8) ** 2
+        self._floor = np.inf  # the lowest QP the candidates cover
+        self._block_max = self._cand = self._start = None
+
+    def __call__(self, qp: float) -> float | None:
+        from repro.codec.transform import qstep
+
+        steps = qstep(np.clip(qp + self._offsets, 0.0, self._max_qp))
+        if not qp >= self._floor:
+            self._floor = qp - _RC_DESCENT
+            if not self._compact(steps):
+                return None
+        return self._lib.rc_bits(
+            self._cand.ctypes.data, self._start.ctypes.data, self._block_max.ctypes.data,
+            steps.size, self._per_mb, steps.ctypes.data,
+        )
+
+    def _compact(self, steps: np.ndarray) -> bool:
+        coeffs = self._coeffs
+        rows, cols = self._grid
+        if self._cand is None:
+            self._block_max = np.empty(coeffs.size // 64, dtype=np.float64)
+            self._cand = np.empty(coeffs.size, dtype=np.float64)
+            self._start = np.empty(steps.size + 1, dtype=np.int64)
+        kept = -1
+        if np.isfinite(steps).all() and (steps > 0.0).all():
+            kept = self._lib.rc_compact(
+                coeffs.ctypes.data, coeffs.dtype == np.float32, coeffs.shape[2] * 8, rows, cols,
+                self._mb_size, steps.ctypes.data, self._block_max.ctypes.data,
+                self._cand.ctypes.data, self._start.ctypes.data,
+            )
+        # No effective QP is below 0, so no step is below 0.625 and no level
+        # reaches twice the largest magnitude.
+        return kept >= 0 and self._block_max.max() < 2.0**31
 
 
 @functools.lru_cache(maxsize=16)
@@ -830,7 +1128,7 @@ class _CKernels:
             # The diagonal is a 1 x m grid whose k-th macroblock's levels
             # belong one block row down and one block column left of the last.
             if lib.quant_cost(
-                coeffs.ctypes.data, m * block, 1, m, block, q.ctypes.data,
+                coeffs.ctypes.data, 0, m * block, 1, m, block, q.ctypes.data,
                 levels_p + 8 * (r0 * block * width + c0 * block), width,
                 0, block * width - block, dequantised.ctypes.data, diag_bits.ctypes.data,
             ):
@@ -880,6 +1178,75 @@ class _CKernels:
             lib.intra_post(best_p, rec_plane.ctypes.data, r0, c0, m, block, recon_p, width)
         return recon
 
+    def quantize_cost(self, coeffs, qp_per_mb, *, mb_size=16):
+        """``quantize_cost``: one pass over the coefficients, float32 read in place."""
+        from repro.codec.transform import _quantize_cost_reference, qstep
+
+        grid = _block_grid(coeffs, mb_size)
+        q = qstep(np.ascontiguousarray(qp_per_mb, dtype=float))
+        if grid is not None and q.shape == grid:
+            levels = np.empty(coeffs.shape, dtype=np.float64)
+            bits_per_mb = np.empty(grid, dtype=np.float64)
+            line = coeffs.shape[2] * 8
+            if not self._lib.quant_cost(
+                coeffs.ctypes.data, coeffs.dtype == np.float32, line, grid[0], grid[1], mb_size,
+                q.ctypes.data, levels.ctypes.data, line, mb_size * line, mb_size,
+                None, bits_per_mb.ctypes.data,
+            ):
+                return levels, bits_per_mb
+        # Geometry the C loop could not index (the reference raises on it, or
+        # reads a layout C does not), or NaN / inf / a level too large to cost
+        # in integers: the reference answers.
+        return _quantize_cost_reference(coeffs, qp_per_mb, mb_size=mb_size)
+
+    def rate_counter(self, coeffs, offsets, *, mb_size=16, max_qp=51.0):
+        """``QuantBitCounter``'s probe, or ``None`` when its NumPy body must
+        serve these arguments."""
+        grid = _block_grid(coeffs, mb_size)
+        offs = np.ascontiguousarray(offsets, dtype=np.float64)
+        if grid is None or offs.shape != grid or not max_qp >= 0.0:
+            return None
+        return _RateCounter(self._lib, coeffs, offs, grid, mb_size, float(max_qp))
+
+    def reconstruct(self, prediction, levels, qp_per_mb, *, mb_size=16):
+        """``reconstruct``: dequantise the coded 8x8 blocks only, the
+        reference's own IDCT over that compact list, clip + cast in C."""
+        from repro.codec.transform import _reconstruct_reference, idct_blocks, qstep
+
+        grid = _block_grid(levels, mb_size, dtypes=(np.float64,))
+        q = qstep(np.ascontiguousarray(qp_per_mb, dtype=float))
+        if (
+            grid is not None
+            and q.shape == grid
+            and np.isfinite(q).all()  # 0 * inf is NaN: an all-zero block under such a step is not skippable
+            and isinstance(prediction, np.ndarray)
+            and prediction.dtype == np.float32
+            and prediction.shape == (levels.shape[0] * 8, levels.shape[2] * 8)
+            and prediction.flags.c_contiguous
+        ):
+            rows8, cols8 = levels.shape[0], levels.shape[2]
+            slot = np.empty(rows8 * cols8, dtype=np.int64)
+            # Room for every block; only the coded ones are written (and paged in).
+            dequantised = np.empty((rows8 * cols8, 8, 1, 8), dtype=np.float64)
+            coded = self._lib.dequant_coded(
+                levels.ctypes.data, rows8, cols8, mb_size // 8, q.ctypes.data,
+                slot.ctypes.data, dequantised.ctypes.data,
+            )
+            if coded >= 0:
+                # pocketfft transforms every 8-point line on its own, so a
+                # block's inverse does not depend on which blocks sit beside it.
+                # (With nothing coded no residual is read, whatever is passed.)
+                residual = np.ascontiguousarray(idct_blocks(dequantised[:coded])) if coded else dequantised
+                out = np.empty(prediction.shape, dtype=np.float32)
+                if not self._lib.recon_post(
+                    prediction.ctypes.data, slot.ctypes.data, residual.ctypes.data,
+                    rows8, cols8, out.ctypes.data,
+                ):
+                    return out
+        # Wrong shape / dtype / stride, an infinite step, a level past the limit,
+        # or a -0.0 / NaN prediction pixel under a skipped block: the reference answers.
+        return _reconstruct_reference(prediction, levels, qp_per_mb, mb_size=mb_size)
+
     def self_probe(self) -> str | None:
         """Bitwise-compare every C kernel against its reference.
 
@@ -894,6 +1261,12 @@ class _CKernels:
             _SMALL_DIAMOND,
         )
         from repro.codec.intra import _intra_encode_reference
+        from repro.codec.transform import (
+            _quantize_cost_reference,
+            _reconstruct_reference,
+            quantize,
+            transform_cost_bits,
+        )
         from repro.utils.noise import _value_noise_2d_reference
 
         gen = np.random.default_rng(0xCE)
@@ -965,6 +1338,49 @@ class _CKernels:
                 self.value_noise(px, py, **params), _value_noise_2d_reference(px, py, **params)
             ):
                 return f"value_noise (scale {scale}, octaves {octaves})"
+        # The P-frame's transform tail on a 3 x 4 grid: coefficients on a
+        # lattice of half steps (every rounding tie) and spread over decades,
+        # two thirds of the blocks empty, one holding a single coefficient
+        # and one only negative zeros; float64 and float32; QP maps that are
+        # fractional, saturated at 0 / 51, and sixes (exact power-of-two steps).
+        lattice = gen.integers(-9, 10, size=(6, 8, 8, 8)) * 0.3125
+        wide = gen.normal(0.0, 1.0, size=(6, 8, 8, 8)) * np.exp(gen.normal(0.0, 2.5, size=(6, 8, 8, 8)))
+        keep = gen.uniform(size=(6, 1, 8, 1)) < 0.35
+        keep[0, 0, :2, 0] = True
+        tail_cases = []
+        for tag, coeffs in (("lattice", lattice), ("wide", wide)):
+            coeffs = np.where(keep, coeffs, 0.0)
+            coeffs[0, :, 0, :] = 0.0
+            coeffs[0, 3, 0, 5] = 40.0
+            coeffs[0, :, 1, :] = -0.0
+            fractional = gen.uniform(0.0, 51.0, size=(3, 4))
+            saturated = np.where(fractional < 17.0, 0.0, np.where(fractional > 34.0, 51.0, fractional))
+            tail_cases += [
+                (f"{tag} float64, sixes", coeffs, gen.integers(0, 4, size=(3, 4)) * 6.0),
+                (f"{tag} float32, fractional", coeffs.astype(np.float32), fractional),
+                (f"{tag} float64, saturated", coeffs, saturated),
+            ]
+        for where, coeffs, qp in tail_cases:
+            want = _quantize_cost_reference(coeffs, qp)
+            if not all(_same_bytes(g, w) for g, w in zip(self.quantize_cost(coeffs, qp), want)):
+                return f"quantize_cost ({where})"
+            # As rate control walks: down inside what the first compaction
+            # covers, up, then far enough down to compact again.
+            offsets = qp - 20.0
+            probe = self.rate_counter(coeffs, offsets)
+            for base in (30.0, 27.0, 25.5, 34.0, 51.0, 12.0, 8.0, 0.0, 19.0):
+                want_levels = quantize(coeffs, np.clip(base + offsets, 0.0, 51.0))
+                if probe(base) != float(transform_cost_bits(want_levels).sum()):
+                    return f"rate_counter ({where}, QP {base:g})"
+            # Predictions that clip at both ends and sit on the bounds, under
+            # the coded levels, under none and under a level in every block.
+            prediction = gen.uniform(-40.0, 295.0, size=(48, 64)).astype(np.float32)
+            prediction[gen.uniform(size=(48, 64)) < 0.1] = 0.0
+            prediction[gen.uniform(size=(48, 64)) < 0.1] = 255.0
+            for levels in (want[0], np.zeros_like(want[0]), want[0] + 1.0):
+                if not _same_bytes(self.reconstruct(prediction, levels, qp),
+                                   _reconstruct_reference(prediction, levels, qp)):
+                    return f"reconstruct ({where})"
         # I-frame wavefront, both directions: every border shape (one block,
         # one row, one column, ragged), content where all three SADs tie
         # (flat), where H or V wins (ramp), exact arithmetic (steps) and
@@ -995,8 +1411,10 @@ class _CKernels:
 
 
 class CExtBackend(KernelBackend):
-    """Compiled-C block SADs, sweeps, motion compensation, value noise and the
-    I-frame wavefront (``intra_encode`` / ``intra_decode``), self-probed."""
+    """Compiled-C block SADs, sweeps, motion compensation, value noise, the
+    I-frame wavefront (``intra_encode`` / ``intra_decode``) and the P-frame's
+    transform tail (``quantize_cost`` / ``rate_counter`` / ``reconstruct``),
+    self-probed."""
 
     name = "cext"
 
@@ -1039,6 +1457,9 @@ class CExtBackend(KernelBackend):
         self.value_noise = kernels.value_noise
         self.intra_encode = kernels.intra_encode
         self.intra_decode = kernels.intra_decode
+        self.quantize_cost = kernels.quantize_cost
+        self.rate_counter = kernels.rate_counter
+        self.reconstruct = kernels.reconstruct
         return None
 
 

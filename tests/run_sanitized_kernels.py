@@ -1,9 +1,11 @@
 """Run the kernel suites with the ``cext`` source built under ASan + UBSan.
 
-Twelve kernels write through raw pointers; the bit-exactness suites prove
-their *values*, this proves their *addresses*.  The runner appends the
-sanitizer flags to ``repro.kernels.cext._CFLAGS`` in-process, before the
-first dispatch builds anything — the cache stem hashes the flags, so the
+Fifteen C entry points write through raw pointers — the rate counter's
+candidate list and ``reconstruct``'s block slots at data-dependent offsets;
+the bit-exactness suites prove their *values*, this proves their
+*addresses*.  The runner appends the sanitizer flags to
+``repro.kernels.cext._CFLAGS`` in-process, before the first dispatch builds
+anything — the cache stem hashes the flags, so the
 sanitised object never collides with the normal one — and hands the suites
 to ``pytest.main``.  It is test tooling, not a product knob: ``repro``
 reads no flag or environment variable for it.
@@ -33,7 +35,9 @@ SUITES = [
     "test_noise_kernel.py",
     "test_codec_intra.py",
     "test_intra_kernels.py",
+    "test_transform_kernels.py",
     "test_golden_iframes.py",
+    "test_golden_pframes.py",
     "test_golden_e2e.py",
     "test_golden_frames.py",
 ]

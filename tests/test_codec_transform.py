@@ -14,7 +14,8 @@ from repro.codec import (
     quantize,
     transform_cost_bits,
 )
-from repro.codec.transform import dct_blocks, idct_blocks
+import repro.codec.encoder as encoder_module
+from repro.codec.transform import dct_blocks, idct_blocks, reconstruct
 
 
 def textured(shape=(64, 64), seed=0):
@@ -56,6 +57,26 @@ class TestQuantize:
         coeffs = dct_blocks(np.zeros((32, 32)))
         with pytest.raises(ValueError):
             quantize(coeffs, np.zeros((3, 3)))
+
+    def test_dequantize_checks_its_qp_map_like_quantize(self):
+        """One step used to broadcast silently over the whole frame, and any
+        other mismatch died in NumPy's broadcasting error."""
+        levels = quantize(dct_blocks(textured(shape=(32, 48), seed=3).astype(float)), np.full((2, 3), 30.0))
+        assert levels.shape == (4, 8, 6, 8)
+        for bad in (np.full((1, 1), 30.0), np.full((2, 2), 30.0), np.full((3, 2), 30.0), np.full((4, 6), 30.0)):
+            with pytest.raises(ValueError) as from_quantize:
+                quantize(levels, bad)
+            for call in (
+                lambda: dequantize(levels, bad),
+                lambda: dequantize(levels[:2, :, :2], np.full((1, 1), 30.0), mb_size=8),
+                lambda: reconstruct(np.zeros((32, 48), dtype=np.float32), levels, bad),
+            ):
+                with pytest.raises(ValueError, match="QP map .* inconsistent with coefficient blocks"):
+                    call()
+            with pytest.raises(ValueError) as from_dequantize:
+                dequantize(levels, bad)
+            assert str(from_dequantize.value) == str(from_quantize.value)
+        np.testing.assert_array_equal(dequantize(levels, np.full((2, 3), 30.0)), levels * qstep(30.0))
 
     def test_roundtrip_error_bounded_by_step(self):
         plane = textured(shape=(32, 32), seed=3).astype(float) - 128.0
@@ -183,6 +204,31 @@ class TestEncoder:
         hi = enc.encode(frame, base_qp=5)
         assert np.abs(hi.reconstruction - frame).mean() < np.abs(lo.reconstruction - frame).mean()
 
+    def test_fixed_qp_predicted_intra_frame_runs_no_dct(self, monkeypatch):
+        """EAAR's key frames (``base_qp=..., force_intra=True``): the
+        wavefront transforms its own residuals, and without rate control
+        nobody reads the flat-prediction coefficients."""
+        calls = []
+
+        def counted(plane):
+            calls.append(plane.shape)
+            return dct_blocks(plane)
+
+        monkeypatch.setattr(encoder_module, "dct_blocks", counted)
+        frame = textured(seed=12)
+        enc = VideoEncoder()
+        crf = enc.encode(frame, base_qp=24)
+        assert crf.frame_type == "I" and calls == []
+        enc.encode(frame, base_qp=24)  # a P-frame quantises its residual
+        enc.encode(frame, base_qp=24, force_intra=True)
+        assert calls == [frame.shape]
+        enc.encode(frame, target_bits=40_000.0, force_intra=True)  # rate control probes the flat residual
+        VideoEncoder(EncoderConfig(intra_prediction=False)).encode(frame, base_qp=24)  # flat I: quantised directly
+        assert calls == [frame.shape] * 3
+        reference = VideoEncoder()
+        monkeypatch.undo()
+        np.testing.assert_array_equal(reference.encode(frame, base_qp=24).reconstruction, crf.reconstruction)
+
     def test_size_bytes(self):
         enc = VideoEncoder()
         ef = enc.encode(textured(), base_qp=30)
@@ -217,3 +263,21 @@ class TestDecoder:
         dec.reset()
         with pytest.raises(ValueError):
             dec.decode(enc.encode(textured(), base_qp=20))
+
+    @pytest.mark.parametrize("intra_prediction", [True, False])
+    def test_malformed_qp_map_is_a_named_error(self, intra_prediction):
+        """A bitstream whose QP map does not cover its levels: the decoder
+        raises ``dequantize``'s message for P-frames and flat I-frames
+        instead of broadcasting one step over the frame."""
+        enc = VideoEncoder(EncoderConfig(intra_prediction=intra_prediction))
+        dec = VideoDecoder()
+        dec.decode(enc.encode(textured(), base_qp=20))
+        p_frame = enc.encode(textured(seed=1), base_qp=20)
+        p_frame.qp_map = p_frame.qp_map[:1, :1]
+        with pytest.raises(ValueError, match="QP map .* inconsistent with coefficient blocks"):
+            dec.decode(p_frame)
+        if not intra_prediction:
+            i_frame = enc.encode(textured(seed=2), base_qp=20, force_intra=True)
+            i_frame.qp_map = i_frame.qp_map[:, :2]
+            with pytest.raises(ValueError, match="QP map .* inconsistent with coefficient blocks"):
+                VideoDecoder().decode(i_frame)
