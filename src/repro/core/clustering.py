@@ -14,14 +14,20 @@ foreground regions are the convex contours of the merged clusters.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.utils.convexhull import convex_hull, rasterize_polygon
+from repro.utils.convexhull import fill_convex_hull, monotone_chain
 
 __all__ = ["Cluster", "merge_clusters", "region_grow", "clusters_to_mask"]
+
+#: ``math.hypot`` decides a block's distance from the running mean only when it
+#: lands further than this (relative) from ``similarity``; closer, ``np.hypot`` —
+#: what this module used to evaluate per neighbour per block — decides, so no
+#: outcome rests on CPython's hypot and libm's agreeing to the last bit.
+_GUARD = 1e-9
 
 
 @dataclass
@@ -42,19 +48,13 @@ class Cluster:
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         """``(r0, c0, r1, c1)`` inclusive-exclusive block bounds."""
-        rows = [b[0] for b in self.blocks]
-        cols = [b[1] for b in self.blocks]
+        rows, cols = zip(*self.blocks)
         return min(rows), min(cols), max(rows) + 1, max(cols) + 1
 
 
 def region_grow(
-    mv: np.ndarray,
-    seed_mask: np.ndarray,
-    *,
-    blocked_mask: np.ndarray | None = None,
-    similarity: float = 1.5,
-    min_cluster_size: int = 1,
-    min_magnitude: float = 0.3,
+    mv: np.ndarray, seed_mask: np.ndarray, *, blocked_mask: np.ndarray | None = None,
+    similarity: float = 1.5, min_cluster_size: int = 1, min_magnitude: float = 0.3,
 ) -> list[Cluster]:
     """Grow clusters from seeds by BFS over similar motion vectors.
 
@@ -81,39 +81,49 @@ def region_grow(
     if seed_mask.shape != (rows, cols):
         raise ValueError(f"seed mask shape {seed_mask.shape} != grid {(rows, cols)}")
     blocked = np.zeros((rows, cols), dtype=bool) if blocked_mask is None else blocked_mask
-    magnitude = np.hypot(mv[..., 0], mv[..., 1])
-    visited = blocked | (magnitude < min_magnitude)
+    visited = blocked | (np.hypot(mv[..., 0], mv[..., 1]) < min_magnitude)
     visited &= ~seed_mask.astype(bool)  # seeds always start their cluster
-    clusters: list[Cluster] = []
     mvf = mv.astype(float)
+    # The block-to-neighbour test for every edge of the grid at once (hypot is sign-symmetric,
+    # so one difference serves both ends of an edge), then the grid flattened into Python lists:
+    # block i = r * cols + c has neighbours i + 1, i - 1, i + cols, i - cols, linked or not.
+    steps = (mvf[:, 1:] - mvf[:, :-1], mvf[1:] - mvf[:-1])
+    across, down = (np.hypot(step[..., 0], step[..., 1]) <= similarity for step in steps)
+    link = np.zeros((4, rows, cols), dtype=bool)
+    link[0, :, :-1], link[1, :, 1:], link[2, :-1], link[3, 1:] = across, across, down, down
+    right, left, below, above = link.reshape(4, rows * cols).tolist()
+    seen, vx, vy = visited.ravel().tolist(), mvf[..., 0].ravel().tolist(), mvf[..., 1].ravel().tolist()
+    band = _GUARD * max(1.0, abs(similarity))
 
-    seeds = list(zip(*np.nonzero(seed_mask)))
-    for seed in seeds:
-        r0, c0 = int(seed[0]), int(seed[1])
-        if visited[r0, c0]:
+    clusters: list[Cluster] = []
+    for seed in np.flatnonzero(seed_mask).tolist():
+        if seen[seed]:
             continue
-        cluster = Cluster()
-        cluster.add((r0, c0), mvf[r0, c0])
-        visited[r0, c0] = True
-        queue: deque[tuple[int, int]] = deque([(r0, c0)])
-        while queue:
-            r, c = queue.popleft()
-            v_here = mvf[r, c]
-            for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-                nr, nc = r + dr, c + dc
-                if not (0 <= nr < rows and 0 <= nc < cols) or visited[nr, nc]:
+        seen[seed] = True
+        # The running mean as two Python floats, by Cluster.add's expression (the seed too: -0.0 becomes 0.0).
+        mean_x, mean_y = (0.0 * 0 + vx[seed]) / 1, (0.0 * 0 + vy[seed]) / 1
+        members = [seed]
+        for i in members:  # breadth first: the list is its own queue
+            for j, linked in ((i + 1, right[i]), (i - 1, left[i]), (i + cols, below[i]), (i - cols, above[i])):
+                if not linked or seen[j]:
                     continue
-                v_n = mvf[nr, nc]
-                if (
-                    np.hypot(*(v_n - v_here)) <= similarity
-                    and np.hypot(*(v_n - cluster.mean_mv)) <= similarity
-                ):
-                    visited[nr, nc] = True
-                    cluster.add((nr, nc), v_n)
-                    queue.append((nr, nc))
-        if cluster.size >= min_cluster_size:
-            clusters.append(cluster)
+                dx, dy = vx[j] - mean_x, vy[j] - mean_y
+                gap = math.hypot(dx, dy)
+                if abs(gap - similarity) <= band:
+                    gap = _reference_gap(dx, dy)
+                if gap <= similarity:
+                    seen[j] = True
+                    n = len(members)
+                    mean_x, mean_y = (mean_x * n + vx[j]) / (n + 1), (mean_y * n + vy[j]) / (n + 1)
+                    members.append(j)
+        if len(members) >= min_cluster_size:
+            clusters.append(Cluster([divmod(i, cols) for i in members], np.array([mean_x, mean_y])))
     return clusters
+
+
+def _reference_gap(dx: float, dy: float) -> float:
+    """``np.hypot``, the spelling that decides a near-tie with ``similarity``."""
+    return float(np.hypot(dx, dy))
 
 
 def _direction_angle(a: np.ndarray, b: np.ndarray) -> float:
@@ -125,20 +135,29 @@ def _direction_angle(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.arccos(cos))
 
 
-def _block_distance(a: Cluster, b: Cluster) -> int:
-    """Minimum Chebyshev distance between the clusters' blocks."""
-    ab = np.array(a.blocks)
-    bb = np.array(b.blocks)
-    d = np.abs(ab[:, None, :] - bb[None, :, :]).max(axis=2)
-    return int(d.min())
+def _pair_view(cluster: Cluster) -> tuple:
+    """``(norm, cells, box)``: what the cheap pair tests of :func:`merge_clusters`
+    read of a cluster — the length of its mean, its blocks as a set, their bounds."""
+    box = cluster.bounding_box() if cluster.blocks else (0, 0, 0, 0)
+    return float(np.hypot(*cluster.mean_mv)), set(cluster.blocks), box
+
+
+def _near(blocks: list, box: tuple, cells: set, other_box: tuple, reach: int) -> bool:
+    """Is some block of ``blocks`` (bounded by ``box``) within Chebyshev distance
+    ``reach`` of a block in ``cells`` (bounded by ``other_box``)?"""
+    r0, c0, r1, c1 = other_box
+    if max(r0 - box[2], box[0] - r1, c0 - box[3], box[1] - c1) >= reach:
+        return False  # the boxes alone are further apart (upper bounds are exclusive)
+    span = range(-reach, reach + 1)
+    return any(
+        (r + dr, c + dc) in cells
+        for r, c in blocks if r0 - reach <= r < r1 + reach and c0 - reach <= c < c1 + reach
+        for dr in span for dc in span
+    )
 
 
 def merge_clusters(
-    clusters: list[Cluster],
-    *,
-    max_angle: float = np.pi / 8,
-    max_magnitude_ratio: float = 2.5,
-    max_distance: int = 2,
+    clusters: list[Cluster], *, max_angle: float = np.pi / 8, max_magnitude_ratio: float = 2.5, max_distance: int = 2
 ) -> list[Cluster]:
     """Iteratively merge nearby clusters with similar mean-MV directions.
 
@@ -148,6 +167,8 @@ def merge_clusters(
     Repeats until a fixpoint, as in the paper.
     """
     merged = [Cluster(blocks=list(c.blocks), mean_mv=c.mean_mv.copy()) for c in clusters]
+    views = [_pair_view(c) for c in merged]
+    reach = math.floor(max_distance)  # block distances are whole numbers
     changed = True
     while changed:
         changed = False
@@ -157,19 +178,19 @@ def merge_clusters(
             for j in range(i + 1, len(merged)):
                 if merged[j] is None:
                     continue
+                # Cheapest first: distance on tuples, magnitudes on cached floats, the angle last.
                 a, b = merged[i], merged[j]
+                (na, _, a_box), (nb, b_cells, b_box) = views[i], views[j]
+                if not _near(a.blocks, a_box, b_cells, b_box, reach):
+                    continue
+                if min(na, nb) > 1e-9 and max(na, nb) / min(na, nb) > max_magnitude_ratio:
+                    continue
                 if _direction_angle(a.mean_mv, b.mean_mv) > max_angle:
-                    continue
-                ma, mb = np.hypot(*a.mean_mv), np.hypot(*b.mean_mv)
-                lo, hi = min(ma, mb), max(ma, mb)
-                if lo > 1e-9 and hi / lo > max_magnitude_ratio:
-                    continue
-                if _block_distance(a, b) > max_distance:
                     continue
                 total = a.size + b.size
                 a.mean_mv = (a.mean_mv * a.size + b.mean_mv * b.size) / total
                 a.blocks.extend(b.blocks)
-                merged[j] = None
+                merged[j], views[i] = None, _pair_view(a)
                 changed = True
     return [c for c in merged if c is not None]
 
@@ -178,21 +199,17 @@ def clusters_to_mask(clusters: list[Cluster], grid_shape: tuple[int, int]) -> np
     """Foreground mask: the convex contour of each cluster, rasterised.
 
     This is the final step of Fig 8 — filling the holes that sparse motion
-    vectors leave inside objects.
+    vectors leave inside objects.  A block outside the grid is an error.
     """
     mask = np.zeros(grid_shape, dtype=bool)
     for cluster in clusters:
-        pts = np.array([(c, r) for r, c in cluster.blocks], dtype=float)
-        if len(pts) == 0:
+        if not cluster.blocks:
             continue
-        if len(pts) < 3:
-            for r, c in cluster.blocks:
-                mask[r, c] = True
-            continue
-        hull = convex_hull(pts)
-        if len(hull) < 3:
-            for r, c in cluster.blocks:
-                mask[r, c] = True
-            continue
-        mask |= rasterize_polygon(hull, grid_shape)
+        r0, c0, r1, c1 = cluster.bounding_box()
+        if r0 < 0 or c0 < 0 or r1 > grid_shape[0] or c1 > grid_shape[1]:
+            raise ValueError(f"cluster blocks (rows {r0}..{r1 - 1}, cols {c0}..{c1 - 1}) outside grid {grid_shape}")
+        mask[tuple(zip(*cluster.blocks))] = True
+        hull = monotone_chain(sorted({(c, r) for r, c in cluster.blocks}))
+        if len(hull) >= 3:  # more than a straight line of blocks: fill their convex contour
+            fill_convex_hull(mask, hull)
     return mask

@@ -10,12 +10,12 @@ marking everything foreground (safe: full quality everywhere).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.clustering import Cluster, clusters_to_mask, merge_clusters, region_grow
-from repro.core.ground import GroundEstimate, estimate_ground
+from repro.core.ground import GroundEstimate, field_geometry, ground_from_geometry
 from repro.geometry.camera import CameraIntrinsics
 
 __all__ = ["ForegroundConfig", "ForegroundExtractor", "ForegroundResult"]
@@ -120,13 +120,7 @@ class ForegroundExtractor:
         self._last_mask = None
         self._recent_masks = []
 
-    def extract(
-        self,
-        mv: np.ndarray,
-        *,
-        moving: bool,
-        foe: tuple[float, float] = (0.0, 0.0),
-    ) -> ForegroundResult:
+    def extract(self, mv: np.ndarray, *, moving: bool, foe: tuple[float, float] = (0.0, 0.0)) -> ForegroundResult:
         """Extract the foreground of one frame.
 
         Parameters
@@ -141,58 +135,39 @@ class ForegroundExtractor:
         """
         grid_shape = mv.shape[:2]
         cfg = self.config
-        if not moving:
-            if self._last_mask is not None:
-                return ForegroundResult(
-                    mask=self._last_mask.copy(), clusters=[], ground=None, cached=True
-                )
-            return ForegroundResult(
-                mask=np.ones(grid_shape, dtype=bool), clusters=[], ground=None, fallback=True
-            )
-
-        ground = estimate_ground(
-            mv,
-            self.intrinsics,
-            foe=foe,
-            block=self.block,
-            min_magnitude=cfg.min_magnitude,
-            foe_tolerance=cfg.foe_tolerance if cfg.enable_foe_filter else float("inf"),
-        )
-        if not ground.found:
+        if self._last_mask is not None and self._last_mask.shape != grid_shape:
+            raise ValueError(f"grid changed from {self._last_mask.shape} to {grid_shape}; call reset()")
+        ground = None
+        if moving:
+            # One geometry per frame: ground estimation and the horizon constraint below both read it.
+            geometry = field_geometry(mv, self.intrinsics, foe, self.block)
+            foe_tolerance = cfg.foe_tolerance if cfg.enable_foe_filter else float("inf")
+            ground = ground_from_geometry(geometry, foe, cfg.min_magnitude, foe_tolerance)
+        if ground is None or not ground.found:
             if self._last_mask is not None:
                 return ForegroundResult(mask=self._last_mask.copy(), clusters=[], ground=ground, cached=True)
-            return ForegroundResult(
-                mask=np.ones(grid_shape, dtype=bool), clusters=[], ground=ground, fallback=True
-            )
+            return ForegroundResult(mask=np.ones(grid_shape, dtype=bool), clusters=[], ground=ground, fallback=True)
 
-        blocked = ground.ground_mask
+        # Static-scene blocks above the horizon line (building/sky mass).
+        above_horizon = np.zeros(grid_shape, dtype=bool)
         if cfg.horizon_margin >= 0:
-            blocked = blocked | self._static_above_horizon(mv, foe, cfg)
+            _, y, _, _, _, deviation = geometry
+            above_horizon = (deviation <= cfg.foe_tolerance) & ((y - foe[1]) < -cfg.horizon_margin)
+        blocked = ground.ground_mask | above_horizon
         clusters = region_grow(
-            mv,
-            ground.seed_mask & ~blocked,
-            blocked_mask=blocked,
-            similarity=cfg.similarity,
-            min_cluster_size=cfg.min_cluster_size,
-            min_magnitude=cfg.min_magnitude,
+            mv, ground.seed_mask & ~blocked, blocked_mask=blocked, similarity=cfg.similarity,
+            min_cluster_size=cfg.min_cluster_size, min_magnitude=cfg.min_magnitude,
         )
         if cfg.enable_merging:
-            clusters = merge_clusters(
-                clusters,
-                max_angle=cfg.merge_max_angle,
-                max_distance=cfg.merge_max_distance,
-            )
+            clusters = merge_clusters(clusters, max_angle=cfg.merge_max_angle, max_distance=cfg.merge_max_distance)
         mask = clusters_to_mask(clusters, grid_shape)
         if cfg.dilate > 0 and mask.any():
             mask = _dilate(mask, cfg.dilate)
-        # The convex contours may re-cover blocked territory; strike it out
-        # again before publishing.
-        if cfg.horizon_margin >= 0:
-            mask &= ~self._static_above_horizon(mv, foe, cfg)
+        # The convex contours may re-cover blocked territory; strike it out again before publishing.
+        mask &= ~above_horizon
         # Temporal union over the last few raw extractions (flicker repair).
         if cfg.temporal_window > 1:
-            self._recent_masks.append(mask.copy())
-            self._recent_masks = self._recent_masks[-cfg.temporal_window :]
+            self._recent_masks = [*self._recent_masks, mask.copy()][-cfg.temporal_window :]
             for old in self._recent_masks[:-1]:
                 mask |= old
         # The ground itself is never foreground, however the hulls landed.
@@ -201,27 +176,12 @@ class ForegroundExtractor:
         return ForegroundResult(mask=mask, clusters=clusters, ground=ground)
 
 
-    def _static_above_horizon(
-        self, mv: np.ndarray, foe: tuple[float, float], cfg: ForegroundConfig
-    ) -> np.ndarray:
-        """Static-scene blocks above the horizon line (building/sky mass)."""
-        from repro.core.grid import block_centers
-        from repro.geometry.foe import radial_deviation
-
-        x, y = block_centers(mv.shape[:2], self.intrinsics, block=self.block)
-        vx, vy = mv[..., 0].astype(float), mv[..., 1].astype(float)
-        static = radial_deviation(x, y, vx, vy, foe) <= cfg.foe_tolerance
-        above = (y - foe[1]) < -cfg.horizon_margin
-        return static & above
-
-
 def _dilate(mask: np.ndarray, steps: int) -> np.ndarray:
-    out = mask.copy()
     for _ in range(steps):
-        grown = out.copy()
-        grown[1:, :] |= out[:-1, :]
-        grown[:-1, :] |= out[1:, :]
-        grown[:, 1:] |= out[:, :-1]
-        grown[:, :-1] |= out[:, 1:]
-        out = grown
-    return out
+        grown = mask.copy()
+        grown[1:, :] |= mask[:-1, :]
+        grown[:-1, :] |= mask[1:, :]
+        grown[:, 1:] |= mask[:, :-1]
+        grown[:, :-1] |= mask[:, 1:]
+        mask = grown
+    return mask

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.geometry.camera import CameraIntrinsics
@@ -10,10 +12,7 @@ __all__ = ["block_centers"]
 
 
 def block_centers(
-    grid_shape: tuple[int, int],
-    intrinsics: CameraIntrinsics,
-    *,
-    block: int = 16,
+    grid_shape: tuple[int, int], intrinsics: CameraIntrinsics, *, block: int = 16
 ) -> tuple[np.ndarray, np.ndarray]:
     """Centred image coordinates of every macroblock centre.
 
@@ -29,11 +28,17 @@ def block_centers(
     Returns
     -------
     ``(x, y)`` arrays of shape ``grid_shape``, in principal-point-centred
-    coordinates — the coordinates the paper's flow equations use.
+    coordinates — the coordinates the paper's flow equations use.  Computed once
+    per ``(grid_shape, intrinsics, block)`` and shared, hence read-only.
     """
-    rows, cols = grid_shape
+    return _block_centers(*map(int, grid_shape), intrinsics, block)
+
+
+@functools.lru_cache(maxsize=64)
+def _block_centers(rows: int, cols: int, intrinsics: CameraIntrinsics, block: int):
     px = (np.arange(cols) + 0.5) * block - 0.5
     py = (np.arange(rows) + 0.5) * block - 0.5
-    xs, ys = intrinsics.centered_from_pixels(px, py)
-    x_grid, y_grid = np.meshgrid(xs, ys)
-    return x_grid, y_grid
+    grids = np.meshgrid(*intrinsics.centered_from_pixels(px, py))
+    for grid in grids:
+        grid.setflags(write=False)
+    return tuple(grids)

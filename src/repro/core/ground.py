@@ -25,7 +25,7 @@ from repro.core.grid import block_centers
 from repro.geometry.camera import CameraIntrinsics
 from repro.geometry.flow import normalized_magnitude
 from repro.geometry.foe import radial_deviation
-from repro.utils.convexhull import convex_hull, rasterize_polygon
+from repro.utils.convexhull import fill_convex_hull, monotone_chain
 from repro.utils.thresholding import triangle_threshold
 
 __all__ = ["GroundEstimate", "estimate_ground"]
@@ -65,17 +65,19 @@ class GroundEstimate:
         return bool(self.ground_mask.any())
 
 
+def field_geometry(mv: np.ndarray, intrinsics: CameraIntrinsics, foe: tuple[float, float], block: int) -> tuple:
+    """``(x, y, vx, vy, magnitude, deviation)`` of one field — block centres, float MV
+    components, their length, each vector's perpendicular deviation from its FOE radial:
+    what ground estimation and the horizon constraint both read, computed once per frame."""
+    x, y = block_centers(mv.shape[:2], intrinsics, block=block)
+    vx, vy = mv[..., 0].astype(float), mv[..., 1].astype(float)
+    return x, y, vx, vy, np.hypot(vx, vy), radial_deviation(x, y, vx, vy, foe)
+
+
 def estimate_ground(
-    mv: np.ndarray,
-    intrinsics: CameraIntrinsics,
-    *,
-    foe: tuple[float, float] = (0.0, 0.0),
-    block: int = 16,
-    min_magnitude: float = 0.3,
-    foe_tolerance: float = 0.45,
-    min_y: float = 2.0,
-    min_ground_blocks: int = 4,
-    threshold_slack: float = 1.15,
+    mv: np.ndarray, intrinsics: CameraIntrinsics, *, foe: tuple[float, float] = (0.0, 0.0), block: int = 16,
+    min_magnitude: float = 0.3, foe_tolerance: float = 0.45,
+    min_y: float = 2.0, min_ground_blocks: int = 4, threshold_slack: float = 1.15,
 ) -> GroundEstimate:
     """Estimate the ground region of one (rotation-corrected) motion field.
 
@@ -103,31 +105,28 @@ def estimate_ground(
         the slack admits the peak's full width (measurement noise) while
         objects — at >= 1.7x the ground's normalised magnitude — stay out.
     """
-    rows, cols = mv.shape[:2]
-    x, y = block_centers((rows, cols), intrinsics, block=block)
-    vx, vy = mv[..., 0].astype(float), mv[..., 1].astype(float)
-    mag = np.hypot(vx, vy)
+    geometry = field_geometry(mv, intrinsics, foe, block)
+    return ground_from_geometry(geometry, foe, min_magnitude, foe_tolerance, min_y, min_ground_blocks, threshold_slack)
 
+
+def ground_from_geometry(
+    geometry: tuple, foe: tuple[float, float], min_magnitude: float, foe_tolerance: float,
+    min_y: float = 2.0, min_ground_blocks: int = 4, threshold_slack: float = 1.15,
+) -> GroundEstimate:
+    """:func:`estimate_ground` on a :func:`field_geometry` the caller holds."""
+    x, y, vx, vy, mag, deviation = geometry
     usable = mag >= min_magnitude
-    static = radial_deviation(x, y, vx, vy, foe) <= foe_tolerance
-    below_horizon = (y - foe[1]) >= min_y
-    candidates = usable & static & below_horizon
+    candidates = usable & (deviation <= foe_tolerance) & ((y - foe[1]) >= min_y)
 
-    norm = np.full((rows, cols), np.nan)
-    norm[candidates] = normalized_magnitude(
-        vx[candidates], vy[candidates], x[candidates], y[candidates], foe
-    )
-    # Ground values are positive; negatives can only arise from numerical
-    # corner cases right at the horizon.
+    norm = np.full(mag.shape, np.nan)
+    norm[candidates] = normalized_magnitude(vx[candidates], vy[candidates], x[candidates], y[candidates], foe)
+    # Ground values are positive; negatives can only arise from numerical corner cases right at the horizon.
     positive = candidates & (norm > 0)
 
+    blank = np.zeros(mag.shape, dtype=bool)
     empty = GroundEstimate(
-        ground_mask=np.zeros((rows, cols), dtype=bool),
-        hull=np.empty((0, 2)),
-        region_mask=np.zeros((rows, cols), dtype=bool),
-        seed_mask=np.zeros((rows, cols), dtype=bool),
-        normalized=norm,
-        threshold=np.nan,
+        ground_mask=blank, hull=np.empty((0, 2)), region_mask=blank.copy(), seed_mask=blank.copy(),
+        normalized=norm, threshold=np.nan,
     )
     if int(positive.sum()) < min_ground_blocks:
         return empty
@@ -137,17 +136,16 @@ def estimate_ground(
     if int(ground.sum()) < min_ground_blocks:
         return empty
 
-    gr, gc = np.nonzero(ground)
-    hull = convex_hull(np.stack([gc.astype(float), gr.astype(float)], axis=1))
+    # Only a column's topmost and bottommost ground blocks can be hull vertices; by column they are in chain order.
+    columns = np.flatnonzero(ground.any(axis=0)).tolist()
+    top = ground.argmax(axis=0).tolist()
+    bottom = (len(ground) - 1 - ground[::-1].argmax(axis=0)).tolist()
+    hull = monotone_chain([(c, r) for c in columns for r in sorted({top[c], bottom[c]})])
     if len(hull) < 3:
         return empty
-    region = rasterize_polygon(hull, (rows, cols))
-    seeds = region & ~ground & usable
+    region = blank.copy()
+    fill_convex_hull(region, hull)
     return GroundEstimate(
-        ground_mask=ground,
-        hull=hull,
-        region_mask=region,
-        seed_mask=seeds,
-        normalized=norm,
-        threshold=float(threshold),
+        ground_mask=ground, hull=np.array(hull, dtype=float), region_mask=region,
+        seed_mask=region & ~ground & usable, normalized=norm, threshold=threshold,
     )

@@ -21,14 +21,30 @@ __all__ = [
 ]
 
 
-def _cross(o: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """2-D cross product of vectors ``oa`` and ``ob``.
-
-    Positive when ``o``->``a``->``b`` makes a counter-clockwise turn in a
-    y-up frame (clockwise in the image's y-down frame; hull code only relies
-    on the sign being consistent).
+def monotone_chain(points: list[tuple]) -> list[tuple]:
+    """Andrew's monotone chain over distinct ``(x, y)`` pairs in lexicographic
+    order: the strictly convex vertices, counter-clockwise (y-up) from the
+    smallest point; collinear input collapses to its two extremes.  On integers
+    (macroblock indices) every turn test is exact; on Python floats it rounds
+    exactly as it would on NumPy's float64 scalars.
     """
-    return float((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
+    if len(points) <= 2:
+        return list(points)
+
+    def half(ordered: list[tuple]) -> list[tuple]:
+        chain: list[tuple] = []
+        for x, y in ordered:
+            while len(chain) >= 2:  # pop while the last two vertices and (x, y) do not turn left
+                (ox, oy), (ax, ay) = chain[-2:]
+                if not (ax - ox) * (y - oy) - (ay - oy) * (x - ox) <= 0:
+                    break
+                chain.pop()
+            chain.append((x, y))
+        return chain
+
+    lower, upper = half(points), half(points[::-1])
+    hull = lower[:-1] + upper[:-1]
+    return hull if len(hull) >= 3 else [lower[0], lower[-1]]
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:
@@ -47,27 +63,30 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
-    uniq = np.unique(pts, axis=0)
-    order = np.lexsort((uniq[:, 1], uniq[:, 0]))
-    uniq = uniq[order]
-    n = len(uniq)
-    if n <= 2:
-        return uniq.copy()
+    uniq = np.unique(pts, axis=0)  # distinct rows, in lexicographic order
+    return uniq if len(uniq) <= 2 else np.array(monotone_chain(uniq.tolist()))
 
-    lower: list[np.ndarray] = []
-    for p in uniq:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in uniq[::-1]:
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = np.array(lower[:-1] + upper[:-1])
-    if len(hull) < 3:  # collinear input collapses to its two extremes
-        return np.array([lower[0], lower[-1]])
-    return hull
+
+def fill_convex_hull(mask: np.ndarray, hull: list[tuple[int, int]]) -> None:
+    """Set every cell of ``mask`` whose centre ``(col, row)`` lies in the closed
+    convex polygon ``hull`` (three or more integer vertices inside the grid, in
+    :func:`monotone_chain` order): row by row, the span of columns that every
+    edge's half-plane admits, in exact integer arithmetic.  For integer vertices
+    this is exactly the set :func:`rasterize_polygon` marks — off the boundary its
+    even-odd crossing test is exact (a lattice point misses an edge by at least
+    ``1 / |dy|``), and the boundary is what its on-segment test adds.
+    """
+    (x_min, x_max), (y_min, y_max) = ((min(values), max(values)) for values in zip(*hull))
+    edges = [(x0, y0, x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1])]
+    for y in range(y_min, y_max + 1):
+        lo, hi = x_min, x_max
+        for vx, vy, ex, ey in edges:  # left of (or on) this edge: ey * x <= ex * (y - vy) + ey * vx
+            bound = ex * (y - vy) + ey * vx
+            if ey > 0:
+                hi = min(hi, bound // ey)
+            elif ey < 0:
+                lo = max(lo, -(bound // -ey))
+        mask[y, lo : hi + 1] = True
 
 
 def polygon_area(polygon: np.ndarray) -> float:
