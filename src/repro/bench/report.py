@@ -1,11 +1,10 @@
-"""Rendering: bench results as text/JSON, and the unified run report.
+"""Rendering: bench results as text/JSON, and the run report.
 
-The run report is the artefact a perf PR quotes as its before/after story:
-one markdown (or plain-text) document joining a bench document with a
-``repro trace`` JSONL — benchmark timings and throughput, per-stage span
-latency, per-frame counters and peak memory, all in one place.  A metrics
-JSONL (``repro.metrics``) adds the virtual-time telemetry view: pooled
-histogram quantiles, counter totals and gauge envelopes per series.
+The run report is one markdown (or plain-text) document joining a
+``repro trace`` JSONL — per-stage span latency and per-frame counters —
+with a metrics JSONL (``repro.metrics``), the virtual-time telemetry
+view: pooled histogram quantiles, counter totals and gauge envelopes per
+series.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ def render_bench_text(doc: Mapping[str, Any]) -> str:
 
     host = doc.get("host", {})
     lines = [
-        f"schema=v{doc.get('schema')}  "
         f"python={host.get('python')}  numpy={host.get('numpy')}  {host.get('machine', '')}".rstrip(),
         "",
         format_table(_BENCH_HEADERS, _bench_rows(doc), title="repro.bench results (MB/s = macroblocks/s)"),
@@ -123,17 +121,15 @@ def _metrics_sections(metrics: Any, table) -> list[str]:
 
 
 def run_report(
-    doc: Mapping[str, Any] | None,
     trace_meta: Mapping[str, Any] | None = None,
     trace_frames: Sequence[FrameTrace] | None = None,
     *,
     metrics: Any | None = None,
     fmt: str = "markdown",
 ) -> str:
-    """Join a bench document, a frame trace and a metrics JSONL into one
-    run report.
+    """Join a frame trace and a metrics JSONL into one run report.
 
-    Any input may be omitted (``None`` / empty): the report renders the
+    Either input may be omitted (``None`` / empty): the report renders the
     sections it has data for.  ``metrics`` is a parsed
     :class:`repro.metrics.MetricsDoc` (``repro report --metrics``);
     ``fmt`` is ``"markdown"`` (pipe tables) or ``"text"`` (the aligned
@@ -149,15 +145,6 @@ def run_report(
         return [format_table(headers, rows, title=title), ""]
 
     lines: list[str] = ["# Run report" if fmt == "markdown" else "=== Run report ===", ""]
-    if doc:
-        host = doc.get("host", {})
-        lines.append(
-            f"bench document (schema v{doc.get('schema')}), "
-            f"python {host.get('python')}, numpy {host.get('numpy')}, "
-            f"{host.get('machine', 'unknown machine')}, created {doc.get('created')}"
-        )
-        lines.append("")
-        lines.extend(table(_BENCH_HEADERS, _bench_rows(doc), "Benchmarks"))
     if trace_frames:
         summary = summarize(list(trace_frames))
         meta = dict(trace_meta or {})
@@ -180,6 +167,6 @@ def run_report(
         )
     if metrics is not None and metrics.rows:
         lines.extend(_metrics_sections(metrics, table))
-    if not doc and not trace_frames and (metrics is None or not metrics.rows):
-        lines.append("(nothing to report: no bench document, trace frames or metrics)")
+    if not trace_frames and (metrics is None or not metrics.rows):
+        lines.append("(nothing to report: no trace frames or metrics)")
     return "\n".join(lines).rstrip() + "\n"

@@ -1,10 +1,9 @@
-"""Suite execution and the schema-versioned bench document.
+"""Suite execution and the bench document.
 
 :func:`run_suite` builds and measures every registered benchmark and
 returns one JSON-serialisable document::
 
     {
-      "schema": 2,
       "created": "2026-08-06T12:00:00Z",
       "host": {"python": ..., "numpy": ..., "scipy": ..., "platform": ..., "machine": ...,
                "kernel_backend": ...},
@@ -24,26 +23,21 @@ returns one JSON-serialisable document::
 
 Everything except ``created``, the timing/memory figures and the
 timing-derived ``throughput`` values is deterministic for a given
-:class:`BenchScale` — that is the contract the determinism test and the
-:mod:`repro.bench.compare` comparator rely on.
+:class:`BenchScale` — the contract the determinism test pins.
 """
 
 from __future__ import annotations
 
-import json
 import platform
 import time
 from dataclasses import asdict
-from pathlib import Path
 from typing import Any
 
 from repro.bench.measure import measure
 from repro.bench.registry import Benchmark, all_benchmarks
 from repro.experiments.config import BenchScale
 
-__all__ = ["SCHEMA_VERSION", "host_fingerprint", "load_doc", "run_benchmark", "run_suite", "write_doc"]
-
-SCHEMA_VERSION = 2
+__all__ = ["host_fingerprint", "run_benchmark", "run_suite"]
 
 
 def host_fingerprint() -> dict[str, str]:
@@ -97,26 +91,8 @@ def run_suite(
             raise ValueError(f"unknown benchmark names {unknown}; available: {sorted(by_name)}")
         benches = [by_name[n] for n in names]
     return {
-        "schema": SCHEMA_VERSION,
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "host": host_fingerprint(),
         "config": asdict(scale),
         "benchmarks": [run_benchmark(b, scale) for b in benches],
     }
-
-
-def write_doc(doc: dict[str, Any], path: str | Path) -> Path:
-    """Write a bench document as stable, human-diffable JSON."""
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
-
-
-def load_doc(path: str | Path) -> dict[str, Any]:
-    """Read a bench document back; validates the schema version."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict) or "benchmarks" not in doc:
-        raise ValueError(f"{path} is not a bench document (no 'benchmarks' key)")
-    return doc

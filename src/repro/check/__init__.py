@@ -13,21 +13,15 @@ Two halves of one correctness net:
   (:mod:`repro.check.concurrency`), S013 unit flow
   (:mod:`repro.check.units`) and S014 wrapped entropy
   (:mod:`repro.check.determinism`).  Run it as ``repro lint [--format
-  json] [--baseline FILE] [paths]``; suppress inline with
-  ``# repro: noqa[S001]``.
+  json] [paths]``; suppress inline with ``# repro: noqa[S001]``.
 - **Runtime**: an opt-in array sanitizer (:mod:`repro.check.sanitize`,
-  ``ExperimentConfig(sanitize=True)``) asserting finiteness, dtype and
-  macroblock alignment at stage boundaries.
+  ``run_scheme(sanitizer=ArraySanitizer())`` / ``repro demo --sanitize``)
+  asserting finiteness, dtype and macroblock alignment at stage
+  boundaries.
 
 See the "Static analysis & sanitizer" sections of README.md / API.md.
 """
 
-from repro.check.baseline import (
-    BaselineComparison,
-    BaselineError,
-    compare_baseline,
-    write_baseline,
-)
 from repro.check.callgraph import CallGraph, CallSite, build_callgraph, describe_chain
 from repro.check.dataflow import TaintModel, run_dataflow
 from repro.check.engine import (
@@ -47,8 +41,6 @@ from repro.check.symbols import ProjectModel, build_project
 
 __all__ = [
     "ArraySanitizer",
-    "BaselineComparison",
-    "BaselineError",
     "CallGraph",
     "CallSite",
     "CheckResult",
@@ -66,12 +58,10 @@ __all__ = [
     "check_file",
     "check_paths",
     "check_source",
-    "compare_baseline",
     "describe_chain",
     "register",
     "render_json",
     "render_text",
     "rule_table",
     "run_dataflow",
-    "write_baseline",
 ]

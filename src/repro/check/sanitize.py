@@ -8,13 +8,13 @@ the pipeline stage that produced the bad array, so a failure reads like::
 
     SanitizeError: [encoder/input] frame: 3 non-finite values (first at (12, 40))
 
-Opt in per run with ``ExperimentConfig(sanitize=True)`` (threaded through
-:func:`repro.experiments.runner.sanitizer_for` exactly like the tracer), or
-construct an :class:`ArraySanitizer` and pass it to the agent, encoder,
-decoder or edge server directly.  The default :data:`NULL_SANITIZER`
-mirrors :data:`repro.obs.tracer.NULL_TRACER`: every probe is behind an
-``if sanitizer.enabled:`` guard, so the sanitize-off hot path pays one
-attribute lookup and nothing else.
+Opt in per run with ``run_scheme(sanitizer=ArraySanitizer())`` (threaded
+through scheme and server exactly like the tracer; ``repro demo
+--sanitize`` does this), or construct an :class:`ArraySanitizer` and pass
+it to the agent, encoder, decoder or edge server directly.  The default
+:data:`NULL_SANITIZER` mirrors :data:`repro.obs.tracer.NULL_TRACER`: every
+probe is behind an ``if sanitizer.enabled:`` guard, so the sanitize-off hot
+path pays one attribute lookup and nothing else.
 
 The sanitizer only *asserts* — it never copies, casts or otherwise mutates
 an array — so a seeded run produces bit-identical results with the

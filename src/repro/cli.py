@@ -6,9 +6,9 @@ experiment entry points (``table1``, ``fig06`` ... ``fig17``, ``ablation``,
 Every experiment accepts ``--clips`` / ``--frames`` to trade fidelity for
 time; results print as the same text tables the benchmark suite emits.
 ``lint`` runs the project-specific static analyser, ``bench`` the
-perf/memory benchmark harness (with ``--compare`` regression gating),
-``report`` joins a bench document, a trace JSONL and a metrics JSONL
-into one run report, ``fleet`` runs a multi-tenant fleet against one
+micro benchmark table (``--compare-backends`` for numpy vs cext),
+``report`` joins a trace JSONL and a metrics JSONL into one run
+report, ``fleet`` runs a multi-tenant fleet against one
 shared cell and batching edge, and ``top`` is the live telemetry dashboard over a
 streaming run (``--once`` for a CI snapshot).
 """
@@ -39,7 +39,6 @@ from repro.experiments import (
     run_scheme,
     run_table1,
     scaled_bandwidth,
-    tracer_for,
 )
 from repro.experiments.fig07 import collect_fields
 
@@ -250,18 +249,13 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     from repro.baselines import DDSScheme, EAARScheme, O3Scheme
     from repro.core import DiVEScheme
     from repro.network import constant_trace
-    from repro.obs import counter_rows, span_rows, summarize, write_jsonl
+    from repro.obs import Tracer, counter_rows, span_rows, summarize, write_jsonl
     from repro.world import nuscenes_like, robotcar_like
 
     schemes = {"dive": DiVEScheme, "dds": DDSScheme, "eaar": EAARScheme, "o3": O3Scheme}
     maker = {"nuscenes": nuscenes_like, "robotcar": robotcar_like}[args.dataset]
-    config = ExperimentConfig(
-        n_clips=args.clips,
-        n_frames=args.frames,
-        detector_seed=args.detector_seed,
-        tracing=True,
-    )
-    tracer = tracer_for(config)
+    config = _config(args)
+    tracer = Tracer()
     tracer.meta.update(
         {
             "scheme": args.scheme,
@@ -348,37 +342,11 @@ def _bench_compare_backends(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run (or load) the benchmark suite; optionally compare against a baseline."""
-    from repro.bench import (
-        DEFAULT_TOLERANCES,
-        SchemaMismatchError,
-        all_benchmarks,
-        compare_docs,
-        load_doc,
-        render_bench_json,
-        render_bench_text,
-        render_comparison,
-        run_suite,
-        write_doc,
-    )
+    """Run the micro benchmark suite and print its table."""
+    from repro.bench import all_benchmarks, render_bench_json, render_bench_text, run_suite
 
     if args.compare_backends:
         return _bench_compare_backends(args)
-    tolerances: dict[str, float] = {}
-    for spec in args.tolerance or []:
-        kind, sep, value = spec.partition("=")
-        if not sep or kind not in DEFAULT_TOLERANCES:
-            print(
-                f"error: --tolerance expects KIND=VALUE with KIND one of "
-                f"{sorted(DEFAULT_TOLERANCES)}, got {spec!r}",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            tolerances[kind] = float(value)
-        except ValueError:
-            print(f"error: --tolerance value in {spec!r} is not a number", file=sys.stderr)
-            return 2
     if args.list:
         print(format_table(
             ["benchmark", "group"],
@@ -386,41 +354,26 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             title="registered benchmarks",
         ))
         return 0
-    if args.load:
-        doc = load_doc(args.load)
-    else:
-        doc = run_suite(names=args.only or None)
-    if args.out:
-        print(f"wrote {write_doc(doc, args.out)}")
+    doc = run_suite(names=args.only or None)
     print(render_bench_json(doc) if args.format == "json" else render_bench_text(doc))
-    if args.compare:
-        try:
-            comparison = compare_docs(load_doc(args.compare), doc, tolerances=tolerances or None)
-        except SchemaMismatchError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print()
-        print(render_comparison(comparison))
-        if args.fail_on_regress and not comparison.ok:
-            return 2
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    """Join a bench document, a frame trace and a metrics JSONL into one
-    run report."""
+    """Join a frame trace and a metrics JSONL into one run report."""
     from pathlib import Path
 
-    from repro.bench import load_doc, run_report
+    from repro.bench import run_report
     from repro.metrics import read_metrics_jsonl
     from repro.obs import read_jsonl
 
-    doc = load_doc(args.bench) if args.bench else None
-    meta, frames = (None, None)
-    if args.trace:
-        meta, frames = read_jsonl(args.trace)
-    metrics = read_metrics_jsonl(args.metrics) if args.metrics else None
-    text = run_report(doc, meta, frames, metrics=metrics, fmt=args.format)
+    try:
+        meta, frames = read_jsonl(args.trace) if args.trace else (None, None)
+        metrics = read_metrics_jsonl(args.metrics) if args.metrics else None
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    text = run_report(meta, frames, metrics=metrics, fmt=args.format)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
@@ -432,29 +385,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Run the project-specific static analyser (see :mod:`repro.check`)."""
     from repro.check import check_paths, render_json, render_text, rule_table
-    from repro.check.baseline import BaselineError, compare_baseline, write_baseline
 
     if args.list_rules:
         print(rule_table())
         return 0
     result = check_paths(args.paths)
     print(render_json(result) if args.format == "json" else render_text(result))
-    if args.write_baseline:
-        n = write_baseline(result, args.write_baseline)
-        print(f"wrote baseline {args.write_baseline} ({n} findings)")
-        return 0
-    if args.baseline:
-        # Exit-code contract matches `repro bench --compare`: 2 on new
-        # findings or an unusable baseline, 0 when the line holds.
-        try:
-            cmp = compare_baseline(result, args.baseline)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(cmp.summary())
-        for f in cmp.new:
-            print(f"NEW {f.path}:{f.line}:{f.col}: {f.rule} {f.message}")
-        return 0 if cmp.ok else 2
     return 0 if result.ok else 1
 
 
@@ -706,36 +642,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("paths", nargs="*", default=["src"], help="files/directories to lint")
     lint.add_argument("--format", choices=("text", "json"), default="text")
     lint.add_argument("--list-rules", action="store_true", help="print the rule table and exit")
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="compare findings against a recorded baseline: new findings exit 2, grandfathered ones pass",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="record the current findings as the baseline FILE and exit 0",
-    )
     bench = sub.add_parser(
         "bench",
-        help="Perf/memory micro benchmarks: run, save the document, compare runs",
-    )
-    bench.add_argument("--out", default=None, help="write the results document (JSON) here")
-    bench.add_argument("--load", default=None, help="use an existing results file instead of running")
-    bench.add_argument("--compare", default=None, metavar="BASELINE", help="baseline bench document to compare against")
-    bench.add_argument(
-        "--fail-on-regress",
-        action="store_true",
-        help="exit nonzero when --compare finds regressed or missing metrics",
-    )
-    bench.add_argument(
-        "--tolerance",
-        action="append",
-        default=None,
-        metavar="KIND=VALUE",
-        help="override a --compare tolerance, e.g. time=2.5 (kinds: time, memory, throughput; repeatable)",
+        help="Perf/memory micro benchmarks (end-to-end speed and regressions: benchmarks/perf/run.py)",
     )
     bench.add_argument("--format", choices=("text", "json"), default="text")
     bench.add_argument("--only", action="append", default=None, metavar="NAME", help="run only this benchmark (repeatable)")
@@ -749,9 +658,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_args(bench)
     report = sub.add_parser(
         "report",
-        help="Unified run report joining a bench document, a repro-trace JSONL and a metrics JSONL",
+        help="Run report joining a repro-trace JSONL and a metrics JSONL",
     )
-    report.add_argument("--bench", default=None, metavar="BENCH_JSON", help="bench results document")
     report.add_argument("--trace", default=None, metavar="TRACE_JSONL", help="frame trace from `repro trace`")
     report.add_argument(
         "--metrics", default=None, metavar="METRICS_JSONL",

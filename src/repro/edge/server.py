@@ -69,9 +69,9 @@ class EdgeServer:
         Requests, batch size, per-request detections and modelled
         service time are recorded at the *simulated* arrival time —
         never wall clock — so server telemetry is as reproducible as the
-        run itself.  The batch size gauge is 1 per request
-        today; it is the seam the fleet-serving batched-inference work
-        (ROADMAP item 1) will report through.
+        run itself.  The batch size gauge is always 1: this server
+        handles one request per call (a fleet's real batches are reported
+        by :class:`repro.fleet.BatchingEdgeServer` as ``fleet_batch_size``).
     """
 
     def __init__(

@@ -41,12 +41,8 @@ from repro.experiments.scalability import ScalabilityResult, run_scalability
 from repro.experiments.runner import (
     EvaluationResult,
     evaluate_run,
-    flight_recorder_for,
     ground_truth_for,
-    metrics_for,
     run_scheme,
-    sanitizer_for,
-    tracer_for,
     truth_clip,
 )
 from repro.experiments.table1 import DatasetSummary, run_table1
@@ -86,10 +82,6 @@ __all__ = [
     "ScalabilityResult",
     "run_scheme",
     "run_table1",
-    "flight_recorder_for",
-    "metrics_for",
-    "sanitizer_for",
-    "tracer_for",
     "truth_clip",
     "scaled_bandwidth",
 ]

@@ -7,9 +7,10 @@ paper's operating point, a "paper" bandwidth label is scaled by two
 factors before it reaches the network simulator:
 
 - the **pixel-count ratio** (equal bits per pixel per second), and
-- a **codec-efficiency factor**: `repro.codec` is a teaching codec with no
-  intra prediction, no CABAC, no deblocking and single-size partitions, so
-  it needs roughly twice the bits of x264 for the same distortion.
+- a **codec-efficiency factor**: `repro.codec` is a teaching codec —
+  DC/H/V intra prediction only, no CABAC, no deblocking and single-size
+  partitions — so it needs roughly twice the bits of x264 for the same
+  distortion.
   Without this factor a "1 Mbps" label would drive the quantiser into its
   46-51 cap — a regime the paper never operates in — and every QP-policy
   comparison (Fig 11) would be squashed against the ceiling.  With it,
@@ -57,76 +58,11 @@ class ExperimentConfig:
     detector_seed:
         Seed of the surrogate detector (shared across schemes so ground
         truth is identical for every comparison).
-    tracing:
-        Frame-level tracing switch (see :mod:`repro.obs`).  Off by
-        default — experiments then run with the shared no-op tracer and
-        pay no overhead.  :func:`repro.experiments.runner.tracer_for`
-        turns this into a tracer instance.
-    sanitize:
-        Runtime array-sanitizer switch (see :mod:`repro.check.sanitize`).
-        Off by default — runs then use the shared no-op sanitizer and pay
-        nothing.  When on, frame/MV/QP arrays are validated (finite,
-        expected dtype, macroblock-aligned) at agent, encoder, decoder and
-        edge-server stage boundaries;
-        :func:`repro.experiments.runner.sanitizer_for` turns this into a
-        sanitizer instance.  Assert-only: results are bit-identical either
-        way.
-    streaming:
-        Run schemes through the streaming runtime
-        (:mod:`repro.stream`) instead of the synchronous batch path.
-        With the default knobs below the streaming run is bit-identical
-        to batch (locked by the differential equivalence tests) — the
-        knobs only matter once a queue bound or deadline is set.
-    stream_queue_capacity:
-        Uplink queue bound (``None`` = unbounded, the batch-equivalent
-        default).
-    stream_policy:
-        Backpressure policy at a full queue: ``block`` | ``degrade-qp``
-        | ``drop-oldest``.
-    stream_deadline:
-        Per-frame budget in seconds (capture → result back at the
-        agent); ``None`` disables late accounting.
-    metrics:
-        Virtual-time metrics switch (see :mod:`repro.metrics`).  Off by
-        default — runs then use the shared :data:`~repro.metrics.
-        NULL_REGISTRY` and pay nothing.  When on, the streaming runtime
-        and edge server record windowed Counter/Gauge/Histogram
-        timelines keyed to simulated time (bit-identical across reruns);
-        :func:`repro.experiments.runner.metrics_for` turns this into a
-        registry instance.
-    flight_recorder:
-        Flight-recorder switch (see :mod:`repro.metrics.flight`): a
-        bounded ring of frame lifecycle events dumped as a deterministic
-        JSONL post-mortem when an anomaly trigger fires (deadline-miss
-        burst, sustained queue saturation, sanitizer errors).
-        :func:`repro.experiments.runner.flight_recorder_for` turns this
-        into a recorder instance.
     """
 
     n_clips: int = 3
     n_frames: int = 48
     detector_seed: int = 7
-    tracing: bool = False
-    sanitize: bool = False
-    streaming: bool = False
-    stream_queue_capacity: int | None = None
-    stream_policy: str = "block"
-    stream_deadline: float | None = None
-    metrics: bool = False
-    flight_recorder: bool = False
-
-    def stream_config(self):
-        """The :class:`repro.stream.StreamConfig` these knobs describe, or
-        ``None`` when :attr:`streaming` is off (the batch path)."""
-        if not self.streaming:
-            return None
-        from repro.stream import StreamConfig
-
-        return StreamConfig(
-            queue_capacity=self.stream_queue_capacity,
-            policy=self.stream_policy,
-            deadline=self.stream_deadline,
-        )
 
 
 @dataclass(frozen=True)

@@ -7,27 +7,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.baselines.base import AnalyticsScheme, SchemeRun
-from repro.check.sanitize import NULL_SANITIZER, ArraySanitizer, NullSanitizer
+from repro.check.sanitize import ArraySanitizer, NullSanitizer
 from repro.edge.detector import Detection, QualityAwareDetector
 from repro.edge.evaluation import evaluate_detections
 from repro.edge.server import EdgeServer
-from repro.experiments.config import ExperimentConfig
-from repro.metrics.flight import NULL_FLIGHT_RECORDER, FlightRecorder, NullFlightRecorder
-from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry, NullRegistry
 from repro.network.trace import BandwidthTrace
-from repro.obs import NULL_TRACER, NullTracer, Tracer
+from repro.obs import NullTracer, Tracer
 from repro.world.datasets import Clip, ScoredClip
 
 __all__ = [
     "EvaluationResult",
     "aggregate",
     "evaluate_run",
-    "flight_recorder_for",
     "ground_truth_for",
-    "metrics_for",
     "run_scheme",
-    "sanitizer_for",
-    "tracer_for",
     "truth_clip",
 ]
 
@@ -54,12 +47,6 @@ class EvaluationResult:
         Streaming truth accounting (:class:`repro.stream.StreamStats`)
         when the run went through the streaming runtime; ``None`` for
         batch runs.
-    metrics:
-        The live :class:`~repro.metrics.MetricsRegistry` threaded into
-        the run (``None`` when telemetry was off).
-    flight:
-        The live :class:`~repro.metrics.FlightRecorder` (``None`` when
-        off) — check ``flight.dumps`` for post-mortems.
     """
 
     scheme: str
@@ -70,8 +57,6 @@ class EvaluationResult:
     drop_rate: float
     run: SchemeRun = field(repr=False)
     stream: object | None = field(default=None, repr=False)
-    metrics: object | None = field(default=None, repr=False)
-    flight: object | None = field(default=None, repr=False)
 
     @property
     def map(self) -> float:
@@ -94,48 +79,6 @@ def ground_truth_for(clip: Clip, *, detector_seed: int = 7) -> list[list[Detecti
     return truth_clip(clip, detector_seed=detector_seed).scores()
 
 
-def tracer_for(config: ExperimentConfig) -> Tracer | NullTracer:
-    """The tracer dictated by a config's ``tracing`` switch.
-
-    A fresh live :class:`~repro.obs.Tracer` when ``config.tracing`` is set,
-    the shared no-op tracer otherwise — pass the result to
-    :func:`run_scheme` (possibly across several runs, accumulating one
-    combined trace).
-    """
-    return Tracer() if config.tracing else NULL_TRACER
-
-
-def sanitizer_for(config: ExperimentConfig) -> ArraySanitizer | NullSanitizer:
-    """The array sanitizer dictated by a config's ``sanitize`` switch.
-
-    A fresh live :class:`~repro.check.ArraySanitizer` when
-    ``config.sanitize`` is set, the shared no-op sanitizer otherwise — pass
-    the result to :func:`run_scheme`.
-    """
-    return ArraySanitizer() if config.sanitize else NULL_SANITIZER
-
-
-def metrics_for(config: ExperimentConfig) -> MetricsRegistry | NullRegistry:
-    """The metrics registry dictated by a config's ``metrics`` switch.
-
-    A fresh live :class:`~repro.metrics.MetricsRegistry` when
-    ``config.metrics`` is set, the shared no-op otherwise — pass the
-    result to :func:`run_scheme` (possibly across several runs; windows
-    are keyed by virtual time, so runs over the same clip overlay).
-    """
-    return MetricsRegistry() if config.metrics else NULL_REGISTRY
-
-
-def flight_recorder_for(config: ExperimentConfig) -> FlightRecorder | NullFlightRecorder:
-    """The flight recorder dictated by ``config.flight_recorder``.
-
-    A fresh live :class:`~repro.metrics.FlightRecorder` when the switch
-    is set, the shared no-op otherwise — pass the result to
-    :func:`run_scheme` and check ``.dumps`` afterwards.
-    """
-    return FlightRecorder() if config.flight_recorder else NULL_FLIGHT_RECORDER
-
-
 def run_scheme(
     scheme: AnalyticsScheme,
     clip: Clip,
@@ -146,8 +89,6 @@ def run_scheme(
     tracer: Tracer | NullTracer | None = None,
     sanitizer: ArraySanitizer | NullSanitizer | None = None,
     stream=None,
-    metrics: MetricsRegistry | NullRegistry | None = None,
-    flight_recorder: FlightRecorder | NullFlightRecorder | None = None,
 ) -> EvaluationResult:
     """Run one scheme on one clip and evaluate it.
 
@@ -156,25 +97,16 @@ def run_scheme(
     be passed in to avoid recomputing it across schemes, and is otherwise
     scored on the frames as the run fetches them (:func:`truth_clip` — an
     un-preloaded clip is rendered once, not once more for scoring).  A
-    ``tracer``
-    (see :mod:`repro.obs` and :func:`tracer_for`) is threaded through the
-    scheme and the server so the run emits a per-frame trace; a
-    ``sanitizer`` (see :mod:`repro.check` and :func:`sanitizer_for`) is
-    threaded the same way so stage boundaries validate their arrays.  When
-    omitted the scheme keeps whatever tracer/sanitizer it already has (the
-    no-ops by default).
+    ``tracer`` (a :class:`repro.obs.Tracer`) is threaded through the scheme
+    and the server so the run emits a per-frame trace; a ``sanitizer`` (a
+    :class:`repro.check.ArraySanitizer`) is threaded the same way so stage
+    boundaries validate their arrays.  When omitted the scheme keeps
+    whatever tracer/sanitizer it already has (the no-ops by default).
 
     ``stream`` — a :class:`repro.stream.StreamConfig` (or ``True`` for the
     defaults) — routes the run through the streaming runtime
     (:class:`repro.stream.StreamRunner`); the result then carries the
     streaming truth accounting in :attr:`EvaluationResult.stream`.
-
-    ``metrics`` (see :func:`metrics_for`) threads a virtual-time metrics
-    registry through the edge server and, for streaming runs, the queue
-    and runner; ``flight_recorder`` (see :func:`flight_recorder_for`)
-    arms the lifecycle ring buffer and its anomaly triggers.  Both land
-    back on the result (:attr:`EvaluationResult.metrics` /
-    :attr:`~EvaluationResult.flight`) when live.
     """
     if tracer is not None:
         scheme.use_tracer(tracer)
@@ -184,28 +116,19 @@ def run_scheme(
             )
     if sanitizer is not None:
         scheme.use_sanitizer(sanitizer)
-    registry = metrics if metrics is not None else NULL_REGISTRY
-    flight = flight_recorder if flight_recorder is not None else NULL_FLIGHT_RECORDER
-    if registry.enabled:
-        registry.meta.setdefault("runs", []).append(
-            {"scheme": scheme.name, "clip": clip.name, "n_frames": clip.n_frames}
-        )
     if ground_truth is None:
         clip = truth_clip(clip, detector_seed=detector_seed)
     server = EdgeServer(
         QualityAwareDetector(seed=detector_seed),
         tracer=scheme.tracer,
         sanitizer=scheme.sanitizer,
-        metrics=registry,
     )
     stats = None
     if stream is not None and stream is not False:
         from repro.stream import StreamConfig, StreamRunner
 
         config = StreamConfig() if stream is True else stream
-        result = StreamRunner(
-            scheme, config, metrics=registry, flight_recorder=flight,
-        ).run(clip, trace, server)
+        result = StreamRunner(scheme, config).run(clip, trace, server)
         run, stats = result.run, result.stats
         if tracer is not None and tracer.enabled:
             tracer.meta.setdefault("stream", []).append(
@@ -217,8 +140,6 @@ def run_scheme(
         ground_truth = clip.scores()
     evaluated = evaluate_run(run, clip, detector_seed=detector_seed, ground_truth=ground_truth)
     evaluated.stream = stats
-    evaluated.metrics = registry if registry.enabled else None
-    evaluated.flight = flight if flight.enabled else None
     return evaluated
 
 

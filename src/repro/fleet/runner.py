@@ -57,7 +57,6 @@ from repro.fleet.batch import (
 )
 from repro.fleet.cell import CELL_POLICIES, CellSlice, SharedCell
 from repro.fleet.stats import AgentReport, FleetStats, quantile
-from repro.metrics.flight import NULL_FLIGHT_RECORDER
 from repro.metrics.registry import DEFAULT_LATENCY_BUCKETS, NULL_REGISTRY
 from repro.network.trace import (
     BandwidthTrace,
@@ -66,7 +65,7 @@ from repro.network.trace import (
     random_walk_trace,
     with_outages,
 )
-from repro.stream import StreamConfig, StreamRunner
+from repro.stream import StreamRunner
 from repro.world.datasets import Clip, kitti_like, nuscenes_like, robotcar_like
 
 __all__ = ["AgentSpec", "FleetConfig", "FleetResult", "FleetRunner", "SCHEMES"]
@@ -152,8 +151,6 @@ class FleetConfig:
     detector_seed:
         Shared detector seed (every agent's private belief server and
         its ground truth use it).
-    stream_queue_capacity, stream_policy:
-        Per-agent :class:`~repro.stream.StreamConfig` knobs for phase 1.
     agent_workers:
         Phase-1 thread-pool width — wall-clock only, never results.
     drain_margin:
@@ -187,8 +184,6 @@ class FleetConfig:
     downlink_latency: float = 0.010
     deadline: float | None = None
     detector_seed: int = 7
-    stream_queue_capacity: int | None = None
-    stream_policy: str = "block"
     agent_workers: int = 1
     drain_margin: float = 5.0
 
@@ -234,12 +229,6 @@ class FleetConfig:
             for i in range(self.n_agents)
         )
 
-    def stream_config(self) -> StreamConfig:
-        return StreamConfig(
-            queue_capacity=self.stream_queue_capacity,
-            policy=self.stream_policy,
-        )
-
 
 @dataclass
 class _AgentRun:
@@ -283,8 +272,6 @@ class FleetResult:
     reports: list[AgentReport] = field(default_factory=list)
     outcomes: list[RequestOutcome] = field(repr=False, default_factory=list)
     stats: FleetStats = field(default_factory=FleetStats)
-    metrics: object = NULL_REGISTRY
-    flight: object = NULL_FLIGHT_RECORDER
     agents_wall_time: float = 0.0
     settle_wall_time: float = 0.0
 
@@ -322,11 +309,9 @@ class FleetRunner:
     once and settle several sub-fleets against different edge knobs.
     """
 
-    def __init__(self, config: FleetConfig | None = None, *,
-                 metrics=NULL_REGISTRY, flight_recorder=NULL_FLIGHT_RECORDER):
+    def __init__(self, config: FleetConfig | None = None, *, metrics=NULL_REGISTRY):
         self.config = config or FleetConfig()
         self.metrics = metrics
-        self.flight = flight_recorder
 
     # ------------------------------------------------------------ phase 1
 
@@ -401,7 +386,7 @@ class FleetRunner:
             )
             recording = RecordingEdgeServer(server)
             scored = truth_clip(clip, detector_seed=cfg.detector_seed)
-            result = StreamRunner(scheme, cfg.stream_config()).run(scored, trace, recording)
+            result = StreamRunner(scheme).run(scored, trace, recording)
             return _AgentRun(
                 spec=spec, run=result.run, stream_stats=result.stats,
                 calls=recording.calls, truth=scored.scores(),
@@ -556,7 +541,6 @@ class FleetRunner:
         return FleetResult(
             config=cfg, specs=tuple(specs), runs=[ar.run for ar in agent_runs],
             reports=reports, outcomes=outcomes, stats=stats,
-            metrics=metrics, flight=self.flight,
         )
 
     # ---------------------------------------------------------------- run

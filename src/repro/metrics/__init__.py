@@ -10,9 +10,9 @@ reproducible as the run it observes:
 - :class:`FlightRecorder` — a bounded ring of frame-lifecycle events
   dumping deterministic JSONL post-mortems when an anomaly trigger fires
   (deadline-miss burst, sustained queue saturation, sanitizer errors);
-- exporters and consumers — metrics JSONL + OpenMetrics-style text
-  (:mod:`repro.metrics.export`), the ``repro top`` dashboard renderer
-  (:mod:`repro.metrics.top`) and ``repro report --metrics`` tables.
+- exporters and consumers — metrics JSONL (:mod:`repro.metrics.export`),
+  the ``repro top`` dashboard renderer (:mod:`repro.metrics.top`) and
+  ``repro report --metrics`` tables.
 
 See the "Observability" sections of README.md / API.md.
 """
@@ -22,7 +22,6 @@ from repro.metrics.export import (
     read_metrics_jsonl,
     registry_digest,
     snapshot_lines,
-    to_openmetrics,
     write_metrics_jsonl,
 )
 from repro.metrics.flight import (
@@ -75,6 +74,5 @@ __all__ = [
     "render_top",
     "series_rows",
     "snapshot_lines",
-    "to_openmetrics",
     "write_metrics_jsonl",
 ]

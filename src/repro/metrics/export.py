@@ -1,4 +1,4 @@
-"""Metrics exporters: JSONL, OpenMetrics-style text, and digests.
+"""Metrics exporters: JSONL and digests.
 
 Mirrors :mod:`repro.obs.export`: line 1 of the JSONL is a ``meta``
 header, every following line is one record.  Two record shapes follow:
@@ -21,15 +21,16 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from repro.metrics.hist import FixedBucketHistogram
 
 __all__ = [
     "MetricsDoc",
+    "json_lines",
     "read_metrics_jsonl",
     "registry_digest",
     "snapshot_lines",
-    "to_openmetrics",
     "write_metrics_jsonl",
 ]
 
@@ -81,6 +82,11 @@ def write_metrics_jsonl(path: str | Path, registry_or_snapshot) -> Path:
     return path
 
 
+def _no_header(name: str) -> str:
+    return (f'expected an {{"instrument": "{name}", "edges": [...]}} header '
+            f"for histogram {name!r}, found none")
+
+
 @dataclass
 class MetricsDoc:
     """A parsed metrics JSONL: header metadata plus flat series rows."""
@@ -90,12 +96,11 @@ class MetricsDoc:
     instruments: dict[str, dict] = field(default_factory=dict)
     rows: list[dict] = field(default_factory=list)
 
-    def histogram_rows(self) -> list[dict]:
-        return [r for r in self.rows if r.get("kind") == "histogram"]
-
     def pooled_histogram(self, name: str, labels: dict | None = None) -> FixedBucketHistogram:
         """Merge every window of one histogram series back together."""
-        header = self.instruments[name]
+        header = self.instruments.get(name, {})
+        if "edges" not in header:
+            raise ValueError(_no_header(name))
         pooled = FixedBucketHistogram(header["edges"])
         for row in self.rows:
             if row["name"] != name or row["kind"] != "histogram":
@@ -112,70 +117,64 @@ class MetricsDoc:
         return pooled
 
 
-def read_metrics_jsonl(path: str | Path) -> MetricsDoc:
-    doc = MetricsDoc()
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh):
+#: What each kind of series row must carry beyond name / kind / labels.
+_ROW_KEYS = {
+    "counter": ("sum",),
+    "gauge": ("last", "min", "max"),
+    "histogram": ("count", "sum", "min", "max", "buckets"),
+}
+
+
+def json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """``(1-based line number, object)`` for every non-blank line of a JSONL.
+
+    The file comes from outside the program — an artefact cut short by a
+    killed run, the wrong file on a command line — so a line that is not
+    one JSON object is a :class:`ValueError` naming the path and the
+    line, not a decoder traceback.  Undecodable bytes are read as U+FFFD
+    and fail the same way.
+    """
+    with Path(path).open("r", encoding="utf-8", errors="replace") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
             if not raw:
                 continue
-            obj = json.loads(raw)
-            if lineno == 0 and "meta" in obj:
-                doc.meta = dict(obj["meta"])
-                doc.window = float(obj.get("window", 0.0))
-            elif "instrument" in obj:
-                doc.instruments[obj["instrument"]] = obj
-            else:
-                doc.rows.append(obj)
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: expected one JSON object per line "
+                    f"({exc.msg} at column {exc.colno})") from None
+            if not isinstance(obj, dict):
+                raise ValueError(
+                    f"{path}:{lineno}: expected one JSON object per line, "
+                    f"got a {type(obj).__name__}")
+            yield lineno, obj
+
+
+def read_metrics_jsonl(path: str | Path) -> MetricsDoc:
+    """Parse a metrics JSONL; malformed input is a :class:`ValueError`
+    naming the path, the line and what was expected there."""
+    doc = MetricsDoc()
+    histogram_lines: dict[str, int] = {}
+    for lineno, obj in json_lines(path):
+        if lineno == 1 and "meta" in obj:
+            doc.meta = dict(obj["meta"])
+            doc.window = float(obj.get("window", 0.0))
+        elif "instrument" in obj:
+            doc.instruments[obj["instrument"]] = obj
+        else:
+            kind = obj.get("kind")
+            missing = [k for k in ("name", "kind", "labels", *_ROW_KEYS.get(kind, ()))
+                       if k not in obj]
+            if missing or kind not in _ROW_KEYS:
+                raise ValueError(
+                    f"{path}:{lineno}: expected a counter / gauge / histogram series row"
+                    + (f", missing {missing}" if missing else f", got kind {kind!r}"))
+            if kind == "histogram":
+                histogram_lines.setdefault(obj["name"], lineno)
+            doc.rows.append(obj)
+    for name, lineno in histogram_lines.items():
+        if "edges" not in doc.instruments.get(name, {}):
+            raise ValueError(f"{path}:{lineno}: {_no_header(name)}")
     return doc
-
-
-def to_openmetrics(registry_or_snapshot) -> str:
-    """OpenMetrics-style text: cumulative totals pooled across windows.
-
-    The windowed timeline is the JSONL's job; this format is the
-    interoperability view a scrape endpoint would serve — one line per
-    series with counters summed, gauges at their last value, histograms
-    as cumulative ``_bucket{le=...}`` lines plus ``_sum`` / ``_count``.
-    """
-    snap = _snapshot(registry_or_snapshot)
-    out: list[str] = []
-    for inst in snap["instruments"]:
-        name, kind = inst["name"], inst["kind"]
-        if inst["help"]:
-            out.append(f"# HELP {name} {inst['help']}")
-        out.append(f"# TYPE {name} {kind}")
-        for series in inst["series"]:
-            labelstr = ",".join(f'{k}="{v}"' for k, v in sorted(series["labels"].items()))
-            windows = series["windows"]
-            if kind == "counter":
-                total = sum(w["sum"] for w in windows)
-                out.append(f"{name}_total{{{labelstr}}} {total!r}" if labelstr
-                           else f"{name}_total {total!r}")
-            elif kind == "gauge":
-                last = windows[-1]["last"] if windows else 0.0
-                out.append(f"{name}{{{labelstr}}} {last!r}" if labelstr
-                           else f"{name} {last!r}")
-            else:
-                edges = inst["edges"]
-                counts = [0] * (len(edges) + 1)
-                total_count, total_sum = 0, 0.0
-                for w in windows:
-                    total_count += w["count"]
-                    total_sum += w["sum"]
-                    for i, c in enumerate(w["buckets"]):
-                        counts[i] += c
-                cum = 0
-                for i, edge in enumerate(edges):
-                    cum += counts[i]
-                    le = f'le="{edge!r}"'
-                    sep = "," if labelstr else ""
-                    out.append(f"{name}_bucket{{{labelstr}{sep}{le}}} {cum}")
-                cum += counts[-1]
-                sep = "," if labelstr else ""
-                out.append(f'{name}_bucket{{{labelstr}{sep}le="+Inf"}} {cum}')
-                suffix = f"{{{labelstr}}}" if labelstr else ""
-                out.append(f"{name}_sum{suffix} {total_sum!r}")
-                out.append(f"{name}_count{suffix} {total_count}")
-    out.append("# EOF")
-    return "\n".join(out) + "\n"

@@ -290,8 +290,8 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """Canonical, fully sorted view of every window of every series.
 
-        This is the single serialisation point: the JSONL and OpenMetrics
-        exporters, the digest and ``repro top`` all render from it, so
+        This is the single serialisation point: the JSONL exporter, the
+        digest and ``repro top`` all render from it, so
         "bit-identical timelines" is one comparison of one structure.
         """
         with self._lock:

@@ -5,20 +5,16 @@ The measurement substrate behind every perf claim in this repo: a
 counters/gauges along the Fig-5 pipeline (ME → rotation removal →
 foreground → QP map → CBR encode → uplink → server), exports them as
 JSONL, and :func:`summarize` reduces a trace to per-stage p50/p95/mean
-tables (:func:`summarize_pooled` is the bounded-memory single-pass
-variant built on :mod:`repro.metrics.hist`).  The default
-:data:`NULL_TRACER` is a no-op, so untraced runs pay nothing.  See the
-"Observability" section of README.md / API.md.
+tables.  The default :data:`NULL_TRACER` is a no-op, so untraced runs pay
+nothing.  See the "Observability" section of README.md / API.md.
 """
 
 from repro.obs.aggregate import (
     StageStats,
     TraceSummary,
     counter_rows,
-    merge,
     span_rows,
     summarize,
-    summarize_pooled,
 )
 from repro.obs.export import read_jsonl, write_jsonl
 from repro.obs.tracer import NULL_TRACER, FrameTrace, NullTracer, Tracer
@@ -31,10 +27,8 @@ __all__ = [
     "TraceSummary",
     "Tracer",
     "counter_rows",
-    "merge",
     "read_jsonl",
     "span_rows",
     "summarize",
-    "summarize_pooled",
     "write_jsonl",
 ]

@@ -3,44 +3,29 @@
 :func:`summarize` turns a list of :class:`~repro.obs.tracer.FrameTrace`
 records into p50/p95/mean/total tables — one row per span path and one per
 counter — which is what the ``repro trace`` CLI prints and what perf PRs
-quote as their before/after story.
-
-:func:`summarize_pooled` is the bounded-memory variant: a single pass
-that pools each span/counter into a fixed-bucket histogram
-(:mod:`repro.metrics.hist`) instead of materialising per-name value
-lists, so memory is O(names × buckets) regardless of trace length and
-quantiles are bucket estimates (within one bucket width of exact).
+quote as their before/after story.  :meth:`StageStats.from_histogram`
+gives the same row for a pooled fixed-bucket histogram
+(:mod:`repro.metrics.hist`), which is how ``repro report --metrics``
+summarises a metrics JSONL.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.metrics.hist import FixedBucketHistogram, log_buckets
+from repro.metrics.hist import FixedBucketHistogram
 from repro.obs.tracer import FrameTrace
 
 __all__ = [
-    "POOLED_COUNTER_EDGES",
-    "POOLED_SPAN_EDGES",
     "StageStats",
     "TraceSummary",
     "counter_rows",
-    "merge",
     "span_rows",
     "summarize",
-    "summarize_pooled",
 ]
-
-#: Default pooled-span edges: 1 µs – 100 s of wall clock, 8 buckets per
-#: decade (quantile error well below run-to-run timing noise).
-POOLED_SPAN_EDGES = log_buckets(1e-6, 1e2, per_decade=8)
-
-#: Default pooled-counter edges: 0.01 – 1e10 covers QPs, per-frame bits
-#: and bandwidth samples; 4 buckets per decade.
-POOLED_COUNTER_EDGES = log_buckets(1e-2, 1e10, per_decade=4)
 
 
 @dataclass(frozen=True)
@@ -101,28 +86,6 @@ class TraceSummary:
     counters: dict[str, StageStats]
 
 
-def merge(frame_lists: Iterable[Sequence[FrameTrace]], *, reindex: bool = True) -> list[FrameTrace]:
-    """Concatenate frame records from several traces into one list.
-
-    Used to pool repeats of the same run (the bench macro benchmarks record
-    one tracer per timed repeat) or several trace files into a single
-    :func:`summarize` input.  With ``reindex`` (the default), records get
-    fresh consecutive indices so frames from different repeats stay
-    distinguishable; orphan records (``index == -1``) keep their marker.
-    Records are shallow-copied — the input traces are never mutated.
-    """
-    merged: list[FrameTrace] = []
-    next_index = 0
-    for frames in frame_lists:
-        for record in frames:
-            index = record.index
-            if reindex and index != -1:
-                index = next_index
-                next_index += 1
-            merged.append(replace(record, index=index, spans=dict(record.spans), counters=dict(record.counters)))
-    return merged
-
-
 def summarize(frames: Sequence[FrameTrace]) -> TraceSummary:
     """Aggregate frame records into per-stage / per-counter statistics.
 
@@ -140,48 +103,6 @@ def summarize(frames: Sequence[FrameTrace]) -> TraceSummary:
         n_frames=len(frames),
         spans={k: StageStats.from_values(v) for k, v in sorted(span_values.items())},
         counters={k: StageStats.from_values(v) for k, v in sorted(counter_values.items())},
-    )
-
-
-def summarize_pooled(
-    frames: Iterable[FrameTrace],
-    *,
-    span_edges: Sequence[float] | None = None,
-    counter_edges: Sequence[float] | None = None,
-) -> TraceSummary:
-    """Single-pass, bounded-memory :func:`summarize`.
-
-    Accepts any iterable (including a generator reading a JSONL trace
-    lazily) and never materialises per-name value lists: each span path
-    and counter pools into one :class:`repro.metrics.hist.
-    FixedBucketHistogram`, so memory is O(names × buckets) no matter how
-    many frames stream through.  Counts, means and totals are exact;
-    p50/p95 are bucket estimates within one bucket width of
-    :func:`summarize`'s exact quantiles.  Histograms with the same edges
-    merge losslessly, so shards summarised separately can be pooled — the
-    property the metrics layer's windowed histograms rely on.
-    """
-    span_edges = POOLED_SPAN_EDGES if span_edges is None else list(span_edges)
-    counter_edges = POOLED_COUNTER_EDGES if counter_edges is None else list(counter_edges)
-    spans: dict[str, FixedBucketHistogram] = {}
-    counters: dict[str, FixedBucketHistogram] = {}
-    n_frames = 0
-    for frame in frames:
-        n_frames += 1
-        for path, seconds in frame.spans.items():
-            hist = spans.get(path)
-            if hist is None:
-                hist = spans[path] = FixedBucketHistogram(span_edges)
-            hist.observe(seconds)
-        for name, value in frame.counters.items():
-            hist = counters.get(name)
-            if hist is None:
-                hist = counters[name] = FixedBucketHistogram(counter_edges)
-            hist.observe(value)
-    return TraceSummary(
-        n_frames=n_frames,
-        spans={k: StageStats.from_histogram(h) for k, h in sorted(spans.items())},
-        counters={k: StageStats.from_histogram(h) for k, h in sorted(counters.items())},
     )
 
 

@@ -18,6 +18,7 @@ import json
 from pathlib import Path
 from typing import Any
 
+from repro.metrics.export import json_lines
 from repro.obs.tracer import FrameTrace, Tracer
 
 __all__ = ["read_jsonl", "write_jsonl"]
@@ -35,17 +36,22 @@ def write_jsonl(path: str | Path, tracer: Tracer) -> Path:
 
 
 def read_jsonl(path: str | Path) -> tuple[dict[str, Any], list[FrameTrace]]:
-    """Read a trace file back as ``(meta, frame_records)``."""
+    """Read a trace file back as ``(meta, frame_records)``.
+
+    Malformed input is a :class:`ValueError` naming the path, the 1-based
+    line and what was expected there.
+    """
     meta: dict[str, Any] = {}
     frames: list[FrameTrace] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if i == 0 and "meta" in obj:
-                meta = obj["meta"]
-            else:
-                frames.append(FrameTrace.from_json(obj))
+    for lineno, obj in json_lines(path):
+        if lineno == 1 and "meta" in obj:
+            meta = obj["meta"]
+            continue
+        try:
+            frames.append(FrameTrace.from_json(obj))
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise ValueError(
+                f'{path}:{lineno}: expected a frame record '
+                f'{{"index": int, "spans": {{path: seconds}}, "counters": {{name: value}}}}'
+            ) from None
     return meta, frames

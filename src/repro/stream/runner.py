@@ -86,17 +86,10 @@ class StreamConfig:
 
 @dataclass
 class StreamResult:
-    """A scheme run plus the streaming truth accounting.
-
-    ``metrics`` / ``flight`` echo the runner's registry and flight
-    recorder (the shared no-ops unless the caller supplied live ones),
-    so consumers like ``repro top`` can export without re-plumbing.
-    """
+    """A scheme run plus the streaming truth accounting."""
 
     run: SchemeRun
     stats: StreamStats
-    metrics: object = NULL_REGISTRY
-    flight: object = NULL_FLIGHT_RECORDER
 
 
 # -------------------------------------------------------------- facades
@@ -272,7 +265,7 @@ class StreamRunner:
             self.scheme.use_uplink_factory(None)
         wall = time.perf_counter() - started
         stats = self._reconcile(run, ctx, outcomes, server, cfg, clock, wall)
-        return StreamResult(run=run, stats=stats, metrics=self.metrics, flight=self.flight)
+        return StreamResult(run=run, stats=stats)
 
     # ------------------------------------------------------ reconciliation
 

@@ -17,13 +17,7 @@ from repro.codec.decoder import VideoDecoder
 from repro.codec.encoder import EncoderConfig, VideoEncoder
 from repro.core import DiVEScheme
 from repro.edge.server import EdgeServer
-from repro.experiments import (
-    ExperimentConfig,
-    ground_truth_for,
-    run_scheme,
-    sanitizer_for,
-    scaled_bandwidth,
-)
+from repro.experiments import ground_truth_for, run_scheme, scaled_bandwidth
 from repro.network import constant_trace
 from repro.world import nuscenes_like
 
@@ -103,22 +97,12 @@ class TestPipelineThreading:
         assert san.checks >= 3 * clip.n_frames
 
 
-class TestSanitizerForConfig:
-    def test_off_by_default_returns_shared_noop(self):
-        assert sanitizer_for(ExperimentConfig()) is NULL_SANITIZER
-
-    def test_on_returns_fresh_live_sanitizer(self):
-        san = sanitizer_for(ExperimentConfig(sanitize=True))
-        assert isinstance(san, ArraySanitizer)
-        assert san.enabled
-
-
 class TestDigestStability:
     def test_sanitize_on_off_bit_identical(self):
         """The sanitizer only asserts — a seeded run yields the exact same
         per-frame bytes, sources and detections with it on or off, batch
-        or streamed (the golden e2e digest therefore holds under
-        sanitize=True)."""
+        or streamed (the golden e2e digest therefore holds under a live
+        sanitizer)."""
         clip = nuscenes_like(1, n_frames=8)
         trace = constant_trace(scaled_bandwidth(2.0, clip))
         gt = ground_truth_for(clip)

@@ -1,27 +1,19 @@
 """Tests for the semantic-analysis layer: symbols, call graph, dataflow,
-the S012/S013/S014 analyzers, and the lint baseline workflow.
+and the S012/S013/S014 analyzers.
 
 Fixture projects are built with :func:`build_project` from in-memory
 sources so resolution across modules (aliased imports, factories, method
 lookup) is exercised without touching the shipped tree.
 """
 
-import json
-
-import pytest
-
 from repro.check import (
     TaintModel,
     build_callgraph,
     build_project,
     check_source,
-    compare_baseline,
     describe_chain,
     run_dataflow,
-    write_baseline,
 )
-from repro.check.baseline import BaselineError, fingerprint
-from repro.check.engine import CheckResult, Finding
 from repro.check.symbols import module_name_for_path
 
 
@@ -374,94 +366,3 @@ class TestWrappedEntropy:
         rules = [f.rule for f in check_source(src, path=self.PATH)]
         assert "S001" in rules
         assert "S014" not in rules
-
-
-def _result(*findings):
-    return CheckResult(findings=sorted(findings, key=lambda f: f.sort_key), files_checked=1)
-
-
-def _finding(rule="S001", path="a.py", line=1, message="unseeded rng"):
-    return Finding(rule, "error", path, line, 0, message)
-
-
-class TestBaseline:
-    def test_roundtrip_holds(self, tmp_path):
-        base = tmp_path / "lint.json"
-        result = _result(_finding(), _finding(line=9))
-        assert write_baseline(result, base) == 2
-        cmp = compare_baseline(result, base)
-        assert cmp.ok
-        assert cmp.new == [] and cmp.resolved == []
-        assert len(cmp.grandfathered) == 2
-
-    def test_fingerprint_is_line_free(self):
-        assert fingerprint(_finding(line=1)) == fingerprint(_finding(line=99))
-
-    def test_new_finding_detected(self, tmp_path):
-        base = tmp_path / "lint.json"
-        write_baseline(_result(_finding()), base)
-        cmp = compare_baseline(_result(_finding(), _finding(message="other")), base)
-        assert not cmp.ok
-        assert [f.message for f in cmp.new] == ["other"]
-
-    def test_moved_finding_stays_grandfathered(self, tmp_path):
-        # Same rule/path/message on a different line is the old finding
-        # after an edit above it, not a new one.
-        base = tmp_path / "lint.json"
-        write_baseline(_result(_finding(line=10)), base)
-        assert compare_baseline(_result(_finding(line=42)), base).ok
-
-    def test_resolved_findings_reported(self, tmp_path):
-        base = tmp_path / "lint.json"
-        write_baseline(_result(_finding(), _finding(message="other")), base)
-        cmp = compare_baseline(_result(_finding()), base)
-        assert cmp.ok
-        assert len(cmp.resolved) == 1
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(BaselineError):
-            compare_baseline(_result(), bad)
-        bad.write_text(json.dumps({"version": 99, "counts": {}}))
-        with pytest.raises(BaselineError):
-            compare_baseline(_result(), bad)
-
-
-class TestCliBaseline:
-    def _bad_file(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import numpy as np\nrng = np.random.default_rng()\n")
-        return bad
-
-    def test_write_then_hold_exits_zero(self, capsys, tmp_path):
-        from repro.cli import main
-
-        bad = self._bad_file(tmp_path)
-        base = tmp_path / "lint-baseline.json"
-        assert main(["lint", "--write-baseline", str(base), str(bad)]) == 0
-        assert "wrote baseline" in capsys.readouterr().out
-        assert main(["lint", "--baseline", str(base), str(bad)]) == 0
-
-    def test_new_finding_exits_two(self, capsys, tmp_path):
-        from repro.cli import main
-
-        bad = self._bad_file(tmp_path)
-        base = tmp_path / "lint-baseline.json"
-        main(["lint", "--write-baseline", str(base), str(bad)])
-        capsys.readouterr()
-        # A second occurrence of the same fingerprint exceeds the
-        # baselined count, so the excess one is new.
-        bad.write_text(bad.read_text() + "rng2 = np.random.default_rng()\n")
-        rc = main(["lint", "--baseline", str(base), str(bad)])
-        out = capsys.readouterr().out
-        assert rc == 2
-        assert "NEW" in out
-
-    def test_malformed_baseline_exits_two(self, capsys, tmp_path):
-        from repro.cli import main
-
-        bad = self._bad_file(tmp_path)
-        base = tmp_path / "corrupt.json"
-        base.write_text("{")
-        assert main(["lint", "--baseline", str(base), str(bad)]) == 2

@@ -100,3 +100,14 @@ class TestMain:
         assert "Metric quantiles" in out
         assert "Metric counters" in out
         assert "stream_response_seconds" in out
+        # A cut-short artefact is a named error on stderr, exit 2 — not a
+        # decoder traceback.
+        cut = tmp_path / "cut.jsonl"
+        cut.write_bytes(metrics_path.read_bytes()[:-20])
+        n_lines = len(metrics_path.read_text().splitlines())
+        rc = main(["report", "--metrics", str(cut)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert f"cut.jsonl:{n_lines}: expected one JSON object per line" in captured.err
+        assert main(["report", "--trace", str(tmp_path / "absent.jsonl")]) == 2
+        assert "absent.jsonl" in capsys.readouterr().err

@@ -32,11 +32,10 @@ from repro.metrics import (
     registry_digest,
     render_top,
     series_rows,
-    to_openmetrics,
     write_flight_jsonl,
     write_metrics_jsonl,
 )
-from repro.obs import FrameTrace, StageStats, summarize, summarize_pooled
+from repro.obs import FrameTrace, StageStats, summarize
 
 finite_small = st.floats(
     min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False, width=32
@@ -246,19 +245,55 @@ class TestExport:
         reg.counter("frames").labels(status="ok").inc(1.0, at=5.0)
         assert registry_digest(reg) != before
 
-    def test_openmetrics_rendering(self):
-        text = to_openmetrics(_populated_registry())
-        assert "# TYPE frames counter" in text
-        assert 'frames_total{status="ok"}' in text
-        assert "# TYPE lat histogram" in text
-        assert 'lat_bucket{le="1.0"}' in text and text.rstrip().endswith("# EOF")
-        assert "# TYPE depth gauge" in text
-
     def test_jsonl_body_lines_are_canonical_json(self, tmp_path):
         path = write_metrics_jsonl(tmp_path / "m.jsonl", _populated_registry())
         lines = path.read_text().splitlines()
         assert all(json.loads(line) is not None for line in lines)
         assert "meta" in json.loads(lines[0])
+
+
+class TestMalformedMetrics:
+    """A metrics file comes from outside the program: bad input is a
+    ValueError naming the path, the 1-based line and what was expected."""
+
+    def test_truncated_last_line(self, tmp_path):
+        whole = write_metrics_jsonl(tmp_path / "m.jsonl", _populated_registry())
+        n_lines = len(whole.read_text().splitlines())
+        cut = tmp_path / "cut.jsonl"
+        cut.write_bytes(whole.read_bytes()[:-20])
+        with pytest.raises(
+                ValueError, match=rf"cut\.jsonl:{n_lines}: expected one JSON object per line"):
+            read_metrics_jsonl(cut)
+
+    def test_not_jsonl(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_text("p95 was 0.4 s\n")
+        with pytest.raises(ValueError, match=r"notes\.txt:1: expected one JSON object per line"):
+            read_metrics_jsonl(path)
+        path.write_bytes(b"\x89PNG\r\n\x1a\n")
+        with pytest.raises(ValueError, match=r"notes\.txt:1: expected one JSON object per line"):
+            read_metrics_jsonl(path)
+
+    def test_foreign_row(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"meta": {}}\n{"index": 0, "spans": {}, "counters": {}}\n')
+        with pytest.raises(ValueError, match=r"trace\.jsonl:2: expected a counter / gauge / histogram"):
+            read_metrics_jsonl(path)
+
+    def test_histogram_row_without_its_header(self, tmp_path):
+        whole = write_metrics_jsonl(tmp_path / "m.jsonl", _populated_registry())
+        lines = whole.read_text().splitlines()
+        (header_at,) = [i for i, line in enumerate(lines) if '"instrument": "lat"' in line]
+        headless = tmp_path / "headless.jsonl"
+        headless.write_text("\n".join(lines[:header_at] + lines[header_at + 1:]) + "\n")
+        # The first `lat` row moved up into the deleted header's place.
+        with pytest.raises(
+                ValueError, match=rf'headless\.jsonl:{header_at + 1}: expected an {{"instrument": "lat"'):
+            read_metrics_jsonl(headless)
+        doc = read_metrics_jsonl(whole)
+        del doc.instruments["lat"]
+        with pytest.raises(ValueError, match="expected an .* header for histogram 'lat'"):
+            doc.pooled_histogram("lat")
 
 
 class TestFlightRecorder:
@@ -327,7 +362,7 @@ class TestTopRendering:
 
 
 class TestPooledTraceSummary:
-    """Satellite: the bounded-memory path in repro.obs.aggregate."""
+    """StageStats.from_histogram: the pooled row `repro report --metrics` prints."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(min_value=1e-5, max_value=50.0, allow_nan=False,
@@ -339,7 +374,10 @@ class TestPooledTraceSummary:
             for i, d in enumerate(durations)
         ]
         exact = summarize(frames).spans["encode"]
-        pooled = summarize_pooled(iter(frames)).spans["encode"]
+        hist = FixedBucketHistogram(log_buckets(1e-6, 1e2, per_decade=8))
+        for d in durations:
+            hist.observe(float(d))
+        pooled = StageStats.from_histogram(hist)
         assert pooled.count == exact.count
         assert pooled.total == pytest.approx(exact.total, rel=1e-12)
         # The pooled quantile tracks the exact *nearest-rank* quantile to

@@ -14,7 +14,6 @@ from repro.obs import (
     NullTracer,
     Tracer,
     counter_rows,
-    merge,
     read_jsonl,
     span_rows,
     summarize,
@@ -141,6 +140,37 @@ class TestJsonlRoundTrip:
         assert [f.index for f in frames] == [0, -1]
 
 
+class TestMalformedTrace:
+    """A trace file comes from outside the program: bad input is a
+    ValueError naming the path, the 1-based line and what was expected."""
+
+    def test_truncated_last_line(self, tmp_path):
+        tr = Tracer()
+        for i in range(3):
+            with tr.frame(i):
+                tr.gauge("bits", 1000.0 + i)
+        whole = write_jsonl(tmp_path / "trace.jsonl", tr)
+        cut = tmp_path / "cut.jsonl"
+        cut.write_bytes(whole.read_bytes()[:-20])
+        with pytest.raises(ValueError, match=r"cut\.jsonl:4: expected one JSON object per line"):
+            read_jsonl(cut)
+
+    def test_not_jsonl(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_text("frame 0 took 12 ms\n")
+        with pytest.raises(ValueError, match=r"notes\.txt:1: expected one JSON object per line"):
+            read_jsonl(path)
+        path.write_text('{"meta": {}}\n[0, 1]\n')
+        with pytest.raises(ValueError, match=r"notes\.txt:2: .* got a list"):
+            read_jsonl(path)
+
+    def test_record_without_index(self, tmp_path):
+        path = tmp_path / "foreign.jsonl"
+        path.write_text('{"meta": {}}\n\n{"name": "frames", "kind": "counter"}\n')
+        with pytest.raises(ValueError, match=r"foreign\.jsonl:3: expected a frame record"):
+            read_jsonl(path)
+
+
 class TestAggregation:
     def test_summary_math(self):
         frames = [
@@ -179,21 +209,6 @@ class TestAggregation:
     def test_zero_sample_stage_stats(self):
         s = StageStats.from_values([])
         assert (s.count, s.mean, s.p50, s.p95, s.total) == (0, 0.0, 0.0, 0.0, 0.0)
-
-    def test_merge_reindexes_and_copies(self):
-        a = [FrameTrace(index=0, spans={"me": 1.0}), FrameTrace(index=1, spans={"me": 2.0})]
-        b = [FrameTrace(index=0, spans={"me": 3.0})]
-        merged = merge([a, b])
-        assert [f.index for f in merged] == [0, 1, 2]
-        assert merged[2].spans == {"me": 3.0}
-        merged[0].spans["me"] = 99.0
-        assert a[0].spans["me"] == 1.0  # inputs never mutated
-
-    def test_merge_preserves_orphan_marker_and_no_reindex(self):
-        a = [FrameTrace(index=3, counters={"bits": 1.0}), FrameTrace(index=-1, spans={"setup": 0.5})]
-        merged = merge([a])
-        assert [f.index for f in merged] == [0, -1]
-        assert [f.index for f in merge([a], reindex=False)] == [3, -1]
 
     def test_rows_scaled_to_ms(self):
         frames = [FrameTrace(index=0, spans={"me": 0.25}, counters={"bits": 5.0})]

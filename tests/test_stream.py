@@ -8,6 +8,7 @@ comes out as raised.
 
 import functools
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -255,18 +256,25 @@ def _fail_frame_one(monkeypatch, site: str, error: Exception) -> None:
     lambda: SanitizeError("agent/capture", "frame", "NaN at (3, 5)"),
 ], ids=["oserror", "sanitize"])
 @pytest.mark.parametrize("site", ["clip", "server", "scheme"])
-@pytest.mark.parametrize("driver", ["stream", "fleet"])
+@pytest.mark.parametrize("driver", ["stream", "fleet", "fleet-pool"])
 def test_faults_propagate_as_raised(monkeypatch, driver, site, make_error):
     """Whatever raises under a streaming run — the renderer, the edge
     server, the scheme — the caller gets that very exception (type and
     message with it), the scheme gets its uplink seam back, and a live
-    flight recorder dumps on a sanitizer trip."""
+    flight recorder dumps on a sanitizer trip.  ``fleet-pool`` sends the
+    agents through the ``agent_workers`` thread pool, the runtime's one
+    thread seam: the same object comes out (no hang, no wrapper), no
+    worker thread outlives the fault, and the next clean run is the
+    serial run."""
     error = make_error()
     _fail_frame_one(monkeypatch, site, error)
     scheme, recorder = DiVEScheme(), FlightRecorder()
-    if driver == "fleet":
-        run = FleetRunner(FleetConfig(
-            n_agents=2, n_frames=3, schemes=("dive",), resolution=(192, 96))).run
+    threads_before = threading.active_count()
+    if driver != "stream":
+        fleet_config = FleetConfig(
+            n_agents=2, n_frames=3, schemes=("dive",), resolution=(192, 96),
+            agent_workers=2 if driver == "fleet-pool" else 1)
+        run = FleetRunner(fleet_config).run
     else:
         clip = nuscenes_like(0, n_frames=3, resolution=(192, 96))
         run = functools.partial(
@@ -279,6 +287,11 @@ def test_faults_propagate_as_raised(monkeypatch, driver, site, make_error):
         assert scheme.uplink_factory is None
         expected = ["sanitize-error"] if isinstance(error, SanitizeError) else []
         assert [d["reason"] for d in recorder.dumps] == expected
+    if driver == "fleet-pool":
+        assert threading.active_count() == threads_before
+        monkeypatch.undo()
+        serial = FleetRunner(replace(fleet_config, agent_workers=1)).run()
+        assert run().digest() == serial.digest()
 
 
 def test_run_scheme_stream_integration():

@@ -16,13 +16,7 @@ import pytest
 
 from repro.core import DiVEScheme
 from repro.edge import EdgeServer, QualityAwareDetector
-from repro.experiments import (
-    ExperimentConfig,
-    flight_recorder_for,
-    metrics_for,
-    run_scheme,
-    scaled_bandwidth,
-)
+from repro.experiments import scaled_bandwidth
 from repro.metrics import (
     NULL_FLIGHT_RECORDER,
     NULL_REGISTRY,
@@ -104,32 +98,15 @@ class TestInstrumentation:
                     assert 0 <= win["index"] <= horizon_index, inst["name"]
 
 
-class TestExperimentsIntegration:
-    def test_config_switch_helpers(self):
-        off = ExperimentConfig()
-        assert metrics_for(off) is NULL_REGISTRY
-        assert flight_recorder_for(off) is NULL_FLIGHT_RECORDER
-        on = ExperimentConfig(metrics=True, flight_recorder=True)
-        assert metrics_for(on).enabled
-        assert flight_recorder_for(on).enabled
-
-    def test_run_scheme_batch_records_edge_metrics(self, golden_clips, golden_ground_truth):
-        clip, gt = golden_clips[0], golden_ground_truth[0]
+class TestBatchIntegration:
+    def test_batch_run_records_edge_metrics(self, golden_clips):
+        clip = golden_clips[0]
         registry = MetricsRegistry()
-        result = run_scheme(
-            DiVEScheme(), clip, constant_trace(scaled_bandwidth(2.0, clip)),
-            ground_truth=gt, metrics=registry,
-        )
-        assert result.metrics is registry
-        assert result.flight is None  # recorder stayed off
-        names = {inst.name for inst in registry.instruments()}
-        assert "edge_requests" in names and "edge_service_seconds" in names
-        assert registry.meta["runs"][0]["clip"] == clip.name
-
-    def test_run_scheme_default_is_null(self, golden_clips, golden_ground_truth):
-        clip, gt = golden_clips[0], golden_ground_truth[0]
-        result = run_scheme(
-            DiVEScheme(), clip, constant_trace(scaled_bandwidth(2.0, clip)),
-            ground_truth=gt,
-        )
-        assert result.metrics is None and result.flight is None
+        server = EdgeServer(QualityAwareDetector(seed=7), metrics=registry)
+        DiVEScheme().run(clip, constant_trace(scaled_bandwidth(2.0, clip)), server)
+        for name in ("edge_requests", "edge_service_seconds"):
+            total = sum(
+                w.sum.value
+                for s in registry.counter(name).series() for w in s.windows.values()
+            )
+            assert total > 0, name
