@@ -28,7 +28,8 @@ scan (a two-pass scheme, much like an encoder lookahead).  Sub-pixel
 precision comes from a parabolic fit through the SAD of the +-1-pixel
 neighbours of the integer winner, skipped for zero-MV blocks whose SAD is
 already skip-level so that the non-zero-MV ratio stays a clean ego-motion
-signal.
+signal.  A kernel backend runs that same search — pass for pass, to the
+byte — as one ``pattern_search`` call, block by block inside each pass.
 """
 
 from __future__ import annotations
@@ -103,24 +104,11 @@ class _BlockSadEvaluator:
     per frame, so per-call allocation dominates otherwise (lint rule S011).
     The arithmetic (gather, subtract, abs, per-block contiguous sum) is
     identical operation-for-operation to a per-block fancy-indexed version,
-    so SAD values are bit-exact either way.
-
-    ``sad_int`` / ``sad_int_subset`` hand the whole evaluation to the active
-    kernel backend's ``block_sad`` hook when it has one (looked up once, at
-    construction).  ``reference_only=True`` pins the NumPy path: backend
-    self-probes use it as the oracle.
+    so SAD values are bit-exact either way.  Pure NumPy under every kernel
+    backend: the reference search and ESA / TESA's sub-pel fit run on it.
     """
 
-    def __init__(
-        self,
-        current: np.ndarray,
-        reference: np.ndarray,
-        search_range: int,
-        block: int,
-        *,
-        reference_only: bool = False,
-    ):
-        self._block_sad = None if reference_only else kernels.override("block_sad")
+    def __init__(self, current: np.ndarray, reference: np.ndarray, search_range: int, block: int):
         self.block = block
         self.pad = search_range + 2  # +2 headroom for subpel neighbours
         self.search_range = search_range
@@ -137,7 +125,6 @@ class _BlockSadEvaluator:
         bx = np.tile(np.arange(self.cols) * block, self.rows)
         self.by = by
         self.bx = bx
-        self._arange = np.arange(block)
         # Gather machinery: every aligned block-sized window of the padded
         # reference as a zero-copy strided view.  The window at
         # ``(pad + by - dy, pad + bx - dx)`` holds exactly the pixels the
@@ -156,14 +143,8 @@ class _BlockSadEvaluator:
         #: not mutate a subset index array in place between calls.
         self._subset_idx: np.ndarray | None = None
 
-    def gather(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        """Reference blocks for integer per-block displacements, ``(n, b, b)``."""
-        return self._windows[self.pad + self.by - dy, self.pad + self.bx - dx]
-
     def sad_int(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """SAD of every block at its own integer displacement."""
-        if self._block_sad is not None:
-            return self._block_sad(self, None, dx, dy)
         ref = self._windows[self.pad + self.by - dy, self.pad + self.bx - dx]
         np.subtract(self.cur_blocks, ref, out=self._diff_buf3)
         np.abs(self._diff_buf3, out=self._diff_buf3)
@@ -171,8 +152,6 @@ class _BlockSadEvaluator:
 
     def sad_int_subset(self, idx: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """SAD for a subset of blocks (``idx`` flat indices)."""
-        if self._block_sad is not None:
-            return self._block_sad(self, idx, dx, dy)
         m = idx.shape[0]
         cur = self._cur_buf3[:m]
         if idx is not self._subset_idx:
@@ -186,24 +165,9 @@ class _BlockSadEvaluator:
         np.abs(diff, out=diff)
         return diff.sum(axis=(1, 2))
 
-    def sad_frac(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        """SAD at fractional displacements (bilinear-interpolated reference)."""
-        fdx = np.floor(dx).astype(np.int64)
-        fdy = np.floor(dy).astype(np.int64)
-        ax = (dx - fdx)[:, None, None]
-        ay = (dy - fdy)[:, None, None]
-        p00 = self.gather(fdx, fdy)
-        p01 = self.gather(fdx + 1, fdy)
-        p10 = self.gather(fdx, fdy + 1)
-        p11 = self.gather(fdx + 1, fdy + 1)
-        interp = (1 - ay) * ((1 - ax) * p00 + ax * p01) + ay * ((1 - ax) * p10 + ax * p11)
-        return np.abs(self.cur_blocks - interp).sum(axis=(1, 2))
-
 
 def _median_predictors(mv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Median of left / top / top-right neighbour MVs for every block."""
-    rows, cols = mv.shape[:2]
-    preds = np.zeros((rows, cols, 2), dtype=np.float64)
     left = np.zeros_like(mv)
     left[:, 1:] = mv[:, :-1]
     top = np.zeros_like(mv)
@@ -216,27 +180,6 @@ def _median_predictors(mv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _descend(
-    ev: _BlockSadEvaluator,
-    pattern: tuple[tuple[int, int], ...],
-    dx: np.ndarray,
-    dy: np.ndarray,
-    cost: np.ndarray,
-    pred_x: np.ndarray,
-    pred_y: np.ndarray,
-    lambda_mv: float,
-    *,
-    max_iter: int = 16,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pattern descent — dispatches to the active kernel backend."""
-    impl = kernels.override("descend_sweep")
-    if impl is not None:
-        return impl(ev, pattern, dx, dy, cost, pred_x, pred_y, lambda_mv, max_iter=max_iter)
-    return _descend_reference(
-        ev, pattern, dx, dy, cost, pred_x, pred_y, lambda_mv, max_iter=max_iter
-    )
-
-
-def _descend_reference(
     ev: _BlockSadEvaluator,
     pattern: tuple[tuple[int, int], ...],
     dx: np.ndarray,
@@ -311,7 +254,8 @@ def _try_candidates(
     return dx, dy, cost
 
 
-def _umh_offsets(search_range: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _umh_offsets(search_range: int) -> tuple[tuple[int, int], ...]:
     """UMH's extra coverage: unsymmetrical cross + uneven multi-hexagon."""
     offsets: list[tuple[int, int]] = []
     for ox in range(-search_range, search_range + 1, 2):
@@ -327,7 +271,7 @@ def _umh_offsets(search_range: int) -> list[tuple[int, int]]:
             oy = int(round(radius * 2 * np.sin(ang)))
             if (ox, oy) != (0, 0):
                 offsets.append((ox, oy))
-    return offsets
+    return tuple(offsets)
 
 
 def _parabolic_subpel(
@@ -387,6 +331,27 @@ def _pattern_search(
     lambda_mv: float,
     subpel: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """The DIA / HEX / UMH search, ``(mv, sad)`` — the active kernel backend's
+    whole-search hook when it has one and takes these arguments (it returns
+    ``None`` for what it cannot prove), else the reference below."""
+    params = dict(method=method, search_range=search_range, block=block, lambda_mv=lambda_mv, subpel=subpel)
+    impl = kernels.override("pattern_search")
+    found = impl(current, reference, **params) if impl is not None else None
+    return found if found is not None else _pattern_search_reference(current, reference, **params)
+
+
+def _pattern_search_reference(
+    current: np.ndarray,
+    reference: np.ndarray,
+    *,
+    method: str,
+    search_range: int,
+    block: int,
+    lambda_mv: float,
+    subpel: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference implementation of :func:`_pattern_search`: every block walks
+    its pattern at once, one batched SAD evaluation per candidate offset."""
     ev = _BlockSadEvaluator(current, reference, search_range, block)
     n = ev.n
     zero = np.zeros(n, dtype=np.int64)
@@ -405,20 +370,16 @@ def _pattern_search(
         if need.size:
             steps = [s for s in range(-search_range, search_range + 1, max(search_range // 2, 4))]
             grid = [(ox, oy) for ox in steps for oy in steps if (ox, oy) != (0, 0)]
-            seed_impl = kernels.override("seed_sweep")
-            if seed_impl is not None:
-                seed_impl(ev, need, grid, dx, dy, cost, lambda_mv)
-            else:
-                for ox, oy in grid:
-                    cdx = np.full(need.size, ox, dtype=np.int64)
-                    cdy = np.full(need.size, oy, dtype=np.int64)
-                    sad = ev.sad_int_subset(need, cdx, cdy)
-                    cand = sad + lambda_mv * _mv_bits_vec(cdx, cdy, zero[need], zero[need])
-                    better = cand < cost[need] - 1e-9
-                    sel = need[better]
-                    dx[sel] = ox
-                    dy[sel] = oy
-                    cost[sel] = cand[better]
+            for ox, oy in grid:
+                cdx = np.full(need.size, ox, dtype=np.int64)
+                cdy = np.full(need.size, oy, dtype=np.int64)
+                sad = ev.sad_int_subset(need, cdx, cdy)
+                cand = sad + lambda_mv * _mv_bits_vec(cdx, cdy, zero[need], zero[need])
+                better = cand < cost[need] - 1e-9
+                sel = need[better]
+                dx[sel] = ox
+                dy[sel] = oy
+                cost[sel] = cand[better]
     dx, dy, cost = _descend(ev, pattern, dx, dy, cost, zero, zero, lambda_mv)
     if method in ("hex", "umh"):
         dx, dy, cost = _descend(ev, _SMALL_DIAMOND, dx, dy, cost, zero, zero, lambda_mv)
@@ -438,24 +399,16 @@ def _pattern_search(
             # The uneven cross + multi-hexagon sweep, applied to blocks the
             # cheaper stages left with a poor match.
             need = np.flatnonzero(cost > 1.5 * block * block)
-            offset_impl = kernels.override("offset_sweep")
-            if need.size and offset_impl is not None:
-                offset_impl(
-                    ev, need, _umh_offsets(search_range), dx, dy, cost, pred_x, pred_y, lambda_mv
-                )
-            else:
-                for ox, oy in _umh_offsets(search_range):
-                    if need.size == 0:
-                        break
-                    cx = np.clip(dx[need] + ox, -search_range, search_range)
-                    cy = np.clip(dy[need] + oy, -search_range, search_range)
-                    sad = ev.sad_int_subset(need, cx, cy)
-                    cand = sad + lambda_mv * _mv_bits_vec(cx, cy, pred_x[need], pred_y[need])
-                    better = cand < cost[need] - 1e-9
-                    sel = need[better]
-                    dx[sel] = cx[better]
-                    dy[sel] = cy[better]
-                    cost[sel] = cand[better]
+            for ox, oy in _umh_offsets(search_range) if need.size else ():
+                cx = np.clip(dx[need] + ox, -search_range, search_range)
+                cy = np.clip(dy[need] + oy, -search_range, search_range)
+                sad = ev.sad_int_subset(need, cx, cy)
+                cand = sad + lambda_mv * _mv_bits_vec(cx, cy, pred_x[need], pred_y[need])
+                better = cand < cost[need] - 1e-9
+                sel = need[better]
+                dx[sel] = cx[better]
+                dy[sel] = cy[better]
+                cost[sel] = cand[better]
         dx, dy, cost = _descend(ev, pattern, dx, dy, cost, pred_x, pred_y, lambda_mv)
         if method in ("hex", "umh"):
             dx, dy, cost = _descend(ev, _SMALL_DIAMOND, dx, dy, cost, pred_x, pred_y, lambda_mv)

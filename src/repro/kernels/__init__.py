@@ -3,8 +3,9 @@
 PR 5 vectorised the encoder hot loop as far as single-threaded NumPy goes;
 this package adds the next multiplier: a small registry that lets a
 compiled implementation of the extracted kernels — the codec's
-pattern-search sweeps, per-block SADs, motion compensation, I-frame
-wavefront (``intra_encode`` / ``intra_decode``) and P-frame transform tail
+pattern search (DIA / HEX / UMH, a frame's whole search as one call),
+motion compensation, I-frame wavefront (``intra_encode`` /
+``intra_decode``) and P-frame transform tail
 (``quantize_cost`` / ``rate_counter`` / ``reconstruct``: everything between
 the forward DCT and the reconstruction but the scipy IDCT), and the
 synthetic world's value noise (every texture the renderer samples) — be
@@ -13,8 +14,8 @@ swapped in behind the ``KernelBackend`` seam.
 **Contract.**  Every backend must be *bit-identical* to the ``numpy``
 reference: the kernel bit-exactness suites (``tests/test_codec_kernels.py``,
 ``tests/test_intra_kernels.py``, ``tests/test_transform_kernels.py``,
-``tests/test_noise_kernel.py``) and the golden e2e digest, frames, I-frames
-and P-frames are parametrized over every registered backend,
+``tests/test_noise_kernel.py``) and the golden e2e digest, frames, I-frames,
+P-frames and MV fields are parametrized over every registered backend,
 and a backend that cannot prove itself (a failed self-probe, a missing
 compiler) reports unavailable and the dispatch falls through to the
 reference implementation per kernel.
@@ -36,9 +37,9 @@ hook in :data:`KERNEL_NAMES` is bound by the second.
     their own (already vectorised) implementations.  Always available;
     the fallback default, and what the tests compare every backend to.
 ``cext``
-    Runtime-compiled C (via the system ``cc``/``gcc``) for the per-block
-    SADs, the sequential pattern-search sweeps and motion compensation —
-    the whole DIA/HEX/UMH search — for the I-frame wavefront (everything
+    Runtime-compiled C (via the system ``cc``/``gcc``) for the whole
+    DIA/HEX/UMH search — one call per frame, every SAD through a per-block
+    memo — and motion compensation, for the I-frame wavefront (everything
     of ``intra_encode`` / ``intra_decode`` but the scipy transforms, which
     stay the reference's own calls), for the P-frame's transform tail
     (``quantize_cost``, ``QuantBitCounter``'s probe, and a ``reconstruct``
@@ -84,10 +85,7 @@ AUTO = "auto"
 #: The kernel hooks a backend may override (``None`` = reference path).
 KERNEL_NAMES = (
     "motion_compensate",  # MV-field prediction (bilinear taps)
-    "descend_sweep",  # pattern-search descent (DIA/HEX cores)
-    "seed_sweep",  # coarse absolute-grid seeding (HEX/UMH)
-    "offset_sweep",  # relative clipped offset pass (UMH cross/hexagon)
-    "block_sad",  # per-block SAD at per-block integer displacements
+    "pattern_search",  # the whole DIA / HEX / UMH motion search of one frame
     "value_noise",  # fractal 2-D value noise (repro.utils.noise, the renderer's textures)
     "intra_encode",  # I-frame wavefront: DC/H/V mode decision, quantise, bits, reconstruct
     "intra_decode",  # I-frame wavefront replay from levels + modes
@@ -110,10 +108,7 @@ class KernelBackend:
 
     # Kernel hooks — reference fallback when None.
     motion_compensate: Callable | None = None
-    descend_sweep: Callable | None = None
-    seed_sweep: Callable | None = None
-    offset_sweep: Callable | None = None
-    block_sad: Callable | None = None
+    pattern_search: Callable | None = None
     value_noise: Callable | None = None
     intra_encode: Callable | None = None
     intra_decode: Callable | None = None

@@ -1,11 +1,25 @@
-"""Runtime-compiled C backend: pattern-search sweeps, MC, value noise, I-frames
+"""Runtime-compiled C backend: the pattern search, MC, value noise, I-frames
 and the P-frame's transform tail.
 
 The pattern searches (DIA/HEX/UMH) are *sequentially* dependent per block:
 each candidate offset is evaluated against the block's current best, which
 the previous offset may just have updated.  NumPy can only batch across
 blocks per offset — hundreds of small fancy-indexed gathers per frame —
-while C walks each block's whole descent in one cache-resident loop.
+while C walks each block's whole descent in one cache-resident loop.  The
+whole search is one call (``pattern_search``): padding the reference and
+cutting the current frame into blocks, the zero-predictor pass with
+HEX/UMH's seed grid, both median-predictor passes, the final SAD and the
+parabolic sub-pel vertex, pass-major as the reference is — blocks are
+independent inside a pass, the predictors need the pass before complete.
+Every SAD goes through a per-call, per-block memo keyed by ``(dx, dy)``:
+the passes re-verify one converged neighbourhood under a new predictor
+(about half of a frame's evaluations repeat a displacement, all of the
+sub-pel fit's do), only the MV-bit term differs, and a hit returns the very
+double the reference computes again.  What the call cannot prove it
+declines — frames that are not C-contiguous float32 of one shape in whole
+blocks, a search range whose ``(2R+1)^2`` displacements do not fit the
+memo's 16-bit key, a NaN or infinite pixel, scratch it could not allocate —
+and ``_pattern_search_reference`` answers.
 
 Bit-exactness is engineered, then verified:
 
@@ -15,8 +29,10 @@ Bit-exactness is engineered, then verified:
 - MV bit costs use integer bit-length (``63 - clzll``) — exactly
   ``floor(log2(2|v| + 1))`` for the small odd integers involved.
 - Motion compensation orders every multiply/add exactly as the reference's
-  vectorised expression, and the source is compiled with
-  ``-ffp-contract=off`` so no FMA contraction can change a rounding.
+  vectorised expression — as the sub-pel vertex does — and the source is
+  compiled with ``-ffp-contract=off`` so no FMA contraction can change a
+  rounding.  Both pad the float32 reference to float64 in C (widening is
+  exact, so it is ``np.pad(..., mode="edge")`` of the widened plane).
 - Value noise (the renderer's textures) is a per-array pipeline in NumPy —
   four lattice hashes per octave, each a dozen full-size temporaries; C
   keeps a point's octaves and hashes in registers.  The hash is uint64
@@ -49,8 +65,9 @@ Bit-exactness is engineered, then verified:
   unavailable (the registry then falls back to the reference).
 
 Every kernel call is re-entrant: the C code keeps no state between calls
-and its scratch (a few blocks of predictions and |differences|, a rate
-counter's candidate list) is allocated per call or per counter,
+and its scratch (the search's padded reference, blocks and memo, a few
+blocks of predictions and |differences|, a rate counter's candidate list)
+is allocated per call or per counter,
 so concurrent encodes (``agent_workers > 1`` — ctypes drops the GIL
 around each call) cannot see each other's data.
 
@@ -166,120 +183,276 @@ static double mv_bits(int64_t dx, int64_t dy, int64_t px, int64_t py) {
     return 2.0 + 2.0 * ((double)ex + (double)ey);
 }
 
-/* Pattern descent for every block: candidate offsets relative to the
- * block's current MV, immediate accept on cand < cost - 1e-9, repeat until
- * a full pattern sweep improves nothing (or max_iter).  Identical
- * per-block semantics to the reference's batched active-set loop — blocks
- * are independent, so iterating block-major is a pure reordering. */
-void descend(const double *cur_blocks, const double *ref_pad, int64_t rp_stride,
-             const int64_t *by, const int64_t *bx, int64_t pad, int64_t n,
-             int64_t block, const int64_t *pattern, int64_t npat,
-             int64_t *dx, int64_t *dy, double *cost,
-             const int64_t *pred_x, const int64_t *pred_y,
-             double lambda_mv, int64_t rng, int64_t max_iter, double *scratch) {
+/* n float32 -> float64, eight at a time: -O2 vectorises only a loop whose
+ * trip count it knows. */
+static inline void widen(const float *src, double *dst, int64_t n) {
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        for (int j = 0; j < 8; j++) dst[i + j] = (double)src[i + j];
+    for (; i < n; i++) dst[i] = (double)src[i];
+}
+
+/* float32 plane -> float64, edge-replicated by pad on every side (np.pad of
+ * the widened plane, mode="edge": widening is exact, so the order is free).
+ * dst holds (h + 2 pad) rows of w + 2 pad. */
+static void pad_edge(const float *src, int64_t h, int64_t w, int64_t pad, double *dst) {
+    int64_t stride = w + 2 * pad;
+    for (int64_t i = 0; i < h; i++) {
+        const float *s = src + i * w;
+        double *d = dst + (pad + i) * stride;
+        for (int64_t j = 0; j < pad; j++) d[j] = (double)s[0];
+        widen(s, d + pad, w);
+        for (int64_t j = 0; j < pad; j++) d[pad + w + j] = (double)s[w - 1];
+    }
+    for (int64_t i = 0; i < pad; i++) {
+        memcpy(dst + i * stride, dst + pad * stride, (size_t)stride * sizeof(double));
+        memcpy(dst + (pad + h + i) * stride, dst + (pad + h - 1) * stride,
+               (size_t)stride * sizeof(double));
+    }
+}
+
+/* Whether n float32 values are all finite: no exponent field is all ones.
+ * Integer compares OR-reduced in eight lanes (as widen, for the vectoriser). */
+static int all_finite(const float *a, int64_t n) {
+    uint32_t bad[8] = {0}, bits;
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        for (int j = 0; j < 8; j++) {
+            memcpy(&bits, a + i + j, sizeof bits);
+            bad[j] |= (bits & 0x7f800000u) == 0x7f800000u;
+        }
+    for (; i < n; i++) {
+        memcpy(&bits, a + i, sizeof bits);
+        bad[0] |= (bits & 0x7f800000u) == 0x7f800000u;
+    }
+    return !(bad[0] | bad[1] | bad[2] | bad[3] | bad[4] | bad[5] | bad[6] | bad[7]);
+}
+
+/* ---- the pattern searches (repro.codec.motion._pattern_search) ----
+ * One call runs the whole DIA / HEX / UMH search of a frame.  Every SAD goes
+ * through a per-block memo keyed by the displacement: within one call SAD is
+ * a pure function of (block, dx, dy) — only the MV-bit term changes from
+ * pass to pass — and sad_block keeps NumPy's pairwise order, so a hit is the
+ * very double the reference computes again.  Open addressing over
+ * MEMO_SLOTS keys per block (0 = empty); a table that holds MEMO_CAP entries
+ * stops inserting, so a probe always ends on an empty slot. */
+#define MEMO_SLOTS 128
+#define MEMO_CAP 96
+
+typedef struct {
+    /* the frame */
+    const double *ref_pad;  /* the reference, edge-padded by rng */
+    int64_t stride, block, rng, cols;
+    double lambda_mv;
+    const double *cur_blocks;  /* the current frame, block-major */
+    uint16_t *all_keys;  /* MEMO_SLOTS per block, */
+    double *all_vals;    /* their SADs, */
+    uint8_t *counts;     /* and how many each block holds */
+    double *scratch;     /* block * block doubles: sad_block's row */
+    /* the block being searched (me_select) */
+    const double *cur, *origin;  /* its pixels; its zero-MV window in ref_pad */
+    uint16_t *keys;
+    double *vals;
+    uint8_t *count;
+} me_state;
+
+static inline void me_select(me_state *m, int64_t b) {
+    m->cur = m->cur_blocks + b * m->block * m->block;
+    m->origin = m->ref_pad + (m->rng + (b / m->cols) * m->block) * m->stride
+                + m->rng + (b % m->cols) * m->block;
+    m->keys = m->all_keys + b * MEMO_SLOTS;
+    m->vals = m->all_vals + b * MEMO_SLOTS;
+    m->count = m->counts + b;
+}
+
+/* SAD of the selected block at (dx, dy), both inside [-rng, rng].  The key
+ * numbers the (2 rng + 1)^2 displacements from 1: a uint16_t up to
+ * rng = 127, the widest search the wrapper hands over. */
+static inline double me_sad(me_state *m, int64_t dx, int64_t dy) {
+    uint32_t key = (uint32_t)((dy + m->rng) * (2 * m->rng + 1) + dx + m->rng + 1);
+    uint32_t slot = (key * 2654435761u) >> 25;  /* Fibonacci hash: the top log2(MEMO_SLOTS) bits */
+    for (; m->keys[slot]; slot = (slot + 1) % MEMO_SLOTS)
+        if (m->keys[slot] == key) return m->vals[slot];
+    double sad = sad_block(m->cur, m->origin - dy * m->stride - dx, m->stride, m->block, m->scratch);
+    if (*m->count < MEMO_CAP) {
+        m->keys[slot] = (uint16_t)key;
+        m->vals[slot] = sad;
+        ++*m->count;
+    }
+    return sad;
+}
+
+/* One candidate against the block's running best: accepted on
+ * cand < cost - 1e-9, as every stage of the reference accepts. */
+static inline int me_try(me_state *m, int64_t cx, int64_t cy, int64_t px, int64_t py,
+                         int64_t *dx, int64_t *dy, double *cost) {
+    double cand = me_sad(m, cx, cy) + m->lambda_mv * mv_bits(cx, cy, px, py);
+    if (!(cand < *cost - 1e-9)) return 0;
+    *dx = cx; *dy = cy; *cost = cand;
+    return 1;
+}
+
+static inline int64_t clip_range(int64_t v, int64_t rng) {
+    return v < -rng ? -rng : v > rng ? rng : v;
+}
+
+/* Pattern descent: offsets relative to the block's current MV, a candidate
+ * outside the window skipped (the reference costs it inf), repeated until a
+ * full sweep improves nothing or 16 sweeps.  The reference batches blocks
+ * per offset over an active set; blocks are independent, so walking one
+ * block to the end is a pure reordering. */
+static void me_descend(me_state *m, const int64_t *pattern, int64_t npat, int64_t px, int64_t py,
+                       int64_t *dx, int64_t *dy, double *cost) {
+    for (int it = 0; it < 16; it++) {
+        int improved = 0;
+        for (int64_t p = 0; p < npat; p++) {
+            int64_t cx = *dx + pattern[2 * p], cy = *dy + pattern[2 * p + 1];
+            if (cx < -m->rng || cx > m->rng || cy < -m->rng || cy > m->rng) continue;
+            improved |= me_try(m, cx, cy, px, py, dx, dy, cost);
+        }
+        if (!improved) break;
+    }
+}
+
+static const int64_t ME_DIAMOND[] = {0, -1, -1, 0, 1, 0, 0, 1};
+static const int64_t ME_HEXAGON[] = {-2, 0, -1, -2, 1, -2, 2, 0, 1, 2, -1, 2};
+
+/* The vertex of the parabola through (-1, sm), (0, s0), (1, sp), within
+ * +-0.5 — 0 where the three do not curve upwards. */
+static inline double parabola_vertex(double sm, double s0, double sp) {
+    double denom = sm - 2.0 * s0 + sp, off = 0.5 * (sm - sp) / denom;
+    if (!(denom > 1e-9 && isfinite(off))) return 0.0;
+    return off < -0.5 ? -0.5 : off > 0.5 ? 0.5 : off;
+}
+
+static inline double clip_window(double v, int64_t rng) {
+    return v < (double)-rng ? (double)-rng : v > (double)rng ? (double)rng : v;
+}
+
+static inline int64_t median3(int64_t a, int64_t b, int64_t c) {
+    int64_t lo = a < b ? a : b, hi = a < b ? b : a;
+    return c < lo ? lo : c > hi ? hi : c;
+}
+
+/* The search, pass-major as the reference is: the zero-predictor pass, then
+ * twice a pass under the median predictors of the pass before (which must
+ * be complete: they are formed for the whole grid first), the final SAD and
+ * the parabolic sub-pel vertex.  method: 0 DIA, 1 HEX, 2 UMH (umh holds its
+ * n_umh relative offsets).  cur / ref are (rows*block, cols*block) float32
+ * planes, 0 <= rng <= 127.  mv gets (rows, cols, 2) float32, sad_out
+ * the SAD under the integer MV.  Returns 1 — the reference answers — on a
+ * NaN or infinite pixel (a NaN's payload is not pinned by the pairwise
+ * order) and when the scratch cannot be allocated. */
+int64_t pattern_search(const float *cur, const float *ref, int64_t rows, int64_t cols,
+                       int64_t block, int64_t rng, int64_t method, double lambda_mv,
+                       int64_t subpel, const int64_t *umh, int64_t n_umh,
+                       float *mv, double *sad_out) {
+    int64_t n = rows * cols, bb = block * block, w = cols * block, h = rows * block;
+    int64_t stride = w + 2 * rng;
+    if (!(all_finite(cur, h * w) && all_finite(ref, h * w))) return 1;
+    /* One allocation, carved widest type first: the padded reference, the
+     * blocks, sad_block's row, the memo's SADs and each block's running
+     * cost; the MV field and its predictors; the memo's keys and counts. */
+    int64_t n_ref = (h + 2 * rng) * stride, n_f64 = n_ref + n * bb + bb + n * MEMO_SLOTS + n;
+    size_t memo_bytes = (size_t)(n * MEMO_SLOTS) * sizeof(uint16_t) + (size_t)n;
+    double *ref_pad = malloc((size_t)(n_f64 + 4 * n) * sizeof(double) + memo_bytes);
+    if (!ref_pad) return 1;
+    double *cur_blocks = ref_pad + n_ref, *vals = cur_blocks + n * bb + bb;
+    double *cost = vals + n * MEMO_SLOTS;
+    int64_t *dx = (int64_t *)(cost + n), *dy = dx + n, *pred_x = dy + n, *pred_y = pred_x + n;
+    uint16_t *keys = (uint16_t *)(pred_y + n);
+    uint8_t *counts = (uint8_t *)(keys + n * MEMO_SLOTS);
+    memset(keys, 0, memo_bytes);
+    const int64_t *pattern = method ? ME_HEXAGON : ME_DIAMOND;
+    int64_t npat = method ? 6 : 4;
+    me_state m = {ref_pad, stride, block, rng, cols, lambda_mv,
+                  cur_blocks, keys, vals, counts, cur_blocks + n * bb};
+    pad_edge(ref, h, w, rng, ref_pad);
     for (int64_t b = 0; b < n; b++) {
-        const double *cur = cur_blocks + b * block * block;
-        int64_t bdx = dx[b], bdy = dy[b];
-        double bcost = cost[b];
-        int64_t px = pred_x[b], py = pred_y[b];
-        for (int64_t it = 0; it < max_iter; it++) {
-            int improved = 0;
-            for (int64_t p = 0; p < npat; p++) {
-                int64_t cx = bdx + pattern[2 * p];
-                int64_t cy = bdy + pattern[2 * p + 1];
-                if (cx < -rng || cx > rng || cy < -rng || cy > rng) continue;
-                const double *r =
-                    ref_pad + (pad + by[b] - cy) * rp_stride + (pad + bx[b] - cx);
-                double sad = sad_block(cur, r, rp_stride, block, scratch);
-                double cand = sad + lambda_mv * mv_bits(cx, cy, px, py);
-                if (cand < bcost - 1e-9) {
-                    bdx = cx; bdy = cy; bcost = cand; improved = 1;
-                }
+        const float *src = cur + (b / cols) * block * w + (b % cols) * block;
+        for (int64_t i = 0; i < block; i++) widen(src + i * w, cur_blocks + b * bb + i * block, block);
+    }
+
+    /* Pass 1: zero start, zero predictor.  HEX / UMH first seed the
+     * blocks whose zero-MV match is poor from a coarse absolute grid. */
+    int64_t step = rng / 2 > 4 ? rng / 2 : 4;
+    for (int64_t b = 0; b < n; b++) {
+        me_select(&m, b);
+        dx[b] = dy[b] = 0;
+        cost[b] = me_sad(&m, 0, 0) + lambda_mv * mv_bits(0, 0, 0, 0);
+        if (method && cost[b] > 2.0 * (double)bb)
+            for (int64_t ox = -rng; ox <= rng; ox += step)
+                for (int64_t oy = -rng; oy <= rng; oy += step)
+                    if (ox || oy) me_try(&m, ox, oy, 0, 0, dx + b, dy + b, cost + b);
+        me_descend(&m, pattern, npat, 0, 0, dx + b, dy + b, cost + b);
+        if (method) me_descend(&m, ME_DIAMOND, 4, 0, 0, dx + b, dy + b, cost + b);
+    }
+
+    /* Pass 2, twice: the median of the left / top / top-right MVs (zero
+     * beyond the grid) predicts each block; (0, 0) and the predictor are
+     * tried, UMH adds its clipped cross + multi-hexagon offsets for
+     * blocks still matched poorly, and the descent runs again. */
+    for (int rep = 0; rep < 2; rep++) {
+        for (int64_t r = 0; r < rows; r++)
+            for (int64_t c = 0; c < cols; c++) {
+                int64_t b = r * cols + c, l = c ? b - 1 : -1, t = r ? b - cols : -1;
+                int64_t tr = r && c < cols - 1 ? b - cols + 1 : -1;
+                pred_x[b] = median3(l < 0 ? 0 : dx[l], t < 0 ? 0 : dx[t], tr < 0 ? 0 : dx[tr]);
+                pred_y[b] = median3(l < 0 ? 0 : dy[l], t < 0 ? 0 : dy[t], tr < 0 ? 0 : dy[tr]);
             }
-            if (!improved) break;
+        /* dx / dy of block b are read by the predictors above only, so
+         * from here each block may move on its own. */
+        for (int64_t b = 0; b < n; b++) {
+            int64_t px = pred_x[b], py = pred_y[b];
+            me_select(&m, b);
+            cost[b] = me_sad(&m, dx[b], dy[b]) + lambda_mv * mv_bits(dx[b], dy[b], px, py);
+            me_try(&m, 0, 0, px, py, dx + b, dy + b, cost + b);
+            me_try(&m, clip_range(px, rng), clip_range(py, rng), px, py, dx + b, dy + b, cost + b);
+            if (method == 2 && cost[b] > 1.5 * (double)bb)
+                for (int64_t p = 0; p < n_umh; p++)
+                    me_try(&m, clip_range(dx[b] + umh[2 * p], rng),
+                           clip_range(dy[b] + umh[2 * p + 1], rng),
+                           px, py, dx + b, dy + b, cost + b);
+            me_descend(&m, pattern, npat, px, py, dx + b, dy + b, cost + b);
+            if (method) me_descend(&m, ME_DIAMOND, 4, px, py, dx + b, dy + b, cost + b);
         }
-        dx[b] = bdx; dy[b] = bdy; cost[b] = bcost;
     }
-}
 
-/* One pass of absolute candidates (the HEX/UMH seeding grid) for the
- * blocks in idx, against the zero predictor.  Offsets are pre-clipped by
- * construction (the grid never leaves the search window). */
-void sweep_abs(const double *cur_blocks, const double *ref_pad, int64_t rp_stride,
-               const int64_t *by, const int64_t *bx, int64_t pad,
-               const int64_t *idx, int64_t m, int64_t block,
-               const int64_t *offs, int64_t noffs,
-               int64_t *dx, int64_t *dy, double *cost,
-               double lambda_mv, double *scratch) {
-    for (int64_t k = 0; k < m; k++) {
-        int64_t b = idx[k];
-        const double *cur = cur_blocks + b * block * block;
-        int64_t bdx = dx[b], bdy = dy[b];
-        double bcost = cost[b];
-        for (int64_t p = 0; p < noffs; p++) {
-            int64_t cx = offs[2 * p], cy = offs[2 * p + 1];
-            const double *r =
-                ref_pad + (pad + by[b] - cy) * rp_stride + (pad + bx[b] - cx);
-            double sad = sad_block(cur, r, rp_stride, block, scratch);
-            double cand = sad + lambda_mv * mv_bits(cx, cy, 0, 0);
-            if (cand < bcost - 1e-9) { bdx = cx; bdy = cy; bcost = cand; }
+    /* The SAD under the integer MV, and the sub-pel offset: the vertex of
+     * the parabola through the SADs one pixel either side, per axis,
+     * within +-0.5 — zero for a static skip-level block and for a
+     * near-perfect match (_parabolic_subpel, operation for operation). */
+    for (int64_t b = 0; b < n; b++) {
+        me_select(&m, b);
+        double sad0 = me_sad(&m, dx[b], dy[b]), fx = (double)dx[b], fy = (double)dy[b];
+        int skip = (!dx[b] && !dy[b] && sad0 <= 1.5 * (double)bb)
+                   || sad0 <= 0.05 * (double)block * (double)block;
+        if (subpel && !skip) {
+            double xm = me_sad(&m, clip_range(dx[b] - 1, rng), dy[b]);
+            double xp = me_sad(&m, clip_range(dx[b] + 1, rng), dy[b]);
+            double ym = me_sad(&m, dx[b], clip_range(dy[b] - 1, rng));
+            double yp = me_sad(&m, dx[b], clip_range(dy[b] + 1, rng));
+            fx = clip_window(fx + parabola_vertex(xm, sad0, xp), rng);
+            fy = clip_window(fy + parabola_vertex(ym, sad0, yp), rng);
         }
-        dx[b] = bdx; dy[b] = bdy; cost[b] = bcost;
+        mv[2 * b] = (float)fx; mv[2 * b + 1] = (float)fy;
+        sad_out[b] = sad0;
     }
+    free(ref_pad);
+    return 0;
 }
 
-/* One pass of relative offsets, clipped into the window before both the
- * SAD and the bit cost (UMH cross/multi-hexagon semantics). */
-void sweep_rel_clip(const double *cur_blocks, const double *ref_pad, int64_t rp_stride,
-                    const int64_t *by, const int64_t *bx, int64_t pad,
-                    const int64_t *idx, int64_t m, int64_t block,
-                    const int64_t *offs, int64_t noffs,
-                    int64_t *dx, int64_t *dy, double *cost,
-                    const int64_t *pred_x, const int64_t *pred_y,
-                    double lambda_mv, int64_t rng, double *scratch) {
-    for (int64_t k = 0; k < m; k++) {
-        int64_t b = idx[k];
-        const double *cur = cur_blocks + b * block * block;
-        int64_t bdx = dx[b], bdy = dy[b];
-        double bcost = cost[b];
-        int64_t px = pred_x[b], py = pred_y[b];
-        for (int64_t p = 0; p < noffs; p++) {
-            int64_t cx = bdx + offs[2 * p], cy = bdy + offs[2 * p + 1];
-            if (cx < -rng) cx = -rng; if (cx > rng) cx = rng;
-            if (cy < -rng) cy = -rng; if (cy > rng) cy = rng;
-            const double *r =
-                ref_pad + (pad + by[b] - cy) * rp_stride + (pad + bx[b] - cx);
-            double sad = sad_block(cur, r, rp_stride, block, scratch);
-            double cand = sad + lambda_mv * mv_bits(cx, cy, px, py);
-            if (cand < bcost - 1e-9) { bdx = cx; bdy = cy; bcost = cand; }
-        }
-        dx[b] = bdx; dy[b] = bdy; cost[b] = bcost;
-    }
-}
-
-/* SAD of block idx[k] (block k when idx is NULL) at its own integer
- * displacement (dx[k], dy[k]): the evaluator's sad_int / sad_int_subset,
- * one fused pass instead of gather + subtract + abs + sum. */
-void block_sad(const double *cur_blocks, const double *ref_pad, int64_t rp_stride,
-               const int64_t *by, const int64_t *bx, int64_t pad,
-               const int64_t *idx, int64_t m, int64_t block,
-               const int64_t *dx, const int64_t *dy, double *out, double *scratch) {
-    for (int64_t k = 0; k < m; k++) {
-        int64_t b = idx ? idx[k] : k;
-        const double *r =
-            ref_pad + (pad + by[b] - dy[k]) * rp_stride + (pad + bx[b] - dx[k]);
-        out[k] = sad_block(cur_blocks + b * block * block, r, rp_stride, block, scratch);
-    }
-}
-
-/* Motion compensation: per-block bilinear gather/blend from the padded
- * reference, float64 arithmetic in the reference's exact operation order
- * (weights formed as (1-ay)*(1-ax) etc., taps combined left-to-right),
- * final cast to float32. */
-void motion_comp(const double *ref_pad, int64_t rp_stride,
-                 const double *mvx, const double *mvy,
-                 int64_t rng, int64_t rows, int64_t cols, int64_t block,
-                 float *out, int64_t out_stride) {
+/* Motion compensation: per-block bilinear gather/blend from the reference
+ * edge-padded by rng (pad_edge, into scratch of its own), float64 arithmetic
+ * in the reference's exact operation order (weights formed as (1-ay)*(1-ax)
+ * etc., taps combined left-to-right), final cast to float32.  Returns 1 when
+ * the padded plane cannot be allocated. */
+int64_t motion_comp(const float *ref, const double *mvx, const double *mvy,
+                    int64_t rng, int64_t rows, int64_t cols, int64_t block, float *out) {
+    int64_t h = rows * block, out_stride = cols * block, rp_stride = out_stride + 2 * rng;
+    double *ref_pad = malloc((size_t)((h + 2 * rng) * rp_stride) * sizeof(double));
+    if (!ref_pad) return 1;
+    pad_edge(ref, h, out_stride, rng, ref_pad);
     for (int64_t r = 0; r < rows; r++) {
         for (int64_t c = 0; c < cols; c++) {
             int64_t b = r * cols + c;
@@ -310,6 +483,8 @@ void motion_comp(const double *ref_pad, int64_t rp_stride,
             }
         }
     }
+    free(ref_pad);
+    return 0;
 }
 
 /* Fractal value noise (repro.utils.noise) at n points: per octave o the
@@ -724,15 +899,8 @@ _F64 = ctypes.c_double
 #: :data:`_RESTYPES`, which report input the reference must answer).
 _SIGNATURES = {
     "pairwise_rows": [_PTR, _I64, _I64, _PTR],
-    "descend": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _I64, _I64, _PTR, _I64,
-                _PTR, _PTR, _PTR, _PTR, _PTR, _F64, _I64, _I64, _PTR],
-    "sweep_abs": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64, _I64, _PTR,
-                  _I64, _PTR, _PTR, _PTR, _F64, _PTR],
-    "sweep_rel_clip": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64, _I64,
-                       _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _F64, _I64, _PTR],
-    "block_sad": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64, _I64, _PTR,
-                  _PTR, _PTR, _PTR],
-    "motion_comp": [_PTR, _I64, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _I64],
+    "pattern_search": [_PTR, _PTR, _I64, _I64, _I64, _I64, _I64, _F64, _I64, _PTR, _I64, _PTR, _PTR],
+    "motion_comp": [_PTR, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR],
     "value_noise": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR],
     "intra_pre": [_PTR, _PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR],
     "quant_cost": [_PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR],
@@ -744,8 +912,9 @@ _SIGNATURES = {
     "intra_unpre": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _I64, _I64, _I64, _I64,
                     _PTR, _PTR, _PTR],
 }
-_RESTYPES = {"value_noise": _I64, "quant_cost": _I64, "intra_unpre": _I64, "rc_compact": _I64,
-             "rc_bits": _F64, "dequant_coded": _I64, "recon_post": _I64}
+_RESTYPES = {"pattern_search": _I64, "motion_comp": _I64, "value_noise": _I64, "quant_cost": _I64,
+             "intra_unpre": _I64, "rc_compact": _I64, "rc_bits": _F64, "dequant_coded": _I64,
+             "recon_post": _I64}
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -962,17 +1131,20 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _as_i64(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.int64)
+#: ``pattern_search``'s method ids, and the widest search range its memo's
+#: 16-bit key can number: ``(2 * 127 + 1) ** 2 + 1 <= 2 ** 16``.
+_ME_METHODS = {"dia": 0, "hex": 1, "umh": 2}
+_ME_MAX_RANGE = 127
 
 
-def _frame_args(ev) -> tuple:
-    """The leading arguments every block kernel takes: current blocks, the
-    padded reference with its row stride, block origins and the padding."""
-    return (
-        ev.cur_blocks.ctypes.data, ev.ref_pad.ctypes.data, ev.ref_pad.shape[1],
-        ev.by.ctypes.data, ev.bx.ctypes.data, ev.pad,
-    )
+def _frame_pair(current, reference, block) -> tuple[int, int] | None:
+    """The macroblock grid of two frames the C search may walk as they stand —
+    float32, C-contiguous, one shape, a plane ``_intra_grid`` takes — else
+    ``None``."""
+    for frame in (current, reference):
+        if not (isinstance(frame, np.ndarray) and frame.dtype == np.float32 and frame.flags.c_contiguous):
+            return None
+    return _intra_grid(current.shape, block) if current.shape == reference.shape else None
 
 
 class _CKernels:
@@ -985,83 +1157,55 @@ class _CKernels:
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
 
-    def descend_sweep(self, ev, pattern, dx, dy, cost, pred_x, pred_y,
-                      lambda_mv, *, max_iter=16):
-        pat = _as_i64(np.asarray(pattern).reshape(-1, 2))
-        scratch = np.empty(ev.block * ev.block, dtype=np.float64)
-        self._lib.descend(
-            *_frame_args(ev), ev.n, ev.block,
-            pat.ctypes.data, pat.shape[0],
-            dx.ctypes.data, dy.ctypes.data, cost.ctypes.data,
-            pred_x.ctypes.data, pred_y.ctypes.data,
-            float(lambda_mv), ev.search_range, int(max_iter), scratch.ctypes.data,
-        )
-        return dx, dy, cost
+    def pattern_search(self, current, reference, *, method, search_range, block, lambda_mv, subpel):
+        """``_pattern_search``: the whole DIA / HEX / UMH search in one call,
+        or ``None`` when the reference must answer — frames the C loops could
+        not index as they stand, a search range the memo cannot key, a NaN or
+        infinite pixel, scratch that could not be allocated."""
+        from repro.codec.motion import _umh_offsets
 
-    def seed_sweep(self, ev, idx, offsets, dx, dy, cost, lambda_mv):
-        offs = _as_i64(np.asarray(offsets).reshape(-1, 2))
-        idx = _as_i64(idx)
-        scratch = np.empty(ev.block * ev.block, dtype=np.float64)
-        self._lib.sweep_abs(
-            *_frame_args(ev),
-            idx.ctypes.data, idx.shape[0], ev.block,
-            offs.ctypes.data, offs.shape[0],
-            dx.ctypes.data, dy.ctypes.data, cost.ctypes.data,
-            float(lambda_mv), scratch.ctypes.data,
-        )
-        return dx, dy, cost
-
-    def offset_sweep(self, ev, idx, offsets, dx, dy, cost, pred_x, pred_y, lambda_mv):
-        offs = _as_i64(np.asarray(offsets).reshape(-1, 2))
-        idx = _as_i64(idx)
-        scratch = np.empty(ev.block * ev.block, dtype=np.float64)
-        self._lib.sweep_rel_clip(
-            *_frame_args(ev),
-            idx.ctypes.data, idx.shape[0], ev.block,
-            offs.ctypes.data, offs.shape[0],
-            dx.ctypes.data, dy.ctypes.data, cost.ctypes.data,
-            pred_x.ctypes.data, pred_y.ctypes.data,
-            float(lambda_mv), ev.search_range, scratch.ctypes.data,
-        )
-        return dx, dy, cost
-
-    def block_sad(self, ev, idx, dx, dy):
-        """SAD of blocks ``idx`` (all blocks when ``None``) at ``(dx, dy)``."""
-        dx = _as_i64(dx)
-        dy = _as_i64(dy)
-        m = dx.shape[0]
-        if idx is not None:
-            idx = _as_i64(idx)
-        # The C loop trusts its indices; the reference would raise on these.
-        if dy.shape[0] != m or (ev.n if idx is None else idx.shape[0]) != m:
-            raise ValueError("block_sad: idx, dx and dy must have one entry per block")
-        if m and (
-            max(-dx.min(), dx.max(), -dy.min(), dy.max()) > ev.pad
-            or (idx is not None and not 0 <= idx.min() <= idx.max() < ev.n)
+        grid = _frame_pair(current, reference, block)
+        if (
+            grid is None
+            or method not in _ME_METHODS
+            or type(search_range) is not int
+            or not 0 <= search_range <= _ME_MAX_RANGE
+            or not np.isfinite(lambda_mv)
         ):
-            raise IndexError("block_sad: displacement or block index out of range")
-        out = np.empty(m, dtype=np.float64)
-        scratch = np.empty(ev.block * ev.block, dtype=np.float64)
-        self._lib.block_sad(
-            *_frame_args(ev),
-            None if idx is None else idx.ctypes.data, m, ev.block,
-            dx.ctypes.data, dy.ctypes.data, out.ctypes.data, scratch.ctypes.data,
-        )
-        return out
+            return None
+        offsets = np.array(_umh_offsets(search_range) if method == "umh" else (), dtype=np.int64)
+        mv = np.empty((*grid, 2), dtype=np.float32)
+        sad = np.empty(grid, dtype=np.float64)
+        if self._lib.pattern_search(
+            current.ctypes.data, reference.ctypes.data, *grid, block, search_range,
+            _ME_METHODS[method], float(lambda_mv), bool(subpel),
+            offsets.ctypes.data, offsets.shape[0], mv.ctypes.data, sad.ctypes.data,
+        ):
+            return None
+        return mv, sad
 
     def motion_compensate(self, reference, mv, *, block=16):
-        reference = np.asarray(reference, dtype=np.float32)
+        from repro.codec.motion import _motion_compensate_reference
+
+        plane = np.ascontiguousarray(reference, dtype=np.float32)
+        if not (
+            isinstance(mv, np.ndarray)
+            and mv.ndim == 3
+            and mv.shape[2] == 2
+            and _intra_grid(plane.shape, block) == mv.shape[:2]
+        ):
+            # A field that does not tile the plane: what the reference makes
+            # of it (its exceptions included) is the answer.
+            return _motion_compensate_reference(reference, mv, block=block)
         rows, cols = mv.shape[0], mv.shape[1]
         rng = int(np.ceil(np.abs(mv).max())) + 2
-        ref_pad = np.pad(reference.astype(np.float64), rng, mode="edge")
         mvx = np.ascontiguousarray(mv[..., 0], dtype=np.float64).ravel()
         mvy = np.ascontiguousarray(mv[..., 1], dtype=np.float64).ravel()
-        out = np.empty(reference.shape, dtype=np.float32)
-        self._lib.motion_comp(
-            ref_pad.ctypes.data, ref_pad.shape[1],
-            mvx.ctypes.data, mvy.ctypes.data,
-            rng, rows, cols, block, out.ctypes.data, out.shape[1],
-        )
+        out = np.empty(plane.shape, dtype=np.float32)
+        if self._lib.motion_comp(
+            plane.ctypes.data, mvx.ctypes.data, mvy.ctypes.data, rng, rows, cols, block, out.ctypes.data
+        ):
+            return _motion_compensate_reference(reference, mv, block=block)
         return out
 
     def value_noise(self, x, y, *, seed, scale=1.0, octaves=1):
@@ -1253,13 +1397,7 @@ class _CKernels:
         Returns the name of the first kernel that disagrees, ``None`` when
         all agree.
         """
-        from repro.codec.motion import (
-            _BlockSadEvaluator,
-            _descend_reference,
-            _motion_compensate_reference,
-            _mv_bits_vec,
-            _SMALL_DIAMOND,
-        )
+        from repro.codec.motion import _motion_compensate_reference, _pattern_search_reference
         from repro.codec.intra import _intra_encode_reference
         from repro.codec.transform import (
             _quantize_cost_reference,
@@ -1277,48 +1415,20 @@ class _CKernels:
             self._lib.pairwise_rows(a.ctypes.data, 64, n, out.ctypes.data)
             if not np.array_equal(out, a.sum(axis=1)):
                 return f"pairwise_rows (n={n})"
-        # SADs, descent, sweeps and MC against the reference implementations.
+        # The three pattern searches and MC against the reference
+        # implementations: content that moved (so the seed grid, the
+        # predictors and the window's edge all bite) under noise.
         for block, shape in ((16, (96, 128)), (8, (48, 64))):
             where = f"(block {block})"
             ref = gen.uniform(0, 255, size=shape).astype(np.float32)
-            cur = np.clip(ref + gen.normal(0, 9, size=shape), 0, 255).astype(np.float32)
-            # reference_only: the oracle side must not dispatch to a backend.
-            ev = _BlockSadEvaluator(cur, ref, 10, block, reference_only=True)
-            zero = np.zeros(ev.n, dtype=np.int64)
-            rdx = gen.integers(-10, 11, size=ev.n)
-            rdy = gen.integers(-10, 11, size=ev.n)
-            idx = np.flatnonzero(gen.uniform(size=ev.n) < 0.7)
-            if not (
-                np.array_equal(self.block_sad(ev, None, rdx, rdy), ev.sad_int(rdx, rdy))
-                and np.array_equal(
-                    self.block_sad(ev, idx, rdx[idx], rdy[idx]),
-                    ev.sad_int_subset(idx, rdx[idx], rdy[idx]),
-                )
-            ):
-                return f"block_sad {where}"
-            cost0 = ev.sad_int(zero, zero) + 4.0 * _mv_bits_vec(zero, zero, zero, zero)
-            pred = gen.integers(-3, 4, size=ev.n)
-            ra = _descend_reference(
-                ev, _SMALL_DIAMOND, zero.copy(), zero.copy(), cost0.copy(), pred, -pred, 4.0
-            )
-            rb = self.descend_sweep(
-                ev, _SMALL_DIAMOND, zero.copy(), zero.copy(), cost0.copy(), pred, -pred, 4.0
-            )
-            if not all(np.array_equal(x, y) for x, y in zip(ra, rb)):
-                return f"descend {where}"
-            offs = [(o, p) for o in (-8, -3, 5) for p in (-6, 2, 7)]
-            sa = tuple(x.copy() for x in ra)
-            sb = tuple(x.copy() for x in ra)
-            _probe_seed_reference(ev, idx, offs, *sa, 4.0)
-            self.seed_sweep(ev, idx, offs, *sb, 4.0)
-            if not all(np.array_equal(x, y) for x, y in zip(sa, sb)):
-                return f"sweep_abs {where}"
-            ua = tuple(x.copy() for x in sa)
-            ub = tuple(x.copy() for x in sa)
-            _probe_rel_reference(ev, idx, offs, *ua, pred, -pred, 4.0)
-            self.offset_sweep(ev, idx, offs, *ub, pred, -pred, 4.0)
-            if not all(np.array_equal(x, y) for x, y in zip(ua, ub)):
-                return f"sweep_rel_clip {where}"
+            cur = np.roll(ref, (3, -7), axis=(0, 1))
+            cur = np.clip(cur + gen.normal(0, 9, size=shape), 0, 255).astype(np.float32)
+            for method in _ME_METHODS:
+                params = dict(method=method, search_range=10, block=block, lambda_mv=4.0, subpel=True)
+                got = self.pattern_search(cur, ref, **params)
+                want = _pattern_search_reference(cur, ref, **params)
+                if got is None or not all(_same_bytes(g, w) for g, w in zip(got, want)):
+                    return f"pattern_search {method} {where}"
             mv = (gen.integers(-28, 29, size=(shape[0] // block, shape[1] // block, 2))
                   * 0.25).astype(np.float32)
             if not np.array_equal(
@@ -1411,7 +1521,7 @@ class _CKernels:
 
 
 class CExtBackend(KernelBackend):
-    """Compiled-C block SADs, sweeps, motion compensation, value noise, the
+    """Compiled-C pattern search, motion compensation, value noise, the
     I-frame wavefront (``intra_encode`` / ``intra_decode``) and the P-frame's
     transform tail (``quantize_cost`` / ``rate_counter`` / ``reconstruct``),
     self-probed."""
@@ -1449,10 +1559,7 @@ class CExtBackend(KernelBackend):
         if failed is not None:
             return f"self-probe: {failed} differs bitwise from the reference"
         # Hooks are bound only once the probe has passed.
-        self.descend_sweep = kernels.descend_sweep
-        self.seed_sweep = kernels.seed_sweep
-        self.offset_sweep = kernels.offset_sweep
-        self.block_sad = kernels.block_sad
+        self.pattern_search = kernels.pattern_search
         self.motion_compensate = kernels.motion_compensate
         self.value_noise = kernels.value_noise
         self.intra_encode = kernels.intra_encode
@@ -1461,37 +1568,3 @@ class CExtBackend(KernelBackend):
         self.rate_counter = kernels.rate_counter
         self.reconstruct = kernels.reconstruct
         return None
-
-
-def _probe_seed_reference(ev, idx, offsets, dx, dy, cost, lambda_mv):
-    """Reference semantics of the absolute seeding sweep (probe only)."""
-    from repro.codec.motion import _mv_bits_vec
-
-    zero = np.zeros(idx.size, dtype=np.int64)
-    for ox, oy in offsets:
-        cdx = np.full(idx.size, ox, dtype=np.int64)
-        cdy = np.full(idx.size, oy, dtype=np.int64)
-        sad = ev.sad_int_subset(idx, cdx, cdy)
-        cand = sad + lambda_mv * _mv_bits_vec(cdx, cdy, zero, zero)
-        better = cand < cost[idx] - 1e-9
-        sel = idx[better]
-        dx[sel] = ox
-        dy[sel] = oy
-        cost[sel] = cand[better]
-
-
-def _probe_rel_reference(ev, idx, offsets, dx, dy, cost, pred_x, pred_y, lambda_mv):
-    """Reference semantics of the relative clipped sweep (probe only)."""
-    from repro.codec.motion import _mv_bits_vec
-
-    rng = ev.search_range
-    for ox, oy in offsets:
-        cx = np.clip(dx[idx] + ox, -rng, rng)
-        cy = np.clip(dy[idx] + oy, -rng, rng)
-        sad = ev.sad_int_subset(idx, cx, cy)
-        cand = sad + lambda_mv * _mv_bits_vec(cx, cy, pred_x[idx], pred_y[idx])
-        better = cand < cost[idx] - 1e-9
-        sel = idx[better]
-        dx[sel] = cx[better]
-        dy[sel] = cy[better]
-        cost[sel] = cand[better]

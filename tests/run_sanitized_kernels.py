@@ -1,6 +1,7 @@
 """Run the kernel suites with the ``cext`` source built under ASan + UBSan.
 
-Fifteen C entry points write through raw pointers — the rate counter's
+Twelve C entry points write through raw pointers — the motion search's
+per-block memo (a hash probe) and its in-C edge padding, the rate counter's
 candidate list and ``reconstruct``'s block slots at data-dependent offsets;
 the bit-exactness suites prove their *values*, this proves their
 *addresses*.  The runner appends the sanitizer flags to
@@ -38,6 +39,7 @@ SUITES = [
     "test_transform_kernels.py",
     "test_golden_iframes.py",
     "test_golden_pframes.py",
+    "test_golden_mvfields.py",
     "test_golden_e2e.py",
     "test_golden_frames.py",
 ]

@@ -19,10 +19,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import kernels
 from repro.codec.motion import (
     _BlockSadEvaluator,
+    _pattern_search,
+    _pattern_search_reference,
     _tiled_sum_mimic_ok,
     estimate_motion,
     interpolated_block,
@@ -150,10 +154,158 @@ def _frames(seed, shape=(64, 96), kind="noise"):
     return cur, ref
 
 
+def _same(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_search_matches_reference(cur, ref, **params):
+    """``_pattern_search`` under the active backend equals the reference to
+    the byte — and on ``cext`` the compiled search really answered."""
+    if kernels.active().name == "cext":
+        assert kernels.active().pattern_search(cur, ref, **params) is not None
+    got = _pattern_search(cur, ref, **params)
+    for g, w in zip(got, _pattern_search_reference(cur, ref, **params)):
+        _same(g, w)
+    return got
+
+
+def _search_frames(kind, shape, seed, search_range):
+    gen = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0 : shape[0], 0 : shape[1]]
+    ref = gen.uniform(0, 255, size=shape)
+    if kind == "noise":  # every block is matched poorly: seed grid and UMH offsets run for all
+        cur = ref + gen.normal(0, 8, size=shape)
+    elif kind == "flat":  # every candidate ties: only the MV-bit term decides
+        ref = np.full(shape, 128.0)
+        cur = ref
+    elif kind == "beyond":  # moved further than the window: clipping and the valid mask bite
+        cur = _ref_shift(ref, search_range + 3, -(search_range + 5)) + gen.normal(0, 2, size=shape)
+    elif kind == "ramp":
+        # A slope displaced by 45 px: SAD falls one step per pixel walked, so a
+        # block spends all 16 sweeps of all three passes walking (the window
+        # permitting) — more distinct displacements than its memo holds.
+        ref = xx * 1.5 + yy * 0.5 + gen.uniform(0, 0.25, size=shape)
+        cur = _ref_shift(ref, 45, 0)
+    else:
+        raise AssertionError(kind)
+    return np.clip(cur, 0, 255).astype(np.float32), np.clip(ref, 0, 255).astype(np.float32)
+
+
+SEARCH_KINDS = ["noise", "flat", "beyond", "ramp"]
+
+
+@pytest.mark.usefixtures("kernel_backend")
+class TestPatternSearchOracle:
+    """The one ``pattern_search`` hook against ``_pattern_search_reference``,
+    bytes of ``(mv, sad)``."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.sampled_from(["dia", "hex", "umh"]),
+        st.sampled_from([4, 7, 16, 24, 48]),
+        st.sampled_from([8, 16]),
+        st.sampled_from(SEARCH_KINDS),
+        st.booleans(),
+        st.integers(0, 10_000),
+    )
+    def test_property_method_range_block_content(self, method, search_range, block, kind, subpel, seed):
+        cur, ref = _search_frames(kind, (4 * block, 6 * block), seed, search_range)
+        _assert_search_matches_reference(
+            cur, ref, method=method, search_range=search_range, block=block, lambda_mv=4.0, subpel=subpel
+        )
+
+    @pytest.mark.parametrize("method,kind", [("dia", "ramp"), ("umh", "noise")])
+    def test_a_block_that_outgrows_its_memo(self, method, kind):
+        """DIA walks 45 px one pixel a sweep, three new SADs each (up to 154
+        distinct displacements for one block, counted on the reference), and
+        UMH on noise tries its 264 offsets for every block (239 distinct):
+        more than a block's table takes, so the search runs on with it full."""
+        cur, ref = _search_frames(kind, (64, 160), 3, 48)
+        mv, _ = _assert_search_matches_reference(
+            cur, ref, method=method, search_range=48, block=16, lambda_mv=4.0, subpel=True
+        )
+        if kind == "ramp":
+            assert np.abs(mv[..., 0]).max() >= 40.0
+
+    @pytest.mark.parametrize("lambda_mv", [0.0, 0.5, 64.0])
+    def test_rate_weight(self, lambda_mv):
+        cur, ref = _search_frames("beyond", (64, 96), 5, 4)
+        _assert_search_matches_reference(
+            cur, ref, method="hex", search_range=9, block=16, lambda_mv=lambda_mv, subpel=True
+        )
+
+
+class TestPatternSearchDeclines:
+    """What the compiled search cannot prove it hands back (``None``), and
+    ``estimate_motion`` then equals the reference all the same."""
+
+    @pytest.fixture(autouse=True)
+    def _cext(self):
+        if "cext" not in kernels.available_backends():
+            pytest.skip(f"cext: {kernels.backend('cext').why_unavailable()}")
+        with kernels.use_backend("cext"):
+            yield
+
+    PARAMS = dict(method="hex", search_range=6, block=16, lambda_mv=4.0, subpel=True)
+
+    def _declined(self, cur, ref, **overrides):
+        params = {**self.PARAMS, **overrides}
+        assert kernels.active().pattern_search(cur, ref, **params) is None
+        for g, w in zip(_pattern_search(cur, ref, **params), _pattern_search_reference(cur, ref, **params)):
+            _same(g, w)
+
+    def test_a_search_range_too_wide_for_the_memo_key(self):
+        cur, ref = _frames(81, shape=(32, 48))
+        assert kernels.active().pattern_search(cur, ref, **{**self.PARAMS, "search_range": 127}) is not None
+        self._declined(cur, ref, search_range=128)
+        self._declined(cur, ref, search_range=-1)
+        self._declined(cur, ref, search_range=np.int64(6))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")  # the reference's inf - inf
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_a_pixel_that_is_not_finite(self, which, value):
+        frames = list(_frames(82))
+        frames[which][17, 33] = value
+        self._declined(*frames)
+
+    def test_frames_the_c_loops_cannot_index_as_they_stand(self):
+        cur, ref = _frames(83)
+        self._declined(np.asfortranarray(cur), ref)
+        self._declined(cur, np.asfortranarray(ref))
+        self._declined(cur.astype(np.float64), ref.astype(np.float64))
+        self._declined(cur[:, ::2][:32, :32], ref[:, ::2][:32, :32])
+        self._declined(cur, ref, block=np.int64(16))
+        self._declined(cur, ref, block=4)  # the codec's macroblocks are 8-multiples
+        self._declined(cur, ref, lambda_mv=np.inf)
+
+    def test_a_frame_without_a_block(self):
+        empty = np.zeros((0, 64), dtype=np.float32)
+        assert kernels.active().pattern_search(empty, empty, **self.PARAMS) is None
+
+    def test_estimate_motion_casts_and_still_matches(self):
+        """The public entry casts to float32 (keeping a Fortran layout) and
+        the declined call is answered by the reference: numpy == cext."""
+        cur, ref = _frames(84)
+        for a, b in ((np.asfortranarray(cur), ref), (cur.astype(np.float64), ref.astype(np.uint8))):
+            got = estimate_motion(a, b, method="umh", search_range=6)
+            with kernels.use_backend("numpy"):
+                want = estimate_motion(a, b, method="umh", search_range=6)
+            _same(got.mv, want.mv)
+            _same(got.sad, want.sad)
+
+
 @pytest.mark.usefixtures("kernel_backend")
 class TestBlockSadDispatch:
-    """``sad_int`` / ``sad_int_subset`` go through the backend's
-    ``block_sad`` hook; the pinned-reference evaluator is the oracle."""
+    """The SADs the dispatched search returns are the reference evaluator's
+    own, and the evaluator — NumPy under every backend — raises on a
+    displacement outside its padding instead of reading wild."""
 
     @pytest.mark.parametrize("block,shape", [(16, (64, 96)), (8, (48, 40)), (4, (16, 24))])
     def test_matches_reference_evaluator(self, block, shape):
@@ -161,17 +313,13 @@ class TestBlockSadDispatch:
         # Adversarial magnitudes: a different summation order would show.
         ref = np.exp(gen.normal(0.0, 6.0, size=shape)).astype(np.float32)
         cur = np.exp(gen.normal(0.0, 6.0, size=shape)).astype(np.float32)
-        ev = _BlockSadEvaluator(cur, ref, 7, block)
-        oracle = _BlockSadEvaluator(cur, ref, 7, block, reference_only=True)
-        # Up to the pad: the sub-pel neighbours reach one past the range.
-        dx = gen.integers(-ev.pad, ev.pad + 1, size=ev.n)
-        dy = gen.integers(-ev.pad, ev.pad + 1, size=ev.n)
-        np.testing.assert_array_equal(ev.sad_int(dx, dy), oracle.sad_int(dx, dy))
-        for idx in (np.flatnonzero(gen.uniform(size=ev.n) < 0.5), np.arange(0), np.array([ev.n - 1])):
-            np.testing.assert_array_equal(
-                ev.sad_int_subset(idx, dx[idx], dy[idx]),
-                oracle.sad_int_subset(idx, dx[idx], dy[idx]),
-            )
+        for method in ("dia", "hex", "umh"):
+            est = estimate_motion(cur, ref, method=method, search_range=7, block=block, subpel=False)
+            dx, dy = est.mv[..., 0].ravel().astype(np.int64), est.mv[..., 1].ravel().astype(np.int64)
+            oracle = _BlockSadEvaluator(cur, ref, 7, block)
+            np.testing.assert_array_equal(est.sad.ravel(), oracle.sad_int(dx, dy))
+            idx = np.flatnonzero(gen.uniform(size=oracle.n) < 0.5)
+            np.testing.assert_array_equal(est.sad.ravel()[idx], oracle.sad_int_subset(idx, dx[idx], dy[idx]))
 
     def test_out_of_range_raises_instead_of_reading_wild(self):
         cur, ref = _frames(62)

@@ -125,7 +125,7 @@ class TestLazyResolution:
 
         def first_dispatch():
             barrier.wait(timeout=30)
-            hooks.append(kernels.override("block_sad"))
+            hooks.append(kernels.override("pattern_search"))
 
         threads = [threading.Thread(target=first_dispatch) for _ in range(4)]
         for t in threads:
