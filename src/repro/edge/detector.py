@@ -92,14 +92,13 @@ class QualityAwareDetector:
         self.model = model or DetectorModel()
         self.seed = int(seed)
 
-    def _uniform(self, frame_index: int, object_id: int, salt: int) -> float:
-        """Deterministic uniform in [0, 1) keyed on (frame, object, salt)."""
-        u = hash_lattice(
-            np.array([frame_index * 1000003 + salt], dtype=np.int64),
-            np.array([object_id], dtype=np.int64),
-            self.seed,
-        )
-        return float(u[0])
+    def _uniforms(self, frame_index: int, object_ids: list[int], salts: range) -> list[list[float]]:
+        """Deterministic uniforms in [0, 1) keyed on (frame, object, salt):
+        one row per object, one column per salt, from one hash call (the
+        hash is elementwise, so a draw does not depend on its neighbours)."""
+        keys = np.array([frame_index * 1000003 + salt for salt in salts], dtype=np.int64)
+        ids = np.array(object_ids, dtype=np.int64)
+        return hash_lattice(*np.broadcast_arrays(keys[None, :], ids[:, None]), self.seed).tolist()
 
     def detect(self, decoded: np.ndarray, record: FrameRecord) -> list[Detection]:
         """Run the surrogate on a decoded frame.
@@ -121,7 +120,10 @@ class QualityAwareDetector:
             raise ValueError(f"decoded shape {decoded.shape} != raw frame shape {raw.shape}")
         m = self.model
         detections: list[Detection] = []
-        for ann in record.annotations:
+        # Every draw the annotations may need, and the false positives' count
+        # draw as the last row (object id -1, salt 0).
+        draws = self._uniforms(record.index, [ann.object_id for ann in record.annotations] + [-1], range(5))
+        for ann, u in zip(record.annotations, draws):
             x0, y0, x1, y1 = (int(round(v)) for v in ann.bbox)
             region_raw = raw[y0:y1, x0:x1]
             region_dec = decoded[y0:y1, x0:x1]
@@ -133,16 +135,16 @@ class QualityAwareDetector:
                 * _sigmoid((ann.pixel_count - m.size_midpoint) / m.size_slope)
                 * _sigmoid((ann.visibility - m.visibility_midpoint) / m.visibility_slope)
             )
-            if self._uniform(record.index, ann.object_id, 0) >= p:
+            if u[0] >= p:
                 continue
             jitter = m.loc_jitter * (1.0 - quality)
             w, h = ann.bbox[2] - ann.bbox[0], ann.bbox[3] - ann.bbox[1]
-            dx = jitter * w * (2.0 * self._uniform(record.index, ann.object_id, 1) - 1.0)
-            dy = jitter * h * (2.0 * self._uniform(record.index, ann.object_id, 2) - 1.0)
-            grow = 1.0 + jitter * (2.0 * self._uniform(record.index, ann.object_id, 3) - 1.0)
+            dx = jitter * w * (2.0 * u[1] - 1.0)
+            dy = jitter * h * (2.0 * u[2] - 1.0)
+            grow = 1.0 + jitter * (2.0 * u[3] - 1.0)
             cx, cy = (ann.bbox[0] + ann.bbox[2]) / 2 + dx, (ann.bbox[1] + ann.bbox[3]) / 2 + dy
             bw, bh = w * grow / 2, h * grow / 2
-            conf = max(m.min_confidence, min(0.99, p * (0.9 + 0.2 * self._uniform(record.index, ann.object_id, 4))))
+            conf = max(m.min_confidence, min(0.99, p * (0.9 + 0.2 * u[4])))
             detections.append(
                 Detection(
                     kind=ann.kind,
@@ -151,7 +153,7 @@ class QualityAwareDetector:
                     object_id=ann.object_id,
                 )
             )
-        detections.extend(self._false_positives(decoded, record))
+        detections.extend(self._false_positives(decoded, record, draws[-1][0]))
         detections.sort(key=lambda d: -d.confidence)
         return detections
 
@@ -166,8 +168,9 @@ class QualityAwareDetector:
         psnr = 10.0 * np.log10(255.0**2 / mse)
         return _sigmoid((psnr - self.model.psnr_midpoint) / self.model.psnr_slope)
 
-    def _false_positives(self, decoded: np.ndarray, record: FrameRecord) -> list[Detection]:
-        """Hash-deterministic false positives in heavily distorted background."""
+    def _false_positives(self, decoded: np.ndarray, record: FrameRecord, count_draw: float) -> list[Detection]:
+        """Hash-deterministic false positives in heavily distorted background;
+        ``count_draw`` is the frame's (object -1, salt 0) uniform."""
         m = self.model
         background = record.id_buffer <= GROUND_ID
         if not background.any():
@@ -179,18 +182,16 @@ class QualityAwareDetector:
             return []
         psnr = 10.0 * np.log10(255.0**2 / mse)
         expected = m.fp_per_frame * _sigmoid((m.fp_psnr_midpoint - psnr) / 2.5)
-        count = int(expected + self._uniform(record.index, -1, 0))
+        count = int(expected + count_draw)
         fps: list[Detection] = []
         h, w = decoded.shape
-        for i in range(count):
-            u1 = self._uniform(record.index, -2 - i, 1)
-            u2 = self._uniform(record.index, -2 - i, 2)
-            u3 = self._uniform(record.index, -2 - i, 3)
+        draws = self._uniforms(record.index, [-2 - i for i in range(count)], range(1, 5)) if count else []
+        for u1, u2, u3, u4 in draws:
             bw = 10 + 30 * u3
             bh = bw * (0.7 if u3 > 0.5 else 2.0)
             cx = u1 * (w - bw)
             cy = h * 0.45 + u2 * (h * 0.5 - bh)
             kind = "car" if u3 > 0.5 else "pedestrian"
-            conf = m.min_confidence + 0.35 * self._uniform(record.index, -2 - i, 4)
+            conf = m.min_confidence + 0.35 * u4
             fps.append(Detection(kind=kind, bbox=(cx, cy, cx + bw, cy + bh), confidence=conf))
         return fps

@@ -7,14 +7,16 @@ pattern search (DIA / HEX / UMH, a frame's whole search as one call),
 motion compensation, I-frame wavefront (``intra_encode`` /
 ``intra_decode``) and P-frame transform tail
 (``quantize_cost`` / ``rate_counter`` / ``reconstruct``: everything between
-the forward DCT and the reconstruction but the scipy IDCT), and the
-synthetic world's value noise (every texture the renderer samples) — be
-swapped in behind the ``KernelBackend`` seam.
+the forward DCT and the reconstruction but the scipy IDCT), the renderer's
+ground and billboards (``render_surfaces``: a frame's surfaces as one call)
+and the synthetic world's value noise — be swapped in behind the
+``KernelBackend`` seam.
 
 **Contract.**  Every backend must be *bit-identical* to the ``numpy``
 reference: the kernel bit-exactness suites (``tests/test_codec_kernels.py``,
 ``tests/test_intra_kernels.py``, ``tests/test_transform_kernels.py``,
-``tests/test_noise_kernel.py``) and the golden e2e digest, frames, I-frames,
+``tests/test_noise_kernel.py``, ``tests/test_render_kernel.py``) and the
+golden e2e digest, frames, I-frames,
 P-frames and MV fields are parametrized over every registered backend,
 and a backend that cannot prove itself (a failed self-probe, a missing
 compiler) reports unavailable and the dispatch falls through to the
@@ -43,8 +45,16 @@ hook in :data:`KERNEL_NAMES` is bound by the second.
     of ``intra_encode`` / ``intra_decode`` but the scipy transforms, which
     stay the reference's own calls), for the P-frame's transform tail
     (``quantize_cost``, ``QuantBitCounter``'s probe, and a ``reconstruct``
-    that hands only the coded 8x8 blocks to that same scipy IDCT) and for
-    the renderer's value noise.
+    that hands only the coded 8x8 blocks to that same scipy IDCT), for the
+    renderer's ground and billboards (geometry, painter's-order visibility
+    and one texture per visible pixel) and for value noise.  The renderer's
+    sky stays NumPy on every backend: ``np.arctan2`` is numpy's own SIMD
+    code on AVX-512 hosts and differs from libm's ``atan2`` in the last bit,
+    so no C replica could match it everywhere.  Billboards are compiled only
+    where the proof holds — a face whose normal and u axis each have one
+    non-zero component, so that the reference's BLAS dot products are one
+    product each in any summation order (every preset object faces
+    ``(1, 0)`` or ``(0, 1)``); any other face is declined to the reference.
     The C code replicates NumPy's pairwise summation, the lattice hash's
     uint64 wrap-around and the exact IEEE operation order of the
     reference; a self-probe before first use verifies bitwise agreement
@@ -86,7 +96,8 @@ AUTO = "auto"
 KERNEL_NAMES = (
     "motion_compensate",  # MV-field prediction (bilinear taps)
     "pattern_search",  # the whole DIA / HEX / UMH motion search of one frame
-    "value_noise",  # fractal 2-D value noise (repro.utils.noise, the renderer's textures)
+    "value_noise",  # fractal 2-D value noise (repro.utils.noise: the sky's, and any other caller's)
+    "render_surfaces",  # a frame's ground + billboards: geometry, painter's-order visibility, textures
     "intra_encode",  # I-frame wavefront: DC/H/V mode decision, quantise, bits, reconstruct
     "intra_decode",  # I-frame wavefront replay from levels + modes
     "quantize_cost",  # quantise + per-macroblock bit cost in one pass (P-frames, flat I-frames)
@@ -110,6 +121,7 @@ class KernelBackend:
     motion_compensate: Callable | None = None
     pattern_search: Callable | None = None
     value_noise: Callable | None = None
+    render_surfaces: Callable | None = None
     intra_encode: Callable | None = None
     intra_decode: Callable | None = None
     quantize_cost: Callable | None = None
@@ -205,7 +217,8 @@ def override(kernel: str) -> Callable | None:
     """The active backend's hook for ``kernel``, or ``None`` (reference).
 
     This is the per-call dispatch primitive the codec modules
-    (``motion``, ``transform``, ``intra``) and ``repro.utils.noise`` use; once the default is resolved it is a single
+    (``motion``, ``transform``, ``intra``), the renderer and
+    ``repro.utils.noise`` use; once the default is resolved it is a single
     attribute lookup.
     """
     inst = _active

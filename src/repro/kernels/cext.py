@@ -1,5 +1,5 @@
-"""Runtime-compiled C backend: the pattern search, MC, value noise, I-frames
-and the P-frame's transform tail.
+"""Runtime-compiled C backend: the pattern search, MC, value noise, the
+renderer's surfaces, I-frames and the P-frame's transform tail.
 
 The pattern searches (DIA/HEX/UMH) are *sequentially* dependent per block:
 each candidate offset is evaluated against the block's current best, which
@@ -33,12 +33,36 @@ Bit-exactness is engineered, then verified:
   compiled with ``-ffp-contract=off`` so no FMA contraction can change a
   rounding.  Both pad the float32 reference to float64 in C (widening is
   exact, so it is ``np.pad(..., mode="edge")`` of the widened plane).
-- Value noise (the renderer's textures) is a per-array pipeline in NumPy —
-  four lattice hashes per octave, each a dozen full-size temporaries; C
-  keeps a point's octaves and hashes in registers.  The hash is uint64
-  wrap-around arithmetic (exact), the blend keeps the reference's operation
-  order, and a call holding a coordinate int64 cannot represent (NaN, inf,
-  ``|u| >= 2^63`` — an undefined cast in C) is answered by the reference.
+- Value noise is a per-array pipeline in NumPy — four lattice hashes per
+  octave, each a dozen full-size temporaries; C keeps a point's octaves in
+  registers and reuses a lattice cell's four hashes for the next point in
+  the same cell (they are a pure function of the cell and the seed).  The
+  hash is uint64 wrap-around arithmetic (exact), the blend keeps the
+  reference's operation order, and a call holding a coordinate int64 cannot
+  represent (NaN, inf, ``|u| >= 2^63`` — an undefined cast in C) is
+  answered by the reference.
+- The renderer's ground and billboards (``render_surfaces``) are one call
+  per frame over the world ray directions NumPy formed: the ground's ids,
+  every placed object's mask far to near (ids and painted counts), then
+  the texture of only the pixels that kept their surface, through the
+  value-noise routine above.  Each per-pixel step is elementwise IEEE
+  arithmetic in the reference's order; ``np.mod`` is ``fmod`` moved into
+  the divisor's sign (numpy's ``npy_divmod``) and ``np.clip`` is its two
+  compares.  The reference forms a face's ``d . normal`` and
+  ``(p - point) . u_dir`` with ``@`` — BLAS dot products whose summation
+  order and FMA use C cannot reproduce — so the kernel takes only faces
+  whose normal and u axis each have one non-zero component: every other
+  product is then an exact +-0 (or a NaN / inf the reference meets too)
+  and the sum is the one product in any order, but for the sign of an
+  all-zero sum, which reaches only a non-finite ``tt`` or a texture
+  coordinate ``+-0 + half width``.  Every object the presets build faces
+  ``(1, 0)`` or ``(0, 1)``; any other face, directions that are not
+  C-contiguous float64, an id the int32 id-buffer cannot hold or that
+  repeats, or a noise coordinate past int64 is declined to
+  ``_render_surfaces_reference``.  The sky is not compiled: its azimuth is
+  ``np.arctan2``, which numpy computes with its own SIMD code on AVX-512
+  hosts — not bit-identical to libm's ``atan2`` — so it stays NumPy, on
+  the pixels no surface covered.
 - The I-frame wavefront (``intra_encode`` / ``intra_decode``) keeps the
   reference's anti-diagonal schedule and its scipy DCT/IDCT calls — pocketfft
   cannot be proven bit-identical from outside — and moves everything between
@@ -66,8 +90,8 @@ Bit-exactness is engineered, then verified:
 
 Every kernel call is re-entrant: the C code keeps no state between calls
 and its scratch (the search's padded reference, blocks and memo, a few
-blocks of predictions and |differences|, a rate counter's candidate list)
-is allocated per call or per counter,
+blocks of predictions and |differences|, a rate counter's candidate list,
+the noise's lattice cells) is allocated per call or per counter,
 so concurrent encodes (``agent_workers > 1`` — ctypes drops the GIL
 around each call) cannot see each other's data.
 
@@ -487,14 +511,14 @@ int64_t motion_comp(const float *ref, const double *mvx, const double *mvy,
     return 0;
 }
 
-/* Fractal value noise (repro.utils.noise) at n points: per octave o the
+/* Fractal value noise (repro.utils.noise) at one point: per octave o the
  * point is scaled by freq[o], the four lattice corners around it hashed
  * (splitmix64 avalanche; sterm[o] is that octave's seed * PRIME_S, and the
  * corners differ from the first by +PX, +PY, +PX+PY — uint64 wrap-around,
  * exact) and blended with the smoothstep fade.  Integer steps are exact;
  * every float step keeps the reference's operation order.  Returns 1
- * (out unspecified) as soon as a lattice coordinate does not fit int64 —
- * NaN, +-inf, |u| >= 2^63 — where the C cast is undefined and numpy's is
+ * (out unspecified) when a lattice coordinate does not fit int64 — NaN,
+ * +-inf, |u| >= 2^63 — where the C cast is undefined and numpy's is
  * platform-defined: the caller then takes the reference path. */
 static inline double lattice(uint64_t h) {
     h ^= h >> 30; h *= 0xBF58476D1CE4E5B9ull;
@@ -503,32 +527,211 @@ static inline double lattice(uint64_t h) {
     return (double)(h >> 11) / 9007199254740992.0;
 }
 
+/* The four hashed corners of the lattice cell an octave's last point fell
+ * in (a pure function of the cell and the seed term): a point in the same
+ * cell reuses them.  noise_cells_reset fills them for cell (INT64_MIN,
+ * INT64_MIN), so they are always the hashes of the cell they name. */
+typedef struct { int64_t iu, iv; double v00, v10, v01, v11; } lattice_cell;
+
+#define NOISE_PX 0x9E3779B97F4A7C15ull
+#define NOISE_PY 0xC2B2AE3D27D4EB4Full
+
+static inline void cell_fill(lattice_cell *c, int64_t iu, int64_t iv, uint64_t sterm) {
+    uint64_t h = (uint64_t)iu * NOISE_PX + (uint64_t)iv * NOISE_PY + sterm;
+    c->iu = iu; c->iv = iv;
+    c->v00 = lattice(h); c->v10 = lattice(h + NOISE_PX);
+    c->v01 = lattice(h + NOISE_PY); c->v11 = lattice(h + NOISE_PX + NOISE_PY);
+}
+
+static void noise_cells_reset(lattice_cell *cells, const uint64_t *sterm, int64_t octaves) {
+    for (int64_t o = 0; o < octaves; o++) cell_fill(cells + o, INT64_MIN, INT64_MIN, sterm[o]);
+}
+
+static inline int noise_at(double x, double y, const double *freq, const uint64_t *sterm,
+                           int64_t octaves, lattice_cell *cells, double *out) {
+    const double lim = 9223372036854775808.0;  /* 2^63 */
+    double total = 0.0, amp = 1.0, amp_sum = 0.0;
+    for (int64_t o = 0; o < octaves; o++) {
+        double u = x * freq[o], v = y * freq[o];
+        if (!(u >= -lim && u < lim && v >= -lim && v < lim)) return 1;
+        /* floor() as truncate-and-step-down: exact in range, no libm call */
+        int64_t iu = (int64_t)u, iv = (int64_t)v;
+        iu -= (double)iu > u; iv -= (double)iv > v;
+        double fu = u - (double)iu, fv = v - (double)iv;
+        double su = fu * fu * (3.0 - 2.0 * fu);
+        double sv = fv * fv * (3.0 - 2.0 * fv);
+        lattice_cell *c = cells + o;
+        if (c->iu != iu || c->iv != iv) cell_fill(c, iu, iv, sterm[o]);
+        double top = c->v00 + su * (c->v10 - c->v00);
+        double bot = c->v01 + su * (c->v11 - c->v01);
+        total += amp * (top + sv * (bot - top));
+        amp_sum += amp;
+        amp *= 0.5;
+    }
+    *out = total / amp_sum;
+    return 0;
+}
+
+/* value_noise_2d at n points; cells holds one lattice_cell per octave. */
 int64_t value_noise(const double *x, const double *y, int64_t n,
                     const double *freq, const uint64_t *sterm, int64_t octaves,
                     double *out) {
-    const uint64_t PX = 0x9E3779B97F4A7C15ull, PY = 0xC2B2AE3D27D4EB4Full;
-    const double lim = 9223372036854775808.0;  /* 2^63 */
+    lattice_cell *cells = malloc((size_t)octaves * sizeof *cells);
+    if (!cells) return 1;
+    noise_cells_reset(cells, sterm, octaves);
+    int64_t bad = 0;
+    for (int64_t i = 0; i < n && !bad; i++) bad = noise_at(x[i], y[i], freq, sterm, octaves, cells, out + i);
+    free(cells);
+    return bad;
+}
+
+/* ---- the ground and the billboards (repro.world.renderer) ----
+ * One call paints what _render_surfaces_reference paints, visibility
+ * first: the ground's id, then every placed billboard's mask far to near
+ * (ids and pixel counts), and only then the texture of each pixel that
+ * kept its surface — the reference textures, and then paints over, every
+ * pixel a surface covers.  Sky pixels are left for the caller. */
+#define SURFACE_SKY 0
+#define SURFACE_GROUND 1
+#define GROUND_HAZE 165.0
+
+/* np.mod of a float: fmod moved into the divisor's sign (np.mod(-1e-17,
+ * 6.0) is 6.0) and +0.0 for an exact multiple — npy_divmod's remainder. */
+static inline double np_mod(double a, double b) {
+    double mod = fmod(a, b);
+    if (!mod) return copysign(0.0, b);
+    return (b < 0.0) != (mod < 0.0) ? mod + b : mod;
+}
+
+/* np.clip's compares: a NaN and -0.0 come through as they are. */
+static inline double np_clip(double v, double lo, double hi) {
+    return v < lo ? lo : v > hi ? hi : v;
+}
+
+/* ground_texture at world (x, z): gfreq / gsterm hold the base noise's two
+ * octaves, then the fine noise's one. */
+static inline int ground_gray(double x, double z, const double *gfreq, const uint64_t *gsterm,
+                              lattice_cell *cells, double weather, double *out) {
+    double base, fine;
+    if (noise_at(x, z, gfreq, gsterm, 2, cells, &base)
+        || noise_at(x, z, gfreq + 2, gsterm + 2, 1, cells + 2, &fine))
+        return 1;
+    double gray = (80.0 + 45.0 * base) + 12.0 * (fine - 0.5);
+    /* dashed lanes at x = -+1.75 (the dash test only where it can matter),
+     * solid edge lines at x = -+5.25 */
+    if (((fabs(x - -1.75) < 0.12 || fabs(x - 1.75) < 0.12) && np_mod(z, 6.0) < 3.0)
+        || fabs(x - -5.25) < 0.12 || fabs(x - 5.25) < 0.12)
+        gray = 225.0;
+    *out = np_clip(105.0 + (gray - 105.0) * weather, 0.0, 255.0);
+    return 0;
+}
+
+/* A placed billboard, GEO_SIZE doubles: num = (point - origin) . normal as
+ * the caller formed it, point, normal, u_dir, half width, height, and the
+ * texture's base gray and noise contrast. */
+enum { GEO_NUM, GEO_POINT, GEO_NORMAL = GEO_POINT + 3, GEO_UDIR = GEO_NORMAL + 3,
+       GEO_HALF = GEO_UDIR + 3, GEO_HEIGHT, GEO_BASE, GEO_CONTRAST, GEO_SIZE };
+/* ... and FACE_SIZE integers: its window rows [y0, y1) and columns
+ * [x0, x1), its texture kind (FACE_KIND: 0 plain, 1 building, 2 car,
+ * 3 pedestrian) and its id. */
+enum { FACE_Y0, FACE_Y1, FACE_X0, FACE_X1, FACE_KIND, FACE_ID, FACE_SIZE };
+
+/* The ray d from o against a billboard: tt = num / (d . normal), the point
+ * o + d tt, u = (that point - point) . u_dir and the height above the
+ * ground; writes the texture coordinates (u from the left edge, height) and
+ * returns the reference's mask.  normal and u_dir each hold one non-zero
+ * component (the wrapper declines any other face), so every other product
+ * is an exact +-0 — or a NaN / inf, which the reference's BLAS dot products
+ * meet too — and each dot product equals the reference's in any summation
+ * order, but for the sign of an all-zero sum; that sign only reaches a
+ * non-finite tt or |u| and the left-edge coordinate u + half width. */
+static inline int face_hit(const double *g, const double *d, const double *o, double *tu, double *th) {
+    const double *pt = g + GEO_POINT, *n = g + GEO_NORMAL, *ud = g + GEO_UDIR;
+    double tt = g[GEO_NUM] / ((d[0] * n[0] + d[1] * n[1]) + d[2] * n[2]);
+    double p0 = o[0] + d[0] * tt, p1 = o[1] + d[1] * tt, p2 = o[2] + d[2] * tt;
+    double u = ((p0 - pt[0]) * ud[0] + (p1 - pt[1]) * ud[1]) + (p2 - pt[2]) * ud[2];
+    *tu = u + g[GEO_HALF];
+    *th = -p1;
+    return isfinite(tt) && tt > 0.1 && fabs(u) <= g[GEO_HALF] && *th >= 0.0 && *th <= g[GEO_HEIGHT];
+}
+
+/* object_texture at face coordinates (u, h): three octaves of noise under
+ * the object's own seed terms, the kind's bands, the weather contrast. */
+static inline int object_gray(double u, double h, const double *g, int64_t kind, const double *ofreq,
+                              const uint64_t *osterm, lattice_cell *cells, double weather, double *out) {
+    double noise;
+    if (noise_at(u, h, ofreq, osterm, 3, cells, &noise)) return 1;
+    double base = g[GEO_BASE], gray = base + g[GEO_CONTRAST] * (noise - 0.5);
+    if (kind == 1) {  /* window grid */
+        double wu = np_mod(u, 2.0), wh = np_mod(h, 2.5);
+        if (wu > 0.5 && wu < 1.7 && wh > 0.8 && wh < 2.1) gray = gray - 65.0;
+    } else if (kind == 2) {  /* wheel / shadow band, window band */
+        if (h < 0.35) gray = gray - 55.0;
+        if (h > 1.1) gray = gray + 40.0;
+    } else if (kind == 3) {  /* head / torso / legs */
+        if (h > 1.45) gray = gray + 35.0;
+        if (h < 0.75) gray = gray - 30.0;
+    }
+    *out = np_clip(base + (gray - base) * weather, 0.0, 255.0);
+    return 0;
+}
+
+/* dirs: (h, w, 3) world ray directions from origin.  freq: the ground's
+ * three noise frequencies (base octaves, fine) then the objects' three;
+ * gsterm: the ground's seed terms; per placed object (painter's order, far
+ * to near) FACE_SIZE integers in face, GEO_SIZE doubles in geo, three seed
+ * terms in osterm.  Writes image (all but the sky pixels), ids and
+ * counts[k] — the pixels object k painted.  Returns 1 — the reference
+ * answers — on a noise coordinate int64 cannot hold. */
+int64_t render_surfaces(const double *dirs, int64_t h, int64_t w, const double *o,
+                        double max_depth, double weather, const double *freq,
+                        const uint64_t *gsterm, int64_t n_obj, const int64_t *face,
+                        const double *geo, const uint64_t *osterm,
+                        double *image, int32_t *ids, int64_t *counts) {
+    int64_t n = h * w;
+    double fade = max_depth - 0.7 * max_depth, tu, th;
+    lattice_cell cells[3];
     for (int64_t i = 0; i < n; i++) {
-        double total = 0.0, amp = 1.0, amp_sum = 0.0;
-        for (int64_t o = 0; o < octaves; o++) {
-            double u = x[i] * freq[o], v = y[i] * freq[o];
-            if (!(u >= -lim && u < lim && v >= -lim && v < lim)) return 1;
-            /* floor() as truncate-and-step-down: exact in range, no libm call */
-            int64_t iu = (int64_t)u, iv = (int64_t)v;
-            iu -= (double)iu > u; iv -= (double)iv > v;
-            double fu = u - (double)iu, fv = v - (double)iv;
-            double su = fu * fu * (3.0 - 2.0 * fu);
-            double sv = fv * fv * (3.0 - 2.0 * fv);
-            uint64_t h = (uint64_t)iu * PX + (uint64_t)iv * PY + sterm[o];
-            double v00 = lattice(h), v10 = lattice(h + PX);
-            double v01 = lattice(h + PY), v11 = lattice(h + PX + PY);
-            double top = v00 + su * (v10 - v00);
-            double bot = v01 + su * (v11 - v01);
-            total += amp * (top + sv * (bot - top));
-            amp_sum += amp;
-            amp *= 0.5;
+        double dy = dirs[3 * i + 1], tg = -o[1] / dy;
+        ids[i] = dy > 1e-9 && tg > 0.0 ? SURFACE_GROUND : SURFACE_SKY;
+    }
+    for (int64_t k = 0; k < n_obj; k++) {
+        const int64_t *f = face + k * FACE_SIZE;
+        int64_t painted = 0;
+        for (int64_t y = f[FACE_Y0]; y < f[FACE_Y1]; y++)
+            for (int64_t x = f[FACE_X0]; x < f[FACE_X1]; x++)
+                if (face_hit(geo + k * GEO_SIZE, dirs + 3 * (y * w + x), o, &tu, &th)) {
+                    ids[y * w + x] = (int32_t)f[FACE_ID];
+                    painted++;
+                }
+        counts[k] = painted;
+    }
+    noise_cells_reset(cells, gsterm, 3);
+    for (int64_t i = 0; i < n; i++) {
+        if (ids[i] != SURFACE_GROUND) continue;
+        const double *d = dirs + 3 * i;
+        double tg = -o[1] / d[1], tex;
+        if (!(tg <= max_depth)) {
+            image[i] = GROUND_HAZE;
+            continue;
         }
-        out[i] = total / amp_sum;
+        if (ground_gray(o[0] + tg * d[0], o[2] + tg * d[2], freq, gsterm, cells, weather, &tex)) return 1;
+        double weight = np_clip((max_depth - tg) / fade, 0.0, 1.0);
+        image[i] = weight * tex + (1.0 - weight) * GROUND_HAZE;
+    }
+    /* Ids are unique, so a pixel holding object k's id is one of its mask's. */
+    for (int64_t k = 0; k < n_obj; k++) {
+        const int64_t *f = face + k * FACE_SIZE;
+        const double *g = geo + k * GEO_SIZE;
+        noise_cells_reset(cells, osterm + 3 * k, 3);
+        for (int64_t y = f[FACE_Y0]; y < f[FACE_Y1]; y++)
+            for (int64_t x = f[FACE_X0]; x < f[FACE_X1]; x++) {
+                int64_t i = y * w + x;
+                if (ids[i] != f[FACE_ID]) continue;
+                face_hit(g, dirs + 3 * i, o, &tu, &th);
+                if (object_gray(tu, th, g, f[FACE_KIND], freq + 3, osterm + 3 * k, cells, weather, image + i))
+                    return 1;
+            }
     }
     return 0;
 }
@@ -902,6 +1105,8 @@ _SIGNATURES = {
     "pattern_search": [_PTR, _PTR, _I64, _I64, _I64, _I64, _I64, _F64, _I64, _PTR, _I64, _PTR, _PTR],
     "motion_comp": [_PTR, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR],
     "value_noise": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR],
+    "render_surfaces": [_PTR, _I64, _I64, _PTR, _F64, _F64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR,
+                        _PTR, _PTR, _PTR],
     "intra_pre": [_PTR, _PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR],
     "quant_cost": [_PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR],
     "rc_compact": [_PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR],
@@ -912,9 +1117,9 @@ _SIGNATURES = {
     "intra_unpre": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _I64, _I64, _I64, _I64,
                     _PTR, _PTR, _PTR],
 }
-_RESTYPES = {"pattern_search": _I64, "motion_comp": _I64, "value_noise": _I64, "quant_cost": _I64,
-             "intra_unpre": _I64, "rc_compact": _I64, "rc_bits": _F64, "dequant_coded": _I64,
-             "recon_post": _I64}
+_RESTYPES = {"pattern_search": _I64, "motion_comp": _I64, "value_noise": _I64,
+             "render_surfaces": _I64, "quant_cost": _I64, "intra_unpre": _I64, "rc_compact": _I64,
+             "rc_bits": _F64, "dequant_coded": _I64, "recon_post": _I64}
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -1131,6 +1336,23 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _same_surfaces(got, want) -> bool:
+    """Whether a ``render_surfaces`` answer is the reference's to the bit: the
+    id-buffer, every pixel but the sky's (left unset by both) and the
+    per-object pixel counts."""
+    from repro.world.scene import SKY_ID
+
+    if got is None:
+        return False
+    (image, ids, counts), (want_image, want_ids, want_counts) = got, want
+    painted = want_ids != SKY_ID
+    return (
+        list(counts) == list(want_counts)
+        and _same_bytes(ids, want_ids)
+        and _same_bytes(image[painted], want_image[painted])
+    )
+
+
 #: ``pattern_search``'s method ids, and the widest search range its memo's
 #: 16-bit key can number: ``(2 * 127 + 1) ** 2 + 1 <= 2 ** 16``.
 _ME_METHODS = {"dia": 0, "hex": 1, "umh": 2}
@@ -1145,6 +1367,33 @@ def _frame_pair(current, reference, block) -> tuple[int, int] | None:
         if not (isinstance(frame, np.ndarray) and frame.dtype == np.float32 and frame.flags.c_contiguous):
             return None
     return _intra_grid(current.shape, block) if current.shape == reference.shape else None
+
+
+def _noise_terms(seed, scale, octaves) -> tuple[list[float], list[int]]:
+    """``value_noise_2d``'s per-octave frequency and seed term (times
+    ``PRIME_S``, mod 2^64), formed as the reference forms them — whatever
+    numeric type ``scale`` is, any int seed."""
+    from repro.utils.noise import _PRIME_S
+
+    freq = 1.0 / scale
+    freqs, sterm = [], []
+    for octave in range(octaves):
+        freqs.append(freq)
+        sterm.append(((seed + octave * 7919) * int(_PRIME_S)) & _U64_MASK)
+        freq *= 2.0
+    return freqs, sterm
+
+
+#: ``render_surfaces``' texture kinds: the bands of ``object_texture`` (any
+#: other kind, poles included, is noise alone).
+_SURFACE_KINDS = {"building": 1, "car": 2, "pedestrian": 3}
+
+
+def _axis_vector(v) -> bool:
+    """Whether a plane vector has exactly one non-zero component — then every
+    dot product with it is one product, whatever order BLAS sums in."""
+    values = np.asarray(v).tolist()
+    return isinstance(values, list) and len(values) == 3 and values.count(0.0) == 2
 
 
 class _CKernels:
@@ -1210,22 +1459,16 @@ class _CKernels:
 
     def value_noise(self, x, y, *, seed, scale=1.0, octaves=1):
         """``value_noise_2d``: all octaves and lattice hashes of a point in one pass."""
-        from repro.utils.noise import _PRIME_S, _value_noise_2d_reference
+        from repro.utils.noise import _value_noise_2d_reference
 
         if scale > 0 and octaves >= 1:
             x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
             out = np.empty(x.shape, dtype=np.float64)
             x = np.ascontiguousarray(x)
             y = np.ascontiguousarray(y)
-            # Per-octave frequency and seed term, formed as the reference
-            # forms them (whatever numeric type ``scale`` is; any int seed).
-            freq = 1.0 / scale
-            freqs = np.empty(octaves, dtype=np.float64)
-            sterm = np.empty(octaves, dtype=np.uint64)
-            for octave in range(octaves):
-                freqs[octave] = freq
-                sterm[octave] = ((seed + octave * 7919) * int(_PRIME_S)) & _U64_MASK
-                freq *= 2.0
+            freqs, sterm = _noise_terms(seed, scale, octaves)
+            freqs = np.array(freqs, dtype=np.float64)
+            sterm = np.array(sterm, dtype=np.uint64)
             if not self._lib.value_noise(
                 x.ctypes.data, y.ctypes.data, out.size,
                 freqs.ctypes.data, sterm.ctypes.data, octaves, out.ctypes.data,
@@ -1234,6 +1477,67 @@ class _CKernels:
         # Parameters the reference rejects (it raises), or a coordinate int64
         # cannot hold (C leaves the cast undefined): the reference answers.
         return _value_noise_2d_reference(x, y, seed=seed, scale=scale, octaves=octaves)
+
+    def render_surfaces(self, dirs, origin, scene, placed):
+        """``Renderer.render``'s ground and placed objects in one call, or
+        ``None`` when ``_render_surfaces_reference`` must answer — directions
+        the C loops could not index as they stand, a window that is not a
+        plain slice pair, a face whose normal or u axis is off the world axes
+        (every preset object faces ``(1, 0)`` or ``(0, 1)``), an object id the
+        id-buffer cannot hold or that repeats, a noise coordinate int64
+        cannot hold."""
+        from repro.world.texture import _object_tone
+
+        if not (
+            isinstance(dirs, np.ndarray)
+            and dirs.dtype == np.float64
+            and dirs.ndim == 3
+            and dirs.shape[2] == 3
+            and dirs.flags.c_contiguous
+        ):
+            return None
+        h, w = dirs.shape[:2]
+        origin = np.ascontiguousarray(origin, dtype=np.float64)
+        if origin.shape != (3,):
+            return None
+        face, geo, osterm = [], [], []
+        seen = set()
+        for obj, window, (point, normal, u_dir) in placed:
+            rows, cols = window
+            if not (isinstance(rows, slice) and isinstance(cols, slice)):
+                return None
+            y0, y1, sy = rows.indices(h)
+            x0, x1, sx = cols.indices(w)
+            oid = obj.object_id
+            if sy != 1 or sx != 1 or not 2 <= oid < 2**31 or oid in seen:
+                return None
+            if not (np.shape(point) == (3,) and _axis_vector(normal) and _axis_vector(u_dir)):
+                return None
+            seen.add(oid)
+            face.append((y0, max(y0, y1), x0, max(x0, x1), _SURFACE_KINDS.get(obj.kind, 0), oid))
+            num = float((point - origin) @ normal)  # as the reference forms it
+            geo.append((num, *point, *normal, *u_dir, obj.width / 2.0, obj.height, *_object_tone(obj.kind)))
+            osterm.append(_noise_terms(obj.texture_seed, 0.6, 3)[1])
+        face = np.array(face, dtype=np.int64).reshape(-1, 6)
+        geo = np.array(geo, dtype=np.float64).reshape(-1, 14)
+        osterm = np.array(osterm, dtype=np.uint64).reshape(-1, 3)
+        # As ground_texture samples: two octaves at scale 1.5, one at 0.35
+        # under seed + 101; then object_texture's three at 0.6.
+        base_freq, base_sterm = _noise_terms(scene.texture_seed, 1.5, 2)
+        fine_freq, fine_sterm = _noise_terms(scene.texture_seed + 101, 0.35, 1)
+        freq = np.array(base_freq + fine_freq + _noise_terms(0, 0.6, 3)[0], dtype=np.float64)
+        gsterm = np.array(base_sterm + fine_sterm, dtype=np.uint64)
+        image = np.empty((h, w), dtype=np.float64)
+        ids = np.empty((h, w), dtype=np.int32)
+        counts = np.empty(len(placed), dtype=np.int64)
+        if self._lib.render_surfaces(
+            dirs.ctypes.data, h, w, origin.ctypes.data, float(scene.max_ground_depth),
+            float(scene.weather_contrast), freq.ctypes.data, gsterm.ctypes.data, len(placed),
+            face.ctypes.data, geo.ctypes.data, osterm.ctypes.data,
+            image.ctypes.data, ids.ctypes.data, counts.ctypes.data,
+        ):
+            return None
+        return image, ids, counts.tolist()
 
     def intra_encode(self, frame, qp_map, *, block=16):
         """``intra_encode``: per anti-diagonal three C steps around the
@@ -1405,7 +1709,22 @@ class _CKernels:
             quantize,
             transform_cost_bits,
         )
+        from repro.geometry.camera import CameraIntrinsics
         from repro.utils.noise import _value_noise_2d_reference
+        from repro.world import (
+            EgoTrajectory,
+            Renderer,
+            Scene,
+            SceneObject,
+            StraightSegment,
+            TurnSegment,
+            building,
+            moving_car,
+            parked_car,
+            pedestrian,
+        )
+        from repro.world.objects import pole
+        from repro.world.renderer import _render_surfaces_reference
 
         gen = np.random.default_rng(0xCE)
         # Pairwise summation, adversarial magnitudes.
@@ -1448,6 +1767,25 @@ class _CKernels:
                 self.value_noise(px, py, **params), _value_noise_2d_reference(px, py, **params)
             ):
                 return f"value_noise (scale {scale}, octaves {octaves})"
+        # The renderer's ground and billboards on a small turning drive: every
+        # kind's bands, both facings, a car hiding a pedestrian, objects cut by
+        # the frame edge, ground fading into haze, contrasts that clip.
+        scene = Scene(
+            trajectory=EgoTrajectory([StraightSegment(1.0, 8.0), TurnSegment(1.0, 8.0, 0.3)]),
+            objects=[building(-6.0, 20.0, seed=3), building(7.0, 33.0, seed=4), parked_car(1.0, 12.0, seed=5),
+                     pedestrian(1.2, 15.0, seed=6), moving_car(-1.75, 25.0, speed=6.0, seed=7),
+                     pole(3.0, 9.0, seed=8), pedestrian(-3.3, 6.0, seed=9),
+                     SceneObject(kind="building", base=(0.0, 52.0), width=20.0, height=6.0, texture_seed=10)],
+            texture_seed=2,
+            max_ground_depth=60.0,
+        )
+        renderer = Renderer(CameraIntrinsics(focal=80.0, width=96, height=64))
+        for weather, t in ((1.9, 0.0), (0.55, 1.6)):
+            scene.weather_contrast = weather
+            _, dirs, origin, placed = renderer._prepare(scene, t)
+            if not _same_surfaces(self.render_surfaces(dirs, origin, scene, placed),
+                                  _render_surfaces_reference(dirs, origin, scene, placed)):
+                return f"render_surfaces (weather {weather}, t {t})"
         # The P-frame's transform tail on a 3 x 4 grid: coefficients on a
         # lattice of half steps (every rounding tie) and spread over decades,
         # two thirds of the blocks empty, one holding a single coefficient
@@ -1522,9 +1860,9 @@ class _CKernels:
 
 class CExtBackend(KernelBackend):
     """Compiled-C pattern search, motion compensation, value noise, the
-    I-frame wavefront (``intra_encode`` / ``intra_decode``) and the P-frame's
-    transform tail (``quantize_cost`` / ``rate_counter`` / ``reconstruct``),
-    self-probed."""
+    renderer's surfaces (``render_surfaces``), the I-frame wavefront
+    (``intra_encode`` / ``intra_decode``) and the P-frame's transform tail
+    (``quantize_cost`` / ``rate_counter`` / ``reconstruct``), self-probed."""
 
     name = "cext"
 
@@ -1562,6 +1900,7 @@ class CExtBackend(KernelBackend):
         self.pattern_search = kernels.pattern_search
         self.motion_compensate = kernels.motion_compensate
         self.value_noise = kernels.value_noise
+        self.render_surfaces = kernels.render_surfaces
         self.intra_encode = kernels.intra_encode
         self.intra_decode = kernels.intra_decode
         self.quantize_cost = kernels.quantize_cost

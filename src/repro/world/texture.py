@@ -37,6 +37,11 @@ _OBJECT_CONTRAST = {
 }
 
 
+def _object_tone(kind: str) -> tuple[float, float]:
+    """Base gray level and noise contrast of an object kind's texture."""
+    return _OBJECT_BASE.get(kind, 120.0), _OBJECT_CONTRAST.get(kind, 60.0)
+
+
 def ground_texture(x: np.ndarray, z: np.ndarray, *, seed: int, weather_contrast: float = 1.0) -> np.ndarray:
     """Asphalt with dashed lane markings, anchored at world ``(x, z)``.
 
@@ -109,8 +114,7 @@ def object_texture(
     """
     u = np.asarray(u, dtype=float)
     h = np.asarray(h, dtype=float)
-    base = _OBJECT_BASE.get(kind, 120.0)
-    contrast = _OBJECT_CONTRAST.get(kind, 60.0)
+    base, contrast = _object_tone(kind)
     gray = base + contrast * (value_noise_2d(u, h, seed=seed, scale=0.6, octaves=3) - 0.5)
 
     if kind == "building":

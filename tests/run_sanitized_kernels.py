@@ -1,8 +1,9 @@
 """Run the kernel suites with the ``cext`` source built under ASan + UBSan.
 
-Twelve C entry points write through raw pointers — the motion search's
+Thirteen C entry points write through raw pointers — the motion search's
 per-block memo (a hash probe) and its in-C edge padding, the rate counter's
-candidate list and ``reconstruct``'s block slots at data-dependent offsets;
+candidate list, ``reconstruct``'s block slots and the renderer's image,
+id-buffer and per-object counts inside caller-given windows;
 the bit-exactness suites prove their *values*, this proves their
 *addresses*.  The runner appends the sanitizer flags to
 ``repro.kernels.cext._CFLAGS`` in-process, before the first dispatch builds
@@ -42,6 +43,7 @@ SUITES = [
     "test_golden_mvfields.py",
     "test_golden_e2e.py",
     "test_golden_frames.py",
+    "test_render_kernel.py",
 ]
 
 

@@ -2,11 +2,19 @@
 
 Detection digests (golden e2e, fleet) only see the renderer through the
 detector; these tests fix the pixels, the id-buffer and the annotations of
-six frames across the three dataset presets, recorded at commit 386d7ea —
-before ``value_noise`` became a dispatched kernel and before the renderer
-gathered each surface once — and assert them on the numpy reference and on
-the compiled backend alike.  A renderer or noise change that moves a single
-bit of a frame fails here first, and names the frame.
+six frames across the three dataset presets at 320x192, recorded at commit
+386d7ea — before ``value_noise`` became a dispatched kernel and before the
+renderer gathered each surface once — and four more at the perf ruler's
+other two resolutions (nuScenes-like 480x288, turning KITTI-like 640x192),
+recorded at 3f305e5, before ``render_surfaces`` became a dispatched kernel;
+all are asserted on the numpy reference and on the compiled backend alike.
+A renderer or noise change that moves a single bit of a frame fails here
+first, and names the frame.
+
+The sky's pixels go through ``np.arctan2``, which numpy computes with its
+own SIMD code on AVX-512 hosts and with libm's ``atan2`` elsewhere; the two
+differ in the last bit for some inputs, so a digest recorded on one kind of
+host can fail on the other without any change to this repository.
 """
 
 import hashlib
@@ -25,6 +33,8 @@ CLIPS = {
     "nuscenes": lambda: nuscenes_like(11, n_frames=8, resolution=RESOLUTION),
     "robotcar": lambda: robotcar_like(11, n_frames=8, resolution=RESOLUTION),
     "kitti": lambda: kitti_like(5, n_frames=8, resolution=RESOLUTION, turning=True),
+    "nuscenes-480x288": lambda: nuscenes_like(11, n_frames=8, resolution=(480, 288)),
+    "kitti-640x192": lambda: kitti_like(5, n_frames=8, resolution=(640, 192), turning=True),
 }
 
 #: ``(clip, frame) -> (sha256(image bytes + id-buffer bytes), annotations)``
@@ -100,6 +110,51 @@ GOLDEN_FRAMES = {
             (9, 'car', (143.0, 97.0, 154.0, 105.0), 51.07799188514732, 0.36363636363636365, 32),
             (10, 'car', (98.0, 98.0, 119.0, 114.0), 24.81540532156718, 1.0, 336),
             (11, 'pedestrian', (211.0, 95.0, 217.0, 113.0), 27.332931507551972, 1.0, 108),
+        ),
+    ),
+    ('nuscenes-480x288', 0): (
+        '6ea57643d8ab79bab6688bbbe4b8aa6335a272134ff5657ba11de596010c5242',
+        (
+            (15, 'car', (51.0, 144.0, 107.0, 189.0), 14.0, 1.0, 2520),
+            (16, 'car', (156.0, 144.0, 184.0, 166.0), 28.0, 1.0, 616),
+            (17, 'car', (278.0, 144.0, 297.0, 159.0), 42.0, 1.0, 285),
+            (18, 'car', (210.0, 144.0, 215.0, 153.0), 70.0, 0.4166666666666667, 45),
+            (19, 'car', (215.0, 144.0, 250.0, 172.0), 22.401030655733244, 1.0, 980),
+            (22, 'car', (188.0, 144.0, 210.0, 161.0), 36.02923230013288, 1.0, 374),
+            (24, 'pedestrian', (328.0, 141.0, 336.0, 163.0), 33.0, 1.0, 176),
+            (26, 'pedestrian', (128.0, 140.0, 139.0, 171.0), 23.551005499626903, 1.0, 341),
+        ),
+    ),
+    ('nuscenes-480x288', 7): (
+        'dbc1bbb0c82f64036dd97a730424809c51b80174be7cf0ead8ad6ec57cead629',
+        (
+            (15, 'car', (0.0, 143.0, 35.0, 212.0), 9.04437048787947, 1.0, 2415),
+            (16, 'car', (138.0, 143.0, 172.0, 170.0), 23.044344064819544, 1.0, 918),
+            (17, 'car', (283.0, 143.0, 305.0, 160.0), 37.04431764175962, 1.0, 374),
+            (18, 'car', (204.0, 143.0, 216.0, 153.0), 65.04426479563978, 1.0, 120),
+            (19, 'car', (216.0, 143.0, 250.0, 170.0), 23.577941009646004, 1.0, 918),
+            (22, 'car', (172.0, 143.0, 198.0, 168.0), 25.20286833105036, 0.8125, 650),
+            (24, 'pedestrian', (346.0, 139.0, 355.0, 166.0), 27.46144912553712, 1.0, 243),
+            (25, 'pedestrian', (201.0, 142.0, 205.0, 152.0), 71.16963907039731, 0.775, 31),
+            (26, 'pedestrian', (111.0, 138.0, 124.0, 177.0), 18.595115103346874, 1.0, 507),
+        ),
+    ),
+    ('kitti-640x192', 0): (
+        '4d0a01993ca9beab1c70459eefa147cdca7aaf889e46ac71195e2c968936a86c',
+        (
+            (8, 'car', (280.0, 100.0, 326.0, 136.0), 22.85318897553038, 1.0, 1656),
+            (9, 'car', (310.0, 98.0, 330.0, 114.0), 51.35139478098503, 0.3, 96),
+            (10, 'car', (251.0, 98.0, 281.0, 122.0), 36.025038310530014, 0.9694444444444444, 698),
+            (11, 'pedestrian', (423.0, 94.0, 433.0, 124.0), 33.191457256688416, 1.0, 300),
+        ),
+    ),
+    ('kitti-640x192', 7): (
+        '095a9bfc7721da22983c199ddbaf85c65d6b40d13287f27bcb7fe87382397ee1',
+        (
+            (8, 'car', (255.0, 99.0, 303.0, 137.0), 22.42982131060632, 1.0, 1824),
+            (9, 'car', (287.0, 97.0, 307.0, 114.0), 51.07799188514732, 0.29411764705882354, 100),
+            (10, 'car', (196.0, 99.0, 239.0, 133.0), 24.81540532156718, 1.0, 1462),
+            (11, 'pedestrian', (421.0, 94.0, 433.0, 129.0), 27.332931507551972, 1.0, 420),
         ),
     ),
 }

@@ -1,7 +1,8 @@
 """Bit-exactness pins for the ``value_noise`` kernel.
 
-``value_noise_2d`` is the one dispatched kernel outside the codec: every
-texture the renderer samples goes through it.  The contract is the codec
+``value_noise_2d`` is dispatched outside the codec: the renderer's sky goes
+through it, and so do the ground and object textures wherever
+``render_surfaces`` declines (or no backend binds it).  The contract is the codec
 kernels' — whatever backend is active, the result equals
 ``_value_noise_2d_reference`` to the last bit — so the dispatch tests carry
 the ``kernel_backend`` fixture (``numpy``, which binds no hook, passes through

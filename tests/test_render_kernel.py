@@ -1,0 +1,316 @@
+"""Bit-exactness pins for the ``render_surfaces`` kernel.
+
+``Renderer.render`` paints the ground and the placed billboards through the
+``render_surfaces`` hook when the active backend binds one, and through
+``_render_surfaces_reference`` otherwise.  The compiled kernel resolves
+visibility first and textures each visible pixel once; the contract is the
+other hooks' — the answer equals the reference's to the last bit: the
+id-buffer, every non-sky pixel and each object's painted-pixel count — and
+what it cannot prove it declines (``None``), so the reference answers.
+
+The sweep covers the three presets at the perf ruler's resolutions and at
+their defaults, under weather contrasts strong enough that the texture clip
+bites; hypothesis scenes add objects cut by the frame edge, hidden behind a
+wall, and — placed by hand, past the renderer's culling — straddling the
+camera so the ``tt > 0.1`` test decides.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import kernels
+from repro.geometry import CameraIntrinsics
+from repro.kernels import cext as cext_module
+from repro.kernels.cext import _same_surfaces
+from repro.world import (
+    EgoTrajectory,
+    Renderer,
+    Scene,
+    SceneObject,
+    StraightSegment,
+    TurnSegment,
+    kitti_like,
+    nuscenes_like,
+    pedestrian,
+    robotcar_like,
+)
+from repro.world.renderer import _render_surfaces, _render_surfaces_reference
+
+PRESETS = {
+    "nuscenes": lambda resolution: nuscenes_like(11, n_frames=12, **resolution),
+    "robotcar": lambda resolution: robotcar_like(11, n_frames=12, **resolution),
+    "kitti": lambda resolution: kitti_like(5, n_frames=12, turning=True, **resolution),
+}
+RESOLUTIONS = {
+    "320x192": dict(resolution=(320, 192)),
+    "480x288": dict(resolution=(480, 288)),
+    "640x192": dict(resolution=(640, 192)),
+    "default": {},
+}
+
+
+@pytest.fixture
+def cext():
+    if "cext" not in kernels.available_backends():
+        pytest.skip(f"cext: {kernels.backend('cext').why_unavailable()}")
+    with kernels.use_backend("cext") as backend:
+        yield backend
+
+
+def _assert_hook_matches(backend, renderer, scene, t):
+    _, dirs, origin, placed = renderer._prepare(scene, t)
+    got = backend.render_surfaces(dirs, origin, scene, placed)
+    assert got is not None
+    assert _same_surfaces(got, _render_surfaces_reference(dirs, origin, scene, placed))
+    return got
+
+
+def _assert_same_record(got, want):
+    assert got.image.tobytes() == want.image.tobytes()
+    assert got.id_buffer.tobytes() == want.id_buffer.tobytes()
+    assert got.annotations == want.annotations
+
+
+@pytest.mark.parametrize("resolution", list(RESOLUTIONS))
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_presets_match_the_reference(cext, preset, resolution):
+    """Sampled frames, as the preset renders them and under contrasts that
+    clip at 0 and 255; then the whole record (sky and annotations included)
+    against the numpy backend."""
+    clip = PRESETS[preset](RESOLUTIONS[resolution])
+    renderer = clip._renderer
+    for index, weather in ((0, clip.scene.weather_contrast), (5, 2.6), (11, 0.4)):
+        scene = replace(clip.scene, weather_contrast=weather)
+        _, ids, counts = _assert_hook_matches(cext, renderer, scene, clip.time_of(index))
+        assert sum(counts) > 0 and (ids == 1).any()
+        got = renderer.render(scene, clip.time_of(index), frame_index=index)
+        with kernels.use_backend("numpy"):
+            want = renderer.render(scene, clip.time_of(index), frame_index=index)
+        _assert_same_record(got, want)
+
+
+INTR = CameraIntrinsics(focal=120.0, width=160, height=96)
+
+
+def _make(kind, x, z, seed, axis):
+    facing = (0.0, 1.0) if axis else (1.0, 0.0)
+    size = {"car": (1.9, 1.5), "pedestrian": (0.6, 1.75), "building": (9.0, 7.0), "pole": (0.3, 5.0)}[kind]
+    return SceneObject(kind=kind, base=(x, z), width=size[0], height=size[1], facing=facing, texture_seed=seed)
+
+
+OBJECTS = st.lists(
+    st.tuples(
+        st.sampled_from(["car", "pedestrian", "building", "pole"]),
+        # Wide and close enough to cut objects at the frame edge, far
+        # enough to fade into the haze.
+        st.floats(-9.0, 9.0),
+        st.floats(1.0, 120.0),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.integers(0, 10_000),
+    OBJECTS,
+    # (x, z, gap): a pedestrian standing `gap` metres behind a wall.
+    st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(4.0, 30.0), st.floats(0.2, 3.0)), max_size=2),
+    st.floats(0.0, 2.0),
+    st.sampled_from([0.3, 1.0, 2.2]),
+)
+def test_scenes_match_the_reference(cext, seed, specs, hidden, t, weather):
+    objects = [_make(kind, x, z, seed + i, axis) for i, (kind, x, z, axis) in enumerate(specs)]
+    for x, z, gap in hidden:
+        objects += [_make("building", x, z, seed, False), pedestrian(x, z + gap, seed=seed + 1)]
+    scene = Scene(
+        trajectory=EgoTrajectory([StraightSegment(1.0, 8.0), TurnSegment(1.5, 7.0, 0.35)]),
+        objects=objects,
+        texture_seed=seed,
+        weather_contrast=weather,
+        max_ground_depth=90.0,
+    )
+    _assert_hook_matches(cext, Renderer(INTR), scene, t)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(
+        st.tuples(st.floats(-2.0, 2.0), st.floats(-3.0, 3.0), st.floats(0.1, 8.0), st.booleans()),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(0, 100),
+)
+def test_faces_straddling_the_camera(cext, specs, seed):
+    """Faces placed by hand over the whole frame, past the renderer's depth
+    and behind-the-camera culling: rays meet their planes behind the camera,
+    at ``tt <= 0.1`` and parallel to them."""
+    renderer = Renderer(INTR)
+    objects = [_make("building", x, z, seed, axis) for x, z, _, axis in specs]
+    objects = [replace(obj, width=width) for obj, (_, _, width, _) in zip(objects, specs)]
+    scene = Scene(trajectory=EgoTrajectory([StraightSegment(1.0, 5.0)]), objects=objects, texture_seed=seed)
+    _, dirs, origin, _ = renderer._prepare(scene, 0.0)
+    window = (slice(0, INTR.height), slice(0, INTR.width))
+    placed = [(obj, window, obj.plane_at(0.0)) for obj in scene.objects]
+    got = cext.render_surfaces(dirs, origin, scene, placed)
+    assert _same_surfaces(got, _render_surfaces_reference(dirs, origin, scene, placed))
+
+
+def test_faces_hit_exactly_on_their_edges(cext):
+    """Rays on a 1/64 lattice from a camera 1 m up meet faces at depths 8, 4
+    and 2 on a 1/8, 1/16, 1/32 lattice: every test of the mask and of the
+    bands — |u| at the half width, height at 0 and at the top, a window's
+    edge at 0.5, a leg band's at 0.75 — is met with equality somewhere."""
+    j, i = np.meshgrid(np.arange(-48, 49), np.arange(-72, 24))
+    dirs = np.stack([j / 64.0, i / 64.0, np.ones(j.shape)], axis=-1)
+    origin = np.array([0.0, -1.0, 0.0])
+    objects = [
+        SceneObject(kind="building", base=(0.0, 8.0), width=4.0, height=7.0, texture_seed=1),
+        SceneObject(kind="pedestrian", base=(1.0, 4.0), width=1.0, height=1.75, texture_seed=2),
+        SceneObject(kind="car", base=(-0.5, 2.0), width=0.5, height=1.5, facing=(1.0, -0.0), texture_seed=3),
+    ]
+    scene = Scene(trajectory=EgoTrajectory([StraightSegment(1.0, 5.0)]), objects=objects, texture_seed=7)
+    window = (slice(0, j.shape[0]), slice(0, j.shape[1]))
+    placed = [(obj, window, obj.plane_at(0.0)) for obj in scene.objects]
+    got = cext.render_surfaces(dirs, origin, scene, placed)
+    assert _same_surfaces(got, _render_surfaces_reference(dirs, origin, scene, placed))
+    assert all(got[2])
+
+
+def test_ground_dashes_at_negative_coordinates(cext):
+    """``np.mod``'s floor semantics in C: ground points at negative world z,
+    on exact multiples of the dash period, a hair either side of them and at
+    ``-0.0``, under the dashed lane at ``x = 1.75``."""
+    zs = np.array([-6.0, -3.0, -12.0, -1e-17, -0.0, -5.999999999999999, -3.0000000000000004,
+                   -2.9999999999999996, -1e15, -0.75, -4.5, -17.25])
+    zs = np.concatenate([zs, np.linspace(-40.0, 0.0, 84)])
+    dirs = np.empty((2, zs.size, 3))
+    dirs[..., 0] = np.array([1.75, -1.75])[:, None] / 1.5  # x = 1.5 dx: on the lane lines
+    dirs[..., 1] = 1.0  # the ground at tg = 1.5 from a camera 1.5 m up
+    dirs[..., 2] = zs / 1.5
+    origin = np.array([0.0, -1.5, -0.0])  # so that z = -0.0 + 1.5 * -0.0 stays -0.0
+    scene = Scene(trajectory=EgoTrajectory([StraightSegment(1.0, 5.0)]), texture_seed=3, weather_contrast=1.0)
+    got = cext.render_surfaces(dirs, origin, scene, [])
+    want = _render_surfaces_reference(dirs, origin, scene, [])
+    assert _same_surfaces(got, want)
+    z = origin[2] + 1.5 * dirs[..., 2]
+    on_dash = np.mod(z, 6.0) < 3.0
+    assert (got[0][on_dash] == 225.0).all() and (got[0][~on_dash] != 225.0).all()
+
+
+class TestDeclines:
+    """What the kernel cannot prove it declines, and the dispatch still
+    answers with the reference's bytes."""
+
+    def _scene(self, **overrides):
+        objects = [_make("car", 0.5, 12.0, 1, False), _make("building", -6.0, 25.0, 2, True)]
+        return Scene(
+            trajectory=EgoTrajectory([StraightSegment(2.0, 8.0)]), objects=objects, texture_seed=4, **overrides
+        )
+
+    def _assert_declined(self, backend, dirs, origin, scene, placed):
+        assert backend.render_surfaces(dirs, origin, scene, placed) is None
+        got = _render_surfaces(dirs, origin, scene, placed)
+        want = _render_surfaces_reference(dirs, origin, scene, placed)
+        assert _same_surfaces(got, want)
+
+    def test_an_oblique_facing(self, cext):
+        scene = self._scene()
+        scene.objects.append(replace(_make("car", -1.0, 18.0, 3, False), facing=(0.6, 0.8), object_id=4))
+        renderer = Renderer(INTR)
+        _, dirs, origin, placed = renderer._prepare(scene, 0.5)
+        assert any(obj.object_id == 4 for obj, _, _ in placed)
+        self._assert_declined(cext, dirs, origin, scene, placed)
+        got = renderer.render(scene, 0.5)
+        with kernels.use_backend("numpy"):
+            _assert_same_record(got, renderer.render(scene, 0.5))
+
+    @pytest.mark.parametrize("layout", ["fortran", "float32", "strided"])
+    def test_directions_the_loops_cannot_index(self, cext, layout):
+        scene = self._scene()
+        _, dirs, origin, placed = Renderer(INTR)._prepare(scene, 0.5)
+        dirs = {
+            "fortran": np.asfortranarray(dirs),
+            "float32": dirs.astype(np.float32),
+            "strided": np.repeat(dirs, 2, axis=1)[:, ::2],
+        }[layout]
+        self._assert_declined(cext, dirs, origin, scene, placed)
+
+    def test_a_repeated_or_unstorable_id(self, cext):
+        scene = self._scene()
+        _, dirs, origin, placed = Renderer(INTR)._prepare(scene, 0.5)
+        (obj, window, plane), rest = placed[0], placed[1:]
+        self._assert_declined(cext, dirs, origin, scene, [(replace(obj, object_id=1), window, plane), *rest])
+        self._assert_declined(cext, dirs, origin, scene, [placed[0], *placed])
+        # An id past int32: declined, and the reference's own error is the answer.
+        big = [(replace(obj, object_id=2**31), window, plane), *rest]
+        assert cext.render_surfaces(dirs, origin, scene, big) is None
+        with pytest.raises(OverflowError):
+            _render_surfaces(dirs, origin, scene, big)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    def test_a_noise_coordinate_near_two_to_the_63(self, cext):
+        """Ground points whose every lattice coordinate (the finest is x / 0.35)
+        fits int64 are painted by the kernel; an octave past 2^63 sends the
+        call to the reference."""
+        scene = self._scene()
+        _, dirs, _, _ = Renderer(INTR)._prepare(scene, 0.5)
+        inside = np.array([2.0**61, -1.5, 0.0])
+        got = cext.render_surfaces(dirs, inside, scene, [])
+        assert _same_surfaces(got, _render_surfaces_reference(dirs, inside, scene, []))
+        self._assert_declined(cext, dirs, np.array([2.0**63, -1.5, 0.0]), scene, [])
+
+
+def test_without_a_hook_the_reference_answers():
+    """What a host without a C compiler runs: no hook, the reference."""
+    clip = nuscenes_like(11, n_frames=2, resolution=(160, 96))
+    _, dirs, origin, placed = clip._renderer._prepare(clip.scene, 0.0)
+    with kernels.use_backend("numpy"):
+        assert kernels.override("render_surfaces") is None
+        got = _render_surfaces(dirs, origin, clip.scene, placed)
+    assert _same_surfaces(got, _render_surfaces_reference(dirs, origin, clip.scene, placed))
+
+
+def test_a_frame_without_pixels(cext):
+    scene = Scene(trajectory=EgoTrajectory([StraightSegment(1.0, 5.0)]))
+    dirs = np.empty((0, 7, 3))
+    origin = np.array([0.0, -1.5, 0.0])
+    got = cext.render_surfaces(dirs, origin, scene, [])
+    assert got[0].shape == got[1].shape == (0, 7) and got[2] == []
+    assert _same_surfaces(got, _render_surfaces_reference(dirs, origin, scene, []))
+
+
+@pytest.mark.parametrize(
+    "right,wrong",
+    [
+        ("#define GROUND_HAZE 165.0", "#define GROUND_HAZE 165.5"),
+        ("wh > 0.8 && wh < 2.1", "wh > 0.8 && wh < 2.2"),
+        ("if (h < 0.35) gray = gray - 55.0;", "if (h < 0.35) gray = gray - 54.0;"),
+        ("if (h > 1.45) gray = gray + 35.0;", "if (h > 1.5) gray = gray + 35.0;"),
+    ],
+    ids=["haze", "building-windows", "car-band", "pedestrian-band"],
+)
+def test_the_probe_rejects_a_wrong_shader(right, wrong, monkeypatch, tmp_path):
+    """The self-probe renders a small scene through the kernel and the
+    reference: a shader constant off anywhere marks the backend unavailable
+    and binds no hook."""
+    if "cext" not in kernels.available_backends():
+        pytest.skip(f"cext: {kernels.backend('cext').why_unavailable()}")
+    assert cext_module._C_SOURCE.count(right) == 1
+    # The patched source hashes to its own object; keep it out of the real cache.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(cext_module, "_C_SOURCE", cext_module._C_SOURCE.replace(right, wrong))
+    monkeypatch.setattr(kernels, "_active", None)
+    broken = cext_module.CExtBackend()
+    monkeypatch.setitem(kernels._instances, "cext", broken)
+    assert not broken.available()
+    reason = broken.why_unavailable()
+    assert "self-probe" in reason and "render_surfaces" in reason, reason
+    assert all(getattr(broken, name) is None for name in kernels.KERNEL_NAMES)
