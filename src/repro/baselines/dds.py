@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.baselines.base import AnalyticsScheme, FrameResult, LatencyModel, SchemeRun
-from repro.codec.encoder import EncoderConfig, VideoEncoder, encode_region_update
+from repro.codec.encoder import EncoderConfig, RegionUpdate, VideoEncoder
 from repro.core.tracking import MotionVectorTracker
 from repro.codec.motion import estimate_motion
 from repro.edge.detector import Detection
@@ -165,26 +165,25 @@ class DDSScheme(AnalyticsScheme):
                     continue
                 # Bandwidth compliance: raise the region QP along a ladder, and
                 # if even the coarsest QP overshoots, trim the region set to the
-                # highest-confidence detections until the upgrade fits.
+                # highest-confidence detections until the upgrade fits.  The
+                # residual is transformed once; each step only re-quantises.
                 region_budget = max(budget * (1.0 - cfg.low_fraction), 1024.0)
-                bits, updated = encode_region_update(
-                    encoded.reconstruction, frame, region_mask, qp=cfg.region_qp, block=block
-                )
-                max_qp = cfg.region_qp + 24
-                for qp in (cfg.region_qp + 6, cfg.region_qp + 12, cfg.region_qp + 18, max_qp):
+                update = RegionUpdate(encoded.reconstruction, frame, region_mask, block=block)
+                qp = cfg.region_qp
+                bits = update.bits(qp)
+                for step in (6, 12, 18, 24):
                     if bits <= region_budget:
                         break
-                    bits, updated = encode_region_update(
-                        encoded.reconstruction, frame, region_mask, qp=qp, block=block
-                    )
+                    qp = cfg.region_qp + step
+                    bits = update.bits(qp)
                 ranked = sorted(low_result.detections, key=lambda d: -d.confidence)
                 keep = len(ranked)
+                # Trimming only starts at the top of the ladder; fewer boxes
+                # cover a subset of the transformed region.
                 while bits > region_budget and keep > 1:
                     keep = max(1, keep // 2)
                     region_mask = self._region_mask(ranked[:keep], grid_shape, block)
-                    bits, updated = encode_region_update(
-                        encoded.reconstruction, frame, region_mask, qp=max_qp, block=block
-                    )
+                    bits = update.bits(qp, region_mask)
                 region_bytes = int(np.ceil(bits / 8.0))
                 tx2 = uplink.transmit(i, region_bytes, feedback_time + lat.region_encode)
                 if tx2.dropped:
@@ -203,6 +202,7 @@ class DDSScheme(AnalyticsScheme):
                         )
                     )
                     continue
+                updated = update.apply(qp, region_mask)
                 final = server.process_image(updated, record, arrival_time=tx2.finish_time)
                 estimator.record_ack(tx2.start_time, tx2.finish_time, region_bytes)
                 tracker.update(final.detections)

@@ -26,7 +26,7 @@ from repro.codec.motion import (
     nonzero_mv_ratio,
 )
 from repro.codec.transform import dequantize, qstep, quantize, transform_cost_bits
-from repro.codec.encoder import EncodedFrame, EncoderConfig, VideoEncoder, encode_region_update
+from repro.codec.encoder import EncodedFrame, EncoderConfig, RegionUpdate, VideoEncoder, encode_region_update
 from repro.codec.decoder import VideoDecoder
 from repro.codec.gop import BFrameEncodedFrame, GopStructure, encode_gop_sequence
 from repro.codec.intra import intra_decode, intra_encode, intra_predict_block
@@ -39,6 +39,7 @@ __all__ = [
     "EncodedFrame",
     "EncoderConfig",
     "MotionEstimate",
+    "RegionUpdate",
     "VideoDecoder",
     "VideoEncoder",
     "dequantize",

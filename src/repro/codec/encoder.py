@@ -36,7 +36,7 @@ from repro.codec.transform import (
 )
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
-__all__ = ["EncodedFrame", "EncoderConfig", "VideoEncoder", "encode_region_update"]
+__all__ = ["EncodedFrame", "EncoderConfig", "RegionUpdate", "VideoEncoder", "encode_region_update"]
 
 #: Flat prediction level for intra frames (mid-gray).
 _INTRA_DC = 128.0
@@ -356,19 +356,25 @@ class VideoEncoder:
         return float(hi)
 
 
-def encode_region_update(
-    base: np.ndarray,
-    target: np.ndarray,
-    region_mask: np.ndarray,
-    *,
-    qp: float,
-    block: int = 16,
-) -> tuple[float, np.ndarray]:
-    """Re-encode selected macroblocks of ``target`` at ``qp`` on top of ``base``.
+class RegionUpdate:
+    """Selected macroblocks of ``target`` re-encoded on top of ``base``,
+    transformed once and quantised at any QP.
 
     Models DDS's second pass: the server already holds the low-quality
     decode (``base``); the agent uploads only the feedback-region
     macroblocks, coded as a residual against that decode at high quality.
+    DDS raises the QP and trims the region until the upload fits, so the
+    residual's DCT — the same at every QP — is taken once, here, over the
+    region's macroblocks only: they are gathered into one compact
+    ``(n * block, block)`` plane, one macroblock below the other, and
+    transformed together.  Every 8x8 block's DCT is the same computation
+    wherever the block sits, so each coefficient equals the full-frame
+    transform's; a block outside the region would have been all +0.0 there,
+    its levels 0 and its pixel the base pixel.
+
+    :meth:`bits` costs the upload at a QP, :meth:`apply` reconstructs the
+    image the server ends up with; both take a ``region_mask`` that is a
+    subset of the transformed one (a trimmed region), all of it by default.
 
     Parameters
     ----------
@@ -378,28 +384,82 @@ def encode_region_update(
         The (raw) frame the regions should be upgraded towards.
     region_mask:
         ``(mb_rows, mb_cols)`` boolean mask of macroblocks to upgrade.
-    qp:
-        QP of the upgrade.
-
-    Returns
-    -------
-    ``(bits, updated_image)`` — the upload cost and the image after
-    applying the upgrade.
     """
-    base = np.asarray(base, dtype=np.float32)
-    target = np.asarray(target, dtype=np.float32)
-    mb_shape = (base.shape[0] // block, base.shape[1] // block)
-    mask = np.asarray(region_mask, dtype=bool)
-    if mask.shape != mb_shape:
-        raise ValueError(f"region mask shape {mask.shape} != macroblock grid {mb_shape}")
-    pixel_mask = np.kron(mask, np.ones((block, block), dtype=bool))
-    residual = np.where(pixel_mask, target - base, 0.0)
-    coeffs = dct_blocks(residual)
-    qp_map = np.full(mb_shape, float(qp))
-    levels, bits_per_mb = quantize_cost(coeffs, qp_map, mb_size=block)
-    # Only region blocks are transmitted: coefficient bits plus 8 bits of
-    # addressing per block, plus a message header.
-    bits = float(bits_per_mb[mask].sum()) + 8.0 * int(mask.sum()) + 64.0
-    recon_residual = idct_blocks(dequantize(levels, qp_map, mb_size=block))
-    updated = np.clip(base + np.where(pixel_mask, recon_residual, 0.0), 0.0, 255.0).astype(np.float32)
-    return bits, updated
+
+    def __init__(self, base: np.ndarray, target: np.ndarray, region_mask: np.ndarray, *, block: int = 16):
+        base = np.asarray(base, dtype=np.float32)
+        target = np.asarray(target, dtype=np.float32)
+        if target.shape != base.shape:
+            raise ValueError(f"target shape {target.shape} != base shape {base.shape}")
+        if base.ndim != 2 or base.shape[0] % block or base.shape[1] % block:
+            raise ValueError(f"plane shape {base.shape} not a multiple of block {block}")
+        self._base = base
+        self._block = block
+        self._grid = (base.shape[0] // block, base.shape[1] // block)
+        self._mask = self._checked(region_mask)
+        tiles = self._macroblocks(target)[self._mask] - self._macroblocks(base)[self._mask]
+        self._coeffs = dct_blocks(tiles.reshape(-1, block)) if tiles.size else None
+
+    def _checked(self, region_mask: np.ndarray) -> np.ndarray:
+        mask = np.asarray(region_mask, dtype=bool)
+        if mask.shape != self._grid:
+            raise ValueError(f"region mask shape {mask.shape} != macroblock grid {self._grid}")
+        return mask
+
+    def _macroblocks(self, plane: np.ndarray) -> np.ndarray:
+        """``(mb_rows, mb_cols, block, block)`` view of a plane's macroblocks."""
+        rows, cols = self._grid
+        return plane.reshape(rows, self._block, cols, self._block).swapaxes(1, 2)
+
+    def _quantise(self, qp: float, region_mask: np.ndarray | None):
+        """``(kept, levels, qp_map, bits_per_mb)`` at ``qp`` of the macroblocks
+        ``kept`` (the mask they form); ``levels`` is ``None`` when none is."""
+        coeffs, kept = self._coeffs, self._mask
+        if region_mask is not None:
+            kept = self._checked(region_mask)
+            if (kept & ~self._mask).any():
+                raise ValueError("region mask is not a subset of the transformed region")
+            chosen = kept[self._mask]
+            if not chosen.all():
+                # Macroblock k's coefficients are the k-th run of block*block.
+                per_mb = coeffs.reshape(chosen.size, -1)[chosen]
+                coeffs = per_mb.reshape(-1, *coeffs.shape[1:]) if per_mb.size else None
+        if coeffs is None:
+            return kept, None, None, np.zeros(0, dtype=np.float64)
+        qp_map = np.full((coeffs.shape[0] * 8 // self._block, 1), float(qp))
+        levels, bits_per_mb = quantize_cost(coeffs, qp_map, mb_size=self._block)
+        return kept, levels, qp_map, bits_per_mb
+
+    def bits(self, qp: float, region_mask: np.ndarray | None = None) -> float:
+        """Upload cost at ``qp``: the kept macroblocks' coefficient bits plus
+        8 bits of addressing each, plus a message header."""
+        _, _, _, bits_per_mb = self._quantise(qp, region_mask)
+        # Each macroblock's bits are a multiple of 0.25: the sum is order-free.
+        return float(bits_per_mb.sum()) + 8.0 * bits_per_mb.size + 64.0
+
+    def apply(self, qp: float, region_mask: np.ndarray | None = None) -> np.ndarray:
+        """The image after applying the upgrade coded at ``qp`` (float32)."""
+        kept, levels, qp_map, _ = self._quantise(qp, region_mask)
+        block = self._block
+        # +0.0 outside the kept macroblocks, as the full-frame np.where made it,
+        # so a -0.0 or out-of-range base pixel comes out as it did.
+        residual = np.zeros(self._base.shape, dtype=np.float64)
+        if levels is not None:
+            recon = idct_blocks(dequantize(levels, qp_map, mb_size=block))
+            self._macroblocks(residual)[kept] = recon.reshape(-1, block, block)
+        return np.clip(self._base + residual, 0.0, 255.0).astype(np.float32)
+
+
+def encode_region_update(
+    base: np.ndarray,
+    target: np.ndarray,
+    region_mask: np.ndarray,
+    *,
+    qp: float,
+    block: int = 16,
+) -> tuple[float, np.ndarray]:
+    """One-shot :class:`RegionUpdate`: ``(bits, updated_image)`` — the upload
+    cost of re-encoding ``region_mask``'s macroblocks of ``target`` at ``qp``
+    on top of ``base``, and the image after applying the upgrade."""
+    update = RegionUpdate(base, target, region_mask, block=block)
+    return update.bits(qp), update.apply(qp)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.baselines.base import AnalyticsScheme, SchemeRun
 from repro.check.sanitize import ArraySanitizer, NullSanitizer
 from repro.edge.detector import Detection, QualityAwareDetector
@@ -17,7 +15,6 @@ from repro.world.datasets import Clip, ScoredClip
 
 __all__ = [
     "EvaluationResult",
-    "aggregate",
     "evaluate_run",
     "ground_truth_for",
     "run_scheme",
@@ -167,17 +164,3 @@ def evaluate_run(
         drop_rate=run.drop_rate,
         run=run,
     )
-
-
-def aggregate(results: list[EvaluationResult]) -> dict[str, float]:
-    """Mean metrics over a list of per-clip results (one scheme)."""
-    if not results:
-        raise ValueError("no results to aggregate")
-    return {
-        "mAP": float(np.mean([r.ap["mAP"] for r in results])),
-        "car": float(np.mean([r.ap["car"] for r in results])),
-        "pedestrian": float(np.mean([r.ap["pedestrian"] for r in results])),
-        "response_time": float(np.mean([r.mean_response_time for r in results])),
-        "bytes": float(np.mean([r.total_bytes for r in results])),
-        "drop_rate": float(np.mean([r.drop_rate for r in results])),
-    }

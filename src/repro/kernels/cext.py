@@ -1324,11 +1324,19 @@ class _RateCounter:
 @functools.lru_cache(maxsize=16)
 def _diagonals(rows: int, cols: int) -> tuple:
     """The wavefront of a grid, built once per shape: per anti-diagonal its
-    first block ``(r0, c0)`` — block ``k`` is ``(r0 + k, c0 - k)`` — and the
-    reference's index arrays."""
+    first block ``(r0, c0)`` — block ``k`` is ``(r0 + k, c0 - k)`` — its
+    length and where it starts in wavefront order; then every block's row
+    and column index in that order (read-only)."""
     from repro.codec.intra import _wavefront
 
-    return tuple((int(rs[0]), int(cs[0]), rs, cs) for rs, cs in _wavefront(rows, cols))
+    waves = list(_wavefront(rows, cols))
+    starts = np.cumsum([0] + [rs.size for rs, _ in waves]).tolist()
+    diagonals = tuple((int(rs[0]), int(cs[0]), rs.size, start) for (rs, cs), start in zip(waves, starts))
+    wave_rows = np.concatenate([rs for rs, _ in waves])
+    wave_cols = np.concatenate([cs for _, cs in waves])
+    wave_rows.setflags(write=False)
+    wave_cols.setflags(write=False)
+    return diagonals, wave_rows, wave_cols
 
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
@@ -1554,37 +1562,40 @@ class _CKernels:
             return _intra_encode_reference(frame, qp_map, block=block)
         rows, cols = grid
         width = pixels.shape[1]
+        diagonals, wave_rows, wave_cols = _diagonals(rows, cols)
         recon = np.zeros_like(pixels)
         modes = np.zeros(grid, dtype=np.int8)
-        bits_per_mb = np.empty(grid, dtype=np.float64)
         # Block-major (rows*sub, 8, cols*sub, 8) is the frame's own plane layout.
         levels = np.empty((pixels.shape[0] // 8, 8, width // 8, 8), dtype=np.float64)
+        # Per block in wavefront order: its step and its coefficient bits.
+        q = qstep(qp[wave_rows, wave_cols])
+        wave_bits = np.empty(rows * cols, dtype=np.float64)
+        # Per-diagonal buffers, sized for the longest diagonal.
         best = np.empty(min(grid) * block * block, dtype=np.float64)
+        plane = np.empty_like(best)
+        dequantised = np.empty_like(best)
         scratch = np.empty(4 * block * block + 2 * block, dtype=np.float64)
         lib = self._lib
         frame_p, recon_p, modes_p = pixels.ctypes.data, recon.ctypes.data, modes.ctypes.data
         levels_p, best_p, scratch_p = levels.ctypes.data, best.ctypes.data, scratch.ctypes.data
-        for r0, c0, rs, cs in _diagonals(rows, cols):
-            m = rs.size
-            plane = np.empty((block, m * block), dtype=np.float64)
+        plane_p, deq_p, q_p, bits_p = plane.ctypes.data, dequantised.ctypes.data, q.ctypes.data, wave_bits.ctypes.data
+        for r0, c0, m, start in diagonals:
             lib.intra_pre(frame_p, recon_p, width, r0, c0, m, block,
-                          modes_p, cols, best_p, plane.ctypes.data, scratch_p)
-            coeffs = _dct_blocks_reference(plane)
-            q = qstep(qp[rs, cs])
-            dequantised = np.empty_like(coeffs)
-            diag_bits = np.empty(m, dtype=np.float64)
+                          modes_p, cols, best_p, plane_p, scratch_p)
+            coeffs = _dct_blocks_reference(plane[: m * block * block].reshape(block, m * block))
             # The diagonal is a 1 x m grid whose k-th macroblock's levels
             # belong one block row down and one block column left of the last.
             if lib.quant_cost(
-                coeffs.ctypes.data, 0, m * block, 1, m, block, q.ctypes.data,
+                coeffs.ctypes.data, 0, m * block, 1, m, block, q_p + 8 * start,
                 levels_p + 8 * (r0 * block * width + c0 * block), width,
-                0, block * width - block, dequantised.ctypes.data, diag_bits.ctypes.data,
+                0, block * width - block, deq_p, bits_p + 8 * start,
             ):
                 # NaN / inf / a level too large to cost in integers.
                 return _intra_encode_reference(frame, qp_map, block=block)
-            rec_plane = idct_blocks(dequantised)
+            rec_plane = idct_blocks(dequantised[: m * block * block].reshape(coeffs.shape))
             lib.intra_post(best_p, rec_plane.ctypes.data, r0, c0, m, block, recon_p, width)
-            bits_per_mb[rs, cs] = diag_bits + _MODE_BITS
+        bits_per_mb = np.empty(grid, dtype=np.float64)
+        bits_per_mb[wave_rows, wave_cols] = wave_bits + _MODE_BITS
         return levels, modes, recon, bits_per_mb
 
     def intra_decode(self, levels, modes, qp_map, *, block=16):
@@ -1609,20 +1620,21 @@ class _CKernels:
         mode_map = np.ascontiguousarray(modes, dtype=np.int64)
         rows, cols = grid
         width = cols * block
+        diagonals, wave_rows, wave_cols = _diagonals(rows, cols)
         recon = np.zeros((rows * block, width), dtype=np.float64)
+        q = qstep(qp[wave_rows, wave_cols])
+        # Per-diagonal buffers, sized for the longest diagonal.
         best = np.empty(min(grid) * block * block, dtype=np.float64)
+        dequantised = np.empty_like(best)
         edge = np.empty(2 * block, dtype=np.float64)
         lib = self._lib
         levels_p, modes_p, recon_p = coded.ctypes.data, mode_map.ctypes.data, recon.ctypes.data
-        best_p, edge_p = best.ctypes.data, edge.ctypes.data
-        for r0, c0, rs, cs in _diagonals(rows, cols):
-            m = rs.size
-            q = qstep(qp[rs, cs])
-            dequantised = np.empty((block // 8, 8, m * block // 8, 8), dtype=np.float64)
-            if lib.intra_unpre(levels_p, modes_p, cols, q.ctypes.data, recon_p, width,
-                               r0, c0, m, block, best_p, dequantised.ctypes.data, edge_p):
+        best_p, deq_p, edge_p, q_p = best.ctypes.data, dequantised.ctypes.data, edge.ctypes.data, q.ctypes.data
+        for r0, c0, m, start in diagonals:
+            if lib.intra_unpre(levels_p, modes_p, cols, q_p + 8 * start, recon_p, width,
+                               r0, c0, m, block, best_p, deq_p, edge_p):
                 return _intra_decode_reference(levels, modes, qp_map, block=block)
-            rec_plane = idct_blocks(dequantised)
+            rec_plane = idct_blocks(dequantised[: m * block * block].reshape(block // 8, 8, m * block // 8, 8))
             lib.intra_post(best_p, rec_plane.ctypes.data, r0, c0, m, block, recon_p, width)
         return recon
 

@@ -44,6 +44,7 @@ SUITES = [
     "test_golden_e2e.py",
     "test_golden_frames.py",
     "test_render_kernel.py",
+    "test_region_update.py",
 ]
 
 

@@ -1,10 +1,9 @@
-"""Small API-surface tests: dataclasses, aggregates, odds and ends."""
+"""Small API-surface tests: dataclasses, odds and ends."""
 
 import numpy as np
 import pytest
 
 from repro.edge import Detection, mean_ap
-from repro.experiments.runner import aggregate
 from repro.geometry import CameraIntrinsics, CameraPose, PinholeCamera
 from repro.world.annotations import EgoState, MotionState, ObjectAnnotation
 
@@ -36,31 +35,6 @@ class TestMeanAp:
     def test_subset(self):
         per_class = {"car": 1.0, "pedestrian": 0.0, "mAP": 0.5}
         assert mean_ap(per_class, kinds=("car",)) == 1.0
-
-
-class TestAggregate:
-    def make_result(self, m):
-        from repro.baselines.base import SchemeRun
-        from repro.experiments.runner import EvaluationResult
-
-        return EvaluationResult(
-            scheme="DiVE",
-            clip_name="c",
-            ap={"car": m, "pedestrian": m, "mAP": m},
-            mean_response_time=0.1,
-            total_bytes=1000,
-            drop_rate=0.0,
-            run=SchemeRun(scheme="DiVE", clip_name="c"),
-        )
-
-    def test_aggregate_means(self):
-        rows = aggregate([self.make_result(0.4), self.make_result(0.8)])
-        assert rows["mAP"] == pytest.approx(0.6)
-        assert rows["response_time"] == pytest.approx(0.1)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            aggregate([])
 
 
 class TestCameraExtras:
