@@ -44,10 +44,11 @@ S016 direct-edge-call-in-fleet error ``EdgeServer.process*`` called from
                                      wrapper in ``fleet/batch.py`` is the
                                      one exemption)
 S017 kernel-registry-bypass  error   extracted kernel internals (``
-                                     _exhaustive_search``, ``_descend*``,
-                                     ``_*_reference`` ...) called from
+                                     _exhaustive_search``, ``_descend``,
+                                     any ``_*_reference``) called from
                                      library code outside ``codec/`` /
-                                     ``kernels/`` — go through the public
+                                     ``kernels/`` and the module defining
+                                     them — go through the public
                                      wrappers so ``repro.kernels`` backend
                                      dispatch applies
 ==== ====================== ======== =======================================
@@ -62,6 +63,7 @@ project, not single nodes): S012 lock-discipline
 from __future__ import annotations
 
 import ast
+import re
 from typing import Iterator
 
 from repro.check.engine import ModuleContext, Rule, dotted_name, register
@@ -542,49 +544,40 @@ class KernelBypassRule(Rule):
     severity = "error"
     description = (
         "library code calling an extracted kernel internal "
-        "(_exhaustive_search, _descend*, _BlockSadEvaluator, the "
-        "_*_reference bodies) directly skips the repro.kernels backend "
+        "(_exhaustive_search, _descend, _BlockSadEvaluator, any "
+        "_*_reference body) directly skips the repro.kernels backend "
         "dispatch: the call silently runs the reference even when cext "
         "is active, and the shape checks and float32 casts the public "
         "wrappers perform are skipped.  Call estimate_motion/"
         "motion_compensate/dct_blocks instead."
     )
     scope = ("repro",)
-    node_types = (ast.Call,)
 
-    #: The dispatch-site internals: the search and reference bodies and the
-    #: evaluator the sweeps run on.  Only ``codec/`` (the dispatch sites),
-    #: ``kernels/`` (the backends) and tests may touch them.
+    #: The motion search's internals, beside every ``_*_reference`` body.
     _INTERNALS = frozenset(
-        {
-            "_exhaustive_search",
-            "_exact_sad_scan",
-            "_pattern_search",
-            "_descend",
-            "_descend_reference",
-            "_BlockSadEvaluator",
-            "_motion_compensate_reference",
-            "_dct_blocks_reference",
-        }
+        {"_exhaustive_search", "_exact_sad_scan", "_pattern_search", "_descend", "_BlockSadEvaluator"}
     )
+    _REFERENCE = re.compile(r"_\w+_reference")
 
     def applies_to(self, ctx: ModuleContext) -> bool:
         if not super().applies_to(ctx):
             return False
-        # The dispatch sites and the backends are the two legitimate
-        # callers; everywhere else in the library must use the wrappers.
+        # codec/ (the dispatch sites) and kernels/ (the backends) may call
+        # them all; everywhere else in the library must use the wrappers.
         return "codec" not in ctx.parts and "kernels" not in ctx.parts
 
-    def check(self, node: ast.AST, ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
-        name = dotted_name(node.func)
-        if name is None:
-            return
-        tail = name.split(".")[-1]
-        if tail in self._INTERNALS:
-            yield node, (
-                f"{name}() bypasses the repro.kernels registry; use the "
-                "public kernel wrapper so the active backend dispatches"
-            )
+    def module_check(self, tree: ast.Module, ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
+        # A module that defines a reference is its own dispatch site (the
+        # renderer, utils/noise): it may call what it defines.
+        own = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for node in ast.walk(tree):
+            name = dotted_name(node.func) if isinstance(node, ast.Call) else None
+            tail = name and name.split(".")[-1]
+            if tail and tail not in own and (tail in self._INTERNALS or self._REFERENCE.fullmatch(tail)):
+                yield node, (
+                    f"{name}() bypasses the repro.kernels dispatch; use the "
+                    "public kernel wrapper so the active backend dispatches"
+                )
 
 
 @register

@@ -299,7 +299,7 @@ def _cmd_trace(args: argparse.Namespace) -> str:
 
 
 def _bench_compare_backends(args: argparse.Namespace) -> int:
-    """Time the kernel micro benchmarks under every kernel backend.
+    """Time the kernel micro benchmarks under both kernel backends.
 
     One table row per (benchmark, backend): median wall time, frames/s and
     the speedup over the ``numpy`` reference.  Unavailable backends get a
@@ -317,7 +317,7 @@ def _bench_compare_backends(args: argparse.Namespace) -> int:
     ]
     rows = []
     base_median: dict[str, float] = {}
-    for backend_name in kernels.registered_backends():
+    for backend_name in kernels.BACKENDS:
         inst = kernels.backend(backend_name)
         if not inst.available():
             reason = inst.why_unavailable() or "unavailable"
@@ -652,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--compare-backends",
         action="store_true",
-        help="time the kernel micro benchmarks under every registered kernel backend "
+        help="time the kernel micro benchmarks under both kernel backends (numpy, cext) "
              "and print a speedup table (honours --only)",
     )
     _add_backend_args(bench)

@@ -1,7 +1,7 @@
 """Pluggable backends for the repo's hot kernels, bit-exact by contract.
 
 PR 5 vectorised the encoder hot loop as far as single-threaded NumPy goes;
-this package adds the next multiplier: a small registry that lets a
+this package adds the next multiplier: two fixed backends, so that a
 compiled implementation of the extracted kernels — the codec's
 pattern search (DIA / HEX / UMH, a frame's whole search as one call),
 motion compensation, I-frame wavefront (``intra_encode`` /
@@ -12,14 +12,14 @@ ground and billboards (``render_surfaces``: a frame's surfaces as one call)
 and the synthetic world's value noise — be swapped in behind the
 ``KernelBackend`` seam.
 
-**Contract.**  Every backend must be *bit-identical* to the ``numpy``
+**Contract.**  ``cext`` must be *bit-identical* to the ``numpy``
 reference: the kernel bit-exactness suites (``tests/test_codec_kernels.py``,
 ``tests/test_intra_kernels.py``, ``tests/test_transform_kernels.py``,
 ``tests/test_noise_kernel.py``, ``tests/test_render_kernel.py``) and the
 golden e2e digest, frames, I-frames,
-P-frames and MV fields are parametrized over every registered backend,
-and a backend that cannot prove itself (a failed self-probe, a missing
-compiler) reports unavailable and the dispatch falls through to the
+P-frames and MV fields are parametrized over both backends, and a
+``cext`` that cannot prove itself (a failed self-probe, a missing compiler
+or source file) reports unavailable and the dispatch falls through to the
 reference implementation per kernel.
 
 **Default.**  Nothing is chosen at import.  The first kernel dispatch (or
@@ -31,11 +31,13 @@ says why.  ``"auto"`` names that choice in :func:`activate` /
 
 Backends
 --------
-Two are registered — one reference, one compiled implementation — and every
-hook in :data:`KERNEL_NAMES` is bound by the second.
+:data:`BACKENDS` names the two — one reference, one compiled
+implementation — and every hook in :data:`KERNEL_NAMES` is bound by the
+second.  Each is built once, on first use.
 
 ``numpy``
-    The reference: all kernel hooks are ``None`` so the dispatching modules run
+    The reference, a plain :class:`KernelBackend`: all kernel hooks are
+    ``None`` so the dispatching modules run
     their own (already vectorised) implementations.  Always available;
     the fallback default, and what the tests compare every backend to.
 ``cext``
@@ -77,20 +79,21 @@ from typing import Callable, Iterator
 
 __all__ = [
     "AUTO",
+    "BACKENDS",
     "KERNEL_NAMES",
     "KernelBackend",
     "activate",
     "active",
-    "available_backends",
     "backend",
     "override",
-    "register_backend",
-    "registered_backends",
     "use_backend",
 ]
 
 #: Backend name meaning "whatever the default resolves to on this host".
 AUTO = "auto"
+
+#: The two backends: the reference, then the compiled implementation.
+BACKENDS = ("numpy", "cext")
 
 #: The kernel hooks a backend may override (``None`` = reference path).
 KERNEL_NAMES = (
@@ -107,15 +110,15 @@ KERNEL_NAMES = (
 
 
 class KernelBackend:
-    """Base class / protocol for one kernel backend.
+    """One kernel backend; as it stands, the ``numpy`` reference.
 
-    Subclasses set :attr:`name` and assign callables to any subset of the
-    :data:`KERNEL_NAMES` hooks; hooks left ``None`` fall through to the
-    reference implementation at the dispatch site.  ``available()`` must
-    be cheap after the first call.
+    Every :data:`KERNEL_NAMES` hook is ``None`` here, so each dispatch site
+    runs its own reference body.  ``cext`` subclasses it and binds every
+    hook once its self-probe has passed.  ``available()`` must be cheap
+    after the first call.
     """
 
-    name: str = "base"
+    name: str = "numpy"
 
     # Kernel hooks — reference fallback when None.
     motion_compensate: Callable | None = None
@@ -137,49 +140,21 @@ class KernelBackend:
         return None
 
 
-_REGISTRY: dict[str, Callable[[], KernelBackend]] = {}
-_ORDER: list[str] = []
 _instances: dict[str, KernelBackend] = {}
 _lock = threading.Lock()
 
 
-def register_backend(name: str, factory: Callable[[], KernelBackend]) -> None:
-    """Register a backend factory under ``name`` (first registration wins)."""
-    with _lock:
-        if name not in _REGISTRY:
-            _REGISTRY[name] = factory
-            _ORDER.append(name)
-
-
-def registered_backends() -> tuple[str, ...]:
-    """All registered backend names, in registration order."""
-    return tuple(_ORDER)
-
-
 def backend(name: str) -> KernelBackend:
-    """The (cached) backend instance for ``name``."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; choose {AUTO!r} or one of {tuple(_ORDER)}"
-        ) from None
+    """The (cached) backend instance for ``name``, one of :data:`BACKENDS`."""
+    if name not in BACKENDS:
+        raise ValueError(f"unknown kernel backend {name!r}; choose {AUTO!r} or one of {BACKENDS}")
     with _lock:
         inst = _instances.get(name)
         if inst is None:
-            inst = _instances[name] = factory()
+            from repro.kernels.cext import CExtBackend
+
+            inst = _instances[name] = CExtBackend() if name == "cext" else KernelBackend()
     return inst
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of the backends that can actually run on this host."""
-    return tuple(n for n in _ORDER if backend(n).available())
-
-
-class _NumpyReference(KernelBackend):
-    """The reference backend: every hook ``None`` → callers run their own code."""
-
-    name = "numpy"
 
 
 #: The active backend; ``None`` until the first dispatch resolves the default.
@@ -256,13 +231,3 @@ def use_backend(name: str) -> Iterator[KernelBackend]:
         yield inst
     finally:
         _active = prev
-
-
-def _register_builtin() -> None:
-    register_backend("numpy", _NumpyReference)
-    from repro.kernels.cext import CExtBackend
-
-    register_backend("cext", CExtBackend)
-
-
-_register_builtin()

@@ -1,0 +1,964 @@
+/* The cext kernel backend's C source: compiled at run time with
+ * repro.kernels.cext._CFLAGS, self-probed against the NumPy references
+ * before any hook is bound.  Why each routine is bit-identical to its
+ * reference is argued in the docstring of repro/kernels/cext.py. */
+
+#include <math.h>
+#include <stddef.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+/* NumPy's pairwise summation (scalar form): n<8 naive, n<=128 8-way
+ * unrolled with the ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) combine, larger n
+ * recursively halved to a multiple of 8.  Bit-identical to
+ * ndarray.sum over a contiguous double row (verified by self-probe). */
+static double pairwise(const double *a, size_t n) {
+    if (n < 8) {
+        double res = 0.0;
+        for (size_t i = 0; i < n; i++) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r0 = a[0], r1 = a[1], r2 = a[2], r3 = a[3];
+        double r4 = a[4], r5 = a[5], r6 = a[6], r7 = a[7];
+        size_t i;
+        for (i = 8; i < n - (n % 8); i += 8) {
+            r0 += a[i + 0]; r1 += a[i + 1]; r2 += a[i + 2]; r3 += a[i + 3];
+            r4 += a[i + 4]; r5 += a[i + 5]; r6 += a[i + 6]; r7 += a[i + 7];
+        }
+        double res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }
+    size_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise(a, n2) + pairwise(a + n2, n - n2);
+}
+
+void pairwise_rows(const double *a, int64_t rows, int64_t n, double *out) {
+    for (int64_t r = 0; r < rows; r++) out[r] = pairwise(a + (size_t)r * n, (size_t)n);
+}
+
+/* One 128-element leaf of the pairwise sum over a 16-wide block: eight
+ * rows of two 8-lane chunks, accumulated lane-wise straight from the two
+ * sources (what pairwise() does over the scratch row, minus the scratch). */
+static inline double sad_leaf16(const double *c, const double *r, int64_t ref_stride) {
+    double acc[8];
+    for (int j = 0; j < 8; j++) acc[j] = fabs(c[j] - r[j]);
+    for (int j = 0; j < 8; j++) acc[j] += fabs(c[8 + j] - r[8 + j]);
+    for (int i = 1; i < 8; i++) {
+        const double *cc = c + 16 * i;
+        const double *rr = r + ref_stride * i;
+        for (int j = 0; j < 8; j++) acc[j] += fabs(cc[j] - rr[j]);
+        for (int j = 0; j < 8; j++) acc[j] += fabs(cc[8 + j] - rr[8 + j]);
+    }
+    return ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+}
+
+/* |cur - ref| over one block, then the NumPy-pairwise reduction.  The
+ * scratch buffer makes the reduction read a contiguous row exactly like
+ * the evaluator's (m, b, b) difference buffer; the codec's own macroblock
+ * size (16: 256 elements = two 128-element leaves) skips it. */
+static double sad_block(const double *cur, const double *refp, int64_t ref_stride,
+                        int64_t block, double *scratch) {
+    if (block == 16)
+        return sad_leaf16(cur, refp, ref_stride)
+               + sad_leaf16(cur + 128, refp + 8 * ref_stride, ref_stride);
+    int64_t k = 0;
+    for (int64_t i = 0; i < block; i++) {
+        const double *r = refp + i * ref_stride;
+        const double *c = cur + i * block;
+        for (int64_t j = 0; j < block; j++) scratch[k++] = fabs(c[j] - r[j]);
+    }
+    return pairwise(scratch, (size_t)(block * block));
+}
+
+/* floor(log2(2|v| + 1)) for small integers: the bit length of the odd
+ * integer 2|v|+1, minus one.  Exact — no transcendental involved. */
+static double mv_bits(int64_t dx, int64_t dy, int64_t px, int64_t py) {
+    uint64_t tx = 2ull * (uint64_t)llabs(dx - px) + 1ull;
+    uint64_t ty = 2ull * (uint64_t)llabs(dy - py) + 1ull;
+    int ex = 63 - __builtin_clzll(tx);
+    int ey = 63 - __builtin_clzll(ty);
+    return 2.0 + 2.0 * ((double)ex + (double)ey);
+}
+
+/* n float32 -> float64, eight at a time: -O2 vectorises only a loop whose
+ * trip count it knows. */
+static inline void widen(const float *src, double *dst, int64_t n) {
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        for (int j = 0; j < 8; j++) dst[i + j] = (double)src[i + j];
+    for (; i < n; i++) dst[i] = (double)src[i];
+}
+
+/* float32 plane -> float64, edge-replicated by pad on every side (np.pad of
+ * the widened plane, mode="edge": widening is exact, so the order is free).
+ * dst holds (h + 2 pad) rows of w + 2 pad. */
+static void pad_edge(const float *src, int64_t h, int64_t w, int64_t pad, double *dst) {
+    int64_t stride = w + 2 * pad;
+    for (int64_t i = 0; i < h; i++) {
+        const float *s = src + i * w;
+        double *d = dst + (pad + i) * stride;
+        for (int64_t j = 0; j < pad; j++) d[j] = (double)s[0];
+        widen(s, d + pad, w);
+        for (int64_t j = 0; j < pad; j++) d[pad + w + j] = (double)s[w - 1];
+    }
+    for (int64_t i = 0; i < pad; i++) {
+        memcpy(dst + i * stride, dst + pad * stride, (size_t)stride * sizeof(double));
+        memcpy(dst + (pad + h + i) * stride, dst + (pad + h - 1) * stride,
+               (size_t)stride * sizeof(double));
+    }
+}
+
+/* Whether n float32 values are all finite: no exponent field is all ones.
+ * Integer compares OR-reduced in eight lanes (as widen, for the vectoriser). */
+static int all_finite(const float *a, int64_t n) {
+    uint32_t bad[8] = {0}, bits;
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        for (int j = 0; j < 8; j++) {
+            memcpy(&bits, a + i + j, sizeof bits);
+            bad[j] |= (bits & 0x7f800000u) == 0x7f800000u;
+        }
+    for (; i < n; i++) {
+        memcpy(&bits, a + i, sizeof bits);
+        bad[0] |= (bits & 0x7f800000u) == 0x7f800000u;
+    }
+    return !(bad[0] | bad[1] | bad[2] | bad[3] | bad[4] | bad[5] | bad[6] | bad[7]);
+}
+
+/* ---- the pattern searches (repro.codec.motion._pattern_search) ----
+ * One call runs the whole DIA / HEX / UMH search of a frame.  Every SAD goes
+ * through a per-block memo keyed by the displacement: within one call SAD is
+ * a pure function of (block, dx, dy) — only the MV-bit term changes from
+ * pass to pass — and sad_block keeps NumPy's pairwise order, so a hit is the
+ * very double the reference computes again.  Open addressing over
+ * MEMO_SLOTS keys per block (0 = empty); a table that holds MEMO_CAP entries
+ * stops inserting, so a probe always ends on an empty slot. */
+#define MEMO_SLOTS 128
+#define MEMO_CAP 96
+
+typedef struct {
+    /* the frame */
+    const double *ref_pad;  /* the reference, edge-padded by rng */
+    int64_t stride, block, rng, cols;
+    double lambda_mv;
+    const double *cur_blocks;  /* the current frame, block-major */
+    uint16_t *all_keys;  /* MEMO_SLOTS per block, */
+    double *all_vals;    /* their SADs, */
+    uint8_t *counts;     /* and how many each block holds */
+    double *scratch;     /* block * block doubles: sad_block's row */
+    /* the block being searched (me_select) */
+    const double *cur, *origin;  /* its pixels; its zero-MV window in ref_pad */
+    uint16_t *keys;
+    double *vals;
+    uint8_t *count;
+} me_state;
+
+static inline void me_select(me_state *m, int64_t b) {
+    m->cur = m->cur_blocks + b * m->block * m->block;
+    m->origin = m->ref_pad + (m->rng + (b / m->cols) * m->block) * m->stride
+                + m->rng + (b % m->cols) * m->block;
+    m->keys = m->all_keys + b * MEMO_SLOTS;
+    m->vals = m->all_vals + b * MEMO_SLOTS;
+    m->count = m->counts + b;
+}
+
+/* SAD of the selected block at (dx, dy), both inside [-rng, rng].  The key
+ * numbers the (2 rng + 1)^2 displacements from 1: a uint16_t up to
+ * rng = 127, the widest search the wrapper hands over. */
+static inline double me_sad(me_state *m, int64_t dx, int64_t dy) {
+    uint32_t key = (uint32_t)((dy + m->rng) * (2 * m->rng + 1) + dx + m->rng + 1);
+    uint32_t slot = (key * 2654435761u) >> 25;  /* Fibonacci hash: the top log2(MEMO_SLOTS) bits */
+    for (; m->keys[slot]; slot = (slot + 1) % MEMO_SLOTS)
+        if (m->keys[slot] == key) return m->vals[slot];
+    double sad = sad_block(m->cur, m->origin - dy * m->stride - dx, m->stride, m->block, m->scratch);
+    if (*m->count < MEMO_CAP) {
+        m->keys[slot] = (uint16_t)key;
+        m->vals[slot] = sad;
+        ++*m->count;
+    }
+    return sad;
+}
+
+/* One candidate against the block's running best: accepted on
+ * cand < cost - 1e-9, as every stage of the reference accepts. */
+static inline int me_try(me_state *m, int64_t cx, int64_t cy, int64_t px, int64_t py,
+                         int64_t *dx, int64_t *dy, double *cost) {
+    double cand = me_sad(m, cx, cy) + m->lambda_mv * mv_bits(cx, cy, px, py);
+    if (!(cand < *cost - 1e-9)) return 0;
+    *dx = cx; *dy = cy; *cost = cand;
+    return 1;
+}
+
+static inline int64_t clip_range(int64_t v, int64_t rng) {
+    return v < -rng ? -rng : v > rng ? rng : v;
+}
+
+/* Pattern descent: offsets relative to the block's current MV, a candidate
+ * outside the window skipped (the reference costs it inf), repeated until a
+ * full sweep improves nothing or 16 sweeps.  The reference batches blocks
+ * per offset over an active set; blocks are independent, so walking one
+ * block to the end is a pure reordering. */
+static void me_descend(me_state *m, const int64_t *pattern, int64_t npat, int64_t px, int64_t py,
+                       int64_t *dx, int64_t *dy, double *cost) {
+    for (int it = 0; it < 16; it++) {
+        int improved = 0;
+        for (int64_t p = 0; p < npat; p++) {
+            int64_t cx = *dx + pattern[2 * p], cy = *dy + pattern[2 * p + 1];
+            if (cx < -m->rng || cx > m->rng || cy < -m->rng || cy > m->rng) continue;
+            improved |= me_try(m, cx, cy, px, py, dx, dy, cost);
+        }
+        if (!improved) break;
+    }
+}
+
+static const int64_t ME_DIAMOND[] = {0, -1, -1, 0, 1, 0, 0, 1};
+static const int64_t ME_HEXAGON[] = {-2, 0, -1, -2, 1, -2, 2, 0, 1, 2, -1, 2};
+
+/* The vertex of the parabola through (-1, sm), (0, s0), (1, sp), within
+ * +-0.5 — 0 where the three do not curve upwards. */
+static inline double parabola_vertex(double sm, double s0, double sp) {
+    double denom = sm - 2.0 * s0 + sp, off = 0.5 * (sm - sp) / denom;
+    if (!(denom > 1e-9 && isfinite(off))) return 0.0;
+    return off < -0.5 ? -0.5 : off > 0.5 ? 0.5 : off;
+}
+
+static inline double clip_window(double v, int64_t rng) {
+    return v < (double)-rng ? (double)-rng : v > (double)rng ? (double)rng : v;
+}
+
+static inline int64_t median3(int64_t a, int64_t b, int64_t c) {
+    int64_t lo = a < b ? a : b, hi = a < b ? b : a;
+    return c < lo ? lo : c > hi ? hi : c;
+}
+
+/* The search, pass-major as the reference is: the zero-predictor pass, then
+ * twice a pass under the median predictors of the pass before (which must
+ * be complete: they are formed for the whole grid first), the final SAD and
+ * the parabolic sub-pel vertex.  method: 0 DIA, 1 HEX, 2 UMH (umh holds its
+ * n_umh relative offsets).  cur / ref are (rows*block, cols*block) float32
+ * planes, 0 <= rng <= 127.  mv gets (rows, cols, 2) float32, sad_out
+ * the SAD under the integer MV.  Returns 1 — the reference answers — on a
+ * NaN or infinite pixel (a NaN's payload is not pinned by the pairwise
+ * order) and when the scratch cannot be allocated. */
+int64_t pattern_search(const float *cur, const float *ref, int64_t rows, int64_t cols,
+                       int64_t block, int64_t rng, int64_t method, double lambda_mv,
+                       int64_t subpel, const int64_t *umh, int64_t n_umh,
+                       float *mv, double *sad_out) {
+    int64_t n = rows * cols, bb = block * block, w = cols * block, h = rows * block;
+    int64_t stride = w + 2 * rng;
+    if (!(all_finite(cur, h * w) && all_finite(ref, h * w))) return 1;
+    /* One allocation, carved widest type first: the padded reference, the
+     * blocks, sad_block's row, the memo's SADs and each block's running
+     * cost; the MV field and its predictors; the memo's keys and counts. */
+    int64_t n_ref = (h + 2 * rng) * stride, n_f64 = n_ref + n * bb + bb + n * MEMO_SLOTS + n;
+    size_t memo_bytes = (size_t)(n * MEMO_SLOTS) * sizeof(uint16_t) + (size_t)n;
+    double *ref_pad = malloc((size_t)(n_f64 + 4 * n) * sizeof(double) + memo_bytes);
+    if (!ref_pad) return 1;
+    double *cur_blocks = ref_pad + n_ref, *vals = cur_blocks + n * bb + bb;
+    double *cost = vals + n * MEMO_SLOTS;
+    int64_t *dx = (int64_t *)(cost + n), *dy = dx + n, *pred_x = dy + n, *pred_y = pred_x + n;
+    uint16_t *keys = (uint16_t *)(pred_y + n);
+    uint8_t *counts = (uint8_t *)(keys + n * MEMO_SLOTS);
+    memset(keys, 0, memo_bytes);
+    const int64_t *pattern = method ? ME_HEXAGON : ME_DIAMOND;
+    int64_t npat = method ? 6 : 4;
+    /* The selected block's fields stay zero until me_select fills them. */
+    me_state m = {.ref_pad = ref_pad, .stride = stride, .block = block, .rng = rng, .cols = cols,
+                  .lambda_mv = lambda_mv, .cur_blocks = cur_blocks, .all_keys = keys,
+                  .all_vals = vals, .counts = counts, .scratch = cur_blocks + n * bb};
+    pad_edge(ref, h, w, rng, ref_pad);
+    for (int64_t b = 0; b < n; b++) {
+        const float *src = cur + (b / cols) * block * w + (b % cols) * block;
+        for (int64_t i = 0; i < block; i++) widen(src + i * w, cur_blocks + b * bb + i * block, block);
+    }
+
+    /* Pass 1: zero start, zero predictor.  HEX / UMH first seed the
+     * blocks whose zero-MV match is poor from a coarse absolute grid. */
+    int64_t step = rng / 2 > 4 ? rng / 2 : 4;
+    for (int64_t b = 0; b < n; b++) {
+        me_select(&m, b);
+        dx[b] = dy[b] = 0;
+        cost[b] = me_sad(&m, 0, 0) + lambda_mv * mv_bits(0, 0, 0, 0);
+        if (method && cost[b] > 2.0 * (double)bb)
+            for (int64_t ox = -rng; ox <= rng; ox += step)
+                for (int64_t oy = -rng; oy <= rng; oy += step)
+                    if (ox || oy) me_try(&m, ox, oy, 0, 0, dx + b, dy + b, cost + b);
+        me_descend(&m, pattern, npat, 0, 0, dx + b, dy + b, cost + b);
+        if (method) me_descend(&m, ME_DIAMOND, 4, 0, 0, dx + b, dy + b, cost + b);
+    }
+
+    /* Pass 2, twice: the median of the left / top / top-right MVs (zero
+     * beyond the grid) predicts each block; (0, 0) and the predictor are
+     * tried, UMH adds its clipped cross + multi-hexagon offsets for
+     * blocks still matched poorly, and the descent runs again. */
+    for (int rep = 0; rep < 2; rep++) {
+        for (int64_t r = 0; r < rows; r++)
+            for (int64_t c = 0; c < cols; c++) {
+                int64_t b = r * cols + c, l = c ? b - 1 : -1, t = r ? b - cols : -1;
+                int64_t tr = r && c < cols - 1 ? b - cols + 1 : -1;
+                pred_x[b] = median3(l < 0 ? 0 : dx[l], t < 0 ? 0 : dx[t], tr < 0 ? 0 : dx[tr]);
+                pred_y[b] = median3(l < 0 ? 0 : dy[l], t < 0 ? 0 : dy[t], tr < 0 ? 0 : dy[tr]);
+            }
+        /* dx / dy of block b are read by the predictors above only, so
+         * from here each block may move on its own. */
+        for (int64_t b = 0; b < n; b++) {
+            int64_t px = pred_x[b], py = pred_y[b];
+            me_select(&m, b);
+            cost[b] = me_sad(&m, dx[b], dy[b]) + lambda_mv * mv_bits(dx[b], dy[b], px, py);
+            me_try(&m, 0, 0, px, py, dx + b, dy + b, cost + b);
+            me_try(&m, clip_range(px, rng), clip_range(py, rng), px, py, dx + b, dy + b, cost + b);
+            if (method == 2 && cost[b] > 1.5 * (double)bb)
+                for (int64_t p = 0; p < n_umh; p++)
+                    me_try(&m, clip_range(dx[b] + umh[2 * p], rng),
+                           clip_range(dy[b] + umh[2 * p + 1], rng),
+                           px, py, dx + b, dy + b, cost + b);
+            me_descend(&m, pattern, npat, px, py, dx + b, dy + b, cost + b);
+            if (method) me_descend(&m, ME_DIAMOND, 4, px, py, dx + b, dy + b, cost + b);
+        }
+    }
+
+    /* The SAD under the integer MV, and the sub-pel offset: the vertex of
+     * the parabola through the SADs one pixel either side, per axis,
+     * within +-0.5 — zero for a static skip-level block and for a
+     * near-perfect match (_parabolic_subpel, operation for operation). */
+    for (int64_t b = 0; b < n; b++) {
+        me_select(&m, b);
+        double sad0 = me_sad(&m, dx[b], dy[b]), fx = (double)dx[b], fy = (double)dy[b];
+        int skip = (!dx[b] && !dy[b] && sad0 <= 1.5 * (double)bb)
+                   || sad0 <= 0.05 * (double)block * (double)block;
+        if (subpel && !skip) {
+            double xm = me_sad(&m, clip_range(dx[b] - 1, rng), dy[b]);
+            double xp = me_sad(&m, clip_range(dx[b] + 1, rng), dy[b]);
+            double ym = me_sad(&m, dx[b], clip_range(dy[b] - 1, rng));
+            double yp = me_sad(&m, dx[b], clip_range(dy[b] + 1, rng));
+            fx = clip_window(fx + parabola_vertex(xm, sad0, xp), rng);
+            fy = clip_window(fy + parabola_vertex(ym, sad0, yp), rng);
+        }
+        mv[2 * b] = (float)fx; mv[2 * b + 1] = (float)fy;
+        sad_out[b] = sad0;
+    }
+    free(ref_pad);
+    return 0;
+}
+
+/* Motion compensation: per-block bilinear gather/blend from the reference
+ * edge-padded by rng (pad_edge, into scratch of its own), float64 arithmetic
+ * in the reference's exact operation order (weights formed as (1-ay)*(1-ax)
+ * etc., taps combined left-to-right), final cast to float32.  Returns 1 when
+ * the padded plane cannot be allocated. */
+int64_t motion_comp(const float *ref, const double *mvx, const double *mvy,
+                    int64_t rng, int64_t rows, int64_t cols, int64_t block, float *out) {
+    int64_t h = rows * block, out_stride = cols * block, rp_stride = out_stride + 2 * rng;
+    double *ref_pad = malloc((size_t)((h + 2 * rng) * rp_stride) * sizeof(double));
+    if (!ref_pad) return 1;
+    pad_edge(ref, h, out_stride, rng, ref_pad);
+    for (int64_t r = 0; r < rows; r++) {
+        for (int64_t c = 0; c < cols; c++) {
+            int64_t b = r * cols + c;
+            double vx = mvx[b], vy = mvy[b];
+            double fdx = floor(vx), fdy = floor(vy);
+            double ax = vx - fdx, ay = vy - fdy;
+            const double *p00 = ref_pad + (r * block - (int64_t)fdy + rng) * rp_stride
+                                + (c * block - (int64_t)fdx + rng);
+            float *o = out + r * block * out_stride + c * block;
+            if (ax == 0.0 && ay == 0.0) {
+                for (int64_t i = 0; i < block; i++)
+                    for (int64_t j = 0; j < block; j++)
+                        o[i * out_stride + j] = (float)p00[i * rp_stride + j];
+            } else {
+                double w00 = (1.0 - ay) * (1.0 - ax);
+                double w01 = (1.0 - ay) * ax;
+                double w10 = ay * (1.0 - ax);
+                double w11 = ay * ax;
+                for (int64_t i = 0; i < block; i++) {
+                    const double *q00 = p00 + i * rp_stride;
+                    const double *q10 = q00 - rp_stride;
+                    for (int64_t j = 0; j < block; j++) {
+                        double v = ((w00 * q00[j] + w01 * q00[j - 1])
+                                    + w10 * q10[j]) + w11 * q10[j - 1];
+                        o[i * out_stride + j] = (float)v;
+                    }
+                }
+            }
+        }
+    }
+    free(ref_pad);
+    return 0;
+}
+
+/* Fractal value noise (repro.utils.noise) at one point: per octave o the
+ * point is scaled by freq[o], the four lattice corners around it hashed
+ * (splitmix64 avalanche; sterm[o] is that octave's seed * PRIME_S, and the
+ * corners differ from the first by +PX, +PY, +PX+PY — uint64 wrap-around,
+ * exact) and blended with the smoothstep fade.  Integer steps are exact;
+ * every float step keeps the reference's operation order.  Returns 1
+ * (out unspecified) when a lattice coordinate does not fit int64 — NaN,
+ * +-inf, |u| >= 2^63 — where the C cast is undefined and numpy's is
+ * platform-defined: the caller then takes the reference path. */
+static inline double lattice(uint64_t h) {
+    h ^= h >> 30; h *= 0xBF58476D1CE4E5B9ull;
+    h ^= h >> 27; h *= 0x94D049BB133111EBull;
+    h ^= h >> 31;
+    return (double)(h >> 11) / 9007199254740992.0;
+}
+
+/* The four hashed corners of the lattice cell an octave's last point fell
+ * in (a pure function of the cell and the seed term): a point in the same
+ * cell reuses them.  noise_cells_reset fills them for cell (INT64_MIN,
+ * INT64_MIN), so they are always the hashes of the cell they name. */
+typedef struct { int64_t iu, iv; double v00, v10, v01, v11; } lattice_cell;
+
+#define NOISE_PX 0x9E3779B97F4A7C15ull
+#define NOISE_PY 0xC2B2AE3D27D4EB4Full
+
+static inline void cell_fill(lattice_cell *c, int64_t iu, int64_t iv, uint64_t sterm) {
+    uint64_t h = (uint64_t)iu * NOISE_PX + (uint64_t)iv * NOISE_PY + sterm;
+    c->iu = iu; c->iv = iv;
+    c->v00 = lattice(h); c->v10 = lattice(h + NOISE_PX);
+    c->v01 = lattice(h + NOISE_PY); c->v11 = lattice(h + NOISE_PX + NOISE_PY);
+}
+
+static void noise_cells_reset(lattice_cell *cells, const uint64_t *sterm, int64_t octaves) {
+    for (int64_t o = 0; o < octaves; o++) cell_fill(cells + o, INT64_MIN, INT64_MIN, sterm[o]);
+}
+
+static inline int noise_at(double x, double y, const double *freq, const uint64_t *sterm,
+                           int64_t octaves, lattice_cell *cells, double *out) {
+    const double lim = 9223372036854775808.0;  /* 2^63 */
+    double total = 0.0, amp = 1.0, amp_sum = 0.0;
+    for (int64_t o = 0; o < octaves; o++) {
+        double u = x * freq[o], v = y * freq[o];
+        if (!(u >= -lim && u < lim && v >= -lim && v < lim)) return 1;
+        /* floor() as truncate-and-step-down: exact in range, no libm call */
+        int64_t iu = (int64_t)u, iv = (int64_t)v;
+        iu -= (double)iu > u; iv -= (double)iv > v;
+        double fu = u - (double)iu, fv = v - (double)iv;
+        double su = fu * fu * (3.0 - 2.0 * fu);
+        double sv = fv * fv * (3.0 - 2.0 * fv);
+        lattice_cell *c = cells + o;
+        if (c->iu != iu || c->iv != iv) cell_fill(c, iu, iv, sterm[o]);
+        double top = c->v00 + su * (c->v10 - c->v00);
+        double bot = c->v01 + su * (c->v11 - c->v01);
+        total += amp * (top + sv * (bot - top));
+        amp_sum += amp;
+        amp *= 0.5;
+    }
+    *out = total / amp_sum;
+    return 0;
+}
+
+/* value_noise_2d at n points; cells holds one lattice_cell per octave. */
+int64_t value_noise(const double *x, const double *y, int64_t n,
+                    const double *freq, const uint64_t *sterm, int64_t octaves,
+                    double *out) {
+    lattice_cell *cells = malloc((size_t)octaves * sizeof *cells);
+    if (!cells) return 1;
+    noise_cells_reset(cells, sterm, octaves);
+    int64_t bad = 0;
+    for (int64_t i = 0; i < n && !bad; i++) bad = noise_at(x[i], y[i], freq, sterm, octaves, cells, out + i);
+    free(cells);
+    return bad;
+}
+
+/* ---- the ground and the billboards (repro.world.renderer) ----
+ * One call paints what _render_surfaces_reference paints, visibility
+ * first: the ground's id, then every placed billboard's mask far to near
+ * (ids and pixel counts), and only then the texture of each pixel that
+ * kept its surface — the reference textures, and then paints over, every
+ * pixel a surface covers.  Sky pixels are left for the caller. */
+#define SURFACE_SKY 0
+#define SURFACE_GROUND 1
+#define GROUND_HAZE 165.0
+
+/* np.mod of a float: fmod moved into the divisor's sign (np.mod(-1e-17,
+ * 6.0) is 6.0) and +0.0 for an exact multiple — npy_divmod's remainder. */
+static inline double np_mod(double a, double b) {
+    double mod = fmod(a, b);
+    if (!mod) return copysign(0.0, b);
+    return (b < 0.0) != (mod < 0.0) ? mod + b : mod;
+}
+
+/* np.clip's compares: a NaN and -0.0 come through as they are. */
+static inline double np_clip(double v, double lo, double hi) {
+    return v < lo ? lo : v > hi ? hi : v;
+}
+
+/* ground_texture at world (x, z): gfreq / gsterm hold the base noise's two
+ * octaves, then the fine noise's one. */
+static inline int ground_gray(double x, double z, const double *gfreq, const uint64_t *gsterm,
+                              lattice_cell *cells, double weather, double *out) {
+    double base, fine;
+    if (noise_at(x, z, gfreq, gsterm, 2, cells, &base)
+        || noise_at(x, z, gfreq + 2, gsterm + 2, 1, cells + 2, &fine))
+        return 1;
+    double gray = (80.0 + 45.0 * base) + 12.0 * (fine - 0.5);
+    /* dashed lanes at x = -+1.75 (the dash test only where it can matter),
+     * solid edge lines at x = -+5.25 */
+    if (((fabs(x - -1.75) < 0.12 || fabs(x - 1.75) < 0.12) && np_mod(z, 6.0) < 3.0)
+        || fabs(x - -5.25) < 0.12 || fabs(x - 5.25) < 0.12)
+        gray = 225.0;
+    *out = np_clip(105.0 + (gray - 105.0) * weather, 0.0, 255.0);
+    return 0;
+}
+
+/* A placed billboard, GEO_SIZE doubles: num = (point - origin) . normal as
+ * the caller formed it, point, normal, u_dir, half width, height, and the
+ * texture's base gray and noise contrast. */
+enum { GEO_NUM, GEO_POINT, GEO_NORMAL = GEO_POINT + 3, GEO_UDIR = GEO_NORMAL + 3,
+       GEO_HALF = GEO_UDIR + 3, GEO_HEIGHT, GEO_BASE, GEO_CONTRAST, GEO_SIZE };
+/* ... and FACE_SIZE integers: its window rows [y0, y1) and columns
+ * [x0, x1), its texture kind (FACE_KIND: 0 plain, 1 building, 2 car,
+ * 3 pedestrian) and its id. */
+enum { FACE_Y0, FACE_Y1, FACE_X0, FACE_X1, FACE_KIND, FACE_ID, FACE_SIZE };
+
+/* The ray d from o against a billboard: tt = num / (d . normal), the point
+ * o + d tt, u = (that point - point) . u_dir and the height above the
+ * ground; writes the texture coordinates (u from the left edge, height) and
+ * returns the reference's mask.  normal and u_dir each hold one non-zero
+ * component (the wrapper declines any other face), so every other product
+ * is an exact +-0 — or a NaN / inf, which the reference's BLAS dot products
+ * meet too — and each dot product equals the reference's in any summation
+ * order, but for the sign of an all-zero sum; that sign only reaches a
+ * non-finite tt or |u| and the left-edge coordinate u + half width. */
+static inline int face_hit(const double *g, const double *d, const double *o, double *tu, double *th) {
+    const double *pt = g + GEO_POINT, *n = g + GEO_NORMAL, *ud = g + GEO_UDIR;
+    double tt = g[GEO_NUM] / ((d[0] * n[0] + d[1] * n[1]) + d[2] * n[2]);
+    double p0 = o[0] + d[0] * tt, p1 = o[1] + d[1] * tt, p2 = o[2] + d[2] * tt;
+    double u = ((p0 - pt[0]) * ud[0] + (p1 - pt[1]) * ud[1]) + (p2 - pt[2]) * ud[2];
+    *tu = u + g[GEO_HALF];
+    *th = -p1;
+    return isfinite(tt) && tt > 0.1 && fabs(u) <= g[GEO_HALF] && *th >= 0.0 && *th <= g[GEO_HEIGHT];
+}
+
+/* object_texture at face coordinates (u, h): three octaves of noise under
+ * the object's own seed terms, the kind's bands, the weather contrast. */
+static inline int object_gray(double u, double h, const double *g, int64_t kind, const double *ofreq,
+                              const uint64_t *osterm, lattice_cell *cells, double weather, double *out) {
+    double noise;
+    if (noise_at(u, h, ofreq, osterm, 3, cells, &noise)) return 1;
+    double base = g[GEO_BASE], gray = base + g[GEO_CONTRAST] * (noise - 0.5);
+    if (kind == 1) {  /* window grid */
+        double wu = np_mod(u, 2.0), wh = np_mod(h, 2.5);
+        if (wu > 0.5 && wu < 1.7 && wh > 0.8 && wh < 2.1) gray = gray - 65.0;
+    } else if (kind == 2) {  /* wheel / shadow band, window band */
+        if (h < 0.35) gray = gray - 55.0;
+        if (h > 1.1) gray = gray + 40.0;
+    } else if (kind == 3) {  /* head / torso / legs */
+        if (h > 1.45) gray = gray + 35.0;
+        if (h < 0.75) gray = gray - 30.0;
+    }
+    *out = np_clip(base + (gray - base) * weather, 0.0, 255.0);
+    return 0;
+}
+
+/* dirs: (h, w, 3) world ray directions from origin.  freq: the ground's
+ * three noise frequencies (base octaves, fine) then the objects' three;
+ * gsterm: the ground's seed terms; per placed object (painter's order, far
+ * to near) FACE_SIZE integers in face, GEO_SIZE doubles in geo, three seed
+ * terms in osterm.  Writes image (all but the sky pixels), ids and
+ * counts[k] — the pixels object k painted.  Returns 1 — the reference
+ * answers — on a noise coordinate int64 cannot hold. */
+int64_t render_surfaces(const double *dirs, int64_t h, int64_t w, const double *o,
+                        double max_depth, double weather, const double *freq,
+                        const uint64_t *gsterm, int64_t n_obj, const int64_t *face,
+                        const double *geo, const uint64_t *osterm,
+                        double *image, int32_t *ids, int64_t *counts) {
+    int64_t n = h * w;
+    double fade = max_depth - 0.7 * max_depth, tu, th;
+    lattice_cell cells[3];
+    for (int64_t i = 0; i < n; i++) {
+        double dy = dirs[3 * i + 1], tg = -o[1] / dy;
+        ids[i] = dy > 1e-9 && tg > 0.0 ? SURFACE_GROUND : SURFACE_SKY;
+    }
+    for (int64_t k = 0; k < n_obj; k++) {
+        const int64_t *f = face + k * FACE_SIZE;
+        int64_t painted = 0;
+        for (int64_t y = f[FACE_Y0]; y < f[FACE_Y1]; y++)
+            for (int64_t x = f[FACE_X0]; x < f[FACE_X1]; x++)
+                if (face_hit(geo + k * GEO_SIZE, dirs + 3 * (y * w + x), o, &tu, &th)) {
+                    ids[y * w + x] = (int32_t)f[FACE_ID];
+                    painted++;
+                }
+        counts[k] = painted;
+    }
+    noise_cells_reset(cells, gsterm, 3);
+    for (int64_t i = 0; i < n; i++) {
+        if (ids[i] != SURFACE_GROUND) continue;
+        const double *d = dirs + 3 * i;
+        double tg = -o[1] / d[1], tex;
+        if (!(tg <= max_depth)) {
+            image[i] = GROUND_HAZE;
+            continue;
+        }
+        if (ground_gray(o[0] + tg * d[0], o[2] + tg * d[2], freq, gsterm, cells, weather, &tex)) return 1;
+        double weight = np_clip((max_depth - tg) / fade, 0.0, 1.0);
+        image[i] = weight * tex + (1.0 - weight) * GROUND_HAZE;
+    }
+    /* Ids are unique, so a pixel holding object k's id is one of its mask's. */
+    for (int64_t k = 0; k < n_obj; k++) {
+        const int64_t *f = face + k * FACE_SIZE;
+        const double *g = geo + k * GEO_SIZE;
+        noise_cells_reset(cells, osterm + 3 * k, 3);
+        for (int64_t y = f[FACE_Y0]; y < f[FACE_Y1]; y++)
+            for (int64_t x = f[FACE_X0]; x < f[FACE_X1]; x++) {
+                int64_t i = y * w + x;
+                if (ids[i] != f[FACE_ID]) continue;
+                face_hit(g, dirs + 3 * i, o, &tu, &th);
+                if (object_gray(tu, th, g, f[FACE_KIND], freq + 3, osterm + 3 * k, cells, weather, image + i))
+                    return 1;
+            }
+    }
+    return 0;
+}
+
+/* ---- I-frame wavefront (repro.codec.intra) ----
+ * One anti-diagonal of the macroblock grid at a time: its k-th block is
+ * macroblock (r0 + k, c0 - k).  A block-major (rows8, 8, cols8, 8) array is
+ * the same memory as a (rows8*8, cols8*8) plane, so pixels, coefficients and
+ * levels are all addressed as planes with a line stride.  The DCT/IDCT
+ * between the steps stay scipy calls made by the Python wrapper. */
+
+/* intra_predict_block: the prediction for `mode` with the H.264 border
+ * fallbacks (H without a left column -> V, V without a top row -> H, neither
+ * -> DC; any mode id other than 1/2 is DC).  The DC value is
+ * np.mean(concatenate(left, top)): the pairwise sum of the 1-D concatenation
+ * divided by its length.  edge holds 2*block doubles. */
+static void intra_pred(const double *recon, int64_t stride, int64_t r0, int64_t c0,
+                       int64_t block, int64_t mode, double *pred, double *edge) {
+    const double *left = c0 > 0 ? recon + r0 * stride + c0 - 1 : NULL;
+    const double *top = r0 > 0 ? recon + (r0 - 1) * stride + c0 : NULL;
+    if (mode == 1 && !left) mode = top ? 2 : 0;
+    if (mode == 2 && !top) mode = left ? 1 : 0;
+    if (mode == 1) {
+        for (int64_t i = 0; i < block; i++)
+            for (int64_t j = 0; j < block; j++) pred[i * block + j] = left[i * stride];
+    } else if (mode == 2) {
+        for (int64_t i = 0; i < block; i++)
+            for (int64_t j = 0; j < block; j++) pred[i * block + j] = top[j];
+    } else {
+        double dc = 128.0;
+        int64_t n = 0;
+        if (left) for (int64_t i = 0; i < block; i++) edge[n++] = left[i * stride];
+        if (top) for (int64_t j = 0; j < block; j++) edge[n++] = top[j];
+        if (n) dc = pairwise(edge, (size_t)n) / (double)n;
+        for (int64_t i = 0; i < block * block; i++) pred[i] = dc;
+    }
+}
+
+/* Encoder step 1: per block the DC/H/V predictions, each one's SAD against
+ * the source (|src - pred| over the contiguous block, NumPy-pairwise), the
+ * first strictly smaller SAD wins; the winner goes to best[k] and the
+ * residual into column block k of the (block, m*block) plane.  scratch
+ * holds 4*block*block + 2*block doubles. */
+void intra_pre(const double *frame, const double *recon, int64_t stride,
+               int64_t r0, int64_t c0, int64_t m, int64_t block,
+               int8_t *modes, int64_t cols, double *best, double *plane, double *scratch) {
+    int64_t bb = block * block;
+    double *preds = scratch, *diff = scratch + 3 * bb, *edge = scratch + 4 * bb;
+    for (int64_t k = 0; k < m; k++) {
+        int64_t r = r0 + k, c = c0 - k;
+        const double *src = frame + r * block * stride + c * block;
+        int64_t best_mode = 0;
+        double best_sad = INFINITY;
+        for (int64_t mode = 0; mode < 3; mode++) {
+            intra_pred(recon, stride, r * block, c * block, block, mode, preds + mode * bb, edge);
+            /* |pred - src| == |src - pred| bit for bit */
+            double sad = sad_block(preds + mode * bb, src, stride, block, diff);
+            if (sad < best_sad) { best_mode = mode; best_sad = sad; }
+        }
+        modes[r * cols + c] = (int8_t)best_mode;
+        const double *p = preds + best_mode * bb;
+        for (int64_t i = 0; i < block; i++)
+            for (int64_t j = 0; j < block; j++) {
+                best[k * bb + i * block + j] = p[i * block + j];
+                plane[i * m * block + k * block + j] = src[i * stride + j] - p[i * block + j];
+            }
+    }
+}
+
+/* Levels at or beyond this magnitude (and NaN) send the call to the
+ * reference: below it the level is an integer a uint64 holds and its
+ * bit length is floor(log2) with a margin of ~1e5 ulp on np.log2. */
+#define LEVEL_LIMIT 4294967296.0 /* 2^32 */
+
+/* transform_cost_bits' per-8x8-block overhead: a block that carries a
+ * coefficient, and the amortised skip flag of one that does not. */
+#define CODED_BLOCK_BITS 4.0
+#define SKIP_BLOCK_BITS 0.25
+
+/* Nothing below this share of its quantiser step quantises to a non-zero
+ * level: |c| < 0.25 q puts the IEEE quotient under 0.5 with a factor 2 to
+ * spare.  quant_cost fills a block whose largest coefficient is under the
+ * cut with signed zeros, no division; the rate counter keeps the magnitudes
+ * at or above the cut of its first probe's steps, and the spare factor is
+ * what keeps that list complete for _RC_DESCENT QPs below that probe (see
+ * _RateCounter). */
+#define ZERO_CUT 0.25
+
+/* np.round — rint in the default rounding mode — without the libm call the
+ * baseline ISA would make of it: adding and subtracting 1.5 * 2^52 leaves
+ * the nearest integer, ties to even, exactly for |x| < 2^51; copysign keeps
+ * np.round(-0.3) == -0.0.  Beyond 2^51 the result is off but still past
+ * LEVEL_LIMIT (NaN stays NaN), which every caller hands to the reference. */
+static inline double round_even(double x) {
+    return copysign((fabs(x) + 0x1.8p52) - 0x1.8p52, x);
+}
+
+/* A block-major coefficient array holds float64 (the I-frame's diagonal
+ * planes) or float32 (scipy keeps a P-frame residual's dtype); the
+ * reference's float32 / float64 divide promotes exactly, as this does. */
+static inline double coeff_at(const void *coeffs, int f32, int64_t k) {
+    return f32 ? (double)((const float *)coeffs)[k] : ((const double *)coeffs)[k];
+}
+
+/* The largest magnitude in the 8x8 block at coeffs[at] — INFINITY when the
+ * block holds an inf or a NaN (a NaN loses every compare, so it is mapped
+ * first).  Eight running maxima down the columns: element-wise, so no
+ * dependency chain and nothing the vectoriser has to reassociate. */
+static inline double block_top(const void *coeffs, int f32, int64_t at, int64_t line) {
+    double lane[8] = {0.0};
+    for (int64_t i = 0; i < 8; i++)
+        for (int64_t j = 0; j < 8; j++) {
+            double mag = fabs(coeff_at(coeffs, f32, at + i * line + j));
+            mag = mag < INFINITY ? mag : INFINITY;
+            lane[j] = mag > lane[j] ? mag : lane[j];
+        }
+    double top = lane[0];
+    for (int64_t j = 1; j < 8; j++) top = lane[j] > top ? lane[j] : top;
+    return top;
+}
+
+/* Quantise / cost / dequantise, frame-shaped: an mb_rows x mb_cols grid of
+ * macroblocks of a coefficient plane (line elements per row) with one step
+ * q per macroblock.  level = round_even(c / q) is np.round; deq (skipped
+ * when NULL) = level * q has the coefficients' layout; bits[] gets each
+ * macroblock's transform_cost_bits — per 8x8 block the sum of
+ * 2*floor(log2|level|) + 3 over non-zero levels plus the block overhead;
+ * every partial sum is a multiple of 0.25, so the order is free.
+ * Macroblock (R, C) stores its levels at levels + R*lv_row + C*lv_col
+ * with lv_line doubles per row — a whole frame, or the diagonal's final
+ * place in one.  Returns 1 on the first level past LEVEL_LIMIT.  Inlined
+ * once per dtype: with f32 a run-time value the 8x8 loops do not vectorise
+ * (a 480x288 frame 0.43 ms against 0.32). */
+static inline __attribute__((always_inline)) int64_t quant_cost_any(
+        const void *restrict coeffs, const int f32, int64_t line, int64_t mb_rows, int64_t mb_cols,
+        int64_t block, const double *restrict q, double *restrict levels, int64_t lv_line,
+        int64_t lv_row, int64_t lv_col, double *restrict deq, double *restrict bits) {
+    for (int64_t R = 0; R < mb_rows; R++)
+        for (int64_t C = 0; C < mb_cols; C++) {
+            double step = q[R * mb_cols + C], cut = ZERO_CUT * step, total = 0.0;
+            int64_t at = R * block * line + C * block;
+            double *lv = levels + R * lv_row + C * lv_col;
+            for (int64_t i8 = 0; i8 < block; i8 += 8)
+                for (int64_t j8 = 0; j8 < block; j8 += 8) {
+                    int64_t nbits = 0, unbounded = 0;
+                    /* Most of a P-frame: nothing in the block reaches the cut. */
+                    if (block_top(coeffs, f32, at + i8 * line + j8, line) < cut) {
+                        for (int64_t i = i8; i < i8 + 8; i++)
+                            for (int64_t j = j8; j < j8 + 8; j++)
+                                lv[i * lv_line + j] = copysign(0.0, coeff_at(coeffs, f32, at + i * line + j));
+                    } else {
+                        for (int64_t i = i8; i < i8 + 8; i++)
+                            for (int64_t j = j8; j < j8 + 8; j++) {
+                                double level = round_even(coeff_at(coeffs, f32, at + i * line + j) / step);
+                                double mag = fabs(level);
+                                unbounded |= !(mag < LEVEL_LIMIT);
+                                if (mag > 0.0 && mag < LEVEL_LIMIT)
+                                    nbits += 2 * (63 - __builtin_clzll((uint64_t)mag)) + 3;
+                                lv[i * lv_line + j] = level;
+                            }
+                        if (unbounded) return 1;
+                    }
+                    if (deq)
+                        for (int64_t i = i8; i < i8 + 8; i++)
+                            for (int64_t j = j8; j < j8 + 8; j++)
+                                deq[at + i * line + j] = lv[i * lv_line + j] * step;
+                    total += (double)nbits + (nbits > 0 ? CODED_BLOCK_BITS : SKIP_BLOCK_BITS);
+                }
+            bits[R * mb_cols + C] = total;
+        }
+    return 0;
+}
+
+int64_t quant_cost(const void *coeffs, int64_t f32, int64_t line, int64_t mb_rows,
+                   int64_t mb_cols, int64_t block, const double *q, double *levels,
+                   int64_t lv_line, int64_t lv_row, int64_t lv_col, double *deq, double *bits) {
+    if (f32)
+        return quant_cost_any(coeffs, 1, line, mb_rows, mb_cols, block, q, levels,
+                              lv_line, lv_row, lv_col, deq, bits);
+    return quant_cost_any(coeffs, 0, line, mb_rows, mb_cols, block, q, levels,
+                          lv_line, lv_row, lv_col, deq, bits);
+}
+
+/* ---- rate control's probe (repro.codec.transform.QuantBitCounter) ----
+ * Set-up, one pass over the coefficients: per 8x8 block its largest
+ * magnitude (block_max, macroblock-major: the per_mb blocks of macroblock 0,
+ * then of macroblock 1, ...) and, per macroblock, the magnitudes at or
+ * above ZERO_CUT of its step packed into cand — macroblock mb owns
+ * cand[start[mb] .. start[mb + 1]).  cand needs room for every coefficient;
+ * only what is kept gets written (and paged in).  Returns the number kept,
+ * or -1 on a NaN or infinite coefficient. */
+static inline __attribute__((always_inline)) int64_t rc_compact_any(
+        const void *coeffs, const int f32, int64_t line, int64_t mb_rows, int64_t mb_cols,
+        int64_t block, const double *step, double *block_max, double *cand, int64_t *start) {
+    int64_t n = 0, b = 0;
+    for (int64_t R = 0; R < mb_rows; R++)
+        for (int64_t C = 0; C < mb_cols; C++) {
+            double cut = ZERO_CUT * step[R * mb_cols + C];
+            int64_t at = R * block * line + C * block;
+            start[R * mb_cols + C] = n;
+            for (int64_t i8 = 0; i8 < block; i8 += 8)
+                for (int64_t j8 = 0; j8 < block; j8 += 8) {
+                    double top = block_top(coeffs, f32, at + i8 * line + j8, line);
+                    if (!(top < INFINITY)) return -1;
+                    block_max[b++] = top;
+                    if (top < cut) continue;
+                    for (int64_t i = i8; i < i8 + 8; i++)
+                        for (int64_t j = j8; j < j8 + 8; j++) {
+                            double mag = fabs(coeff_at(coeffs, f32, at + i * line + j));
+                            cand[n] = mag;  /* kept only if the count moves past it */
+                            n += mag >= cut;
+                        }
+                }
+        }
+    start[mb_rows * mb_cols] = n;
+    return n;
+}
+
+int64_t rc_compact(const void *coeffs, int64_t f32, int64_t line, int64_t mb_rows,
+                   int64_t mb_cols, int64_t block, const double *step, double *block_max,
+                   double *cand, int64_t *start) {
+    if (f32)
+        return rc_compact_any(coeffs, 1, line, mb_rows, mb_cols, block, step, block_max, cand, start);
+    return rc_compact_any(coeffs, 0, line, mb_rows, mb_cols, block, step, block_max, cand, start);
+}
+
+/* One probe: the frame's total transform_cost_bits under the per-macroblock
+ * steps.  Quantising a magnitude is quantising the coefficient (divide and
+ * round are odd), a block carries a coefficient iff its largest magnitude
+ * rounds to a non-zero level (both are monotone), and the total is an
+ * integer plus multiples of 0.25 — exact in any order.  The caller has
+ * bounded every level below LEVEL_LIMIT. */
+double rc_bits(const double *cand, const int64_t *start, const double *block_max,
+               int64_t mbs, int64_t per_mb, const double *step) {
+    int64_t coeff_bits = 0, coded = 0;
+    for (int64_t mb = 0; mb < mbs; mb++) {
+        double s = step[mb], cut = ZERO_CUT * s;
+        for (int64_t k = start[mb]; k < start[mb + 1]; k++)
+            if (!(cand[k] < cut)) {
+                uint64_t level = (uint64_t)round_even(cand[k] / s);
+                if (level) coeff_bits += 2 * (63 - __builtin_clzll(level)) + 3;
+            }
+        for (int64_t b = mb * per_mb; b < (mb + 1) * per_mb; b++)
+            coded += round_even(block_max[b] / s) > 0.0;
+    }
+    return (double)coeff_bits + CODED_BLOCK_BITS * (double)coded
+           + SKIP_BLOCK_BITS * (double)(mbs * per_mb - coded);
+}
+
+/* ---- skip-aware reconstruction (repro.codec.transform.reconstruct) ----
+ * Step 1: walk the rows8 x cols8 grid of 8x8 level blocks in raster order;
+ * a block holding a non-zero level (-0.0 is zero) gets the next slot and
+ * its levels times its macroblock's step as rows 8*slot .. 8*slot + 7 of
+ * the (n*8, 8) plane the IDCT takes; an all-zero block gets slot -1.
+ * Returns n, or -1 on a level past LEVEL_LIMIT (as quant_cost does). */
+int64_t dequant_coded(const double *restrict levels, int64_t rows8, int64_t cols8,
+                      int64_t per_side, const double *restrict q, int64_t *restrict slot,
+                      double *restrict deq) {
+    int64_t n = 0, line = cols8 * 8, mb_cols = cols8 / per_side;
+    for (int64_t br = 0; br < rows8; br++)
+        for (int64_t bc = 0; bc < cols8; bc++) {
+            const double *lv = levels + br * 8 * line + bc * 8;
+            double top = block_top(levels, 0, br * 8 * line + bc * 8, line);
+            if (!(top < LEVEL_LIMIT)) return -1;
+            if (!(top > 0.0)) { slot[br * cols8 + bc] = -1; continue; }
+            double step = q[(br / per_side) * mb_cols + bc / per_side];
+            double *out = deq + n * 64;
+            for (int64_t i = 0; i < 8; i++)
+                for (int64_t j = 0; j < 8; j++) out[i * 8 + j] = lv[i * line + j] * step;
+            slot[br * cols8 + bc] = n++;
+        }
+    return n;
+}
+
+/* Step 2: out = (float)clip((double)pred + residual, 0, 255) with np.clip's
+ * compares (a NaN stays a NaN).  A coded block's residual is its slot's rows
+ * of the IDCT'd plane.  A skipped block's dense residual is all +-0.0 and
+ * p + +-0.0 is p to the bit — unless p is -0.0 (the sum's sign would be the
+ * residual's) or a NaN (the sum quiets it): returns 1 on those, and the
+ * reference answers the call. */
+int64_t recon_post(const float *restrict pred, const int64_t *restrict slot,
+                   const double *restrict rec, int64_t rows8, int64_t cols8, float *restrict out) {
+    int64_t line = cols8 * 8;
+    for (int64_t br = 0; br < rows8; br++)
+        for (int64_t bc = 0; bc < cols8; bc++) {
+            const float *p = pred + br * 8 * line + bc * 8;
+            float *o = out + br * 8 * line + bc * 8;
+            int64_t s = slot[br * cols8 + bc];
+            if (s < 0) {
+                uint32_t unproven = 0;
+                for (int64_t i = 0; i < 8; i++)
+                    for (int64_t j = 0; j < 8; j++) {
+                        float v = p[i * line + j];
+                        uint32_t pattern;
+                        memcpy(&pattern, &v, sizeof pattern);
+                        /* -0.0, or anything past +-inf */
+                        unproven |= (pattern == 0x80000000u) | ((pattern & 0x7fffffffu) > 0x7f800000u);
+                        v = v < 0.0f ? 0.0f : v;
+                        o[i * line + j] = v > 255.0f ? 255.0f : v;
+                    }
+                if (unproven) return 1;
+                continue;
+            }
+            for (int64_t i = 0; i < 8; i++)
+                for (int64_t j = 0; j < 8; j++) {
+                    double v = (double)p[i * line + j] + rec[s * 64 + i * 8 + j];
+                    v = v < 0.0 ? 0.0 : v;
+                    o[i * line + j] = (float)(v > 255.0 ? 255.0 : v);
+                }
+        }
+    return 0;
+}
+
+/* Last step of both directions: recon block = clip(pred + residual, 0, 255)
+ * with np.clip's compares (a NaN stays a NaN, -0.0 stays -0.0). */
+void intra_post(const double *best, const double *rec, int64_t r0, int64_t c0,
+                int64_t m, int64_t block, double *recon, int64_t stride) {
+    for (int64_t k = 0; k < m; k++) {
+        double *out = recon + (r0 + k) * block * stride + (c0 - k) * block;
+        for (int64_t i = 0; i < block; i++)
+            for (int64_t j = 0; j < block; j++) {
+                double v = best[(k * block + i) * block + j] + rec[i * m * block + k * block + j];
+                if (v < 0.0) v = 0.0;
+                if (v > 255.0) v = 255.0;
+                out[i * stride + j] = v;
+            }
+    }
+}
+
+/* Decoder step 1: prediction by stored mode into best[k], and the block's
+ * levels times its step q[k] gathered into the (block, m*block) plane the
+ * IDCT takes.  Returns 1 on a level past LEVEL_LIMIT, as quant_cost does.
+ * edge holds 2*block doubles. */
+int64_t intra_unpre(const double *levels, const int64_t *modes, int64_t cols,
+                    const double *q, const double *recon, int64_t stride,
+                    int64_t r0, int64_t c0, int64_t m, int64_t block,
+                    double *best, double *deq, double *edge) {
+    for (int64_t k = 0; k < m; k++) {
+        int64_t r = r0 + k, c = c0 - k;
+        intra_pred(recon, stride, r * block, c * block, block, modes[r * cols + c],
+                   best + k * block * block, edge);
+        const double *lv = levels + r * block * stride + c * block;
+        for (int64_t i = 0; i < block; i++)
+            for (int64_t j = 0; j < block; j++) {
+                double level = lv[i * stride + j];
+                if (!(fabs(level) < LEVEL_LIMIT)) return 1;
+                deq[i * m * block + k * block + j] = level * q[k];
+            }
+    }
+    return 0;
+}

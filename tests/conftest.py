@@ -68,7 +68,7 @@ def run_golden_batch(clips, ground_truths):
     """One traced synchronous DiVE run over a golden-style clip set.
 
     Shared by the session fixture below and by the per-backend golden
-    digest tests, which re-run it under each registered kernel backend.
+    digest tests, which re-run it under each kernel backend.
     """
     tracer = Tracer()
     results = []
@@ -86,21 +86,32 @@ def golden_batch_run(golden_clips, golden_ground_truth):
     return run_golden_batch(golden_clips, golden_ground_truth)
 
 
-@pytest.fixture(params=kernels.registered_backends())
+@pytest.fixture
+def cext():
+    """The compiled kernel backend, active for the test; the test is skipped
+    on a host that cannot build it (the reason is in the skip message)."""
+    backend = kernels.backend("cext")
+    if not backend.available():
+        pytest.skip(f"cext: {backend.why_unavailable()}")
+    with kernels.use_backend("cext"):
+        yield backend
+
+
+@pytest.fixture(params=kernels.BACKENDS)
 def kernel_backend(request):
-    """Activate the two registered kernel backends in turn: the ``numpy``
-    reference, then ``cext`` (skipped on a host that cannot build it).
+    """Activate the two kernel backends in turn: the ``numpy`` reference,
+    then ``cext`` (skipped on a host that cannot build it).
 
     Applying ``@pytest.mark.usefixtures("kernel_backend")`` to a test (or
     class) re-runs it under both — the bit-exactness contract says the
-    assertions must hold unchanged.
+    assertions must hold unchanged.  A test with parameters of its own
+    parametrizes it as ``("kernel_backend", kernels.BACKENDS,
+    indirect=True)``, which keeps the backend last in the test's id.
     """
-    name = request.param
-    if name not in kernels.available_backends():
-        reason = kernels.backend(name).why_unavailable() or "unavailable"
-        pytest.skip(f"kernel backend {name!r}: {reason}")
-    with kernels.use_backend(name):
-        yield name
+    if request.param == "cext":
+        request.getfixturevalue("cext")
+    with kernels.use_backend(request.param):
+        yield request.param
 
 
 @pytest.fixture

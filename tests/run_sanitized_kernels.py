@@ -1,15 +1,15 @@
-"""Run the kernel suites with the ``cext`` source built under ASan + UBSan.
+"""Run the kernel suites with ``src/repro/kernels/cext.c`` built under ASan + UBSan.
 
-Thirteen C entry points write through raw pointers — the motion search's
-per-block memo (a hash probe) and its in-C edge padding, the rate counter's
-candidate list, ``reconstruct``'s block slots and the renderer's image,
-id-buffer and per-object counts inside caller-given windows;
-the bit-exactness suites prove their *values*, this proves their
-*addresses*.  The runner appends the sanitizer flags to
-``repro.kernels.cext._CFLAGS`` in-process, before the first dispatch builds
-anything — the cache stem hashes the flags, so the
-sanitised object never collides with the normal one — and hands the suites
-to ``pytest.main``.  It is test tooling, not a product knob: ``repro``
+The 13 C entry points of ``cext.c`` write through raw pointers — the motion
+search's per-block memo (a hash probe) and its in-C edge padding, the rate
+counter's candidate list, ``reconstruct``'s block slots and the renderer's
+image, id-buffer and per-object counts inside caller-given windows; the
+bit-exactness suites prove their *values*, this proves their *addresses*.
+The runner appends the sanitizer flags to the ones ``cext.c`` is built with
+(``repro.kernels.cext._CFLAGS``) in-process, before the first dispatch
+builds anything — the cache stem hashes the flags, so the sanitised object
+never collides with the normal one, and a report names ``cext.c:LINE`` —
+and hands the suites to ``pytest.main``.  It is test tooling, not a product knob: ``repro``
 reads no flag or environment variable for it.
 
 The interpreter itself is not instrumented, so the ASan runtime has to be

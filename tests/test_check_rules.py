@@ -251,6 +251,19 @@ class TestRuleDetails:
         assert check_source(src, path="src/repro/kernels/cext.py") == []
         assert "S017" in {f.rule for f in check_source(src, path="src/repro/fleet/x.py")}
 
+    def test_every_reference_body_is_flagged_outside_its_own_module(self):
+        # The fleet reaching for a transform reference skips cext; the
+        # renderer calling the reference it defines is its own dispatch site.
+        src = "from repro.codec.transform import _reconstruct_reference\nout = _reconstruct_reference(p, lv, qp)\n"
+        assert "S017" in {f.rule for f in check_source(src, path="src/repro/fleet/x.py")}
+        src = (
+            "def _render_surfaces(dirs, origin, scene, placed):\n"
+            "    return _render_surfaces_reference(dirs, origin, scene, placed)\n"
+            "def _render_surfaces_reference(dirs, origin, scene, placed):\n"
+            "    return None\n"
+        )
+        assert check_source(src, path="src/repro/world/renderer.py") == []
+
     def test_kernel_evaluator_construction_flagged_outside_codec(self):
         src = "from repro.codec.motion import _BlockSadEvaluator\nev = _BlockSadEvaluator(c, r, 8, 16)\n"
         assert "S017" in {f.rule for f in check_source(src, path="src/repro/stream/x.py")}

@@ -241,16 +241,10 @@ class TestPatternSearchOracle:
         )
 
 
+@pytest.mark.usefixtures("cext")
 class TestPatternSearchDeclines:
     """What the compiled search cannot prove it hands back (``None``), and
     ``estimate_motion`` then equals the reference all the same."""
-
-    @pytest.fixture(autouse=True)
-    def _cext(self):
-        if "cext" not in kernels.available_backends():
-            pytest.skip(f"cext: {kernels.backend('cext').why_unavailable()}")
-        with kernels.use_backend("cext"):
-            yield
 
     PARAMS = dict(method="hex", search_range=6, block=16, lambda_mv=4.0, subpel=True)
 
@@ -336,9 +330,7 @@ class TestCExtReentrant:
     (``agent_workers > 1``, stream workers) must equal the serial results."""
 
     @pytest.mark.timeout(120)
-    def test_threads_match_serial(self):
-        if "cext" not in kernels.available_backends():
-            pytest.skip(f"cext: {kernels.backend('cext').why_unavailable()}")
+    def test_threads_match_serial(self, cext):
         # Frames big enough that the C calls of different threads overlap
         # (at 96x128 a shared scratch buffer went unnoticed).
         jobs = []
@@ -354,10 +346,9 @@ class TestCExtReentrant:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with kernels.use_backend("cext"):
-                serial = [run(job) for job in jobs]
-                with ThreadPoolExecutor(max_workers=4) as pool:
-                    threaded = list(pool.map(run, jobs * 3))
+            serial = [run(job) for job in jobs]
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(run, jobs * 3))
         finally:
             sys.setswitchinterval(interval)
         for got, want in zip(threaded, serial * 3):

@@ -27,8 +27,8 @@ def closed_loop_on_both_backends(config, frames, **encode_args):
     reconstruction bit-for-bit, and the two backends' streams are the same
     bytes."""
     streams = []
-    for backend in ("numpy", "cext"):
-        if backend not in kernels.available_backends():
+    for backend in kernels.BACKENDS:
+        if not kernels.backend(backend).available():
             continue
         with kernels.use_backend(backend):
             enc = VideoEncoder(config)

@@ -17,7 +17,6 @@ import hashlib
 import pytest
 from conftest import GOLDEN_CLIP_SEEDS, GOLDEN_N_FRAMES
 
-from repro import kernels
 from repro.baselines import DDSConfig, DDSScheme
 from repro.codec.encoder import RegionUpdate
 from repro.experiments import ground_truth_for, run_scheme, scaled_bandwidth
@@ -71,13 +70,9 @@ def count_steps(monkeypatch):
     return steps
 
 
-@pytest.mark.parametrize("backend", ["numpy", "cext"])
-def test_dds_run_matches_the_parent_commit(backend, golden_clips, golden_ground_truth, monkeypatch):
-    if backend not in kernels.available_backends():
-        pytest.skip(f"{backend}: {kernels.backend(backend).why_unavailable()}")
+def test_dds_run_matches_the_parent_commit(kernel_backend, golden_clips, golden_ground_truth, monkeypatch):
     steps = count_steps(monkeypatch)
-    with kernels.use_backend(backend):
-        results = run_dds(golden_clips, golden_ground_truth)
+    results = run_dds(golden_clips, golden_ground_truth)
     assert steps == GOLDEN_STEPS
     assert dds_digest(results) == GOLDEN_DIGEST
 

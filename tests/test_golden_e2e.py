@@ -16,10 +16,7 @@ policy, a detector recalibration), rerun with ``-s`` to print the new
 digest and update ``GOLDEN_DIGEST`` in the same PR, stating why.
 """
 
-import pytest
 from conftest import GOLDEN_CLIP_SEEDS, GOLDEN_N_FRAMES, e2e_digest, run_golden_batch
-
-from repro import kernels
 
 N_CLIPS = len(GOLDEN_CLIP_SEEDS)
 N_FRAMES = GOLDEN_N_FRAMES
@@ -50,18 +47,13 @@ def test_golden_digest(golden_batch_run):
     )
 
 
-@pytest.mark.parametrize("backend_name", kernels.registered_backends())
-def test_golden_digest_every_backend(backend_name, golden_clips, golden_ground_truth):
+def test_golden_digest_every_backend(kernel_backend, golden_clips, golden_ground_truth):
     """Kernel backends are bit-exact by contract: the *same* golden digest
-    must fall out of the full pipeline under every one of them — the
+    must fall out of the full pipeline under both of them — the
     ``numpy`` reference included, now that ``test_golden_digest`` above
     (no activation at all) runs on whatever default the host resolves."""
-    if backend_name not in kernels.available_backends():
-        reason = kernels.backend(backend_name).why_unavailable() or "unavailable"
-        pytest.skip(f"kernel backend {backend_name!r}: {reason}")
-    with kernels.use_backend(backend_name):
-        results, tracer = run_golden_batch(golden_clips, golden_ground_truth)
+    results, tracer = run_golden_batch(golden_clips, golden_ground_truth)
     assert e2e_digest(results, tracer) == GOLDEN_DIGEST, (
-        f"kernel backend {backend_name!r} broke bit-exactness: its golden "
+        f"kernel backend {kernel_backend!r} broke bit-exactness: its golden "
         "digest differs from the locked one"
     )

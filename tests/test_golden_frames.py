@@ -171,18 +171,15 @@ def annotation_tuples(record):
     )
 
 
-@pytest.mark.parametrize("backend", ["numpy", "cext"])
+@pytest.mark.parametrize("kernel_backend", kernels.BACKENDS, indirect=True)
 @pytest.mark.parametrize("clip_name", list(CLIPS))
-def test_golden_frames(backend, clip_name):
-    if backend not in kernels.available_backends():
-        pytest.skip(f"{backend}: {kernels.backend(backend).why_unavailable()}")
+def test_golden_frames(kernel_backend, clip_name):
     clip = CLIPS[clip_name]()
-    with kernels.use_backend(backend):
-        for index in FRAMES:
-            record = clip.render_at(index)
-            digest, annotations = GOLDEN_FRAMES[clip_name, index]
-            assert annotation_tuples(record) == annotations, (clip_name, index)
-            assert frame_digest(record) == digest, (clip_name, index)
+    for index in FRAMES:
+        record = clip.render_at(index)
+        digest, annotations = GOLDEN_FRAMES[clip_name, index]
+        assert annotation_tuples(record) == annotations, (clip_name, index)
+        assert frame_digest(record) == digest, (clip_name, index)
 
 
 @pytest.mark.timeout(120)

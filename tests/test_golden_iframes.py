@@ -61,11 +61,9 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("backend", ["numpy", "cext"])
+@pytest.mark.parametrize("kernel_backend", kernels.BACKENDS, indirect=True)
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_iframe_matches_the_parent_commit(name, backend, monkeypatch):
-    if backend not in kernels.available_backends():
-        pytest.skip(f"{backend}: {kernels.backend(backend).why_unavailable()}")
+def test_iframe_matches_the_parent_commit(name, kernel_backend, monkeypatch):
     build, target, delta, want_digest, want_bits, want_qp, want_calls = CASES[name]
     frame = build()
     offsets = None if delta is None else _dive_offsets(frame.shape, delta)
@@ -76,9 +74,8 @@ def test_iframe_matches_the_parent_commit(name, backend, monkeypatch):
         return intra_encode(*args, **kwargs)
 
     monkeypatch.setattr(encoder_module, "intra_encode", counted)
-    with kernels.use_backend(backend):
-        encoded = VideoEncoder().encode(frame, target_bits=target, qp_offsets=offsets, force_intra=True)
-        decoded = VideoDecoder().decode(encoded)
+    encoded = VideoEncoder().encode(frame, target_bits=target, qp_offsets=offsets, force_intra=True)
+    decoded = VideoDecoder().decode(encoded)
     digest = hashlib.sha256()
     for part in (encoded.levels, encoded.intra_modes, encoded.reconstruction, encoded.bits_per_mb):
         digest.update(part.tobytes())

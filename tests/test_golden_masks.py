@@ -41,9 +41,11 @@ RUNS = {
 
 @functools.lru_cache(maxsize=None)
 def _clip(run):
-    """The run's clip, rendered once per session (the renderer's bytes do not
-    depend on the backend — ``test_golden_frames`` pins that)."""
-    return RUNS[run]().preload()
+    """The run's clip, rendered once per session on the host's default
+    backend (the renderer's bytes do not depend on the backend —
+    ``test_golden_frames`` pins that)."""
+    with kernels.use_backend(kernels.AUTO):
+        return RUNS[run]().preload()
 
 
 def _digest(result):
@@ -165,14 +167,10 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("backend", ["numpy", "cext"])
+@pytest.mark.parametrize("kernel_backend", kernels.BACKENDS, indirect=True)
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_masks_match_the_parent_commit(run, backend):
-    if backend not in kernels.available_backends():
-        pytest.skip(f"{backend}: {kernels.backend(backend).why_unavailable()}")
-    _clip(run)  # render outside the pinned backend
-    with kernels.use_backend(backend):
-        assert _masks(run) == GOLDEN[run]
+def test_masks_match_the_parent_commit(run, kernel_backend):
+    assert _masks(run) == GOLDEN[run]
 
 
 def test_the_goldens_exercise_every_path():

@@ -31,9 +31,10 @@ METHODS = ("dia", "hex", "umh")
 
 @functools.lru_cache(maxsize=None)
 def _clip(name):
-    """The clip, rendered once per session and outside any pinned backend
+    """The clip, rendered once per session on the host's default backend
     (the renderer's bytes do not depend on it — ``test_golden_frames``)."""
-    return CLIPS[name][0]().preload()
+    with kernels.use_backend(kernels.AUTO):
+        return CLIPS[name][0]().preload()
 
 
 def _mvfields(name, method):
@@ -119,15 +120,11 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("backend", ["numpy", "cext"])
+@pytest.mark.parametrize("kernel_backend", kernels.BACKENDS, indirect=True)
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("clip", sorted(CLIPS))
-def test_mvfields_match_the_parent_commit(clip, method, backend):
-    if backend not in kernels.available_backends():
-        pytest.skip(f"{backend}: {kernels.backend(backend).why_unavailable()}")
-    _clip(clip)
-    with kernels.use_backend(backend):
-        assert _mvfields(clip, method) == GOLDEN[clip, method]
+def test_mvfields_match_the_parent_commit(clip, method, kernel_backend):
+    assert _mvfields(clip, method) == GOLDEN[clip, method]
 
 
 def test_the_goldens_cover_every_p_frame_and_tell_the_methods_apart():

@@ -42,10 +42,12 @@ MODES = ("two_level", "saturated", "crf")
 
 @functools.lru_cache(maxsize=None)
 def _frames(clip):
-    """The clip's frames, rendered once per session (the renderer's bytes do
-    not depend on the backend — ``test_golden_frames`` pins that)."""
+    """The clip's frames, rendered once per session on the host's default
+    backend (the renderer's bytes do not depend on the backend —
+    ``test_golden_frames`` pins that)."""
     built = CLIPS[clip][0]()
-    return tuple(built.frame(i).image for i in range(N_FRAMES))
+    with kernels.use_backend(kernels.AUTO):
+        return tuple(built.frame(i).image for i in range(N_FRAMES))
 
 
 def _foreground(shape):
@@ -171,25 +173,17 @@ GOLDEN_REGION = {
 }
 
 
-@pytest.mark.parametrize("backend", ["numpy", "cext"])
+@pytest.mark.parametrize("kernel_backend", kernels.BACKENDS, indirect=True)
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("clip", sorted(CLIPS))
-def test_pframes_match_the_parent_commit(clip, mode, backend):
-    if backend not in kernels.available_backends():
-        pytest.skip(f"{backend}: {kernels.backend(backend).why_unavailable()}")
-    _frames(clip)  # render outside the pinned backend
-    with kernels.use_backend(backend):
-        assert _pframes(clip, mode) == GOLDEN[clip, mode]
+def test_pframes_match_the_parent_commit(clip, mode, kernel_backend):
+    assert _pframes(clip, mode) == GOLDEN[clip, mode]
 
 
-@pytest.mark.parametrize("backend", ["numpy", "cext"])
+@pytest.mark.parametrize("kernel_backend", kernels.BACKENDS, indirect=True)
 @pytest.mark.parametrize("clip", sorted(CLIPS))
-def test_region_update_matches_the_parent_commit(clip, backend):
-    if backend not in kernels.available_backends():
-        pytest.skip(f"{backend}: {kernels.backend(backend).why_unavailable()}")
-    _frames(clip)
-    with kernels.use_backend(backend):
-        assert _region_update(clip) == GOLDEN_REGION[clip]
+def test_region_update_matches_the_parent_commit(clip, kernel_backend):
+    assert _region_update(clip) == GOLDEN_REGION[clip]
 
 
 def test_the_cbr_goldens_exercise_rate_control():

@@ -5,9 +5,9 @@ active, all four encoder outputs and the decoder's frame equal
 ``_intra_encode_reference`` / ``_intra_decode_reference`` to the byte
 (``tobytes()``, so ``-0.0`` and NaN payloads count).  The dispatch tests
 carry the ``kernel_backend`` fixture — ``numpy``, which binds no hook, passes
-through the reference trivially — and the fault tests show that a C step
-that breaks a tie the other way, or is one ulp off in the DC mean, never
-gets bound.
+through the reference trivially; ``tests/test_kernels_default.py`` shows
+that a C step that breaks a tie the other way, or is one ulp off in the DC
+mean, never gets bound.
 """
 
 import sys
@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.codec.intra as intra_module
-from repro import kernels
 from repro.codec.intra import (
     MODE_DC,
     MODE_HORIZONTAL,
@@ -29,7 +28,6 @@ from repro.codec.intra import (
     intra_decode,
     intra_encode,
 )
-from repro.kernels import cext
 
 
 def _content(kind, shape, seed=0):
@@ -278,14 +276,10 @@ class TestArgumentsTheCLoopsCannotIndex:
             _assert_matches_reference(frame, qp)
 
 
+@pytest.mark.usefixtures("cext")
 class TestCompiledPathIsTaken:
     """The equalities above would also hold if ``cext`` always answered
     through the reference; these pin which path a call takes."""
-
-    @pytest.fixture(autouse=True)
-    def _needs_cext(self):
-        if "cext" not in kernels.available_backends():
-            pytest.skip(f"cext: {kernels.backend('cext').why_unavailable()}")
 
     @pytest.fixture
     def reference_calls(self, monkeypatch):
@@ -302,10 +296,9 @@ class TestCompiledPathIsTaken:
 
     def test_well_formed_calls_never_touch_the_reference(self, reference_calls):
         frame, qp = _content("noise", (64, 96)), _qp("fractional", (4, 6))
-        with kernels.use_backend("cext"):
-            levels, modes, recon, _ = intra_encode(frame.astype(np.float32), qp)
-            _same(intra_decode(levels, modes, qp), recon)
-            intra_encode(np.asfortranarray(frame)[::-1], qp, block=16)
+        levels, modes, recon, _ = intra_encode(frame.astype(np.float32), qp)
+        _same(intra_decode(levels, modes, qp), recon)
+        intra_encode(np.asfortranarray(frame)[::-1], qp, block=16)
         assert reference_calls == []
 
     def test_reported_levels_take_the_reference_path_once(self, reference_calls):
@@ -313,7 +306,7 @@ class TestCompiledPathIsTaken:
         levels, modes, _, _ = intra_encode(frame, qp)
         frame[40, 50] = np.nan
         levels[2, 1, 3, 4] = np.inf
-        with kernels.use_backend("cext"), np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):
             intra_encode(frame, qp)
             intra_decode(levels, modes, qp)
         assert reference_calls == ["_intra_encode_reference", "_intra_decode_reference"]
@@ -321,9 +314,7 @@ class TestCompiledPathIsTaken:
 
 class TestCExtReentrant:
     @pytest.mark.timeout(120)
-    def test_four_threads_encode_one_frame_to_identical_bytes(self):
-        if "cext" not in kernels.available_backends():
-            pytest.skip(f"cext: {kernels.backend('cext').why_unavailable()}")
+    def test_four_threads_encode_one_frame_to_identical_bytes(self, cext):
         frame, qp = _content("wide", (192, 640), 41), _qp("saturated", (12, 40), 41)
         want = _intra_encode_reference(frame, qp)
 
@@ -334,66 +325,10 @@ class TestCExtReentrant:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with kernels.use_backend("cext"), ThreadPoolExecutor(max_workers=4) as pool:
+            with ThreadPoolExecutor(max_workers=4) as pool:
                 results = list(pool.map(run, range(12)))
         finally:
             sys.setswitchinterval(interval)
         for got in results:
             for g, w in zip(got, want + (want[2],)):
                 _same(g, w)
-
-
-class TestProbeRejectsAWrongKernel:
-    """A C step that is subtly wrong must fail the self-probe by name, bind
-    no hook, and leave ``auto`` encoding on the reference."""
-
-    @pytest.mark.parametrize(
-        "right,wrong",
-        [
-            # Ties broken the other way: the last of equal SADs wins.
-            ("if (sad < best_sad) {", "if (sad <= best_sad) {"),
-            # The DC mean one ulp high.
-            ("dc = pairwise(edge, (size_t)n) / (double)n;",
-             "dc = nextafter(pairwise(edge, (size_t)n) / (double)n, 1e9);"),
-        ],
-        ids=["tie-break", "dc-one-ulp"],
-    )
-    def test_broken_pre_step_marks_cext_unavailable(self, right, wrong, monkeypatch, tmp_path):
-        if "cext" not in kernels.available_backends():
-            pytest.skip(f"cext: {kernels.backend('cext').why_unavailable()}")
-        assert cext._C_SOURCE.count(right) == 1
-        # The patched source hashes to its own object; keep it out of the real cache.
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(cext, "_C_SOURCE", cext._C_SOURCE.replace(right, wrong))
-        monkeypatch.setattr(kernels, "_active", None)
-        broken = cext.CExtBackend()
-        monkeypatch.setitem(kernels._instances, "cext", broken)
-
-        assert not broken.available()
-        reason = broken.why_unavailable()
-        assert "self-probe" in reason and "intra_encode" in reason, reason
-        assert all(getattr(broken, name) is None for name in kernels.KERNEL_NAMES)
-        with pytest.raises(RuntimeError, match="intra_encode"):
-            kernels.activate("cext")
-        frame, qp = _content("steps", (64, 96), 5), _qp("saturated", (4, 6), 5)
-        with kernels.use_backend(kernels.AUTO) as chosen:
-            assert chosen.name == "numpy"
-            got = intra_encode(frame, qp)
-        for g, w in zip(got, _intra_encode_reference(frame, qp)):
-            _same(g, w)
-
-    def test_why_unavailable_names_intra_decode(self, monkeypatch):
-        if "cext" not in kernels.available_backends():
-            pytest.skip(f"cext: {kernels.backend('cext').why_unavailable()}")
-        exact = cext._CKernels.intra_decode
-
-        def one_ulp_off(self, levels, modes, qp_map, **params):
-            return np.nextafter(exact(self, levels, modes, qp_map, **params), 300.0)
-
-        monkeypatch.setattr(cext._CKernels, "intra_decode", one_ulp_off)
-        monkeypatch.setattr(kernels, "_active", None)
-        broken = cext.CExtBackend()
-        monkeypatch.setitem(kernels._instances, "cext", broken)
-        assert not broken.available()
-        assert "self-probe: intra_decode" in broken.why_unavailable()
-        assert broken.intra_decode is None and broken.intra_encode is None

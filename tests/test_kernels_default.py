@@ -3,8 +3,10 @@
 ``repro.kernels`` picks nothing at import.  The first dispatch resolves
 ``cext`` when the host can build it and it passes its bitwise self-probe,
 and the ``numpy`` reference otherwise — these tests pin the laziness, the
-single build under a thread race, the no-compiler fallback (golden digest
-unchanged) and the cache directory's safety rules.
+single build under a thread race, the no-compiler and no-source fallbacks
+(golden digest unchanged), the cache directory's safety rules, and the
+self-probe itself: a hook one ulp off, or a C source with one wrong line,
+binds no hook and leaves ``auto`` on the reference.
 """
 
 import os
@@ -16,12 +18,16 @@ import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import e2e_digest, run_golden_batch
 from test_golden_e2e import GOLDEN_DIGEST
+from test_golden_frames import annotation_tuples, frame_digest
 
 from repro import kernels
+from repro.codec import VideoDecoder, VideoEncoder
 from repro.kernels import cext
+from repro.world import nuscenes_like
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 #: The PATH the suite was started with, before ``fresh_host`` empties it.
@@ -42,9 +48,16 @@ def fresh_host(monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setenv("TMPDIR", str(tmp_path / "tmp"))
     monkeypatch.setattr(tempfile, "tempdir", None)  # drop gettempdir()'s memo
-    monkeypatch.setattr(kernels, "_active", None)
-    monkeypatch.setitem(kernels._instances, "cext", cext.CExtBackend())
+    _fresh_cext(monkeypatch)
     return bin_dir
+
+
+def _fresh_cext(monkeypatch):
+    """An unresolved default and a new, unchecked ``cext`` in its place."""
+    monkeypatch.setattr(kernels, "_active", None)
+    fresh = cext.CExtBackend()
+    monkeypatch.setitem(kernels._instances, "cext", fresh)
+    return fresh
 
 
 def _restore_compiler(monkeypatch):
@@ -88,8 +101,9 @@ class TestLazyResolution:
         """One reference that binds nothing, one compiled backend that binds
         every hook, one dispatch site per hook, and ``auto`` picks between
         the two."""
-        assert kernels.registered_backends() == ("numpy", "cext")
+        assert kernels.BACKENDS == ("numpy", "cext")
         reference, compiled = kernels.backend("numpy"), kernels.backend("cext")
+        assert type(reference) is kernels.KernelBackend and reference.name == "numpy"
         assert all(getattr(reference, name) is None for name in kernels.KERNEL_NAMES)
         if compiled.available():
             assert all(callable(getattr(compiled, name)) for name in kernels.KERNEL_NAMES)
@@ -143,8 +157,7 @@ class TestNoCompilerFallback:
         assert kernels.active().name == "numpy"
         reason = kernels.backend("cext").why_unavailable()
         assert all(f"{c}: not found" in reason for c in cext._COMPILERS), reason
-        assert kernels.available_backends()[0] == "numpy"
-        assert "cext" not in kernels.available_backends()
+        assert kernels.backend("numpy").available() and not kernels.backend("cext").available()
 
     def test_golden_digest_unchanged_without_compiler(
         self, fresh_host, golden_clips, golden_ground_truth
@@ -239,3 +252,120 @@ class TestCacheSafety:
     def test_temp_dir_is_the_fallback_when_the_cache_home_is_unusable(self, fresh_host, tmp_path):
         (tmp_path / "cache").write_text("a file where the cache home should be")
         assert cext._cache_dir() == tmp_path / "tmp" / f"repro-kernels-{os.getuid()}"
+
+
+@pytest.mark.parametrize("source", ["missing", "a directory"])
+def test_a_missing_or_unreadable_source_falls_back_to_numpy(source, monkeypatch, tmp_path):
+    """A wheel built without its package data, or a damaged install: ``auto``
+    resolves to the reference and the reason names the file."""
+    path = tmp_path / "cext.c"
+    if source == "a directory":
+        path.mkdir()
+    monkeypatch.setattr(cext, "_SOURCE", path)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    _fresh_cext(monkeypatch)
+    assert kernels.active().name == "numpy"
+    assert f"cannot read the kernel source {path}" in kernels.backend("cext").why_unavailable()
+
+
+# ---------------------------------------------------------------------------
+# The self-probe rejects a wrong kernel
+# ---------------------------------------------------------------------------
+
+
+def _render_and_code(clip):
+    """Two frames of ``clip`` rendered and coded (an I- then a P-frame): each
+    one's frame type, frame digest, annotations, levels and decoded bytes."""
+    encoder, decoder = VideoEncoder(), VideoDecoder()
+    out = []
+    for index in (0, 1):
+        record = clip.render_at(index)
+        encoded = encoder.encode(record.image, target_bits=15_000.0)
+        out += [encoded.frame_type, frame_digest(record), annotation_tuples(record),
+                encoded.levels.tobytes(), decoder.decode(encoded).tobytes()]
+    return out
+
+
+@pytest.fixture(scope="module")
+def clip():
+    return nuscenes_like(11, n_frames=2, resolution=(320, 192))
+
+
+@pytest.fixture(scope="module")
+def on_the_reference(clip):
+    with kernels.use_backend("numpy"):
+        run = _render_and_code(clip)
+    assert run[::5] == ["I", "P"]
+    return run
+
+
+def _assert_rejected(broken, hook, clip, on_the_reference):
+    """The probe names ``hook``, binds nothing, ``cext`` cannot be forced and
+    ``auto`` renders and codes on the reference, to its bytes."""
+    assert not broken.available()
+    assert f"self-probe: {hook} (" in broken.why_unavailable(), broken.why_unavailable()
+    assert all(getattr(broken, name) is None for name in kernels.KERNEL_NAMES)
+    with pytest.raises(RuntimeError, match=f"self-probe: {hook} "):
+        kernels.activate("cext")
+    with kernels.use_backend(kernels.AUTO) as chosen:
+        assert chosen.name == "numpy"
+        assert _render_and_code(clip) == on_the_reference
+
+
+def _one_ulp_up(answer):
+    """A hook's answer moved by one ulp: its (first) array, or every bit
+    total of a rate counter."""
+    if callable(answer):
+        return lambda qp: np.nextafter(answer(qp), np.inf)
+    if isinstance(answer, tuple):
+        return (_one_ulp_up(answer[0]), *answer[1:])
+    return np.nextafter(answer, np.inf)
+
+
+def test_the_probe_table_has_a_row_per_hook():
+    """The pairwise sum every SAD and mean rests on, then each hook once."""
+    hooks = [row.hook for row in cext._probe_table()]
+    assert hooks[0] == "pairwise_rows" and sorted(hooks[1:]) == sorted(kernels.KERNEL_NAMES)
+
+
+@pytest.mark.usefixtures("cext")
+@pytest.mark.parametrize("hook", kernels.KERNEL_NAMES)
+def test_a_hook_one_ulp_off_fails_the_probe(hook, monkeypatch, clip, on_the_reference):
+    exact = getattr(cext._CKernels, hook)
+    monkeypatch.setattr(cext._CKernels, hook, lambda self, *args, **kw: _one_ulp_up(exact(self, *args, **kw)))
+    _assert_rejected(_fresh_cext(monkeypatch), hook, clip, on_the_reference)
+
+
+#: One wrong line of ``cext.c`` each, and the hook whose probe row must catch it.
+SOURCE_MUTATIONS = {
+    # I-frames: ties broken the other way (the last of equal SADs wins), the
+    # DC mean one ulp high.
+    "tie-break": ("if (sad < best_sad) {", "if (sad <= best_sad) {", "intra_encode"),
+    "dc-one-ulp": ("dc = pairwise(edge, (size_t)n) / (double)n;",
+                   "dc = nextafter(pairwise(edge, (size_t)n) / (double)n, 1e9);", "intra_encode"),
+    # P-frames: halves rounded away from zero, candidates cut at half a step
+    # (complete at the probe that compacted them, short for every probe
+    # below), a skipped block priced at half a bit.
+    "round-half-away": ("return copysign((fabs(x) + 0x1.8p52) - 0x1.8p52, x);", "return round(x);", "quantize_cost"),
+    "cut-at-half-a-step": ("#define ZERO_CUT 0.25", "#define ZERO_CUT 0.5", "rate_counter"),
+    "skip-overhead": ("#define SKIP_BLOCK_BITS 0.25", "#define SKIP_BLOCK_BITS 0.5", "quantize_cost"),
+    # The renderer's shader constants.
+    "haze": ("#define GROUND_HAZE 165.0", "#define GROUND_HAZE 165.5", "render_surfaces"),
+    "building-windows": ("wh > 0.8 && wh < 2.1", "wh > 0.8 && wh < 2.2", "render_surfaces"),
+    "car-band": ("if (h < 0.35) gray = gray - 55.0;", "if (h < 0.35) gray = gray - 54.0;", "render_surfaces"),
+    "pedestrian-band": ("if (h > 1.45) gray = gray + 35.0;", "if (h > 1.5) gray = gray + 35.0;", "render_surfaces"),
+}
+
+
+@pytest.mark.usefixtures("cext")
+@pytest.mark.parametrize("mutation", SOURCE_MUTATIONS)
+def test_a_source_mutation_fails_the_probe(mutation, monkeypatch, tmp_path, clip, on_the_reference):
+    right, wrong, hook = SOURCE_MUTATIONS[mutation]
+    source = cext._SOURCE.read_text()
+    assert source.count(right) == 1
+    mutated = tmp_path / "cext.c"
+    mutated.write_text(source.replace(right, wrong))
+    monkeypatch.setattr(cext, "_SOURCE", mutated)
+    # The mutated source hashes to its own object; keep it out of the real cache.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    _assert_rejected(_fresh_cext(monkeypatch), hook, clip, on_the_reference)

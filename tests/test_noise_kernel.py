@@ -6,8 +6,8 @@ through it, and so do the ground and object textures wherever
 kernels' — whatever backend is active, the result equals
 ``_value_noise_2d_reference`` to the last bit — so the dispatch tests carry
 the ``kernel_backend`` fixture (``numpy``, which binds no hook, passes through
-the reference trivially), and the fault test shows that a kernel that is off
-by one ulp never gets bound.
+the reference trivially); ``tests/test_kernels_default.py`` shows that a
+kernel one ulp off never gets bound.
 """
 
 import warnings
@@ -16,12 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_golden_frames import frame_digest
 
-from repro import kernels
-from repro.kernels import cext
 from repro.utils.noise import _value_noise_2d_reference, value_noise_1d, value_noise_2d
-from repro.world import nuscenes_like
 
 #: ``(scale, octaves)`` of ground base / ground fine + sky / object textures.
 RENDERER_SHAPES = [(1.5, 2), (0.35, 1), (0.6, 3)]
@@ -111,35 +107,3 @@ class TestValueNoiseBitExact:
     def test_bad_parameters_raise_like_the_reference(self, params):
         with pytest.raises(ValueError):
             value_noise_2d(np.zeros(3), np.zeros(3), seed=1, **params)
-
-
-class TestProbeRejectsAWrongKernel:
-    def test_one_ulp_off_marks_cext_unavailable_and_renders_on_the_reference(self, monkeypatch):
-        if "cext" not in kernels.available_backends():
-            pytest.skip(f"cext: {kernels.backend('cext').why_unavailable()}")
-        clip = nuscenes_like(11, n_frames=2, resolution=(320, 192))
-        with kernels.use_backend("numpy"):
-            want = clip.render_at(1)
-
-        exact = cext._CKernels.value_noise
-
-        def one_ulp_off(self, x, y, **params):
-            return np.nextafter(exact(self, x, y, **params), 2.0)
-
-        monkeypatch.setattr(cext._CKernels, "value_noise", one_ulp_off)
-        monkeypatch.setattr(kernels, "_active", None)
-        broken = cext.CExtBackend()
-        monkeypatch.setitem(kernels._instances, "cext", broken)
-
-        assert not broken.available()
-        reason = broken.why_unavailable()
-        assert "self-probe" in reason and "value_noise" in reason, reason
-        # No hook of a backend that failed its probe is ever bound.
-        assert all(getattr(broken, name) is None for name in kernels.KERNEL_NAMES)
-        with pytest.raises(RuntimeError, match="value_noise"):
-            kernels.activate("cext")
-        with kernels.use_backend(kernels.AUTO) as chosen:
-            assert chosen.name == "numpy"
-            got = clip.render_at(1)
-        assert frame_digest(got) == frame_digest(want)
-        assert got.annotations == want.annotations

@@ -7,11 +7,12 @@ Whatever backend is active, every output equals its reference —
 bit total — to the byte (``tobytes()``: ``np.round(-0.3)`` is ``-0.0`` and
 the levels carry it).  The dispatch tests carry the ``kernel_backend``
 fixture; the path tests pin which inputs ``cext`` keeps and which it hands
-to the reference; the fault tests show that a C source that rounds halves
-the other way, keeps too short a candidate list or prices a skipped block
-wrongly never gets bound.  The rate-control properties at the end are what
-make the warm-started search safe: ``bits_at`` never rises with the QP, so
-wherever the search starts it ends at the cold bisection's answer.
+to the reference (``tests/test_kernels_default.py`` shows that a C source
+that rounds halves the other way, keeps too short a candidate list or
+prices a skipped block wrongly never gets bound).  The rate-control
+properties at the end are what make the warm-started search safe:
+``bits_at`` never rises with the QP, so wherever the search starts it ends
+at the cold bisection's answer.
 """
 
 import sys
@@ -23,7 +24,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.codec.transform as transform_module
-from repro import kernels
 from repro.codec import VideoDecoder, VideoEncoder
 from repro.codec.transform import (
     QuantBitCounter,
@@ -37,7 +37,6 @@ from repro.codec.transform import (
     reconstruct,
     transform_cost_bits,
 )
-from repro.kernels import cext
 
 
 def _coeffs(kind, grid, block=16, seed=0):
@@ -307,14 +306,10 @@ class TestArgumentsTheCLoopsCannotIndex:
             assert counter.bits_at(base) == _frame_bits(coeffs, offsets, base, max_qp=max_qp)
 
 
+@pytest.mark.usefixtures("cext")
 class TestCompiledPathIsTaken:
     """The equalities above would also hold if ``cext`` always answered
     through the reference; these pin which path a call takes."""
-
-    @pytest.fixture(autouse=True)
-    def _needs_cext(self):
-        if "cext" not in kernels.available_backends():
-            pytest.skip(f"cext: {kernels.backend('cext').why_unavailable()}")
 
     @pytest.fixture
     def reference_calls(self, monkeypatch):
@@ -338,18 +333,17 @@ class TestCompiledPathIsTaken:
 
     def test_well_formed_calls_never_touch_the_reference(self, reference_calls):
         qp = _qp("fractional", (4, 6))
-        with kernels.use_backend("cext"):
-            for coeffs in (_coeffs("residual", (4, 6)), _coeffs("wide", (4, 6))):  # float32, float64
-                levels, _ = quantize_cost(coeffs, qp)
-                reconstruct(_prediction((4, 6)), levels, qp)
-                counter = QuantBitCounter(coeffs, qp - 20.0)
-                assert [counter.bits_at(base) for base in (30.0, 28.0, 2.0)] == [
-                    _frame_bits(coeffs, qp - 20.0, base) for base in (30.0, 28.0, 2.0)
-                ]
-            encoder, decoder = VideoEncoder(), VideoDecoder()
-            for seed in range(3):
-                frame = np.clip(_prediction((4, 6), seed=seed), 0.0, 255.0)
-                decoder.decode(encoder.encode(frame, target_bits=20_000.0))
+        for coeffs in (_coeffs("residual", (4, 6)), _coeffs("wide", (4, 6))):  # float32, float64
+            levels, _ = quantize_cost(coeffs, qp)
+            reconstruct(_prediction((4, 6)), levels, qp)
+            counter = QuantBitCounter(coeffs, qp - 20.0)
+            assert [counter.bits_at(base) for base in (30.0, 28.0, 2.0)] == [
+                _frame_bits(coeffs, qp - 20.0, base) for base in (30.0, 28.0, 2.0)
+            ]
+        encoder, decoder = VideoEncoder(), VideoDecoder()
+        for seed in range(3):
+            frame = np.clip(_prediction((4, 6), seed=seed), 0.0, 255.0)
+            decoder.decode(encoder.encode(frame, target_bits=20_000.0))
         assert reference_calls == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0**40])
@@ -359,7 +353,7 @@ class TestCompiledPathIsTaken:
         levels = quantize(coeffs, qp)
         coeffs[3, 1, 4, 1] = bad
         levels[3, 1, 4, 1] = bad
-        with kernels.use_backend("cext"), np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):
             quantize_cost(coeffs, qp)
             reconstruct(_prediction((4, 6)), levels, qp)
             counter = QuantBitCounter(coeffs, qp - 20.0)
@@ -376,29 +370,25 @@ class TestCompiledPathIsTaken:
         levels = quantize(_coeffs("residual", (4, 6)), qp)
         levels[2, :, 5, :] = 0.0
         prediction = _prediction((4, 6))
-        with kernels.use_backend("cext"):
-            reconstruct(prediction, levels, qp)
-            assert reference_calls == []
-            prediction[20, 44] = bad  # inside block (2, 5)
-            _same(reconstruct(prediction, levels, qp), _dense(prediction, levels, qp))
-            assert reference_calls == ["_reconstruct_reference"]
-            levels[2, 0, 5, 0] = 1.0  # the block is coded now: the sum is computed, as the reference does
-            _same(reconstruct(prediction, levels, qp), _dense(prediction, levels, qp))
+        reconstruct(prediction, levels, qp)
+        assert reference_calls == []
+        prediction[20, 44] = bad  # inside block (2, 5)
+        _same(reconstruct(prediction, levels, qp), _dense(prediction, levels, qp))
+        assert reference_calls == ["_reconstruct_reference"]
+        levels[2, 0, 5, 0] = 1.0  # the block is coded now: the sum is computed, as the reference does
+        _same(reconstruct(prediction, levels, qp), _dense(prediction, levels, qp))
         assert reference_calls == ["_reconstruct_reference"]
 
     def test_counter_arguments_the_probe_declines_at_construction(self, reference_calls):
         coeffs = _coeffs("wide", (4, 6))
-        with kernels.use_backend("cext"):
-            QuantBitCounter(np.asfortranarray(coeffs), np.zeros((4, 6)))
-            QuantBitCounter(np.clip(coeffs, -6e4, 6e4).astype(np.float16), np.zeros((4, 6)))
+        QuantBitCounter(np.asfortranarray(coeffs), np.zeros((4, 6)))
+        QuantBitCounter(np.clip(coeffs, -6e4, 6e4).astype(np.float16), np.zeros((4, 6)))
         assert reference_calls == ["QuantBitCounter._group"] * 2
 
 
 class TestCExtReentrant:
     @pytest.mark.timeout(120)
-    def test_four_threads_on_one_frame_give_identical_bytes(self):
-        if "cext" not in kernels.available_backends():
-            pytest.skip(f"cext: {kernels.backend('cext').why_unavailable()}")
+    def test_four_threads_on_one_frame_give_identical_bytes(self, cext):
         coeffs, qp = _coeffs("residual", (18, 30), seed=41), _qp("saturated", (18, 30), 41)
         prediction = _prediction((18, 30), seed=41)
         want_levels = quantize(coeffs, qp)
@@ -415,7 +405,7 @@ class TestCExtReentrant:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with kernels.use_backend("cext"), ThreadPoolExecutor(max_workers=4) as pool:
+            with ThreadPoolExecutor(max_workers=4) as pool:
                 results = list(pool.map(run, range(12)))
         finally:
             sys.setswitchinterval(interval)
@@ -423,49 +413,6 @@ class TestCExtReentrant:
             for g, w in zip(got[:3], want[:3]):
                 _same(g, w)
             assert got[3] == want[3]
-
-
-class TestProbeRejectsAWrongKernel:
-    """A C source that is subtly wrong must fail the self-probe by name, bind
-    no hook, and leave ``auto`` encoding on the reference."""
-
-    @pytest.mark.parametrize(
-        "right,wrong,named",
-        [
-            # Halves rounded away from zero instead of to even.
-            ("return copysign((fabs(x) + 0x1.8p52) - 0x1.8p52, x);", "return round(x);", "quantize_cost"),
-            # Candidates cut at half a step: complete at the probe that
-            # compacted them, short for every probe below it.
-            ("#define ZERO_CUT 0.25", "#define ZERO_CUT 0.5", "rate_counter"),
-            # A skipped block priced at half a bit.
-            ("#define SKIP_BLOCK_BITS 0.25", "#define SKIP_BLOCK_BITS 0.5", "quantize_cost"),
-        ],
-        ids=["round-half-away", "cut-at-half-a-step", "skip-overhead"],
-    )
-    def test_broken_source_marks_cext_unavailable(self, right, wrong, named, monkeypatch, tmp_path):
-        if "cext" not in kernels.available_backends():
-            pytest.skip(f"cext: {kernels.backend('cext').why_unavailable()}")
-        assert cext._C_SOURCE.count(right) == 1
-        # The patched source hashes to its own object; keep it out of the real cache.
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(cext, "_C_SOURCE", cext._C_SOURCE.replace(right, wrong))
-        monkeypatch.setattr(kernels, "_active", None)
-        broken = cext.CExtBackend()
-        monkeypatch.setitem(kernels._instances, "cext", broken)
-
-        assert not broken.available()
-        reason = broken.why_unavailable()
-        assert "self-probe" in reason and named in reason, reason
-        assert all(getattr(broken, name) is None for name in kernels.KERNEL_NAMES)
-        with pytest.raises(RuntimeError, match=named):
-            kernels.activate("cext")
-        with kernels.use_backend(kernels.AUTO) as chosen:
-            assert chosen.name == "numpy"
-            encoder, decoder = VideoEncoder(), VideoDecoder()
-            for seed in range(2):
-                encoded = encoder.encode(np.clip(_prediction((3, 4), seed=seed), 0.0, 255.0), target_bits=15_000.0)
-                _same(decoder.decode(encoded), encoded.reconstruction)
-        assert encoded.frame_type == "P"
 
 
 # ---------------------------------------------------------------------------
