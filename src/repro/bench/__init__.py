@@ -3,7 +3,7 @@
 A registry of micro benchmarks, one per hot path (ME search per method,
 motion compensation, DCT+quant round trip, rate control, the I-frame
 wavefront, a rendered frame, foreground clustering, RANSAC rotation fit,
-telemetry recording, the linter), measured with warmup/repeat wall-clock
+telemetry recording), measured with warmup/repeat wall-clock
 (:func:`~repro.bench.measure.measure`) and tracemalloc peak memory, and
 printed as one table (or one JSON document).  End-to-end speed of the
 batch, stream and fleet drivers — and every regression verdict — is the

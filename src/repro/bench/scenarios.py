@@ -319,37 +319,3 @@ def _build_flight_recorder(scale: BenchScale) -> BenchCase:
         return recorder.digest()
 
     return BenchCase(fn=fn, work={"events": float(n)})
-
-
-# -- static analysis --------------------------------------------------------
-
-
-@benchmark("check/analyze_tree", group="check")
-def _build_analyze_tree(scale: BenchScale) -> BenchCase:
-    """Full semantic lint of the shipped ``repro`` package.
-
-    Sources are read once at build time so the timed iteration is pure
-    analysis: parse, project symbol table, call graph, dataflow and the
-    complete S001-S014 rule set over every module.  Guards the semantic
-    layer against superlinear regressions as the tree grows.
-    """
-    from pathlib import Path
-
-    from repro.check import check_source
-    from repro.check.symbols import ProjectModel
-
-    src_root = Path(__file__).resolve().parents[2]
-    paths = sorted((src_root / "repro").rglob("*.py"))
-    sources = {
-        str(p.relative_to(src_root.parent)): p.read_text(encoding="utf-8") for p in paths
-    }
-    lines = sum(source.count("\n") for source in sources.values())
-
-    def fn() -> int:
-        project = ProjectModel.from_sources(sources)
-        total = 0
-        for path, source in sources.items():
-            total += len(check_source(source, path=path, project=project))
-        return total
-
-    return BenchCase(fn=fn, work={"files": float(len(sources)), "kloc": lines / 1000.0})

@@ -1,11 +1,11 @@
-"""S012 — lock discipline for state shared across threads.
+"""S012 — lock discipline in the classes that own a lock.
 
 A stream run is a plain call chain on one thread, but `MetricsRegistry`,
 `FlightRecorder`, `ScoredClip` and `CExtBackend` still guard mutable
 state with ``threading`` locks — against ``repro top``'s dashboard thread
 and a fleet's ``agent_workers`` pool.  A per-node linter cannot tell a
-guarded access from a racy one; this analyzer reasons over whole classes
-and the call graph:
+guarded access from a racy one; this rule reasons over one class at a
+time:
 
 1. **Unlocked access to guarded attributes.**  For every class that owns
    a lock (``self._lock = threading.Lock()/RLock()/Condition()``), the
@@ -21,26 +21,20 @@ and the call graph:
    attributes (constructor-resolved, so ``dict.get`` is untouched)
    inside a lock scope invite convoying and deadlock.  Waiting on the
    lock's own Condition (``self._cond.wait()``) is of course allowed.
-3. **Wall clock reachable from stream code.**  Any function or method in
-   a ``stream/`` module from which ``time.time()``/``time.monotonic()``
-   is reachable through the call graph is flagged — streaming decisions
-   must come from the :class:`~repro.stream.clock.VirtualClock` or the
-   determinism guarantee dies.  ``time.perf_counter()`` is sanctioned
-   (``wall_time`` and span timing measure real elapsed time on purpose).
 
-Suppress deliberate exceptions with ``# repro: noqa[S012]``.
+Lock and queue constructors resolve through the module's own imports
+(``from threading import Lock`` works); every lock in ``src/`` is built in
+the module whose class owns it.  Suppress deliberate exceptions with
+``# repro: noqa[S012]``.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from repro.check.callgraph import CallSite, build_callgraph, describe_chain
 from repro.check.engine import ModuleContext, Rule, dotted_name, register
-from repro.check.symbols import ClassInfo, ModuleInfo, ProjectModel
 
 __all__ = ["LockDisciplineRule"]
 
@@ -54,14 +48,6 @@ _MUTATORS = frozenset(
         "pop", "popleft", "popitem", "clear", "update", "setdefault",
     }
 )
-
-#: Wall-clock reads that must never feed streaming decisions.
-_WALL_CLOCKS = frozenset({"time.time", "time.monotonic"})
-
-
-def _canonical(project: ProjectModel, module: ModuleInfo, name: str) -> str:
-    resolved = project.resolve(module, name)
-    return name if resolved is None else resolved[1]
 
 
 @dataclass
@@ -91,6 +77,25 @@ def _self_attr(node: ast.AST) -> str | None:
     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self":
         return node.attr
     return None
+
+
+def _attr_ctors(methods: Iterable[ast.AST]) -> dict[str, str]:
+    """``self.<attr> = Ctor(...)`` anywhere in the methods: attr → ``Ctor``
+    as written (first assignment wins)."""
+    ctors: dict[str, str] = {}
+    for method in methods:
+        for sub in ast.walk(method):
+            if isinstance(sub, ast.Assign) and len(sub.targets) == 1:
+                target, value = sub.targets[0], sub.value
+            elif isinstance(sub, ast.AnnAssign) and sub.value is not None:
+                target, value = sub.target, sub.value
+            else:
+                continue
+            attr = _self_attr(target)
+            ctor = dotted_name(value.func) if isinstance(value, ast.Call) else None
+            if attr is not None and ctor:
+                ctors.setdefault(attr, ctor)
+    return ctors
 
 
 class _MethodScanner:
@@ -253,45 +258,20 @@ class LockDisciplineRule(Rule):
     severity = "error"
     description = (
         "attributes mutated under a class's lock must never be touched "
-        "outside it; no blocking calls while a lock is held; no wall-clock "
-        "reachable from stream code (use the VirtualClock)."
+        "outside it; no blocking calls while a lock is held."
     )
-    scope = ("repro",)
-    requires_project = True
+    node_types = (ast.ClassDef,)
 
-    def module_check(self, tree: ast.Module, ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
-        project = ctx.project
-        if not isinstance(project, ProjectModel):
-            return
-        module = project.module_for(ctx.path)
-        if module is None:
-            return
-        for cls in module.classes.values():
-            yield from self._check_class(project, module, cls)
-        if "stream" in Path(ctx.path).parts:
-            yield from self._check_wallclock(project, module)
-
-    # ------------------------------------------------------- lock discipline
-
-    def _check_class(
-        self, project: ProjectModel, module: ModuleInfo, cls: ClassInfo
-    ) -> Iterator[tuple[ast.AST, str]]:
-        lock_attrs = frozenset(
-            attr
-            for attr, ctor in cls.attr_ctors.items()
-            if _canonical(project, module, ctor) in _LOCK_CTORS
-        )
+    def check(self, node: ast.ClassDef, ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
+        methods = {
+            stmt.name: stmt for stmt in node.body if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        ctors = {attr: ctx.resolve(ctor) for attr, ctor in _attr_ctors(methods.values()).items()}
+        lock_attrs = frozenset(attr for attr, ctor in ctors.items() if ctor in _LOCK_CTORS)
         if not lock_attrs:
             return
-        queue_attrs = frozenset(
-            attr
-            for attr, ctor in cls.attr_ctors.items()
-            if _canonical(project, module, ctor).rsplit(".", 1)[-1].endswith("Queue")
-        )
-        scans = {
-            name: _MethodScanner(lock_attrs, queue_attrs).run(info.node)
-            for name, info in cls.methods.items()
-        }
+        queue_attrs = frozenset(attr for attr, ctor in ctors.items() if ctor.rsplit(".", 1)[-1].endswith("Queue"))
+        scans = {name: _MethodScanner(lock_attrs, queue_attrs).run(func) for name, func in methods.items()}
         locked_helpers = _locked_only_helpers(scans)
 
         guarded: dict[str, str] = {}  # attr -> the lock that guards it
@@ -314,7 +294,7 @@ class LockDisciplineRule(Rule):
                     continue
                 seen.add(access.attr)
                 yield access.node, (
-                    f"'{cls.name}.{access.attr}' is mutated under 'self.{lock}' but "
+                    f"'{node.name}.{access.attr}' is mutated under 'self.{lock}' but "
                     f"accessed without it in {method}() — racy shared state"
                 )
 
@@ -325,38 +305,5 @@ class LockDisciplineRule(Rule):
                 if lock is not None:
                     yield blocking.node, (
                         f"blocking call {blocking.what} while holding 'self.{lock}' in "
-                        f"{cls.name}.{method}() — convoys every contending thread"
+                        f"{node.name}.{method}() — convoys every contending thread"
                     )
-
-    # ------------------------------------------------------ wall-clock reach
-
-    @staticmethod
-    def _in_stream(project: ProjectModel, qualname: str) -> bool:
-        fn = project.functions.get(qualname)
-        mod = project.modules.get(fn.module) if fn else None
-        return mod is not None and "stream" in Path(mod.path).parts
-
-    def _check_wallclock(
-        self, project: ProjectModel, module: ModuleInfo
-    ) -> Iterator[tuple[ast.AST, str]]:
-        graph = build_callgraph(project)
-
-        def is_wall(site: CallSite) -> bool:
-            return not site.internal and site.callee in _WALL_CLOCKS
-
-        targets = list(module.functions.values())
-        for cls in module.classes.values():
-            targets.extend(cls.methods.values())
-        for fn in targets:
-            chain = graph.reach(fn.qualname, is_wall)
-            if chain is None:
-                continue
-            # Report at the boundary: if the first hop stays inside stream
-            # code, that callee gets its own (shorter-chain) finding.
-            if chain[0].internal and self._in_stream(project, chain[0].callee):
-                continue
-            yield chain[0].node, (
-                f"{fn.name}() reaches wall clock via {describe_chain(chain)}; "
-                "streaming decisions must come from the VirtualClock "
-                "(time.perf_counter() is fine for reporting elapsed time)"
-            )

@@ -1,31 +1,32 @@
 """Pluggable AST-based static-analysis engine.
 
 Generic linters know nothing about the invariants DiVE's correctness rests
-on — seeded randomness (the golden e2e digest depends on it), bits vs.
-bytes in rate control, QP bounds, macroblock-aligned shapes, monotonic
-clocks in hot paths.  This engine machine-checks them:
+on — seeded randomness (the golden digests depend on it), explicit codec
+dtypes, hoisted codec buffers, lock discipline in the few classes that own
+a lock.  This engine machine-checks them:
 
 - a :class:`Rule` declares the AST node types it wants, an id/severity, a
-  path scope (e.g. only ``codec/`` files) and a ``check`` method yielding
-  ``(node, message)`` pairs;
+  path scope (e.g. only ``codec/`` modules of the ``repro`` package) and a
+  ``check`` method yielding ``(node, message)`` pairs;
 - :func:`check_source` parses one module and dispatches every node to the
   applicable rules in a single walk;
 - inline ``# repro: noqa[S001]`` comments (or bare ``# repro: noqa``)
   suppress findings on their line;
 - :func:`check_paths` recurses into directories and lints every ``*.py``.
 
-Rules register themselves with :func:`register`; see
-:mod:`repro.check.rules` for the DiVE-specific rule set and
-:mod:`repro.check.report` for the text/JSON reporters.
+Every rule is module-local: names resolve through the module's own
+imports (:meth:`ModuleContext.resolve`), never across modules.  Rules
+register themselves with :func:`register`; see :mod:`repro.check.rules`
+for the rule set and :mod:`repro.check.report` for the reporters.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "CheckResult",
@@ -48,6 +49,9 @@ _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<rules>[A-Za-z0-9_\s,]+)\])?")
 
 #: Directory names never descended into by :func:`iter_python_files`.
 _SKIP_DIRS = {"__pycache__", ".git", ".ruff_cache", ".pytest_cache", "build", "dist"}
+
+#: The package whose subdirectories rule scopes name.
+_PACKAGE = "repro"
 
 
 @dataclass(frozen=True)
@@ -82,17 +86,32 @@ class ModuleContext:
 
     path: str
     lines: tuple[str, ...]
-    #: The :class:`repro.check.symbols.ProjectModel` covering the lint run,
-    #: present whenever an active rule sets ``requires_project``.
-    project: Any | None = None
+    #: Local name → dotted import target (``np`` → ``numpy``,
+    #: ``Lock`` → ``threading.Lock``), from every import in the module.
+    imports: Mapping[str, str] = field(default_factory=dict)
 
     @property
-    def parts(self) -> tuple[str, ...]:
-        return Path(self.path).parts
+    def package_dirs(self) -> tuple[str, ...]:
+        """The module's directories inside the ``repro`` package.
 
-    @property
-    def filename(self) -> str:
-        return Path(self.path).name
+        Anchored at the last ``repro`` directory of the path, so the
+        folders a checkout happens to sit in never match a scope:
+        ``/x/codec/repro/src/repro/codec/enc.py`` → ``("codec",)``,
+        ``/x/codec/repro/tests/t.py`` → ``("tests",)``.  Empty for a
+        module outside any ``repro`` directory.
+        """
+        dirs = Path(self.path).parts[:-1]
+        if _PACKAGE not in dirs:
+            return ()
+        return dirs[len(dirs) - dirs[::-1].index(_PACKAGE):]
+
+    def resolve(self, name: str) -> str:
+        """``name`` with its head expanded through the module's imports
+        (``np.random.rand`` → ``numpy.random.rand``); unchanged when the
+        head is not an imported name."""
+        head, sep, rest = name.partition(".")
+        target = self.imports.get(head)
+        return name if target is None else target + sep + rest
 
 
 class Rule:
@@ -112,17 +131,11 @@ class Rule:
         ``"error"`` or ``"warning"`` (both gate the exit code; the split
         exists for reporting and future policy).
     scope:
-        Path parts (directory names) the rule is limited to; empty means
+        Directories of the ``repro`` package (``"codec"``) the rule is
+        limited to (see :attr:`ModuleContext.package_dirs`); empty means
         the rule applies everywhere.
-    exclude_files:
-        Basenames the rule never applies to (e.g. the module that is
-        *allowed* to print).
     node_types:
         AST node classes dispatched to :meth:`check`.
-    requires_project:
-        True for semantic rules that need ``ctx.project`` (a
-        :class:`~repro.check.symbols.ProjectModel`); the engine then
-        builds one over the whole path set before dispatch.
     """
 
     id: str = ""
@@ -130,24 +143,13 @@ class Rule:
     severity: str = "error"
     description: str = ""
     scope: tuple[str, ...] = ()
-    exclude_files: tuple[str, ...] = ()
     node_types: tuple[type, ...] = ()
-    requires_project: bool = False
 
     def applies_to(self, ctx: ModuleContext) -> bool:
-        if ctx.filename in self.exclude_files:
-            return False
-        if not self.scope:
-            return True
-        parts = ctx.parts
-        return any(part in parts for part in self.scope)
+        return not self.scope or any(part in ctx.package_dirs for part in self.scope)
 
     def check(self, node: ast.AST, ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
         raise NotImplementedError
-
-    def module_check(self, tree: ast.Module, ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
-        """Optional whole-module pass (runs once, before node dispatch)."""
-        return iter(())
 
 
 _REGISTRY: dict[str, type[Rule]] = {}
@@ -169,9 +171,7 @@ def register(cls: type[Rule]) -> type[Rule]:
 def all_rules() -> list[Rule]:
     """Fresh instances of every registered rule, ordered by id."""
     import repro.check.concurrency  # noqa: F401  (registers S012)
-    import repro.check.determinism  # noqa: F401  (registers S014)
-    import repro.check.rules  # noqa: F401  (registers the built-in rules)
-    import repro.check.units  # noqa: F401  (registers S013)
+    import repro.check.rules  # noqa: F401  (registers S001, S003, S011)
 
     return [cls() for _, cls in sorted(_REGISTRY.items())]
 
@@ -186,6 +186,25 @@ def dotted_name(node: ast.AST) -> str | None:
         return None
     parts.append(node.id)
     return ".".join(reversed(parts))
+
+
+def _imports(nodes: Iterable[ast.AST]) -> dict[str, str]:
+    """Local name → dotted target for every import among ``nodes``.
+
+    A relative ``from .m import X`` maps ``X`` to ``m.X``: rules only
+    read the tail of such names.
+    """
+    imports: dict[str, str] = {}
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head = alias.name.split(".", 1)[0]
+                imports[alias.asname or head] = alias.name if alias.asname else head
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                if alias.name != "*":
+                    imports[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return imports
 
 
 def _noqa_rules_for_line(line: str) -> set[str] | None:
@@ -212,27 +231,15 @@ def _suppressed(finding: Finding, lines: Sequence[str]) -> bool:
     return not rules or finding.rule in rules
 
 
-def check_source(
-    source: str,
-    *,
-    path: str = "<string>",
-    rules: Iterable[Rule] | None = None,
-    project: Any | None = None,
-) -> list[Finding]:
+def check_source(source: str, *, path: str = "<string>", rules: Iterable[Rule] | None = None) -> list[Finding]:
     """Lint one module's source text.
 
     ``path`` is used both for reporting and for rule path-scoping, so
     tests can exercise scoped rules by passing e.g.
     ``path="src/repro/codec/x.py"``.  A syntax error is itself reported as
     a finding (rule ``E999``) rather than raised.
-
-    ``project`` is the :class:`~repro.check.symbols.ProjectModel` for
-    multi-file runs; when omitted and a ``requires_project`` rule is
-    active, a single-module model is built from this source so the
-    semantic rules still work on isolated snippets (cross-module
-    resolution is simply absent).
     """
-    ctx = ModuleContext(path=path, lines=tuple(source.splitlines()))
+    lines = tuple(source.splitlines())
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -246,62 +253,56 @@ def check_source(
                 message=f"syntax error: {exc.msg}",
             )
         ]
-    active = [r for r in (all_rules() if rules is None else rules) if r.applies_to(ctx)]
-    if not active:
-        return []
-    if any(r.requires_project for r in active):
-        if project is None:
-            from repro.check.symbols import ProjectModel
-
-            project = ProjectModel()
-            project.add_module(path, tree)
-        ctx = ModuleContext(path=path, lines=ctx.lines, project=project)
-
+    nodes = list(ast.walk(tree))
+    ctx = ModuleContext(path=path, lines=lines, imports=_imports(nodes))
     dispatch: dict[type, list[Rule]] = {}
-    findings: list[Finding] = []
+    for rule in all_rules() if rules is None else rules:
+        if rule.applies_to(ctx):
+            for node_type in rule.node_types:
+                dispatch.setdefault(node_type, []).append(rule)
 
-    def emit(rule: Rule, node: ast.AST, message: str) -> None:
-        findings.append(
-            Finding(
-                rule=rule.id,
-                severity=rule.severity,
-                path=path,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0),
-                message=message,
-            )
+    findings = [
+        Finding(
+            rule=rule.id,
+            severity=rule.severity,
+            path=path,
+            line=getattr(found, "lineno", 1),
+            col=getattr(found, "col_offset", 0),
+            message=message,
         )
-
-    for rule in active:
-        for found_node, message in rule.module_check(tree, ctx):
-            emit(rule, found_node, message)
-        for node_type in rule.node_types:
-            dispatch.setdefault(node_type, []).append(rule)
-
-    if dispatch:
-        for node in ast.walk(tree):
-            for rule in dispatch.get(type(node), ()):
-                for found_node, message in rule.check(node, ctx):
-                    emit(rule, found_node, message)
-
-    findings = [f for f in findings if not _suppressed(f, ctx.lines)]
+        for node in nodes
+        for rule in dispatch.get(type(node), ())
+        for found, message in rule.check(node, ctx)
+    ]
+    findings = [f for f in findings if not _suppressed(f, lines)]
     findings.sort(key=lambda f: f.sort_key)
     return findings
 
 
-def check_file(
-    path: str | Path,
-    *,
-    rules: Iterable[Rule] | None = None,
-    project: Any | None = None,
-) -> list[Finding]:
-    """Lint one file on disk."""
+def check_file(path: str | Path, *, rules: Iterable[Rule] | None = None) -> list[Finding]:
+    """Lint one file on disk.
+
+    Raises
+    ------
+    OSError
+        The file cannot be read.
+    ValueError
+        The file is not valid UTF-8 (the message names the file).
+    """
     p = Path(path)
-    return check_source(p.read_text(encoding="utf-8"), path=str(p), rules=rules, project=project)
+    try:
+        source = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{p}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+    return check_source(source, path=str(p), rules=rules)
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
-    """Expand files/directories into a deterministic list of ``*.py`` files."""
+    """Expand files/directories into a deterministic list of ``*.py`` files.
+
+    Raises :class:`FileNotFoundError` naming the first path that does not
+    exist, before anything is yielded for it.
+    """
     seen: set[Path] = set()
     for raw in paths:
         p = Path(raw)
@@ -309,8 +310,10 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             candidates = sorted(
                 f for f in p.rglob("*.py") if not (set(f.parts) & _SKIP_DIRS)
             )
-        else:
+        elif p.exists():
             candidates = [p]
+        else:
+            raise FileNotFoundError(f"{raw}: no such file or directory")
         for f in candidates:
             if f not in seen:
                 seen.add(f)
@@ -332,20 +335,12 @@ class CheckResult:
 def check_paths(paths: Iterable[str | Path], *, rules: Iterable[Rule] | None = None) -> CheckResult:
     """Lint every python file under ``paths`` (files and/or directories).
 
-    When any rule sets ``requires_project``, one
-    :class:`~repro.check.symbols.ProjectModel` is built over the whole
-    path set first, so semantic rules resolve names across every file in
-    the run (aliased imports, cross-module factories, base classes).
+    Raises :class:`FileNotFoundError` for a path that does not exist and
+    :class:`ValueError` for a file that is not valid UTF-8; both name the
+    path.
     """
     rule_list = list(all_rules() if rules is None else rules)
     files = list(iter_python_files(paths))
-    project = None
-    if any(r.requires_project for r in rule_list):
-        from repro.check.symbols import ProjectModel
-
-        project = ProjectModel.from_paths(files)
-    findings: list[Finding] = []
-    for f in files:
-        findings.extend(check_file(f, rules=rule_list, project=project))
+    findings = [finding for f in files for finding in check_file(f, rules=rule_list)]
     findings.sort(key=lambda f: f.sort_key)
     return CheckResult(findings=findings, files_checked=len(files))

@@ -389,7 +389,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
         print(rule_table())
         return 0
-    result = check_paths(args.paths)
+    try:
+        result = check_paths(args.paths)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(render_json(result) if args.format == "json" else render_text(result))
     return 0 if result.ok else 1
 

@@ -90,7 +90,7 @@ class EdgeServer:
         self.tracer = tracer
         self.sanitizer = sanitizer
         self.metrics = metrics
-        # Instruments hoisted out of the per-request path (lint S015).
+        # Instruments hoisted out of the per-request path.
         self._m_requests = metrics.counter(
             "edge_requests", help="inference requests by entry point")
         self._m_batch = metrics.gauge(

@@ -10,7 +10,7 @@ turned away.  Two pieces model that:
   ``EdgeServer``; results are unchanged (the agent's optimistic
   timeline, exactly as in a solo run) while every inference request is
   logged for the truth-side replay.  This wrapper is the only fleet
-  module allowed to call ``EdgeServer.process*`` directly (lint S016).
+  module that calls ``EdgeServer.process*`` directly.
 - :class:`BatchingEdgeServer` — the *truth* side.  A discrete-event
   replay of the pooled, arrival-sorted requests: admitted requests wait
   in one FIFO queue; a batch dispatches as soon as a worker is free and
@@ -247,7 +247,7 @@ class BatchingEdgeServer:
         waiting: deque[tuple[FleetRequest, bool]] = deque()
         outcomes: list[RequestOutcome] = []
 
-        # Hoisted instruments (lint S015); serve() is single-threaded so
+        # Hoisted instruments; serve() is single-threaded so
         # recording order is deterministic.
         metrics = self.metrics
         m_batch = metrics.histogram(

@@ -167,8 +167,8 @@ class Instrument:
     ``set`` / ``observe`` on the instrument hit the ``labels()``-less
     series, and :meth:`labels` returns (creating on first use) the child
     for a specific label set.  Create instruments once, outside per-frame
-    loops, and keep the returned handles — lint rule S015 flags
-    lookup-by-name inside frame loops.
+    loops, and keep the returned handles: a lookup by name takes the
+    registry lock.
     """
 
     kind = ""

@@ -106,7 +106,7 @@ class BackpressureQueue:
     metrics:
         A :class:`~repro.metrics.MetricsRegistry` (default: the shared
         no-op).  Instruments are hoisted here — created once per queue,
-        never inside the per-frame path (lint rule S015) — and record
+        never inside the per-frame path — and record
         only virtual-time quantities, so timelines are identical across
         reruns.
     flight:
@@ -149,7 +149,7 @@ class BackpressureQueue:
         self._metrics = metrics
         self._flight = flight
         self._full_streak = 0
-        # Instruments hoisted out of the per-frame path (S015): the null
+        # Instruments hoisted out of the per-frame path: the null
         # registry hands back shared inert singletons, so this costs
         # nothing when metrics are off.
         self._m_depth = metrics.gauge(

@@ -102,7 +102,7 @@ class _StreamClip:
         self._clip = clip
         self._clock = clock
         self._metrics = metrics
-        # Hoisted (S015); counted at the frame's virtual capture time.
+        # Hoisted; counted at the frame's virtual capture time.
         self._m_captured = metrics.counter(
             "stream_frames_captured", help="frames handed to the agent by capture")
         self._captured: set[int] = set()
@@ -292,7 +292,7 @@ class StreamRunner:
         # Per-frame verdict telemetry.  Reconciliation is single-threaded
         # and iterates frames in index order, so recording order (and the
         # deadline-burst trigger point) is deterministic.  Instruments are
-        # hoisted out of the frame loop (lint S015); the shared no-ops
+        # hoisted out of the frame loop; the shared no-ops
         # make this free when telemetry is off.
         metrics, flight = self.metrics, self.flight
         m_status = metrics.counter(

@@ -1,16 +1,22 @@
 """Tests for the repro.check static-analysis engine and rule set.
 
-Every rule gets one true-positive and one true-negative fixture snippet,
+Every rule keeps the bug it earned its place on: the ``*-117c3aa`` cases
+are the three lines the linter caught in the tree it first ran on, and
+``S012-flight`` is today's ``metrics/flight.py`` with the lock removed
+around one ``recorded`` read.  Cases named after a deleted rule (S002,
+S010, S014) are that rule's fixtures, now caught by S001.  Each case is
 checked through :func:`repro.check.check_source` with a path chosen to
 satisfy the rule's scope.  The shipped tree itself must lint clean.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.check import (
+    CheckResult,
     Finding,
     all_rules,
     check_paths,
@@ -22,64 +28,96 @@ from repro.check import (
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-#: rule id -> (scoped path, true-positive snippet, true-negative snippet)
+_FLIGHT = (REPO_ROOT / "src/repro/metrics/flight.py").read_text(encoding="utf-8")
+_LOCKED_READ = "        with self._lock:\n            return self._recorded\n"
+
+_WALLCLOCK_HELPER = "import time\ndef stamp():\n    return time.time()\n"
+
+#: case id -> (rule that must fire, scoped path, true positive, true negative)
 FIXTURES = {
     "S001": (
+        "S001",
         "src/repro/utils/x.py",
-        "import numpy as np\nrng = np.random.default_rng()\n",
+        "import numpy as np\ndef encode(frame):\n    return frame + np.random.default_rng().standard_normal()\n",
         "import numpy as np\nrng = np.random.default_rng(42)\n",
     ),
+    "S001-ransac-117c3aa": (
+        "S001",
+        "src/repro/utils/ransac.py",
+        (
+            "import numpy as np\n"
+            "def ransac_linear(a, b, rng=None):\n"
+            "    if rng is None:\n"
+            "        rng = np.random.default_rng()\n"
+        ),
+        (
+            "import numpy as np\n"
+            "def ransac_linear(a, b, rng=None):\n"
+            "    if rng is None:\n"
+            "        rng = np.random.default_rng(0)\n"
+        ),
+    ),
+    "S001-trajectory-117c3aa": (
+        "S001",
+        "src/repro/world/trajectory.py",
+        (
+            "import numpy as np\n"
+            "class EgoTrajectory:\n"
+            "    def imu_samples(self, gyro_noise=0.0, rng=None):\n"
+            "        if gyro_noise > 0.0:\n"
+            "            if rng is None:\n"
+            "                rng = np.random.default_rng()\n"
+        ),
+        (
+            "import numpy as np\n"
+            "class EgoTrajectory:\n"
+            "    def imu_samples(self, gyro_noise=0.0, rng=None, seed=None):\n"
+            "        if gyro_noise > 0.0:\n"
+            "            if rng is None:\n"
+            "                rng = np.random.default_rng(seed)\n"
+        ),
+    ),
     "S002": (
+        "S001",
         "src/repro/codec/x.py",
         "import time\nstart = time.time()\n",
         "import time\nstart = time.perf_counter()\n",
     ),
     "S003": (
+        "S003",
         "src/repro/codec/x.py",
         "import numpy as np\nbuf = np.zeros((4, 4))\n",
         "import numpy as np\nbuf = np.zeros((4, 4), dtype=np.float32)\n",
     ),
-    "S004": (
-        "src/repro/core/x.py",
-        "base_qp = 90\n",
-        "base_qp = 30\n",
-    ),
-    "S005": (
-        "src/repro/network/x.py",
-        "size_bytes = total_bits + header_bits\n",
-        "size_bytes = (total_bits + header_bits) / 8\n",
-    ),
-    "S006": (
-        "src/repro/utils/x.py",
-        "def f(items=[]):\n    return items\n",
-        "def f(items=None):\n    return items or []\n",
-    ),
-    "S007": (
-        "src/repro/utils/x.py",
-        "try:\n    g()\nexcept:\n    pass\n",
-        "try:\n    g()\nexcept ValueError:\n    pass\n",
-    ),
-    "S008": (
-        "src/repro/core/x.py",
-        "def run(clip):\n    for i in range(clip.n_frames):\n        process(clip.frame(i))\n",
+    "S003-encoder-117c3aa": (
+        "S003",
+        "src/repro/codec/encoder.py",
         (
-            "def run(clip, tracer):\n"
-            "    for i in range(clip.n_frames):\n"
-            "        with tracer.span('frame'):\n"
-            "            process(clip.frame(i))\n"
+            "import numpy as np\n"
+            "class VideoEncoder:\n"
+            "    def encode(self, frame, qp_offsets=None):\n"
+            "        mb_shape = (frame.shape[0] // 16, frame.shape[1] // 16)\n"
+            "        offsets = np.zeros(mb_shape) if qp_offsets is None else np.asarray(qp_offsets, dtype=float)\n"
+        ),
+        (
+            "import numpy as np\n"
+            "class VideoEncoder:\n"
+            "    def encode(self, frame, qp_offsets=None):\n"
+            "        mb_shape = (frame.shape[0] // 16, frame.shape[1] // 16)\n"
+            "        offsets = (\n"
+            "            np.zeros(mb_shape, dtype=np.float64) if qp_offsets is None\n"
+            "            else np.asarray(qp_offsets, dtype=np.float64)\n"
+            "        )\n"
         ),
     ),
-    "S009": (
-        "src/repro/analysis/x.py",
-        "def report(x):\n    print(x)\n",
-        "def report(x):\n    return str(x)\n",
-    ),
     "S010": (
+        "S001",
         "src/repro/utils/x.py",
         "import random\n",
         "import numpy as np\n",
     ),
     "S011": (
+        "S011",
         "src/repro/codec/x.py",
         (
             "import numpy as np\n"
@@ -97,6 +135,7 @@ FIXTURES = {
         ),
     ),
     "S012": (
+        "S012",
         "src/repro/stream/x.py",
         (
             "import threading\n"
@@ -124,60 +163,20 @@ FIXTURES = {
             "            return self._n\n"
         ),
     ),
-    "S013": (
-        "src/repro/network/x.py",
-        (
-            "def frame_budget(header_bits, size_bytes):\n"
-            "    payload = size_bytes\n"
-            "    return header_bits + payload\n"
-        ),
-        (
-            "def frame_budget(header_bits, size_bytes):\n"
-            "    payload = size_bytes * 8\n"
-            "    return header_bits + payload\n"
-        ),
+    "S012-flight": (
+        "S012",
+        "src/repro/metrics/flight.py",
+        _FLIGHT.replace(_LOCKED_READ, "        return self._recorded\n"),
+        _FLIGHT,
     ),
-    "S015": (
-        "src/repro/stream/x.py",
-        (
-            "def pump(frames, metrics, t):\n"
-            "    for fr in frames:\n"
-            "        metrics.counter('frames_seen').inc(1.0, at=t)\n"
-        ),
-        (
-            "def pump(frames, metrics, tracer, t):\n"
-            "    seen = metrics.counter('frames_seen')\n"
-            "    for fr in frames:\n"
-            "        seen.inc(1.0, at=t)\n"
-            "        tracer.gauge('qp', 31.0)\n"
-        ),
-    ),
-    "S016": (
-        "src/repro/fleet/x.py",
-        (
-            "def settle(server, encoded, record, t):\n"
-            "    return server.process(encoded, record, arrival_time=t)\n"
-        ),
-        (
-            "def settle(batcher, requests):\n"
-            "    return batcher.serve(requests)\n"
-        ),
-    ),
-    "S017": (
-        "src/repro/experiments/x.py",
-        (
-            "from repro.codec.motion import _exhaustive_search\n"
-            "def search(cur, ref):\n"
-            "    return _exhaustive_search(cur, ref, search_range=8, block=16,\n"
-            "                              lambda_mv=4.0, transformed=False, subpel=True)\n"
-        ),
-        (
-            "from repro.codec.motion import estimate_motion\n"
-            "def search(cur, ref):\n"
-            "    return estimate_motion(cur, ref, method='esa', search_range=8)\n"
-        ),
+    "S012-wallclock": (
+        "S001",
+        "src/repro/utils/timeutil.py",
+        _WALLCLOCK_HELPER,
+        _WALLCLOCK_HELPER.replace("time.time()", "time.perf_counter()"),
     ),
     "S014": (
+        "S001",
         "src/repro/codec/x.py",
         (
             "import numpy as np\n"
@@ -194,42 +193,41 @@ FIXTURES = {
             "    return frame + jitter(rng, 0.5)\n"
         ),
     ),
+    "S014-datetime": (
+        "S001",
+        "src/repro/codec/x.py",
+        (
+            "import datetime\n"
+            "def tag():\n"
+            "    return datetime.datetime.now()\n"
+            "def encode(frame):\n"
+            "    return (frame, tag())\n"
+        ),
+        "def encode(frame, at):\n    return (frame, at)\n",
+    ),
 }
 
 
 class TestRuleFixtures:
-    @pytest.mark.parametrize("rule_id", sorted(FIXTURES))
-    def test_true_positive(self, rule_id):
-        path, positive, _ = FIXTURES[rule_id]
+    @pytest.mark.parametrize("case", sorted(FIXTURES))
+    def test_true_positive(self, case):
+        rule_id, path, positive, negative = FIXTURES[case]
+        assert positive != negative, f"{case}: the fixture's mutation no longer applies"
         findings = check_source(positive, path=path)
-        assert rule_id in {f.rule for f in findings}, f"{rule_id} missed its fixture"
+        assert rule_id in {f.rule for f in findings}, f"{rule_id} missed {case}"
 
-    @pytest.mark.parametrize("rule_id", sorted(FIXTURES))
-    def test_true_negative(self, rule_id):
-        path, _, negative = FIXTURES[rule_id]
+    @pytest.mark.parametrize("case", sorted(FIXTURES))
+    def test_true_negative(self, case):
+        rule_id, path, _, negative = FIXTURES[case]
         findings = check_source(negative, path=path)
-        assert rule_id not in {f.rule for f in findings}, f"{rule_id} false positive"
+        assert findings == [], f"false positive on {case}: {findings}"
 
     def test_every_registered_rule_has_a_fixture(self):
-        assert {r.id for r in all_rules()} == set(FIXTURES)
+        assert [r.id for r in all_rules()] == ["S001", "S003", "S011", "S012"]
+        assert {rule for rule, *_ in FIXTURES.values()} == {r.id for r in all_rules()}
 
 
 class TestRuleDetails:
-    def test_metric_registry_constructed_in_loop_flagged(self):
-        src = "while pending:\n    registry = MetricsRegistry()\n"
-        findings = check_source(src, path="src/repro/stream/x.py")
-        assert "S015" in {f.rule for f in findings}
-
-    def test_tracer_gauge_sample_in_loop_not_flagged(self):
-        # Tracer.gauge(name, value) records a per-frame *sample*; only
-        # registry-receiver instrument lookups are the S015 smell.
-        src = "for fr in frames:\n    tr.gauge('server_detections', 3.0)\n"
-        assert check_source(src, path="src/repro/stream/x.py") == []
-
-    def test_metric_in_loop_out_of_scope_not_flagged(self):
-        src = "for fr in frames:\n    metrics.counter('n').inc(1.0, at=0.0)\n"
-        assert check_source(src, path="src/repro/edge/x.py") == []
-
     def test_legacy_np_random_flagged(self):
         findings = check_source("import numpy as np\nx = np.random.rand(3)\n", path="a.py")
         assert [f.rule for f in findings] == ["S001"]
@@ -238,51 +236,79 @@ class TestRuleDetails:
         src = "import numpy as np\nrng = np.random.default_rng(0)\nx = rng.normal(0, 1, 5)\n"
         assert check_source(src, path="a.py") == []
 
+    def test_entropy_wrapper_flagged_at_its_source_only(self):
+        src = (
+            "import numpy as np\n"
+            "def jitter(scale):\n"
+            "    return np.random.default_rng().standard_normal() * scale\n"
+            "def encode(frame):\n"
+            "    return frame + jitter(0.5)\n"
+        )
+        findings = check_source(src, path="src/repro/codec/x.py")
+        # One finding at the unseeded call inside the wrapper, none at its callers.
+        assert [(f.rule, f.line) for f in findings] == [("S001", 3)]
+
+    def test_seeded_rng_through_wrapper_not_flagged(self):
+        src = (
+            "import numpy as np\n"
+            "def jitter(scale):\n"
+            "    return np.random.default_rng(7).standard_normal() * scale\n"
+            "def encode(frame):\n"
+            "    return frame + jitter(0.5)\n"
+        )
+        assert check_source(src, path="src/repro/codec/x.py") == []
+
+    def test_direct_entropy_site_flagged_once(self):
+        src = "import numpy as np\ndef encode(frame):\n    return frame + np.random.default_rng().standard_normal()\n"
+        findings = check_source(src, path="src/repro/codec/x.py")
+        assert [(f.rule, f.line) for f in findings] == [("S001", 3)]
+
+    ENTROPY = {
+        "time-time": "from time import time\nstart = time()\n",
+        "time-monotonic": "import time as clock\nstart = clock.monotonic()\n",
+        "datetime-utcnow": "from datetime import datetime\nstamp = datetime.utcnow()\n",
+        "date-today": "import datetime as dt\nday = dt.date.today()\n",
+        "os-urandom": "from os import urandom\nkey = urandom(8)\n",
+        "uuid4": "import uuid\nname = uuid.uuid4()\n",
+        "secrets": "import secrets\n",
+        "random": "from random import choice\n",
+        "numpy-random": "from numpy import random\nx = random.normal(0, 1)\n",
+        "RandomState": "import numpy as np\nrs = np.random.RandomState(3)\n",
+    }
+
+    @pytest.mark.parametrize("source", sorted(ENTROPY))
+    def test_entropy_sources_resolved_through_imports(self, source):
+        assert [f.rule for f in check_source(self.ENTROPY[source], path="a.py")] == ["S001"]
+
+    def test_simulated_clock_now_not_flagged(self):
+        src = "def stamp(self):\n    return self.clock.now()\n"
+        assert check_source(src, path="src/repro/stream/x.py") == []
+
     def test_scope_limits_rule_to_directory(self):
-        src = "import time\nstart = time.time()\n"
+        src = "import numpy as np\nbuf = np.zeros((4, 4))\n"
         assert check_source(src, path="src/repro/codec/x.py")
         assert check_source(src, path="src/repro/analysis/x.py") == []
 
-    def test_kernel_internals_allowed_at_dispatch_sites_and_backends(self):
-        # codec/ holds the dispatch seams and kernels/ the backends — the
-        # two places that legitimately call the extracted internals.
-        src = "def f(ev, args):\n    return _descend_reference(ev, *args)\n"
-        assert check_source(src, path="src/repro/codec/motion.py") == []
-        assert check_source(src, path="src/repro/kernels/cext.py") == []
-        assert "S017" in {f.rule for f in check_source(src, path="src/repro/fleet/x.py")}
+    def test_scope_ignores_the_folders_a_checkout_sits_in(self, tmp_path, monkeypatch):
+        root = tmp_path / "codec" / "repro"
+        alloc = "import numpy as np\nfor i in range(3):\n    buf = np.zeros(8)\n"
+        for rel in ("src/repro/codec/enc.py", "src/repro/utils/u.py", "tests/test_codec.py",
+                    "benchmarks/bench_codec.py"):
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(alloc)
+        dirs = ["src", "tests", "benchmarks"]
 
-    def test_every_reference_body_is_flagged_outside_its_own_module(self):
-        # The fleet reaching for a transform reference skips cext; the
-        # renderer calling the reference it defines is its own dispatch site.
-        src = "from repro.codec.transform import _reconstruct_reference\nout = _reconstruct_reference(p, lv, qp)\n"
-        assert "S017" in {f.rule for f in check_source(src, path="src/repro/fleet/x.py")}
-        src = (
-            "def _render_surfaces(dirs, origin, scene, placed):\n"
-            "    return _render_surfaces_reference(dirs, origin, scene, placed)\n"
-            "def _render_surfaces_reference(dirs, origin, scene, placed):\n"
-            "    return None\n"
-        )
-        assert check_source(src, path="src/repro/world/renderer.py") == []
+        def found(result, base):
+            return sorted((f.rule, Path(f.path).relative_to(base).as_posix(), f.line) for f in result.findings)
 
-    def test_kernel_evaluator_construction_flagged_outside_codec(self):
-        src = "from repro.codec.motion import _BlockSadEvaluator\nev = _BlockSadEvaluator(c, r, 8, 16)\n"
-        assert "S017" in {f.rule for f in check_source(src, path="src/repro/stream/x.py")}
-
-    def test_qp_bounds_in_comparison_and_call(self):
-        assert check_source("ok = qp > 60\n", path="a.py")[0].rule == "S004"
-        assert check_source("enc.encode(f, base_qp=77)\n", path="a.py")[0].rule == "S004"
-        assert check_source("ok = 0 <= qp <= 51\n", path="a.py") == []
-
-    def test_bits_bytes_call_keyword(self):
-        findings = check_source("Frame(size_bytes=total_bits)\n", path="a.py")
-        assert [f.rule for f in findings] == ["S005"]
-        assert check_source("Frame(size_bytes=int(total_bits / 8))\n", path="a.py") == []
-
-    def test_print_allowed_in_cli_and_reporting(self):
-        src = "print('table')\n"
-        assert check_source(src, path="src/repro/cli.py") == []
-        assert check_source(src, path="src/repro/experiments/reporting.py") == []
-        assert check_source(src, path="src/repro/obs/export.py")
+        monkeypatch.chdir(root)
+        from_root = found(check_paths(dirs), ".")
+        monkeypatch.chdir(tmp_path)
+        through_parents = found(check_paths([f"codec/repro/{d}" for d in dirs]), "codec/repro")
+        absolute = found(check_paths([root / d for d in dirs]), root)
+        assert from_root == [("S003", "src/repro/codec/enc.py", 3), ("S011", "src/repro/codec/enc.py", 3)]
+        assert through_parents == from_root
+        assert absolute == from_root
 
     def test_loop_alloc_dynamic_shape_not_flagged(self):
         src = (
@@ -312,6 +338,16 @@ class TestRuleDetails:
         findings = check_source(src, path="src/repro/codec/x.py")
         assert [f.rule for f in findings] == ["S011"]
 
+    def test_loop_alloc_in_nested_loop_header_belongs_to_outer_loop(self):
+        src = (
+            "import numpy as np\n"
+            "for a in range(2):\n"
+            "    for b in np.zeros(4, dtype=np.uint8):\n"
+            "        pass\n"
+        )
+        findings = check_source(src, path="src/repro/codec/x.py")
+        assert [(f.rule, f.line) for f in findings] == [("S011", 3)]
+
     def test_loop_alloc_noqa_suppresses(self):
         src = (
             "import numpy as np\n"
@@ -326,6 +362,73 @@ class TestRuleDetails:
         assert findings[0].rule == "E999"
 
 
+class TestLockDiscipline:
+    PATH = "src/repro/stream/x.py"
+
+    def _rules(self, src, path=PATH):
+        return [f.rule for f in check_source(src, path=path)]
+
+    def test_blocking_sleep_under_lock(self):
+        src = (
+            "import threading\n"
+            "import time\n"
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self._lock = threading.Lock()\n"
+            "        self._n = 0\n"
+            "    def slow(self):\n"
+            "        with self._lock:\n"
+            "            time.sleep(0.1)\n"
+            "            self._n += 1\n"
+        )
+        findings = check_source(src, path=self.PATH)
+        assert any(f.rule == "S012" and "sleep" in f.message for f in findings)
+
+    def test_private_helper_called_only_under_lock_is_exempt(self):
+        src = (
+            "import threading\n"
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self._lock = threading.Lock()\n"
+            "        self._n = 0\n"
+            "    def bump(self):\n"
+            "        with self._lock:\n"
+            "            self._bump_locked()\n"
+            "    def _bump_locked(self):\n"
+            "        self._n += 1\n"
+        )
+        assert "S012" not in self._rules(src)
+
+    def test_lock_constructor_resolved_through_imports(self):
+        src = (
+            "from threading import RLock as Guard\n"
+            "from queue import SimpleQueue\n"
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self._guard = Guard()\n"
+            "        self._jobs = SimpleQueue()\n"
+            "    def drain(self):\n"
+            "        with self._guard:\n"
+            "            return self._jobs.get()\n"
+        )
+        findings = check_source(src, path=self.PATH)
+        assert [f.rule for f in findings] == ["S012"]
+        assert "self._jobs.get()" in findings[0].message
+
+    def test_class_without_lock_not_checked(self):
+        src = (
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self._lock = make_lock()\n"
+            "    def bump(self):\n"
+            "        with self._lock:\n"
+            "            self._n = 1\n"
+            "    def peek(self):\n"
+            "        return self._n\n"
+        )
+        assert check_source(src, path=self.PATH) == []
+
+
 class TestNoqa:
     def test_rule_specific_noqa_suppresses(self):
         src = "import numpy as np\nrng = np.random.default_rng()  # repro: noqa[S001]\n"
@@ -336,7 +439,7 @@ class TestNoqa:
         assert check_source(src, path="a.py") == []
 
     def test_noqa_for_other_rule_does_not_suppress(self):
-        src = "import numpy as np\nrng = np.random.default_rng()  # repro: noqa[S007]\n"
+        src = "import numpy as np\nrng = np.random.default_rng()  # repro: noqa[S003]\n"
         assert [f.rule for f in check_source(src, path="a.py")] == ["S001"]
 
     def test_noqa_only_covers_its_own_line(self):
@@ -351,9 +454,7 @@ class TestNoqa:
 
 class TestReporters:
     def _result(self):
-        path, positive, _ = FIXTURES["S001"]
-        from repro.check import CheckResult
-
+        _, path, positive, _ = FIXTURES["S010"]
         return CheckResult(findings=check_source(positive, path=path), files_checked=1)
 
     def test_text_format(self):
@@ -370,18 +471,21 @@ class TestReporters:
         assert doc["summary"]["by_severity"] == {"error": 1}
         (finding,) = doc["findings"]
         assert set(finding) == {"rule", "severity", "path", "line", "col", "message"}
-        assert finding["line"] == 2
+        assert finding["line"] == 1
 
     def test_rule_table_lists_all_rules(self):
         table = rule_table()
         for rule in all_rules():
             assert rule.id in table
 
+    def test_readme_rule_table_matches_the_registry(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        ids = re.findall(r"^\| (S\d{3}) \|", readme, flags=re.MULTILINE)
+        assert sorted(ids) == sorted({r.id for r in all_rules()})
+
     def test_findings_sorted_and_json_stable(self):
         f1 = Finding("S001", "error", "b.py", 1, 0, "x")
         f2 = Finding("S001", "error", "a.py", 9, 0, "x")
-        from repro.check import CheckResult
-
         doc = json.loads(render_json(CheckResult(findings=sorted([f1, f2], key=lambda f: f.sort_key), files_checked=2)))
         assert [f["path"] for f in doc["findings"]] == ["a.py", "b.py"]
 
@@ -429,4 +533,26 @@ class TestCliLint:
 
         rc = main(["lint", "--list-rules"])
         assert rc == 0
-        assert "S010" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert [line.split()[0] for line in out.splitlines()] == ["S001", "S003", "S011", "S012"]
+
+    def test_missing_path_is_a_named_error(self, capsys, tmp_path):
+        from repro.cli import main
+
+        missing = tmp_path / "nosuch_dir"
+        rc = main(["lint", str(REPO_ROOT / "examples"), str(missing)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: {missing}: no such file or directory\n"
+        assert captured.out == ""
+
+    def test_non_utf8_file_is_a_named_error(self, capsys, tmp_path):
+        from repro.cli import main
+
+        latin1 = tmp_path / "latin1.py"
+        latin1.write_bytes(b"name = '\xe9t\xe9'\n")
+        rc = main(["lint", str(latin1)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(f"error: {latin1}: not valid UTF-8 (")
+        assert captured.out == ""
