@@ -493,9 +493,10 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    """Multi-tenant fleet run: N streaming agents, one cell, one edge.
+    """Multi-tenant fleet run: N agents, one cell, one edge.
 
-    Builds a frozen :class:`~repro.fleet.FleetConfig` from the flags,
+    Builds a frozen :class:`~repro.fleet.FleetConfig` from the flags
+    (a config ``validate`` refuses is one ``error:`` line and exit 2),
     runs the fleet with a live metrics registry (``agent=…`` labels), and
     prints the per-agent table plus the aggregate accounting — or, with
     ``--format json``, the machine-readable document.  ``--metrics-out``
@@ -517,7 +518,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         demand_mbps=args.bandwidth,
         uplink=args.uplink,
         cell_mbps=args.cell,
-        cell_policy=args.cell_policy,
         cell_outages=args.outages,
         workers=args.workers,
         max_batch=args.max_batch,
@@ -528,7 +528,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         detector_seed=args.detector_seed,
         agent_workers=args.agent_workers,
     )
-    config.validate()
+    try:
+        config.validate()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     registry = MetricsRegistry(meta={
         "agents": args.agents, "frames": args.frames, "schemes": args.schemes,
         "datasets": args.datasets, "cell_mbps": args.cell, "workers": args.workers,
@@ -703,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--flight-out", default=None, metavar="FILE", help="write flight-recorder dumps (JSONL) here")
     fleet = sub.add_parser(
         "fleet",
-        help="Multi-tenant fleet: N streaming agents share one cell and one batching edge",
+        help="Multi-tenant fleet: N agents share one cell and one batching edge",
     )
     fleet.add_argument("--agents", type=int, default=4, help="fleet size N")
     fleet.add_argument("--frames", type=int, default=12, help="frames per agent clip")
@@ -723,7 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cell", type=float, default=None, metavar="MBPS",
         help="shared cell capacity (paper-scale Mbps); omit for independent uplinks",
     )
-    fleet.add_argument("--cell-policy", choices=("fair", "weighted"), default="fair")
     fleet.add_argument("--outages", action="store_true", help="bursty outages on the cell capacity trace")
     fleet.add_argument("--workers", type=int, default=2, help="detector workers at the shared edge")
     fleet.add_argument("--max-batch", type=int, default=4, help="largest inference batch")

@@ -2,20 +2,23 @@
 
 The paper's system model demands the system stay "lightweight and
 scalable given ... the potential huge number of agents" but never measures
-multi-agent behaviour.  This study does: N agents stream concurrently to
-one serverless edge fabric with a fixed number of inference workers, and
-the response time per scheme is measured as N grows.
+multi-agent behaviour.  This study does: N agents share one serverless
+edge fabric with a fixed number of inference workers, and the response
+time per scheme is measured as N grows.
 
 Since PR 9 the study runs on :class:`~repro.fleet.FleetRunner` — the
 repo's one source of multi-agent truth.  Each scheme's agent pool runs
-its belief phase **once** at the largest N; every requested fleet size is
-then settled as a prefix of that pool against a ``workers``-worker edge
-with ``max_batch=1`` / ``max_wait=0`` (pure FIFO queueing, no batching —
-the shared-fabric contention the study isolates).  Each agent's uplink
-is independent (``cell_mbps=None``: cellular links are per-agent), so
-only the inference stage contends.  Schemes that upload (and infer)
-every frame — DiVE, DDS — load the fabric N times harder than the
-key-frame schemes, which is exactly the trade-off worth seeing.
+its belief phase **once** at the largest N (every agent a plain batch
+run of its scheme against a private recording server, so each agent's
+requests reach the fabric when its own uplink delivers them); every
+requested fleet size is then settled as a prefix of that pool against a
+``workers``-worker edge with ``max_batch=1`` / ``max_wait=0`` (pure FIFO
+queueing, no batching — the shared-fabric contention the study
+isolates).  Each agent's uplink is independent (``cell_mbps=None``:
+cellular links are per-agent), so only the inference stage contends.
+Schemes that upload (and infer) every frame — DiVE, DDS — load the
+fabric N times harder than the key-frame schemes, which is exactly the
+trade-off worth seeing.
 """
 
 from __future__ import annotations

@@ -1,20 +1,21 @@
 """repro.fleet — multi-tenant edge serving: one server, a fleet of agents.
 
-N heterogeneous streaming agents (dataset preset, trajectory seed,
-uplink shape, scheme — all per agent) share one cell uplink and one
+N heterogeneous agents (dataset preset, trajectory seed, scheme — per
+agent; uplink shape seeded per agent) share one cell uplink and one
 batch-serving edge.  The package composes the PR 1–8 substrate:
 
 - :class:`SharedCell` partitions cell capacity across active agents in
-  simulated time (fair / weighted water-filling) *before* the
+  simulated time (equal-share water-filling) *before* the
   ``use_uplink_factory`` seam, so per-agent uplink arithmetic is exact;
 - :class:`BatchingEdgeServer` queues inference requests fleet-wide,
   forms batches (max-batch / max-wait), applies admission control and
   dispatches to W detector workers — all virtual-time arithmetic;
-- :class:`FleetRunner` + frozen :class:`FleetConfig` run N
-  :class:`~repro.stream.StreamRunner` agents and settle belief against
-  the shared-edge truth; results and :meth:`FleetResult.digest` are
-  bit-identical for any ``agent_workers`` width (the one thread seam:
-  each agent's stream run is inline), and a single-agent fleet reproduces a plain streamed run bit-for-bit;
+- :class:`FleetRunner` + frozen :class:`FleetConfig` run each agent's
+  scheme through its own batch loop against a private
+  :class:`RecordingEdgeServer` and settle that belief against the
+  shared-edge truth; results and :meth:`FleetResult.digest` are
+  bit-identical for any ``agent_workers`` width (the one thread seam),
+  and a single-agent fleet reproduces a plain batch run bit-for-bit;
 - :class:`FleetStats` / :class:`AgentReport` carry per-agent and
   aggregate p50/p95/p99 response, Jain's fairness over accuracy and
   goodput, and admission counts — also exported through ``repro.metrics``
@@ -30,7 +31,7 @@ from repro.fleet.batch import (
     RecordingEdgeServer,
     RequestOutcome,
 )
-from repro.fleet.cell import CELL_POLICIES, CellSlice, SharedCell, waterfill
+from repro.fleet.cell import CellSlice, SharedCell, waterfill
 from repro.fleet.runner import SCHEMES, AgentSpec, FleetConfig, FleetResult, FleetRunner
 from repro.fleet.stats import AgentReport, FleetStats, jain_index, quantile
 
@@ -40,7 +41,6 @@ __all__ = [
     "AgentSpec",
     "BatchRecord",
     "BatchingEdgeServer",
-    "CELL_POLICIES",
     "CellSlice",
     "FleetConfig",
     "FleetRequest",

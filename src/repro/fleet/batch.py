@@ -6,7 +6,7 @@ shares W detector workers, so requests queue, batch and sometimes get
 turned away.  Two pieces model that:
 
 - :class:`RecordingEdgeServer` — the *belief* side.  Each agent's
-  streaming run talks to its own private wrapper around a real
+  run talks to its own private wrapper around a real
   ``EdgeServer``; results are unchanged (the agent's optimistic
   timeline, exactly as in a solo run) while every inference request is
   logged for the truth-side replay.  This wrapper is the only fleet
@@ -80,9 +80,9 @@ class RecordingEdgeServer:
 
     Hands every call to the wrapped real server unchanged (the agent's
     solo run stays bit-identical), while appending a
-    :class:`RecordedCall` per request.  The streaming runtime serialises
-    server calls through its request/reply handshake, so the log order
-    is the agent's own deterministic call order.
+    :class:`RecordedCall` per request.  A scheme calls its server from
+    its own frame loop, one call at a time, so the log order is the
+    agent's own deterministic call order.
     """
 
     def __init__(self, server):

@@ -5,8 +5,8 @@ once, each gets only a slice of the cell's uplink capacity.  The
 :class:`SharedCell` turns one capacity :class:`~repro.network.trace.
 BandwidthTrace` plus each agent's *demand* trace (the rate the agent
 could use if it were alone, in the agent's own local time) into one
-allocated per-agent trace, by running weighted max-min fair
-(water-filling) allocation on every segment of the merged piecewise-
+allocated per-agent trace, by running max-min fair (equal-share
+water-filling) allocation on every segment of the merged piecewise-
 constant timeline.
 
 Because the output is an ordinary :class:`BandwidthTrace`, the per-agent
@@ -16,15 +16,15 @@ the link simulator.  Two invariants the property tests pin:
 
 - **conservation** — at any instant the allocated rates sum to at most
   the cell capacity;
-- **work conservation** — under the fair policy the allocated rates sum
-  to exactly ``min(total demand, capacity)`` (up to float rounding in
-  the contended branch).
+- **work conservation** — the allocated rates sum to exactly
+  ``min(total demand, capacity)`` (up to float rounding in the
+  contended branch).
 
 An agent whose demand is satisfiable on every segment of its activity
 window gets **its original demand trace object back** (the water-filler
 grants unsatisfied-free demands verbatim, so the check is exact float
 equality).  This identity fast path is what makes an uncontended
-single-agent fleet bit-identical to a plain streamed run: no extra
+single-agent fleet bit-identical to a plain batch run: no extra
 breakpoints, no re-derived rates, the very same arithmetic.
 """
 
@@ -37,10 +37,6 @@ import numpy as np
 from repro.network.trace import BandwidthTrace, constant_trace
 
 __all__ = ["CellSlice", "SharedCell", "waterfill"]
-
-#: Allocation policies: ``fair`` ignores weights (every active agent
-#: counts 1), ``weighted`` shares proportionally to ``CellSlice.weight``.
-CELL_POLICIES = ("fair", "weighted")
 
 
 @dataclass(frozen=True)
@@ -62,58 +58,46 @@ class CellSlice:
         After ``start + duration`` the agent's last in-window allocation
         extends to infinity (``BandwidthTrace`` semantics), so queued
         bytes keep draining at the final granted rate.
-    weight:
-        Share weight under the ``weighted`` policy (> 0).
     """
 
     agent: str
     demand: BandwidthTrace
     start: float = 0.0
     duration: float = 60.0
-    weight: float = 1.0
 
     def validate(self) -> None:
         if self.start < 0.0:
             raise ValueError(f"start must be >= 0, got {self.start}")
         if self.duration <= 0.0:
             raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.weight <= 0.0:
-            raise ValueError(f"weight must be positive, got {self.weight}")
 
 
-def waterfill(demands: list[float], weights: list[float], capacity: float) -> list[float]:
-    """Weighted max-min fair allocation of ``capacity`` over ``demands``.
+def waterfill(demands: list[float], capacity: float) -> list[float]:
+    """Max-min fair allocation of ``capacity`` over ``demands``.
 
-    Satisfiable demands (in increasing ``demand/weight`` order) are
-    granted **verbatim** — no arithmetic touches them, which the
-    :class:`SharedCell` identity fast path relies on.  Once a demand no
-    longer fits its weighted share, every remaining agent gets
-    ``level * weight`` where ``level`` spreads the leftover capacity.
+    Satisfiable demands (in increasing order) are granted **verbatim** —
+    no arithmetic touches them, which the :class:`SharedCell` identity
+    fast path relies on.  Once a demand no longer fits an equal share of
+    what is left, every remaining agent gets that share.
 
     Returns allocations with ``alloc[i] <= demands[i]`` and
     ``sum(alloc) == min(sum(demands), capacity)`` (exact when
     uncontended, float-rounded in the contended tail).
     """
     n = len(demands)
-    if n != len(weights):
-        raise ValueError("demands and weights must have the same length")
     alloc = [0.0] * n
     remaining = float(capacity)
     if remaining <= 0.0:
         return alloc
-    order = sorted(range(n), key=lambda i: (demands[i] / weights[i], i))
-    rem_weight = float(sum(weights))
+    order = sorted(range(n), key=lambda i: (demands[i], i))
     for pos, i in enumerate(order):
-        if rem_weight <= 0.0:
-            break
-        if demands[i] * rem_weight <= remaining * weights[i]:
+        if demands[i] * (n - pos) <= remaining:
             alloc[i] = demands[i]
             remaining -= demands[i]
-            rem_weight -= weights[i]
         else:
-            level = remaining / rem_weight
+            share = remaining / (n - pos)
             for j in order[pos:]:
-                alloc[j] = level * weights[j]
+                alloc[j] = share
             break
     return alloc
 
@@ -126,19 +110,13 @@ class SharedCell:
     capacity:
         The cell's total uplink capacity — a
         :class:`~repro.network.trace.BandwidthTrace` (global time) or a
-        constant bits/s.
-    policy:
-        ``fair`` (equal shares) or ``weighted`` (proportional to each
-        slice's weight).
+        constant bits/s.  Active agents share it equally (max-min fair).
     """
 
-    def __init__(self, capacity: BandwidthTrace | float, *, policy: str = "fair"):
+    def __init__(self, capacity: BandwidthTrace | float):
         if not isinstance(capacity, BandwidthTrace):
             capacity = constant_trace(float(capacity))
-        if policy not in CELL_POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; expected one of {CELL_POLICIES}")
         self.capacity = capacity
-        self.policy = policy
 
     # ------------------------------------------------------------ allocate
 
@@ -149,7 +127,6 @@ class SharedCell:
         for sl in slices:
             sl.validate()
         events = self._events(slices)
-        weights = [1.0 if self.policy == "fair" else sl.weight for sl in slices]
 
         local_times: list[list[float]] = [[] for _ in slices]
         local_rates: list[list[float]] = [[] for _ in slices]
@@ -167,8 +144,7 @@ class SharedCell:
             # silently dropping the step from the allocated trace.
             locals_ = [exact.get(i, t - slices[i].start) for i in active]
             demands = [slices[i].demand.rate_at(lt) for i, lt in zip(active, locals_)]
-            granted = waterfill(
-                demands, [weights[i] for i in active], self.capacity.rate_at(t))
+            granted = waterfill(demands, self.capacity.rate_at(t))
             for d, g, i, lt in zip(demands, granted, active, locals_):
                 if g != d:
                     contended[i] = True

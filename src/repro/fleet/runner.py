@@ -1,28 +1,29 @@
-"""Fleet composition: N streaming agents, one cell, one edge server.
+"""Fleet composition: N agents, one cell, one edge server.
 
-A :class:`FleetRunner` runs a fleet in three deterministic phases,
-mirroring the belief/truth epistemics of :mod:`repro.stream`:
+A :class:`FleetRunner` runs a fleet in three deterministic phases:
 
 1. **Agents (belief, parallelisable).**  Each agent runs its unmodified
-   scheme through its own :class:`~repro.stream.StreamRunner` against a
-   *private* :class:`~repro.fleet.batch.RecordingEdgeServer` — the
-   optimistic solo-run timeline.  The only cross-agent coupling is the
+   scheme through the scheme's own batch loop,
+   ``scheme.run(truth_clip(clip), trace, RecordingEdgeServer(server))``,
+   against a *private* edge server — the optimistic solo-run timeline,
+   in which every request reaches the edge at the arrival the agent's
+   uplink computed.  The only cross-agent coupling is the
    :class:`~repro.fleet.cell.SharedCell`, which pre-computes each
    agent's allocated uplink trace from the whole fleet's demands; after
    that, agents are fully independent, so phase 1 can run under an
    ``agent_workers``-wide thread pool with bit-identical results for
-   any pool width — the runtime's one thread seam: each agent's stream
-   run is a plain call chain on whichever thread picked it up.
-2. **Batch replay (truth, single-threaded).**  Every request that truly
-   crossed an uplink is pooled onto the global timeline (arrival =
-   agent start + truth finish) and replayed through the
+   any pool width — the runtime's one thread seam: each agent's run is
+   a plain call chain on whichever thread picked it up.
+2. **Batch replay (truth, single-threaded).**  Every request an agent
+   made is pooled onto the global timeline (arrival = agent start +
+   local arrival) and replayed through the
    :class:`~repro.fleet.batch.BatchingEdgeServer` — W workers, FIFO
    batching, admission control.
 3. **Settle (single-threaded, agent order).**  Each agent's belief
    results are corrected from the truth outcomes: served requests shift
    a frame's response by exactly the queueing/batching delay (a delta of
    ``0.0`` when the fleet is unloaded, so a single-agent fleet stays
-   bit-identical to a plain streamed run); frames whose every request
+   bit-identical to a plain batch run); frames whose every request
    was rejected go *stale* (detections = last good edge result, response
    never arrives).  Accuracy is then scored on the settled detections
    — against ground truth that phase 1 scored on the frames it captured,
@@ -33,7 +34,6 @@ mirroring the belief/truth epistemics of :mod:`repro.stream`:
 from __future__ import annotations
 
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -48,14 +48,13 @@ from repro.edge.server import EdgeServer
 from repro.experiments.config import scaled_bandwidth
 from repro.experiments.runner import truth_clip
 from repro.fleet.batch import (
-    ADMISSIONS,
     BatchingEdgeServer,
     FleetRequest,
     RecordedCall,
     RecordingEdgeServer,
     RequestOutcome,
 )
-from repro.fleet.cell import CELL_POLICIES, CellSlice, SharedCell
+from repro.fleet.cell import CellSlice, SharedCell
 from repro.fleet.stats import AgentReport, FleetStats, quantile
 from repro.metrics.registry import DEFAULT_LATENCY_BUCKETS, NULL_REGISTRY
 from repro.network.trace import (
@@ -65,7 +64,6 @@ from repro.network.trace import (
     random_walk_trace,
     with_outages,
 )
-from repro.stream import StreamRunner
 from repro.world.datasets import Clip, kitti_like, nuscenes_like, robotcar_like
 
 __all__ = ["AgentSpec", "FleetConfig", "FleetResult", "FleetRunner", "SCHEMES"]
@@ -85,9 +83,9 @@ UPLINKS = ("constant", "walk", "markov")
 class AgentSpec:
     """One agent of the fleet.
 
-    ``demand_mbps`` / ``uplink`` default to the fleet-wide values when
-    ``None``; ``start`` is the global simulated time the agent's clip
-    begins (staggered fleets don't all slam the cell at t=0).
+    ``start`` is the global simulated time the agent's clip begins
+    (staggered fleets don't all slam the cell at t=0); its uplink demand
+    is the fleet-wide one, seeded by ``clip_seed``.
     """
 
     agent: str
@@ -95,9 +93,6 @@ class AgentSpec:
     dataset: str = "nuscenes"
     clip_seed: int = 0
     start: float = 0.0
-    weight: float = 1.0
-    demand_mbps: float | None = None
-    uplink: str | None = None
 
     def validate(self) -> None:
         if self.scheme not in SCHEMES:
@@ -106,10 +101,6 @@ class AgentSpec:
             raise ValueError(f"unknown dataset {self.dataset!r}; expected one of {sorted(_MAKERS)}")
         if self.start < 0.0:
             raise ValueError(f"start must be >= 0, got {self.start}")
-        if self.weight <= 0.0:
-            raise ValueError(f"weight must be positive, got {self.weight}")
-        if self.uplink is not None and self.uplink not in UPLINKS:
-            raise ValueError(f"unknown uplink {self.uplink!r}; expected one of {UPLINKS}")
 
 
 @dataclass(frozen=True)
@@ -126,28 +117,29 @@ class FleetConfig:
         Per-clip resolution override (multiples of 16); ``None`` keeps
         each dataset preset's default.
     demand_mbps, uplink:
-        Default per-agent uplink demand: a paper-scale bandwidth label
+        Per-agent uplink demand: a paper-scale bandwidth label (>= 0)
         shaped as ``constant`` | ``walk`` | ``markov`` (seeded by the
         agent's clip seed — heterogeneous by construction).
     cell_mbps:
-        Total cell uplink capacity (paper-scale label, scaled against
-        the fleet's mean clip pixel count); ``None`` disables the shared
-        cell entirely — each agent keeps its full demand trace
-        (bit-identical to running without a cell).
-    cell_policy, cell_outages, cell_outage_*:
-        Cell allocation policy (``fair`` | ``weighted``) and the
-        bursty-outage overlay on the capacity trace.
+        Total cell uplink capacity (paper-scale label >= 0, scaled
+        against the fleet's mean clip pixel count), shared equally among
+        active agents; ``None`` disables the shared cell entirely — each
+        agent keeps its full demand trace (bit-identical to running
+        without a cell).
+    cell_outages, cell_outage_*:
+        The bursty-outage overlay on the capacity trace.
     workers, max_batch, max_wait, batch_overhead:
         The shared edge's detector workers and batching knobs (see
-        :class:`~repro.fleet.batch.BatchingEdgeServer`).
+        :class:`~repro.fleet.batch.BatchingEdgeServer`, whose
+        constructor checks them and the admission knobs).
     queue_capacity, admission, degrade_factor:
         Admission control at the edge front-end: bounded waiting queue
         with ``reject`` or ``degrade`` for over-capacity newcomers.
     inference_latency, downlink_latency:
         The edge timing model (shared by belief and truth sides).
     deadline:
-        Per-frame budget in local seconds for late accounting; ``None``
-        disables.
+        Positive per-frame budget in local seconds for late accounting;
+        ``None`` disables.
     detector_seed:
         Shared detector seed (every agent's private belief server and
         its ground truth use it).
@@ -168,7 +160,6 @@ class FleetConfig:
     demand_mbps: float = 2.0
     uplink: str = "constant"
     cell_mbps: float | None = None
-    cell_policy: str = "fair"
     cell_outages: bool = False
     cell_outage_duration: float = 0.25
     cell_outage_interval: float = 0.75
@@ -194,6 +185,8 @@ class FleetConfig:
             raise ValueError(f"n_frames must be >= 2, got {self.n_frames}")
         if not self.schemes:
             raise ValueError("schemes must be non-empty")
+        if not self.datasets:
+            raise ValueError("datasets must be non-empty")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}; expected one of {sorted(SCHEMES)}")
@@ -204,16 +197,28 @@ class FleetConfig:
             raise ValueError(f"stagger must be >= 0, got {self.stagger}")
         if self.uplink not in UPLINKS:
             raise ValueError(f"unknown uplink {self.uplink!r}; expected one of {UPLINKS}")
-        if self.cell_policy not in CELL_POLICIES:
-            raise ValueError(
-                f"unknown cell_policy {self.cell_policy!r}; expected one of {CELL_POLICIES}")
-        if self.admission not in ADMISSIONS:
-            raise ValueError(
-                f"unknown admission {self.admission!r}; expected one of {ADMISSIONS}")
+        if self.demand_mbps < 0.0:
+            raise ValueError(f"demand_mbps must be >= 0, got {self.demand_mbps}")
+        if self.cell_mbps is not None and self.cell_mbps < 0.0:
+            raise ValueError(f"cell_mbps must be >= 0 or None, got {self.cell_mbps}")
+        if self.deadline is not None and self.deadline <= 0.0:
+            raise ValueError(f"deadline must be positive or None, got {self.deadline}")
         if self.agent_workers < 1:
             raise ValueError(f"agent_workers must be >= 1, got {self.agent_workers}")
         if self.drain_margin <= 0.0:
             raise ValueError(f"drain_margin must be positive, got {self.drain_margin}")
+        self._batcher()  # the edge knobs, checked by the one constructor that takes them
+
+    def _batcher(self, metrics=NULL_REGISTRY) -> BatchingEdgeServer:
+        """The shared edge front-end these knobs describe."""
+        return BatchingEdgeServer(
+            workers=self.workers, max_batch=self.max_batch, max_wait=self.max_wait,
+            queue_capacity=self.queue_capacity, admission=self.admission,
+            inference_latency=self.inference_latency,
+            downlink_latency=self.downlink_latency,
+            batch_overhead=self.batch_overhead, degrade_factor=self.degrade_factor,
+            metrics=metrics,
+        )
 
     def specs(self) -> tuple[AgentSpec, ...]:
         """The deterministic agent mix these knobs describe."""
@@ -241,7 +246,6 @@ class _AgentRun:
 
     spec: AgentSpec
     run: SchemeRun
-    stream_stats: object
     calls: list[RecordedCall]
     truth: list[list[Detection]]
 
@@ -262,8 +266,8 @@ class FleetResult:
 
     ``agents_wall_time`` / ``settle_wall_time`` are the wall-clock
     seconds :meth:`FleetRunner.run` spent in phase 1 and in phases 2+3
-    (``0.0`` for a result built by calling ``settle`` directly); like
-    ``StreamStats.wall_time`` they are not part of :meth:`digest`.
+    (``0.0`` for a result built by calling ``settle`` directly); they
+    are not part of :meth:`digest`.
     """
 
     config: FleetConfig
@@ -292,15 +296,6 @@ class FleetResult:
         return hashlib.sha256(";".join(parts).encode()).hexdigest()
 
 
-def _belief_delivered(outcome) -> bool:
-    """Did the agent believe this uplink job was delivered?
-
-    Belief-side drops (HoL timer, tail refusal, abandonment) never led
-    to a server call; ``evicted`` jobs did (the agent believed delivery,
-    the truth queue later shed them)."""
-    return outcome.status in ("delivered", "degraded") or outcome.reason == "evicted"
-
-
 class FleetRunner:
     """Runs a fleet per :class:`FleetConfig` (see module docstring).
 
@@ -323,13 +318,11 @@ class FleetRunner:
 
     def _demand_for(self, spec: AgentSpec, clip: Clip) -> BandwidthTrace:
         cfg = self.config
-        mbps = spec.demand_mbps if spec.demand_mbps is not None else cfg.demand_mbps
-        kind = spec.uplink if spec.uplink is not None else cfg.uplink
-        bps = scaled_bandwidth(mbps, clip)
+        bps = scaled_bandwidth(cfg.demand_mbps, clip)
         duration = clip.duration + cfg.drain_margin
-        if kind == "walk":
+        if cfg.uplink == "walk":
             return random_walk_trace(bps, duration=duration, seed=spec.clip_seed)
-        if kind == "markov":
+        if cfg.uplink == "markov":
             factor = bps / 3e6
             return markov_trace(
                 duration=duration, seed=spec.clip_seed,
@@ -361,11 +354,11 @@ class FleetRunner:
         slices = [
             CellSlice(
                 agent=spec.agent, demand=demand, start=spec.start,
-                duration=clip.duration + cfg.drain_margin, weight=spec.weight,
+                duration=clip.duration + cfg.drain_margin,
             )
             for spec, clip, demand in zip(specs, clips, demands)
         ]
-        return SharedCell(capacity, policy=cfg.cell_policy).allocate(slices)
+        return SharedCell(capacity).allocate(slices)
 
     def run_agents(self, specs: tuple[AgentSpec, ...]) -> list[_AgentRun]:
         """Phase 1: every agent's belief run (parallel over agents)."""
@@ -377,20 +370,15 @@ class FleetRunner:
         uplinks = self._allocate_uplinks(specs, clips, demands)
 
         def one(i: int) -> _AgentRun:
-            spec, clip, trace = specs[i], clips[i], uplinks[i]
-            scheme = SCHEMES[spec.scheme]()
-            server = EdgeServer(
+            spec = specs[i]
+            recording = RecordingEdgeServer(EdgeServer(
                 QualityAwareDetector(seed=cfg.detector_seed),
                 inference_latency=cfg.inference_latency,
                 downlink_latency=cfg.downlink_latency,
-            )
-            recording = RecordingEdgeServer(server)
-            scored = truth_clip(clip, detector_seed=cfg.detector_seed)
-            result = StreamRunner(scheme).run(scored, trace, recording)
-            return _AgentRun(
-                spec=spec, run=result.run, stream_stats=result.stats,
-                calls=recording.calls, truth=scored.scores(),
-            )
+            ))
+            scored = truth_clip(clips[i], detector_seed=cfg.detector_seed)
+            run = SCHEMES[spec.scheme]().run(scored, uplinks[i], recording)
+            return _AgentRun(spec=spec, run=run, calls=recording.calls, truth=scored.scores())
 
         if cfg.agent_workers == 1 or len(specs) == 1:
             return [one(i) for i in range(len(specs))]
@@ -409,42 +397,14 @@ class FleetRunner:
                 "max_batch": cfg.max_batch, "admission": cfg.admission,
             })
 
-        # ---- phase 2: pool truly-transmitted requests, replay batches.
-        requests: list[FleetRequest] = []
-        calls_by_agent_frame: dict[str, dict[int, list[RecordedCall]]] = {}
-        for spec, ar in zip(specs, agent_runs):
-            by_frame: dict[int, list[RecordedCall]] = {}
-            for call in ar.calls:
-                by_frame.setdefault(call.frame_index, []).append(call)
-            calls_by_agent_frame[spec.agent] = by_frame
-            qout_by_frame: dict[int, list] = {}
-            for o in sorted(ar.stream_stats.outcomes, key=lambda o: o.seq):
-                if _belief_delivered(o):
-                    qout_by_frame.setdefault(o.frame_index, []).append(o)
-            for frame_index, calls in by_frame.items():
-                qouts = qout_by_frame.get(frame_index, [])
-                for j, call in enumerate(calls):
-                    truth = qouts[j] if j < len(qouts) else None
-                    if truth is not None and truth.status == "dropped":
-                        # Believed delivered, truth evicted: the payload
-                        # never reached the edge — no request to replay.
-                        continue
-                    arrival_local = truth.finish_time if truth is not None else call.arrival
-                    requests.append(FleetRequest(
-                        agent=spec.agent, seq=call.seq,
-                        frame_index=frame_index, arrival=spec.start + arrival_local,
-                    ))
-        batcher = BatchingEdgeServer(
-            workers=cfg.workers, max_batch=cfg.max_batch, max_wait=cfg.max_wait,
-            queue_capacity=cfg.queue_capacity, admission=cfg.admission,
-            inference_latency=cfg.inference_latency,
-            downlink_latency=cfg.downlink_latency,
-            batch_overhead=cfg.batch_overhead, degrade_factor=cfg.degrade_factor,
-            metrics=metrics,
-        )
-        outcomes = batcher.serve(requests)
+        # ---- phase 2: pool every agent's requests, replay batches.
+        batcher = cfg._batcher(metrics)
+        outcomes = batcher.serve([
+            FleetRequest(agent=spec.agent, seq=call.seq, frame_index=call.frame_index,
+                         arrival=spec.start + call.arrival)
+            for spec, ar in zip(specs, agent_runs) for call in ar.calls
+        ])
         outcome_map = {(o.agent, o.seq): o for o in outcomes}
-        requests_by_agent = Counter(o.agent for o in outcomes)
 
         # ---- phase 3: settle every agent's belief against the truth.
         m_resp = metrics.histogram(
@@ -459,7 +419,9 @@ class FleetRunner:
         pooled_responses: list[float] = []
         makespan = 0.0
         for spec, ar in zip(specs, agent_runs):
-            by_frame = calls_by_agent_frame[spec.agent]
+            by_frame: dict[int, list[RecordedCall]] = {}
+            for call in ar.calls:
+                by_frame.setdefault(call.frame_index, []).append(call)
             run = ar.run
             last_good: list = []
             stale = late = served_req = degraded_req = rejected_req = 0
@@ -468,20 +430,16 @@ class FleetRunner:
             a_good = m_goodput.labels(agent=spec.agent) if flabel else m_goodput
             for f in sorted(run.frames, key=lambda fr: fr.index):
                 calls = by_frame.get(f.index, [])
-                paired = [(c, o) for c in calls
-                          if (o := outcome_map.get((spec.agent, c.seq))) is not None]
-                outs = [o for _, o in paired]
+                outs = [outcome_map[(spec.agent, c.seq)] for c in calls]
                 served_req += sum(o.status == "served" for o in outs)
                 degraded_req += sum(o.status == "degraded" for o in outs)
                 rejected_req += sum(o.status == "rejected" for o in outs)
-                okayed = [o for o in outs if o.status != "rejected"]
+                okayed = [(c, o) for c, o in zip(calls, outs) if o.status != "rejected"]
                 if not calls:
                     status = "local"
-                elif not outs:
-                    status = "shed"  # uplink truth already dropped it
                 elif not okayed:
                     # Every pass turned away at the edge: the frame goes
-                    # stale, exactly like a believed-then-shed upload.
+                    # stale — the agent keeps its last good detections.
                     f.detections = list(last_good)
                     f.source = "stale"
                     f.dropped = True
@@ -490,15 +448,13 @@ class FleetRunner:
                     status = "stale"
                 else:
                     if np.isfinite(f.response_time):
-                        last_call, last_out = max(
-                            (p for p in paired if p[1].status != "rejected"),
-                            key=lambda p: p[0].result_time)
+                        last_call, last_out = max(okayed, key=lambda p: p[0].result_time)
                         # Shift by the queueing/batching delay; exactly
                         # 0.0 on an unloaded fleet, so solo runs keep
                         # their belief bit-for-bit.
                         delta = (last_out.result_time - spec.start) - last_call.result_time
                         f.response_time += delta
-                    status = ("degraded" if any(o.status == "degraded" for o in okayed)
+                    status = ("degraded" if any(o.status == "degraded" for _, o in okayed)
                               else "served")
                     if f.source == "edge" and not f.dropped:
                         last_good = f.detections
@@ -521,7 +477,7 @@ class FleetRunner:
             finite = [f.response_time for f in run.frames if np.isfinite(f.response_time)]
             reports.append(AgentReport(
                 agent=spec.agent, scheme=run.scheme, clip_name=run.clip_name,
-                start=spec.start, weight=spec.weight, frames=len(run.frames),
+                start=spec.start, frames=len(run.frames),
                 map=ap["mAP"],
                 mean_response=(sum(finite) / len(finite)) if finite else _INF,
                 p50_response=quantile(finite, 0.50),
@@ -529,10 +485,9 @@ class FleetRunner:
                 p99_response=quantile(finite, 0.99),
                 goodput_bytes=int(sum(
                     f.bytes_sent for f in run.frames if np.isfinite(f.response_time))),
-                requests=requests_by_agent[spec.agent],
+                requests=len(ar.calls),
                 served=served_req, degraded=degraded_req, rejected=rejected_req,
                 stale_frames=stale, late_frames=late,
-                stream_digest=ar.stream_stats.digest(),
             ))
         stats = FleetStats.build(
             reports, pooled_responses,

@@ -55,7 +55,6 @@ class AgentReport:
     scheme: str
     clip_name: str
     start: float
-    weight: float
     frames: int
     map: float
     mean_response: float
@@ -69,7 +68,6 @@ class AgentReport:
     rejected: int
     stale_frames: int
     late_frames: int
-    stream_digest: str
 
     def row(self) -> list:
         """Table row for the CLI."""
@@ -87,7 +85,6 @@ class AgentReport:
             f":p99={self.p99_response:.9f}:good={self.goodput_bytes}"
             f":req={self.requests}/{self.served}/{self.degraded}/{self.rejected}"
             f":stale={self.stale_frames}:late={self.late_frames}"
-            f":stream={self.stream_digest}"
         )
 
 

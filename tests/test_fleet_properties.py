@@ -3,8 +3,8 @@
 The two invariants the subsystem's correctness rests on:
 
 - **cell conservation** — at any instant the allocated rates sum to at
-  most the cell capacity, each agent gets at most its demand, and under
-  fair share the total equals ``min(total demand, capacity)``;
+  most the cell capacity, each agent gets at most its demand, and the
+  total equals ``min(total demand, capacity)``;
 - **batcher discipline** — FIFO dispatch order, causal batch membership
   (nobody is served before arriving), the max-wait bound, and exhaustive
   accounting (served + degraded + rejected == offered).
@@ -24,7 +24,6 @@ from repro.fleet import (
 from repro.network import constant_trace, random_walk_trace
 
 demands_st = st.lists(st.floats(0.0, 1e7), min_size=1, max_size=8)
-weights_st = st.floats(0.25, 4.0)
 capacity_st = st.floats(0.0, 2e7)
 
 
@@ -32,25 +31,16 @@ class TestWaterfillProperties:
     @settings(max_examples=100, deadline=None)
     @given(demands_st, capacity_st)
     def test_fair_share_conserves(self, demands, capacity):
-        alloc = waterfill(demands, [1.0] * len(demands), capacity)
+        alloc = waterfill(demands, capacity)
         assert all(a <= d + 1e-6 for a, d in zip(alloc, demands))
         assert all(a >= 0.0 for a in alloc)
         want = min(sum(demands), capacity)
         assert sum(alloc) == pytest.approx(want, rel=1e-9, abs=1e-3)
 
     @settings(max_examples=100, deadline=None)
-    @given(demands_st, st.data(), capacity_st)
-    def test_weighted_share_conserves(self, demands, data, capacity):
-        weights = [data.draw(weights_st) for _ in demands]
-        alloc = waterfill(demands, weights, capacity)
-        assert all(a <= d + 1e-6 for a, d in zip(alloc, demands))
-        want = min(sum(demands), capacity)
-        assert sum(alloc) == pytest.approx(want, rel=1e-9, abs=1e-3)
-
-    @settings(max_examples=100, deadline=None)
     @given(demands_st, capacity_st)
     def test_satisfiable_demands_granted_verbatim(self, demands, capacity):
-        alloc = waterfill(demands, [1.0] * len(demands), capacity)
+        alloc = waterfill(demands, capacity)
         # Exact float equality for every fully-granted agent — the
         # SharedCell identity fast path depends on it.
         for a, d in zip(alloc, demands):

@@ -258,10 +258,10 @@ def _fail_frame_one(monkeypatch, site: str, error: Exception) -> None:
 @pytest.mark.parametrize("site", ["clip", "server", "scheme"])
 @pytest.mark.parametrize("driver", ["stream", "fleet", "fleet-pool"])
 def test_faults_propagate_as_raised(monkeypatch, driver, site, make_error):
-    """Whatever raises under a streaming run — the renderer, the edge
-    server, the scheme — the caller gets that very exception (type and
-    message with it), the scheme gets its uplink seam back, and a live
-    flight recorder dumps on a sanitizer trip.  ``fleet-pool`` sends the
+    """Whatever raises under a streaming or fleet run — the renderer, the
+    edge server, the scheme — the caller gets that very exception (type
+    and message with it); a streamed scheme gets its uplink seam back, and
+    a live flight recorder dumps on a sanitizer trip.  ``fleet-pool`` sends the
     agents through the ``agent_workers`` thread pool, the runtime's one
     thread seam: the same object comes out (no hang, no wrapper), no
     worker thread outlives the fault, and the next clean run is the
