@@ -90,12 +90,8 @@ def _metrics_sections(metrics: Any, table) -> list[str]:
         kind, labels = rows[0]["kind"], rows[0]["labels"]
         disp = name + ("{" + ",".join(f"{k}={v}" for k, v in sorted(labels.items())) + "}" if labels else "")
         if kind == "histogram":
-            pooled = metrics.pooled_histogram(name, labels=labels)
-            stats = StageStats.from_histogram(pooled)
-            hist_rows.append(
-                [disp, stats.count, stats.mean, stats.p50, stats.p95,
-                 pooled.quantile(0.99)]
-            )
+            stats = StageStats.from_values([v for r in rows for v in r["values"]])
+            hist_rows.append([disp, stats.count, stats.mean, stats.p50, stats.p95, stats.p99])
         elif kind == "counter":
             count_rows.append([disp, len(rows), sum(r["sum"] for r in rows)])
         else:
@@ -108,7 +104,7 @@ def _metrics_sections(metrics: Any, table) -> list[str]:
             table(
                 ["series", "count", "mean", "p50", "p95", "p99"],
                 hist_rows,
-                "Metric quantiles (pooled fixed-bucket histograms)",
+                "Metric quantiles (pooled histogram samples)",
             )
         )
     if count_rows:

@@ -283,7 +283,7 @@ def _build_metrics_overhead(scale: BenchScale) -> BenchCase:
     runtime records — over a deterministic seeded sample stream, closed
     out by one snapshot digest (the export cost a run pays once).
     """
-    from repro.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
+    from repro.metrics import MetricsRegistry
 
     n = 2000
     rng = np.random.default_rng(scale.seed)
@@ -294,7 +294,7 @@ def _build_metrics_overhead(scale: BenchScale) -> BenchCase:
         registry = MetricsRegistry()
         counter = registry.counter("bench_frames").labels(status="ok")
         gauge = registry.gauge("bench_depth")
-        hist = registry.histogram("bench_latency", buckets=DEFAULT_LATENCY_BUCKETS)
+        hist = registry.histogram("bench_latency")
         for t, v in zip(times, values):
             counter.inc(1.0, at=t)
             gauge.set(v, at=t)
@@ -311,7 +311,7 @@ def _build_flight_recorder(scale: BenchScale) -> BenchCase:
 
     n = 5000
     def fn() -> object:
-        recorder = FlightRecorder(capacity=512)
+        recorder = FlightRecorder()
         for i in range(n):
             recorder.record("submit", i * 0.01, seq=i, frame=i % 64, bytes=1200)
             if i % 1000 == 999:

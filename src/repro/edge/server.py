@@ -15,7 +15,6 @@ from repro.check.sanitize import NULL_SANITIZER, ArraySanitizer, NullSanitizer
 from repro.codec.decoder import VideoDecoder
 from repro.codec.encoder import EncodedFrame
 from repro.edge.detector import Detection, QualityAwareDetector
-from repro.metrics.hist import linear_buckets
 from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry, NullRegistry
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.world.annotations import FrameRecord
@@ -96,8 +95,7 @@ class EdgeServer:
         self._m_batch = metrics.gauge(
             "edge_batch_size", help="frames per inference batch (1 until fleet batching)")
         self._m_detections = metrics.histogram(
-            "edge_detections", buckets=linear_buckets(0.0, 32.0, 33),
-            help="detections returned per request")
+            "edge_detections", help="detections returned per request")
         self._m_service = metrics.counter(
             "edge_service_seconds", unit="s",
             help="modelled inference seconds spent on the serverless fabric")

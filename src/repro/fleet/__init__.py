@@ -5,8 +5,9 @@ agent; uplink shape seeded per agent) share one cell uplink and one
 batch-serving edge.  The package composes the PR 1–8 substrate:
 
 - :class:`SharedCell` partitions cell capacity across active agents in
-  simulated time (equal-share water-filling) *before* the
-  ``use_uplink_factory`` seam, so per-agent uplink arithmetic is exact;
+  simulated time (equal-share water-filling) into one allocated trace
+  per agent, handed straight to ``scheme.run``, so per-agent uplink
+  arithmetic is exact;
 - :class:`BatchingEdgeServer` queues inference requests fleet-wide,
   forms batches (max-batch / max-wait), applies admission control and
   dispatches to W detector workers — all virtual-time arithmetic;

@@ -251,8 +251,7 @@ class BatchingEdgeServer:
         # recording order is deterministic.
         metrics = self.metrics
         m_batch = metrics.histogram(
-            "fleet_batch_size", buckets=tuple(float(b) for b in range(1, 66)),
-            help="dispatched batch sizes at the shared edge front-end")
+            "fleet_batch_size", help="dispatched batch sizes at the shared edge front-end")
         m_admit = metrics.counter(
             "fleet_admissions", help="admission decisions at the bounded queue")
 

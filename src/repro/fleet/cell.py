@@ -11,8 +11,9 @@ constant timeline.
 
 Because the output is an ordinary :class:`BandwidthTrace`, the per-agent
 :class:`~repro.network.link.UplinkSimulator` arithmetic stays exact —
-the cell interposes *before* the `use_uplink_factory` seam, never inside
-the link simulator.  Two invariants the property tests pin:
+the fleet hands each allocated trace straight to ``scheme.run``, and the
+cell never reaches inside the link simulator.  Two invariants the
+property tests pin:
 
 - **conservation** — at any instant the allocated rates sum to at most
   the cell capacity;

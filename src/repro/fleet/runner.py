@@ -56,7 +56,7 @@ from repro.fleet.batch import (
 )
 from repro.fleet.cell import CellSlice, SharedCell
 from repro.fleet.stats import AgentReport, FleetStats, quantile
-from repro.metrics.registry import DEFAULT_LATENCY_BUCKETS, NULL_REGISTRY
+from repro.metrics.registry import NULL_REGISTRY
 from repro.network.trace import (
     BandwidthTrace,
     constant_trace,
@@ -408,7 +408,7 @@ class FleetRunner:
 
         # ---- phase 3: settle every agent's belief against the truth.
         m_resp = metrics.histogram(
-            "fleet_response_seconds", buckets=DEFAULT_LATENCY_BUCKETS, unit="s",
+            "fleet_response_seconds", unit="s",
             help="settled capture-to-result latency per agent")
         m_frames = metrics.counter(
             "fleet_frames", help="settled frame verdicts per agent")

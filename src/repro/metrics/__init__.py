@@ -4,10 +4,11 @@ Three pieces, all driven by *virtual* time so telemetry is as
 reproducible as the run it observes:
 
 - :class:`MetricsRegistry` — label-aware Counter / Gauge / Histogram
-  instruments aggregated into fixed windows of simulated time, with
-  deterministic fixed-bucket quantiles (:mod:`repro.metrics.hist`) and a
-  no-op :data:`NULL_REGISTRY` default mirroring ``NULL_TRACER``;
-- :class:`FlightRecorder` — a bounded ring of frame-lifecycle events
+  instruments whose samples are kept per fixed window of simulated time
+  (histogram percentiles are ``np.percentile`` over the kept samples, via
+  :meth:`repro.obs.StageStats.from_values`), and a no-op
+  :data:`NULL_REGISTRY` default mirroring ``NULL_TRACER``;
+- :class:`FlightRecorder` — a ring of the last frame-lifecycle events
   dumping deterministic JSONL post-mortems when an anomaly trigger fires
   (deadline-miss burst, sustained queue saturation, sanitizer errors);
 - exporters and consumers — metrics JSONL (:mod:`repro.metrics.export`),
@@ -31,16 +32,9 @@ from repro.metrics.flight import (
     NullFlightRecorder,
     write_flight_jsonl,
 )
-from repro.metrics.hist import (
-    ExactSum,
-    FixedBucketHistogram,
-    bucket_quantile,
-    linear_buckets,
-    log_buckets,
-)
 from repro.metrics.registry import (
-    DEFAULT_LATENCY_BUCKETS,
     NULL_REGISTRY,
+    WINDOW,
     Counter,
     Gauge,
     Histogram,
@@ -51,12 +45,10 @@ from repro.metrics.registry import (
 from repro.metrics.top import render_top, series_rows
 
 __all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
     "NULL_FLIGHT_RECORDER",
     "NULL_REGISTRY",
+    "WINDOW",
     "Counter",
-    "ExactSum",
-    "FixedBucketHistogram",
     "FlightEvent",
     "FlightRecorder",
     "Gauge",
@@ -66,9 +58,6 @@ __all__ = [
     "NullFlightRecorder",
     "NullInstrument",
     "NullRegistry",
-    "bucket_quantile",
-    "linear_buckets",
-    "log_buckets",
     "read_metrics_jsonl",
     "registry_digest",
     "render_top",

@@ -3,11 +3,12 @@
 Mirrors :mod:`repro.obs.export`: line 1 of the JSONL is a ``meta``
 header, every following line is one record.  Two record shapes follow:
 
-- ``{"instrument": name, "kind": ..., "help": ..., "unit": ...,
-  "edges": [...]}`` — one per instrument (edges only for histograms);
+- ``{"instrument": name, "kind": ..., "help": ..., "unit": ...}`` — one
+  per instrument;
 - ``{"name": ..., "kind": ..., "labels": {...}, "window": i, "t0": ...,
   "count": ..., "sum": ..., ...}`` — one per (series, window), sorted by
-  ``(name, labels, window)``.
+  ``(name, labels, window)``; a histogram row carries its window's sorted
+  samples as ``values``.
 
 The digest hashes exactly these body lines (meta excluded), so two runs
 with identical virtual-time timelines produce identical digests no
@@ -19,11 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
-
-from repro.metrics.hist import FixedBucketHistogram
 
 __all__ = [
     "MetricsDoc",
@@ -50,8 +50,6 @@ def snapshot_lines(registry_or_snapshot) -> list[str]:
             "instrument": inst["name"], "kind": inst["kind"],
             "help": inst["help"], "unit": inst["unit"],
         }
-        if "edges" in inst:
-            header["edges"] = inst["edges"]
         lines.append(json.dumps(header, sort_keys=True))
         for series in inst["series"]:
             for win in series["windows"]:
@@ -82,11 +80,6 @@ def write_metrics_jsonl(path: str | Path, registry_or_snapshot) -> Path:
     return path
 
 
-def _no_header(name: str) -> str:
-    return (f'expected an {{"instrument": "{name}", "edges": [...]}} header '
-            f"for histogram {name!r}, found none")
-
-
 @dataclass
 class MetricsDoc:
     """A parsed metrics JSONL: header metadata plus flat series rows."""
@@ -96,32 +89,12 @@ class MetricsDoc:
     instruments: dict[str, dict] = field(default_factory=dict)
     rows: list[dict] = field(default_factory=list)
 
-    def pooled_histogram(self, name: str, labels: dict | None = None) -> FixedBucketHistogram:
-        """Merge every window of one histogram series back together."""
-        header = self.instruments.get(name, {})
-        if "edges" not in header:
-            raise ValueError(_no_header(name))
-        pooled = FixedBucketHistogram(header["edges"])
-        for row in self.rows:
-            if row["name"] != name or row["kind"] != "histogram":
-                continue
-            if labels is not None and row["labels"] != labels:
-                continue
-            part = FixedBucketHistogram(header["edges"])
-            part.counts = [int(c) for c in row["buckets"]]
-            part.count = int(row["count"])
-            if part.count:
-                part.min, part.max = float(row["min"]), float(row["max"])
-                part._sum.add(float(row["sum"]))
-            pooled.merge(part)
-        return pooled
-
 
 #: What each kind of series row must carry beyond name / kind / labels.
 _ROW_KEYS = {
     "counter": ("sum",),
     "gauge": ("last", "min", "max"),
-    "histogram": ("count", "sum", "min", "max", "buckets"),
+    "histogram": ("count", "sum", "min", "max", "values"),
 }
 
 
@@ -156,7 +129,6 @@ def read_metrics_jsonl(path: str | Path) -> MetricsDoc:
     """Parse a metrics JSONL; malformed input is a :class:`ValueError`
     naming the path, the line and what was expected there."""
     doc = MetricsDoc()
-    histogram_lines: dict[str, int] = {}
     for lineno, obj in json_lines(path):
         if lineno == 1 and "meta" in obj:
             doc.meta = dict(obj["meta"])
@@ -171,10 +143,14 @@ def read_metrics_jsonl(path: str | Path) -> MetricsDoc:
                 raise ValueError(
                     f"{path}:{lineno}: expected a counter / gauge / histogram series row"
                     + (f", missing {missing}" if missing else f", got kind {kind!r}"))
-            if kind == "histogram":
-                histogram_lines.setdefault(obj["name"], lineno)
+            if kind == "histogram" and not _samples_ok(obj["values"], obj["count"]):
+                raise ValueError(
+                    f"{path}:{lineno}: expected a histogram row whose values are "
+                    f"its {obj['count']!r} finite samples")
             doc.rows.append(obj)
-    for name, lineno in histogram_lines.items():
-        if "edges" not in doc.instruments.get(name, {}):
-            raise ValueError(f"{path}:{lineno}: {_no_header(name)}")
     return doc
+
+
+def _samples_ok(values, count) -> bool:
+    return (isinstance(values, list) and len(values) == count
+            and all(isinstance(v, (int, float)) and math.isfinite(v) for v in values))

@@ -1,7 +1,7 @@
-"""Flight recorder: a bounded ring of frame-lifecycle events + triggers.
+"""Flight recorder: a ring of the last frame-lifecycle events + triggers.
 
 A post-mortem needs the *events leading up to* an anomaly, not the whole
-run.  The recorder keeps the last ``capacity`` lifecycle events (queue
+run.  The recorder keeps the last :data:`CAPACITY` lifecycle events (queue
 submits / evictions / refusals / abandons / seals, reconciled frame
 verdicts) in a ring buffer; when an anomaly trigger fires — a
 deadline-miss burst, sustained queue saturation, or a
@@ -32,12 +32,29 @@ from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
+    "BURST_WINDOW",
+    "CAPACITY",
+    "DEADLINE_BURST",
+    "MAX_DUMPS",
     "NULL_FLIGHT_RECORDER",
+    "SATURATION_BURST",
     "FlightEvent",
     "FlightRecorder",
     "NullFlightRecorder",
     "write_flight_jsonl",
 ]
+
+#: Ring size — how many recent events a dump can look back over.
+CAPACITY = 512
+#: A trigger-worthy deadline burst: this many missed frames inside any
+#: :data:`BURST_WINDOW` consecutive frames at reconciliation.
+DEADLINE_BURST = 4
+BURST_WINDOW = 8
+#: Consecutive submissions finding the queue full that count as
+#: sustained saturation.
+SATURATION_BURST = 8
+#: Dumps retained; past this many the oldest is evicted.
+MAX_DUMPS = 8
 
 
 @dataclass(frozen=True)
@@ -56,46 +73,14 @@ class FlightEvent:
 
 
 class FlightRecorder:
-    """Bounded ring of :class:`FlightEvent` plus anomaly-triggered dumps.
-
-    Parameters
-    ----------
-    capacity:
-        Ring size — how many recent events a dump can look back over.
-    deadline_burst:
-        A trigger-worthy burst: this many late frames inside any
-        ``burst_window`` consecutive frames at reconciliation.
-    burst_window:
-        Sliding window (in frames) the deadline burst is counted over.
-    saturation_burst:
-        Consecutive submissions finding the queue full that count as
-        sustained saturation.
-    max_dumps:
-        Dumps retained (oldest evicted) so a pathological run stays
-        bounded.
-    """
+    """Ring of the last :data:`CAPACITY` :class:`FlightEvent` plus
+    anomaly-triggered dumps (the last :data:`MAX_DUMPS` kept)."""
 
     enabled = True
 
-    def __init__(self, *, capacity: int = 512, deadline_burst: int = 4,
-                 burst_window: int = 8, saturation_burst: int = 8,
-                 max_dumps: int = 8):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if deadline_burst < 1 or burst_window < deadline_burst:
-            raise ValueError(
-                f"need 1 <= deadline_burst <= burst_window, got "
-                f"{deadline_burst}/{burst_window}"
-            )
-        if saturation_burst < 1:
-            raise ValueError(f"saturation_burst must be >= 1, got {saturation_burst}")
-        self.capacity = int(capacity)
-        self.deadline_burst = int(deadline_burst)
-        self.burst_window = int(burst_window)
-        self.saturation_burst = int(saturation_burst)
-        self.max_dumps = int(max_dumps)
+    def __init__(self):
         self._lock = threading.Lock()
-        self._ring: deque[FlightEvent] = deque(maxlen=self.capacity)
+        self._ring: deque[FlightEvent] = deque(maxlen=CAPACITY)
         self._recorded = 0
         self._dumps: list[dict] = []
 
@@ -121,7 +106,7 @@ class FlightRecorder:
                 "events": [e.to_json() for e in self._ring],
             }
             self._dumps.append(dump)
-            if len(self._dumps) > self.max_dumps:
+            if len(self._dumps) > MAX_DUMPS:
                 self._dumps.pop(0)
             return dump
 
@@ -146,7 +131,7 @@ class FlightRecorder:
     def snapshot(self) -> dict:
         with self._lock:
             return {
-                "capacity": self.capacity,
+                "capacity": CAPACITY,
                 "recorded": self._recorded,
                 "dumps": [dict(d) for d in self._dumps],
             }
@@ -161,10 +146,6 @@ class NullFlightRecorder:
     """Shared no-op recorder — the default everywhere."""
 
     enabled = False
-    capacity = 0
-    deadline_burst = 4
-    burst_window = 8
-    saturation_burst = 8
     __slots__ = ()
 
     def record(self, kind: str, at: float, **fields) -> None:

@@ -5,21 +5,24 @@ pure function of virtual time; this registry extends the same discipline
 to *telemetry*.  Instruments record values at explicit simulated
 timestamps (``at=``, typically from the :class:`~repro.stream.clock.
 VirtualClock` arithmetic), never at wall-clock time — wall-clock
-measurement stays with :class:`~repro.obs.tracer.Tracer`.  Samples are
-aggregated into fixed windows of virtual time (``floor(at / window)``),
-and every per-window accumulator is order-independent:
+measurement stays with :class:`~repro.obs.tracer.Tracer`.  Each sample
+lands in a fixed window of virtual time (``floor(at / WINDOW)``) and the
+window keeps it; :meth:`MetricsRegistry.snapshot` derives every summary
+from the kept samples:
 
-- **Counter** — sample count plus an :class:`~repro.metrics.hist.
-  ExactSum` of the increments (exact, so bit-identical in any order);
-- **Gauge** — count / min / max / exact sum, with "last" defined as the
+- **Counter** — sample count and the ``math.fsum`` of the increments;
+- **Gauge** — count / min / max / ``fsum``, with "last" defined as the
   value carried by the lexicographically greatest ``(at, value)`` pair
   (a deterministic tie-break when two writes share a timestamp);
-- **Histogram** — integer counts over a :class:`~repro.metrics.hist.
-  FixedBucketHistogram` grid (no reservoir sampling).
+- **Histogram** — the same moments plus the window's sorted ``values``,
+  from which every reader computes percentiles with
+  :meth:`~repro.obs.aggregate.StageStats.from_values`.
 
-The streaming runtime records each sample exactly once at a virtual
-timestamp, so the whole windowed timeline — and its
-:meth:`MetricsRegistry.digest` — is bit-identical across reruns.  Mirroring :data:`~repro.obs.tracer.NULL_TRACER`, the default
+Memory grows with the run: one float per sample, two for a gauge (a
+240-frame ``repro top`` run keeps 754 histogram samples).  The streaming
+runtime records each sample exactly once at a virtual timestamp, so the
+whole windowed timeline — and its :meth:`MetricsRegistry.digest` — is
+bit-identical across reruns.  Mirroring :data:`~repro.obs.tracer.NULL_TRACER`, the default
 :data:`NULL_REGISTRY` is a shared no-op: instruments come back as inert
 singletons and the batch path pays one attribute lookup per guard.
 Guard any computation of a recorded value with ``if metrics.enabled:``.
@@ -29,13 +32,10 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Sequence
-
-from repro.metrics.hist import ExactSum, FixedBucketHistogram, log_buckets
 
 __all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
     "NULL_REGISTRY",
+    "WINDOW",
     "Counter",
     "CounterSeries",
     "Gauge",
@@ -47,114 +47,68 @@ __all__ = [
     "NullRegistry",
 ]
 
-#: Default histogram grid for simulated latencies: 100 us .. 100 s,
-#: 4 buckets per decade — wide enough for queue waits under outages.
-DEFAULT_LATENCY_BUCKETS = log_buckets(1e-4, 1e2, per_decade=4)
+#: Window width in simulated seconds.
+WINDOW = 0.25
 
 
 def _label_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-# ------------------------------------------------------------- accumulators
-
-
-class _CounterWindow:
-    __slots__ = ("count", "sum")
-
-    def __init__(self):
-        self.count = 0
-        self.sum = ExactSum()
-
-
-class _GaugeWindow:
-    __slots__ = ("count", "sum", "min", "max", "last")
-
-    def __init__(self):
-        self.count = 0
-        self.sum = ExactSum()
-        self.min = math.inf
-        self.max = -math.inf
-        self.last: tuple[float, float] | None = None
+def _window_row(kind: str, samples: list) -> dict:
+    """One window's summary, derived from the samples recorded into it."""
+    values = [v for _, v in samples] if kind == "gauge" else samples
+    row: dict = {"count": len(values), "sum": math.fsum(values)}
+    if kind == "counter":
+        return row
+    row.update(min=min(values), max=max(values))
+    if kind == "gauge":
+        row["last"] = max(samples)[1]
+    else:
+        row["values"] = sorted(values)
+    return row
 
 
 # ------------------------------------------------------------------- series
 
 
 class _Series:
-    """One label set of one instrument: virtual window index -> accumulator."""
+    """One label set of one instrument: virtual window index -> samples.
+
+    Counter and histogram windows hold the recorded values; gauge windows
+    hold ``(at, value)`` pairs, which the "last" tie-break needs.
+    """
 
     enabled = True
 
-    def __init__(self, instrument: "Instrument", labels: dict[str, str]):
-        self._instrument = instrument
-        self._registry = instrument._registry
+    def __init__(self, registry: "MetricsRegistry", labels: dict[str, str]):
+        self._registry = registry
         self.labels = dict(labels)
-        self.windows: dict[int, object] = {}
+        self.windows: dict[int, list] = {}
 
-    def _window(self, at: float):
-        index = self._registry.window_index(at)
-        win = self.windows.get(index)
-        if win is None:
-            win = self.windows[index] = self._new_window()
-        return win
-
-    def _new_window(self):  # pragma: no cover - overridden
-        raise NotImplementedError
+    def _record(self, value: float, at: float, sample) -> None:
+        if math.isfinite(at) and math.isfinite(value):
+            index = self._registry.window_index(at)
+            with self._registry._lock:
+                self.windows.setdefault(index, []).append(sample)
 
 
 class CounterSeries(_Series):
-    def _new_window(self):
-        return _CounterWindow()
-
     def inc(self, value: float = 1.0, *, at: float) -> None:
         value = float(value)
-        if not (math.isfinite(at) and math.isfinite(value)):
-            return
-        with self._registry._lock:
-            win = self._window(at)
-            win.count += 1
-            win.sum.add(value)
+        self._record(value, at, value)
 
 
 class GaugeSeries(_Series):
-    def _new_window(self):
-        return _GaugeWindow()
-
     def set(self, value: float, *, at: float) -> None:
         value = float(value)
-        if not (math.isfinite(at) and math.isfinite(value)):
-            return
-        with self._registry._lock:
-            win = self._window(at)
-            win.count += 1
-            win.sum.add(value)
-            if value < win.min:
-                win.min = value
-            if value > win.max:
-                win.max = value
-            stamp = (float(at), value)
-            if win.last is None or stamp > win.last:
-                win.last = stamp
+        self._record(value, at, (float(at), value))
 
 
 class HistogramSeries(_Series):
-    def _new_window(self):
-        return FixedBucketHistogram(self._instrument.edges)
-
     def observe(self, value: float, *, at: float) -> None:
-        if not math.isfinite(at):
-            return
-        with self._registry._lock:
-            self._window(at).observe(value)
-
-    def pooled(self) -> FixedBucketHistogram:
-        """All windows merged into one bounded-memory histogram."""
-        with self._registry._lock:
-            pooled = FixedBucketHistogram(self._instrument.edges)
-            for win in self.windows.values():
-                pooled.merge(win)
-            return pooled
+        value = float(value)
+        self._record(value, at, value)
 
 
 # -------------------------------------------------------------- instruments
@@ -188,7 +142,7 @@ class Instrument:
         with self._registry._lock:
             series = self._series.get(key)
             if series is None:
-                series = self._series[key] = self._series_cls(self, dict(key))
+                series = self._series[key] = self._series_cls(self._registry, dict(key))
             return series
 
     def series(self) -> list[_Series]:
@@ -217,12 +171,6 @@ class Histogram(Instrument):
     kind = "histogram"
     _series_cls = HistogramSeries
 
-    def __init__(self, registry: "MetricsRegistry", name: str, *,
-                 buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-                 help: str = "", unit: str = ""):
-        self.edges = tuple(float(e) for e in buckets)
-        super().__init__(registry, name, help=help, unit=unit)
-
     def observe(self, value: float, *, at: float) -> None:
         self._default.observe(value, at=at)
 
@@ -233,22 +181,15 @@ class Histogram(Instrument):
 class MetricsRegistry:
     """Holds every instrument of one run; aggregation windows are virtual.
 
-    Parameters
-    ----------
-    window:
-        Window width in simulated seconds; samples land in window
-        ``floor(at / window)``.
-    meta:
-        Free-form run metadata carried into exports (excluded from the
-        digest so wall-clock annotations never break reproducibility).
+    Samples land in window ``floor(at / WINDOW)``.  ``meta`` is
+    free-form run metadata carried into exports (excluded from the digest
+    so wall-clock annotations never break reproducibility).
     """
 
     enabled = True
+    window = WINDOW
 
-    def __init__(self, *, window: float = 0.25, meta: dict | None = None):
-        if not window > 0.0:
-            raise ValueError(f"window must be positive, got {window}")
-        self.window = float(window)
+    def __init__(self, *, meta: dict | None = None):
         self.meta = dict(meta or {})
         self._lock = threading.RLock()
         self._instruments: dict[str, Instrument] = {}
@@ -266,9 +207,6 @@ class MetricsRegistry:
                 raise ValueError(
                     f"metric {name!r} already registered as {inst.kind}, requested {cls.kind}"
                 )
-            buckets = kwargs.get("buckets")
-            if buckets is not None and tuple(float(e) for e in buckets) != inst.edges:
-                raise ValueError(f"histogram {name!r} already registered with different buckets")
             return inst
 
     def counter(self, name: str, *, help: str = "", unit: str = "") -> Counter:
@@ -277,9 +215,8 @@ class MetricsRegistry:
     def gauge(self, name: str, *, help: str = "", unit: str = "") -> Gauge:
         return self._get(name, Gauge, help=help, unit=unit)
 
-    def histogram(self, name: str, *, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-                  help: str = "", unit: str = "") -> Histogram:
-        return self._get(name, Histogram, buckets=buckets, help=help, unit=unit)
+    def histogram(self, name: str, *, help: str = "", unit: str = "") -> Histogram:
+        return self._get(name, Histogram, help=help, unit=unit)
 
     def instruments(self) -> list[Instrument]:
         with self._lock:
@@ -297,37 +234,18 @@ class MetricsRegistry:
         with self._lock:
             instruments = []
             for inst in self.instruments():
-                entry: dict = {
-                    "name": inst.name, "kind": inst.kind,
-                    "help": inst.help, "unit": inst.unit,
-                }
-                if inst.kind == "histogram":
-                    entry["edges"] = list(inst.edges)
                 series_out = []
                 for series in inst.series():
-                    windows = []
-                    for index in sorted(series.windows):
-                        win = series.windows[index]
-                        row: dict = {"index": index, "t0": index * self.window}
-                        if inst.kind == "counter":
-                            row.update(count=win.count, sum=win.sum.value)
-                        elif inst.kind == "gauge":
-                            row.update(
-                                count=win.count, sum=win.sum.value,
-                                min=win.min, max=win.max,
-                                last=win.last[1] if win.last is not None else 0.0,
-                            )
-                        else:
-                            row.update(
-                                count=win.count, sum=win.sum,
-                                min=win.min if win.count else 0.0,
-                                max=win.max if win.count else 0.0,
-                                buckets=list(win.counts),
-                            )
-                        windows.append(row)
+                    windows = [
+                        {"index": index, "t0": index * self.window,
+                         **_window_row(inst.kind, series.windows[index])}
+                        for index in sorted(series.windows)
+                    ]
                     series_out.append({"labels": dict(series.labels), "windows": windows})
-                entry["series"] = series_out
-                instruments.append(entry)
+                instruments.append({
+                    "name": inst.name, "kind": inst.kind,
+                    "help": inst.help, "unit": inst.unit, "series": series_out,
+                })
             return {"window": self.window, "meta": dict(self.meta), "instruments": instruments}
 
     def digest(self) -> str:
@@ -389,8 +307,7 @@ class NullRegistry:
     def gauge(self, name: str, *, help: str = "", unit: str = "") -> NullInstrument:
         return _NULL_INSTRUMENT
 
-    def histogram(self, name: str, *, buckets: Sequence[float] = (),
-                  help: str = "", unit: str = "") -> NullInstrument:
+    def histogram(self, name: str, *, help: str = "", unit: str = "") -> NullInstrument:
         return _NULL_INSTRUMENT
 
     def instruments(self) -> list:

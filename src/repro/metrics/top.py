@@ -6,11 +6,14 @@ and the ``--once`` CI mode just prints one frame.  Each series renders
 as one row: a sparkline over its windowed virtual-time values (counter
 sums, gauge lasts, histogram p95s — reusing
 :func:`repro.analysis.sparkline.sparkline`) plus pooled summary columns.
+Histogram percentiles come from
+:meth:`~repro.obs.aggregate.StageStats.from_values` over the kept
+samples, the same path ``repro report --metrics`` takes.
 """
 
 from __future__ import annotations
 
-from repro.metrics.hist import bucket_quantile
+from repro.obs.aggregate import StageStats
 
 __all__ = ["render_top", "series_rows"]
 
@@ -63,8 +66,7 @@ def series_rows(snapshot: dict, *, width: int = 32) -> list[dict]:
                 elif kind == "gauge":
                     values.append(w["last"])
                 else:
-                    values.append(bucket_quantile(
-                        inst["edges"], w["buckets"], 0.95, lo=w["min"], hi=w["max"]))
+                    values.append(StageStats.from_values(w["values"]).p95)
             total_count = sum(w["count"] for w in windows)
             row = {
                 "label": _series_label(inst["name"], series["labels"]),
@@ -77,16 +79,8 @@ def series_rows(snapshot: dict, *, width: int = 32) -> list[dict]:
                 row["last"] = windows[-1]["last"]
                 row["max"] = max(w["max"] for w in windows)
             else:
-                counts = [0] * (len(inst["edges"]) + 1)
-                lo, hi = float("inf"), float("-inf")
-                for w in windows:
-                    for i, c in enumerate(w["buckets"]):
-                        counts[i] += c
-                    if w["count"]:
-                        lo, hi = min(lo, w["min"]), max(hi, w["max"])
-                if total_count:
-                    for q, key in ((0.5, "p50"), (0.95, "p95"), (0.99, "p99")):
-                        row[key] = bucket_quantile(inst["edges"], counts, q, lo=lo, hi=hi)
+                stats = StageStats.from_values([v for w in windows for v in w["values"]])
+                row.update(p50=stats.p50, p95=stats.p95, p99=stats.p99)
             rows.append(row)
     return rows
 
@@ -118,11 +112,9 @@ def render_top(snapshot: dict, *, stats=None, flight=None, width: int = 32,
             summary = f"n={row['count']}  total={_fmt(row['total'])}"
         elif row["kind"] == "gauge":
             summary = f"last={_fmt(row['last'])}  max={_fmt(row['max'])}"
-        elif "p50" in row:
+        else:
             summary = (f"p50={_fmt(row['p50'])}  p95={_fmt(row['p95'])}  "
                        f"p99={_fmt(row['p99'])}")
-        else:
-            summary = f"n={row['count']}"
         lines.append(f"{row['label']:<{label_w}s} {row['spark']:<{width}s} {summary}")
     if stats is not None:
         lines += [

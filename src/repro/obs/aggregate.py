@@ -3,10 +3,9 @@
 :func:`summarize` turns a list of :class:`~repro.obs.tracer.FrameTrace`
 records into p50/p95/mean/total tables — one row per span path and one per
 counter — which is what the ``repro trace`` CLI prints and what perf PRs
-quote as their before/after story.  :meth:`StageStats.from_histogram`
-gives the same row for a pooled fixed-bucket histogram
-(:mod:`repro.metrics.hist`), which is how ``repro report --metrics``
-summarises a metrics JSONL.
+quote as their before/after story.  :meth:`StageStats.from_values` is the
+one percentile path: ``repro report --metrics`` and ``repro top`` call it
+on a metric series' pooled histogram samples too.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.metrics.hist import FixedBucketHistogram
 from repro.obs.tracer import FrameTrace
 
 __all__ = [
@@ -40,6 +38,7 @@ class StageStats:
     mean: float
     p50: float
     p95: float
+    p99: float
     total: float
 
     @classmethod
@@ -48,32 +47,15 @@ class StageStats:
         if arr.size == 0:
             # Zero samples (e.g. a span name that never fired): percentile
             # on an empty array raises, so return an all-zero row instead.
-            return cls(count=0, mean=0.0, p50=0.0, p95=0.0, total=0.0)
+            return cls(count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0, total=0.0)
+        p50, p95, p99 = (float(p) for p in np.percentile(arr, [50, 95, 99]))
         return cls(
             count=int(arr.size),
             mean=float(arr.mean()),
-            p50=float(np.percentile(arr, 50)),
-            p95=float(np.percentile(arr, 95)),
+            p50=p50,
+            p95=p95,
+            p99=p99,
             total=float(arr.sum()),
-        )
-
-    @classmethod
-    def from_histogram(cls, hist: FixedBucketHistogram) -> "StageStats":
-        """Summary row of a pooled fixed-bucket histogram.
-
-        The bounded-memory counterpart of :meth:`from_values`: ``count`` /
-        ``mean`` / ``total`` are exact (the histogram carries an exact
-        sum); ``p50`` / ``p95`` are bucket estimates within one bucket
-        width of the exact nearest-rank quantiles.
-        """
-        if hist.count == 0:
-            return cls(count=0, mean=0.0, p50=0.0, p95=0.0, total=0.0)
-        return cls(
-            count=hist.count,
-            mean=hist.mean,
-            p50=hist.quantile(0.5),
-            p95=hist.quantile(0.95),
-            total=hist.sum,
         )
 
 

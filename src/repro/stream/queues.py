@@ -14,7 +14,7 @@ policies on top:
     stall shows up only in the ``blocked`` accounting.
 ``degrade-qp``
     A frame arriving at a full queue is re-encoded coarser: its payload
-    shrinks by ``degrade_factor`` and it waits for a slot.  Smaller
+    shrinks by :data:`DEGRADE_FACTOR` and it waits for a slot.  Smaller
     payloads drain faster, trading quality for latency.
 ``drop-oldest``
     A frame arriving at a full queue evicts the oldest *not yet
@@ -37,15 +37,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.metrics.flight import NULL_FLIGHT_RECORDER
-from repro.metrics.registry import DEFAULT_LATENCY_BUCKETS, NULL_REGISTRY
+from repro.metrics.flight import NULL_FLIGHT_RECORDER, SATURATION_BURST
+from repro.metrics.registry import NULL_REGISTRY
 from repro.network.link import UplinkSimulator
 from repro.network.trace import BandwidthTrace
 from repro.stream.messages import QueueOutcome
 
-__all__ = ["Admission", "BackpressureQueue", "POLICIES"]
+__all__ = ["Admission", "BackpressureQueue", "DEGRADE_FACTOR", "POLICIES"]
 
 POLICIES = ("block", "degrade-qp", "drop-oldest")
+
+#: Payload multiplier for ``degrade-qp`` admissions at a full queue.
+DEGRADE_FACTOR = 0.5
 
 _INF = float("inf")
 
@@ -97,8 +100,6 @@ class BackpressureQueue:
         configuration).
     policy:
         One of :data:`POLICIES`.
-    degrade_factor:
-        Payload multiplier for ``degrade-qp`` admissions at a full queue.
     hol_timeout:
         Head-of-line timer, as in :class:`UplinkSimulator`.
     on_seal:
@@ -112,8 +113,8 @@ class BackpressureQueue:
     flight:
         A :class:`~repro.metrics.FlightRecorder` (default: the shared
         no-op) fed every job lifecycle event; sustained saturation
-        (``flight.saturation_burst`` consecutive submissions finding the
-        queue full) fires its trigger.
+        (:data:`~repro.metrics.flight.SATURATION_BURST` consecutive
+        submissions finding the queue full) fires its trigger.
     """
 
     def __init__(
@@ -122,7 +123,6 @@ class BackpressureQueue:
         *,
         capacity: int | None = None,
         policy: str = "block",
-        degrade_factor: float = 0.5,
         hol_timeout: float | None = None,
         on_seal=None,
         metrics=NULL_REGISTRY,
@@ -132,11 +132,8 @@ class BackpressureQueue:
             raise ValueError(f"unknown backpressure policy {policy!r}; expected one of {POLICIES}")
         if capacity is not None and capacity < 1:
             raise ValueError(f"queue capacity must be >= 1 or None, got {capacity}")
-        if not 0.0 < degrade_factor <= 1.0:
-            raise ValueError(f"degrade_factor must be in (0, 1], got {degrade_factor}")
         self.capacity = capacity
         self.policy = policy
-        self.degrade_factor = float(degrade_factor)
         self._inner = UplinkSimulator(trace, hol_timeout=hol_timeout)
         self._on_seal = on_seal
         self._pending: list[_Pending] = []
@@ -163,10 +160,10 @@ class BackpressureQueue:
         self._m_outcomes = metrics.counter(
             "stream_queue_outcomes", help="sealed jobs by status/reason")
         self._m_wait = metrics.histogram(
-            "stream_queue_wait_seconds", buckets=DEFAULT_LATENCY_BUCKETS, unit="s",
+            "stream_queue_wait_seconds", unit="s",
             help="enqueue-to-wire wait of transmitted jobs")
         self._m_service = metrics.histogram(
-            "stream_uplink_service_seconds", buckets=DEFAULT_LATENCY_BUCKETS, unit="s",
+            "stream_uplink_service_seconds", unit="s",
             help="on-the-wire transmission time of delivered jobs")
         self._m_goodput = metrics.counter(
             "stream_uplink_sent_bytes", unit="bytes",
@@ -191,7 +188,7 @@ class BackpressureQueue:
             self._flight.record("submit", t, seq=seq, frame=frame_index,
                                 bytes=int(size_bytes), full=full)
             self._full_streak = self._full_streak + 1 if full else 0
-            if full and self._full_streak == self._flight.saturation_burst:
+            if full and self._full_streak == SATURATION_BURST:
                 self._flight.trigger(
                     "queue-saturation", t,
                     streak=self._full_streak, capacity=self.capacity,
@@ -218,7 +215,7 @@ class BackpressureQueue:
                 blocked = admit_time - t
                 self._blocked_total += blocked
                 if self.policy == "degrade-qp":
-                    size_eff = max(1, int(round(size_bytes * self.degrade_factor)))
+                    size_eff = max(1, int(round(size_bytes * DEGRADE_FACTOR)))
                     degraded = True
 
         self._pending.append(

@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 from repro.baselines.base import AnalyticsScheme, SchemeRun
 from repro.check.sanitize import SanitizeError
 from repro.edge.server import EdgeServer
-from repro.metrics.flight import NULL_FLIGHT_RECORDER
-from repro.metrics.hist import linear_buckets
-from repro.metrics.registry import DEFAULT_LATENCY_BUCKETS, NULL_REGISTRY
+from repro.metrics.flight import BURST_WINDOW, DEADLINE_BURST, NULL_FLIGHT_RECORDER
+from repro.metrics.registry import NULL_REGISTRY
 from repro.network.link import TransmissionResult, UplinkSimulator
 from repro.network.trace import BandwidthTrace
 from repro.obs.tracer import NULL_TRACER
@@ -64,22 +63,20 @@ class StreamConfig:
     deadline:
         Per-frame budget in simulated seconds (capture → result back at
         the agent); ``None`` disables late accounting.
-    degrade_factor:
-        Payload multiplier for ``degrade-qp`` admissions.
+
+    ``degrade-qp`` admissions shrink the payload by
+    :data:`~repro.stream.queues.DEGRADE_FACTOR`.
     """
 
     queue_capacity: int | None = None
     policy: str = "block"
     deadline: float | None = None
-    degrade_factor: float = 0.5
 
     def validate(self) -> None:
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; expected one of {POLICIES}")
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ValueError(f"queue_capacity must be >= 1 or None, got {self.queue_capacity}")
-        if not 0.0 < self.degrade_factor <= 1.0:
-            raise ValueError(f"degrade_factor must be in (0, 1], got {self.degrade_factor}")
         if self.deadline is not None and self.deadline <= 0.0:
             raise ValueError(f"deadline must be positive or None, got {self.deadline}")
 
@@ -237,7 +234,7 @@ class StreamRunner:
             if ctx.queue is None:
                 ctx.queue = BackpressureQueue(
                     trace_, capacity=cfg.queue_capacity, policy=cfg.policy,
-                    degrade_factor=cfg.degrade_factor, hol_timeout=hol_timeout,
+                    hol_timeout=hol_timeout,
                     on_seal=on_seal, metrics=self.metrics, flight=self.flight,
                 )
             return StreamingUplink(
@@ -300,10 +297,10 @@ class StreamRunner:
         m_late = metrics.counter(
             "stream_frames_late", help="frames whose result missed the deadline")
         m_resp = metrics.histogram(
-            "stream_response_seconds", buckets=DEFAULT_LATENCY_BUCKETS, unit="s",
+            "stream_response_seconds", unit="s",
             help="capture-to-result latency of frames with a finite response")
         m_slack = metrics.histogram(
-            "stream_deadline_slack_seconds", buckets=linear_buckets(-2.0, 2.0, 81), unit="s",
+            "stream_deadline_slack_seconds", unit="s",
             help="deadline minus response time (negative = late)")
         recent_late: list[bool] = []
         burst_fired = False
@@ -327,9 +324,9 @@ class StreamRunner:
                 flight.record("frame", fr.capture_time, frame=fr.index,
                               status=status, reason=reason, late=is_late, miss=miss)
                 recent_late.append(miss)
-                if len(recent_late) > flight.burst_window:
+                if len(recent_late) > BURST_WINDOW:
                     recent_late.pop(0)
-                if not burst_fired and sum(recent_late) >= flight.deadline_burst:
+                if not burst_fired and sum(recent_late) >= DEADLINE_BURST:
                     burst_fired = True
                     flight.trigger(
                         "deadline-burst", fr.capture_time, frame=fr.index,

@@ -136,7 +136,7 @@ class TestRunReport:
 
         registry = MetricsRegistry()
         registry.counter("frames").inc(2.0, at=0.1)
-        registry.histogram("lat", buckets=(0.1, 0.2, 0.4), unit="s").observe(0.15, at=0.1)
+        registry.histogram("lat", unit="s").observe(0.15, at=0.1)
         return read_metrics_jsonl(write_metrics_jsonl(tmp_path / "m.jsonl", registry))
 
     def test_joined_report(self, tmp_path):

@@ -111,3 +111,29 @@ class TestMain:
         assert f"cut.jsonl:{n_lines}: expected one JSON object per line" in captured.err
         assert main(["report", "--trace", str(tmp_path / "absent.jsonl")]) == 2
         assert "absent.jsonl" in capsys.readouterr().err
+
+    @pytest.mark.timeout(180)
+    def test_top_and_report_print_the_same_percentiles(self, capsys, tmp_path):
+        """Both commands print np.percentile over a series' pooled samples."""
+        import json
+
+        import numpy as np
+
+        from repro.metrics.top import _fmt
+
+        metrics_path = tmp_path / "metrics.jsonl"
+        assert main(["top", "--once", "--frames", "8", "--metrics-out", str(metrics_path)]) == 0
+        top_out = capsys.readouterr().out
+        assert main(["report", "--metrics", str(metrics_path)]) == 0
+        report_out = capsys.readouterr().out
+        rows = [json.loads(line) for line in metrics_path.read_text().splitlines()[1:]]
+        for name in ("stream_response_seconds", "stream_queue_wait_seconds", "edge_detections"):
+            pooled = [v for r in rows if r.get("name") == name for v in r["values"]]
+            want = [float(np.percentile(pooled, q)) for q in (50, 95, 99)]
+            (top_line,) = [ln for ln in top_out.splitlines() if ln.startswith(name + " ")]
+            assert top_line.endswith(
+                f"p50={_fmt(want[0])}  p95={_fmt(want[1])}  p99={_fmt(want[2])}")
+            (report_line,) = [ln for ln in report_out.splitlines() if ln.startswith(f"| {name} |")]
+            cells = [c.strip() for c in report_line.strip("|").split("|")]
+            assert cells[1] == str(len(pooled))
+            assert cells[3:6] == [f"{w:.4g}" for w in want]

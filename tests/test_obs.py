@@ -184,6 +184,7 @@ class TestAggregation:
         assert me.mean == pytest.approx(2.5)
         assert me.p50 == pytest.approx(2.5)
         assert me.p95 == pytest.approx(np.percentile([1, 2, 3, 4], 95))
+        assert me.p99 == np.percentile([1.0, 2.0, 3.0, 4.0], 99)
         assert me.total == pytest.approx(10.0)
         bits = s.counters["bits"]
         assert bits.mean == pytest.approx(25.0)
@@ -208,7 +209,7 @@ class TestAggregation:
 
     def test_zero_sample_stage_stats(self):
         s = StageStats.from_values([])
-        assert (s.count, s.mean, s.p50, s.p95, s.total) == (0, 0.0, 0.0, 0.0, 0.0)
+        assert s == StageStats(count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0, total=0.0)
 
     def test_rows_scaled_to_ms(self):
         frames = [FrameTrace(index=0, spans={"me": 0.25}, counters={"bits": 5.0})]

@@ -52,9 +52,9 @@ class TestStreamConfigValidation:
         [
             {"policy": "panic"},
             {"queue_capacity": 0},
-            {"degrade_factor": 0.0},
-            {"degrade_factor": 1.5},
+            {"queue_capacity": -1},
             {"deadline": -1.0},
+            {"deadline": 0.0},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
@@ -81,7 +81,7 @@ class TestBackpressurePolicies:
         assert queue.blocked_time == pytest.approx(0.9 + 1.8)
 
     def test_degrade_shrinks_payload(self):
-        queue = self._queue(capacity=1, policy="degrade-qp", degrade_factor=0.5)
+        queue = self._queue(capacity=1, policy="degrade-qp")  # DEGRADE_FACTOR = 0.5
         queue.submit(0, 10_000, 0.0)
         admission = queue.submit(1, 10_000, 0.1)
         assert admission.degraded and admission.size_bytes == 5_000

@@ -45,6 +45,12 @@ def _run(clip, *, metrics=None, flight=None):
     return runner.run(clip, _bursty_trace(clip), server)
 
 
+def _total(registry, name):
+    """Sum of one counter over every label set and window."""
+    (inst,) = [i for i in registry.snapshot()["instruments"] if i["name"] == name]
+    return sum(w["sum"] for s in inst["series"] for w in s["windows"])
+
+
 class TestWorkerCountInvariance:
     def test_deadline_burst_dump_reproducible_across_reruns(self, golden_clips):
         clip = golden_clips[0]
@@ -81,12 +87,7 @@ class TestInstrumentation:
             "stream_deadline_slack_seconds",
             "edge_requests", "edge_batch_size", "edge_service_seconds",
         } <= names
-        captured = registry.counter("stream_frames_captured")
-        total = sum(
-            w.sum.value
-            for s in captured.series() for w in s.windows.values()
-        )
-        assert total == golden_clips[0].n_frames
+        assert _total(registry, "stream_frames_captured") == golden_clips[0].n_frames
 
     def test_every_sample_sits_on_the_virtual_timeline(self, golden_clips):
         registry = MetricsRegistry()
@@ -105,8 +106,4 @@ class TestBatchIntegration:
         server = EdgeServer(QualityAwareDetector(seed=7), metrics=registry)
         DiVEScheme().run(clip, constant_trace(scaled_bandwidth(2.0, clip)), server)
         for name in ("edge_requests", "edge_service_seconds"):
-            total = sum(
-                w.sum.value
-                for s in registry.counter(name).series() for w in s.windows.values()
-            )
-            assert total > 0, name
+            assert _total(registry, name) > 0, name
