@@ -35,7 +35,6 @@ byte — as one ``pattern_search`` call, block by block inside each pass.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,6 +43,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import kernels
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.utils.integral import block_reduce_sum, shifted_window
 
 __all__ = ["ME_METHODS", "MotionEstimate", "estimate_motion", "motion_compensate", "nonzero_mv_ratio"]
 
@@ -105,7 +105,8 @@ class _BlockSadEvaluator:
     The arithmetic (gather, subtract, abs, per-block contiguous sum) is
     identical operation-for-operation to a per-block fancy-indexed version,
     so SAD values are bit-exact either way.  Pure NumPy under every kernel
-    backend: the reference search and ESA / TESA's sub-pel fit run on it.
+    backend: the reference search and ESA / TESA (padding, gather, sub-pel
+    fit) run on it.
     """
 
     def __init__(self, current: np.ndarray, reference: np.ndarray, search_range: int, block: int):
@@ -422,84 +423,14 @@ def _pattern_search_reference(
     return mv, sad0.reshape(ev.rows, ev.cols)
 
 
-#: Module-level memo for :func:`_tiled_sum_mimic_ok`.  The probe verdict is
-#: pure in the block size, and the guard sits on ESA's inner dispatch path,
-#: so the answer is read from a plain dict (one hash + lookup) instead of
-#: paying the ``lru_cache`` wrapper per call.
-_TILED_SUM_MIMIC: dict[int, bool] = {}
-
-
-def _tiled_sum_mimic_ok(block: int) -> bool:
-    """True iff per-block row sums plus sequential row accumulation
-    reproduce the tiled ``reshape(r, b, c, b).sum(axis=(1, 3))`` reduction
-    bitwise.
-
-    ESA's gathered phase-B path recomputes the exact SAD of the full-frame
-    tiled reduction from per-block contiguous data; whether the two
-    summation orders agree to the last bit is an implementation detail of
-    NumPy's reduction kernels, so it is checked once per block size on an
-    adversarial-magnitude probe and the slower full-frame path is used if
-    the identity ever stops holding.
-    """
-    ok = _TILED_SUM_MIMIC.get(block)
-    if ok is None:
-        ok = _TILED_SUM_MIMIC[block] = _tiled_sum_mimic_probe(block)
-    return ok
-
-
-def _tiled_sum_mimic_probe(block: int) -> bool:
-    """Run the adversarial-magnitude summation-order probe for one block size."""
-    gen = np.random.default_rng(0x5AD)
-    img = np.exp(gen.normal(0.0, 12.0, size=(3 * block, 5 * block)))  # SAD operands are non-negative
-    ref = img.reshape(3, block, 5, block).sum(axis=(1, 3)).ravel()
-    blocks = img.reshape(3, block, 5, block).transpose(0, 2, 1, 3).reshape(15, block, block)
-    part = blocks.sum(axis=2)
-    acc = part[:, 0].copy()
-    for j in range(1, block):
-        acc += part[:, j]
-    return bool(np.array_equal(acc, ref))
-
-
 @lru_cache(maxsize=None)
 def _hadamard_matrix(n: int) -> np.ndarray:
-    """Hadamard basis of order ``n`` (powers of two), memoised.
-
-    TESA re-ranks candidates with it on every frame; the cached array is
-    marked read-only so sharing it across calls is safe.
-    """
+    """Hadamard basis of order ``n`` (powers of two), memoised read-only."""
     h = np.array([[1.0]])
     while h.shape[0] < n:
         h = np.block([[h, h], [h, -h]])
     h.setflags(write=False)
     return h
-
-
-def _exact_sad_scan(
-    cur64: np.ndarray,
-    refp: np.ndarray,
-    disp_arr: np.ndarray,
-    indices: np.ndarray,
-    pad: int,
-    block: int,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Exact per-macroblock SAD maps for the given displacement indices.
-
-    Yields ``(i, sad)`` pairs in ascending ``indices`` order.  Each
-    displacement is a zero-copy slice of the edge-padded reference
-    (bit-identical to ``shift_with_edge_pad``) followed by the tiled block
-    reduction; the |difference| buffer is reused across displacements.
-    """
-    h, w = cur64.shape
-    rows8 = h // block
-    cols8 = w // block
-    buf = np.empty_like(cur64)
-    for i in indices:
-        dx = int(disp_arr[i, 0])
-        dy = int(disp_arr[i, 1])
-        shifted = refp[pad - dy : pad - dy + h, pad - dx : pad - dx + w]
-        np.subtract(cur64, shifted, out=buf)
-        np.abs(buf, out=buf)
-        yield i, buf.reshape(rows8, block, cols8, block).sum(axis=(1, 3))
 
 
 def _exhaustive_search(
@@ -515,167 +446,45 @@ def _exhaustive_search(
     """Displacement-major full search (ESA), optionally with an SATD
     re-ranking of the top candidates (TESA).
 
-    For each displacement the SAD of *every* macroblock is computed at once
-    with whole-frame vector ops.  The MV-bit penalty uses the zero-MV
-    predictor (exhaustive search scans a fixed window, so no causal
-    predictor exists while the costs are being accumulated).
-
-    ESA never materialises the full ``(2R+1)^2 x rows x cols`` exact cost
-    volume: a float32 screening pass bounds each block's attainable cost,
-    and only (displacement, block) pairs that could still win (screen cost
-    within ``delta`` of that block's screen minimum) are re-evaluated
-    exactly, with a running strict-``<`` argmin in ascending displacement
-    order.  SAD is a sum of absolute values — no cancellation — so the
-    float32 screen's relative error is bounded by ~2e-5 even under a
-    naive-order reduction, and ``delta`` keeps >= 6x headroom: the exact
-    winner (and every exact tie, which settles first-occurrence ordering)
-    is always among each block's screened candidates, making the result
-    bit-identical to the full exact scan.
-
-    TESA still builds the exact cost volume (its top-k partition is defined
-    over it) but re-ranks all (block, candidate) pairs with one batched
-    gather + matmul SATD instead of a Python loop per block.
+    Both build the exact cost volume: one whole-frame SAD map per
+    displacement (dy-major, dx-minor) plus the MV-bit penalty against the
+    zero predictor (exhaustive search scans a fixed window, so no causal
+    predictor exists while the costs are accumulated).  ESA takes the
+    volume's ``argmin`` (first occurrence breaks ties); TESA re-ranks each
+    block's five cheapest candidates by SATD, as x264 does.
     """
-    h, w = current.shape
-    rows, cols = h // block, w // block
-    n = rows * cols
+    ev = _BlockSadEvaluator(current, reference, search_range, block)
     cur64 = current.astype(np.float64)
-    ref64 = reference.astype(np.float64)
-    pad = search_range
-    refp = np.pad(ref64, pad, mode="edge")
     side = 2 * search_range + 1
-    disp_arr = np.empty((side * side, 2), dtype=np.int64)
     span = np.arange(-search_range, search_range + 1, dtype=np.int64)
-    disp_arr[:, 0] = np.tile(span, side)  # dx minor
-    disp_arr[:, 1] = span.repeat(side)  # dy major
-    n_disp = side * side
-    zero = np.zeros(n_disp, dtype=np.int64)
-    # Per-displacement MV-bit penalty against the zero predictor; the
-    # vectorised call computes the same exp-Golomb expression per element
-    # as a one-displacement call.
-    penalty = lambda_mv * _mv_bits_vec(disp_arr[:, 0], disp_arr[:, 1], zero, zero)
+    disp_arr = np.stack([np.tile(span, side), span.repeat(side)], axis=1)  # dx minor, dy major
+    penalty = lambda_mv * _mv_bits_vec(disp_arr[:, 0], disp_arr[:, 1], 0, 0)
+    sads = np.empty((side * side, ev.rows, ev.cols), dtype=np.float64)
+    for i, (dx, dy) in enumerate(disp_arr):
+        shifted = shifted_window(ev.ref_pad, dx, dy, ev.pad, cur64.shape)
+        sads[i] = block_reduce_sum(np.abs(cur64 - shifted), block)
+    costs = sads + penalty[:, None, None]
 
     if transformed:
-        # TESA: exact cost volume, then re-rank the top-5 SAD+rate
-        # candidates of each block by SATD (Hadamard-transformed
-        # difference), as x264 does.
-        costs = np.empty((n_disp, rows, cols), dtype=np.float64)
-        sads = np.empty_like(costs)
-        for i, sad in _exact_sad_scan(cur64, refp, disp_arr, np.arange(n_disp), pad, block):
-            sads[i] = sad
-            costs[i] = sad + penalty[i]
-        top_k = 5
-        part = np.argpartition(costs, top_k, axis=0)[:top_k]
-        # One batched gather of every (candidate, block) reference block
-        # from the padded reference, then one batched SATD.  Matmul and the
-        # per-block abs-sum are applied per (candidate, block) pair exactly
-        # as the scalar loop applied them per block.
-        cand = part.reshape(top_k, n)
-        cur_blocks = cur64.reshape(rows, block, cols, block).transpose(0, 2, 1, 3).reshape(n, block, block)
-        by = (np.arange(rows) * block).repeat(cols)
-        bx = np.tile(np.arange(cols) * block, rows)
-        win = sliding_window_view(refp, (block, block))
-        ref_blocks = win[by[None, :] - disp_arr[cand, 1] + pad, bx[None, :] - disp_arr[cand, 0] + pad]
+        # With a zero search range the one displacement is the only candidate.
+        cand = np.argpartition(costs, min(5, side * side - 1), axis=0)[:5].reshape(-1, ev.n)
+        # One batched gather of every (candidate, block) reference block,
+        # then one batched SATD: matmul and abs-sum per (candidate, block)
+        # pair exactly as a scalar loop applies them per block.
+        ref_blocks = ev._windows[ev.pad + ev.by - disp_arr[cand, 1], ev.pad + ev.bx - disp_arr[cand, 0]]
         had = _hadamard_matrix(block)
-        satd = np.abs(had @ (cur_blocks[None] - ref_blocks) @ had.T).sum(axis=(2, 3)) / block
-        cand_cost = satd + penalty[cand]
+        satd = np.abs(had @ (ev.cur_blocks - ref_blocks) @ had.T).sum(axis=(2, 3)) / block
         # argmin takes the first occurrence along the partition order —
-        # the same winner the sequential strict-< scan kept.
-        sel = np.argmin(cand_cost, axis=0)
-        best_idx = cand[sel, np.arange(n)].reshape(rows, cols)
-        sad_out = np.take_along_axis(sads, best_idx[None, :, :], axis=0)[0]
+        # the same winner a sequential strict-< scan keeps.
+        best = cand[np.argmin(satd + penalty[cand], axis=0), np.arange(ev.n)]
     else:
-        # ESA phase A: float32 screen.  current/reference are float32 at
-        # this point (estimate_motion casts), so the float32 error is the
-        # subtraction rounding plus the reduction's accumulation error —
-        # SAD has no cancellation, so even a naive-order einsum sum of
-        # block*block terms stays within ~2e-5 relative.
-        cur32 = cur64.astype(np.float32)
-        refp32 = refp.astype(np.float32)
-        buf32 = np.empty_like(cur32)
-        buf32v = buf32.reshape(rows, block, cols, block)
-        screen = np.empty((n_disp, rows, cols), dtype=np.float32)
-        pen32 = penalty.astype(np.float32)
-        for i in range(n_disp):
-            dx = int(disp_arr[i, 0])
-            dy = int(disp_arr[i, 1])
-            shifted = refp32[pad - dy : pad - dy + h, pad - dx : pad - dx + w]
-            np.subtract(cur32, shifted, out=buf32)
-            np.abs(buf32, out=buf32)
-            # einsum instead of sum(axis=(1, 3)): ~3x faster on the strided
-            # view, and any summation-order difference is absorbed by delta
-            # (this is the approximate screen, not the exact phase).
-            np.einsum("rbcd->rc", buf32v, out=screen[i])
-            screen[i] += pen32[i]
-        screen_min = screen.min(axis=0)
-        if np.isfinite(screen_min).all():
-            # >= 6x headroom over the worst-case screen error bound above.
-            delta = 2e-4 * screen_min + 1e-3
-            cand_mask = screen <= screen_min + delta
-        else:  # non-finite input: screen bound void, fall back to full scan
-            cand_mask = np.ones(screen.shape, dtype=bool)
-        cand_disp = np.flatnonzero(cand_mask.any(axis=(1, 2)))
-        # Phase B: exact evaluation of the surviving (displacement, block)
-        # pairs only, with a running strict-< argmin in ascending
-        # displacement order.  Each block sees a superset of its exact
-        # minimisers, so the winner — including first-occurrence
-        # tie-breaking — is identical to np.argmin over the full volume.
-        best_cost = np.full(n, np.inf)
-        best_sad = np.zeros(n, dtype=np.float64)
-        best_flat = np.zeros(n, dtype=np.int64)
-        if _tiled_sum_mimic_ok(block):
-            # Gathered per-block evaluation: only the blocks that kept a
-            # displacement candidate pay for it, which cuts phase B from
-            # |candidates| full-frame passes to the actual number of
-            # surviving pairs.  The row-sum + sequential accumulation is
-            # bit-identical to the tiled reduction (probed above).
-            cur_blocks = (
-                cur64.reshape(rows, block, cols, block).transpose(0, 2, 1, 3).reshape(n, block, block)
-            )
-            by = (np.arange(rows) * block).repeat(cols)
-            bx = np.tile(np.arange(cols) * block, rows)
-            win = sliding_window_view(refp, (block, block))
-            flat_mask = cand_mask.reshape(n_disp, n)
-            for i in cand_disp:
-                blocks_i = np.flatnonzero(flat_mask[i])
-                diff = win[
-                    by[blocks_i] - disp_arr[i, 1] + pad, bx[blocks_i] - disp_arr[i, 0] + pad
-                ]
-                np.subtract(cur_blocks[blocks_i], diff, out=diff)
-                np.abs(diff, out=diff)
-                part = diff.sum(axis=2)
-                sad = part[:, 0].copy()
-                for j in range(1, block):
-                    sad += part[:, j]
-                cost = sad + penalty[i]
-                upd = cost < best_cost[blocks_i]
-                sel = blocks_i[upd]
-                best_cost[sel] = cost[upd]
-                best_sad[sel] = sad[upd]
-                best_flat[sel] = i
-        else:
-            bc = best_cost.reshape(rows, cols)
-            bs = best_sad.reshape(rows, cols)
-            bi = best_flat.reshape(rows, cols)
-            for i, sad in _exact_sad_scan(cur64, refp, disp_arr, cand_disp, pad, block):
-                cost = sad + penalty[i]
-                upd = cost < bc
-                bc[upd] = cost[upd]
-                bs[upd] = sad[upd]
-                bi[upd] = i
-        best_idx = best_flat.reshape(rows, cols)
-        sad_out = best_sad.reshape(rows, cols)
-
-    int_mv = disp_arr[best_idx]
+        best = np.argmin(costs, axis=0).ravel()
+    sad = sads.reshape(len(sads), ev.n)[best, np.arange(ev.n)]
+    dx, dy = disp_arr[best].T
     if subpel:
-        ev = _BlockSadEvaluator(current, reference, search_range, block)
-        dx = int_mv[..., 0].ravel()
-        dy = int_mv[..., 1].ravel()
-        fx, fy = _parabolic_subpel(ev, dx, dy, sad_out.ravel(), block)
-        mv = np.stack([fx, fy], axis=-1).reshape(rows, cols, 2).astype(np.float32)
-    else:
-        mv = int_mv.astype(np.float32)
-    return mv, sad_out
+        dx, dy = _parabolic_subpel(ev, dx, dy, sad, block)
+    mv = np.stack([dx, dy], axis=-1).reshape(ev.rows, ev.cols, 2).astype(np.float32)
+    return mv, sad.reshape(ev.rows, ev.cols)
 
 
 def estimate_motion(
@@ -715,6 +524,12 @@ def estimate_motion(
     """
     if method not in ME_METHODS:
         raise ValueError(f"unknown motion estimation method {method!r}; choose from {ME_METHODS}")
+    if search_range < 0:
+        raise ValueError(f"search_range must be >= 0, got {search_range}")
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+    if method == "tesa" and block & (block - 1):
+        raise ValueError(f"tesa needs a power-of-two block (Hadamard SATD), got block {block}")
     current = np.asarray(current, dtype=np.float32)
     reference = np.asarray(reference, dtype=np.float32)
     if current.shape != reference.shape:

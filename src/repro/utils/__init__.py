@@ -12,7 +12,7 @@ from repro.utils.convexhull import (
     polygon_area,
     rasterize_polygon,
 )
-from repro.utils.integral import block_reduce_sum, block_sad_map, shift_with_edge_pad, shifted_window
+from repro.utils.integral import block_reduce_sum, shift_with_edge_pad, shifted_window
 from repro.utils.noise import value_noise_1d, value_noise_2d
 from repro.utils.ransac import RansacResult, ransac_linear
 from repro.utils.thresholding import triangle_threshold
@@ -20,7 +20,6 @@ from repro.utils.thresholding import triangle_threshold
 __all__ = [
     "RansacResult",
     "block_reduce_sum",
-    "block_sad_map",
     "convex_hull",
     "point_in_polygon",
     "points_in_polygon",

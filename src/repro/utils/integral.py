@@ -1,38 +1,21 @@
-"""Block reductions and displacement-major SAD maps.
+"""Block reductions and edge-padded shifts for displacement-major SAD maps.
 
 Exhaustive block-matching (the x264 ESA/TESA methods) evaluates every
 candidate displacement for every macroblock.  Doing that block-by-block in
 Python is hopeless; instead we loop over *displacements* and, for each one,
 compute the sum of absolute differences for **all** macroblocks at once by
-shifting the reference, taking ``|current - shifted|`` and reducing it over
-non-overlapping tiles (:func:`block_reduce_sum`).  One displacement costs a
-handful of whole-frame numpy operations.
-
-(:func:`integral_image` — the classic summed-area table — lives here too,
-but the SAD maps do not use it: a tiled ``reshape``/``sum`` reduction beats
-four gathers into a cumulative table for non-overlapping blocks.  It is
-kept as a reference utility and is exercised only by the test suite, so it
-is deliberately *not* re-exported from :mod:`repro.utils`.)
+shifting the reference (:func:`shifted_window`), taking
+``|current - shifted|`` and reducing it over non-overlapping tiles
+(:func:`block_reduce_sum`).  One displacement costs a handful of
+whole-frame numpy operations.  :func:`shift_with_edge_pad` is the
+allocating form of the shift, which the tests' reference volumes use.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["block_reduce_sum", "block_sad_map", "shift_with_edge_pad", "shifted_window"]
-
-
-def integral_image(img: np.ndarray) -> np.ndarray:
-    """Summed-area table with a zero top row/left column.
-
-    ``ii[r, c]`` is the sum of ``img[:r, :c]``, so any rectangle sum is four
-    lookups.  Reference utility only — the hot paths use
-    :func:`block_reduce_sum` instead (see the module docstring).
-    """
-    img = np.asarray(img, dtype=np.float64)
-    ii = np.zeros((img.shape[0] + 1, img.shape[1] + 1), dtype=np.float64)
-    np.cumsum(np.cumsum(img, axis=0), axis=1, out=ii[1:, 1:])
-    return ii
+__all__ = ["block_reduce_sum", "shift_with_edge_pad", "shifted_window"]
 
 
 def block_reduce_sum(img: np.ndarray, block: int) -> np.ndarray:
@@ -84,18 +67,3 @@ def shifted_window(padded: np.ndarray, dx: int, dy: int, pad: int, shape: tuple[
     h, w = shape
     return padded[pad - dy : pad - dy + h, pad - dx : pad - dx + w]
 
-
-def block_sad_map(current: np.ndarray, reference: np.ndarray, dx: int, dy: int, block: int = 16) -> np.ndarray:
-    """Per-macroblock SAD for one candidate displacement.
-
-    For every ``block``×``block`` macroblock of ``current``, the sum of
-    absolute differences against the reference block displaced by
-    ``(-dx, -dy)`` — equivalently, the cost of giving that macroblock the
-    motion vector ``(dx, dy)``.  Out-of-frame reference samples are
-    edge-replicated, matching what a real encoder's unrestricted motion
-    search does with padded reference frames.
-
-    Returns an array of shape ``(H/block, W/block)``.
-    """
-    shifted = shift_with_edge_pad(reference, dx, dy)
-    return block_reduce_sum(np.abs(current.astype(np.float64) - shifted), block)

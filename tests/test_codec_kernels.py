@@ -1,12 +1,13 @@
 """Bit-exactness pins for the vectorised hot-path kernels.
 
-The batched ESA/TESA search, the gathered motion-compensation, the reusable
-SAD evaluator buffers and the cached rate-control bit curves are pure
-performance rewrites: each one must reproduce its straightforward reference
+ESA / TESA's cost volume with TESA's batched SATD re-rank, the gathered
+motion-compensation, the reusable SAD evaluator buffers and the cached
+rate-control bit curves must each reproduce a straightforward reference
 implementation to the last bit.  These tests hold the reference versions
-(per-block Python loops, full cost volumes, the plain quantise-and-count
-pipeline) and assert exact equality — not closeness — across dtypes, odd
-search ranges, fractional MVs and tie-heavy content.
+(per-block Python loops, the cost volume built from allocating shifts, the
+plain quantise-and-count pipeline) and assert exact equality — not
+closeness — across dtypes, odd search ranges, fractional MVs and tie-heavy
+content.
 
 The classes exercising *dispatched* kernels carry the ``kernel_backend``
 fixture (see ``conftest.py``): every assertion re-runs under each
@@ -27,7 +28,6 @@ from repro.codec.motion import (
     _BlockSadEvaluator,
     _pattern_search,
     _pattern_search_reference,
-    _tiled_sum_mimic_ok,
     estimate_motion,
     interpolated_block,
     motion_compensate,
@@ -407,14 +407,6 @@ class TestExhaustiveBitExact:
         b = estimate_motion(cur, ref, method=method, search_range=6, subpel=True)
         np.testing.assert_array_equal(a.mv, b.mv)
         np.testing.assert_array_equal(a.sad, b.sad)
-
-    def test_tiled_sum_mimic_probe_holds(self):
-        # The gathered ESA phase-B path is gated on this probe; if it ever
-        # fails on a NumPy build, ESA silently takes the (slower, always
-        # correct) full-frame path — but on supported builds the fast path
-        # must be active.
-        assert _tiled_sum_mimic_ok(16)
-        assert _tiled_sum_mimic_ok(8)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,34 @@ class TestEstimateMotion:
         with pytest.raises(ValueError):
             estimate_motion(f, f, method="zigzag")
 
+    @pytest.mark.parametrize("method", ME_METHODS)
+    def test_negative_search_range_rejected(self, method):
+        f = textured_frame()
+        with pytest.raises(ValueError, match="search_range"):
+            estimate_motion(f, f, method=method, search_range=-1)
+
+    @pytest.mark.parametrize("method", ME_METHODS)
+    def test_empty_block_rejected(self, method):
+        f = textured_frame()
+        with pytest.raises(ValueError, match="block"):
+            estimate_motion(f, f, method=method, block=0)
+
+    def test_tesa_needs_power_of_two_block(self):
+        f = textured_frame(shape=(48, 96))
+        with pytest.raises(ValueError, match="block"):
+            estimate_motion(f, f, method="tesa", block=12)
+        # The other methods take any block that tiles the frame.
+        assert estimate_motion(f, f, method="esa", block=12, search_range=2).mv.shape == (4, 8, 2)
+
+    def test_tesa_at_zero_range_is_the_esa_field(self):
+        ref = textured_frame(seed=10)
+        cur = shift_with_edge_pad(ref, 3, -2)
+        tesa = estimate_motion(cur, ref, method="tesa", search_range=0)
+        esa = estimate_motion(cur, ref, method="esa", search_range=0)
+        np.testing.assert_array_equal(tesa.mv, esa.mv)
+        np.testing.assert_array_equal(tesa.sad, esa.sad)
+        assert not tesa.mv.any()
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             estimate_motion(np.zeros((32, 32)), np.zeros((32, 48)))

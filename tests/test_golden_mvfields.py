@@ -8,7 +8,10 @@ the commit before the whole DIA / HEX / UMH search moved behind the one
 ``estimate_motion`` call DiVE's agent makes on frames 1-4 of the three
 ``test_golden_pframes`` clips (each against the encoder's reconstruction of
 the frame before, under the clip's own ``search_range_for``), once per
-pattern method.
+pattern method.  The exhaustive methods are pinned on the ``robotcar`` clip
+(search range 16) by goldens recorded at 06635e1, the commit before ESA and
+TESA became one plain cost volume; neither dispatches to a kernel, so they
+run once, on the host's default backend.
 
 ``python tests/test_golden_mvfields.py`` prints the table for the checkout on
 ``PYTHONPATH`` (how the values below were produced).
@@ -27,6 +30,7 @@ from repro.experiments import run_scheme, scaled_bandwidth
 from repro.network import constant_trace
 
 METHODS = ("dia", "hex", "umh")
+EXHAUSTIVE = ("esa", "tesa")
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,6 +121,19 @@ GOLDEN = {
         (16, 'c13ba68cf25131d0a59161f1', 'c1728169f9a56f04aa6b680e'),
         (16, 'e8a62457ac15196506fd817c', '6a16889c36a2765af0862a29'),
     ],
+    # Recorded at 06635e1.
+    ('robotcar', 'esa'): [
+        (16, '62ab21d1b57701d3d74e12bf', '18809e667bc69ee98b09763e'),
+        (16, '4e820103a7042e9ed86e34ce', 'e6709a8d8a60175de508f0a2'),
+        (16, 'aee09c1d35d970bdc26a5ccf', 'df265a6bf89737a38dfe91c8'),
+        (16, '55ed2e19d2d5b8edd163d261', 'b677a2d9ccd677a5c0f8f2b7'),
+    ],
+    ('robotcar', 'tesa'): [
+        (16, 'd6174486cd1cf6f0d8eba691', 'c223ea486f20ebd58bc49d3b'),
+        (16, '9c9365800d07c60f78aa54e8', '54365f38a5f29d5879540e24'),
+        (16, '9fb43add73a90096914e9b24', '4651f5007da4f161ffa75ee4'),
+        (16, 'fc1438942e0e4862be56e529', '5674c4d31ca5ed2645bbfa6f'),
+    ],
 }
 
 
@@ -127,11 +144,18 @@ def test_mvfields_match_the_parent_commit(clip, method, kernel_backend):
     assert _mvfields(clip, method) == GOLDEN[clip, method]
 
 
+@pytest.mark.parametrize("method", EXHAUSTIVE)
+def test_exhaustive_mvfields_match_the_parent_commit(method):
+    assert _mvfields("robotcar", method) == GOLDEN["robotcar", method]
+
+
 def test_the_goldens_cover_every_p_frame_and_tell_the_methods_apart():
     for clip in CLIPS:
-        fields = [GOLDEN[clip, method] for method in METHODS]
+        methods = [m for m in METHODS + EXHAUSTIVE if (clip, m) in GOLDEN]
+        fields = [GOLDEN[clip, method] for method in methods]
         assert all(len(rows) == N_FRAMES - 1 for rows in fields)
-        assert len({rows[0][1] for rows in fields}) == len(METHODS)
+        assert len({rows[0][1] for rows in fields}) == len(methods)
+    assert {clip for clip, method in GOLDEN if method in EXHAUSTIVE} == {"robotcar"}
 
 
 if __name__ == "__main__":
@@ -142,4 +166,9 @@ if __name__ == "__main__":
             for row in _mvfields(clip_name, method_name):
                 print(f"        {row!r},")
             print("    ],")
+    for method_name in EXHAUSTIVE:
+        print(f"    ('robotcar', {method_name!r}): [")
+        for row in _mvfields("robotcar", method_name):
+            print(f"        {row!r},")
+        print("    ],")
     print("}")

@@ -1,4 +1,4 @@
-"""Tests for thresholding, RANSAC, noise and integral-image utilities."""
+"""Tests for thresholding, RANSAC, noise and block-reduction utilities."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,12 @@ from hypothesis import strategies as st
 
 from repro.utils import (
     block_reduce_sum,
-    block_sad_map,
     ransac_linear,
+    shift_with_edge_pad,
     triangle_threshold,
     value_noise_1d,
     value_noise_2d,
 )
-
-# integral_image is a test-only reference utility, deliberately not part of
-# the repro.utils public surface.
-from repro.utils.integral import integral_image, shift_with_edge_pad
 
 
 class TestTriangleThreshold:
@@ -155,16 +151,6 @@ class TestValueNoise:
 
 
 class TestIntegral:
-    def test_integral_image_rectangle(self):
-        rng = np.random.default_rng(0)
-        img = rng.uniform(size=(20, 30))
-        ii = integral_image(img)
-        assert ii[10, 15] == pytest.approx(img[:10, :15].sum())
-        # Arbitrary rectangle via 4 lookups.
-        r0, r1, c0, c1 = 3, 17, 5, 22
-        rect = ii[r1, c1] - ii[r0, c1] - ii[r1, c0] + ii[r0, c0]
-        assert rect == pytest.approx(img[r0:r1, c0:c1].sum())
-
     def test_block_reduce_sum(self):
         img = np.arange(64, dtype=float).reshape(8, 8)
         out = block_reduce_sum(img, 4)
@@ -186,21 +172,3 @@ class TestIntegral:
         # Content moves by (dx=1, dy=0): the bright pixel lands at column 3.
         out = shift_with_edge_pad(img, 1, 0)
         assert out[2, 3] == 1.0
-
-    def test_sad_map_zero_for_true_shift(self):
-        rng = np.random.default_rng(1)
-        ref = rng.uniform(0, 255, size=(64, 64))
-        dx, dy = 3, -2
-        cur = shift_with_edge_pad(ref, dx, dy)
-        sad = block_sad_map(cur, ref, dx, dy, block=16)
-        assert sad.shape == (4, 4)
-        # Interior blocks match exactly (borders touched by padding).
-        assert sad[1:3, 1:3].max() == pytest.approx(0.0)
-
-    def test_sad_map_nonzero_for_wrong_shift(self):
-        rng = np.random.default_rng(2)
-        ref = rng.uniform(0, 255, size=(64, 64))
-        cur = shift_with_edge_pad(ref, 3, 0)
-        sad_right = block_sad_map(cur, ref, 3, 0, block=16)
-        sad_wrong = block_sad_map(cur, ref, 0, 0, block=16)
-        assert sad_wrong[1:3, 1:3].min() > sad_right[1:3, 1:3].max()
