@@ -1,5 +1,5 @@
-/* The cext kernel backend's C source: compiled at run time with
- * repro.kernels.cext._CFLAGS, self-probed against the NumPy references
+/* The cext kernel backend's C source: compiled at run time for the host CPU
+ * with repro.kernels.cext._CFLAGS, self-probed against the NumPy references
  * before any hook is bound.  Why each routine is bit-identical to its
  * reference is argued in the docstring of repro/kernels/cext.py. */
 
@@ -84,8 +84,10 @@ static double mv_bits(int64_t dx, int64_t dy, int64_t px, int64_t py) {
     return 2.0 + 2.0 * ((double)ex + (double)ey);
 }
 
-/* n float32 -> float64, eight at a time: -O2 vectorises only a loop whose
- * trip count it knows. */
+/* n float32 -> float64, eight at a time: GCC's -O2 vectorises only a loop
+ * whose trip count it knows to be a whole number of vectors, on every
+ * -march (the plain loop below stays scalar on the host ISA too).  Eight
+ * lanes are four SSE2 conversions or two AVX ones. */
 static inline void widen(const float *src, double *dst, int64_t n) {
     int64_t i = 0;
     for (; i + 8 <= n; i += 8)
@@ -699,9 +701,12 @@ void intra_pre(const double *frame, const double *recon, int64_t stride,
  * _RateCounter). */
 #define ZERO_CUT 0.25
 
-/* np.round — rint in the default rounding mode — without the libm call the
- * baseline ISA would make of it: adding and subtracting 1.5 * 2^52 leaves
- * the nearest integer, ties to even, exactly for |x| < 2^51; copysign keeps
+/* np.round — rint in the default rounding mode — spelled out, so no
+ * compiler or -march decides whether it is a libm call (GCC inlines rint
+ * under -fno-math-errno: this idiom behind a range check on baseline
+ * x86-64, one roundsd (SSE4.1) or vrndscalesd (AVX-512); the bytes are
+ * the same): adding and subtracting 1.5 * 2^52 leaves the nearest integer,
+ * ties to even, exactly for |x| < 2^51; copysign keeps
  * np.round(-0.3) == -0.0.  Beyond 2^51 the result is off but still past
  * LEVEL_LIMIT (NaN stays NaN), which every caller hands to the reference. */
 static inline double round_even(double x) {

@@ -26,7 +26,17 @@ blocks, a search range whose ``(2R+1)^2`` displacements do not fit the
 memo's 16-bit key, a NaN or infinite pixel, scratch it could not allocate —
 and ``_pattern_search_reference`` answers.
 
-Bit-exactness is engineered, then verified:
+Bit-exactness is engineered, then verified.  The source is compiled for the
+host's own vector unit (``-march=native``: SSE2 pairs on a baseline x86-64,
+four or eight doubles a register under AVX2 / AVX-512), and no width changes
+a bit: every vectorised loop is element-wise — vector add, sub, mul, div,
+abs, compare and float32 -> float64 give each lane exactly what the
+scalar instruction would — no reduction is re-bracketed across lanes (GCC never
+reassociates FP without ``-ffast-math``; the pairwise sums below name their
+eight lanes), ``-ffp-contract=off`` keeps FMA out although the host has it,
+and the libm calls are the same calls.  The object differs per CPU, so the
+self-probe at the end of this list runs in every process, on the object
+that process loaded.
 
 - SAD reductions replicate NumPy's pairwise summation exactly (8-way
   unrolled 128-element blocks, recursive halving above; the same algorithm
@@ -89,9 +99,10 @@ Bit-exactness is engineered, then verified:
   libm call); a skipped block's pixel is the clipped prediction because its
   dense residual is all +-0.0 — unless the prediction pixel is ``-0.0`` or a
   NaN, or a step is infinite, and then the reference answers.
-- Before the first use a self-probe walks :func:`_probe_table` — one row
-  per hook, plus the pairwise sum everything above rests on — and runs
-  every C kernel against its reference on adversarial random inputs; any
+- Before the first use in a process a self-probe walks
+  :func:`_probe_table` — one row per hook, plus the pairwise sum everything
+  above rests on — and runs every C kernel of the object just loaded, built
+  for this CPU, against its reference on adversarial random inputs; any
   mismatch marks the backend unavailable, and ``auto`` resolves to the
   ``numpy`` reference.
 
@@ -102,8 +113,10 @@ the noise's lattice cells) is allocated per call or per counter,
 so concurrent encodes (``agent_workers > 1`` — ctypes drops the GIL
 around each call) cannot see each other's data.
 
-The shared object is compiled once per source hash with the system
-``cc``/``gcc``/``clang`` into a private per-user cache directory
+The shared object is compiled once per source, flag list and host CPU
+(:func:`_stem`) with the system ``cc``/``gcc``/``clang`` — without
+``-march=native`` when the compiler rejects it — into a private per-user
+cache directory
 (``$XDG_CACHE_HOME/repro/kernels``, default ``~/.cache/repro/kernels``;
 the temp dir is the fallback when the home is read-only).  A directory
 that is not owned by this user with mode 0700 is never loaded from, and
@@ -121,6 +134,7 @@ import dataclasses
 import functools
 import hashlib
 import os
+import platform
 import stat
 import subprocess
 import tempfile
@@ -137,12 +151,19 @@ __all__ = ["CExtBackend"]
 #: The C source, compiled as it stands on disk.
 _SOURCE = Path(__file__).with_name("cext.c")
 
-#: Compile flags: -ffp-contract=off forbids FMA contraction (a contracted
-#: a*b+c rounds once, NumPy's separate ops round twice); -O2 never
+#: Compile flags.  -march=native builds the whole compilation unit for the
+#: CPU it runs on (the SAD leaf's eight lanes in one AVX-512 or two AVX2
+#: registers, not four SSE2 pairs): :func:`_stem` keys the cached object to
+#: that CPU, and :func:`_flag_lists` drops the flag for a compiler that
+#: rejects it.  Wider vectors change no bit (argued in the module
+#: docstring): every vectorised loop is lane-wise IEEE, -ffp-contract=off
+#: forbids FMA contraction although the host has FMA (a contracted a*b+c
+#: rounds once, NumPy's separate ops round twice), and GCC never
 #: reassociates FP without -ffast-math, so the operation order of cext.c is
 #: what runs.  An implicit declaration is an error on gcc >= 14 / clang >= 16
 #: anyway; asking for it everywhere keeps older compilers from hiding one.
-_CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno",
+_NATIVE = "-march=native"
+_CFLAGS = ["-O2", _NATIVE, "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno",
            "-Werror=implicit-function-declaration"]
 _COMPILERS = ("cc", "gcc", "clang")
 
@@ -217,10 +238,18 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _flag_lists() -> tuple[list[str], list[str]]:
+    """The flags a build tries, in order: :data:`_CFLAGS`, then the same
+    without ``-march=native`` for a compiler that rejects it (the object is
+    then built for the baseline ISA, and is as bit-exact)."""
+    return _CFLAGS, [flag for flag in _CFLAGS if flag != _NATIVE]
+
+
 def _compile(cache: Path, stem: str) -> Path:
     """Compile the source into ``cache``; returns the object's path.
 
-    The object is written under a unique temp name and moved into place
+    Each compiler gets the flag lists of :func:`_flag_lists` in turn.  The
+    object is written under a unique temp name and moved into place
     atomically, named after its own content hash so a loader can tell a
     whole file from a truncated one.
     """
@@ -229,24 +258,27 @@ def _compile(cache: Path, stem: str) -> Path:
     errors = []
     try:
         for compiler in _COMPILERS:
-            try:
-                subprocess.run(
-                    [compiler, *_CFLAGS, "-x", "c", str(_SOURCE), "-o", tmp, "-lm"],
-                    check=True,
-                    capture_output=True,
-                    timeout=120,
-                )
-            except FileNotFoundError:
-                errors.append(f"{compiler}: not found")
-            except subprocess.CalledProcessError as exc:
-                stderr = exc.stderr.decode(errors="replace").strip()
-                errors.append(f"{compiler}: {stderr[-400:] or f'exit {exc.returncode}'}")
-            except (OSError, subprocess.SubprocessError) as exc:
-                errors.append(f"{compiler}: {exc}")
-            else:
-                so_path = cache / f"{stem}-{_digest(Path(tmp).read_bytes())}.so"
-                os.replace(tmp, so_path)
-                return so_path
+            for flags in _flag_lists():
+                try:
+                    subprocess.run(
+                        [compiler, *flags, "-x", "c", str(_SOURCE), "-o", tmp, "-lm"],
+                        check=True,
+                        capture_output=True,
+                        timeout=120,
+                    )
+                except FileNotFoundError:
+                    error = "not found"
+                    break
+                except subprocess.CalledProcessError as exc:
+                    stderr = exc.stderr.decode(errors="replace").strip()
+                    error = stderr[-400:] or f"exit {exc.returncode}"
+                except (OSError, subprocess.SubprocessError) as exc:
+                    error = str(exc)
+                else:
+                    so_path = cache / f"{stem}-{_digest(Path(tmp).read_bytes())}.so"
+                    os.replace(tmp, so_path)
+                    return so_path
+            errors.append(f"{compiler}: {error}")
         raise _Unavailable("no working C compiler (" + "; ".join(errors) + ")")
     finally:
         if os.path.exists(tmp):
@@ -262,6 +294,29 @@ def _load(so_path: Path) -> ctypes.CDLL:
     return lib
 
 
+def _host_isa() -> str:
+    """The CPU an object built here is for: the machine name plus the
+    kernel's feature flags of the first CPU (the ``flags`` line of
+    ``/proc/cpuinfo`` on x86, ``Features`` on ARM), where that file exists.
+    One file read, no subprocess."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as cpuinfo:
+            for line in cpuinfo:
+                key, _, value = line.partition(":")
+                if key.strip() in ("flags", "Features"):
+                    return f"{platform.machine()} {value.strip()}"
+    except OSError:
+        pass
+    return platform.machine()
+
+
+def _stem(source: bytes) -> str:
+    """The cache name of the object built from ``source``: a hash of the
+    source, the flags and the host CPU, so an object built with other flags,
+    or cached by a host with another CPU in a shared home, is never loaded."""
+    return "kernels-" + _digest(source + " ".join(_CFLAGS).encode() + _host_isa().encode())
+
+
 def _build_library() -> ctypes.CDLL:
     """Load the shared object, compiling it when missing or damaged."""
     try:
@@ -269,7 +324,7 @@ def _build_library() -> ctypes.CDLL:
     except OSError as exc:
         raise _Unavailable(f"cannot read the kernel source {_SOURCE}: {exc.strerror or exc}") from None
     cache = _cache_dir()
-    stem = "kernels-" + _digest(source + " ".join(_CFLAGS).encode())
+    stem = _stem(source)
     for so_path in sorted(cache.glob(f"{stem}-*.so")):
         # dlopen of a truncated object can kill the process (SIGBUS), so a
         # file is only loaded once it matches the content hash in its name.

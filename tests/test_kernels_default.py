@@ -4,12 +4,15 @@
 ``cext`` when the host can build it and it passes its bitwise self-probe,
 and the ``numpy`` reference otherwise — these tests pin the laziness, the
 single build under a thread race, the no-compiler and no-source fallbacks
-(golden digest unchanged), the cache directory's safety rules, and the
-self-probe itself: a hook one ulp off, or a C source with one wrong line,
+(golden digest unchanged), the cache directory's safety rules, the object
+built for and cached per CPU (and built anyway by a compiler without
+``-march=native``), and the self-probe itself: a hook one ulp off, or a C source with one wrong line,
 binds no hook and leaves ``auto`` on the reference.
 """
 
 import os
+import platform
+import shlex
 import shutil
 import stat
 import subprocess
@@ -252,6 +255,77 @@ class TestCacheSafety:
     def test_temp_dir_is_the_fallback_when_the_cache_home_is_unusable(self, fresh_host, tmp_path):
         (tmp_path / "cache").write_text("a file where the cache home should be")
         assert cext._cache_dir() == tmp_path / "tmp" / f"repro-kernels-{os.getuid()}"
+
+
+class TestBuiltForThisCpu:
+    """The object is compiled with ``-march=native``, so it is cached per
+    CPU, and a compiler without the flag still builds one."""
+
+    def test_the_host_isa_keys_the_stem(self, monkeypatch):
+        assert cext._host_isa().startswith(platform.machine())
+        source = cext._SOURCE.read_bytes()
+        stems = []
+        for isa in ("x86_64 fpu sse2 avx2", "x86_64 fpu sse2 avx2 avx512f", "x86_64 fpu sse2 avx2"):
+            monkeypatch.setattr(cext, "_host_isa", lambda isa=isa: isa)
+            stems.append(cext._stem(source))
+        assert stems[0] != stems[1] and stems[0] == stems[2]
+
+    def test_an_object_cached_for_another_cpu_is_never_loaded(self, fresh_host, monkeypatch):
+        """A home shared by hosts with different CPUs: each loads only its own
+        object and leaves the other's in place."""
+        _restore_compiler(monkeypatch)
+        source, cache = cext._SOURCE.read_bytes(), cext._cache_dir()
+        monkeypatch.setattr(cext, "_host_isa", lambda: "x86_64 another cpu")
+        foreign_bytes = b"an object built for another CPU"
+        foreign = cache / f"{cext._stem(source)}-{cext._digest(foreign_bytes)}.so"
+        foreign.write_bytes(foreign_bytes)
+        monkeypatch.setattr(cext, "_host_isa", lambda: "x86_64 this cpu")
+        loaded, load = [], cext._load
+        monkeypatch.setattr(cext, "_load", lambda path: loaded.append(path) or load(path))
+        assert kernels.backend("cext").available(), kernels.backend("cext").why_unavailable()
+        (own,) = loaded
+        assert own.name.startswith(cext._stem(source) + "-")
+        assert foreign.read_bytes() == foreign_bytes
+        assert sorted(cache.iterdir()) == sorted([own, foreign])
+
+    def test_a_compiler_that_rejects_march_native_still_builds(self, fresh_host, monkeypatch):
+        """The one retry drops only ``-march=native``: same source, same
+        stem, and the object passes the same self-probe."""
+        real = next(filter(None, (shutil.which(c, path=REAL_PATH) for c in cext._COMPILERS)), None)
+        if real is None:
+            pytest.skip("no C compiler on this host")
+        log = fresh_host.parent / "cc.log"
+        fake = fresh_host / "cc"
+        fake.write_text(
+            "#!/bin/sh\n"
+            f'echo "$*" >> {shlex.quote(str(log))}\n'
+            'for arg in "$@"; do\n'
+            '  if [ "$arg" = -march=native ]; then\n'
+            "    echo \"cc: error: unknown value 'native' for '-march'\" >&2; exit 1\n"
+            "  fi\n"
+            "done\n"
+            f"PATH={shlex.quote(REAL_PATH)} exec {shlex.quote(real)} \"$@\"\n"
+        )
+        fake.chmod(0o755)
+        assert kernels.backend("cext").available(), kernels.backend("cext").why_unavailable()
+        native, fallback = (line.split() for line in log.read_text().splitlines())
+        assert native[: len(cext._CFLAGS)] == cext._CFLAGS and "-march=native" in native
+        assert fallback == [arg for arg in native if arg != "-march=native"]
+        (so,) = (fresh_host.parent / "cache" / "repro" / "kernels").iterdir()
+        assert so.name.startswith(cext._stem(cext._SOURCE.read_bytes()) + "-")
+
+
+def test_the_sanitised_runner_gets_its_own_stem(monkeypatch):
+    """``tests/run_sanitized_kernels.py`` extends ``_CFLAGS`` in-process: its
+    object must not share the product's cache name, and the fallback build
+    must keep the sanitizers too."""
+    from run_sanitized_kernels import SANITIZER_FLAGS
+
+    source = cext._SOURCE.read_bytes()
+    plain = cext._stem(source)
+    monkeypatch.setattr(cext, "_CFLAGS", [*cext._CFLAGS, *SANITIZER_FLAGS])
+    assert cext._stem(source) != plain
+    assert all(flags[-len(SANITIZER_FLAGS):] == SANITIZER_FLAGS for flags in cext._flag_lists())
 
 
 @pytest.mark.parametrize("source", ["missing", "a directory"])
