@@ -14,9 +14,9 @@ finishes in tens of minutes on a laptop.  The paper-scale run (50/8 clips,
 
 pytest-benchmark is optional: without the plugin, ``bench_once`` degrades
 to a plain call-once fixture, so the suite still runs (and still prints
-its tables) — it just loses the timing statistics.  Wall-clock/memory
-measurement proper lives in :mod:`repro.bench` (``repro bench``), which
-has no pytest dependency at all.
+its tables) — it just loses the timing statistics.  Speed proper is
+measured by the repo's one ruler, ``benchmarks/perf/run.py``, which has
+no pytest dependency at all.
 """
 
 import pytest

@@ -5,8 +5,7 @@ experiment entry points (``table1``, ``fig06`` ... ``fig17``, ``ablation``,
 ``scalability``) plus a ``demo`` that streams one clip through DiVE.
 Every experiment accepts ``--clips`` / ``--frames`` to trade fidelity for
 time; results print as the same text tables the benchmark suite emits.
-``lint`` runs the project-specific static analyser, ``bench`` the
-micro benchmark table (``--compare-backends`` for numpy vs cext),
+``lint`` runs the project-specific static analyser,
 ``report`` joins a trace JSONL and a metrics JSONL into one run
 report, ``fleet`` runs a multi-tenant fleet against one
 shared cell and batching edge, and ``top`` is the live telemetry dashboard over a
@@ -16,6 +15,7 @@ streaming run (``--once`` for a CI snapshot).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable
 
@@ -47,6 +47,26 @@ __all__ = ["build_parser", "main"]
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(n_clips=args.clips, n_frames=args.frames, detector_seed=args.detector_seed)
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for a clip or frame count: an integer ≥ 1."""
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+def _bandwidth(text: str) -> float:
+    """argparse ``type=`` for a paper-scale Mbps label: finite and ≥ 0."""
+    try:
+        if 0.0 <= (value := float(text)) < math.inf:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative number of Mbps, got {text!r}")
 
 
 def _add_backend_args(p: argparse.ArgumentParser) -> None:
@@ -298,74 +318,12 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _bench_compare_backends(args: argparse.Namespace) -> int:
-    """Time the kernel micro benchmarks under both kernel backends.
-
-    One table row per (benchmark, backend): median wall time, frames/s and
-    the speedup over the ``numpy`` reference.  Unavailable backends get a
-    row stating why instead of silently vanishing.  Outputs are
-    bit-identical across backends by contract, so the table is purely a
-    performance comparison.
-    """
-    from repro import kernels
-    from repro.bench import run_suite
-
-    names = args.only or [
-        "me/dia", "me/hex", "me/umh", "me/motion_compensate",
-        "codec/dct_quant_roundtrip", "codec/rate_control",
-        "codec/intra_encode", "codec/intra_decode", "world/render",
-    ]
-    rows = []
-    base_median: dict[str, float] = {}
-    for backend_name in kernels.BACKENDS:
-        inst = kernels.backend(backend_name)
-        if not inst.available():
-            reason = inst.why_unavailable() or "unavailable"
-            rows.append(["-", backend_name, "-", "-", reason])
-            continue
-        with kernels.use_backend(backend_name):
-            doc = run_suite(names=names)
-        for entry in doc["benchmarks"]:
-            median = entry["timing_s"]["median"]
-            fps = entry["throughput"].get("frames_per_s", 0.0)
-            if backend_name == "numpy":
-                base_median[entry["name"]] = median
-            base = base_median.get(entry["name"])
-            speedup = f"{base / median:.2f}x" if base and median > 0 else "-"
-            rows.append([entry["name"], backend_name, f"{median * 1e3:.2f}", f"{fps:.1f}", speedup])
-    print(format_table(
-        ["benchmark", "backend", "median ms", "frames/s", "vs numpy"],
-        rows,
-        title="kernel backends — bit-identical outputs, wall-clock only",
-    ))
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the micro benchmark suite and print its table."""
-    from repro.bench import all_benchmarks, render_bench_json, render_bench_text, run_suite
-
-    if args.compare_backends:
-        return _bench_compare_backends(args)
-    if args.list:
-        print(format_table(
-            ["benchmark", "group"],
-            [[b.name, b.group] for b in all_benchmarks()],
-            title="registered benchmarks",
-        ))
-        return 0
-    doc = run_suite(names=args.only or None)
-    print(render_bench_json(doc) if args.format == "json" else render_bench_text(doc))
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     """Join a frame trace and a metrics JSONL into one run report."""
     from pathlib import Path
 
-    from repro.bench import run_report
     from repro.metrics import read_metrics_jsonl
-    from repro.obs import read_jsonl
+    from repro.obs import read_jsonl, run_report
 
     try:
         meta, frames = read_jsonl(args.trace) if args.trace else (None, None)
@@ -607,13 +565,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--clips", type=int, default=2, help="clips per dataset")
-        p.add_argument("--frames", type=int, default=24, help="frames per clip")
+        p.add_argument("--clips", type=_positive_int, default=2, help="clips per dataset")
+        p.add_argument("--frames", type=_positive_int, default=24, help="frames per clip")
         p.add_argument("--detector-seed", type=int, default=7)
         if name in ("demo", "analyze", "trace"):
             p.add_argument("--dataset", choices=("nuscenes", "robotcar"), default="nuscenes")
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--bandwidth", type=float, default=2.0, help="paper-scale Mbps")
+            p.add_argument("--bandwidth", type=_bandwidth, default=2.0, help="paper-scale Mbps")
         if name == "demo":
             p.add_argument(
                 "--sanitize",
@@ -650,20 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("paths", nargs="*", default=["src"], help="files/directories to lint")
     lint.add_argument("--format", choices=("text", "json"), default="text")
     lint.add_argument("--list-rules", action="store_true", help="print the rule table and exit")
-    bench = sub.add_parser(
-        "bench",
-        help="Perf/memory micro benchmarks (end-to-end speed and regressions: benchmarks/perf/run.py)",
-    )
-    bench.add_argument("--format", choices=("text", "json"), default="text")
-    bench.add_argument("--only", action="append", default=None, metavar="NAME", help="run only this benchmark (repeatable)")
-    bench.add_argument("--list", action="store_true", help="list registered benchmarks and exit")
-    bench.add_argument(
-        "--compare-backends",
-        action="store_true",
-        help="time the kernel micro benchmarks under both kernel backends (numpy, cext) "
-             "and print a speedup table (honours --only)",
-    )
-    _add_backend_args(bench)
     report = sub.add_parser(
         "report",
         help="Run report joining a repro-trace JSONL and a metrics JSONL",
@@ -681,9 +625,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--dataset", choices=("nuscenes", "robotcar"), default="nuscenes")
     top.add_argument("--seed", type=int, default=0)
-    top.add_argument("--frames", type=int, default=24, help="frames in the streamed clip")
+    top.add_argument("--frames", type=_positive_int, default=24, help="frames in the streamed clip")
     top.add_argument("--detector-seed", type=int, default=7)
-    top.add_argument("--bandwidth", type=float, default=2.0, help="paper-scale Mbps")
+    top.add_argument("--bandwidth", type=_bandwidth, default=2.0, help="paper-scale Mbps")
     top.add_argument("--queue-capacity", type=int, default=2, help="uplink queue bound")
     top.add_argument(
         "--policy", choices=("block", "degrade-qp", "drop-oldest"), default="drop-oldest",
@@ -747,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "backend") and not getattr(args, "compare_backends", False):
+    if hasattr(args, "backend"):
         from repro import kernels
 
         try:
@@ -763,8 +707,6 @@ def main(argv: list[str] | None = None) -> int:
         print(header, file=sys.stderr if as_json else sys.stdout)
     if args.command == "lint":
         return _cmd_lint(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "report":
         return _cmd_report(args)
     if args.command == "top":

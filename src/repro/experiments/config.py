@@ -29,7 +29,6 @@ from repro.world.datasets import Clip, kitti_like, nuscenes_like, robotcar_like
 
 __all__ = [
     "PAPER_REFERENCE_PIXELS",
-    "BenchScale",
     "ExperimentConfig",
     "dataset_clips",
     "scaled_bandwidth",
@@ -63,42 +62,6 @@ class ExperimentConfig:
     n_clips: int = 3
     n_frames: int = 48
     detector_seed: int = 7
-
-
-@dataclass(frozen=True)
-class BenchScale:
-    """Workload scale of the :mod:`repro.bench` perf suite.
-
-    The defaults are sized so ``repro bench`` finishes in seconds on a
-    laptop while each benchmark still does enough work to time
-    meaningfully.  Tests shrink these further; a paper-scale perf run
-    passes larger values.  Everything here is deterministic input
-    to the benchmarks — two runs with the same :class:`BenchScale` perform
-    bit-identical work (only the measured wall-clock differs).
-
-    Attributes
-    ----------
-    warmup, repeats:
-        Measurement schedule (discarded warmup calls, then timed repeats).
-    seed:
-        Seed for every clip / synthetic field a benchmark builds.
-    frame_width, frame_height:
-        Benchmark frame size (multiples of 16); smaller than the
-        experiment default so ESA/TESA stay fast.
-    exhaustive_search_range:
-        Search range for the ESA/TESA benchmarks (pattern searches keep the
-        codec default of 16).
-    cluster_grid:
-        ``(rows, cols)`` macroblock grid of the clustering benchmark.
-    """
-
-    warmup: int = 1
-    repeats: int = 3
-    seed: int = 0
-    frame_width: int = 320
-    frame_height: int = 192
-    exhaustive_search_range: int = 8
-    cluster_grid: tuple[int, int] = (40, 64)
 
 
 def scaled_bandwidth(mbps_label: float, clip: Clip) -> float:

@@ -162,7 +162,7 @@ class FleetStats:
         return hashlib.sha256(";".join(parts).encode()).hexdigest()
 
     def summary(self) -> dict[str, float]:
-        """Flat numbers for tables / benchmark work dicts."""
+        """Flat numbers for tables."""
         return {
             "agents": self.agents,
             "frames": self.frames,

@@ -137,7 +137,7 @@ class StreamStats:
         return hashlib.sha256(";".join(parts).encode()).hexdigest()
 
     def summary(self) -> dict[str, float]:
-        """Flat numbers for tables / benchmark work dicts."""
+        """Flat numbers for tables."""
         return {
             "frames": self.frames,
             "delivered": self.delivered,

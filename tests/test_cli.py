@@ -32,6 +32,28 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["demo", "--frames", "0"], "--frames"),
+            (["demo", "--bandwidth", "-1"], "--bandwidth"),
+            (["table1", "--clips", "0"], "--clips"),
+            (["top", "--once", "--frames", "0"], "--frames"),
+            (["top", "--once", "--bandwidth", "-1"], "--bandwidth"),
+        ],
+        ids=["demo-frames", "demo-bandwidth", "table1-clips", "top-frames", "top-bandwidth"],
+    )
+    def test_out_of_range_input_is_a_usage_error(self, capsys, argv, flag):
+        """A count below one or a negative bandwidth exits 2 with argparse's
+        usage line before anything runs — no score, no traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: repro ")
+        assert f"error: argument {flag}: expected a " in captured.err
+
 
 class TestMain:
     def test_demo_runs(self, capsys):
@@ -137,3 +159,27 @@ class TestMain:
             cells = [c.strip() for c in report_line.strip("|").split("|")]
             assert cells[1] == str(len(pooled))
             assert cells[3:6] == [f"{w:.4g}" for w in want]
+
+    def test_report_cli_joins_trace_and_metrics(self, tmp_path, capsys):
+        from repro.metrics import MetricsRegistry, write_metrics_jsonl
+        from repro.obs import Tracer, write_jsonl
+
+        tracer = Tracer(meta={"scheme": "dive"})
+        with tracer.frame(0):
+            with tracer.span("me"):
+                pass
+            tracer.gauge("bits", 10.0)
+        trace_path = write_jsonl(tmp_path / "trace.jsonl", tracer)
+        registry = MetricsRegistry()
+        registry.counter("frames").inc(1.0, at=0.0)
+        metrics_path = write_metrics_jsonl(tmp_path / "metrics.jsonl", registry)
+        out_path = tmp_path / "report.md"
+        rc = main([
+            "report", "--trace", str(trace_path), "--metrics", str(metrics_path),
+            "--out", str(out_path),
+        ])
+        assert rc == 0
+        text = out_path.read_text()
+        assert "# Run report" in text
+        assert "Traced per-stage latency" in text
+        assert "Metric counters" in text

@@ -289,3 +289,27 @@ class TestReporting:
     def test_empty_rows(self):
         out = format_table(["a"], [])
         assert "a" in out
+
+
+class TestBenchmarksConftestFallback:
+    def test_bench_once_defined_without_pytest_benchmark(self, tmp_path):
+        """benchmarks/conftest.py must import cleanly when pytest-benchmark
+        is absent and fall back to a plain call-once fixture."""
+        import importlib.util
+        import sys
+        from pathlib import Path
+
+        conftest = Path(__file__).resolve().parents[1] / "benchmarks" / "conftest.py"
+        saved = {k: sys.modules.pop(k) for k in list(sys.modules) if k.startswith("pytest_benchmark")}
+        sys.modules["pytest_benchmark"] = None  # force ImportError
+        try:
+            spec = importlib.util.spec_from_file_location("bench_conftest_fallback", conftest)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        finally:
+            del sys.modules["pytest_benchmark"]
+            sys.modules.update(saved)
+        assert module._HAVE_PYTEST_BENCHMARK is False
+        fixture_fn = module.bench_once.__wrapped__
+        run = fixture_fn()
+        assert run(lambda x: x + 1, 41) == 42

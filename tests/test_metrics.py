@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import run_report
 from repro.metrics import (
     NULL_FLIGHT_RECORDER,
     NULL_REGISTRY,
@@ -38,7 +37,7 @@ from repro.metrics import (
 )
 from repro.metrics.flight import CAPACITY, MAX_DUMPS
 from repro.metrics.top import _fmt
-from repro.obs import FrameTrace, StageStats, summarize
+from repro.obs import FrameTrace, StageStats, run_report, summarize
 
 finite_small = st.floats(
     min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False, width=32

@@ -1,5 +1,5 @@
 """Tests for the observability layer: spans, JSONL round-trip, aggregation,
-and the no-overhead guarantee of the default no-op tracer."""
+the no-overhead guarantee of the default no-op tracer, and the run report."""
 
 import json
 import time
@@ -15,6 +15,7 @@ from repro.obs import (
     Tracer,
     counter_rows,
     read_jsonl,
+    run_report,
     span_rows,
     summarize,
     write_jsonl,
@@ -328,3 +329,36 @@ class TestSchemeTracing:
                 assert 1 <= summary.spans[stage].count <= self.N_FRAMES, stage
             assert summary.spans["encode"].count == self.N_FRAMES
             assert summary.counters["bits"].total > 0
+
+
+class TestRunReport:
+    def _trace(self):
+        meta = {"scheme": "dive", "dataset": "nuscenes"}
+        frames = [
+            FrameTrace(index=i, spans={"me": 0.01 * (i + 1)}, counters={"bits": 100.0})
+            for i in range(3)
+        ]
+        return meta, frames
+
+    def _metrics(self, tmp_path):
+        from repro.metrics import MetricsRegistry, read_metrics_jsonl, write_metrics_jsonl
+
+        registry = MetricsRegistry()
+        registry.counter("frames").inc(2.0, at=0.1)
+        registry.histogram("lat", unit="s").observe(0.15, at=0.1)
+        return read_metrics_jsonl(write_metrics_jsonl(tmp_path / "m.jsonl", registry))
+
+    def test_joined_report(self, tmp_path):
+        meta, frames = self._trace()
+        text = run_report(meta, frames, metrics=self._metrics(tmp_path))
+        assert "# Run report" in text
+        assert "Traced per-stage latency" in text
+        assert "scheme=dive" in text
+        assert "Metric quantiles" in text and "Metric counters" in text
+
+    def test_text_format_and_empty(self):
+        meta, frames = self._trace()
+        assert "=== Run report ===" in run_report(meta, frames, fmt="text")
+        assert "nothing to report" in run_report(None, None)
+        with pytest.raises(ValueError):
+            run_report(fmt="html")
