@@ -10,7 +10,10 @@ levels plus a small per-8x8-block overhead, which reproduces the two
 properties rate control relies on: bits decrease monotonically with QP and
 grow with residual energy.
 
-Everything after the DCT dispatches through :mod:`repro.kernels`:
+The transform and everything after it dispatch through :mod:`repro.kernels`:
+:func:`dct_blocks` / :func:`idct_blocks` (one ``transform`` hook; the
+reference is scipy's pocketfft, whose 8-point DCT-II / DCT-III a compiled
+backend replays operation for operation, to its bytes),
 :func:`quantize_cost` (quantise + bit cost in one pass), :func:`reconstruct`
 (dequantise + IDCT + clip, the one spelling encoder and decoder share) and
 :class:`QuantBitCounter` (rate control's probe).  The step-by-step functions
@@ -59,25 +62,33 @@ def dct_blocks(plane: np.ndarray) -> np.ndarray:
     Returns an array shaped ``(rows8, 8, cols8, 8)`` — block-major layout
     that quantisation and bit counting operate on directly.
     """
-    return _dct_blocks_reference(plane)
-
-
-def _dct_blocks_reference(plane: np.ndarray) -> np.ndarray:
-    """The body of :func:`dct_blocks`.  ``cext``'s I-frame wavefront calls it
-    under this name, so a tool that rebinds the public ``dct_blocks`` sees one
-    ``intra_encode`` call and not its per-diagonal transforms."""
     h, w = plane.shape
     if h % _TRANSFORM or w % _TRANSFORM:
         raise ValueError(f"plane shape {plane.shape} not a multiple of {_TRANSFORM}")
     blocks = plane.reshape(h // _TRANSFORM, _TRANSFORM, w // _TRANSFORM, _TRANSFORM)
-    return dctn(blocks, axes=(1, 3), norm="ortho")
+    return _transform(blocks, inverse=False)
 
 
 def idct_blocks(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`dct_blocks`."""
-    blocks = idctn(coeffs, axes=(1, 3), norm="ortho")
+    blocks = _transform(coeffs, inverse=True)
     r8, _, c8, _ = blocks.shape
     return blocks.reshape(r8 * _TRANSFORM, c8 * _TRANSFORM)
+
+
+def _transform(blocks: np.ndarray, *, inverse: bool) -> np.ndarray:
+    """The 8x8 DCT (or its inverse) of block-major ``blocks``: the backend's
+    hook, or the reference wherever the hook declines (``None``)."""
+    impl = kernels.override("transform")
+    out = None if impl is None else impl(blocks, inverse=inverse)
+    return _transform_reference(blocks, inverse=inverse) if out is None else out
+
+
+def _transform_reference(blocks: np.ndarray, *, inverse: bool) -> np.ndarray:
+    """Reference implementation of :func:`_transform` (oracle and fallback):
+    scipy's pocketfft DCT-II / DCT-III along axes 1 and 3, in the input's
+    own precision for float32 / float64."""
+    return (idctn if inverse else dctn)(blocks, axes=(1, 3), norm="ortho")
 
 
 def _expand_qstep(qp_per_mb: np.ndarray, mb_size: int, blocks: np.ndarray) -> np.ndarray:

@@ -85,6 +85,8 @@ def r_sample(
     min_magnitude:
         Vectors shorter than this are unusable (no direction information).
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     mag = np.hypot(mv[..., 0], mv[..., 1]).ravel()
     r = np.hypot(x.ravel() - foe[0], y.ravel() - foe[1])
     usable = mag >= min_magnitude
@@ -124,6 +126,8 @@ def estimate_rotation(
     """
     if sampling not in ("r", "random"):
         raise ValueError(f"sampling must be 'r' or 'random', got {sampling!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if rng is None:
         rng = np.random.default_rng(0)
     x, y = block_centers(mv.shape[:2], intrinsics, block=block)

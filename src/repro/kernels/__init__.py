@@ -4,10 +4,11 @@ PR 5 vectorised the encoder hot loop as far as single-threaded NumPy goes;
 this package adds the next multiplier: two fixed backends, so that a
 compiled implementation of the extracted kernels — the codec's
 pattern search (DIA / HEX / UMH, a frame's whole search as one call),
-motion compensation, I-frame wavefront (``intra_encode`` /
-``intra_decode``) and P-frame transform tail
+motion compensation, the 8x8 DCT and its inverse (``transform``: scipy's
+pocketfft arithmetic, replayed to its bytes), I-frames (``intra_encode`` /
+``intra_decode``: a frame per call) and the P-frame transform tail
 (``quantize_cost`` / ``rate_counter`` / ``reconstruct``: everything between
-the forward DCT and the reconstruction but the scipy IDCT), the renderer's
+the forward DCT and the reconstruction, the IDCT included), the renderer's
 ground and billboards (``render_surfaces``: a frame's surfaces as one call)
 and the synthetic world's value noise — be swapped in behind the
 ``KernelBackend`` seam.
@@ -43,13 +44,16 @@ second.  Each is built once, on first use.
 ``cext``
     Runtime-compiled C (via the system ``cc``/``gcc``) for the whole
     DIA/HEX/UMH search — one call per frame, every SAD through a per-block
-    memo — and motion compensation, for the I-frame wavefront (everything
-    of ``intra_encode`` / ``intra_decode`` but the scipy transforms, which
-    stay the reference's own calls), for the P-frame's transform tail
-    (``quantize_cost``, ``QuantBitCounter``'s probe, and a ``reconstruct``
-    that hands only the coded 8x8 blocks to that same scipy IDCT), for the
-    renderer's ground and billboards (geometry, painter's-order visibility
-    and one texture per visible pixel) and for value noise.  The renderer's
+    memo — and motion compensation, for the 8x8 DCT / IDCT (pocketfft's
+    DCT-II / DCT-III, operation for operation, so the bytes are scipy's;
+    non-finite outputs are declined to scipy), for whole I-frames
+    (``intra_encode`` / ``intra_decode``: prediction, mode decision,
+    transforms, quantiser and clip in one call), for the P-frame's
+    transform tail (``quantize_cost``, ``QuantBitCounter``'s probe, and a
+    ``reconstruct`` that dequantises, inverse-transforms and clips only the
+    coded 8x8 blocks), for the renderer's ground and billboards (geometry,
+    painter's-order visibility and one texture per visible pixel) and for
+    value noise.  The renderer's
     sky stays NumPy on every backend: ``np.arctan2`` is numpy's own SIMD
     code on AVX-512 hosts and differs from libm's ``atan2`` in the last bit,
     so no C replica could match it everywhere.  Billboards are compiled only
@@ -101,8 +105,9 @@ KERNEL_NAMES = (
     "pattern_search",  # the whole DIA / HEX / UMH motion search of one frame
     "value_noise",  # fractal 2-D value noise (repro.utils.noise: the sky's, and any other caller's)
     "render_surfaces",  # a frame's ground + billboards: geometry, painter's-order visibility, textures
-    "intra_encode",  # I-frame wavefront: DC/H/V mode decision, quantise, bits, reconstruct
-    "intra_decode",  # I-frame wavefront replay from levels + modes
+    "transform",  # the 8x8 DCT / IDCT of block-major arrays (dct_blocks / idct_blocks)
+    "intra_encode",  # a whole I-frame: DC/H/V mode decision, DCT, quantise, bits, reconstruct
+    "intra_decode",  # a whole I-frame replayed from levels + modes
     "quantize_cost",  # quantise + per-macroblock bit cost in one pass (P-frames, flat I-frames)
     "rate_counter",  # QuantBitCounter's probe: total bits of one coefficient set at a base QP
     "reconstruct",  # dequantise + IDCT + clip, skipping all-zero 8x8 blocks (encoder and decoder)
@@ -125,6 +130,7 @@ class KernelBackend:
     pattern_search: Callable | None = None
     value_noise: Callable | None = None
     render_surfaces: Callable | None = None
+    transform: Callable | None = None
     intra_encode: Callable | None = None
     intra_decode: Callable | None = None
     quantize_cost: Callable | None = None

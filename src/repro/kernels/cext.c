@@ -617,12 +617,133 @@ int64_t render_surfaces(const double *dirs, int64_t h, int64_t w, const double *
     return 0;
 }
 
-/* ---- I-frame wavefront (repro.codec.intra) ----
- * One anti-diagonal of the macroblock grid at a time: its k-th block is
- * macroblock (r0 + k, c0 - k).  A block-major (rows8, 8, cols8, 8) array is
- * the same memory as a (rows8*8, cols8*8) plane, so pixels, coefficients and
- * levels are all addressed as planes with a line stride.  The DCT/IDCT
- * between the steps stay scipy calls made by the Python wrapper. */
+/* ---- the 8x8 DCT (repro.codec.transform: dct_blocks / idct_blocks) ----
+ * scipy's dctn / idctn(axes=(1, 3), norm="ortho") of (r8, 8, c8, 8) blocks is
+ * pocketfft's 8-point DCT-II / DCT-III along axis 1 (down a block's columns)
+ * and then along axis 3 (its rows), the 2-D scale 1/16 applied on the first
+ * axis only, in the input's own type.  Below is that arithmetic, operation for
+ * operation: its real FFT of length 8 (radix 4 then 2) wrapped in the
+ * DCT pre- and post-rotation, with pocketfft's twiddles, rotation wr + i wi
+ * (one ulp apart in double) and sqrt(2) — double constants, rounded to float
+ * for float32.  Each line function runs eight lines at once, line j in lane
+ * j (element k of it at x[k * xs + j]), so every statement is one vector
+ * operation under the -O2 vectoriser; the second axis reads the first's
+ * result transposed.  Why the bytes are scipy's is argued in cext.py. */
+#define DCT_TW { 0x1.f6297cff75cb0p-1, 0x1.d906bcf328d46p-1, 0x1.a9b66290ea1a3p-1, 0x1.6a09e667f3bccp-1, \
+                 0x1.1c73b39ae68c8p-1, 0x1.87de2a6aea963p-2, 0x1.8f8b83c69a60ap-3 }
+#define DCT_WR 0x1.6a09e667f3bccp-1
+#define DCT_WI 0x1.6a09e667f3bcdp-1
+#define DCT_SQRT2 0x1.6a09e667f3bcdp+0
+
+/* dct2_lines_S / dct3_lines_S: the DCT-II / DCT-III of eight lines, scaled
+ * by fct; dct8x8_S: one 8x8 block (rows in_line / out_line apart) forward or
+ * inverse, returning 1 when an output is not finite — an inf or NaN input
+ * always reaches one, and then the reference answers (a NaN's payload is
+ * not pinned by this order).  Defined once per element type. */
+#define DCT8_DEFINE(T, S)                                                                      \
+static inline void dct2_lines_##S(const T *restrict x, int64_t xs, T *restrict y, int64_t ys, \
+                                  T fct) {                                                     \
+    static const T tw[7] = DCT_TW;                                                             \
+    const T wr = (T)DCT_WR, wi = (T)DCT_WI;                                                    \
+    for (int j = 0; j < 8; j++) {                                                              \
+        T c0 = x[j] * 2, c7 = x[7 * xs + j] * 2;                                               \
+        T c1 = x[2 * xs + j] + x[xs + j], c2 = x[2 * xs + j] - x[xs + j];                      \
+        T c3 = x[4 * xs + j] + x[3 * xs + j], c4 = x[4 * xs + j] - x[3 * xs + j];              \
+        T c5 = x[6 * xs + j] + x[5 * xs + j], c6 = x[6 * xs + j] - x[5 * xs + j];              \
+        /* radix 2 */                                                                          \
+        T h0 = c0 + c7, h4 = c0 - c7, h3 = 2 * c3, h7 = -(2 * c4), h1 = c1 + c5, r = c1 - c5;  \
+        T i = c2 + c6, h2 = c2 - c6, h6 = wr * i + wi * r, h5 = wr * r - wi * i;               \
+        /* radix 4 */                                                                          \
+        T a = h0 + h3, b = h0 - h3, p = 2 * h1, q = 2 * h2;                                    \
+        T o0 = a + p, o4 = a - p, o6 = b + q, o2 = b - q;                                      \
+        a = h4 + h7; b = h4 - h7; p = 2 * h5; q = 2 * h6;                                      \
+        T o1 = a + p, o5 = a - p, o7 = b + q, o3 = b - q;                                      \
+        if (fct != 1) {                                                                        \
+            o0 *= fct; o1 *= fct; o2 *= fct; o3 *= fct;                                        \
+            o4 *= fct; o5 *= fct; o6 *= fct; o7 *= fct;                                        \
+        }                                                                                      \
+        T t1 = tw[0] * o7 + tw[6] * o1, t2 = tw[0] * o1 - tw[6] * o7;                          \
+        y[ys + j] = (T)0.5 * (t1 + t2); y[7 * ys + j] = (T)0.5 * (t1 - t2);                    \
+        t1 = tw[1] * o6 + tw[5] * o2; t2 = tw[1] * o2 - tw[5] * o6;                            \
+        y[2 * ys + j] = (T)0.5 * (t1 + t2); y[6 * ys + j] = (T)0.5 * (t1 - t2);                \
+        t1 = tw[2] * o5 + tw[4] * o3; t2 = tw[2] * o3 - tw[4] * o5;                            \
+        y[3 * ys + j] = (T)0.5 * (t1 + t2); y[5 * ys + j] = (T)0.5 * (t1 - t2);                \
+        y[4 * ys + j] = o4 * tw[3]; y[j] = o0 * ((T)DCT_SQRT2 * (T)0.5);                       \
+    }                                                                                          \
+}                                                                                              \
+static inline void dct3_lines_##S(const T *restrict x, int64_t xs, T *restrict y, int64_t ys, \
+                                  T fct) {                                                     \
+    static const T tw[7] = DCT_TW;                                                             \
+    const T wr = (T)DCT_WR, wi = (T)DCT_WI;                                                    \
+    for (int j = 0; j < 8; j++) {                                                              \
+        T c0 = x[j] * (T)DCT_SQRT2, c4 = x[4 * xs + j] * (2 * tw[3]);                          \
+        T t1 = x[xs + j] + x[7 * xs + j], t2 = x[xs + j] - x[7 * xs + j];                      \
+        T c1 = tw[0] * t2 + tw[6] * t1, c7 = tw[0] * t1 - tw[6] * t2;                          \
+        t1 = x[2 * xs + j] + x[6 * xs + j]; t2 = x[2 * xs + j] - x[6 * xs + j];                \
+        T c2 = tw[1] * t2 + tw[5] * t1, c6 = tw[1] * t1 - tw[5] * t2;                          \
+        t1 = x[3 * xs + j] + x[5 * xs + j]; t2 = x[3 * xs + j] - x[5 * xs + j];                \
+        T c3 = tw[2] * t2 + tw[4] * t1, c5 = tw[2] * t1 - tw[4] * t2;                          \
+        /* radix 4 */                                                                          \
+        T r1 = c6 + c2, h2 = c6 - c2, r2 = c0 + c4, h1 = c0 - c4, h0 = r2 + r1, h3 = r2 - r1;  \
+        r1 = c7 + c3; r2 = c1 + c5;                                                            \
+        T h6 = c7 - c3, h5 = c1 - c5, h4 = r2 + r1, h7 = r2 - r1;                              \
+        /* radix 2 */                                                                          \
+        T r = wr * h5 + wi * h6, i = wr * h6 - wi * h5;                                        \
+        T o0 = h0 + h4, o7 = h0 - h4, o4 = -h7, o3 = h3;                                       \
+        T o1 = h1 + r, o5 = h1 - r, o2 = i + h2, o6 = i - h2;                                  \
+        if (fct != 1) {                                                                        \
+            o0 *= fct; o1 *= fct; o2 *= fct; o3 *= fct;                                        \
+            o4 *= fct; o5 *= fct; o6 *= fct; o7 *= fct;                                        \
+        }                                                                                      \
+        y[j] = o0; y[ys + j] = o1 - o2; y[2 * ys + j] = o1 + o2; y[3 * ys + j] = o3 - o4;      \
+        y[4 * ys + j] = o3 + o4; y[5 * ys + j] = o5 - o6; y[6 * ys + j] = o5 + o6;             \
+        y[7 * ys + j] = o7;                                                                    \
+    }                                                                                          \
+}                                                                                              \
+static inline int dct8x8_##S(const T *in, int64_t in_line, T *out, int64_t out_line,           \
+                             int inverse) {                                                    \
+    T a[64], b[64], bad[8] = {0};                                                              \
+    if (inverse) dct3_lines_##S(in, in_line, b, 8, (T)0.0625);                                 \
+    else dct2_lines_##S(in, in_line, b, 8, (T)0.0625);                                         \
+    for (int k = 0; k < 8; k++)                                                                \
+        for (int j = 0; j < 8; j++) a[8 * j + k] = b[8 * k + j];                               \
+    if (inverse) dct3_lines_##S(a, 8, b, 8, 1); else dct2_lines_##S(a, 8, b, 8, 1);            \
+    /* b - b is +0 for a finite b, NaN otherwise */                                            \
+    for (int k = 0; k < 8; k++)                                                                \
+        for (int j = 0; j < 8; j++) {                                                          \
+            out[j * out_line + k] = b[8 * k + j];                                              \
+            bad[j] += b[8 * k + j] - b[8 * k + j];                                             \
+        }                                                                                      \
+    return !(bad[0] == 0 && bad[1] == 0 && bad[2] == 0 && bad[3] == 0                          \
+             && bad[4] == 0 && bad[5] == 0 && bad[6] == 0 && bad[7] == 0);                     \
+}
+
+DCT8_DEFINE(double, d)
+DCT8_DEFINE(float, f)
+
+/* dct_blocks / idct_blocks: every 8x8 block of a (rows8 * 8, cols8 * 8)
+ * float32 (f32) or float64 plane, into out of the same type.  Returns 1 — the
+ * reference answers — on the first block with a non-finite output. */
+int64_t dct8(const void *in, int64_t f32, int64_t rows8, int64_t cols8, int64_t inverse, void *out) {
+    int64_t line = cols8 * 8;
+    for (int64_t br = 0; br < rows8; br++)
+        for (int64_t bc = 0; bc < cols8; bc++) {
+            int64_t at = br * 8 * line + bc * 8;
+            if (f32 ? dct8x8_f((const float *)in + at, line, (float *)out + at, line, (int)inverse)
+                    : dct8x8_d((const double *)in + at, line, (double *)out + at, line, (int)inverse))
+                return 1;
+        }
+    return 0;
+}
+
+/* ---- I-frames (repro.codec.intra) ----
+ * A whole frame per call, macroblocks in raster order: a block's left and
+ * top neighbours — all its predictions read — are reconstructed before it,
+ * as on the reference's anti-diagonal wavefront, and every per-block value
+ * is computed as the reference computes it (its batched transforms treat
+ * each 8-point line on its own).  A block-major (rows8, 8, cols8, 8) array
+ * is the same memory as a (rows8*8, cols8*8) plane, so pixels and levels
+ * share the frame's line stride. */
 
 /* intra_predict_block: the prediction for `mode` with the H.264 border
  * fallbacks (H without a left column -> V, V without a top row -> H, neither
@@ -648,37 +769,6 @@ static void intra_pred(const double *recon, int64_t stride, int64_t r0, int64_t 
         if (top) for (int64_t j = 0; j < block; j++) edge[n++] = top[j];
         if (n) dc = pairwise(edge, (size_t)n) / (double)n;
         for (int64_t i = 0; i < block * block; i++) pred[i] = dc;
-    }
-}
-
-/* Encoder step 1: per block the DC/H/V predictions, each one's SAD against
- * the source (|src - pred| over the contiguous block, NumPy-pairwise), the
- * first strictly smaller SAD wins; the winner goes to best[k] and the
- * residual into column block k of the (block, m*block) plane.  scratch
- * holds 4*block*block + 2*block doubles. */
-void intra_pre(const double *frame, const double *recon, int64_t stride,
-               int64_t r0, int64_t c0, int64_t m, int64_t block,
-               int8_t *modes, int64_t cols, double *best, double *plane, double *scratch) {
-    int64_t bb = block * block;
-    double *preds = scratch, *diff = scratch + 3 * bb, *edge = scratch + 4 * bb;
-    for (int64_t k = 0; k < m; k++) {
-        int64_t r = r0 + k, c = c0 - k;
-        const double *src = frame + r * block * stride + c * block;
-        int64_t best_mode = 0;
-        double best_sad = INFINITY;
-        for (int64_t mode = 0; mode < 3; mode++) {
-            intra_pred(recon, stride, r * block, c * block, block, mode, preds + mode * bb, edge);
-            /* |pred - src| == |src - pred| bit for bit */
-            double sad = sad_block(preds + mode * bb, src, stride, block, diff);
-            if (sad < best_sad) { best_mode = mode; best_sad = sad; }
-        }
-        modes[r * cols + c] = (int8_t)best_mode;
-        const double *p = preds + best_mode * bb;
-        for (int64_t i = 0; i < block; i++)
-            for (int64_t j = 0; j < block; j++) {
-                best[k * bb + i * block + j] = p[i * block + j];
-                plane[i * m * block + k * block + j] = src[i * stride + j] - p[i * block + j];
-            }
     }
 }
 
@@ -713,8 +803,8 @@ static inline double round_even(double x) {
     return copysign((fabs(x) + 0x1.8p52) - 0x1.8p52, x);
 }
 
-/* A block-major coefficient array holds float64 (the I-frame's diagonal
- * planes) or float32 (scipy keeps a P-frame residual's dtype); the
+/* A block-major coefficient array holds float64 (an I-frame's block) or
+ * float32 (a P-frame's residual is transformed in its own dtype); the
  * reference's float32 / float64 divide promotes exactly, as this does. */
 static inline double coeff_at(const void *coeffs, int f32, int64_t k) {
     return f32 ? (double)((const float *)coeffs)[k] : ((const double *)coeffs)[k];
@@ -737,52 +827,60 @@ static inline double block_top(const void *coeffs, int f32, int64_t at, int64_t 
     return top;
 }
 
-/* Quantise / cost / dequantise, frame-shaped: an mb_rows x mb_cols grid of
- * macroblocks of a coefficient plane (line elements per row) with one step
- * q per macroblock.  level = round_even(c / q) is np.round; deq (skipped
- * when NULL) = level * q has the coefficients' layout; bits[] gets each
- * macroblock's transform_cost_bits — per 8x8 block the sum of
- * 2*floor(log2|level|) + 3 over non-zero levels plus the block overhead;
- * every partial sum is a multiple of 0.25, so the order is free.
- * Macroblock (R, C) stores its levels at levels + R*lv_row + C*lv_col
- * with lv_line doubles per row — a whole frame, or the diagonal's final
- * place in one.  Returns 1 on the first level past LEVEL_LIMIT.  Inlined
- * once per dtype: with f32 a run-time value the 8x8 loops do not vectorise
- * (a 480x288 frame 0.43 ms against 0.32). */
+/* Quantise and cost one 8x8 block of coefficients (line elements per row)
+ * under step: level = round_even(c / step) is np.round, stored lv_line
+ * doubles per row; returns the block's coefficient bits — the sum of
+ * 2*floor(log2|level|) + 3 over its non-zero levels, each an integer bit
+ * length — or -1 on a level past LEVEL_LIMIT.  Most of a P-frame's blocks
+ * hold nothing that reaches the cut: their levels are signed zeros, no
+ * division. */
+static inline __attribute__((always_inline)) int64_t quant_block(
+        const void *restrict coeffs, const int f32, int64_t at, int64_t line, double step,
+        double *restrict lv, int64_t lv_line) {
+    int64_t nbits = 0, unbounded = 0;
+    if (block_top(coeffs, f32, at, line) < ZERO_CUT * step) {
+        for (int64_t i = 0; i < 8; i++)
+            for (int64_t j = 0; j < 8; j++)
+                lv[i * lv_line + j] = copysign(0.0, coeff_at(coeffs, f32, at + i * line + j));
+        return 0;
+    }
+    for (int64_t i = 0; i < 8; i++)
+        for (int64_t j = 0; j < 8; j++) {
+            double level = round_even(coeff_at(coeffs, f32, at + i * line + j) / step);
+            double mag = fabs(level);
+            unbounded |= !(mag < LEVEL_LIMIT);
+            if (mag > 0.0 && mag < LEVEL_LIMIT)
+                nbits += 2 * (63 - __builtin_clzll((uint64_t)mag)) + 3;
+            lv[i * lv_line + j] = level;
+        }
+    return unbounded ? -1 : nbits;
+}
+
+/* transform_cost_bits' total of one 8x8 block: its coefficient bits and
+ * overhead.  Every partial sum of a macroblock's is a multiple of 0.25, so
+ * the order is free. */
+static inline double block_bits(int64_t nbits) {
+    return (double)nbits + (nbits > 0 ? CODED_BLOCK_BITS : SKIP_BLOCK_BITS);
+}
+
+/* quantize_cost: an mb_rows x mb_cols grid of macroblocks of a coefficient
+ * plane (line elements per row) with one step q per macroblock; levels has
+ * the plane's layout and bits[] gets each macroblock's transform_cost_bits.
+ * Returns 1 on the first level past LEVEL_LIMIT.  Inlined once per dtype:
+ * with f32 a run-time value the 8x8 loops do not vectorise (a 480x288 frame
+ * 0.43 ms against 0.32). */
 static inline __attribute__((always_inline)) int64_t quant_cost_any(
         const void *restrict coeffs, const int f32, int64_t line, int64_t mb_rows, int64_t mb_cols,
-        int64_t block, const double *restrict q, double *restrict levels, int64_t lv_line,
-        int64_t lv_row, int64_t lv_col, double *restrict deq, double *restrict bits) {
+        int64_t block, const double *restrict q, double *restrict levels, double *restrict bits) {
     for (int64_t R = 0; R < mb_rows; R++)
         for (int64_t C = 0; C < mb_cols; C++) {
-            double step = q[R * mb_cols + C], cut = ZERO_CUT * step, total = 0.0;
-            int64_t at = R * block * line + C * block;
-            double *lv = levels + R * lv_row + C * lv_col;
+            double step = q[R * mb_cols + C], total = 0.0;
             for (int64_t i8 = 0; i8 < block; i8 += 8)
                 for (int64_t j8 = 0; j8 < block; j8 += 8) {
-                    int64_t nbits = 0, unbounded = 0;
-                    /* Most of a P-frame: nothing in the block reaches the cut. */
-                    if (block_top(coeffs, f32, at + i8 * line + j8, line) < cut) {
-                        for (int64_t i = i8; i < i8 + 8; i++)
-                            for (int64_t j = j8; j < j8 + 8; j++)
-                                lv[i * lv_line + j] = copysign(0.0, coeff_at(coeffs, f32, at + i * line + j));
-                    } else {
-                        for (int64_t i = i8; i < i8 + 8; i++)
-                            for (int64_t j = j8; j < j8 + 8; j++) {
-                                double level = round_even(coeff_at(coeffs, f32, at + i * line + j) / step);
-                                double mag = fabs(level);
-                                unbounded |= !(mag < LEVEL_LIMIT);
-                                if (mag > 0.0 && mag < LEVEL_LIMIT)
-                                    nbits += 2 * (63 - __builtin_clzll((uint64_t)mag)) + 3;
-                                lv[i * lv_line + j] = level;
-                            }
-                        if (unbounded) return 1;
-                    }
-                    if (deq)
-                        for (int64_t i = i8; i < i8 + 8; i++)
-                            for (int64_t j = j8; j < j8 + 8; j++)
-                                deq[at + i * line + j] = lv[i * lv_line + j] * step;
-                    total += (double)nbits + (nbits > 0 ? CODED_BLOCK_BITS : SKIP_BLOCK_BITS);
+                    int64_t at = (R * block + i8) * line + C * block + j8;
+                    int64_t nbits = quant_block(coeffs, f32, at, line, step, levels + at, line);
+                    if (nbits < 0) return 1;
+                    total += block_bits(nbits);
                 }
             bits[R * mb_cols + C] = total;
         }
@@ -790,13 +888,10 @@ static inline __attribute__((always_inline)) int64_t quant_cost_any(
 }
 
 int64_t quant_cost(const void *coeffs, int64_t f32, int64_t line, int64_t mb_rows,
-                   int64_t mb_cols, int64_t block, const double *q, double *levels,
-                   int64_t lv_line, int64_t lv_row, int64_t lv_col, double *deq, double *bits) {
+                   int64_t mb_cols, int64_t block, const double *q, double *levels, double *bits) {
     if (f32)
-        return quant_cost_any(coeffs, 1, line, mb_rows, mb_cols, block, q, levels,
-                              lv_line, lv_row, lv_col, deq, bits);
-    return quant_cost_any(coeffs, 0, line, mb_rows, mb_cols, block, q, levels,
-                          lv_line, lv_row, lv_col, deq, bits);
+        return quant_cost_any(coeffs, 1, line, mb_rows, mb_cols, block, q, levels, bits);
+    return quant_cost_any(coeffs, 0, line, mb_rows, mb_cols, block, q, levels, bits);
 }
 
 /* ---- rate control's probe (repro.codec.transform.QuantBitCounter) ----
@@ -865,46 +960,48 @@ double rc_bits(const double *cand, const int64_t *start, const double *block_max
            + SKIP_BLOCK_BITS * (double)(mbs * per_mb - coded);
 }
 
-/* ---- skip-aware reconstruction (repro.codec.transform.reconstruct) ----
- * Step 1: walk the rows8 x cols8 grid of 8x8 level blocks in raster order;
- * a block holding a non-zero level (-0.0 is zero) gets the next slot and
- * its levels times its macroblock's step as rows 8*slot .. 8*slot + 7 of
- * the (n*8, 8) plane the IDCT takes; an all-zero block gets slot -1.
- * Returns n, or -1 on a level past LEVEL_LIMIT (as quant_cost does). */
-int64_t dequant_coded(const double *restrict levels, int64_t rows8, int64_t cols8,
-                      int64_t per_side, const double *restrict q, int64_t *restrict slot,
-                      double *restrict deq) {
-    int64_t n = 0, line = cols8 * 8, mb_cols = cols8 / per_side;
-    for (int64_t br = 0; br < rows8; br++)
-        for (int64_t bc = 0; bc < cols8; bc++) {
-            const double *lv = levels + br * 8 * line + bc * 8;
-            double top = block_top(levels, 0, br * 8 * line + bc * 8, line);
-            if (!(top < LEVEL_LIMIT)) return -1;
-            if (!(top > 0.0)) { slot[br * cols8 + bc] = -1; continue; }
-            double step = q[(br / per_side) * mb_cols + bc / per_side];
-            double *out = deq + n * 64;
-            for (int64_t i = 0; i < 8; i++)
-                for (int64_t j = 0; j < 8; j++) out[i * 8 + j] = lv[i * line + j] * step;
-            slot[br * cols8 + bc] = n++;
+/* clip(prediction + residual, 0, 255) of one 8x8 block, np.clip's compares
+ * (the residual is finite; a NaN prediction stays a NaN). */
+static inline void clip_add8(const double *pred, int64_t pred_line, const double *rec,
+                             double *out, int64_t out_line) {
+    for (int64_t i = 0; i < 8; i++)
+        for (int64_t j = 0; j < 8; j++) {
+            double v = pred[i * pred_line + j] + rec[i * 8 + j];
+            v = v < 0.0 ? 0.0 : v;
+            out[i * out_line + j] = v > 255.0 ? 255.0 : v;
         }
-    return n;
 }
 
-/* Step 2: out = (float)clip((double)pred + residual, 0, 255) with np.clip's
- * compares (a NaN stays a NaN).  A coded block's residual is its slot's rows
- * of the IDCT'd plane.  A skipped block's dense residual is all +-0.0 and
+/* The dequantised 8x8 block at lv (lv_line doubles per row) under step,
+ * inverse-transformed into rec; 1 on a non-finite result. */
+static inline int dequant_idct8(const double *lv, int64_t lv_line, double step, double *rec) {
+    double deq[64];
+    for (int64_t i = 0; i < 8; i++)
+        for (int64_t j = 0; j < 8; j++) deq[i * 8 + j] = lv[i * lv_line + j] * step;
+    return dct8x8_d(deq, 8, rec, 8, 1);
+}
+
+/* ---- reconstruction (repro.codec.transform.reconstruct) ----
+ * out = (float)clip((double)pred + idct(levels * q), 0, 255) over a
+ * rows8 x cols8 grid of 8x8 blocks (per_side of them across a macroblock),
+ * np.clip's compares (a NaN stays a NaN).  A block holding no non-zero level
+ * (-0.0 is zero) is not transformed: its dense residual is all +-0.0 and
  * p + +-0.0 is p to the bit — unless p is -0.0 (the sum's sign would be the
- * residual's) or a NaN (the sum quiets it): returns 1 on those, and the
- * reference answers the call. */
-int64_t recon_post(const float *restrict pred, const int64_t *restrict slot,
-                   const double *restrict rec, int64_t rows8, int64_t cols8, float *restrict out) {
-    int64_t line = cols8 * 8;
+ * residual's) or a NaN (the sum quiets it).  Returns 1 — the reference
+ * answers — on those, on a level past LEVEL_LIMIT (as quant_cost does) and
+ * on a non-finite residual. */
+int64_t reconstruct(const float *restrict pred, const double *restrict levels, int64_t rows8,
+                    int64_t cols8, int64_t per_side, const double *restrict q, float *restrict out) {
+    int64_t line = cols8 * 8, mb_cols = cols8 / per_side;
+    double rec[64];
     for (int64_t br = 0; br < rows8; br++)
         for (int64_t bc = 0; bc < cols8; bc++) {
-            const float *p = pred + br * 8 * line + bc * 8;
-            float *o = out + br * 8 * line + bc * 8;
-            int64_t s = slot[br * cols8 + bc];
-            if (s < 0) {
+            int64_t at = br * 8 * line + bc * 8;
+            const float *p = pred + at;
+            float *o = out + at;
+            double top = block_top(levels, 0, at, line);
+            if (!(top < LEVEL_LIMIT)) return 1;
+            if (!(top > 0.0)) {
                 uint32_t unproven = 0;
                 for (int64_t i = 0; i < 8; i++)
                     for (int64_t j = 0; j < 8; j++) {
@@ -919,9 +1016,11 @@ int64_t recon_post(const float *restrict pred, const int64_t *restrict slot,
                 if (unproven) return 1;
                 continue;
             }
+            if (dequant_idct8(levels + at, line, q[(br / per_side) * mb_cols + bc / per_side], rec))
+                return 1;
             for (int64_t i = 0; i < 8; i++)
                 for (int64_t j = 0; j < 8; j++) {
-                    double v = (double)p[i * line + j] + rec[s * 64 + i * 8 + j];
+                    double v = (double)p[i * line + j] + rec[i * 8 + j];
                     v = v < 0.0 ? 0.0 : v;
                     o[i * line + j] = (float)(v > 255.0 ? 255.0 : v);
                 }
@@ -929,41 +1028,78 @@ int64_t recon_post(const float *restrict pred, const int64_t *restrict slot,
     return 0;
 }
 
-/* Last step of both directions: recon block = clip(pred + residual, 0, 255)
- * with np.clip's compares (a NaN stays a NaN, -0.0 stays -0.0). */
-void intra_post(const double *best, const double *rec, int64_t r0, int64_t c0,
-                int64_t m, int64_t block, double *recon, int64_t stride) {
-    for (int64_t k = 0; k < m; k++) {
-        double *out = recon + (r0 + k) * block * stride + (c0 - k) * block;
-        for (int64_t i = 0; i < block; i++)
-            for (int64_t j = 0; j < block; j++) {
-                double v = best[(k * block + i) * block + j] + rec[i * m * block + k * block + j];
-                if (v < 0.0) v = 0.0;
-                if (v > 255.0) v = 255.0;
-                out[i * stride + j] = v;
+/* intra_encode: a rows x cols grid of block x block macroblocks of frame,
+ * one step q per macroblock.  Per macroblock the DC/H/V predictions, each
+ * one's SAD against the source (|pred - src| == |src - pred| bit for bit,
+ * NumPy-pairwise over the contiguous block), the first strictly smaller SAD
+ * winning; then per 8x8 block of the residual src - pred the DCT, quantise
+ * + cost, dequantise, inverse DCT and clip(pred + residual) into recon.
+ * bits[] gets each macroblock's coefficient bits (the caller adds the mode's).
+ * Returns 1 — the reference answers — on a non-finite transform, a level
+ * past LEVEL_LIMIT or scratch that could not be allocated. */
+int64_t intra_encode(const double *frame, const double *q, int64_t rows, int64_t cols,
+                     int64_t block, double *levels, int8_t *modes, double *recon, double *bits) {
+    int64_t bb = block * block, stride = cols * block, failed = 0;
+    /* three predictions, sad_block's row, the residual, the DC edge */
+    double *preds = malloc((size_t)(5 * bb + 2 * block) * sizeof(double));
+    if (!preds) return 1;
+    double *diff = preds + 3 * bb, *residual = diff + bb, *edge = residual + bb;
+    double coef[64], rec[64];
+    for (int64_t r = 0; r < rows && !failed; r++)
+        for (int64_t c = 0; c < cols && !failed; c++) {
+            int64_t r0 = r * block, c0 = c * block;
+            const double *src = frame + r0 * stride + c0;
+            int64_t best_mode = 0;
+            double best_sad = INFINITY, step = q[r * cols + c], total = 0.0;
+            for (int64_t mode = 0; mode < 3; mode++) {
+                intra_pred(recon, stride, r0, c0, block, mode, preds + mode * bb, edge);
+                double sad = sad_block(preds + mode * bb, src, stride, block, diff);
+                if (sad < best_sad) { best_mode = mode; best_sad = sad; }
             }
-    }
+            modes[r * cols + c] = (int8_t)best_mode;
+            const double *p = preds + best_mode * bb;
+            for (int64_t i = 0; i < block; i++)
+                for (int64_t j = 0; j < block; j++)
+                    residual[i * block + j] = src[i * stride + j] - p[i * block + j];
+            for (int64_t i8 = 0; i8 < block && !failed; i8 += 8)
+                for (int64_t j8 = 0; j8 < block && !failed; j8 += 8) {
+                    double *lv = levels + (r0 + i8) * stride + c0 + j8;
+                    int64_t nbits = dct8x8_d(residual + i8 * block + j8, block, coef, 8, 0)
+                                    ? -1 : quant_block(coef, 0, 0, 8, step, lv, stride);
+                    failed = nbits < 0 || dequant_idct8(lv, stride, step, rec);
+                    if (failed) break;
+                    clip_add8(p + i8 * block + j8, block, rec, recon + (r0 + i8) * stride + c0 + j8, stride);
+                    total += block_bits(nbits);
+                }
+            bits[r * cols + c] = total;
+        }
+    free(preds);
+    return failed;
 }
 
-/* Decoder step 1: prediction by stored mode into best[k], and the block's
- * levels times its step q[k] gathered into the (block, m*block) plane the
- * IDCT takes.  Returns 1 on a level past LEVEL_LIMIT, as quant_cost does.
- * edge holds 2*block doubles. */
-int64_t intra_unpre(const double *levels, const int64_t *modes, int64_t cols,
-                    const double *q, const double *recon, int64_t stride,
-                    int64_t r0, int64_t c0, int64_t m, int64_t block,
-                    double *best, double *deq, double *edge) {
-    for (int64_t k = 0; k < m; k++) {
-        int64_t r = r0 + k, c = c0 - k;
-        intra_pred(recon, stride, r * block, c * block, block, modes[r * cols + c],
-                   best + k * block * block, edge);
-        const double *lv = levels + r * block * stride + c * block;
-        for (int64_t i = 0; i < block; i++)
-            for (int64_t j = 0; j < block; j++) {
-                double level = lv[i * stride + j];
-                if (!(fabs(level) < LEVEL_LIMIT)) return 1;
-                deq[i * m * block + k * block + j] = level * q[k];
-            }
-    }
-    return 0;
+/* intra_decode: the stored mode's prediction per macroblock (modes: any
+ * int64; ids other than 1 / 2 are DC), then per 8x8 block the levels times
+ * the macroblock's step q, inverse-transformed, and clip(pred + residual)
+ * into recon.  Returns 1 on a level past LEVEL_LIMIT (as quant_cost does), a
+ * non-finite residual or scratch that could not be allocated. */
+int64_t intra_decode(const double *levels, const int64_t *modes, const double *q, int64_t rows,
+                     int64_t cols, int64_t block, double *recon) {
+    int64_t stride = cols * block, failed = 0;
+    double *pred = malloc((size_t)(block * block + 2 * block) * sizeof(double)), rec[64];
+    if (!pred) return 1;
+    for (int64_t r = 0; r < rows && !failed; r++)
+        for (int64_t c = 0; c < cols && !failed; c++) {
+            int64_t r0 = r * block, c0 = c * block;
+            intra_pred(recon, stride, r0, c0, block, modes[r * cols + c], pred, pred + block * block);
+            for (int64_t i8 = 0; i8 < block && !failed; i8 += 8)
+                for (int64_t j8 = 0; j8 < block && !failed; j8 += 8) {
+                    int64_t at = (r0 + i8) * stride + c0 + j8;
+                    failed = !(block_top(levels, 0, at, stride) < LEVEL_LIMIT)
+                             || dequant_idct8(levels + at, stride, q[r * cols + c], rec);
+                    if (failed) break;
+                    clip_add8(pred + i8 * block + j8, block, rec, recon + at, stride);
+                }
+        }
+    free(pred);
+    return failed;
 }

@@ -1,5 +1,5 @@
 """Runtime-compiled C backend: the pattern search, MC, value noise, the
-renderer's surfaces, I-frames and the P-frame's transform tail.
+renderer's surfaces, the 8x8 DCT, I-frames and the P-frame's transform tail.
 
 The C is ``cext.c`` beside this module (shipped as package data), compiled
 as it stands on disk; this docstring argues why each of its routines is
@@ -78,26 +78,46 @@ that process loaded.
   ``np.arctan2``, which numpy computes with its own SIMD code on AVX-512
   hosts — not bit-identical to libm's ``atan2`` — so it stays NumPy, on
   the pixels no surface covered.
-- The I-frame wavefront (``intra_encode`` / ``intra_decode``) keeps the
-  reference's anti-diagonal schedule and its scipy DCT/IDCT calls — pocketfft
-  cannot be proven bit-identical from outside — and moves everything between
-  them into three C steps per diagonal: predictions + SAD mode decision +
-  residual, quantise + bit cost + dequantise, clip + scatter.  The DC mean
-  and the SADs are the pairwise sums above, ``rint`` is ``np.round``, a
-  level's ``floor(log2)`` is its integer bit length, bit totals are sums of
-  multiples of 0.25 (order-free), and a call that produces a level the bit
-  length cannot be proven on (NaN, inf, ``>= 2^32``) is answered by the
-  reference, as is any argument the C loops could not index safely.
-- The P-frame's transform tail is that same quantise + cost loop run
-  frame-shaped over float32 coefficients (``quantize_cost``), a rate-control
-  probe that divides only the magnitudes that can still reach a non-zero
-  level (``rate_counter``: one compacting pass, no sort), and a
-  reconstruction that inverse-transforms only the 8x8 blocks that carry a
-  level (``reconstruct``) — through the reference's own scipy IDCT, on a
-  compact block list: pocketfft transforms every 8-point line on its own.
-  ``np.round`` is the add-and-subtract-1.5*2^52 idiom (exact below 2^51, no
-  libm call); a skipped block's pixel is the clipped prediction because its
-  dense residual is all +-0.0 — unless the prediction pixel is ``-0.0`` or a
+- The 8x8 DCT (``transform``, behind ``dct_blocks`` / ``idct_blocks``)
+  is scipy's own arithmetic.  ``dctn`` / ``idctn(axes=(1, 3),
+  norm="ortho")`` runs pocketfft's 8-point DCT-II / DCT-III along axis 1
+  with the 2-D scale 1/16 folded into that first pass, then along axis 3,
+  in float32 for float32 input and float64 for float64; each 8-point line
+  is one real FFT (radix 4, then 2) between a fixed pre- and post-rotation,
+  with twiddles pocketfft computes once, in higher precision, and rounds
+  to the input's type.  ``cext.c`` writes that sequence of IEEE adds,
+  subtracts and multiplies out operation for operation, with those
+  twiddles as literals (``wr`` and ``wi`` of the length-8 rotation are
+  one ulp apart in double, and the probe tells them apart).  Each
+  operation is correctly rounded in the input's own type and nothing is
+  contracted or reassociated, so every finite output is scipy's to the
+  bit, signed zeros and subnormals included.  What the order does not pin
+  is a NaN's payload: the hook declines any block whose output is not
+  finite (an inf or NaN input always reaches one, as does an overflow
+  inside the sums), and so do other dtypes and shapes; scipy answers.
+  Lines are independent, so a block's transform is the same whichever
+  blocks are beside it — which is what lets the loops below transform one
+  block at a time.
+- I-frames (``intra_encode`` / ``intra_decode``) are one call per frame:
+  macroblocks in raster order, which meets the same left / top
+  dependencies as the reference's anti-diagonal wavefront, each block's
+  predictions, SAD mode decision, residual, DCT, quantise + bit cost,
+  dequantise, inverse DCT and clip.  The DC mean and the SADs are the
+  pairwise sums above, ``rint`` is ``np.round``, a level's
+  ``floor(log2)`` is its integer bit length, bit totals are sums of
+  multiples of 0.25 (order-free), and a call that meets a non-finite
+  transform or a level the bit length cannot be proven on (NaN, inf,
+  ``>= 2^32``) is answered by the reference, as is any argument the C
+  loops could not index safely.
+- The P-frame's transform tail is that same quantiser run frame-shaped
+  over float32 coefficients (``quantize_cost``), a rate-control probe that
+  divides only the magnitudes that can still reach a non-zero level
+  (``rate_counter``: one compacting pass, no sort), and a reconstruction
+  that dequantises, inverse-transforms and clips in one call, transforming
+  only the 8x8 blocks that carry a level (``reconstruct``).  ``np.round``
+  is the add-and-subtract-1.5*2^52 idiom (exact below 2^51, no libm call);
+  a skipped block's pixel is the clipped prediction because its dense
+  residual is all +-0.0 — unless the prediction pixel is ``-0.0`` or a
   NaN, or a step is infinite, and then the reference answers.
 - Before the first use in a process a self-probe walks
   :func:`_probe_table` — one row per hook, plus the pairwise sum everything
@@ -107,9 +127,10 @@ that process loaded.
   ``numpy`` reference.
 
 Every kernel call is re-entrant: the C code keeps no state between calls
-and its scratch (the search's padded reference, blocks and memo, a few
-blocks of predictions and |differences|, a rate counter's candidate list,
-the noise's lattice cells) is allocated per call or per counter,
+and its scratch (the search's padded reference, blocks and memo, a
+macroblock's predictions, |differences| and residual, a rate counter's
+candidate list, the noise's lattice cells) is allocated per call or per
+counter,
 so concurrent encodes (``agent_workers > 1`` — ctypes drops the GIL
 around each call) cannot see each other's data.
 
@@ -180,19 +201,17 @@ _SIGNATURES = {
     "value_noise": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR],
     "render_surfaces": [_PTR, _I64, _I64, _PTR, _F64, _F64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR,
                         _PTR, _PTR, _PTR],
-    "intra_pre": [_PTR, _PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR],
-    "quant_cost": [_PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR],
+    "dct8": [_PTR, _I64, _I64, _I64, _I64, _PTR],
+    "quant_cost": [_PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR],
     "rc_compact": [_PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR],
     "rc_bits": [_PTR, _PTR, _PTR, _I64, _I64, _PTR],
-    "dequant_coded": [_PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR],
-    "recon_post": [_PTR, _PTR, _PTR, _I64, _I64, _PTR],
-    "intra_post": [_PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _I64],
-    "intra_unpre": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _I64, _I64, _I64, _I64,
-                    _PTR, _PTR, _PTR],
+    "reconstruct": [_PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR],
+    "intra_encode": [_PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR],
+    "intra_decode": [_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR],
 }
 _RESTYPES = {"pattern_search": _I64, "motion_comp": _I64, "value_noise": _I64,
-             "render_surfaces": _I64, "quant_cost": _I64, "intra_unpre": _I64, "rc_compact": _I64,
-             "rc_bits": _F64, "dequant_coded": _I64, "recon_post": _I64}
+             "render_surfaces": _I64, "dct8": _I64, "quant_cost": _I64, "rc_compact": _I64,
+             "rc_bits": _F64, "reconstruct": _I64, "intra_encode": _I64, "intra_decode": _I64}
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -440,24 +459,6 @@ class _RateCounter:
         return kept >= 0 and self._block_max.max() < 2.0**31
 
 
-@functools.lru_cache(maxsize=16)
-def _diagonals(rows: int, cols: int) -> tuple:
-    """The wavefront of a grid, built once per shape: per anti-diagonal its
-    first block ``(r0, c0)`` — block ``k`` is ``(r0 + k, c0 - k)`` — its
-    length and where it starts in wavefront order; then every block's row
-    and column index in that order (read-only)."""
-    from repro.codec.intra import _wavefront
-
-    waves = list(_wavefront(rows, cols))
-    starts = np.cumsum([0] + [rs.size for rs, _ in waves]).tolist()
-    diagonals = tuple((int(rs[0]), int(cs[0]), rs.size, start) for (rs, cs), start in zip(waves, starts))
-    wave_rows = np.concatenate([rs for rs, _ in waves])
-    wave_cols = np.concatenate([cs for _, cs in waves])
-    wave_rows.setflags(write=False)
-    wave_cols.setflags(write=False)
-    return diagonals, wave_rows, wave_cols
-
-
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     """Bit-identity, not equality: tells -0.0 from 0.0 and one NaN from another."""
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -646,90 +647,66 @@ class _CKernels:
             return None
         return image, ids, counts.tolist()
 
+    def transform(self, blocks, *, inverse):
+        """``dct_blocks`` / ``idct_blocks``' transform of ``(r8, 8, c8, 8)``
+        float32 / float64 blocks, or ``None`` when the reference must answer:
+        another dtype or shape, no blocks, an output that is not finite
+        (which every non-finite input makes)."""
+        if isinstance(blocks, np.ndarray):
+            blocks = np.ascontiguousarray(blocks)
+        if _grid(blocks, dtypes=(np.float32, np.float64), blocks=True) is None or not blocks.size:
+            return None
+        out = np.empty(blocks.shape, dtype=blocks.dtype)
+        if self._lib.dct8(blocks.ctypes.data, blocks.dtype == np.float32, blocks.shape[0], blocks.shape[2],
+                          bool(inverse), out.ctypes.data):
+            return None
+        return out
+
     def intra_encode(self, frame, qp_map, *, block=16):
-        """``intra_encode``: per anti-diagonal three C steps around the
-        reference's own scipy transforms."""
+        """``intra_encode``: the whole frame in one call."""
         from repro.codec.intra import _MODE_BITS, _intra_encode_reference
-        from repro.codec.transform import _dct_blocks_reference, idct_blocks, qstep
+        from repro.codec.transform import qstep
 
         pixels = np.ascontiguousarray(frame, dtype=np.float64)
         qp = np.asarray(qp_map, dtype=float)
         grid = _grid(pixels, block, (np.float64,), maps=(qp,))
-        if grid is None:
-            # The C loops trust their geometry: whatever the reference makes
-            # of these arguments (its exceptions included) is the answer.
-            return _intra_encode_reference(frame, qp_map, block=block)
-        rows, cols = grid
-        width = pixels.shape[1]
-        diagonals, wave_rows, wave_cols = _diagonals(rows, cols)
-        recon = np.zeros_like(pixels)
-        modes = np.zeros(grid, dtype=np.int8)
-        # Block-major (rows*sub, 8, cols*sub, 8) is the frame's own plane layout.
-        levels = np.empty((pixels.shape[0] // 8, 8, width // 8, 8), dtype=np.float64)
-        # Per block in wavefront order: its step and its coefficient bits.
-        q = qstep(qp[wave_rows, wave_cols])
-        wave_bits = np.empty(rows * cols, dtype=np.float64)
-        # Per-diagonal buffers, sized for the longest diagonal.
-        best = np.empty(min(grid) * block * block, dtype=np.float64)
-        plane = np.empty_like(best)
-        dequantised = np.empty_like(best)
-        scratch = np.empty(4 * block * block + 2 * block, dtype=np.float64)
-        lib = self._lib
-        frame_p, recon_p, modes_p = pixels.ctypes.data, recon.ctypes.data, modes.ctypes.data
-        levels_p, best_p, scratch_p = levels.ctypes.data, best.ctypes.data, scratch.ctypes.data
-        plane_p, deq_p, q_p, bits_p = plane.ctypes.data, dequantised.ctypes.data, q.ctypes.data, wave_bits.ctypes.data
-        for r0, c0, m, start in diagonals:
-            lib.intra_pre(frame_p, recon_p, width, r0, c0, m, block,
-                          modes_p, cols, best_p, plane_p, scratch_p)
-            coeffs = _dct_blocks_reference(plane[: m * block * block].reshape(block, m * block))
-            # The diagonal is a 1 x m grid whose k-th macroblock's levels
-            # belong one block row down and one block column left of the last.
-            if lib.quant_cost(
-                coeffs.ctypes.data, 0, m * block, 1, m, block, q_p + 8 * start,
-                levels_p + 8 * (r0 * block * width + c0 * block), width,
-                0, block * width - block, deq_p, bits_p + 8 * start,
+        if grid is not None:
+            h, w = pixels.shape
+            q = qstep(qp)
+            levels = np.empty((h // 8, 8, w // 8, 8), dtype=np.float64)
+            modes = np.empty(grid, dtype=np.int8)
+            recon = np.empty_like(pixels)
+            bits_per_mb = np.empty(grid, dtype=np.float64)
+            if not self._lib.intra_encode(
+                pixels.ctypes.data, q.ctypes.data, *grid, block,
+                levels.ctypes.data, modes.ctypes.data, recon.ctypes.data, bits_per_mb.ctypes.data,
             ):
-                # NaN / inf / a level too large to cost in integers.
-                return _intra_encode_reference(frame, qp_map, block=block)
-            rec_plane = idct_blocks(dequantised[: m * block * block].reshape(coeffs.shape))
-            lib.intra_post(best_p, rec_plane.ctypes.data, r0, c0, m, block, recon_p, width)
-        bits_per_mb = np.empty(grid, dtype=np.float64)
-        bits_per_mb[wave_rows, wave_cols] = wave_bits + _MODE_BITS
-        return levels, modes, recon, bits_per_mb
+                bits_per_mb += _MODE_BITS
+                return levels, modes, recon, bits_per_mb
+        # Arguments the C loops could not index (whatever the reference makes
+        # of them, its exceptions included, is the answer), a non-finite
+        # transform or a level too large to cost in integers.
+        return _intra_encode_reference(frame, qp_map, block=block)
 
     def intra_decode(self, levels, modes, qp_map, *, block=16):
-        """``intra_decode``: predict + dequantise in C, the reference's IDCT,
-        clip + scatter in C."""
+        """``intra_decode``: the whole frame in one call."""
         from repro.codec.intra import _intra_decode_reference
-        from repro.codec.transform import idct_blocks, qstep
+        from repro.codec.transform import qstep
 
         qp = np.asarray(qp_map, dtype=float)
         grid = None
         if isinstance(modes, np.ndarray) and modes.dtype.kind in "iub":
             grid = _grid(levels, block, blocks=True, maps=(modes, qp))
-        if grid is None:
-            return _intra_decode_reference(levels, modes, qp_map, block=block)
-        coded = np.ascontiguousarray(levels, dtype=np.float64)
-        mode_map = np.ascontiguousarray(modes, dtype=np.int64)
-        rows, cols = grid
-        width = cols * block
-        diagonals, wave_rows, wave_cols = _diagonals(rows, cols)
-        recon = np.zeros((rows * block, width), dtype=np.float64)
-        q = qstep(qp[wave_rows, wave_cols])
-        # Per-diagonal buffers, sized for the longest diagonal.
-        best = np.empty(min(grid) * block * block, dtype=np.float64)
-        dequantised = np.empty_like(best)
-        edge = np.empty(2 * block, dtype=np.float64)
-        lib = self._lib
-        levels_p, modes_p, recon_p = coded.ctypes.data, mode_map.ctypes.data, recon.ctypes.data
-        best_p, deq_p, edge_p, q_p = best.ctypes.data, dequantised.ctypes.data, edge.ctypes.data, q.ctypes.data
-        for r0, c0, m, start in diagonals:
-            if lib.intra_unpre(levels_p, modes_p, cols, q_p + 8 * start, recon_p, width,
-                               r0, c0, m, block, best_p, deq_p, edge_p):
-                return _intra_decode_reference(levels, modes, qp_map, block=block)
-            rec_plane = idct_blocks(dequantised[: m * block * block].reshape(block // 8, 8, m * block // 8, 8))
-            lib.intra_post(best_p, rec_plane.ctypes.data, r0, c0, m, block, recon_p, width)
-        return recon
+        if grid is not None:
+            coded = np.ascontiguousarray(levels, dtype=np.float64)
+            mode_map = np.ascontiguousarray(modes, dtype=np.int64)
+            q = qstep(qp)
+            recon = np.empty((grid[0] * block, grid[1] * block), dtype=np.float64)
+            if not self._lib.intra_decode(
+                coded.ctypes.data, mode_map.ctypes.data, q.ctypes.data, *grid, block, recon.ctypes.data,
+            ):
+                return recon
+        return _intra_decode_reference(levels, modes, qp_map, block=block)
 
     def quantize_cost(self, coeffs, qp_per_mb, *, mb_size=16):
         """``quantize_cost``: one pass over the coefficients, float32 read in place."""
@@ -740,11 +717,9 @@ class _CKernels:
         if grid is not None:
             levels = np.empty(coeffs.shape, dtype=np.float64)
             bits_per_mb = np.empty(grid, dtype=np.float64)
-            line = coeffs.shape[2] * 8
             if not self._lib.quant_cost(
-                coeffs.ctypes.data, coeffs.dtype == np.float32, line, grid[0], grid[1], mb_size,
-                q.ctypes.data, levels.ctypes.data, line, mb_size * line, mb_size,
-                None, bits_per_mb.ctypes.data,
+                coeffs.ctypes.data, coeffs.dtype == np.float32, coeffs.shape[2] * 8, *grid, mb_size,
+                q.ctypes.data, levels.ctypes.data, bits_per_mb.ctypes.data,
             ):
                 return levels, bits_per_mb
         # Geometry the C loop could not index (the reference raises on it, or
@@ -762,36 +737,24 @@ class _CKernels:
         return _RateCounter(self._lib, coeffs, offs, grid, mb_size, float(max_qp))
 
     def reconstruct(self, prediction, levels, qp_per_mb, *, mb_size=16):
-        """``reconstruct``: dequantise the coded 8x8 blocks only, the
-        reference's own IDCT over that compact list, clip + cast in C."""
-        from repro.codec.transform import _reconstruct_reference, idct_blocks, qstep
+        """``reconstruct``: dequantise, inverse-transform and clip the coded
+        8x8 blocks, clip the prediction under the others, in one call."""
+        from repro.codec.transform import _reconstruct_reference, qstep
 
         q = qstep(np.ascontiguousarray(qp_per_mb, dtype=float))
         # Finite steps only: 0 * inf is NaN, so an all-zero block under such a
         # step is not skippable.
         grid = _grid(levels, mb_size, (np.float64,), blocks=True, maps=(q,), finite=True)
         if grid is not None and _grid(prediction, mb_size, (np.float32,)) == grid:
-            rows8, cols8 = levels.shape[0], levels.shape[2]
-            slot = np.empty(rows8 * cols8, dtype=np.int64)
-            # Room for every block; only the coded ones are written (and paged in).
-            dequantised = np.empty((rows8 * cols8, 8, 1, 8), dtype=np.float64)
-            coded = self._lib.dequant_coded(
-                levels.ctypes.data, rows8, cols8, mb_size // 8, q.ctypes.data,
-                slot.ctypes.data, dequantised.ctypes.data,
-            )
-            if coded >= 0:
-                # pocketfft transforms every 8-point line on its own, so a
-                # block's inverse does not depend on which blocks sit beside it.
-                # (With nothing coded no residual is read, whatever is passed.)
-                residual = np.ascontiguousarray(idct_blocks(dequantised[:coded])) if coded else dequantised
-                out = np.empty(prediction.shape, dtype=np.float32)
-                if not self._lib.recon_post(
-                    prediction.ctypes.data, slot.ctypes.data, residual.ctypes.data,
-                    rows8, cols8, out.ctypes.data,
-                ):
-                    return out
-        # Wrong shape / dtype / stride, an infinite step, a level past the limit,
-        # or a -0.0 / NaN prediction pixel under a skipped block: the reference answers.
+            out = np.empty(prediction.shape, dtype=np.float32)
+            if not self._lib.reconstruct(
+                prediction.ctypes.data, levels.ctypes.data, levels.shape[0], levels.shape[2],
+                mb_size // 8, q.ctypes.data, out.ctypes.data,
+            ):
+                return out
+        # Wrong shape / dtype / stride, an infinite step, a level past the
+        # limit, a non-finite residual, or a -0.0 / NaN prediction pixel under
+        # a skipped block: the reference answers.
         return _reconstruct_reference(prediction, levels, qp_per_mb, mb_size=mb_size)
 
     def pairwise_rows(self, a):
@@ -854,7 +817,7 @@ def _probe_table() -> list[_ProbeRow]:
     The fault tests index it by hook name."""
     from repro.codec.intra import _intra_decode_reference, _intra_encode_reference
     from repro.codec.motion import _motion_compensate_reference, _pattern_search_reference
-    from repro.codec.transform import _quantize_cost_reference, _reconstruct_reference
+    from repro.codec.transform import _quantize_cost_reference, _reconstruct_reference, _transform_reference
     from repro.geometry.camera import CameraIntrinsics
     from repro.utils.noise import _value_noise_2d_reference
     from repro.world import EgoTrajectory, Renderer, Scene, SceneObject, StraightSegment, TurnSegment
@@ -865,6 +828,21 @@ def _probe_table() -> list[_ProbeRow]:
     gen = np.random.default_rng(0xCE)
     # Pairwise summation, adversarial magnitudes.
     pairwise = [(f"n={n}", (np.exp(gen.normal(0.0, 12.0, size=(64, n))),), {}) for n in (49, 64, 200, 256, 1024)]
+    # The 8x8 DCT both ways in both precisions: integer levels, signed zeros
+    # among subnormals, magnitudes over decades, and up to where the type
+    # nearly overflows (not past it: the hook declines a non-finite output).
+    transform = []
+    for dtype, big in ((np.float64, 1e290), (np.float32, 1e30)):
+        tiny = float(np.finfo(dtype).smallest_subnormal)
+        contents = {
+            "levels": gen.integers(-40, 41, size=(2, 8, 3, 8)) * 1.0,
+            "zeros and subnormals": gen.choice([0.0, -0.0, tiny, -tiny, 3.0 * tiny, 1.0], size=(2, 8, 3, 8)),
+            "decades": gen.normal(size=(2, 8, 3, 8)) * np.exp(gen.normal(0.0, 8.0, size=(2, 8, 3, 8))),
+            "large": gen.normal(0.0, big, size=(1, 8, 1, 8)),
+        }
+        transform += [(f"{np.dtype(dtype).name} {content}, {'inverse' if inverse else 'forward'}",
+                       (blocks.astype(dtype),), dict(inverse=inverse))
+                      for content, blocks in contents.items() for inverse in (False, True)]
     # The three pattern searches and MC: content that moved (so the seed
     # grid, the predictors and the window's edge all bite) under noise.
     search, compensate = [], []
@@ -961,6 +939,7 @@ def _probe_table() -> list[_ProbeRow]:
         decode.append((where, (levels, modes, qp), dict(block=block)))
     return [
         _ProbeRow("pairwise_rows", functools.partial(np.sum, axis=1), pairwise),
+        _ProbeRow("transform", _transform_reference, transform),
         _ProbeRow("pattern_search", _pattern_search_reference, search),
         _ProbeRow("motion_compensate", _motion_compensate_reference, compensate),
         _ProbeRow("value_noise", _value_noise_2d_reference, noise),
@@ -975,9 +954,10 @@ def _probe_table() -> list[_ProbeRow]:
 
 class CExtBackend(KernelBackend):
     """Compiled-C pattern search, motion compensation, value noise, the
-    renderer's surfaces (``render_surfaces``), the I-frame wavefront
-    (``intra_encode`` / ``intra_decode``) and the P-frame's transform tail
-    (``quantize_cost`` / ``rate_counter`` / ``reconstruct``), self-probed."""
+    renderer's surfaces (``render_surfaces``), the 8x8 DCT (``transform``),
+    I-frames (``intra_encode`` / ``intra_decode``) and the P-frame's
+    transform tail (``quantize_cost`` / ``rate_counter`` / ``reconstruct``),
+    self-probed."""
 
     name = "cext"
 

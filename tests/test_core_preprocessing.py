@@ -109,6 +109,19 @@ class TestRSampling:
         x, y = block_centers(GRID, INTR)
         assert len(r_sample(mv, x, y, k=30)) == 30
 
+    @pytest.mark.parametrize("k", [0, -5])
+    def test_sample_size_below_one_is_refused(self, k):
+        """A negative ``k`` would slice from the end of the distance order,
+        which is where the unusable (zero) vectors sort."""
+        mv = synthetic_field()
+        mv[:4] = 0.0
+        x, y = block_centers(GRID, INTR)
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            r_sample(mv, x, y, k=k)
+        for sampling in ("r", "random"):
+            with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+                estimate_rotation(mv, INTR, k=k, sampling=sampling)
+
 
 class TestRotationEstimation:
     def test_recovers_pure_yaw(self):

@@ -421,6 +421,8 @@ SOURCE_MUTATIONS = {
     # (complete at the probe that compacted them, short for every probe
     # below), a skipped block priced at half a bit.
     "round-half-away": ("return copysign((fabs(x) + 0x1.8p52) - 0x1.8p52, x);", "return round(x);", "quantize_cost"),
+    # The transform: pocketfft's rotation wr + i wi with wi one ulp low (= wr).
+    "wi-as-wr": ("#define DCT_WI 0x1.6a09e667f3bcdp-1", "#define DCT_WI 0x1.6a09e667f3bccp-1", "transform"),
     "cut-at-half-a-step": ("#define ZERO_CUT 0.25", "#define ZERO_CUT 0.5", "rate_counter"),
     "skip-overhead": ("#define SKIP_BLOCK_BITS 0.25", "#define SKIP_BLOCK_BITS 0.5", "quantize_cost"),
     # The renderer's shader constants.

@@ -1,5 +1,7 @@
-"""Bit-exactness pins for the P-frame's transform tail: ``quantize_cost``,
-``QuantBitCounter`` (the ``rate_counter`` hook) and ``reconstruct``.
+"""Bit-exactness pins for the 8x8 transform (the ``transform`` hook behind
+``dct_blocks`` / ``idct_blocks``: scipy's bytes) and the P-frame's transform
+tail: ``quantize_cost``, ``QuantBitCounter`` (the ``rate_counter`` hook) and
+``reconstruct``.
 
 Whatever backend is active, every output equals its reference —
 ``quantize`` -> ``transform_cost_bits``, the dense
@@ -22,8 +24,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.fft import dctn, idctn
 
 import repro.codec.transform as transform_module
+from repro import kernels
 from repro.codec import VideoDecoder, VideoEncoder
 from repro.codec.transform import (
     QuantBitCounter,
@@ -134,6 +139,99 @@ def _assert_tail_matches_reference(coeffs, qp, block=16, seed=0, counter=True):
     for base in (31.0, 28.0, 26.5, 40.0, 51.0, 9.0, 3.0, 0.0, 22.0):  # down, up, far down: compacts twice
         assert counter.bits_at(base) == _frame_bits(coeffs, offsets, base, block)
     return levels
+
+
+def _scipy(blocks, inverse):
+    """What ``dct_blocks`` / ``idct_blocks`` are pinned to, block-major."""
+    return (idctn if inverse else dctn)(blocks, axes=(1, 3), norm="ortho")
+
+
+def _transformed(blocks, inverse):
+    """``idct_blocks(blocks)`` or ``dct_blocks`` of the plane ``blocks`` is, block-major."""
+    r8, _, c8, _ = blocks.shape
+    if inverse:
+        return idct_blocks(blocks).reshape(blocks.shape)
+    return dct_blocks(blocks.reshape(r8 * 8, c8 * 8))
+
+
+@st.composite
+def _block_arrays(draw):
+    """``(r8, 8, c8, 8)`` float32 / float64 blocks of signed zeros,
+    subnormals, integer levels, moderate values and any finite magnitude
+    (enough of the last and a transform overflows)."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    info = np.finfo(dtype)
+    tiny = float(info.smallest_subnormal)
+    special = [0.0, -0.0, tiny, -tiny, 3.0 * tiny, float(info.tiny) / 3.0, -float(info.tiny), float(info.max) / 64.0]
+    width = 32 if dtype is np.float32 else 64
+    element = st.one_of(
+        st.sampled_from(special),
+        st.integers(-2048, 2048).map(float),
+        st.floats(-1e4, 1e4, width=width),
+        st.floats(allow_nan=False, allow_infinity=False, width=width),
+    )
+    shape = (draw(st.integers(1, 3)), 8, draw(st.integers(1, 3)), 8)
+    return draw(hnp.arrays(dtype, shape, elements=element))
+
+
+def _nan_with_payload(dtype):
+    bits = {np.float32: (np.uint32, 0x7FC00123), np.float64: (np.uint64, 0x7FF8000000000123)}[dtype]
+    return np.array(bits[1], dtype=bits[0]).view(dtype)
+
+
+@pytest.mark.usefixtures("kernel_backend")
+class TestTransformIsScipys:
+    """``dct_blocks`` / ``idct_blocks`` are scipy's ``dctn`` / ``idctn(axes=(1, 3),
+    norm="ortho")`` to the byte on both backends; ``cext``'s hook answers
+    every finite case and declines the rest, which scipy then answers."""
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(_block_arrays())
+    def test_property_both_directions_are_scipys_bytes(self, blocks):
+        hook = kernels.active().transform
+        for inverse in (False, True):
+            with np.errstate(all="ignore"):
+                want = _scipy(blocks, inverse)
+                _same(_transformed(blocks, inverse), want)
+                if hook is not None:
+                    assert (hook(blocks, inverse=inverse) is None) == (not np.isfinite(want).all())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", ["nan", "payload", "inf", "-inf", "overflow"])
+    def test_non_finite_input_or_output_is_scipys_to_answer(self, dtype, bad):
+        blocks = np.random.default_rng(43).normal(0.0, 50.0, size=(2, 8, 3, 8)).astype(dtype)
+        if bad == "overflow":  # finite input, sums past the largest finite value
+            blocks[1, :, 2, :] = np.finfo(dtype).max / 2
+        else:
+            blocks[1, 3, 2, 5] = _nan_with_payload(dtype) if bad == "payload" else float(bad)
+        hook = kernels.active().transform
+        for inverse in (False, True):
+            with np.errstate(all="ignore"):
+                want = _scipy(blocks, inverse)
+                assert not np.isfinite(want).all()
+                _same(_transformed(blocks, inverse), want)
+                assert hook is None or hook(blocks, inverse=inverse) is None
+
+    @pytest.mark.parametrize("layout", ["strided", "fortran", "float16", "int64", "big-endian"])
+    def test_layouts_the_hook_does_not_read_in_place(self, layout):
+        """Copied to C order (strided, Fortran) or scipy's own (other dtypes): same bytes."""
+        base = np.random.default_rng(47).integers(-300, 300, size=(2, 8, 3, 8)).astype(np.float64)
+        blocks = {
+            "strided": np.repeat(base, 2, axis=0)[::2],
+            "fortran": np.asfortranarray(base),
+            "float16": base.astype(np.float16),
+            "int64": base.astype(np.int64),
+            "big-endian": base.astype(">f8"),
+        }[layout]
+        for inverse in (False, True):
+            want = _scipy(blocks, inverse)
+            got = idct_blocks(blocks) if inverse else transform_module._transform(blocks, inverse=False)
+            _same(np.ascontiguousarray(got).reshape(want.shape), np.ascontiguousarray(want))
 
 
 COEFFS = ["residual", "wide", "halves", "zero", "negative_zero", "single"]
@@ -345,6 +443,22 @@ class TestCompiledPathIsTaken:
             frame = np.clip(_prediction((4, 6), seed=seed), 0.0, 255.0)
             decoder.decode(encoder.encode(frame, target_bits=20_000.0))
         assert reference_calls == []
+
+    def test_the_codec_never_calls_scipy(self, monkeypatch):
+        """I- and P-frames, coded and decoded: every transform is the hook's."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scipy transform on the compiled path")
+
+        monkeypatch.setattr(transform_module, "dctn", refuse)
+        monkeypatch.setattr(transform_module, "idctn", refuse)
+        encoder, decoder = VideoEncoder(), VideoDecoder()
+        types = []
+        for seed in range(3):
+            encoded = encoder.encode(np.clip(_prediction((4, 6), seed=seed), 0.0, 255.0), target_bits=20_000.0)
+            decoder.decode(encoded)
+            types.append(encoded.frame_type)
+        assert types == ["I", "P", "P"]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0**40])
     def test_reported_values_take_the_reference_path_once(self, reference_calls, bad):
