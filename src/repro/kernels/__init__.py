@@ -9,7 +9,8 @@ pocketfft arithmetic, replayed to its bytes), I-frames (``intra_encode`` /
 ``intra_decode``: a frame per call) and the P-frame transform tail
 (``quantize_cost`` / ``rate_counter`` / ``reconstruct``: everything between
 the forward DCT and the reconstruction, the IDCT included), the renderer's
-ground and billboards (``render_surfaces``: a frame's surfaces as one call)
+surfaces (``render_surfaces``: a frame's ground, billboards and sky, and
+each billboard's kept pixels, in two calls around numpy's ``arctan2``)
 and the synthetic world's value noise — be swapped in behind the
 ``KernelBackend`` seam.
 
@@ -51,12 +52,13 @@ second.  Each is built once, on first use.
     transforms, quantiser and clip in one call), for the P-frame's
     transform tail (``quantize_cost``, ``QuantBitCounter``'s probe, and a
     ``reconstruct`` that dequantises, inverse-transforms and clips only the
-    coded 8x8 blocks), for the renderer's ground and billboards (geometry,
-    painter's-order visibility and one texture per visible pixel) and for
-    value noise.  The renderer's
-    sky stays NumPy on every backend: ``np.arctan2`` is numpy's own SIMD
-    code on AVX-512 hosts and differs from libm's ``atan2`` in the last bit,
-    so no C replica could match it everywhere.  Billboards are compiled only
+    coded 8x8 blocks), for the renderer's surfaces (geometry,
+    painter's-order visibility, one texture per visible pixel, the sky, each
+    billboard's kept-pixel count and bounding box) and for value noise.
+    The sky's azimuth alone stays NumPy on every backend, taken between the
+    kernel's two calls: ``np.arctan2`` is numpy's own SIMD code on AVX-512
+    hosts and differs from libm's ``atan2`` in the last bit, so no C
+    replica could match it everywhere.  Billboards are compiled only
     where the proof holds — a face whose normal and u axis each have one
     non-zero component, so that the reference's BLAS dot products are one
     product each in any summation order (every preset object faces
@@ -103,8 +105,8 @@ BACKENDS = ("numpy", "cext")
 KERNEL_NAMES = (
     "motion_compensate",  # MV-field prediction (bilinear taps)
     "pattern_search",  # the whole DIA / HEX / UMH motion search of one frame
-    "value_noise",  # fractal 2-D value noise (repro.utils.noise: the sky's, and any other caller's)
-    "render_surfaces",  # a frame's ground + billboards: geometry, painter's-order visibility, textures
+    "value_noise",  # fractal 2-D value noise (repro.utils.noise: the textures' wherever render_surfaces declines)
+    "render_surfaces",  # a frame's ground + billboards + sky: geometry, visibility, textures, per-object counts
     "transform",  # the 8x8 DCT / IDCT of block-major arrays (dct_blocks / idct_blocks)
     "intra_encode",  # a whole I-frame: DC/H/V mode decision, DCT, quantise, bits, reconstruct
     "intra_decode",  # a whole I-frame replayed from levels + modes

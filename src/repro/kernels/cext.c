@@ -435,10 +435,13 @@ static inline int noise_at(double x, double y, const double *freq, const uint64_
     for (int64_t o = 0; o < octaves; o++) {
         double u = x * freq[o], v = y * freq[o];
         if (!(u >= -lim && u < lim && v >= -lim && v < lim)) return 1;
-        /* floor() as truncate-and-step-down: exact in range, no libm call */
+        /* floor() as truncate-and-step-down, no libm call: u - trunc(u) is
+         * exact, and where it is negative, adding 1 rounds the same real
+         * number u - floor(u) once, as the reference's subtraction does. */
         int64_t iu = (int64_t)u, iv = (int64_t)v;
-        iu -= (double)iu > u; iv -= (double)iv > v;
         double fu = u - (double)iu, fv = v - (double)iv;
+        if (fu < 0.0) { fu = fu + 1.0; iu -= 1; }
+        if (fv < 0.0) { fv = fv + 1.0; iv -= 1; }
         double su = fu * fu * (3.0 - 2.0 * fu);
         double sv = fv * fv * (3.0 - 2.0 * fv);
         lattice_cell *c = cells + o;
@@ -466,20 +469,40 @@ int64_t value_noise(const double *x, const double *y, int64_t n,
     return bad;
 }
 
-/* ---- the ground and the billboards (repro.world.renderer) ----
- * One call paints what _render_surfaces_reference paints, visibility
- * first: the ground's id, then every placed billboard's mask far to near
- * (ids and pixel counts), and only then the texture of each pixel that
- * kept its surface — the reference textures, and then paints over, every
- * pixel a surface covers.  Sky pixels are left for the caller. */
+/* ---- the surfaces (repro.world.renderer) ----
+ * Two calls paint what _render_surfaces_reference paints.  render_surfaces
+ * resolves visibility first — the ground's id, then every placed
+ * billboard's mask far to near (ids and painted counts) — and only then
+ * textures each pixel that kept its ground or billboard surface (the
+ * reference textures, and then paints over, every pixel a surface covers),
+ * counting the pixels each billboard kept and their bounding box on the
+ * way, and gathers the sky pixels' x and z directions, in raster order, for
+ * the caller's np.arctan2.  render_sky then shades the sky pixels from
+ * those azimuths.  Both write the float32 image: the (float) of the double
+ * the reference computes is astype's rounding. */
 #define SURFACE_SKY 0
 #define SURFACE_GROUND 1
 #define GROUND_HAZE 165.0
 
-/* np.mod of a float: fmod moved into the divisor's sign (np.mod(-1e-17,
- * 6.0) is 6.0) and +0.0 for an exact multiple — npy_divmod's remainder. */
+/* np.mod(a, b) for the shaders' divisors b = 2, 2.5 and 6: numpy's
+ * npy_divmod remainder, fmod moved into the divisor's sign (np.mod(-1e-17,
+ * 6.0) is 6.0) and +0.0 for an exact multiple.  Below 2^51 in magnitude it
+ * takes no libm call.  q = trunc(a / b) is fmod's truncated quotient: a / b
+ * rounds onto an integer k only when a = k b (k b is no power of two, so an
+ * a below it is a whole ulp of k b below, and that over b is more than half
+ * an ulp of k).  |q| <= 2^50, so q * b is exact (5q and 3q stay below 2^53),
+ * and so is a - q * b (Sterbenz: q * b lies in [a / 2, 2a] once q is
+ * non-zero) — fmod's remainder.  Had the quotient rounded up, the sign step
+ * would still land on the same exact value.  Larger, NaN and +-inf take
+ * fmod. */
 static inline double np_mod(double a, double b) {
-    double mod = fmod(a, b);
+    double mod;
+    if (fabs(a) < 0x1p51) {
+        double q = (double)(int64_t)(a / b);
+        mod = a - q * b;
+    } else {
+        mod = fmod(a, b);
+    }
     if (!mod) return copysign(0.0, b);
     return (b < 0.0) != (mod < 0.0) ? mod + b : mod;
 }
@@ -507,28 +530,40 @@ static inline int ground_gray(double x, double z, const double *gfreq, const uin
     return 0;
 }
 
-/* A placed billboard, GEO_SIZE doubles: num = (point - origin) . normal as
- * the caller formed it, point, normal, u_dir, half width, height, and the
- * texture's base gray and noise contrast. */
-enum { GEO_NUM, GEO_POINT, GEO_NORMAL = GEO_POINT + 3, GEO_UDIR = GEO_NORMAL + 3,
-       GEO_HALF = GEO_UDIR + 3, GEO_HEIGHT, GEO_BASE, GEO_CONTRAST, GEO_SIZE };
-/* ... and FACE_SIZE integers: its window rows [y0, y1) and columns
- * [x0, x1), its texture kind (FACE_KIND: 0 plain, 1 building, 2 car,
- * 3 pedestrian) and its id. */
+/* A placed billboard, GEO_SIZE doubles: its plane's point, normal and u
+ * axis, half width, height, and the texture's base gray and noise
+ * contrast ... */
+enum { GEO_POINT, GEO_NORMAL = GEO_POINT + 3, GEO_UDIR = GEO_NORMAL + 3, GEO_HALF = GEO_UDIR + 3,
+       GEO_HEIGHT, GEO_BASE, GEO_CONTRAST, GEO_SIZE };
+/* ... FACE_SIZE integers: its window rows [y0, y1) and columns [x0, x1),
+ * its texture kind (FACE_KIND: 0 plain, 1 building, 2 car, 3 pedestrian)
+ * and its id ... */
 enum { FACE_Y0, FACE_Y1, FACE_X0, FACE_X1, FACE_KIND, FACE_ID, FACE_SIZE };
+/* ... and what the call returns of it, STAT_SIZE integers: the pixels its
+ * mask painted, those it kept, and their bounding box [x0, x1) x [y0, y1)
+ * (zeros when it kept none) — renderer.STAT_*. */
+enum { STAT_PAINTED, STAT_VISIBLE, STAT_X0, STAT_Y0, STAT_X1, STAT_Y1, STAT_SIZE };
 
-/* The ray d from o against a billboard: tt = num / (d . normal), the point
- * o + d tt, u = (that point - point) . u_dir and the height above the
- * ground; writes the texture coordinates (u from the left edge, height) and
- * returns the reference's mask.  normal and u_dir each hold one non-zero
- * component (the wrapper declines any other face), so every other product
- * is an exact +-0 — or a NaN / inf, which the reference's BLAS dot products
- * meet too — and each dot product equals the reference's in any summation
- * order, but for the sign of an all-zero sum; that sign only reaches a
- * non-finite tt or |u| and the left-edge coordinate u + half width. */
-static inline int face_hit(const double *g, const double *d, const double *o, double *tu, double *th) {
+/* The ray d from o against a billboard: tt = num / (d . normal), with num =
+ * (point - o) . normal (face_num), the point o + d tt, u = (that point -
+ * point) . u_dir and the height above the ground; writes the texture
+ * coordinates (u from the left edge, height) and returns the reference's
+ * mask.  normal and u_dir each hold one non-zero component (the wrapper
+ * declines any other face), so every other product is an exact +-0 — or a
+ * NaN / inf, which the reference's BLAS dot products meet too — and each
+ * dot product equals the reference's in any summation order, but for the
+ * sign of an all-zero sum; that sign only reaches a non-finite or +-0 tt,
+ * which the mask drops either way, or |u| and the left-edge coordinate
+ * u + half width. */
+static inline double face_num(const double *g, const double *o) {
+    const double *pt = g + GEO_POINT, *n = g + GEO_NORMAL;
+    return ((pt[0] - o[0]) * n[0] + (pt[1] - o[1]) * n[1]) + (pt[2] - o[2]) * n[2];
+}
+
+static inline int face_hit(const double *g, double num, const double *d, const double *o, double *tu,
+                           double *th) {
     const double *pt = g + GEO_POINT, *n = g + GEO_NORMAL, *ud = g + GEO_UDIR;
-    double tt = g[GEO_NUM] / ((d[0] * n[0] + d[1] * n[1]) + d[2] * n[2]);
+    double tt = num / ((d[0] * n[0] + d[1] * n[1]) + d[2] * n[2]);
     double p0 = o[0] + d[0] * tt, p1 = o[1] + d[1] * tt, p2 = o[2] + d[2] * tt;
     double u = ((p0 - pt[0]) * ud[0] + (p1 - pt[1]) * ud[1]) + (p2 - pt[2]) * ud[2];
     *tu = u + g[GEO_HALF];
@@ -558,18 +593,20 @@ static inline int object_gray(double u, double h, const double *g, int64_t kind,
 }
 
 /* dirs: (h, w, 3) world ray directions from origin.  freq: the ground's
- * three noise frequencies (base octaves, fine) then the objects' three;
- * gsterm: the ground's seed terms; per placed object (painter's order, far
- * to near) FACE_SIZE integers in face, GEO_SIZE doubles in geo, three seed
- * terms in osterm.  Writes image (all but the sky pixels), ids and
- * counts[k] — the pixels object k painted.  Returns 1 — the reference
- * answers — on a noise coordinate int64 cannot hold. */
+ * three noise frequencies (base octaves, fine), the objects' three, the
+ * sky's one; gsterm: the ground's three seed terms, the sky's one; per
+ * placed object (painter's order, far to near) FACE_SIZE integers in face,
+ * GEO_SIZE doubles in geo, three seed terms in osterm.  Writes image (all
+ * but the sky pixels), ids, STAT_SIZE integers per object in stats, and
+ * each sky pixel's direction x and z to sky_x / sky_z; returns how many
+ * sky pixels there are, or -1 — the reference answers — on a noise
+ * coordinate int64 cannot hold. */
 int64_t render_surfaces(const double *dirs, int64_t h, int64_t w, const double *o,
                         double max_depth, double weather, const double *freq,
                         const uint64_t *gsterm, int64_t n_obj, const int64_t *face,
                         const double *geo, const uint64_t *osterm,
-                        double *image, int32_t *ids, int64_t *counts) {
-    int64_t n = h * w;
+                        float *image, int32_t *ids, int64_t *stats, double *sky_x, double *sky_z) {
+    int64_t n = h * w, n_sky = 0;
     double fade = max_depth - 0.7 * max_depth, tu, th;
     lattice_cell cells[3];
     for (int64_t i = 0; i < n; i++) {
@@ -578,41 +615,83 @@ int64_t render_surfaces(const double *dirs, int64_t h, int64_t w, const double *
     }
     for (int64_t k = 0; k < n_obj; k++) {
         const int64_t *f = face + k * FACE_SIZE;
+        const double *g = geo + k * GEO_SIZE;
+        double num = face_num(g, o);
         int64_t painted = 0;
         for (int64_t y = f[FACE_Y0]; y < f[FACE_Y1]; y++)
             for (int64_t x = f[FACE_X0]; x < f[FACE_X1]; x++)
-                if (face_hit(geo + k * GEO_SIZE, dirs + 3 * (y * w + x), o, &tu, &th)) {
+                if (face_hit(g, num, dirs + 3 * (y * w + x), o, &tu, &th)) {
                     ids[y * w + x] = (int32_t)f[FACE_ID];
                     painted++;
                 }
-        counts[k] = painted;
+        stats[k * STAT_SIZE + STAT_PAINTED] = painted;
     }
     noise_cells_reset(cells, gsterm, 3);
     for (int64_t i = 0; i < n; i++) {
-        if (ids[i] != SURFACE_GROUND) continue;
         const double *d = dirs + 3 * i;
+        if (ids[i] == SURFACE_SKY) {
+            sky_x[n_sky] = d[0];
+            sky_z[n_sky++] = d[2];
+        }
+        if (ids[i] != SURFACE_GROUND) continue;
         double tg = -o[1] / d[1], tex;
         if (!(tg <= max_depth)) {
-            image[i] = GROUND_HAZE;
+            image[i] = (float)GROUND_HAZE;
             continue;
         }
-        if (ground_gray(o[0] + tg * d[0], o[2] + tg * d[2], freq, gsterm, cells, weather, &tex)) return 1;
+        if (ground_gray(o[0] + tg * d[0], o[2] + tg * d[2], freq, gsterm, cells, weather, &tex)) return -1;
         double weight = np_clip((max_depth - tg) / fade, 0.0, 1.0);
-        image[i] = weight * tex + (1.0 - weight) * GROUND_HAZE;
+        image[i] = (float)(weight * tex + (1.0 - weight) * GROUND_HAZE);
     }
     /* Ids are unique, so a pixel holding object k's id is one of its mask's. */
     for (int64_t k = 0; k < n_obj; k++) {
         const int64_t *f = face + k * FACE_SIZE;
         const double *g = geo + k * GEO_SIZE;
+        int64_t *s = stats + k * STAT_SIZE;
+        int64_t kept = 0, x0 = f[FACE_X1], x1 = f[FACE_X0], y0 = 0, y1 = 0;
+        double num = face_num(g, o), tex;
         noise_cells_reset(cells, osterm + 3 * k, 3);
         for (int64_t y = f[FACE_Y0]; y < f[FACE_Y1]; y++)
             for (int64_t x = f[FACE_X0]; x < f[FACE_X1]; x++) {
                 int64_t i = y * w + x;
                 if (ids[i] != f[FACE_ID]) continue;
-                face_hit(g, dirs + 3 * i, o, &tu, &th);
-                if (object_gray(tu, th, g, f[FACE_KIND], freq + 3, osterm + 3 * k, cells, weather, image + i))
-                    return 1;
+                face_hit(g, num, dirs + 3 * i, o, &tu, &th);
+                if (object_gray(tu, th, g, f[FACE_KIND], freq + 3, osterm + 3 * k, cells, weather, &tex))
+                    return -1;
+                image[i] = (float)tex;
+                if (!kept++) y0 = y;
+                y1 = y + 1;
+                if (x < x0) x0 = x;
+                if (x >= x1) x1 = x + 1;
             }
+        s[STAT_VISIBLE] = kept;
+        s[STAT_X0] = kept ? x0 : 0;
+        s[STAT_Y0] = y0;
+        s[STAT_X1] = kept ? x1 : 0;
+        s[STAT_Y1] = y1;
+    }
+    return n_sky;
+}
+
+/* sky_texture over the pixels render_surfaces left as sky (ids), in raster
+ * order, each from its np.arctan2 azimuth: the direction's norm and
+ * elevation, the gradient, one octave of cloud noise, the clip.  freq and
+ * gsterm are render_surfaces' arrays, the sky's octave last.  Returns 1 —
+ * the reference answers — on a noise coordinate int64 cannot hold. */
+int64_t render_sky(const double *dirs, int64_t n, const int32_t *ids, const double *azimuth,
+                   const double *freq, const uint64_t *gsterm, float *image) {
+    const double *sfreq = freq + 6;
+    const uint64_t *sterm = gsterm + 3;
+    lattice_cell cell;
+    noise_cells_reset(&cell, sterm, 1);
+    for (int64_t i = 0, j = 0; i < n; i++) {
+        if (ids[i] != SURFACE_SKY) continue;
+        const double *d = dirs + 3 * i;
+        double norm = sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]);
+        double elevation = -d[1] / norm, clouds;
+        if (noise_at(azimuth[j++] * 8.0, elevation * 8.0, sfreq, sterm, 1, &cell, &clouds)) return 1;
+        double gradient = 190.0 + 50.0 * np_clip(elevation / 0.6, 0.0, 1.0);
+        image[i] = (float)np_clip(gradient + 18.0 * (clouds - 0.5), 0.0, 255.0);
     }
     return 0;
 }

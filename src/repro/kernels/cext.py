@@ -56,28 +56,35 @@ that process loaded.
   reference's operation order, and a call holding a coordinate int64 cannot
   represent (NaN, inf, ``|u| >= 2^63`` — an undefined cast in C) is
   answered by the reference.
-- The renderer's ground and billboards (``render_surfaces``) are one call
-  per frame over the world ray directions NumPy formed: the ground's ids,
-  every placed object's mask far to near (ids and painted counts), then
-  the texture of only the pixels that kept their surface, through the
-  value-noise routine above.  Each per-pixel step is elementwise IEEE
-  arithmetic in the reference's order; ``np.mod`` is ``fmod`` moved into
-  the divisor's sign (numpy's ``npy_divmod``) and ``np.clip`` is its two
-  compares.  The reference forms a face's ``d . normal`` and
-  ``(p - point) . u_dir`` with ``@`` — BLAS dot products whose summation
-  order and FMA use C cannot reproduce — so the kernel takes only faces
-  whose normal and u axis each have one non-zero component: every other
-  product is then an exact +-0 (or a NaN / inf the reference meets too)
-  and the sum is the one product in any order, but for the sign of an
-  all-zero sum, which reaches only a non-finite ``tt`` or a texture
-  coordinate ``+-0 + half width``.  Every object the presets build faces
-  ``(1, 0)`` or ``(0, 1)``; any other face, directions that are not
-  C-contiguous float64, an id the int32 id-buffer cannot hold or that
-  repeats, or a noise coordinate past int64 is declined to
-  ``_render_surfaces_reference``.  The sky is not compiled: its azimuth is
-  ``np.arctan2``, which numpy computes with its own SIMD code on AVX-512
-  hosts — not bit-identical to libm's ``atan2`` — so it stays NumPy, on
-  the pixels no surface covered.
+- The renderer's surfaces (``render_surfaces``) are two calls per frame
+  over the world ray directions NumPy formed and the placed objects'
+  per-scene table.  The first resolves the ground's ids and every placed
+  object's mask far to near (ids and painted counts), then textures only
+  the pixels that kept their surface, through the value-noise routine
+  above, counting each object's kept pixels and their bounding box as it
+  goes, and gathers the sky pixels' x and z directions; the second shades
+  the sky — norm, elevation, one octave of cloud noise, clip — from
+  ``np.arctan2`` of those two contiguous arrays, taken in NumPy between the
+  calls.  That azimuth is the reference's own call on the same values:
+  numpy computes ``arctan2`` with its own SIMD code on AVX-512 hosts, not
+  bit-identical to libm's ``atan2``.  Each per-pixel step is elementwise
+  IEEE arithmetic in the reference's order, written straight to the
+  float32 image (``(float)`` of a double is ``astype``'s rounding);
+  ``np.mod`` is numpy's ``npy_divmod`` remainder, exact without ``fmod``
+  for the shaders' divisors 2, 2.5 and 6 below ``2^51`` (argued at
+  ``np_mod`` in ``cext.c``), and ``np.clip`` is its two compares.  The
+  reference forms a face's ``d . normal``, ``(point - origin) . normal``
+  and ``(p - point) . u_dir`` with ``@`` — BLAS dot products whose
+  summation order and FMA use C cannot reproduce — so the kernel takes
+  only faces whose normal and u axis each have one non-zero component:
+  every other product is then an exact +-0 (or a NaN / inf the reference
+  meets too) and the sum is the one product in any order, but for the sign
+  of an all-zero sum, which reaches only a non-finite or zero ``tt`` (the
+  mask drops both) or a texture coordinate ``+-0 + half width``.  Every
+  object the presets build faces ``(1, 0)`` or ``(0, 1)``; any other face,
+  directions that are not C-contiguous float64, a window outside the
+  frame, an id the int32 id-buffer cannot hold or that repeats, or a noise
+  coordinate past int64 is declined to ``_render_surfaces_reference``.
 - The 8x8 DCT (``transform``, behind ``dct_blocks`` / ``idct_blocks``)
   is scipy's own arithmetic.  ``dctn`` / ``idctn(axes=(1, 3),
   norm="ortho")`` runs pocketfft's 8-point DCT-II / DCT-III along axis 1
@@ -166,6 +173,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.kernels import KERNEL_NAMES, KernelBackend, use_backend
+from repro.utils.noise import _noise_terms
 
 __all__ = ["CExtBackend"]
 
@@ -200,7 +208,8 @@ _SIGNATURES = {
     "motion_comp": [_PTR, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR],
     "value_noise": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR],
     "render_surfaces": [_PTR, _I64, _I64, _PTR, _F64, _F64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR,
-                        _PTR, _PTR, _PTR],
+                        _PTR, _PTR, _PTR, _PTR, _PTR],
+    "render_sky": [_PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR],
     "dct8": [_PTR, _I64, _I64, _I64, _I64, _PTR],
     "quant_cost": [_PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR],
     "rc_compact": [_PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR],
@@ -210,11 +219,8 @@ _SIGNATURES = {
     "intra_decode": [_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR],
 }
 _RESTYPES = {"pattern_search": _I64, "motion_comp": _I64, "value_noise": _I64,
-             "render_surfaces": _I64, "dct8": _I64, "quant_cost": _I64, "rc_compact": _I64,
+             "render_surfaces": _I64, "render_sky": _I64, "dct8": _I64, "quant_cost": _I64, "rc_compact": _I64,
              "rc_bits": _F64, "reconstruct": _I64, "intra_encode": _I64, "intra_decode": _I64}
-
-_U64_MASK = 0xFFFFFFFFFFFFFFFF
-
 
 class _Unavailable(Exception):
     """The shared object cannot be built or loaded; the message says why."""
@@ -464,54 +470,10 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _same_surfaces(got, want) -> bool:
-    """Whether a ``render_surfaces`` answer is the reference's to the bit: the
-    id-buffer, every pixel but the sky's (left unset by both) and the
-    per-object pixel counts."""
-    from repro.world.scene import SKY_ID
-
-    if got is None:
-        return False
-    (image, ids, counts), (want_image, want_ids, want_counts) = got, want
-    painted = want_ids != SKY_ID
-    return (
-        list(counts) == list(want_counts)
-        and _same_bytes(ids, want_ids)
-        and _same_bytes(image[painted], want_image[painted])
-    )
-
-
 #: ``pattern_search``'s method ids, and the widest search range its memo's
 #: 16-bit key can number: ``(2 * 127 + 1) ** 2 + 1 <= 2 ** 16``.
 _ME_METHODS = {"dia": 0, "hex": 1, "umh": 2}
 _ME_MAX_RANGE = 127
-
-
-def _noise_terms(seed, scale, octaves) -> tuple[list[float], list[int]]:
-    """``value_noise_2d``'s per-octave frequency and seed term (times
-    ``PRIME_S``, mod 2^64), formed as the reference forms them — whatever
-    numeric type ``scale`` is, any int seed."""
-    from repro.utils.noise import _PRIME_S
-
-    freq = 1.0 / scale
-    freqs, sterm = [], []
-    for octave in range(octaves):
-        freqs.append(freq)
-        sterm.append(((seed + octave * 7919) * int(_PRIME_S)) & _U64_MASK)
-        freq *= 2.0
-    return freqs, sterm
-
-
-#: ``render_surfaces``' texture kinds: the bands of ``object_texture`` (any
-#: other kind, poles included, is noise alone).
-_SURFACE_KINDS = {"building": 1, "car": 2, "pedestrian": 3}
-
-
-def _axis_vector(v) -> bool:
-    """Whether a plane vector has exactly one non-zero component — then every
-    dot product with it is one product, whatever order BLAS sums in."""
-    values = np.asarray(v).tolist()
-    return isinstance(values, list) and len(values) == 3 and values.count(0.0) == 2
 
 
 class _CKernels:
@@ -594,58 +556,63 @@ class _CKernels:
         return _value_noise_2d_reference(x, y, seed=seed, scale=scale, octaves=octaves)
 
     def render_surfaces(self, dirs, origin, scene, placed):
-        """``Renderer.render``'s ground and placed objects in one call, or
-        ``None`` when ``_render_surfaces_reference`` must answer — directions
-        the C loops could not index as they stand, a window that is not a
-        plain slice pair, a face whose normal or u axis is off the world axes
-        (every preset object faces ``(1, 0)`` or ``(0, 1)``), an object id the
-        id-buffer cannot hold or that repeats, a noise coordinate int64
-        cannot hold."""
-        from repro.world.texture import _object_tone
-
+        """``Renderer.render``'s surfaces — ground, placed objects, sky — and
+        each placed object's statistics in two calls around numpy's
+        ``np.arctan2`` of the sky pixels, or ``None`` when
+        ``_render_surfaces_reference`` must answer — directions the C loops
+        could not index as they stand, a window outside the frame, a face
+        whose normal or u axis is off the world axes (every preset object
+        faces ``(1, 0)`` or ``(0, 1)``), an object id the id-buffer cannot
+        hold or that repeats, a noise coordinate int64 cannot hold."""
         pixels = _grid(dirs, dtypes=(np.float64,), tail=(3,))
         origin = np.ascontiguousarray(origin, dtype=np.float64)
         if pixels is None or origin.shape != (3,):
             return None
         h, w = pixels
-        face, geo, osterm = [], [], []
-        seen = set()
-        for obj, window, (point, normal, u_dir) in placed:
-            rows, cols = window
-            if not (isinstance(rows, slice) and isinstance(cols, slice)):
-                return None
-            y0, y1, sy = rows.indices(h)
-            x0, x1, sx = cols.indices(w)
-            oid = obj.object_id
-            if sy != 1 or sx != 1 or not 2 <= oid < 2**31 or oid in seen:
-                return None
-            if not (np.shape(point) == (3,) and _axis_vector(normal) and _axis_vector(u_dir)):
-                return None
-            seen.add(oid)
-            face.append((y0, max(y0, y1), x0, max(x0, x1), _SURFACE_KINDS.get(obj.kind, 0), oid))
-            num = float((point - origin) @ normal)  # as the reference forms it
-            geo.append((num, *point, *normal, *u_dir, obj.width / 2.0, obj.height, *_object_tone(obj.kind)))
-            osterm.append(_noise_terms(obj.texture_seed, 0.6, 3)[1])
-        face = np.array(face, dtype=np.int64).reshape(-1, 6)
-        geo = np.array(geo, dtype=np.float64).reshape(-1, 14)
-        osterm = np.array(osterm, dtype=np.uint64).reshape(-1, 3)
-        # As ground_texture samples: two octaves at scale 1.5, one at 0.35
-        # under seed + 101; then object_texture's three at 0.6.
-        base_freq, base_sterm = _noise_terms(scene.texture_seed, 1.5, 2)
-        fine_freq, fine_sterm = _noise_terms(scene.texture_seed + 101, 0.35, 1)
-        freq = np.array(base_freq + fine_freq + _noise_terms(0, 0.6, 3)[0], dtype=np.float64)
-        gsterm = np.array(base_sterm + fine_sterm, dtype=np.uint64)
-        image = np.empty((h, w), dtype=np.float64)
-        ids = np.empty((h, w), dtype=np.int32)
-        counts = np.empty(len(placed), dtype=np.int64)
-        if self._lib.render_surfaces(
-            dirs.ctypes.data, h, w, origin.ctypes.data, float(scene.max_ground_depth),
-            float(scene.weather_contrast), freq.ctypes.data, gsterm.ctypes.data, len(placed),
-            face.ctypes.data, geo.ctypes.data, osterm.ctypes.data,
-            image.ctypes.data, ids.ctypes.data, counts.ctypes.data,
+        table, rows = placed.table, placed.rows
+        windows = np.ascontiguousarray(placed.windows, dtype=np.int64)
+        ids = table.ids[rows]
+        if not (
+            table.on_axes[rows].all()
+            and ((ids >= 2) & (ids < 2**31)).all()
+            and np.unique(ids).size == ids.size
+            and windows.shape == (ids.size, 4)
+            and (windows >= 0).all()
+            and (windows[:, :2] <= h).all()
+            and (windows[:, 2:] <= w).all()
         ):
             return None
-        return image, ids, counts.tolist()
+        face = np.column_stack([windows, table.bands[rows], ids])
+        geo = np.column_stack([placed.points, table.normals[rows], table.u_dirs[rows], table.half_widths[rows],
+                               table.heights[rows], table.tones[rows]]).astype(np.float64, copy=False)
+        osterm = table.sterms[rows]
+        # As ground_texture samples: two octaves at scale 1.5, one at 0.35
+        # under seed + 101; then object_texture's three at 0.6, and
+        # sky_texture's one at 1.0 under seed + 500.
+        base_freq, base_sterm = _noise_terms(scene.texture_seed, 1.5, 2)
+        fine_freq, fine_sterm = _noise_terms(scene.texture_seed + 101, 0.35, 1)
+        sky_freq, sky_sterm = _noise_terms(scene.texture_seed + 500, 1.0, 1)
+        freq = np.array(base_freq + fine_freq + _noise_terms(0, 0.6, 3)[0] + sky_freq, dtype=np.float64)
+        gsterm = np.array(base_sterm + fine_sterm + sky_sterm, dtype=np.uint64)
+        image = np.empty((h, w), dtype=np.float32)
+        id_buffer = np.empty((h, w), dtype=np.int32)
+        stats = np.empty((rows.size, 6), dtype=np.int64)
+        sky_x, sky_z = np.empty(h * w), np.empty(h * w)
+        n_sky = self._lib.render_surfaces(
+            dirs.ctypes.data, h, w, origin.ctypes.data, float(scene.max_ground_depth),
+            float(scene.weather_contrast), freq.ctypes.data, gsterm.ctypes.data, rows.size,
+            face.ctypes.data, geo.ctypes.data, osterm.ctypes.data,
+            image.ctypes.data, id_buffer.ctypes.data, stats.ctypes.data, sky_x.ctypes.data, sky_z.ctypes.data,
+        )
+        if n_sky < 0:
+            return None
+        # The reference's own azimuths: numpy's arctan2 over the sky pixels'
+        # contiguous x and z components, in raster order.
+        azimuth = np.arctan2(sky_x[:n_sky], sky_z[:n_sky])
+        if self._lib.render_sky(dirs.ctypes.data, h * w, id_buffer.ctypes.data, azimuth.ctypes.data,
+                                freq.ctypes.data, gsterm.ctypes.data, image.ctypes.data):
+            return None
+        return image, id_buffer, stats
 
     def transform(self, blocks, *, inverse):
         """``dct_blocks`` / ``idct_blocks``' transform of ``(r8, 8, c8, 8)``
@@ -800,6 +767,46 @@ def _frame_bits_reference(coeffs, offsets):
     return lambda qp: float(transform_cost_bits(quantize(coeffs, np.clip(qp + offsets, 0.0, 51.0))).sum())
 
 
+def _remainder_cases(values) -> list:
+    """``render_surfaces`` cases that put each of ``values`` (finite, below
+    2^58 in magnitude) under the shaders' remainders: as the world z of
+    ground points on both dashed lane lines (``np.mod(z, 6.0)``), and each
+    one not below zero as the height (``np.mod(h, 2.5)``) and, on a face
+    whose half width is the power of two at or below it, the left-edge
+    coordinate (``np.mod(u, 2.0)``) of points on building faces."""
+    from repro.world import EgoTrajectory, Scene, SceneObject, StraightSegment
+    from repro.world.renderer import Placed
+
+    values = np.asarray(values, dtype=np.float64)
+    scene = Scene(trajectory=EgoTrajectory([StraightSegment(1.0, 5.0)]), texture_seed=3)
+    # From 1 m above the ground, rays with dy = 1 meet it at tg = 1: the
+    # world x and z are the ray's own (origin z -0.0 keeps z = -0.0).
+    ground = np.empty((2, values.size, 3))
+    ground[..., 0] = np.array([1.75, -1.75])[:, None]
+    ground[..., 1] = 1.0
+    ground[..., 2] = values
+    nothing = Placed.by_hand([], [], 0.0)
+    # From the ground's origin, rays (u - half, -h, 1) meet a face standing
+    # at z = 1, facing x, at height h and u from its left edge; u - half and
+    # back are exact for half <= u <= 2 half.
+    heights = np.unique(values[values >= 0.0])
+    faces, columns, windows = [], [], []
+    for half in np.unique(2.0 ** np.floor(np.log2(heights[heights > 0.0]))):
+        u = heights[(heights >= half) & (heights <= 2.0 * half)]
+        windows.append((0, heights.size, len(columns), len(columns) + u.size))
+        faces.append(SceneObject(kind="building", base=(0.0, 1.0), width=2.0 * half, height=2.0**58,
+                                 texture_seed=len(faces), object_id=2 + len(faces)))
+        columns += (u - half).tolist()
+    rays = np.empty((heights.size, len(columns), 3))
+    rays[..., 0] = columns
+    rays[..., 1] = -heights[:, None]
+    rays[..., 2] = 1.0
+    return [
+        ("remainders, ground z", (ground, np.array([0.0, -1.0, -0.0]), scene, nothing), {}),
+        ("remainders, building faces", (rays, np.zeros(3), scene, Placed.by_hand(faces, windows, 0.0)), {}),
+    ]
+
+
 class _ProbeRow(NamedTuple):
     """One row of the self-probe: ``hook`` (a :class:`_CKernels` method) and
     ``reference`` each answer every ``(label, args, kwargs)`` case, and
@@ -880,6 +887,13 @@ def _probe_table() -> list[_ProbeRow]:
         weathered = dataclasses.replace(scene, weather_contrast=weather)
         _, dirs, origin, placed = renderer._prepare(weathered, t)
         surfaces.append((f"weather {weather}, t {t}", (dirs, origin, weathered, placed), {}))
+    # The shaders' remainders on their edges: multiples of 2 / 2.5 / 6 and
+    # their one-ulp neighbours, up to where the remainder takes fmod.
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1e-17, 2.0**51]
+    for b in (2.0, 2.5, 6.0):
+        for k in (1, 3, 2**20 + 1, 2**47 + 5, 2**50, 2**52 + 3):
+            edges += [k * b, np.nextafter(k * b, 0.0), np.nextafter(k * b, np.inf)]
+    surfaces += _remainder_cases(edges + [-v for v in edges])
     # The P-frame's transform tail on a 3 x 4 grid: coefficients on a
     # lattice of half steps (every rounding tie) and spread over decades,
     # two thirds of the blocks empty, one holding a single coefficient
@@ -943,7 +957,7 @@ def _probe_table() -> list[_ProbeRow]:
         _ProbeRow("pattern_search", _pattern_search_reference, search),
         _ProbeRow("motion_compensate", _motion_compensate_reference, compensate),
         _ProbeRow("value_noise", _value_noise_2d_reference, noise),
-        _ProbeRow("render_surfaces", _render_surfaces_reference, surfaces, _same_surfaces),
+        _ProbeRow("render_surfaces", _render_surfaces_reference, surfaces),
         _ProbeRow("quantize_cost", _quantize_cost_reference, quant),
         _ProbeRow("rate_counter", _frame_bits_reference, counter, _same_bits),
         _ProbeRow("reconstruct", _reconstruct_reference, recon),

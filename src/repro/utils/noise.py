@@ -120,6 +120,20 @@ def _value_noise_single(u: np.ndarray, v: np.ndarray, seed: int) -> np.ndarray:
     return top + sv * (bot - top)
 
 
+def _noise_terms(seed: int, scale: float, octaves: int) -> tuple[list[float], list[int]]:
+    """:func:`value_noise_2d`'s per-octave frequency and seed term (times
+    ``_PRIME_S``, mod 2^64), formed as the reference forms them — whatever
+    numeric type ``scale`` is, any int seed.  The compiled kernels take
+    these in place of ``seed`` / ``scale``."""
+    freq = 1.0 / scale
+    freqs, sterm = [], []
+    for octave in range(octaves):
+        freqs.append(freq)
+        sterm.append(((seed + octave * 7919) * int(_PRIME_S)) & 0xFFFFFFFFFFFFFFFF)
+        freq *= 2.0
+    return freqs, sterm
+
+
 def value_noise_1d(x: np.ndarray, *, seed: int, scale: float = 1.0, octaves: int = 1) -> np.ndarray:
     """1-D value noise; used for bandwidth-trace shaping."""
     x = np.asarray(x, dtype=float)

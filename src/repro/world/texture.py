@@ -37,6 +37,12 @@ _OBJECT_CONTRAST = {
 }
 
 
+#: The bands ``object_texture`` draws over a kind's noise, numbered as the
+#: compiled renderer numbers them (any other kind, poles included, is noise
+#: alone: 0).
+_OBJECT_BANDS = {"building": 1, "car": 2, "pedestrian": 3}
+
+
 def _object_tone(kind: str) -> tuple[float, float]:
     """Base gray level and noise contrast of an object kind's texture."""
     return _OBJECT_BASE.get(kind, 120.0), _OBJECT_CONTRAST.get(kind, 60.0)

@@ -1,10 +1,10 @@
 """Run the kernel suites with ``src/repro/kernels/cext.c`` built under ASan + UBSan.
 
-The 12 C entry points of ``cext.c`` write through raw pointers — the motion
+The 13 C entry points of ``cext.c`` write through raw pointers — the motion
 search's per-block memo (a hash probe) and its in-C edge padding, the rate
 counter's candidate list, the 8x8 transform's and the I-frame loops' block
-walks over caller-given planes and the renderer's image, id-buffer and
-per-object counts inside caller-given windows; the
+walks over caller-given planes and the renderer's image, id-buffer,
+per-object statistics and sky gathers inside caller-given windows; the
 bit-exactness suites prove their *values*, this proves their *addresses*.
 The runner appends the sanitizer flags to the ones ``cext.c`` is built with
 (``repro.kernels.cext._CFLAGS``) in-process, before the first dispatch

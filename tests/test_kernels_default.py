@@ -430,6 +430,11 @@ SOURCE_MUTATIONS = {
     "building-windows": ("wh > 0.8 && wh < 2.1", "wh > 0.8 && wh < 2.2", "render_surfaces"),
     "car-band": ("if (h < 0.35) gray = gray - 55.0;", "if (h < 0.35) gray = gray - 54.0;", "render_surfaces"),
     "pedestrian-band": ("if (h > 1.45) gray = gray + 35.0;", "if (h > 1.5) gray = gray + 35.0;", "render_surfaces"),
+    # The exact remainder trusted past 2^51, where q * b is no longer exact.
+    "remainder-past-2^51": ("if (fabs(a) < 0x1p51) {", "if (fabs(a) < 0x1p60) {", "render_surfaces"),
+    # The sky's elevation from the direction before it is normalised.
+    "sky-unnormalised": ("double elevation = -d[1] / norm, clouds;", "double elevation = -d[1], clouds;",
+                         "render_surfaces"),
 }
 
 

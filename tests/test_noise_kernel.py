@@ -58,6 +58,21 @@ class TestValueNoiseBitExact:
         _assert_matches_reference(np.empty((0, 5)), np.empty((0, 5)), **params)  # empty
         _assert_matches_reference([0.5, 1.5], [2.5, 3.5], **params)  # lists
 
+    def test_zero_length_and_odd_shapes(self):
+        """Every loop bound the C meets: nothing at all, a zero-length axis
+        anywhere, one point, length-1 axes, prime and 3-D shapes, a negative
+        stride, a broadcast that is empty on one side, 1-D value noise of
+        nothing."""
+        gen = np.random.default_rng(93)
+        cube = gen.uniform(-80.0, 80.0, size=(3, 7, 5))
+        params = dict(seed=11 + 500, scale=1.0, octaves=1)
+        for shape in [(0,), (0, 3), (3, 0), (2, 0, 5), (1,), (1, 1, 1), (13,), (7, 1, 3)]:
+            _assert_matches_reference(gen.uniform(-9.0, 9.0, size=shape), gen.uniform(-9.0, 9.0, size=shape), **params)
+        _assert_matches_reference(cube, cube[::-1, :, ::-2].repeat(2, axis=2)[..., :5], seed=3, scale=0.6, octaves=3)
+        _assert_matches_reference(np.empty((0, 1)), np.ones((1, 4)), seed=1, scale=1.5, octaves=2)
+        _assert_matches_reference(np.empty((4, 0)), 0.5, seed=1, scale=0.35, octaves=1)
+        assert value_noise_1d(np.empty(0), seed=2).shape == (0,)
+
     def test_value_noise_1d_goes_through_the_same_seam(self):
         x = np.linspace(-30.0, 30.0, 777)
         want = _value_noise_2d_reference(x, np.zeros_like(x), seed=9, scale=4.0, octaves=2)

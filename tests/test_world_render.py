@@ -154,6 +154,15 @@ class TestRenderer:
         np.testing.assert_array_equal(a.image, b.image)
         np.testing.assert_array_equal(a.id_buffer, b.id_buffer)
 
+    @pytest.mark.usefixtures("kernel_backend")
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_time_is_rejected(self, t):
+        """Before any value reaches the kernels (a NaN-to-int64 cast is
+        undefined in C), naming the argument."""
+        scene = simple_scene([parked_car(2.0, 18.0), pedestrian(-2.0, 12.0)])
+        with pytest.raises(ValueError, match=r"render time t must be finite, got (nan|inf|-inf)"):
+            Renderer(INTR).render(scene, t)
+
     def test_image_range(self):
         rec = Renderer(INTR).render(simple_scene([building(8, 30, seed=4)]), 0.0)
         assert rec.image.min() >= 0.0
