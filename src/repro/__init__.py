@@ -17,8 +17,7 @@ The package is organised as:
 - :mod:`repro.obs` — frame-level tracing/metrics, JSONL export, aggregation.
 - :mod:`repro.metrics` — live windowed telemetry keyed to simulated time,
   flight-recorder post-mortems, ``repro top`` dashboard.
-- :mod:`repro.check` — project-specific static analysis (``repro lint``)
-  and the opt-in runtime numpy-array sanitizer.
+- :mod:`repro.check` — project-specific static analysis (``repro lint``).
 """
 
 __version__ = "1.0.0"

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.check.sanitize import NULL_SANITIZER, ArraySanitizer, NullSanitizer
 from repro.edge.detector import Detection
 from repro.edge.server import EdgeServer
 from repro.network.link import UplinkSimulator
@@ -132,19 +131,9 @@ class AnalyticsScheme(abc.ABC):
     #: nothing.
     tracer: Tracer | NullTracer = NULL_TRACER
 
-    #: Runtime array-validation hook (see :mod:`repro.check.sanitize`); the
-    #: shared no-op sanitizer unless :meth:`use_sanitizer` installs a live
-    #: one, so unsanitized runs pay nothing.
-    sanitizer: ArraySanitizer | NullSanitizer = NULL_SANITIZER
-
     def use_tracer(self, tracer: Tracer | NullTracer) -> "AnalyticsScheme":
         """Install a tracer on this scheme instance; returns ``self``."""
         self.tracer = tracer
-        return self
-
-    def use_sanitizer(self, sanitizer: ArraySanitizer | NullSanitizer) -> "AnalyticsScheme":
-        """Install an array sanitizer on this scheme instance; returns ``self``."""
-        self.sanitizer = sanitizer
         return self
 
     #: Optional uplink constructor override (see :meth:`use_uplink_factory`).

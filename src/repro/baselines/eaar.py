@@ -67,7 +67,6 @@ class EAARScheme(AnalyticsScheme):
         encoder = VideoEncoder(
             EncoderConfig(me_method=cfg.me_method, search_range=search_range),
             tracer=self.tracer,
-            sanitizer=self.sanitizer,
         )
         tracker = MotionVectorTracker()
         uplink = self.make_uplink(trace, hol_timeout=cfg.hol_timeout)

@@ -60,7 +60,6 @@ class O3Scheme(AnalyticsScheme):
         encoder = VideoEncoder(
             EncoderConfig(me_method=cfg.me_method, search_range=search_range),
             tracer=self.tracer,
-            sanitizer=self.sanitizer,
         )
         tracker = MotionVectorTracker()
         estimator = BandwidthEstimator(window=1.0, initial_bps=trace.rate_at(0.0))

@@ -79,7 +79,6 @@ def _add_backend_args(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_demo(args: argparse.Namespace) -> str:
-    from repro.check import ArraySanitizer
     from repro.core import DiVEScheme
     from repro.network import constant_trace
     from repro.world import nuscenes_like, robotcar_like
@@ -87,7 +86,6 @@ def _cmd_demo(args: argparse.Namespace) -> str:
     maker = {"nuscenes": nuscenes_like, "robotcar": robotcar_like}[args.dataset]
     clip = maker(args.seed, n_frames=args.frames)
     trace = constant_trace(scaled_bandwidth(args.bandwidth, clip))
-    sanitizer = ArraySanitizer() if args.sanitize else None
     stream = None
     if args.streaming:
         from repro.stream import StreamConfig
@@ -97,10 +95,7 @@ def _cmd_demo(args: argparse.Namespace) -> str:
             policy=args.policy,
             deadline=args.deadline,
         )
-    result = run_scheme(
-        DiVEScheme(), clip, trace, ground_truth=ground_truth_for(clip),
-        sanitizer=sanitizer, stream=stream,
-    )
+    result = run_scheme(DiVEScheme(), clip, trace, ground_truth=ground_truth_for(clip), stream=stream)
     rows = [
         ["mAP", result.map],
         ["AP car", result.ap["car"]],
@@ -400,6 +395,11 @@ def _cmd_top(args: argparse.Namespace) -> int:
         policy=args.policy,
         deadline=args.deadline,
     )
+    try:
+        config.validate()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     server = EdgeServer(QualityAwareDetector(seed=args.detector_seed), metrics=registry)
     runner = StreamRunner(DiVEScheme(), config, metrics=registry, flight_recorder=recorder)
     title = (
@@ -573,11 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--bandwidth", type=_bandwidth, default=2.0, help="paper-scale Mbps")
         if name == "demo":
-            p.add_argument(
-                "--sanitize",
-                action="store_true",
-                help="validate frame/MV/QP arrays at every stage boundary (repro.check)",
-            )
             p.add_argument(
                 "--streaming",
                 action="store_true",

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.check.sanitize import NULL_SANITIZER, ArraySanitizer, NullSanitizer
-from repro.codec.encoder import EncodedFrame, _INTRA_DC
+from repro.codec.encoder import _INTRA_DC, _MAX_QP, EncodedFrame
 from repro.codec.intra import intra_decode
 from repro.codec.motion import motion_compensate
 from repro.codec.transform import reconstruct
@@ -24,16 +23,10 @@ __all__ = ["VideoDecoder"]
 
 
 class VideoDecoder:
-    """Stateful decoder over an encoded frame sequence.
+    """Stateful decoder over an encoded frame sequence."""
 
-    ``sanitizer`` validates the received bitstream payload and every
-    decoded frame (finite, float32, macroblock-aligned) — see
-    :mod:`repro.check.sanitize`; the default no-op costs nothing.
-    """
-
-    def __init__(self, *, block: int = 16, sanitizer: ArraySanitizer | NullSanitizer = NULL_SANITIZER):
+    def __init__(self, *, block: int = 16):
         self.block = block
-        self.sanitizer = sanitizer
         self._reference: np.ndarray | None = None
 
     def reset(self) -> None:
@@ -45,19 +38,15 @@ class VideoDecoder:
         Raises
         ------
         ValueError
-            If a P-frame arrives with no reference (a preceding frame was
-            never decoded).
+            If the QP map holds a value outside [0, 51] or a NaN (a frame
+            corrupted in transit), or a P-frame arrives with no reference
+            (a preceding frame was never decoded).
         """
-        san = self.sanitizer
-        if san.enabled:
-            san.check(encoded.levels, "decoder/bitstream", name="quantised levels")
-            san.check(encoded.qp_map, "decoder/bitstream", name="QP map", lo=0.0, hi=51.0)
+        qp_map = encoded.qp_map
+        if not ((qp_map >= 0) & (qp_map <= _MAX_QP)).all():
+            raise ValueError(f"qp_map holds a value outside [0, {_MAX_QP}] or a NaN")
         if encoded.frame_type == "I" and encoded.intra_modes is not None:
-            frame = intra_decode(
-                encoded.levels, encoded.intra_modes, encoded.qp_map, block=self.block
-            ).astype(np.float32)
-            if san.enabled:
-                san.check(frame, "decoder/frame", name="decoded frame", dtype=np.float32, block_aligned=True)
+            frame = intra_decode(encoded.levels, encoded.intra_modes, qp_map, block=self.block).astype(np.float32)
             self._reference = frame
             return frame
         if encoded.frame_type == "I":
@@ -69,8 +58,6 @@ class VideoDecoder:
             if encoded.mv is None:
                 raise ValueError("P-frame carries no motion field")
             prediction = motion_compensate(self._reference, encoded.mv, block=self.block)
-        frame = reconstruct(prediction, encoded.levels, encoded.qp_map, mb_size=self.block)
-        if san.enabled:
-            san.check(frame, "decoder/frame", name="decoded frame", dtype=np.float32, block_aligned=True)
+        frame = reconstruct(prediction, encoded.levels, qp_map, mb_size=self.block)
         self._reference = frame
         return frame

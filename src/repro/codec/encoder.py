@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.check.sanitize import NULL_SANITIZER, ArraySanitizer, NullSanitizer
 from repro.codec.intra import intra_encode
 from repro.codec.motion import MotionEstimate, estimate_motion, motion_compensate
 from repro.codec.transform import (
@@ -129,9 +128,7 @@ class VideoEncoder:
 
     ``tracer`` instruments the encode pipeline: span ``"encode"`` with
     sub-spans ``me`` / ``mc`` / ``dct`` / ``rate_control`` / ``quant``,
-    plus per-frame bit and QP gauges.  ``sanitizer`` validates the input
-    frame, the QP map and the reconstruction at the encode boundary (see
-    :mod:`repro.check.sanitize`).  The default no-op tracer/sanitizer cost
+    plus per-frame bit and QP gauges.  The default no-op tracer costs
     nothing.
     """
 
@@ -140,11 +137,11 @@ class VideoEncoder:
         config: EncoderConfig | None = None,
         *,
         tracer: Tracer | NullTracer = NULL_TRACER,
-        sanitizer: ArraySanitizer | NullSanitizer = NULL_SANITIZER,
     ):
         self.config = config or EncoderConfig()
+        if not self.config.gop >= 1:
+            raise ValueError(f"gop must be >= 1, got {self.config.gop}")
         self.tracer = tracer
-        self.sanitizer = sanitizer
         self._reference: np.ndarray | None = None
         #: The base QP rate control chose last: where the next search starts.
         self._qp_hint: int | None = None
@@ -187,22 +184,34 @@ class VideoEncoder:
         given.  ``qp_offsets`` is the per-macroblock QP offset map of
         Section II-B — positive offsets compress harder (DiVE assigns 0 to
         foreground macroblocks and delta to the background).
+
+        Raises
+        ------
+        ValueError
+            Naming the argument: both or neither of ``target_bits`` and
+            ``base_qp``, either of them NaN, a frame that is not whole
+            macroblocks or holds a NaN / inf pixel, a ``qp_offsets`` map
+            off the macroblock grid or holding a NaN.
         """
         if (target_bits is None) == (base_qp is None):
             raise ValueError("specify exactly one of target_bits (CBR) or base_qp (CRF)")
+        for name, value in (("target_bits", target_bits), ("base_qp", base_qp)):
+            if value is not None and np.isnan(value):
+                raise ValueError(f"{name} is NaN")
         frame = np.asarray(frame, dtype=np.float32)
         cfg = self.config
-        san = self.sanitizer
-        if san.enabled:
-            san.check(frame, "encoder/input", name="frame", dtype=np.float32, block_aligned=True)
         if frame.shape[0] % cfg.block or frame.shape[1] % cfg.block:
             raise ValueError(f"frame shape {frame.shape} not a multiple of block {cfg.block}")
+        if not np.isfinite(frame).all():
+            raise ValueError("frame holds a NaN or infinite pixel")
         mb_shape = (frame.shape[0] // cfg.block, frame.shape[1] // cfg.block)
         offsets = (
             np.zeros(mb_shape, dtype=np.float64) if qp_offsets is None else np.asarray(qp_offsets, dtype=np.float64)
         )
         if offsets.shape != mb_shape:
             raise ValueError(f"qp_offsets shape {offsets.shape} != macroblock grid {mb_shape}")
+        if np.isnan(offsets).any():
+            raise ValueError("qp_offsets holds a NaN")
 
         tr = self.tracer
         with tr.span("encode"):
@@ -267,14 +276,6 @@ class VideoEncoder:
                     reconstruction = reconstruct(prediction, levels, qp_map, mb_size=cfg.block)
 
         total_bits = float(bits_per_mb.sum() + overhead)
-        if san.enabled:
-            san.check(qp_map, "encoder/qp_map", name="QP map", lo=0.0, hi=float(_MAX_QP))
-            if motion is not None:
-                san.check(motion.mv, "encoder/motion", name="motion vectors")
-            san.check(
-                reconstruction, "encoder/reconstruction", name="reconstruction",
-                dtype=np.float32, block_aligned=True, lo=0.0, hi=255.0,
-            )
         if tr.enabled:
             tr.gauge("bits", total_bits)
             tr.gauge("frame_intra", 1.0 if intra else 0.0)

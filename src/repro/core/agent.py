@@ -102,7 +102,6 @@ class DiVEScheme(AnalyticsScheme):
         encoder = VideoEncoder(
             EncoderConfig(me_method=cfg.me_method, gop=cfg.gop, search_range=search_range),
             tracer=tr,
-            sanitizer=self.sanitizer,
         )
         extractor = ForegroundExtractor(clip.intrinsics, cfg.foreground)
         judge = EgoMotionJudge(threshold=cfg.eta_threshold)
@@ -154,12 +153,9 @@ class DiVEScheme(AnalyticsScheme):
         frame context cleanly wraps it).  Returns the loop-carried
         ``(force_intra, needs_server_reset)`` flags for the next frame."""
         tr = self.tracer
-        san = self.sanitizer
         record = clip.frame(i)
         t_cap = record.time
         frame = record.image
-        if san.enabled:
-            san.check(frame, "agent/capture", name="captured frame", block_aligned=True, lo=0.0, hi=255.0)
         compute = lat.encode
 
         # --- Preprocessing + foreground extraction -------------------
@@ -191,15 +187,10 @@ class DiVEScheme(AnalyticsScheme):
                     moving=moving,
                     dphi=None if rot is None else (rot.dphi_x, rot.dphi_y),
                 )
-            if san.enabled:
-                san.check(motion.mv, "agent/motion", name="motion vectors")
-                san.check(corrected, "agent/preprocessed", name="rotation-removed MV field")
             with tr.span("foreground"):
                 fg = extractor.extract(corrected, moving=moving, foe=foe)
             with tr.span("qp_map"):
                 offsets, _ = cfg.qp.offsets(fg.mask)
-            if san.enabled:
-                san.check(offsets, "agent/qp_map", name="QP offset map", lo=0.0, hi=51.0)
             if tr.enabled:
                 # eta itself is already recorded by estimate_motion as the
                 # "me_nonzero_ratio" gauge.

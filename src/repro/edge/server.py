@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.check.sanitize import NULL_SANITIZER, ArraySanitizer, NullSanitizer
 from repro.codec.decoder import VideoDecoder
 from repro.codec.encoder import EncodedFrame
 from repro.edge.detector import Detection, QualityAwareDetector
@@ -59,10 +58,6 @@ class EdgeServer:
     tracer:
         Observability hook; decode and detection are timed as spans
         ``"server/decode"`` / ``"server/detect"``.
-    sanitizer:
-        Runtime array validation (see :mod:`repro.check.sanitize`);
-        shared with the internal decoder, so a corrupt upload fails at
-        ``decoder/bitstream`` / ``server/decoded`` with the stage named.
     metrics:
         Virtual-time metrics registry (see :mod:`repro.metrics`).
         Requests, batch size, per-request detections and modelled
@@ -80,14 +75,12 @@ class EdgeServer:
         inference_latency: float = 0.020,
         downlink_latency: float = 0.010,
         tracer: Tracer | NullTracer = NULL_TRACER,
-        sanitizer: ArraySanitizer | NullSanitizer = NULL_SANITIZER,
         metrics: MetricsRegistry | NullRegistry = NULL_REGISTRY,
     ):
         self.detector = detector or QualityAwareDetector()
         self.inference_latency = float(inference_latency)
         self.downlink_latency = float(downlink_latency)
         self.tracer = tracer
-        self.sanitizer = sanitizer
         self.metrics = metrics
         # Instruments hoisted out of the per-request path.
         self._m_requests = metrics.counter(
@@ -101,7 +94,7 @@ class EdgeServer:
             help="modelled inference seconds spent on the serverless fabric")
         # Stateful (reference frames): one server serves one agent's
         # stream, from one thread.
-        self._decoder = VideoDecoder(sanitizer=sanitizer)
+        self._decoder = VideoDecoder()
 
     def reset(self) -> None:
         """Drop decoder state (new stream / after an intra refresh request)."""
@@ -113,11 +106,6 @@ class EdgeServer:
         with tr.span("server"):
             with tr.span("decode"):
                 decoded = self._decoder.decode(encoded)
-            if self.sanitizer.enabled:
-                self.sanitizer.check(
-                    decoded, "server/decoded", name="decoded frame",
-                    dtype=np.float32, block_aligned=True, lo=0.0, hi=255.0,
-                )
             with tr.span("detect"):
                 detections = self.detector.detect(decoded, record)
         if tr.enabled:
@@ -135,8 +123,6 @@ class EdgeServer:
         """Run inference on an already-decoded image (used by schemes that
         upload regions rather than codec streams)."""
         tr = self.tracer
-        if self.sanitizer.enabled:
-            self.sanitizer.check(image, "server/image", name="uploaded image", block_aligned=True)
         with tr.span("server"):
             with tr.span("detect"):
                 detections = self.detector.detect(image, record)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.baselines.base import AnalyticsScheme, SchemeRun
-from repro.check.sanitize import ArraySanitizer, NullSanitizer
 from repro.edge.detector import Detection, QualityAwareDetector
 from repro.edge.evaluation import evaluate_detections
 from repro.edge.server import EdgeServer
@@ -84,7 +83,6 @@ def run_scheme(
     detector_seed: int = 7,
     ground_truth: list[list[Detection]] | None = None,
     tracer: Tracer | NullTracer | None = None,
-    sanitizer: ArraySanitizer | NullSanitizer | None = None,
     stream=None,
 ) -> EvaluationResult:
     """Run one scheme on one clip and evaluate it.
@@ -95,10 +93,8 @@ def run_scheme(
     scored on the frames as the run fetches them (:func:`truth_clip` — an
     un-preloaded clip is rendered once, not once more for scoring).  A
     ``tracer`` (a :class:`repro.obs.Tracer`) is threaded through the scheme
-    and the server so the run emits a per-frame trace; a ``sanitizer`` (a
-    :class:`repro.check.ArraySanitizer`) is threaded the same way so stage
-    boundaries validate their arrays.  When omitted the scheme keeps
-    whatever tracer/sanitizer it already has (the no-ops by default).
+    and the server so the run emits a per-frame trace.  When omitted the
+    scheme keeps whatever tracer it already has (the no-op by default).
 
     ``stream`` — a :class:`repro.stream.StreamConfig` (or ``True`` for the
     defaults) — routes the run through the streaming runtime
@@ -111,14 +107,11 @@ def run_scheme(
             tracer.meta.setdefault("runs", []).append(
                 {"scheme": scheme.name, "clip": clip.name, "n_frames": clip.n_frames}
             )
-    if sanitizer is not None:
-        scheme.use_sanitizer(sanitizer)
     if ground_truth is None:
         clip = truth_clip(clip, detector_seed=detector_seed)
     server = EdgeServer(
         QualityAwareDetector(seed=detector_seed),
         tracer=scheme.tracer,
-        sanitizer=scheme.sanitizer,
     )
     stats = None
     if stream is not None and stream is not False:

@@ -213,7 +213,7 @@ class BatchingEdgeServer:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait < 0.0:
+        if not max_wait >= 0.0:
             raise ValueError(f"max_wait must be >= 0, got {max_wait}")
         if queue_capacity is not None and queue_capacity < 1:
             raise ValueError(f"queue_capacity must be >= 1 or None, got {queue_capacity}")

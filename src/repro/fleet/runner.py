@@ -193,19 +193,19 @@ class FleetConfig:
         for d in self.datasets:
             if d not in _MAKERS:
                 raise ValueError(f"unknown dataset {d!r}; expected one of {sorted(_MAKERS)}")
-        if self.stagger < 0.0:
+        if not self.stagger >= 0.0:
             raise ValueError(f"stagger must be >= 0, got {self.stagger}")
         if self.uplink not in UPLINKS:
             raise ValueError(f"unknown uplink {self.uplink!r}; expected one of {UPLINKS}")
-        if self.demand_mbps < 0.0:
+        if not self.demand_mbps >= 0.0:
             raise ValueError(f"demand_mbps must be >= 0, got {self.demand_mbps}")
-        if self.cell_mbps is not None and self.cell_mbps < 0.0:
+        if self.cell_mbps is not None and not self.cell_mbps >= 0.0:
             raise ValueError(f"cell_mbps must be >= 0 or None, got {self.cell_mbps}")
-        if self.deadline is not None and self.deadline <= 0.0:
+        if self.deadline is not None and not self.deadline > 0.0:
             raise ValueError(f"deadline must be positive or None, got {self.deadline}")
         if self.agent_workers < 1:
             raise ValueError(f"agent_workers must be >= 1, got {self.agent_workers}")
-        if self.drain_margin <= 0.0:
+        if not self.drain_margin > 0.0:
             raise ValueError(f"drain_margin must be positive, got {self.drain_margin}")
         self._batcher()  # the edge knobs, checked by the one constructor that takes them
 

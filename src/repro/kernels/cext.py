@@ -519,12 +519,16 @@ class _CKernels:
 
         plane = np.ascontiguousarray(reference, dtype=np.float32)
         grid = _grid(plane, block, (np.float32,))
-        if grid is None or _grid(mv, tail=(2,)) != grid:
-            # A field that does not tile the plane: what the reference makes
-            # of it (its exceptions included) is the answer.
+        if grid is None or _grid(mv, tail=(2,)) != grid or not np.isfinite(mv).all():
+            # A field that does not tile the plane, or one C cannot floor to
+            # int64: what the reference makes of it (its exceptions
+            # included) is the answer.
             return _motion_compensate_reference(reference, mv, block=block)
         rows, cols = grid
         rng = int(np.ceil(np.abs(mv).max())) + 2
+        if (plane.shape[0] + 2 * rng) * (plane.shape[1] + 2 * rng) * 8 >= 2**63:
+            # The padded plane's bytes would overflow C's int64 / size_t.
+            return _motion_compensate_reference(reference, mv, block=block)
         mvx = np.ascontiguousarray(mv[..., 0], dtype=np.float64).ravel()
         mvy = np.ascontiguousarray(mv[..., 1], dtype=np.float64).ravel()
         out = np.empty(plane.shape, dtype=np.float32)

@@ -10,7 +10,7 @@ reproducible as the run it observes:
   :data:`NULL_REGISTRY` default mirroring ``NULL_TRACER``;
 - :class:`FlightRecorder` — a ring of the last frame-lifecycle events
   dumping deterministic JSONL post-mortems when an anomaly trigger fires
-  (deadline-miss burst, sustained queue saturation, sanitizer errors);
+  (deadline-miss burst, sustained queue saturation);
 - exporters and consumers — metrics JSONL (:mod:`repro.metrics.export`),
   the ``repro top`` dashboard renderer (:mod:`repro.metrics.top`) and
   ``repro report --metrics`` tables.

@@ -4,9 +4,8 @@ A post-mortem needs the *events leading up to* an anomaly, not the whole
 run.  The recorder keeps the last :data:`CAPACITY` lifecycle events (queue
 submits / evictions / refusals / abandons / seals, reconciled frame
 verdicts) in a ring buffer; when an anomaly trigger fires — a
-deadline-miss burst, sustained queue saturation, or a
-:class:`~repro.check.SanitizeError` — the current ring is snapshotted
-into a dump, which :func:`write_flight_jsonl` serialises as
+deadline-miss burst or sustained queue saturation — the current ring is
+snapshotted into a dump, which :func:`write_flight_jsonl` serialises as
 deterministic JSONL.
 
 Determinism: every event carries only virtual-time quantities and is

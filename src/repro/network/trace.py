@@ -26,10 +26,11 @@ class BandwidthTrace:
     Parameters
     ----------
     times:
-        Breakpoints (seconds), strictly increasing, starting at 0.
+        Breakpoints (seconds), finite, strictly increasing, starting at 0.
     rates:
-        Rate (bits/s) on each interval ``[times[i], times[i+1])``; must have
-        ``len(times)`` entries — the final rate extends to infinity.
+        Rate (bits/s), finite and non-negative, on each interval
+        ``[times[i], times[i+1])``; must have ``len(times)`` entries — the
+        final rate extends to infinity.
     """
 
     def __init__(self, times: np.ndarray, rates: np.ndarray):
@@ -37,12 +38,16 @@ class BandwidthTrace:
         rates = np.asarray(rates, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("times must be a non-empty 1-D array")
+        if not np.isfinite(times).all():
+            raise ValueError("times must be finite")
         if times[0] != 0.0:
             raise ValueError("trace must start at t=0")
         if (np.diff(times) <= 0).any():
             raise ValueError("times must be strictly increasing")
         if rates.shape != times.shape:
             raise ValueError("rates must have the same length as times")
+        if not np.isfinite(rates).all():
+            raise ValueError("rates must be finite")
         if (rates < 0).any():
             raise ValueError("rates must be non-negative")
         self.times = times

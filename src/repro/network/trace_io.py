@@ -36,8 +36,8 @@ def load_trace_csv(path: str | Path) -> BandwidthTrace:
     ------
     ValueError
         On a missing/incomplete header, non-numeric cells, or breakpoints
-        that violate the trace invariants (must start at 0, strictly
-        increase, rates non-negative) — the :class:`BandwidthTrace`
+        that violate the trace invariants (finite, must start at 0,
+        strictly increase, rates non-negative) — the :class:`BandwidthTrace`
         constructor enforces the latter.
     """
     path = Path(path)

@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.baselines.base import AnalyticsScheme, SchemeRun
-from repro.check.sanitize import SanitizeError
 from repro.edge.server import EdgeServer
 from repro.metrics.flight import BURST_WINDOW, DEADLINE_BURST, NULL_FLIGHT_RECORDER
 from repro.metrics.registry import NULL_REGISTRY
@@ -77,7 +76,7 @@ class StreamConfig:
             raise ValueError(f"unknown policy {self.policy!r}; expected one of {POLICIES}")
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ValueError(f"queue_capacity must be >= 1 or None, got {self.queue_capacity}")
-        if self.deadline is not None and self.deadline <= 0.0:
+        if self.deadline is not None and not self.deadline > 0.0:
             raise ValueError(f"deadline must be positive or None, got {self.deadline}")
 
 
@@ -206,8 +205,7 @@ class StreamRunner:
     ``flight_recorder`` (a :class:`~repro.metrics.FlightRecorder`)
     default to the shared no-ops; live ones are threaded into the truth
     queue and the clip facade, fed per-frame verdicts at reconciliation,
-    and fired as triggers on a deadline-miss burst or a
-    :class:`SanitizeError` escaping the scheme.  All recorded quantities
+    and fired as a trigger on a deadline-miss burst.  All recorded quantities
     are virtual-time arithmetic, so the registry digest and
     flight-recorder dumps are bit-identical across reruns.
     """
@@ -249,15 +247,6 @@ class StreamRunner:
             run = self.scheme.run(
                 _StreamClip(clip, clock, self.metrics), trace, _ServerProxy(server, clock))
             outcomes = ctx.queue.close() if ctx.queue is not None else []
-        except SanitizeError as exc:
-            # Sanitizer trips are exactly what a post-mortem is for:
-            # snapshot the recent lifecycle events before unwinding.
-            if self.flight.enabled:
-                self.flight.trigger(
-                    "sanitize-error", clock.now,
-                    error=type(exc).__name__, message=str(exc)[:200],
-                )
-            raise
         finally:
             self.scheme.use_uplink_factory(None)
         wall = time.perf_counter() - started

@@ -54,6 +54,13 @@ class TestParser:
         assert captured.err.startswith("usage: repro ")
         assert f"error: argument {flag}: expected a " in captured.err
 
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_top_deadline_out_of_range_is_an_error_line(self, capsys, value):
+        """``StreamConfig.validate`` refuses the deadline before the run
+        starts: one ``error:`` line and exit 2, as ``repro fleet`` does."""
+        assert main(["top", "--once", "--frames", "4", "--deadline", value]) == 2
+        assert capsys.readouterr().err == f"error: deadline must be positive or None, got {float(value)}\n"
+
 
 class TestMain:
     def test_demo_runs(self, capsys):

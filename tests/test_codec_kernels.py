@@ -504,6 +504,69 @@ class TestMotionCompensateBitExact:
         )
 
 
+def _mc_outcome(backend, plane, mv, block):
+    """What ``motion_compensate`` makes of the arguments under ``backend``:
+    the output's bytes, or the type of what it raised."""
+    with kernels.use_backend(backend):
+        try:
+            out = motion_compensate(plane, mv, block=block)
+        except Exception as exc:  # the type is the outcome
+            return type(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+def _mv_field(shape, value, at=(0, 0, 0), dtype=np.float64):
+    mv = np.zeros(shape, dtype=dtype)
+    if mv.size:
+        mv[at] = value
+    return mv
+
+
+@pytest.mark.usefixtures("cext")
+class TestMotionCompensateAtTheBoundary:
+    """Arguments at the edge of what the C loops can index: both backends
+    give the same bytes or raise the same exception type.  An MV C cannot
+    floor into int64, or one whose padded plane would overflow its byte
+    count, is the reference's to answer (it raises)."""
+
+    @pytest.mark.parametrize("plane_shape, mv_shape, block", [
+        ((48, 80), (3, 5, 2), 16),
+        ((24, 40), (3, 5, 2), 8),
+        ((17, 16), (1, 1, 2), 16),
+        ((33, 49), (2, 3, 2), 16),
+        ((32, 48), (2, 3, 2), 8),
+        ((15, 24), (2, 3, 2), 8),
+        ((0, 48), (0, 3, 2), 16),
+        ((32, 48), (0, 0, 2), 16),
+        ((0, 0), (0, 0, 2), 16),
+    ], ids=["3x5-blocks", "3x5-blocks-of-8", "17x16", "33x49", "block8-grid-mismatch", "15x24-block8", "no-rows",
+            "empty-field", "empty"])
+    def test_odd_and_empty_planes(self, plane_shape, mv_shape, block):
+        plane = np.random.default_rng(31).uniform(0, 255, size=plane_shape).astype(np.float32)
+        mv = _mv_field(mv_shape, 1.5)
+        assert _mc_outcome("cext", plane, mv, block) == _mc_outcome("numpy", plane, mv, block)
+
+    @pytest.mark.parametrize("value", [200.25, -150.0, 47.5, -33.75])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_mvs_pointing_outside_the_frame(self, axis, value):
+        plane = np.random.default_rng(32).uniform(0, 255, size=(32, 48)).astype(np.float32)
+        mv = _mv_field((2, 3, 2), value, at=(1, 2, axis))
+        mv[0, 0] = (-value, value)
+        got = _mc_outcome("cext", plane, mv, 16)
+        assert got == _mc_outcome("numpy", plane, mv, 16)
+        assert not isinstance(got, type)
+
+    @pytest.mark.parametrize("value", [
+        np.nan, np.inf, -np.inf, 1e300, -1e300, 1e18, np.finfo(np.float32).max,
+    ], ids=["nan", "inf", "-inf", "1e300", "-1e300", "1e18", "float32-max"])
+    def test_mvs_c_cannot_index(self, value):
+        plane = np.random.default_rng(33).uniform(0, 255, size=(32, 48)).astype(np.float32)
+        mv = _mv_field((2, 3, 2), value, at=(1, 1, 0), dtype=np.asarray(value).dtype)
+        got = _mc_outcome("cext", plane, mv, 16)
+        assert isinstance(got, type)
+        assert got is _mc_outcome("numpy", plane, mv, 16)
+
+
 # ---------------------------------------------------------------------------
 # Rate-control bit curves
 # ---------------------------------------------------------------------------

@@ -458,6 +458,11 @@ class TestFleetCLI:
         (["--datasets", ""], "datasets"),
         (["--max-batch", "0"], "max_batch"),
         (["--cell", "-2"], "cell_mbps"),
+        (["--cell", "nan"], "cell_mbps"),
+        (["--bandwidth", "nan"], "demand_mbps"),
+        (["--stagger", "nan"], "stagger"),
+        (["--max-wait", "nan"], "max_wait"),
+        (["--deadline", "nan"], "deadline"),
     ])
     def test_bad_flag_is_an_error_line_not_a_traceback(self, capsys, flags, field):
         from repro.cli import main

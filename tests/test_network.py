@@ -27,6 +27,14 @@ class TestBandwidthTrace:
         with pytest.raises(ValueError):
             BandwidthTrace(np.array([0.0]), np.array([-5.0]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("column", ["times", "rates"])
+    def test_a_value_that_is_not_finite_names_its_column(self, column, value):
+        arrays = {"times": np.array([0.0, 1.0, 2.0]), "rates": np.array([1e6, 2e6, 1e6])}
+        arrays[column][2] = value
+        with pytest.raises(ValueError, match=f"{column} must be finite"):
+            BandwidthTrace(arrays["times"], arrays["rates"])
+
     def test_constant_rate(self):
         tr = constant_trace(2e6)
         assert tr.rate_at(0.0) == 2e6

@@ -119,6 +119,17 @@ class TestTraceIO:
         with pytest.raises(ValueError):
             load_trace_csv(p)
 
+    @pytest.mark.parametrize("row, column", [
+        ("2.0,nan", "rates"), ("2.0,inf", "rates"), ("nan,1e6", "times"), ("inf,1e6", "times"),
+    ])
+    def test_a_cell_that_is_not_finite(self, tmp_path, row, column):
+        from repro.network import load_trace_csv
+
+        p = tmp_path / "bad.csv"
+        p.write_text(f"time_s,rate_bps\n0.0,1e6\n1.0,2e6\n{row}\n")
+        with pytest.raises(ValueError, match=f"{column} must be finite"):
+            load_trace_csv(p)
+
     def test_invariants_enforced(self, tmp_path):
         from repro.network import load_trace_csv
 

@@ -13,13 +13,11 @@ from dataclasses import replace
 import pytest
 
 from repro.baselines.base import AnalyticsScheme, SchemeRun
-from repro.check import SanitizeError
 from repro.core import DiVEScheme
 from repro.edge.detector import QualityAwareDetector
 from repro.edge.server import EdgeServer
 from repro.experiments import run_scheme, scaled_bandwidth
 from repro.fleet import FleetConfig, FleetRunner
-from repro.metrics import FlightRecorder
 from repro.network import constant_trace, with_outages
 from repro.stream import BackpressureQueue, StreamConfig, StreamRunner, VirtualClock
 from repro.world import Clip, nuscenes_like
@@ -55,6 +53,7 @@ class TestStreamConfigValidation:
             {"queue_capacity": -1},
             {"deadline": -1.0},
             {"deadline": 0.0},
+            {"deadline": float("nan")},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
@@ -253,22 +252,22 @@ def _fail_frame_one(monkeypatch, site: str, error: Exception) -> None:
 
 @pytest.mark.parametrize("make_error", [
     lambda: OSError("disk on fire"),
-    lambda: SanitizeError("agent/capture", "frame", "NaN at (3, 5)"),
-], ids=["oserror", "sanitize"])
+    lambda: ValueError("frame holds a NaN or infinite pixel"),
+], ids=["oserror", "valueerror"])
 @pytest.mark.parametrize("site", ["clip", "server", "scheme"])
 @pytest.mark.parametrize("driver", ["stream", "fleet", "fleet-pool"])
 def test_faults_propagate_as_raised(monkeypatch, driver, site, make_error):
     """Whatever raises under a streaming or fleet run — the renderer, the
     edge server, the scheme — the caller gets that very exception (type
-    and message with it); a streamed scheme gets its uplink seam back, and
-    a live flight recorder dumps on a sanitizer trip.  ``fleet-pool`` sends the
+    and message with it), the codec's own argument checks included; a
+    streamed scheme gets its uplink seam back.  ``fleet-pool`` sends the
     agents through the ``agent_workers`` thread pool, the runtime's one
     thread seam: the same object comes out (no hang, no wrapper), no
     worker thread outlives the fault, and the next clean run is the
     serial run."""
     error = make_error()
     _fail_frame_one(monkeypatch, site, error)
-    scheme, recorder = DiVEScheme(), FlightRecorder()
+    scheme = DiVEScheme()
     threads_before = threading.active_count()
     if driver != "stream":
         fleet_config = FleetConfig(
@@ -278,15 +277,13 @@ def test_faults_propagate_as_raised(monkeypatch, driver, site, make_error):
     else:
         clip = nuscenes_like(0, n_frames=3, resolution=(192, 96))
         run = functools.partial(
-            StreamRunner(scheme, flight_recorder=recorder).run,
+            StreamRunner(scheme).run,
             clip, constant_trace(scaled_bandwidth(2.0, clip)), EdgeServer(QualityAwareDetector(seed=7)))
     with pytest.raises(type(error)) as raised:
         run()
     assert raised.value is error
     if driver == "stream":
         assert scheme.uplink_factory is None
-        expected = ["sanitize-error"] if isinstance(error, SanitizeError) else []
-        assert [d["reason"] for d in recorder.dumps] == expected
     if driver == "fleet-pool":
         assert threading.active_count() == threads_before
         monkeypatch.undo()
