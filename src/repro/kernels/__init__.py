@@ -10,16 +10,19 @@ pocketfft arithmetic, replayed to its bytes), I-frames (``intra_encode`` /
 (``quantize_cost`` / ``rate_counter`` / ``reconstruct``: everything between
 the forward DCT and the reconstruction, the IDCT included), the renderer's
 surfaces (``render_surfaces``: a frame's ground, billboards and sky, and
-each billboard's kept pixels, in two calls around numpy's ``arctan2``)
-and the synthetic world's value noise — be swapped in behind the
-``KernelBackend`` seam.
+each billboard's kept pixels, in two calls around numpy's ``arctan2``),
+the synthetic world's value noise and RANSAC's hypothesis loop
+(``ransac_pairs``: a rotation estimate's draws, 2x2 solves and scoring, from
+the caller's own generator) — be swapped in behind the ``KernelBackend``
+seam.
 
 **Contract.**  ``cext`` must be *bit-identical* to the ``numpy``
 reference: the kernel bit-exactness suites (``tests/test_codec_kernels.py``,
 ``tests/test_intra_kernels.py``, ``tests/test_transform_kernels.py``,
-``tests/test_noise_kernel.py``, ``tests/test_render_kernel.py``) and the
-golden e2e digest, frames, I-frames,
-P-frames and MV fields are parametrized over both backends, and a
+``tests/test_noise_kernel.py``, ``tests/test_render_kernel.py``,
+``tests/test_ransac_kernel.py``) and the golden e2e digest, frames,
+I-frames, P-frames, MV fields and rotation estimates are parametrized over
+both backends, and a
 ``cext`` that cannot prove itself (a failed self-probe, a missing compiler
 or source file) reports unavailable and the dispatch falls through to the
 reference implementation per kernel.
@@ -54,7 +57,12 @@ second.  Each is built once, on first use.
     ``reconstruct`` that dequantises, inverse-transforms and clips only the
     coded 8x8 blocks), for the renderer's surfaces (geometry,
     painter's-order visibility, one texture per visible pixel, the sky, each
-    billboard's kept-pixel count and bounding box) and for value noise.
+    billboard's kept-pixel count and bounding box), for value noise and
+    for RANSAC's hypothesis loop.  The loop's reference is BLAS-free
+    (scalar 2x2 LU, an elementwise residual) so that C can replay it, and
+    C draws the pairs from the caller's generator exactly as numpy's
+    ``Generator.choice(n, 2, replace=False)`` does — a dependency on
+    numpy's ``choice`` the self-probe checks in every process.
     The sky's azimuth alone stays NumPy on every backend, taken between the
     kernel's two calls: ``np.arctan2`` is numpy's own SIMD code on AVX-512
     hosts and differs from libm's ``atan2`` in the last bit, so no C
@@ -113,6 +121,7 @@ KERNEL_NAMES = (
     "quantize_cost",  # quantise + per-macroblock bit cost in one pass (P-frames, flat I-frames)
     "rate_counter",  # QuantBitCounter's probe: total bits of one coefficient set at a base QP
     "reconstruct",  # dequantise + IDCT + clip, skipping all-zero 8x8 blocks (encoder and decoder)
+    "ransac_pairs",  # RANSAC's hypothesis loop over an (n, 2) system, drawing from the caller's generator
 )
 
 
@@ -138,6 +147,7 @@ class KernelBackend:
     quantize_cost: Callable | None = None
     rate_counter: Callable | None = None
     reconstruct: Callable | None = None
+    ransac_pairs: Callable | None = None
 
     def available(self) -> bool:
         """Whether this backend can run (deps present, self-probe passed)."""
@@ -200,8 +210,8 @@ def override(kernel: str) -> Callable | None:
     """The active backend's hook for ``kernel``, or ``None`` (reference).
 
     This is the per-call dispatch primitive the codec modules
-    (``motion``, ``transform``, ``intra``), the renderer and
-    ``repro.utils.noise`` use; once the default is resolved it is a single
+    (``motion``, ``transform``, ``intra``), the renderer,
+    ``repro.utils.noise`` and ``repro.utils.ransac`` use; once the default is resolved it is a single
     attribute lookup.
     """
     inst = _active

@@ -1182,3 +1182,82 @@ int64_t intra_decode(const double *levels, const int64_t *modes, const double *q
     free(pred);
     return failed;
 }
+
+/* RANSAC's hypothesis loop (repro.utils.ransac._ransac_pairs_reference)
+ * over an (n, 2) system.  The pairs are drawn from the caller's numpy
+ * bit generator through its C interface (next_uint32 on its state, under
+ * the generator's lock), exactly as Generator.choice(n, 2, replace=False)
+ * draws them: Floyd's two bounded draws, [0, n-2] then [0, n-1] (the
+ * second becomes n-1 if it repeats the first), then a one-swap shuffle
+ * with a draw in [0, 1]; each bounded draw is numpy's
+ * buffered_bounded_lemire_uint32 on one 32-bit word at a time, a range
+ * of 0 drawing nothing.  The caller declines n >= 2^32 (numpy's 64-bit
+ * path). */
+typedef uint32_t (*next_uint32_fn)(void *);
+
+static inline uint32_t bounded_lemire(next_uint32_fn next, void *state, uint32_t rng) {
+    if (rng == 0) return 0;
+    const uint32_t rng_excl = rng + 1;
+    uint64_t m = (uint64_t)next(state) * rng_excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < rng_excl) {
+        const uint32_t threshold = (UINT32_MAX - rng) % rng_excl;
+        while (leftover < threshold) {
+            m = (uint64_t)next(state) * rng_excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* Each iteration solves the drawn pair by partial-pivot LU in scalar IEEE
+ * arithmetic — swap if |a10| > |a00|, a zero pivot or u11 is a singular
+ * pair: counted, not scored — and marks |a0 x0 + a1 x1 - b| <= threshold,
+ * the reference's operation order.  needed[count] is the adaptive stop
+ * once the best consensus holds count equations (computed in numpy, so no
+ * libm log is involved), already capped at max_iterations.  best gets the
+ * best mask, work is scratch, both n bytes; *best_count is -1 when no pair
+ * was solvable.  Returns the iterations run. */
+int64_t ransac_pairs(const double *a, const double *b, int64_t n, double threshold,
+                     const int64_t *needed, int64_t max_iterations, next_uint32_fn next, void *state,
+                     uint8_t *best, uint8_t *work, int64_t *best_count) {
+    int64_t it = 0, limit = max_iterations, top = -1;
+    while (it < limit) {
+        it++;
+        uint32_t i = bounded_lemire(next, state, (uint32_t)(n - 2));
+        uint32_t j = bounded_lemire(next, state, (uint32_t)(n - 1));
+        if (j == i) j = (uint32_t)(n - 1);
+        if (bounded_lemire(next, state, 1) == 0) {
+            uint32_t t = i;
+            i = j;
+            j = t;
+        }
+        double a00 = a[2 * i], a01 = a[2 * i + 1], b0 = b[i];
+        double a10 = a[2 * j], a11 = a[2 * j + 1], b1 = b[j];
+        if (fabs(a10) > fabs(a00)) {
+            double t;
+            t = a00; a00 = a10; a10 = t;
+            t = a01; a01 = a11; a11 = t;
+            t = b0; b0 = b1; b1 = t;
+        }
+        if (a00 == 0.0) continue;
+        double l = a10 / a00;
+        double u11 = a11 - l * a01;
+        if (u11 == 0.0) continue;
+        double x1 = (b1 - l * b0) / u11;
+        double x0 = (b0 - a01 * x1) / a00;
+        int64_t count = 0;
+        for (int64_t k = 0; k < n; k++) {
+            uint8_t in = fabs(a[2 * k] * x0 + a[2 * k + 1] * x1 - b[k]) <= threshold;
+            work[k] = in;
+            count += in;
+        }
+        if (count > top) {
+            top = count;
+            memcpy(best, work, (size_t)n);
+            limit = needed[count];
+        }
+    }
+    *best_count = top;
+    return it;
+}

@@ -1,5 +1,6 @@
 """Runtime-compiled C backend: the pattern search, MC, value noise, the
-renderer's surfaces, the 8x8 DCT, I-frames and the P-frame's transform tail.
+renderer's surfaces, the 8x8 DCT, I-frames, the P-frame's transform tail and
+RANSAC's hypothesis loop.
 
 The C is ``cext.c`` beside this module (shipped as package data), compiled
 as it stands on disk; this docstring argues why each of its routines is
@@ -126,6 +127,24 @@ that process loaded.
   a skipped block's pixel is the clipped prediction because its dense
   residual is all +-0.0 — unless the prediction pixel is ``-0.0`` or a
   NaN, or a step is infinite, and then the reference answers.
+- RANSAC's hypothesis loop (``ransac_pairs``, behind ``ransac_linear``) is
+  one call per system: draw a pair, solve it, score every equation, stop
+  adaptively.  Its reference, ``_ransac_pairs_reference``, takes no BLAS or
+  LAPACK call — ``np.linalg.solve`` and ``a @ x`` use FMA wherever the
+  OpenBLAS kernel picked for the CPU does, which no fixed operation order
+  reproduces — but scalar partial-pivot LU and an elementwise residual,
+  which C writes in the same IEEE order.  The pairs are the caller's own
+  draws: the loop calls the generator's ``next_uint32`` through numpy's C
+  interface (``bit_generator.ctypes``, under ``bit_generator.lock``) and
+  replays ``Generator.choice(n, 2, replace=False)`` — Floyd's two bounded
+  draws and a one-swap shuffle, each bound numpy's Lemire rejection on one
+  32-bit word — so the generator ends where the reference leaves it,
+  buffered half-word included.  That replay rests on numpy's ``choice``
+  (checked on numpy 2.4.6): a release that draws otherwise fails the probe
+  by name.  The adaptive stop is a per-count table numpy computes with the
+  reference's own ``log1p`` / ``log`` expression (C's libm is not numpy's
+  SIMD ``log``), and a system of ``2^32`` or more rows — numpy draws its
+  pairs 64 bits at a time — is declined.
 - Before the first use in a process a self-probe walks
   :func:`_probe_table` — one row per hook, plus the pairwise sum everything
   above rests on — and runs every C kernel of the object just loaded, built
@@ -139,7 +158,8 @@ macroblock's predictions, |differences| and residual, a rate counter's
 candidate list, the noise's lattice cells) is allocated per call or per
 counter,
 so concurrent encodes (``agent_workers > 1`` — ctypes drops the GIL
-around each call) cannot see each other's data.
+around each call) cannot see each other's data; RANSAC's only shared state
+is the caller's generator, whose own lock it holds while it draws.
 
 The shared object is compiled once per source, flag list and host CPU
 (:func:`_stem`) with the system ``cc``/``gcc``/``clang`` — without
@@ -157,11 +177,13 @@ backend unavailable, with the reason in :meth:`CExtBackend.why_unavailable`.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import dataclasses
 import functools
 import hashlib
 import os
+import pickle
 import platform
 import stat
 import subprocess
@@ -217,10 +239,12 @@ _SIGNATURES = {
     "reconstruct": [_PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR],
     "intra_encode": [_PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR],
     "intra_decode": [_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR],
+    "ransac_pairs": [_PTR, _PTR, _I64, _F64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR],
 }
 _RESTYPES = {"pattern_search": _I64, "motion_comp": _I64, "value_noise": _I64,
              "render_surfaces": _I64, "render_sky": _I64, "dct8": _I64, "quant_cost": _I64, "rc_compact": _I64,
-             "rc_bits": _F64, "reconstruct": _I64, "intra_encode": _I64, "intra_decode": _I64}
+             "rc_bits": _F64, "reconstruct": _I64, "intra_encode": _I64, "intra_decode": _I64,
+             "ransac_pairs": _I64}
 
 class _Unavailable(Exception):
     """The shared object cannot be built or loaded; the message says why."""
@@ -728,6 +752,40 @@ class _CKernels:
         # a skipped block: the reference answers.
         return _reconstruct_reference(prediction, levels, qp_per_mb, mb_size=mb_size)
 
+    def ransac_pairs(self, a, b, threshold, max_iterations, rng):
+        """``_ransac_pairs_reference``: the whole hypothesis loop in one call,
+        drawing from ``rng``'s bit generator under its lock, or ``None`` when
+        the reference must answer — a system that is not ``(n, 2)`` / ``(n,)``
+        float64 with ``2 <= n < 2^32`` (numpy draws from larger ranges 64 bits
+        at a time), a threshold that is not a float, an iteration bound that
+        is not an int64, a generator that is not a numpy ``Generator``."""
+        from repro.utils.ransac import _needed_table
+
+        if not (
+            isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and isinstance(rng, np.random.Generator)
+            and a.dtype == b.dtype == np.float64 and a.ndim == 2 and a.shape[1] == 2
+            and b.shape == a.shape[:1] and 2 <= a.shape[0] < 2**32
+            and type(max_iterations) is int and 1 <= max_iterations < 2**63
+            and isinstance(threshold, (float, int)) and float(threshold) == threshold
+        ):
+            return None
+        n = a.shape[0]
+        a = np.ascontiguousarray(a)
+        b = np.ascontiguousarray(b)
+        needed = _needed_table(n, max_iterations)
+        best, work = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+        count = np.empty(1, dtype=np.int64)
+        bitgen = rng.bit_generator
+        iface = bitgen.ctypes
+        with bitgen.lock:
+            iterations = self._lib.ransac_pairs(
+                a.ctypes.data, b.ctypes.data, n, float(threshold), needed.ctypes.data, max_iterations,
+                ctypes.cast(iface.next_uint32, _PTR).value, iface.state_address,
+                best.ctypes.data, work.ctypes.data, count.ctypes.data,
+            )
+        best_count = int(count[0])
+        return iterations, (best if best_count >= 0 else None), best_count
+
     def pairwise_rows(self, a):
         """NumPy's pairwise sum of every row of a C-contiguous float64 matrix,
         in C: what every SAD and DC mean of the kernels rests on."""
@@ -742,7 +800,7 @@ class _CKernels:
         for row in _probe_table():
             hook = getattr(self, row.hook)
             for label, args, kwargs in row.cases:
-                if not row.same(hook(*args, **kwargs), row.reference(*args, **kwargs)):
+                if not row.same(row.call(hook, args, kwargs), row.call(row.reference, args, kwargs)):
                     return f"{row.hook} ({label})"
         return None
 
@@ -811,15 +869,106 @@ def _remainder_cases(values) -> list:
     ]
 
 
+def _same_draws(got, want) -> bool:
+    """Whether a RANSAC loop's answer — ``(iterations, best mask or None,
+    best count)`` — and the generator state it left behind are the
+    reference's (see :func:`_on_a_copy`)."""
+    (answer, state), ((iterations, mask, count), want_state) = got, want
+    return (
+        answer is not None and state == want_state and answer[0] == iterations and answer[2] == count
+        and (answer[1] is None if mask is None else answer[1] is not None and _same_bytes(answer[1], mask))
+    )
+
+
+def _on_a_copy(fn, args, kwargs):
+    """Call ``fn`` on a copy of the case's generator (its last argument), so
+    that hook and reference draw from the same state: the answer and the
+    copy's whole state afterwards, buffered half-words included."""
+    *head, rng = args
+    rng = copy.deepcopy(rng)
+    return fn(*head, rng, **kwargs), pickle.dumps(rng.bit_generator.state)
+
+
+def _ransac_cases(gen) -> list:
+    """``ransac_pairs`` cases: Eq. (7)-shaped systems with a consensus and
+    without one, the degenerate pairs, residuals exactly on the threshold,
+    pivots tied in magnitude, draws that Lemire's rejection redraws, and
+    every numpy bit generator, one of them holding a buffered half-word."""
+    def eq7(n, inliers):
+        x, y = gen.uniform(-150.0, 150.0, n), gen.uniform(-90.0, 90.0, n)
+        r = np.maximum(np.hypot(x, y), 1e-6)
+        a = np.stack([-400.0 * x / r, -400.0 * y / r], axis=1)
+        b = a @ gen.normal(0.0, 0.004, 2) + gen.normal(0.0, 0.2, n)
+        b[int(inliers * n):] += gen.normal(0.0, 8.0, n - int(inliers * n))
+        return a, b
+
+    a70, b70 = eq7(70, 0.6)
+    a500, b500 = eq7(500, 0.0)
+    # Rows on one ray through the FOE are equal: every pair among them is
+    # singular, as is every pair of all-zero rows.
+    collinear, b_col = eq7(40, 0.7)
+    collinear[::2] = collinear[0]
+    zeros, b_zero = eq7(30, 0.8)
+    zeros[gen.uniform(size=30) < 0.5] = 0.0
+    tiny = 5e-324
+    subnormal = np.array([[tiny, 1.0], [0.0, 2.0], [-tiny, -1.0], [3 * tiny, 0.5], [2 * tiny, 1.0], [-tiny, 3.0],
+                          [1e-310, 1.0], [0.0, 0.0]])
+    # Small integers: every residual is exact, and many sit on the threshold.
+    ints = gen.integers(-3, 4, size=(24, 2)) * 1.0
+    b_ints = gen.integers(-4, 5, size=24) * 1.0
+    # Column 0 tied in magnitude in every pair, and a threshold equal to the
+    # residual of row 2 under the pair (0, 1): which row of a pair pivots
+    # moves residuals by an ulp, and this one across the threshold.
+    ties = np.array([[3.0, -0.57], [-3.0, -1.07], [-3.0, -0.85], [-3.0, 1.31]])
+    b_ties = np.array([0.04, -1.17, 0.01, -1.56])
+
+    def advanced(outputs):
+        """PCG64(2024) after ``outputs`` 64-bit draws: the next 32-bit word
+        falls in the gap between Lemire's threshold ``2^32 mod (n - 1)`` and
+        ``(2^32 - 1) mod (n - 2)`` for the first draw of n = 327 (kept, where
+        the other threshold would redraw) and n = 934 (redrawn)."""
+        bits = np.random.PCG64(2024)
+        bits.advance(outputs)
+        return np.random.Generator(bits)
+
+    buffered = np.random.default_rng(41)
+    buffered.choice(70, 2, replace=False)  # three 32-bit words: half of one is left
+    return [
+        ("eq7 n=70, consensus", (a70, b70, 0.75, 64, np.random.default_rng(1)), {}),
+        ("eq7 n=500, no consensus", (a500, b500, 0.75, 64, np.random.default_rng(2)), {}),
+        ("n=3", (a70[:3], b70[:3], 0.75, 64, np.random.default_rng(3)), {}),
+        ("n=4", (a70[:4], b70[:4], 0.75, 64, np.random.default_rng(4)), {}),
+        ("collinear with the FOE", (collinear, b_col, 0.75, 64, np.random.default_rng(5)), {}),
+        ("all-zero rows", (zeros, b_zero, 0.75, 64, np.random.default_rng(6)), {}),
+        ("subnormal pivots", (subnormal, np.array([1.0, 2.0, -1.0, 0.5, 2.0, 3.0, 1.0, 0.0]), 0.25, 64,
+                              np.random.default_rng(7)), {}),
+        ("small integers on the threshold", (ints, b_ints, 1.0, 64, np.random.default_rng(8)), {}),
+        ("pivots tied in magnitude", (ties, b_ties, float.fromhex("0x1.07462e7462e73p+0"), 64,
+                                      np.random.default_rng(555)), {}),
+        ("Lemire keeps, n=327", (*eq7(327, 0.0), 0.75, 64, advanced(66745)), {}),
+        ("Lemire redraws, n=934", (*eq7(934, 0.0), 0.75, 64, advanced(88338)), {}),
+        ("buffered half-word", (a70, b70, 0.75, 64, buffered), {}),
+        *((f"{bits.__name__}", (a70, b70, 0.5, 64, np.random.Generator(bits(9))), {})
+          for bits in (np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64)),
+        ("max_iterations 1", (a70, b70, 0.75, 1, np.random.default_rng(10)), {}),
+    ]
+
+
+def _call(fn, args, kwargs):
+    return fn(*args, **kwargs)
+
+
 class _ProbeRow(NamedTuple):
     """One row of the self-probe: ``hook`` (a :class:`_CKernels` method) and
-    ``reference`` each answer every ``(label, args, kwargs)`` case, and
-    ``same(got, want)`` says whether the two answers agree to the bit."""
+    ``reference`` each answer every ``(label, args, kwargs)`` case through
+    ``call(fn, args, kwargs)``, and ``same(got, want)`` says whether the two
+    answers agree to the bit."""
 
     hook: str
     reference: Callable
     cases: list
     same: Callable = _same_answer
+    call: Callable = _call
 
 
 def _probe_table() -> list[_ProbeRow]:
@@ -831,6 +980,7 @@ def _probe_table() -> list[_ProbeRow]:
     from repro.codec.transform import _quantize_cost_reference, _reconstruct_reference, _transform_reference
     from repro.geometry.camera import CameraIntrinsics
     from repro.utils.noise import _value_noise_2d_reference
+    from repro.utils.ransac import _ransac_pairs_reference
     from repro.world import EgoTrajectory, Renderer, Scene, SceneObject, StraightSegment, TurnSegment
     from repro.world import building, moving_car, parked_car, pedestrian
     from repro.world.objects import pole
@@ -967,15 +1117,16 @@ def _probe_table() -> list[_ProbeRow]:
         _ProbeRow("reconstruct", _reconstruct_reference, recon),
         _ProbeRow("intra_encode", encode_reference, encode),
         _ProbeRow("intra_decode", _intra_decode_reference, decode),
+        _ProbeRow("ransac_pairs", _ransac_pairs_reference, _ransac_cases(gen), _same_draws, _on_a_copy),
     ]
 
 
 class CExtBackend(KernelBackend):
     """Compiled-C pattern search, motion compensation, value noise, the
     renderer's surfaces (``render_surfaces``), the 8x8 DCT (``transform``),
-    I-frames (``intra_encode`` / ``intra_decode``) and the P-frame's
-    transform tail (``quantize_cost`` / ``rate_counter`` / ``reconstruct``),
-    self-probed."""
+    I-frames (``intra_encode`` / ``intra_decode``), the P-frame's
+    transform tail (``quantize_cost`` / ``rate_counter`` / ``reconstruct``)
+    and RANSAC's hypothesis loop (``ransac_pairs``), self-probed."""
 
     name = "cext"
 

@@ -167,6 +167,12 @@ class TestRotationEstimation:
         with pytest.raises(ValueError):
             estimate_rotation(mv, INTR, sampling="stratified")
 
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.5])
+    def test_a_threshold_that_would_skip_ransac_is_refused(self, threshold):
+        mv = synthetic_field(delta=(0, 0, 1.0), dphi=(0.0, 0.004, 0.0))
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            estimate_rotation(mv, INTR, ransac_threshold=threshold, rng=np.random.default_rng(0))
+
     def test_rates_scale_with_fps(self):
         mv = synthetic_field(delta=(0, 0, 1.0), dphi=(0.001, 0.002, 0.0))
         est = estimate_rotation(mv, INTR, rng=np.random.default_rng(0))

@@ -435,6 +435,10 @@ SOURCE_MUTATIONS = {
     # The sky's elevation from the direction before it is normalised.
     "sky-unnormalised": ("double elevation = -d[1] / norm, clouds;", "double elevation = -d[1], clouds;",
                          "render_surfaces"),
+    # RANSAC: a pair tied in magnitude pivoted on its second row, and
+    # Lemire's rejection threshold taken modulo the range, not its size.
+    "pivot-on-ties": ("if (fabs(a10) > fabs(a00)) {", "if (fabs(a10) >= fabs(a00)) {", "ransac_pairs"),
+    "lemire-threshold": ("(UINT32_MAX - rng) % rng_excl;", "(UINT32_MAX - rng) % rng;", "ransac_pairs"),
 }
 
 

@@ -1,5 +1,7 @@
 """Tests for thresholding, RANSAC, noise and block-reduction utilities."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,25 @@ class TestRansac:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             ransac_linear(np.ones((3, 2)), np.ones(4), threshold=0.1)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (5, 1), (10,)])
+    def test_only_two_unknowns(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            ransac_linear(np.ones(shape), np.ones(shape[0]), threshold=0.1)
+
+    @pytest.mark.parametrize(
+        "argument, value",
+        [("threshold", float("nan")), ("threshold", -1.0), ("max_iterations", 0), ("max_iterations", -3),
+         ("min_inlier_ratio", float("nan")), ("min_inlier_ratio", 2.0), ("min_inlier_ratio", -0.1)],
+    )
+    def test_arguments_that_would_skip_ransac_are_rejected(self, argument, value):
+        """Each of these used to run no useful iteration and quietly return
+        the plain least-squares fit."""
+        gen = np.random.default_rng(0)
+        a, b = gen.normal(size=(20, 2)), gen.normal(size=20)
+        kwargs = {"threshold": 0.1, argument: value}
+        with pytest.raises(ValueError, match=argument):
+            ransac_linear(a, b, rng=gen, **kwargs)
 
     def test_fallback_when_no_consensus(self):
         # Pure noise: no consensus set; must fall back to full least squares.
