@@ -10,6 +10,11 @@ Because codec motion vectors are sparse and coarse, a single object often
 fragments into several clusters with holes; clusters whose mean vectors
 point in similar directions are therefore merged iteratively, and the final
 foreground regions are the convex contours of the merged clusters.
+
+:func:`foreground_clusters` runs the three steps as one kernel hook
+(``foreground_clusters``): the compiled backend answers a frame in one call,
+and :func:`region_grow` -> :func:`merge_clusters` -> :func:`clusters_to_mask`
+is its reference, which answers whatever the hook declines.
 """
 
 from __future__ import annotations
@@ -19,9 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import kernels
 from repro.utils.convexhull import fill_convex_hull, monotone_chain
 
-__all__ = ["Cluster", "merge_clusters", "region_grow", "clusters_to_mask"]
+__all__ = ["Cluster", "clusters_to_mask", "foreground_clusters", "merge_clusters", "region_grow"]
 
 #: ``math.hypot`` decides a block's distance from the running mean only when it
 #: lands further than this (relative) from ``similarity``; closer, ``np.hypot`` —
@@ -77,6 +83,7 @@ def region_grow(
         zero-MV sky/haze blocks (whose vectors trivially resemble any small
         mean) and eventually swallow the whole frame.
     """
+    _check_growth(similarity, min_magnitude)
     rows, cols = mv.shape[:2]
     if seed_mask.shape != (rows, cols):
         raise ValueError(f"seed mask shape {seed_mask.shape} != grid {(rows, cols)}")
@@ -119,6 +126,27 @@ def region_grow(
         if len(members) >= min_cluster_size:
             clusters.append(Cluster([divmod(i, cols) for i in members], np.array([mean_x, mean_y])))
     return clusters
+
+
+def _check_growth(similarity: float, min_magnitude: float) -> None:
+    """Region growing's thresholds, written so that NaN fails each check: a NaN
+    or negative ``similarity`` grows nothing, a NaN ``min_magnitude`` silently
+    admits the zero-MV blocks it exists to keep out."""
+    if not similarity >= 0:
+        raise ValueError(f"similarity must be >= 0, got {similarity!r}")
+    if not min_magnitude >= 0:
+        raise ValueError(f"min_magnitude must be >= 0, got {min_magnitude!r}")
+
+
+def _check_merge(max_angle: float, max_magnitude_ratio: float, max_distance: float) -> None:
+    """Merging's thresholds, written so that NaN fails each check: a NaN angle
+    or ratio would merge every near pair, a negative distance none."""
+    if not max_angle >= 0:
+        raise ValueError(f"max_angle must be >= 0, got {max_angle!r}")
+    if not max_magnitude_ratio >= 1:
+        raise ValueError(f"max_magnitude_ratio must be >= 1, got {max_magnitude_ratio!r}")
+    if not 0 <= max_distance < float("inf"):
+        raise ValueError(f"max_distance must be finite and >= 0, got {max_distance!r}")
 
 
 def _reference_gap(dx: float, dy: float) -> float:
@@ -166,6 +194,7 @@ def merge_clusters(
     ``max_magnitude_ratio``, and they lie within ``max_distance`` blocks.
     Repeats until a fixpoint, as in the paper.
     """
+    _check_merge(max_angle, max_magnitude_ratio, max_distance)
     merged = [Cluster(blocks=list(c.blocks), mean_mv=c.mean_mv.copy()) for c in clusters]
     views = [_pair_view(c) for c in merged]
     reach = math.floor(max_distance)  # block distances are whole numbers
@@ -213,3 +242,55 @@ def clusters_to_mask(clusters: list[Cluster], grid_shape: tuple[int, int]) -> np
         if len(hull) >= 3:  # more than a straight line of blocks: fill their convex contour
             fill_convex_hull(mask, hull)
     return mask
+
+
+def foreground_clusters(
+    mv: np.ndarray, seed_mask: np.ndarray, *, blocked_mask: np.ndarray | None = None, similarity: float = 1.5,
+    min_cluster_size: int = 1, min_magnitude: float = 0.3, merge: bool = True, max_angle: float = np.pi / 8,
+    max_magnitude_ratio: float = 2.5, max_distance: int = 2,
+) -> tuple[list[Cluster], np.ndarray]:
+    """The clusters and foreground mask of one field: :func:`region_grow`, then
+    :func:`merge_clusters` when ``merge``, then :func:`clusters_to_mask` —
+    what those three calls return, to the bit, in one kernel call where the
+    backend has one.  The arguments are theirs."""
+    _check_growth(similarity, min_magnitude)
+    if merge:
+        _check_merge(max_angle, max_magnitude_ratio, max_distance)
+    args = (mv, seed_mask, blocked_mask)
+    kwargs = dict(similarity=similarity, min_cluster_size=min_cluster_size, min_magnitude=min_magnitude, merge=merge,
+                  max_angle=max_angle, max_magnitude_ratio=max_magnitude_ratio, max_distance=max_distance)
+    impl = kernels.override("foreground_clusters")
+    packed = impl(*args, **kwargs) if impl is not None else None
+    if packed is None:
+        return _foreground_clusters_reference(*args, **kwargs)
+    means, members, starts, mask = packed
+    cols = mv.shape[1]
+    blocks = [divmod(i, cols) for i in members.tolist()]
+    bounds = starts.tolist()
+    return [Cluster(blocks[s:e], mean) for s, e, mean in zip(bounds, bounds[1:], means)], mask
+
+
+def _foreground_clusters_reference(
+    mv, seed_mask, blocked_mask, *, similarity, min_cluster_size, min_magnitude, merge, max_angle,
+    max_magnitude_ratio, max_distance,
+) -> tuple[list[Cluster], np.ndarray]:
+    """:func:`foreground_clusters` as the three public calls it stands for."""
+    clusters = region_grow(mv, seed_mask, blocked_mask=blocked_mask, similarity=similarity,
+                           min_cluster_size=min_cluster_size, min_magnitude=min_magnitude)
+    if merge:
+        clusters = merge_clusters(clusters, max_angle=max_angle, max_magnitude_ratio=max_magnitude_ratio,
+                                  max_distance=max_distance)
+    return clusters, clusters_to_mask(clusters, mv.shape[:2])
+
+
+def _packed_reference(mv, seed_mask, blocked_mask, **kwargs) -> tuple[np.ndarray, ...]:
+    """:func:`_foreground_clusters_reference`'s answer packed as the
+    ``foreground_clusters`` hook answers: ``(means, members, starts, mask)`` —
+    each cluster's mean as a row, every block ``r * cols + c`` in order,
+    cluster after cluster, the offset in ``members`` where each cluster starts
+    (and one past the last), the mask."""
+    clusters, mask = _foreground_clusters_reference(mv, seed_mask, blocked_mask, **kwargs)
+    cols = mv.shape[1]
+    means = np.array([c.mean_mv for c in clusters], dtype=np.float64).reshape(-1, 2)
+    members = np.array([r * cols + c for cluster in clusters for r, c in cluster.blocks], dtype=np.int64)
+    return means, members, np.cumsum([0] + [c.size for c in clusters], dtype=np.int64), mask

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.clustering import Cluster, clusters_to_mask, merge_clusters, region_grow
+from repro.core.clustering import Cluster, foreground_clusters
 from repro.core.ground import GroundEstimate, field_geometry, ground_from_geometry
 from repro.geometry.camera import CameraIntrinsics
 
@@ -74,6 +74,22 @@ class ForegroundConfig:
     horizon_margin: float = 8.0
     enable_merging: bool = True
     enable_foe_filter: bool = True
+
+    def __post_init__(self) -> None:
+        # Written so that NaN fails each check: each value would switch a
+        # stage off without a word (no growth, no ground, every near pair
+        # merged, no horizon constraint).
+        checks = (
+            ("similarity", self.similarity >= 0, ">= 0"),
+            ("min_magnitude", self.min_magnitude >= 0, ">= 0"),
+            ("foe_tolerance", self.foe_tolerance >= 0, ">= 0"),
+            ("merge_max_angle", self.merge_max_angle >= 0, ">= 0"),
+            ("merge_max_distance", 0 <= self.merge_max_distance < float("inf"), "finite and >= 0"),
+            ("horizon_margin", self.horizon_margin == self.horizon_margin, "a number (negative disables it)"),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -154,13 +170,11 @@ class ForegroundExtractor:
             _, y, _, _, _, deviation = geometry
             above_horizon = (deviation <= cfg.foe_tolerance) & ((y - foe[1]) < -cfg.horizon_margin)
         blocked = ground.ground_mask | above_horizon
-        clusters = region_grow(
+        clusters, mask = foreground_clusters(
             mv, ground.seed_mask & ~blocked, blocked_mask=blocked, similarity=cfg.similarity,
-            min_cluster_size=cfg.min_cluster_size, min_magnitude=cfg.min_magnitude,
+            min_cluster_size=cfg.min_cluster_size, min_magnitude=cfg.min_magnitude, merge=cfg.enable_merging,
+            max_angle=cfg.merge_max_angle, max_distance=cfg.merge_max_distance,
         )
-        if cfg.enable_merging:
-            clusters = merge_clusters(clusters, max_angle=cfg.merge_max_angle, max_distance=cfg.merge_max_distance)
-        mask = clusters_to_mask(clusters, grid_shape)
         if cfg.dilate > 0 and mask.any():
             mask = _dilate(mask, cfg.dilate)
         # The convex contours may re-cover blocked territory; strike it out again before publishing.

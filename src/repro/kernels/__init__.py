@@ -11,18 +11,20 @@ pocketfft arithmetic, replayed to its bytes), I-frames (``intra_encode`` /
 the forward DCT and the reconstruction, the IDCT included), the renderer's
 surfaces (``render_surfaces``: a frame's ground, billboards and sky, and
 each billboard's kept pixels, in two calls around numpy's ``arctan2``),
-the synthetic world's value noise and RANSAC's hypothesis loop
+the synthetic world's value noise, RANSAC's hypothesis loop
 (``ransac_pairs``: a rotation estimate's draws, 2x2 solves and scoring, from
-the caller's own generator) — be swapped in behind the ``KernelBackend``
-seam.
+the caller's own generator) and the foreground clustering
+(``foreground_clusters``: a frame's region growing, merge fixpoint and
+convex contours) — be swapped in behind the ``KernelBackend`` seam.
 
 **Contract.**  ``cext`` must be *bit-identical* to the ``numpy``
 reference: the kernel bit-exactness suites (``tests/test_codec_kernels.py``,
 ``tests/test_intra_kernels.py``, ``tests/test_transform_kernels.py``,
 ``tests/test_noise_kernel.py``, ``tests/test_render_kernel.py``,
-``tests/test_ransac_kernel.py``) and the golden e2e digest, frames,
-I-frames, P-frames, MV fields and rotation estimates are parametrized over
-both backends, and a
+``tests/test_ransac_kernel.py``, the clustering hook's section of
+``tests/test_foreground_oracle.py``) and the golden e2e digest, frames,
+I-frames, P-frames, MV fields, rotation estimates and foreground masks are
+parametrized over both backends, and a
 ``cext`` that cannot prove itself (a failed self-probe, a missing compiler
 or source file) reports unavailable and the dispatch falls through to the
 reference implementation per kernel.
@@ -57,8 +59,11 @@ second.  Each is built once, on first use.
     ``reconstruct`` that dequantises, inverse-transforms and clips only the
     coded 8x8 blocks), for the renderer's surfaces (geometry,
     painter's-order visibility, one texture per visible pixel, the sky, each
-    billboard's kept-pixel count and bounding box), for value noise and
-    for RANSAC's hypothesis loop.  The loop's reference is BLAS-free
+    billboard's kept-pixel count and bounding box), for value noise, for
+    RANSAC's hypothesis loop and for the foreground clustering (region
+    growing, the merge fixpoint and the contour fill in one call; a merge
+    angle it cannot decide as numpy's ``np.dot`` / ``np.arccos`` would is
+    declined to the reference).  The loop's reference is BLAS-free
     (scalar 2x2 LU, an elementwise residual) so that C can replay it, and
     C draws the pairs from the caller's generator exactly as numpy's
     ``Generator.choice(n, 2, replace=False)`` does — a dependency on
@@ -122,6 +127,7 @@ KERNEL_NAMES = (
     "rate_counter",  # QuantBitCounter's probe: total bits of one coefficient set at a base QP
     "reconstruct",  # dequantise + IDCT + clip, skipping all-zero 8x8 blocks (encoder and decoder)
     "ransac_pairs",  # RANSAC's hypothesis loop over an (n, 2) system, drawing from the caller's generator
+    "foreground_clusters",  # region growing, the merge fixpoint and the convex contours of one motion field
 )
 
 
@@ -148,6 +154,7 @@ class KernelBackend:
     rate_counter: Callable | None = None
     reconstruct: Callable | None = None
     ransac_pairs: Callable | None = None
+    foreground_clusters: Callable | None = None
 
     def available(self) -> bool:
         """Whether this backend can run (deps present, self-probe passed)."""

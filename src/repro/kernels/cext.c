@@ -1261,3 +1261,296 @@ int64_t ransac_pairs(const double *a, const double *b, int64_t n, double thresho
     *best_count = top;
     return it;
 }
+
+/* ---- foreground clustering (repro.core.clustering.foreground_clusters) ----
+ * region_grow, merge_clusters and clusters_to_mask over one (rows, cols)
+ * float64 motion field, in one call.  Every gap is libm's hypot — numpy's
+ * float64 np.hypot is that call, and region_grow's math.hypot falls on the
+ * same side of `similarity` outside its guard band — and every running
+ * mean the reference's IEEE expression in its order.  The merge angle is
+ * the one quantity C cannot replay (np.dot is BLAS, np.arccos numpy's own
+ * SIMD code): an angle within ANGLE_BAND of max_angle declines the call. */
+
+/* How far from max_angle C's angle must land for its side to be the
+ * reference's (argued in the docstring of cext.py). */
+#define ANGLE_BAND 1e-9
+#define FG_PI 0x1.921fb54442d18p+1 /* np.pi */
+
+/* Python's a // b for b > 0: C's / truncates toward zero. */
+static inline int64_t floor_div(int64_t a, int64_t b) {
+    int64_t q = a / b;
+    return q - (a % b != 0 && a < 0);
+}
+
+/* A cluster under merge_clusters: its blocks as a linked list through
+ * next[] (head first, the reference's list order), its bounding box (r1,
+ * c1 exclusive), its mean and the mean's hypot. */
+typedef struct {
+    int64_t head, tail, size, r0, c0, r1, c1, alive;
+    double mx, my, norm;
+} fg_cluster;
+
+/* _near: some block of a within Chebyshev distance reach of a block
+ * labelled b_id — the box gap first, then for each of a's blocks near b's
+ * box the label grid over its window, clipped to b's box. */
+static int fg_near(const fg_cluster *a, const fg_cluster *b, int64_t b_id, const int64_t *label,
+                   const int64_t *next, int64_t cols, int64_t reach) {
+    int64_t gap = b->r0 - a->r1;
+    if (a->r0 - b->r1 > gap) gap = a->r0 - b->r1;
+    if (b->c0 - a->c1 > gap) gap = b->c0 - a->c1;
+    if (a->c0 - b->c1 > gap) gap = a->c0 - b->c1;
+    if (gap >= reach) return 0;
+    for (int64_t i = a->head; i >= 0; i = next[i]) {
+        int64_t r = i / cols, c = i % cols;
+        int64_t y0 = r - reach > b->r0 ? r - reach : b->r0, y1 = r + reach < b->r1 - 1 ? r + reach : b->r1 - 1;
+        int64_t x0 = c - reach > b->c0 ? c - reach : b->c0, x1 = c + reach < b->c1 - 1 ? c + reach : b->c1 - 1;
+        for (int64_t y = y0; y <= y1; y++)
+            for (int64_t x = x0; x <= x1; x++)
+                if (label[y * cols + x] == b_id) return 1;
+    }
+    return 0;
+}
+
+/* One step of Andrew's monotone chain: pop while the chain holds more than
+ * `keep` - 1 vertices and its last two do not turn left towards q
+ * (monotone_chain's test), then append q.  Returns the new length. */
+static inline int64_t fg_push(int64_t *h, int64_t k, int64_t keep, const int64_t *q) {
+    while (k >= keep) {
+        const int64_t *o = h + 2 * (k - 2), *a = h + 2 * (k - 1);
+        if (!((a[0] - o[0]) * (q[1] - o[1]) - (a[1] - o[1]) * (q[0] - o[0]) <= 0)) break;
+        k--;
+    }
+    h[2 * k] = q[0];
+    h[2 * k + 1] = q[1];
+    return k + 1;
+}
+
+/* The hull of m >= 3 distinct (x, y) points in lexicographic order: the
+ * lower chain, then the upper one from where it ended, into h (room for
+ * 2m - 1 points).  Returns the vertex count, the closing repeat of the
+ * first vertex excluded: monotone_chain's vertices in its order. */
+static int64_t fg_hull(const int64_t *p, int64_t m, int64_t *h) {
+    int64_t k = 0;
+    for (int64_t i = 0; i < m; i++) k = fg_push(h, k, 2, p + 2 * i);
+    for (int64_t i = m - 2, keep = k + 1; i >= 0; i--) k = fg_push(h, k, keep, p + 2 * i);
+    return k - 1;
+}
+
+/* fill_convex_hull: row by row, the columns every edge's half-plane admits,
+ * in exact integer arithmetic (the bounds go negative on right-to-left
+ * edges, hence floor_div). */
+static void fg_fill(const int64_t *h, int64_t nh, uint8_t *mask, int64_t cols) {
+    int64_t x_min = h[0], x_max = h[0], y_min = h[1], y_max = h[1];
+    for (int64_t e = 1; e < nh; e++) {
+        if (h[2 * e] < x_min) x_min = h[2 * e];
+        if (h[2 * e] > x_max) x_max = h[2 * e];
+        if (h[2 * e + 1] < y_min) y_min = h[2 * e + 1];
+        if (h[2 * e + 1] > y_max) y_max = h[2 * e + 1];
+    }
+    for (int64_t y = y_min; y <= y_max; y++) {
+        int64_t lo = x_min, hi = x_max;
+        for (int64_t e = 0; e < nh; e++) {
+            const int64_t *v = h + 2 * e, *w = h + 2 * ((e + 1) % nh);
+            int64_t ex = w[0] - v[0], ey = w[1] - v[1], bound = ex * (y - v[1]) + ey * v[0];
+            if (ey > 0) {
+                int64_t q = floor_div(bound, ey);
+                if (q < hi) hi = q;
+            } else if (ey < 0) {
+                int64_t q = -floor_div(bound, -ey);
+                if (q > lo) lo = q;
+            }
+        }
+        for (int64_t x = lo; x <= hi; x++) mask[y * cols + x] = 1;
+    }
+}
+
+/* merge_clusters' fixpoint over the k grown clusters (members / starts /
+ * means as region growing left them), the same i < j sweep until a pass
+ * merges nothing; the survivors are written back in index order.  Returns
+ * the new cluster count, -1 for an angle within ANGLE_BAND of max_angle,
+ * -2 when scratch could not be allocated. */
+static int64_t fg_merge(int64_t k, int64_t n, int64_t cols, double max_angle, double max_ratio, int64_t reach,
+                        double *means, int64_t *members, int64_t *starts) {
+    fg_cluster *cl = malloc((size_t)k * sizeof *cl);
+    int64_t *label = malloc((size_t)n * sizeof *label), *next = malloc((size_t)n * sizeof *next), out = 0;
+    if (!cl || !label || !next) {
+        out = -2;
+        goto done;
+    }
+    for (int64_t i = 0; i < n; i++) label[i] = -1;
+    for (int64_t a = 0; a < k; a++) {
+        fg_cluster *c = &cl[a];
+        c->head = members[starts[a]];
+        c->tail = members[starts[a + 1] - 1];
+        c->size = starts[a + 1] - starts[a];
+        c->r0 = c->c0 = INT64_MAX;
+        c->r1 = c->c1 = 0;
+        for (int64_t q = starts[a]; q < starts[a + 1]; q++) {
+            int64_t i = members[q], r = i / cols, col = i % cols;
+            next[i] = q + 1 < starts[a + 1] ? members[q + 1] : -1;
+            label[i] = a;
+            if (r < c->r0) c->r0 = r;
+            if (r + 1 > c->r1) c->r1 = r + 1;
+            if (col < c->c0) c->c0 = col;
+            if (col + 1 > c->c1) c->c1 = col + 1;
+        }
+        c->mx = means[2 * a];
+        c->my = means[2 * a + 1];
+        c->norm = hypot(c->mx, c->my);
+        c->alive = 1;
+    }
+    for (int changed = 1; changed;) {
+        changed = 0;
+        for (int64_t a = 0; a < k; a++) {
+            fg_cluster *A = &cl[a];
+            if (!A->alive) continue;
+            for (int64_t b = a + 1; b < k; b++) {
+                fg_cluster *B = &cl[b];
+                if (!B->alive || !fg_near(A, B, b, label, next, cols, reach)) continue;
+                double small = B->norm < A->norm ? B->norm : A->norm, large = A->norm < B->norm ? B->norm : A->norm;
+                if (small > 1e-9 && large / small > max_ratio) continue;
+                if (A->norm < 1e-9 || B->norm < 1e-9) {
+                    if (FG_PI > max_angle) continue;
+                } else {
+                    double cosine = (A->mx * B->mx + A->my * B->my) / (A->norm * B->norm);
+                    cosine = cosine < -1.0 ? -1.0 : cosine > 1.0 ? 1.0 : cosine;
+                    double angle = acos(cosine);
+                    if (fabs(angle - max_angle) <= ANGLE_BAND) {
+                        out = -1;
+                        goto done;
+                    }
+                    if (angle > max_angle) continue;
+                }
+                double total = (double)(A->size + B->size);
+                A->mx = (A->mx * (double)A->size + B->mx * (double)B->size) / total;
+                A->my = (A->my * (double)A->size + B->my * (double)B->size) / total;
+                for (int64_t i = B->head; i >= 0; i = next[i]) label[i] = a;
+                next[A->tail] = B->head;
+                A->tail = B->tail;
+                A->size += B->size;
+                if (B->r0 < A->r0) A->r0 = B->r0;
+                if (B->r1 > A->r1) A->r1 = B->r1;
+                if (B->c0 < A->c0) A->c0 = B->c0;
+                if (B->c1 > A->c1) A->c1 = B->c1;
+                A->norm = hypot(A->mx, A->my);
+                B->alive = 0;
+                changed = 1;
+            }
+        }
+    }
+    for (int64_t a = 0, top = 0; a < k; a++) {
+        if (!cl[a].alive) continue;
+        starts[out] = top;
+        means[2 * out] = cl[a].mx;
+        means[2 * out + 1] = cl[a].my;
+        for (int64_t i = cl[a].head; i >= 0; i = next[i]) members[top++] = i;
+        starts[++out] = top;
+    }
+done:
+    free(cl);
+    free(label);
+    free(next);
+    return out;
+}
+
+/* mv: (rows, cols, 2) float64; seeds / blocked: (rows, cols) bytes.
+ * Grows clusters from the seeds in raster order, breadth first over the
+ * neighbours right, left, below, above: a neighbour joins when it is not
+ * seen and its MV is within `similarity` of the block's and of the running
+ * mean (seen: blocked, or shorter than min_magnitude, unless a seed; a
+ * dropped cluster's blocks stay seen).  Then, with merge, merge_clusters
+ * (reach = floor(max_distance), clamped by the caller to the grid), and the
+ * mask: every block, then each cluster's convex contour — the hull of the
+ * topmost and bottommost block of each of its columns, which has the
+ * vertices of the hull of all its blocks.  Out: means (k, 2), members (the
+ * blocks r * cols + c, cluster after cluster), starts (k + 1), mask; all
+ * sized for n = rows * cols.  Returns k, or -1 (an angle within
+ * ANGLE_BAND) / -2 (no scratch): the reference answers. */
+int64_t foreground_clusters(const double *mv, const uint8_t *seeds, const uint8_t *blocked, int64_t rows,
+                            int64_t cols, double similarity, int64_t min_size, double min_magnitude, int64_t merge,
+                            double max_angle, double max_ratio, int64_t reach, double *means, int64_t *members,
+                            int64_t *starts, uint8_t *mask) {
+    int64_t n = rows * cols, k = 0, top = 0;
+    uint8_t *seen = malloc((size_t)n);
+    int64_t *lo = malloc((size_t)cols * sizeof *lo), *hi = malloc((size_t)cols * sizeof *hi);
+    int64_t *points = malloc((size_t)cols * 4 * sizeof *points), *hull = malloc((size_t)cols * 8 * sizeof *hull);
+    if (!seen || !lo || !hi || !points || !hull) {
+        k = -2;
+        goto done;
+    }
+    for (int64_t i = 0; i < n; i++)
+        seen[i] = !seeds[i] && (blocked[i] || hypot(mv[2 * i], mv[2 * i + 1]) < min_magnitude);
+    for (int64_t s = 0; s < n; s++) {
+        if (!seeds[s] || seen[s]) continue;
+        seen[s] = 1;
+        int64_t start = top;
+        /* Cluster.add's expression for the seed too: -0.0 becomes 0.0. */
+        double mx = (0.0 * 0 + mv[2 * s]) / 1, my = (0.0 * 0 + mv[2 * s + 1]) / 1;
+        members[top++] = s;
+        for (int64_t q = start; q < top; q++) {
+            int64_t i = members[q], r = i / cols, c = i % cols, nbr[4], nn = 0;
+            if (c + 1 < cols) nbr[nn++] = i + 1;
+            if (c > 0) nbr[nn++] = i - 1;
+            if (r + 1 < rows) nbr[nn++] = i + cols;
+            if (r > 0) nbr[nn++] = i - cols;
+            for (int64_t e = 0; e < nn; e++) {
+                int64_t j = nbr[e], u = j < i ? j : i, v = j < i ? i : j;
+                if (seen[j] || !(hypot(mv[2 * v] - mv[2 * u], mv[2 * v + 1] - mv[2 * u + 1]) <= similarity)) continue;
+                double gap = hypot(mv[2 * j] - mx, mv[2 * j + 1] - my);
+                if (gap <= similarity) {
+                    double count = (double)(top - start);
+                    seen[j] = 1;
+                    mx = (mx * count + mv[2 * j]) / (count + 1);
+                    my = (my * count + mv[2 * j + 1]) / (count + 1);
+                    members[top++] = j;
+                }
+            }
+        }
+        if (top - start < min_size) {
+            top = start;
+            continue;
+        }
+        means[2 * k] = mx;
+        means[2 * k + 1] = my;
+        starts[k++] = start;
+    }
+    starts[k] = top;
+    if (merge && k > 1) k = fg_merge(k, n, cols, max_angle, max_ratio, reach, means, members, starts);
+    if (k < 0) goto done;
+    for (int64_t i = 0; i < n; i++) mask[i] = 0;
+    for (int64_t a = 0; a < k; a++) {
+        int64_t c0 = cols, c1 = 0, m = 0;
+        for (int64_t q = starts[a]; q < starts[a + 1]; q++) {
+            int64_t c = members[q] % cols;
+            if (c < c0) c0 = c;
+            if (c + 1 > c1) c1 = c + 1;
+        }
+        for (int64_t c = c0; c < c1; c++) {
+            lo[c] = rows;
+            hi[c] = -1;
+        }
+        for (int64_t q = starts[a]; q < starts[a + 1]; q++) {
+            int64_t i = members[q], r = i / cols, c = i % cols;
+            mask[i] = 1;
+            if (r < lo[c]) lo[c] = r;
+            if (r > hi[c]) hi[c] = r;
+        }
+        for (int64_t c = c0; c < c1; c++) {
+            if (hi[c] < 0) continue;
+            points[2 * m] = c;
+            points[2 * m++ + 1] = lo[c];
+            if (hi[c] == lo[c]) continue;
+            points[2 * m] = c;
+            points[2 * m++ + 1] = hi[c];
+        }
+        int64_t nh = m >= 3 ? fg_hull(points, m, hull) : 0;
+        if (nh >= 3) fg_fill(hull, nh, mask, cols);
+    }
+done:
+    free(seen);
+    free(lo);
+    free(hi);
+    free(points);
+    free(hull);
+    return k;
+}

@@ -1,6 +1,6 @@
 """Runtime-compiled C backend: the pattern search, MC, value noise, the
-renderer's surfaces, the 8x8 DCT, I-frames, the P-frame's transform tail and
-RANSAC's hypothesis loop.
+renderer's surfaces, the 8x8 DCT, I-frames, the P-frame's transform tail,
+RANSAC's hypothesis loop and the foreground clustering.
 
 The C is ``cext.c`` beside this module (shipped as package data), compiled
 as it stands on disk; this docstring argues why each of its routines is
@@ -145,6 +145,37 @@ that process loaded.
   reference's own ``log1p`` / ``log`` expression (C's libm is not numpy's
   SIMD ``log``), and a system of ``2^32`` or more rows — numpy draws its
   pairs 64 bits at a time — is declined.
+- The foreground clustering (``foreground_clusters``, behind
+  ``repro.core.clustering.foreground_clusters``) is one call per moving
+  frame: ``region_grow``, the ``merge_clusters`` fixpoint and
+  ``clusters_to_mask``, whose three-call sequence is its reference.  Every
+  gap is libm's ``hypot``: numpy's float64 ``np.hypot`` is that very call,
+  and ``region_grow``'s ``math.hypot`` decides only gaps further than its
+  guard band from ``similarity``, where no last-bit difference changes a
+  side.  The running means are the reference's IEEE expressions in its
+  order (a seed's ``(0.0 * 0 + v) / 1`` turns -0.0 into 0.0).  The merge's
+  ``_near`` is a scan of a label grid, one cluster id per block, within the
+  Chebyshev reach, behind the same bounding-box test; a merge relabels the
+  absorbed blocks and appends its linked block list, so the block order is
+  the reference's ``extend``.  The hulls are integer arithmetic — Andrew's
+  chain over each column's topmost and bottommost block, whose strictly
+  convex vertices are those of all the blocks, then the row-span fill with
+  a flooring division (the bounds go negative on right-to-left edges).
+  The merge angle is the one step C does not replay: ``np.dot`` is
+  OpenBLAS's ``ddot`` (FMA on hosts that have it) and ``np.arccos`` numpy's
+  SIMD code, neither libm's.  C takes the plain dot and libm's ``acos``
+  and decides a pair only when its angle lands more than ``ANGLE_BAND``
+  (1e-9 rad) from ``max_angle``; closer, it declines the frame.  The two
+  spellings share the norms (``hypot``), so their cosines differ by the
+  dot's rounding alone — at most 4u|a||b| between two 2-term sums, u =
+  2^-53, so a few ulps after the shared division — and, with ``max_angle``
+  at least ``_ANGLE_EDGE`` from 0 and pi, acos's slope 1/sin turns that into
+  well under 1e-11 rad wherever an angle could straddle ``max_angle``, plus
+  an ulp or two of each ``acos``.  Closer to 0 or pi the slope is unbounded,
+  and such a ``max_angle`` is declined outright, as are a field that is not
+  float64 ``(rows, cols, 2)`` with every component below 2^500 (beyond, a
+  dot of two means could overflow), masks that are not bool on the grid, a
+  non-finite threshold and scratch that could not be allocated.
 - Before the first use in a process a self-probe walks
   :func:`_probe_table` — one row per hook, plus the pairwise sum everything
   above rests on — and runs every C kernel of the object just loaded, built
@@ -222,6 +253,13 @@ _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
 _F64 = ctypes.c_double
 
+#: The merge angles ``foreground_clusters`` decides in C: at least this far
+#: from 0 and pi, where acos's slope is at most 1 / sin(1e-3) = 1000.
+_ANGLE_EDGE = 1e-3
+
+#: Field components C clusters: a dot or product of two means stays finite.
+_MV_LIMIT = 2.0**500
+
 #: C entry points and their argument types (all return void but the ones in
 #: :data:`_RESTYPES`, which report input the reference must answer).
 _SIGNATURES = {
@@ -240,11 +278,13 @@ _SIGNATURES = {
     "intra_encode": [_PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR],
     "intra_decode": [_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR],
     "ransac_pairs": [_PTR, _PTR, _I64, _F64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR],
+    "foreground_clusters": [_PTR, _PTR, _PTR, _I64, _I64, _F64, _I64, _F64, _I64, _F64, _F64, _I64,
+                            _PTR, _PTR, _PTR, _PTR],
 }
 _RESTYPES = {"pattern_search": _I64, "motion_comp": _I64, "value_noise": _I64,
              "render_surfaces": _I64, "render_sky": _I64, "dct8": _I64, "quant_cost": _I64, "rc_compact": _I64,
              "rc_bits": _F64, "reconstruct": _I64, "intra_encode": _I64, "intra_decode": _I64,
-             "ransac_pairs": _I64}
+             "ransac_pairs": _I64, "foreground_clusters": _I64}
 
 class _Unavailable(Exception):
     """The shared object cannot be built or loaded; the message says why."""
@@ -786,6 +826,49 @@ class _CKernels:
         best_count = int(count[0])
         return iterations, (best if best_count >= 0 else None), best_count
 
+    def foreground_clusters(self, mv, seed_mask, blocked_mask, *, similarity, min_cluster_size, min_magnitude,
+                            merge, max_angle, max_magnitude_ratio, max_distance):
+        """``repro.core.clustering._packed_reference`` in one call — ``(means,
+        members, starts, mask)`` — or ``None`` when the reference must answer:
+        a field that is not float64 ``(rows, cols, 2)`` with components below
+        ``_MV_LIMIT``, masks that are not bool on its grid, a non-finite
+        threshold, a cluster size that is not an int, a merge angle closer
+        than ``_ANGLE_EDGE`` to 0 or pi or one a pair lands within
+        ``ANGLE_BAND`` of, scratch C could not allocate."""
+        if isinstance(mv, np.ndarray):
+            mv = np.ascontiguousarray(mv)
+        grid = _grid(mv, dtypes=(np.float64,), tail=(2,))
+        if grid is None or not (grid[0] and grid[1]):
+            return None
+        if blocked_mask is None:
+            blocked_mask = np.zeros(grid, dtype=bool)
+        thresholds = [similarity, min_magnitude] + ([max_angle, max_magnitude_ratio, max_distance] if merge else [])
+        if not (
+            all(isinstance(m, np.ndarray) and m.dtype == np.bool_ and m.shape == grid
+                for m in (seed_mask, blocked_mask))
+            and type(min_cluster_size) is int
+            and np.isfinite(thresholds).all()
+            and (not merge or _ANGLE_EDGE <= max_angle <= np.pi - _ANGLE_EDGE)
+            and (np.abs(mv) < _MV_LIMIT).all()
+        ):
+            return None
+        rows, cols = grid
+        n = rows * cols
+        seeds, blocked = np.ascontiguousarray(seed_mask), np.ascontiguousarray(blocked_mask)
+        means, members = np.empty((n, 2), dtype=np.float64), np.empty(n, dtype=np.int64)
+        starts, mask = np.empty(n + 1, dtype=np.int64), np.empty(grid, dtype=bool)
+        # Sizes past [0, n + 1] and reaches past the grid compare as these do.
+        k = self._lib.foreground_clusters(
+            mv.ctypes.data, seeds.ctypes.data, blocked.ctypes.data, rows, cols, float(similarity),
+            min(max(min_cluster_size, 0), n + 1), float(min_magnitude), bool(merge),
+            float(max_angle) if merge else 0.0, float(max_magnitude_ratio) if merge else 0.0,
+            min(int(np.floor(max_distance)), rows + cols) if merge else 0,
+            means.ctypes.data, members.ctypes.data, starts.ctypes.data, mask.ctypes.data,
+        )
+        if k < 0:
+            return None
+        return means[:k], members[: starts[k]], starts[: k + 1], mask
+
     def pairwise_rows(self, a):
         """NumPy's pairwise sum of every row of a C-contiguous float64 matrix,
         in C: what every SAD and DC mean of the kernels rests on."""
@@ -954,6 +1037,66 @@ def _ransac_cases(gen) -> list:
     ]
 
 
+def _foreground_cases(gen) -> list:
+    """``foreground_clusters`` cases: gaps exactly on ``similarity`` (3-4-5
+    integers, quarter-pel fields), -0.0 seeds, clusters dropped by size whose
+    blocks still stop growth, one-row, one-column, all-seed and seedless
+    grids, fragmented objects that merge and fill (right-to-left hull edges
+    included), straight-line clusters, and merge reaches of 0 and past the
+    grid."""
+    def objects(rows, cols, quarter_pel):
+        """Forward flow under fragmented objects, a block or two apart, whose
+        vectors nearly agree: what merging and the contours are for."""
+        yy, xx = np.mgrid[0:rows, 0:cols]
+        field = np.stack([(xx - cols / 2) * 0.05, (yy - rows / 3) * 0.04], axis=-1)
+        field += gen.normal(scale=0.1, size=field.shape)
+        for _ in range(rows * cols // 40):
+            r, c = int(gen.integers(0, rows)), int(gen.integers(0, cols))
+            vector = gen.normal(scale=2.0, size=2)
+            for _ in range(int(gen.integers(1, 4))):
+                h, w = int(gen.integers(1, 5)), int(gen.integers(1, 6))
+                patch = field[r : r + h, c : c + w]
+                patch[...] = vector * gen.uniform(0.8, 1.6) + gen.normal(scale=0.15, size=patch.shape)
+                r, c = max(0, r + int(gen.integers(-2, 3))), max(0, c + w + int(gen.integers(0, 3)))
+        return np.round(field * 4) / 4 if quarter_pel else field
+
+    def case(label, mv, seed_share=0.2, blocked_share=0.15, **kwargs):
+        rows, cols = mv.shape[:2]
+        seeds = gen.uniform(size=(rows, cols)) < seed_share
+        blocked = (gen.uniform(size=(rows, cols)) < blocked_share) & ~seeds
+        params = dict(similarity=1.5, min_cluster_size=2, min_magnitude=0.3, merge=True, max_angle=np.pi / 8,
+                      max_magnitude_ratio=2.5, max_distance=2)
+        return (label, (np.ascontiguousarray(mv, dtype=np.float64), seeds, blocked), {**params, **kwargs})
+
+    # A seed at rest, then 3-4-5 steps: each gap to the block and to the mean is 5.
+    row = np.array([[[0.0, 0.0], [3.0, 4.0], [6.0, 8.0], [6.0, 3.0], [2.0, 0.0]]])
+    ties = [("3-4-5 gaps on the threshold", (row, row[..., 0] == 0.0, np.zeros((1, 5), dtype=bool)),
+             dict(similarity=5.0, min_cluster_size=1, min_magnitude=0.0, merge=False, max_angle=np.pi / 8,
+                  max_magnitude_ratio=2.5, max_distance=2))]
+    signed = gen.choice([0.0, -0.0, 0.25, -0.25, 0.5], size=(7, 9, 2))
+    straight = np.zeros((9, 12, 2))
+    straight[2, 1:10] = (1.5, 0.5)
+    straight[4:9, 3] = (1.4, 0.6)
+    straight[6, 5:11] = (-2.0, 0.25)
+    return ties + [
+        case("3-4-5 integers", gen.integers(-4, 5, size=(8, 11, 2)) * 1.0, seed_share=0.3, similarity=5.0,
+             max_distance=1),
+        case("quarter-pel objects", objects(18, 30, True)),
+        case("objects", objects(20, 34, False), min_cluster_size=1, max_distance=3),
+        case("-0.0 components", signed, seed_share=0.4, blocked_share=0.0, min_magnitude=0.0, similarity=0.25),
+        case("dropped clusters stop growth", objects(12, 16, True), seed_share=0.5, min_cluster_size=4),
+        case("one row", objects(1, 40, True), seed_share=0.3, min_cluster_size=1),
+        case("one column", objects(30, 1, True), seed_share=0.3, min_cluster_size=1),
+        case("all seeds", objects(10, 14, True), seed_share=1.0, min_cluster_size=1),
+        case("no seeds", objects(10, 14, True), seed_share=0.0),
+        case("straight lines", straight, seed_share=0.5, blocked_share=0.0, min_cluster_size=1, max_distance=1),
+        case("reach 0", objects(16, 24, True), max_distance=0),
+        case("reach past the grid", objects(9, 13, True), min_cluster_size=1, max_distance=40.5,
+             max_magnitude_ratio=1e6, max_angle=3.0),
+        case("no merging", objects(16, 24, True), merge=False),
+    ]
+
+
 def _call(fn, args, kwargs):
     return fn(*args, **kwargs)
 
@@ -978,6 +1121,7 @@ def _probe_table() -> list[_ProbeRow]:
     from repro.codec.intra import _intra_decode_reference, _intra_encode_reference
     from repro.codec.motion import _motion_compensate_reference, _pattern_search_reference
     from repro.codec.transform import _quantize_cost_reference, _reconstruct_reference, _transform_reference
+    from repro.core.clustering import _packed_reference
     from repro.geometry.camera import CameraIntrinsics
     from repro.utils.noise import _value_noise_2d_reference
     from repro.utils.ransac import _ransac_pairs_reference
@@ -1118,6 +1262,7 @@ def _probe_table() -> list[_ProbeRow]:
         _ProbeRow("intra_encode", encode_reference, encode),
         _ProbeRow("intra_decode", _intra_decode_reference, decode),
         _ProbeRow("ransac_pairs", _ransac_pairs_reference, _ransac_cases(gen), _same_draws, _on_a_copy),
+        _ProbeRow("foreground_clusters", _packed_reference, _foreground_cases(gen)),
     ]
 
 
@@ -1125,8 +1270,9 @@ class CExtBackend(KernelBackend):
     """Compiled-C pattern search, motion compensation, value noise, the
     renderer's surfaces (``render_surfaces``), the 8x8 DCT (``transform``),
     I-frames (``intra_encode`` / ``intra_decode``), the P-frame's
-    transform tail (``quantize_cost`` / ``rate_counter`` / ``reconstruct``)
-    and RANSAC's hypothesis loop (``ransac_pairs``), self-probed."""
+    transform tail (``quantize_cost`` / ``rate_counter`` / ``reconstruct``),
+    RANSAC's hypothesis loop (``ransac_pairs``) and the foreground
+    clustering (``foreground_clusters``), self-probed."""
 
     name = "cext"
 

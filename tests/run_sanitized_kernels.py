@@ -1,11 +1,13 @@
 """Run the kernel suites with ``src/repro/kernels/cext.c`` built under ASan + UBSan.
 
-The 14 C entry points of ``cext.c`` write through raw pointers — the motion
+The 15 C entry points of ``cext.c`` write through raw pointers — the motion
 search's per-block memo (a hash probe) and its in-C edge padding, the rate
 counter's candidate list, the 8x8 transform's and the I-frame loops' block
 walks over caller-given planes, the renderer's image, id-buffer,
 per-object statistics and sky gathers inside caller-given windows, and
-RANSAC's row gathers at drawn indices and its two masks; the
+RANSAC's row gathers at drawn indices and its two masks, and the
+foreground clustering's BFS queue, linked block lists, label grid and hull
+scratch; the
 bit-exactness suites prove their *values*, this proves their *addresses*.
 The runner appends the sanitizer flags to the ones ``cext.c`` is built with
 (``repro.kernels.cext._CFLAGS``) in-process, before the first dispatch
@@ -49,6 +51,8 @@ SUITES = [
     "test_region_update.py",
     "test_ransac_kernel.py",
     "test_golden_rotation.py",
+    "test_foreground_oracle.py",
+    "test_golden_masks.py",
 ]
 
 

@@ -305,6 +305,61 @@ class TestForegroundExtractor:
         assert fg.foreground_fraction == 1.0
 
 
+NAN = float("nan")
+
+
+def _grow(**kwargs):
+    return region_grow(np.ones((3, 3, 2)), np.eye(3, dtype=bool), **kwargs)
+
+
+def _merge(**kwargs):
+    return merge_clusters([Cluster([(0, 0)], np.array([1.0, 0.0])), Cluster([(0, 1)], np.array([0.0, 1.0]))],
+                          **kwargs)
+
+
+#: A threshold that used to switch a stage off without a word, and the name
+#: its ValueError must give: (call, keyword, value, name in the message).
+SILENT_SWITCHES = [
+    (_grow, "similarity", NAN, "similarity"),
+    (_grow, "similarity", -1.0, "similarity"),
+    (_grow, "min_magnitude", NAN, "min_magnitude"),
+    (_grow, "min_magnitude", -0.5, "min_magnitude"),
+    (_merge, "max_angle", NAN, "max_angle"),
+    (_merge, "max_angle", -0.1, "max_angle"),
+    (_merge, "max_magnitude_ratio", NAN, "max_magnitude_ratio"),
+    (_merge, "max_magnitude_ratio", 0.5, "max_magnitude_ratio"),
+    (_merge, "max_distance", -1, "max_distance"),
+    (_merge, "max_distance", NAN, "max_distance"),
+    (_merge, "max_distance", float("inf"), "max_distance"),
+    (ForegroundConfig, "similarity", NAN, "similarity"),
+    (ForegroundConfig, "similarity", -1.5, "similarity"),
+    (ForegroundConfig, "min_magnitude", NAN, "min_magnitude"),
+    (ForegroundConfig, "foe_tolerance", NAN, "foe_tolerance"),
+    (ForegroundConfig, "foe_tolerance", -0.45, "foe_tolerance"),
+    (ForegroundConfig, "merge_max_angle", NAN, "merge_max_angle"),
+    (ForegroundConfig, "merge_max_angle", -0.4, "merge_max_angle"),
+    (ForegroundConfig, "merge_max_distance", -1, "merge_max_distance"),
+    (ForegroundConfig, "merge_max_distance", NAN, "merge_max_distance"),
+    (ForegroundConfig, "horizon_margin", NAN, "horizon_margin"),
+]
+
+
+@pytest.mark.parametrize("call, keyword, value, name", SILENT_SWITCHES,
+                         ids=[f"{call.__name__}-{keyword}={value}" for call, keyword, value, _ in SILENT_SWITCHES])
+def test_a_threshold_that_switches_a_stage_off_is_a_named_error(call, keyword, value, name):
+    """NaN grew nothing (similarity), merged every near pair (angle, ratio),
+    found no ground (foe_tolerance) or dropped the horizon constraint; a
+    negative distance merged nothing and a NaN one died converting to int."""
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(**{keyword: value})
+
+
+def test_the_documented_extremes_stay_accepted():
+    assert len(_merge(max_distance=0)) == 2 and len(_merge(max_angle=np.pi)) == 1
+    ForegroundConfig(foe_tolerance=float("inf"), horizon_margin=-1.0, merge_max_angle=0.0, merge_max_distance=0)
+    assert [c.size for c in _grow(similarity=0.0, min_magnitude=0.0)] == [9]  # equal vectors: gap 0
+
+
 class TestQPAllocator:
     def test_fixed_delta(self):
         alloc = QPAllocator(delta=15.0)

@@ -9,6 +9,8 @@ cluster blocks in order, cluster means, hull vertices, ``normalized``,
 fields, on every function of the stage directly, and on hand-built inputs
 that sit exactly on a threshold, where the scalar spelling must hand the
 decision to the reference expression (asserted) or is exact by construction.
+The last section holds the clustering hook (one C call on ``cext``) to the
+three public calls it replaces, on both backends.
 """
 
 import importlib
@@ -19,9 +21,10 @@ import numpy as np
 import pytest
 
 import _foreground_reference as ref
+from repro import kernels
 from repro.analysis import foreground_quality
 from repro.core import FOECalibrator, block_centers, clustering, estimate_rotation, remove_rotation
-from repro.core.clustering import Cluster, clusters_to_mask, merge_clusters, region_grow
+from repro.core.clustering import Cluster, clusters_to_mask, foreground_clusters, merge_clusters, region_grow
 from repro.core.foreground import ForegroundConfig, ForegroundExtractor
 from repro.core.ground import estimate_ground
 from repro.experiments import ExperimentConfig, run_fig12
@@ -191,7 +194,7 @@ def test_growing_merging_and_rasterising_match_the_parent(seed):
         assert_same_clusters(new, old)
         kwargs = dict(max_angle=float(rng.choice([np.pi / 8, 0.0, np.pi, 4.0])),
                       max_magnitude_ratio=float(rng.choice([2.5, 1.0, 100.0])),
-                      max_distance=rng.choice([2, 0, 1, 2.5, 7, -1]).item())
+                      max_distance=rng.choice([2, 0, 1, 2.5, 7, 1.5]).item())
         merged = merge_clusters(new, **kwargs)
         assert_same_clusters(merged, ref.merge_clusters(old, **kwargs))
         assert_same_clusters(new, old)  # merging copies, it does not consume
@@ -410,3 +413,170 @@ def test_foreground_quality_and_fig12_are_unchanged(parent_stage):
     shared = outputs()
     parent_stage()
     assert outputs() == shared
+
+
+# ----------------------------------------- the clustering hook, bit for bit
+
+#: ``foreground_clusters``' keywords as ``ForegroundExtractor.extract`` passes them.
+DEFAULTS = dict(similarity=1.5, min_cluster_size=2, min_magnitude=0.3, merge=True, max_angle=np.pi / 8,
+                max_magnitude_ratio=2.5, max_distance=2)
+
+
+def assert_same_clustering(got, want):
+    (clusters, mask), (want_clusters, want_mask) = got, want
+    assert [c.blocks for c in clusters] == [c.blocks for c in want_clusters]
+    assert all(type(v) is int for c in clusters for block in c.blocks for v in block)
+    for c in clusters:
+        assert c.mean_mv.dtype == np.float64 and c.mean_mv.shape == (2,)
+    assert [[v.hex() for v in c.mean_mv.tolist()] for c in clusters] == [
+        [v.hex() for v in c.mean_mv.tolist()] for c in want_clusters]
+    assert same_array(mask, want_mask)
+
+
+def clustered(mv, seeds, blocked=None, **kwargs):
+    """``foreground_clusters`` on the active backend, checked against the three
+    public calls it stands for; on ``cext`` the hook must have answered."""
+    kwargs = {**DEFAULTS, **kwargs}
+    hook = kernels.active().foreground_clusters
+    if hook is not None:
+        assert hook(mv, seeds, blocked, **kwargs) is not None
+    got = foreground_clusters(mv, seeds, blocked_mask=blocked, **kwargs)
+    assert_same_clustering(got, clustering._foreground_clusters_reference(mv, seeds, blocked, **kwargs))
+    return got
+
+
+def field_of(shape, vectors):
+    """A zero field with ``{(r, c): (vx, vy)}`` set."""
+    mv = np.zeros((*shape, 2))
+    for block, vector in vectors.items():
+        mv[block] = vector
+    return mv
+
+
+def mask_of(shape, blocks):
+    mask = np.zeros(shape, dtype=bool)
+    mask[tuple(zip(*blocks))] = True
+    return mask
+
+
+@pytest.mark.usefixtures("kernel_backend")
+class TestTheClusteringHook:
+    """``foreground_clusters`` (one C call on ``cext``) against ``region_grow``
+    -> ``merge_clusters`` -> ``clusters_to_mask``: block lists and their types,
+    means by ``float.hex``, mask bytes."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sweep(self, seed):
+        rng = np.random.default_rng(4000 + seed)
+        rows, cols = int(rng.integers(2, 30)), int(rng.integers(2, 50))
+        mv = scene(rng, rows, cols, sky=bool(rng.integers(0, 2)), quarter_pel=bool(rng.integers(0, 2)),
+                   dtype=np.float64)
+        seeds = rng.random((rows, cols)) < rng.choice([0.1, 0.3])
+        blocked = (rng.random((rows, cols)) < 0.15) & ~seeds
+        clustered(mv, seeds, blocked, similarity=float(rng.choice([1.5, 0.75])),
+                  min_cluster_size=int(rng.integers(1, 4)), merge=bool(rng.integers(0, 4)),
+                  max_distance=int(rng.integers(1, 4)))
+
+    def test_gaps_exactly_on_the_threshold(self):
+        """3-4-5 steps: each joining block is exactly ``similarity`` from its
+        neighbour and from the running mean."""
+        mv = np.array([[[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]], [[4.0, -3.0], [5.0, 0.0], [0.0, 5.0]]])
+        seeds = mask_of((2, 3), [(0, 0)])
+        (cluster,), _ = clustered(mv, seeds, similarity=5.0, min_cluster_size=1, min_magnitude=0.0)
+        assert cluster.blocks == [(0, 0), (0, 1), (1, 1), (1, 0)]
+        (cluster,), _ = clustered(mv, seeds, similarity=float(np.nextafter(5.0, 0.0)), min_cluster_size=1,
+                                  min_magnitude=0.0)
+        assert cluster.blocks == [(0, 0)]  # one ulp under, the first step is already too far
+        ints = np.random.default_rng(5).integers(-4, 5, size=(9, 12, 2)) * 1.0
+        clustered(ints, np.random.default_rng(6).random((9, 12)) < 0.3, similarity=5.0, max_distance=1)
+
+    def test_quarter_pel_fields(self):
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            mv = rng.integers(-8, 9, size=(10, 16, 2)) * 0.25
+            clustered(mv, rng.random((10, 16)) < 0.3, min_cluster_size=1, max_magnitude_ratio=4.0)
+
+    def test_negative_zero_components(self):
+        """A seed's ``-0.0`` becomes ``0.0`` in its mean, as ``Cluster.add`` has it."""
+        rng = np.random.default_rng(8)
+        mv = rng.choice([0.0, -0.0, 0.25, -0.25], size=(6, 8, 2))
+        mv[0, 0] = (-0.0, -0.0)
+        seeds = rng.random((6, 8)) < 0.4
+        seeds[0, 0] = True
+        clusters, _ = clustered(mv, seeds, similarity=0.25, min_cluster_size=1, min_magnitude=0.0, merge=False)
+        assert all(np.signbit(c.mean_mv[k]) == (c.mean_mv[k] < 0) for c in clusters for k in (0, 1))
+
+    def test_dropped_clusters_still_stop_growth(self):
+        """The first seed grows a pair that is dropped by size; the second
+        seed's cluster, which would take (0, 1) were it free, may not."""
+        mv = field_of((2, 4), {(0, 0): (2.0, 0.0), (0, 1): (3.0, 0.0), **dict.fromkeys(
+            [(0, 2), (0, 3), (1, 2), (1, 3)], (4.2, 0.0))})
+        (cluster,), mask = clustered(mv, mask_of((2, 4), [(0, 0), (0, 2)]), min_cluster_size=3)
+        assert cluster.blocks == [(0, 2), (0, 3), (1, 2), (1, 3)] and not mask[:, :2].any()
+
+    @pytest.mark.parametrize("shape", [(1, 23), (19, 1), (1, 1)])
+    def test_one_row_and_one_column(self, shape):
+        rng = np.random.default_rng(9)
+        mv = np.round(rng.normal(scale=2.0, size=(*shape, 2)) * 4) / 4
+        clustered(mv, rng.random(shape) < 0.4, min_cluster_size=1, max_magnitude_ratio=1e6, max_angle=3.0)
+
+    def test_all_seeds_and_no_seeds(self):
+        rng = np.random.default_rng(10)
+        mv = scene(rng, 12, 20, sky=False, quarter_pel=True, dtype=np.float64)
+        clustered(mv, np.ones((12, 20), dtype=bool), min_cluster_size=1)
+        assert clustered(mv, np.zeros((12, 20), dtype=bool))[0] == []
+
+    def test_right_to_left_hull_edges_floor(self):
+        """An L of blocks whose hull edge runs right to left: truncating its
+        negative bound would fill (2, 4) too."""
+        blocks = [(1, 5), (2, 5), (3, 4), (3, 5)]
+        mv = field_of((5, 7), dict.fromkeys(blocks, (2.0, 1.0)))
+        _, mask = clustered(mv, mask_of((5, 7), [(1, 5)]), min_cluster_size=1)
+        assert same_array(mask, mask_of((5, 7), blocks))
+
+    def test_collinear_clusters_are_not_filled(self):
+        """A straight run of blocks, and three diagonal singletons merged into
+        one collinear cluster: no contour beyond the blocks themselves."""
+        line = [(4, c) for c in range(5)]
+        diagonal = [(0, 1), (1, 2), (2, 3)]
+        mv = field_of((6, 8), {**dict.fromkeys(line, (1.5, 0.5)), **dict.fromkeys(diagonal, (-1.0, 2.0))})
+        clusters, mask = clustered(mv, mask_of((6, 8), [(4, 0), *diagonal]), min_cluster_size=1)
+        assert [c.blocks for c in clusters] == [diagonal, line]
+        assert same_array(mask, mask_of((6, 8), line + diagonal))
+
+    @pytest.mark.parametrize("max_distance", [0, 0.5, 25, 30.5])
+    def test_merge_reach_of_nothing_and_past_the_grid(self, max_distance):
+        rng = np.random.default_rng(11)
+        mv = scene(rng, 14, 22, sky=True, quarter_pel=True, dtype=np.float64)
+        clustered(mv, rng.random((14, 22)) < 0.3, min_cluster_size=1, max_distance=max_distance,
+                  max_angle=2.5, max_magnitude_ratio=50.0)
+
+
+def test_a_merge_angle_inside_the_band_is_declined_to_the_reference(cext, monkeypatch):
+    """C cannot replay ``np.dot`` / ``np.arccos``: a pair whose angle sits on
+    ``max_angle`` is the reference's to decide, for the call and for ``extract``."""
+    a = (1.7, 0.4)
+    b = (1.7 * math.cos(0.3) - 0.4 * math.sin(0.3), 1.7 * math.sin(0.3) + 0.4 * math.cos(0.3))
+    mv, seeds, blocked = field_of((1, 3), {(0, 0): a, (0, 2): b}), mask_of((1, 3), [(0, 0), (0, 2)]), None
+    kwargs = {**DEFAULTS, "min_cluster_size": 1,
+              "max_angle": clustering._direction_angle(np.array(a), np.array(b))}
+    assert cext.foreground_clusters(mv, seeds, blocked, **kwargs) is None
+    got = foreground_clusters(mv, seeds, blocked_mask=blocked, **kwargs)
+    assert_same_clustering(got, clustering._foreground_clusters_reference(mv, seeds, blocked, **kwargs))
+    assert [c.blocks for c in got[0]] == [[(0, 0), (0, 2)]]  # on the threshold is not past it
+
+    # The first angle one extract call evaluates, made its threshold: the
+    # pairs before it merged on distance and magnitude alone, so the same
+    # pair meets the same means — on the band.
+    mv, intrinsics = moving_field(18, 30, 1), intrinsics_for(18, 30)
+    angles, angle = [], clustering._direction_angle
+    monkeypatch.setattr(clustering, "_direction_angle", lambda u, v: angles.append(angle(u, v)) or angles[-1])
+    with kernels.use_backend("numpy"):
+        ForegroundExtractor(intrinsics).extract(mv, moving=True)
+    monkeypatch.setattr(clustering, "_direction_angle", angle)
+    config = ForegroundConfig(merge_max_angle=angles[0])
+    answers, hook = [], cext.foreground_clusters
+    monkeypatch.setattr(cext, "foreground_clusters", lambda *a, **kw: answers.append(hook(*a, **kw)) or answers[-1])
+    new = ForegroundExtractor(intrinsics, config).extract(mv, moving=True)
+    assert answers == [None]
+    assert_same_result(new, ref.ForegroundExtractor(intrinsics, config).extract(mv, moving=True))

@@ -439,6 +439,13 @@ SOURCE_MUTATIONS = {
     # Lemire's rejection threshold taken modulo the range, not its size.
     "pivot-on-ties": ("if (fabs(a10) > fabs(a00)) {", "if (fabs(a10) >= fabs(a00)) {", "ransac_pairs"),
     "lemire-threshold": ("(UINT32_MAX - rng) % rng_excl;", "(UINT32_MAX - rng) % rng;", "ransac_pairs"),
+    # Foreground clustering: the fill's flooring division truncating as C's
+    # / does, a gap exactly on the similarity threshold turned away, and a
+    # seed's -0.0 kept in its cluster's mean.
+    "fill-truncates": ("return q - (a % b != 0 && a < 0);", "return q;", "foreground_clusters"),
+    "growth-strict": ("if (gap <= similarity) {", "if (gap < similarity) {", "foreground_clusters"),
+    "seed-mean-keeps-sign": ("double mx = (0.0 * 0 + mv[2 * s]) / 1, my = (0.0 * 0 + mv[2 * s + 1]) / 1;",
+                             "double mx = mv[2 * s], my = mv[2 * s + 1];", "foreground_clusters"),
 }
 
 
