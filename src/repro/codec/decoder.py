@@ -38,13 +38,17 @@ class VideoDecoder:
         Raises
         ------
         ValueError
-            If the QP map holds a value outside [0, 51] or a NaN (a frame
-            corrupted in transit), or a P-frame arrives with no reference
+            Naming the field, for a frame corrupted in transit: a QP map
+            holding a value outside [0, 51] or a NaN, levels holding a NaN or
+            inf, a P-frame's motion field off the macroblock grid or holding
+            a NaN / inf vector; or a P-frame that arrives with no reference
             (a preceding frame was never decoded).
         """
         qp_map = encoded.qp_map
         if not ((qp_map >= 0) & (qp_map <= _MAX_QP)).all():
             raise ValueError(f"qp_map holds a value outside [0, {_MAX_QP}] or a NaN")
+        if not np.isfinite(encoded.levels).all():
+            raise ValueError("levels hold a NaN or infinite value")
         if encoded.frame_type == "I" and encoded.intra_modes is not None:
             frame = intra_decode(encoded.levels, encoded.intra_modes, qp_map, block=self.block).astype(np.float32)
             self._reference = frame
@@ -55,9 +59,15 @@ class VideoDecoder:
         else:
             if self._reference is None:
                 raise ValueError("P-frame received with no reference frame decoded")
-            if encoded.mv is None:
+            mv = encoded.mv
+            if mv is None:
                 raise ValueError("P-frame carries no motion field")
-            prediction = motion_compensate(self._reference, encoded.mv, block=self.block)
+            grid = (self._reference.shape[0] // self.block, self._reference.shape[1] // self.block)
+            if mv.shape != (*grid, 2):
+                raise ValueError(f"motion field shape {mv.shape} != macroblock grid {grid} x 2")
+            if not np.isfinite(mv).all():
+                raise ValueError("motion field holds a NaN or infinite vector")
+            prediction = motion_compensate(self._reference, mv, block=self.block)
         frame = reconstruct(prediction, encoded.levels, qp_map, mb_size=self.block)
         self._reference = frame
         return frame

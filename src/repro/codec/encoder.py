@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import kernels
 from repro.codec.intra import intra_encode
 from repro.codec.motion import MotionEstimate, estimate_motion, motion_compensate
 from repro.codec.transform import (
@@ -63,7 +64,9 @@ class EncoderConfig:
     block:
         Macroblock size.
     lambda_mv:
-        Rate weight of MV coding in the motion search.
+        Rate weight of MV coding in the motion search: finite and >= 0
+        (NaN or inf would turn the search off, a negative weight reward
+        long vectors), else a ``ValueError``.
     intra_prediction:
         Predict I-frame blocks from reconstructed neighbours (DC /
         horizontal / vertical modes) instead of flat mid-gray; saves a
@@ -76,6 +79,10 @@ class EncoderConfig:
     block: int = 16
     lambda_mv: float = 4.0
     intra_prediction: bool = True
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.lambda_mv < np.inf:
+            raise ValueError(f"lambda_mv must be finite and >= 0, got {self.lambda_mv}")
 
 
 @dataclass
@@ -128,8 +135,9 @@ class VideoEncoder:
 
     ``tracer`` instruments the encode pipeline: span ``"encode"`` with
     sub-spans ``me`` / ``mc`` / ``dct`` / ``rate_control`` / ``quant``,
-    plus per-frame bit and QP gauges.  The default no-op tracer costs
-    nothing.
+    plus per-frame bit, QP and rate-probe gauges.  A P-frame the
+    ``inter_encode`` kernel codes in one call has only ``me`` (the stages
+    after it are that one call).  The default no-op tracer costs nothing.
     """
 
     def __init__(
@@ -191,7 +199,8 @@ class VideoEncoder:
             Naming the argument: both or neither of ``target_bits`` and
             ``base_qp``, either of them NaN, a frame that is not whole
             macroblocks or holds a NaN / inf pixel, a ``qp_offsets`` map
-            off the macroblock grid or holding a NaN.
+            off the macroblock grid or holding a NaN, a precomputed
+            ``motion`` field off the grid or holding a NaN / inf vector.
         """
         if (target_bits is None) == (base_qp is None):
             raise ValueError("specify exactly one of target_bits (CBR) or base_qp (CRF)")
@@ -216,11 +225,12 @@ class VideoEncoder:
         tr = self.tracer
         with tr.span("encode"):
             intra = force_intra or self._reference is None or (self._frame_index % cfg.gop == 0)
-            predicted_intra = intra and cfg.intra_prediction
             if intra:
                 motion = None
-                prediction = np.full_like(frame, _INTRA_DC)
                 overhead = _FRAME_OVERHEAD_BITS
+                levels, bits_per_mb, chosen_qp, probes, reconstruction, intra_modes = self._encode_intra(
+                    frame, offsets, target_bits, base_qp
+                )
             else:
                 if motion is None:
                     motion = estimate_motion(
@@ -234,46 +244,24 @@ class VideoEncoder:
                     )
                 elif motion.mv.shape[:2] != mb_shape:
                     raise ValueError(f"precomputed motion shape {motion.mv.shape[:2]} != grid {mb_shape}")
-                with tr.span("mc"):
-                    prediction = motion_compensate(self._reference, motion.mv, block=cfg.block)
+                elif not np.isfinite(motion.mv).all():
+                    raise ValueError("precomputed motion holds a NaN or infinite vector")
                 overhead = _FRAME_OVERHEAD_BITS + _MV_BITS_PER_MB * mb_shape[0] * mb_shape[1]
-
-            # The residual's coefficients feed rate control and the flat
-            # quantiser; a fixed-QP neighbour-predicted I-frame reads neither.
-            if target_bits is not None or not predicted_intra:
-                with tr.span("dct"):
-                    coeffs = dct_blocks(frame - prediction)
-
-            if base_qp is not None:
-                chosen_qp = float(np.clip(base_qp, 0, _MAX_QP))
-            else:
-                with tr.span("rate_control"):
-                    counter = QuantBitCounter(coeffs, offsets, mb_size=cfg.block, max_qp=_MAX_QP)
-                    chosen_qp = self._rate_control(counter, float(target_bits) - overhead, self._qp_hint)
+                intra_modes = None
+                levels, bits_per_mb, chosen_qp, probes, reconstruction = _inter_encode(
+                    frame,
+                    self._reference,
+                    motion.mv,
+                    offsets,
+                    block=cfg.block,
+                    budget=None if target_bits is None else float(target_bits) - overhead,
+                    base_qp=base_qp,
+                    hint=self._qp_hint,
+                    tracer=tr,
+                )
+                if target_bits is not None:
                     self._qp_hint = int(chosen_qp)
-
             qp_map = np.clip(chosen_qp + offsets, 0, _MAX_QP)
-            intra_modes = None
-            with tr.span("quant"):
-                if predicted_intra:
-                    # Neighbour-predicted intra coding.  Rate control above probed
-                    # the flat-prediction residual — usually an over-estimate, but
-                    # on noise-like content the mode syntax can tip the real cost
-                    # slightly over budget, so bump the QP until it fits.
-                    for _ in range(5):
-                        levels, intra_modes, recon64, bits_per_mb = intra_encode(frame, qp_map, block=cfg.block)
-                        if (
-                            target_bits is None
-                            or chosen_qp >= _MAX_QP
-                            or float(bits_per_mb.sum()) + overhead <= float(target_bits)
-                        ):
-                            break
-                        chosen_qp = min(chosen_qp + 1.0, _MAX_QP)
-                        qp_map = np.clip(chosen_qp + offsets, 0, _MAX_QP)
-                    reconstruction = recon64.astype(np.float32)
-                else:
-                    levels, bits_per_mb = quantize_cost(coeffs, qp_map, mb_size=cfg.block)
-                    reconstruction = reconstruct(prediction, levels, qp_map, mb_size=cfg.block)
 
         total_bits = float(bits_per_mb.sum() + overhead)
         if tr.enabled:
@@ -284,6 +272,7 @@ class VideoEncoder:
             tr.gauge("qp_max", float(qp_map.max()))
             if target_bits is not None:
                 tr.gauge("target_bits", float(target_bits))
+                tr.gauge("rate_probes", float(probes))
         encoded = EncodedFrame(
             index=self._frame_index,
             frame_type="I" if intra else "P",
@@ -300,6 +289,48 @@ class VideoEncoder:
         self._reference = reconstruction
         self._frame_index += 1
         return encoded
+
+    def _encode_intra(self, frame, offsets, target_bits, base_qp):
+        """An I-frame: ``(levels, bits_per_mb, chosen_qp, probes,
+        reconstruction, intra_modes)``."""
+        cfg, tr = self.config, self.tracer
+        predicted = cfg.intra_prediction
+        prediction = np.full_like(frame, _INTRA_DC)
+        # The residual's coefficients feed rate control and the flat
+        # quantiser; a fixed-QP neighbour-predicted I-frame reads neither.
+        if target_bits is not None or not predicted:
+            with tr.span("dct"):
+                coeffs = dct_blocks(frame - prediction)
+        probes = 0
+        if base_qp is not None:
+            chosen_qp = float(np.clip(base_qp, 0, _MAX_QP))
+        else:
+            budget = float(target_bits) - _FRAME_OVERHEAD_BITS
+            chosen_qp, probes = _rate_controlled(coeffs, offsets, cfg.block, budget, self._qp_hint, tr)
+            self._qp_hint = int(chosen_qp)
+        qp_map = np.clip(chosen_qp + offsets, 0, _MAX_QP)
+        intra_modes = None
+        with tr.span("quant"):
+            if predicted:
+                # Neighbour-predicted intra coding.  Rate control above probed
+                # the flat-prediction residual — usually an over-estimate, but
+                # on noise-like content the mode syntax can tip the real cost
+                # slightly over budget, so bump the QP until it fits.
+                for _ in range(5):
+                    levels, intra_modes, recon64, bits_per_mb = intra_encode(frame, qp_map, block=cfg.block)
+                    if (
+                        target_bits is None
+                        or chosen_qp >= _MAX_QP
+                        or float(bits_per_mb.sum()) + _FRAME_OVERHEAD_BITS <= float(target_bits)
+                    ):
+                        break
+                    chosen_qp = min(chosen_qp + 1.0, _MAX_QP)
+                    qp_map = np.clip(chosen_qp + offsets, 0, _MAX_QP)
+                reconstruction = recon64.astype(np.float32)
+            else:
+                levels, bits_per_mb = quantize_cost(coeffs, qp_map, mb_size=cfg.block)
+                reconstruction = reconstruct(prediction, levels, qp_map, mb_size=cfg.block)
+        return levels, bits_per_mb, chosen_qp, probes, reconstruction, intra_modes
 
     @staticmethod
     def _rate_control(counter: QuantBitCounter, budget_bits: float, hint: int | None = None) -> float:
@@ -355,6 +386,72 @@ class VideoEncoder:
             else:
                 lo = mid
         return float(hi)
+
+
+def _rate_controlled(coeffs, offsets, block, budget, hint, tracer) -> tuple[float, int]:
+    """CBR's base QP for ``coeffs`` under ``offsets`` (the smallest whose bits
+    fit ``budget``, searched from ``hint``) and how many probes it took."""
+    with tracer.span("rate_control"):
+        counter = QuantBitCounter(coeffs, offsets, mb_size=block, max_qp=_MAX_QP)
+        return VideoEncoder._rate_control(counter, budget, hint), counter.probes
+
+
+def _inter_encode(
+    frame: np.ndarray,
+    reference: np.ndarray,
+    mv: np.ndarray,
+    offsets: np.ndarray,
+    *,
+    block: int,
+    budget: float | None,
+    base_qp: float | None,
+    hint: int | None,
+    tracer: Tracer | NullTracer = NULL_TRACER,
+) -> tuple[np.ndarray, np.ndarray, float, int, np.ndarray]:
+    """A P-frame: ``frame`` predicted from ``reference`` under the motion
+    field ``mv``, its residual transformed, quantised under ``offsets`` plus
+    a base QP — CBR's search for the smallest that fits ``budget`` bits
+    (from ``hint``), or CRF's fixed ``base_qp`` — and reconstructed.
+
+    Returns ``(levels, bits_per_mb, chosen_qp, probes, reconstruction)``:
+    the backend's ``inter_encode`` hook in one call, or the reference
+    wherever the hook declines (``None``).  Only the reference records the
+    ``mc`` / ``dct`` / ``rate_control`` / ``quant`` sub-spans.
+    """
+    impl = kernels.override("inter_encode")
+    params = dict(block=block, budget=budget, base_qp=base_qp, hint=hint)
+    out = None if impl is None else impl(frame, reference, mv, offsets, **params)
+    return _inter_encode_reference(frame, reference, mv, offsets, **params, tracer=tracer) if out is None else out
+
+
+def _inter_encode_reference(
+    frame: np.ndarray,
+    reference: np.ndarray,
+    mv: np.ndarray,
+    offsets: np.ndarray,
+    *,
+    block: int,
+    budget: float | None,
+    base_qp: float | None,
+    hint: int | None,
+    tracer: Tracer | NullTracer = NULL_TRACER,
+) -> tuple[np.ndarray, np.ndarray, float, int, np.ndarray]:
+    """Reference implementation of :func:`_inter_encode` (oracle and
+    fallback): one dispatched stage per call."""
+    with tracer.span("mc"):
+        prediction = motion_compensate(reference, mv, block=block)
+    with tracer.span("dct"):
+        coeffs = dct_blocks(frame - prediction)
+    probes = 0
+    if base_qp is not None:
+        chosen_qp = float(np.clip(base_qp, 0, _MAX_QP))
+    else:
+        chosen_qp, probes = _rate_controlled(coeffs, offsets, block, budget, hint, tracer)
+    qp_map = np.clip(chosen_qp + offsets, 0, _MAX_QP)
+    with tracer.span("quant"):
+        levels, bits_per_mb = quantize_cost(coeffs, qp_map, mb_size=block)
+        reconstruction = reconstruct(prediction, levels, qp_map, mb_size=block)
+    return levels, bits_per_mb, chosen_qp, probes, reconstruction
 
 
 class RegionUpdate:

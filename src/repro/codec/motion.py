@@ -511,7 +511,8 @@ def estimate_motion(
     block:
         Macroblock size (16, as in the paper).
     lambda_mv:
-        Rate weight on MV bits; larger values give smoother MV fields.
+        Rate weight on MV bits (finite, >= 0); larger values give smoother
+        MV fields.
     subpel:
         Refine each MV to sub-pixel precision (parabolic SAD fit), as real
         codecs do with quarter-pel search.  DiVE's geometry (normalised
@@ -528,6 +529,9 @@ def estimate_motion(
         raise ValueError(f"search_range must be >= 0, got {search_range}")
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
+    if not 0 <= lambda_mv < np.inf:
+        # NaN / inf would silently turn the search off, a negative weight reward long vectors.
+        raise ValueError(f"lambda_mv must be finite and >= 0, got {lambda_mv}")
     if method == "tesa" and block & (block - 1):
         raise ValueError(f"tesa needs a power-of-two block (Hadamard SATD), got block {block}")
     current = np.asarray(current, dtype=np.float32)

@@ -246,6 +246,8 @@ class QuantBitCounter:
                 f"{(r8, c8)} (mb_size={mb_size})"
             )
         self.max_qp = float(max_qp)
+        #: How many totals :meth:`bits_at` has answered.
+        self.probes = 0
         impl = kernels.override("rate_counter")
         self._probe = None if impl is None else impl(coeffs, offs, mb_size=mb_size, max_qp=self.max_qp)
         if self._probe is None:
@@ -276,6 +278,7 @@ class QuantBitCounter:
 
     def bits_at(self, qp: float) -> float:
         """Total coded bits at base QP ``qp`` (before clipping offsets)."""
+        self.probes += 1
         if self._probe is not None:
             bits = self._probe(qp)
             if bits is not None:

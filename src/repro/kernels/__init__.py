@@ -6,9 +6,12 @@ compiled implementation of the extracted kernels — the codec's
 pattern search (DIA / HEX / UMH, a frame's whole search as one call),
 motion compensation, the 8x8 DCT and its inverse (``transform``: scipy's
 pocketfft arithmetic, replayed to its bytes), I-frames (``intra_encode`` /
-``intra_decode``: a frame per call) and the P-frame transform tail
-(``quantize_cost`` / ``rate_counter`` / ``reconstruct``: everything between
-the forward DCT and the reconstruction, the IDCT included), the renderer's
+``intra_decode``: a frame per call), P-frames (``inter_encode``: MC, the
+residual's DCT, rate control's search, quantiser and reconstruction in one
+call) and the P-frame transform tail (``quantize_cost`` / ``rate_counter`` /
+``reconstruct``: everything between the forward DCT and the reconstruction,
+the IDCT included, which the decoder and the reference P-frame path call),
+the renderer's
 surfaces (``render_surfaces``: a frame's ground, billboards and sky, and
 each billboard's kept pixels, in two calls around numpy's ``arctan2``),
 the synthetic world's value noise, RANSAC's hypothesis loop
@@ -19,7 +22,8 @@ convex contours) — be swapped in behind the ``KernelBackend`` seam.
 
 **Contract.**  ``cext`` must be *bit-identical* to the ``numpy``
 reference: the kernel bit-exactness suites (``tests/test_codec_kernels.py``,
-``tests/test_intra_kernels.py``, ``tests/test_transform_kernels.py``,
+``tests/test_intra_kernels.py``, ``tests/test_inter_kernels.py``,
+``tests/test_transform_kernels.py``,
 ``tests/test_noise_kernel.py``, ``tests/test_render_kernel.py``,
 ``tests/test_ransac_kernel.py``, the clustering hook's section of
 ``tests/test_foreground_oracle.py``) and the golden e2e digest, frames,
@@ -54,7 +58,10 @@ second.  Each is built once, on first use.
     DCT-II / DCT-III, operation for operation, so the bytes are scipy's;
     non-finite outputs are declined to scipy), for whole I-frames
     (``intra_encode`` / ``intra_decode``: prediction, mode decision,
-    transforms, quantiser and clip in one call), for the P-frame's
+    transforms, quantiser and clip in one call), for whole P-frames
+    (``inter_encode``: MC, residual DCT, rate control's search, quantiser
+    and reconstruction in one call, at the bytes of its stage-by-stage
+    reference), for the P-frame's
     transform tail (``quantize_cost``, ``QuantBitCounter``'s probe, and a
     ``reconstruct`` that dequantises, inverse-transforms and clips only the
     coded 8x8 blocks), for the renderer's surfaces (geometry,
@@ -126,6 +133,7 @@ KERNEL_NAMES = (
     "quantize_cost",  # quantise + per-macroblock bit cost in one pass (P-frames, flat I-frames)
     "rate_counter",  # QuantBitCounter's probe: total bits of one coefficient set at a base QP
     "reconstruct",  # dequantise + IDCT + clip, skipping all-zero 8x8 blocks (encoder and decoder)
+    "inter_encode",  # a whole P-frame: MC, residual DCT, rate control's search, quantise, reconstruct
     "ransac_pairs",  # RANSAC's hypothesis loop over an (n, 2) system, drawing from the caller's generator
     "foreground_clusters",  # region growing, the merge fixpoint and the convex contours of one motion field
 )
@@ -153,6 +161,7 @@ class KernelBackend:
     quantize_cost: Callable | None = None
     rate_counter: Callable | None = None
     reconstruct: Callable | None = None
+    inter_encode: Callable | None = None
     ransac_pairs: Callable | None = None
     foreground_clusters: Callable | None = None
 
@@ -217,7 +226,7 @@ def override(kernel: str) -> Callable | None:
     """The active backend's hook for ``kernel``, or ``None`` (reference).
 
     This is the per-call dispatch primitive the codec modules
-    (``motion``, ``transform``, ``intra``), the renderer,
+    (``motion``, ``transform``, ``intra``, ``encoder``), the renderer,
     ``repro.utils.noise`` and ``repro.utils.ransac`` use; once the default is resolved it is a single
     attribute lookup.
     """

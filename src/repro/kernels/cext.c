@@ -347,49 +347,108 @@ int64_t pattern_search(const float *cur, const float *ref, int64_t rows, int64_t
     return 0;
 }
 
-/* Motion compensation: per-block bilinear gather/blend from the reference
- * edge-padded by rng (pad_edge, into scratch of its own), float64 arithmetic
- * in the reference's exact operation order (weights formed as (1-ay)*(1-ax)
- * etc., taps combined left-to-right), final cast to float32.  Returns 1 when
- * the padded plane cannot be allocated. */
-int64_t motion_comp(const float *ref, const double *mvx, const double *mvy,
-                    int64_t rng, int64_t rows, int64_t cols, int64_t block, float *out) {
-    int64_t h = rows * block, out_stride = cols * block, rp_stride = out_stride + 2 * rng;
-    double *ref_pad = malloc((size_t)((h + 2 * rng) * rp_stride) * sizeof(double));
-    if (!ref_pad) return 1;
-    pad_edge(ref, h, out_stride, rng, ref_pad);
-    for (int64_t r = 0; r < rows; r++) {
-        for (int64_t c = 0; c < cols; c++) {
-            int64_t b = r * cols + c;
-            double vx = mvx[b], vy = mvy[b];
-            double fdx = floor(vx), fdy = floor(vy);
-            double ax = vx - fdx, ay = vy - fdy;
-            const double *p00 = ref_pad + (r * block - (int64_t)fdy + rng) * rp_stride
-                                + (c * block - (int64_t)fdx + rng);
-            float *o = out + r * block * out_stride + c * block;
-            if (ax == 0.0 && ay == 0.0) {
-                for (int64_t i = 0; i < block; i++)
-                    for (int64_t j = 0; j < block; j++)
-                        o[i * out_stride + j] = (float)p00[i * rp_stride + j];
-            } else {
-                double w00 = (1.0 - ay) * (1.0 - ax);
-                double w01 = (1.0 - ay) * ax;
-                double w10 = ay * (1.0 - ax);
-                double w11 = ay * ax;
-                for (int64_t i = 0; i < block; i++) {
-                    const double *q00 = p00 + i * rp_stride;
-                    const double *q10 = q00 - rp_stride;
-                    for (int64_t j = 0; j < block; j++) {
-                        double v = ((w00 * q00[j] + w01 * q00[j - 1])
-                                    + w10 * q10[j]) + w11 * q10[j - 1];
-                        o[i * out_stride + j] = (float)v;
-                    }
-                }
-            }
-        }
+/* Motion compensation (repro.codec.motion._motion_compensate_reference):
+ * each block x block macroblock of out is the reference sampled at the
+ * block's position minus its MV (mv: interleaved float64 (dx, dy) pairs),
+ * with the bilinear blend in float64 in the reference's exact operation
+ * order (weights formed as (1-ay)*(1-ax) etc., taps combined left to right,
+ * all four taps even when a weight is 0: 0 * p and -0.0 + 0.0 are what the
+ * reference adds), then cast to float32.  The float32 reference is read in
+ * place: the reference's np.pad(mode="edge") of the widened plane repeats
+ * the nearest edge pixel, so a tap outside the frame reads the pixel at its
+ * clamped row and column — widening is exact, so that is the padded value.
+ * Blocks whose taps all fall inside the frame (most of a frame) read their
+ * rows in place; the others first gather their window through clamped
+ * indices into a tile, then run the same 8-lane loops over it.  Returns 1 —
+ * the reference answers — when an output pixel is a NaN, whose payload (and
+ * a signalling NaN's quieting) this order does not pin, or the tile could
+ * not be allocated.  The caller bounds every |MV| below 2^31. */
+static inline int64_t clamp_index(int64_t v, int64_t n) {
+    return v < 0 ? 0 : (v >= n ? n - 1 : v);
+}
+
+static inline uint32_t is_nan32(float v) {
+    uint32_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    return (bits & 0x7fffffffu) > 0x7f800000u;
+}
+
+/* Eight pixels of one row, a whole number of 8-lane vectors as in widen:
+ * the integer MV's one tap, or the blend of p00 / p01 (one column left) and
+ * p10 / p11 (one row up) under the weights w00 .. w11.  Each ORs into
+ * nan[lane] whether that lane wrote a NaN (a lane array, not a running
+ * scalar: no horizontal reduction per chunk). */
+static inline void mc_copy8(const float *restrict p00, float *restrict o, uint32_t *restrict nan) {
+    for (int j = 0; j < 8; j++) {
+        o[j] = p00[j];
+        nan[j] |= is_nan32(o[j]);
     }
-    free(ref_pad);
-    return 0;
+}
+
+static inline void mc_blend8(const float *restrict p00, const float *restrict p01,
+                             const float *restrict p10, const float *restrict p11, double w00,
+                             double w01, double w10, double w11, float *restrict o,
+                             uint32_t *restrict nan) {
+    for (int j = 0; j < 8; j++) {
+        o[j] = (float)(((w00 * (double)p00[j] + w01 * (double)p01[j]) + w10 * (double)p10[j])
+                       + w11 * (double)p11[j]);
+        nan[j] |= is_nan32(o[j]);
+    }
+}
+
+/* One macroblock into o (line w apart) from q0, its top-left tap, whose
+ * rows are stride apart and whose taps one row up and one column left are
+ * readable too.  Returns whether it wrote a NaN. */
+static inline uint32_t mc_block(const float *restrict q0, int64_t stride, int64_t block, int frac,
+                                double w00, double w01, double w10, double w11, float *restrict o,
+                                int64_t w) {
+    uint32_t nan[8] = {0};
+    for (int64_t i = 0; i < block; i++, q0 += stride, o += w)
+        for (int64_t j = 0; j < block; j += 8) {
+            if (frac)
+                mc_blend8(q0 + j, q0 + j - 1, q0 + j - stride, q0 + j - stride - 1, w00, w01, w10, w11,
+                          o + j, nan);
+            else
+                mc_copy8(q0 + j, o + j, nan);
+        }
+    return nan[0] | nan[1] | nan[2] | nan[3] | nan[4] | nan[5] | nan[6] | nan[7];
+}
+
+/* Macroblock (r, c) of out: its window read in place, or gathered into tile
+ * (block + 1 floats square) when it crosses an edge.  Returns whether it
+ * wrote a NaN. */
+static inline uint32_t mc_macroblock(const float *restrict ref, const double *restrict mv, int64_t r,
+                                     int64_t c, int64_t rows, int64_t cols, int64_t block,
+                                     float *restrict tile, float *restrict out) {
+    int64_t h = rows * block, w = cols * block, ts = block + 1, b = r * cols + c;
+    double vx = mv[2 * b], vy = mv[2 * b + 1];
+    int64_t fdx = (int64_t)floor(vx), fdy = (int64_t)floor(vy);
+    /* The reference subtracts the floor as an integer: -0.0 - 0 keeps the
+     * sign a -0.0 - floor(-0.0) would lose, and a zero weight's sign shows
+     * in a sum of -0.0 taps. */
+    double ax = vx - (double)fdx, ay = vy - (double)fdy;
+    double w00 = (1.0 - ay) * (1.0 - ax), w01 = (1.0 - ay) * ax, w10 = ay * (1.0 - ax), w11 = ay * ax;
+    int64_t y = r * block - fdy, x = c * block - fdx;
+    int frac = !(ax == 0.0 && ay == 0.0);
+    float *o = out + r * block * w + c * block;
+    if (y >= frac && y + block <= h && x >= frac && x + block <= w)
+        return mc_block(ref + y * w + x, w, block, frac, w00, w01, w10, w11, o, w);
+    for (int64_t i = 0; i < ts; i++) {
+        const float *src = ref + clamp_index(y + i - 1, h) * w;
+        for (int64_t j = 0; j < ts; j++) tile[i * ts + j] = src[clamp_index(x + j - 1, w)];
+    }
+    return mc_block(tile + ts + 1, ts, block, frac, w00, w01, w10, w11, o, w);
+}
+
+int64_t motion_comp(const float *restrict ref, const double *restrict mv, int64_t rows,
+                    int64_t cols, int64_t block, float *restrict out) {
+    uint32_t nan = 0;
+    float *tile = malloc((size_t)((block + 1) * (block + 1)) * sizeof(float));
+    if (!tile) return 1;
+    for (int64_t r = 0; r < rows; r++)
+        for (int64_t c = 0; c < cols; c++) nan |= mc_macroblock(ref, mv, r, c, rows, cols, block, tile, out);
+    free(tile);
+    return nan != 0;
 }
 
 /* Fractal value noise (repro.utils.noise) at one point: per octave o the
@@ -718,10 +777,12 @@ int64_t render_sky(const double *dirs, int64_t n, const int32_t *ids, const doub
  * by fct; dct8x8_S: one 8x8 block (rows in_line / out_line apart) forward or
  * inverse, returning 1 when an output is not finite — an inf or NaN input
  * always reaches one, and then the reference answers (a NaN's payload is
- * not pinned by this order).  Defined once per element type. */
+ * not pinned by this order).  Defined once per element type, and inlined
+ * wherever called: out of line, the calls per block were a measurable share
+ * of a P-frame's loop. */
 #define DCT8_DEFINE(T, S)                                                                      \
-static inline void dct2_lines_##S(const T *restrict x, int64_t xs, T *restrict y, int64_t ys, \
-                                  T fct) {                                                     \
+static inline __attribute__((always_inline)) void dct2_lines_##S(                             \
+        const T *restrict x, int64_t xs, T *restrict y, int64_t ys, T fct) {                   \
     static const T tw[7] = DCT_TW;                                                             \
     const T wr = (T)DCT_WR, wi = (T)DCT_WI;                                                    \
     for (int j = 0; j < 8; j++) {                                                              \
@@ -750,8 +811,8 @@ static inline void dct2_lines_##S(const T *restrict x, int64_t xs, T *restrict y
         y[4 * ys + j] = o4 * tw[3]; y[j] = o0 * ((T)DCT_SQRT2 * (T)0.5);                       \
     }                                                                                          \
 }                                                                                              \
-static inline void dct3_lines_##S(const T *restrict x, int64_t xs, T *restrict y, int64_t ys, \
-                                  T fct) {                                                     \
+static inline __attribute__((always_inline)) void dct3_lines_##S(                             \
+        const T *restrict x, int64_t xs, T *restrict y, int64_t ys, T fct) {                   \
     static const T tw[7] = DCT_TW;                                                             \
     const T wr = (T)DCT_WR, wi = (T)DCT_WI;                                                    \
     for (int j = 0; j < 8; j++) {                                                              \
@@ -779,19 +840,29 @@ static inline void dct3_lines_##S(const T *restrict x, int64_t xs, T *restrict y
         y[7 * ys + j] = o7;                                                                    \
     }                                                                                          \
 }                                                                                              \
-static inline int dct8x8_##S(const T *in, int64_t in_line, T *out, int64_t out_line,           \
-                             int inverse) {                                                    \
+/* a = b transposed, one output row per statement: a loop over k the      */                   \
+/* vectorizer takes whole (eight interleaved loads, contiguous stores),   */                   \
+/* where the two-loop spelling stays scalar.                              */                   \
+static inline void transpose8_##S(const T *restrict b, T *restrict a) {                        \
+    for (int k = 0; k < 8; k++) {                                                              \
+        a[k] = b[8 * k]; a[8 + k] = b[8 * k + 1]; a[16 + k] = b[8 * k + 2];                    \
+        a[24 + k] = b[8 * k + 3]; a[32 + k] = b[8 * k + 4]; a[40 + k] = b[8 * k + 5];          \
+        a[48 + k] = b[8 * k + 6]; a[56 + k] = b[8 * k + 7];                                    \
+    }                                                                                          \
+}                                                                                              \
+static inline __attribute__((always_inline)) int dct8x8_##S(                                  \
+        const T *in, int64_t in_line, T *out, int64_t out_line, int inverse) {                 \
     T a[64], b[64], bad[8] = {0};                                                              \
     if (inverse) dct3_lines_##S(in, in_line, b, 8, (T)0.0625);                                 \
     else dct2_lines_##S(in, in_line, b, 8, (T)0.0625);                                         \
-    for (int k = 0; k < 8; k++)                                                                \
-        for (int j = 0; j < 8; j++) a[8 * j + k] = b[8 * k + j];                               \
+    transpose8_##S(b, a);                                                                      \
     if (inverse) dct3_lines_##S(a, 8, b, 8, 1); else dct2_lines_##S(a, 8, b, 8, 1);            \
-    /* b - b is +0 for a finite b, NaN otherwise */                                            \
-    for (int k = 0; k < 8; k++)                                                                \
+    transpose8_##S(b, a);                                                                      \
+    /* a - a is +0 for a finite a, NaN otherwise */                                            \
+    for (int i = 0; i < 8; i++)                                                                \
         for (int j = 0; j < 8; j++) {                                                          \
-            out[j * out_line + k] = b[8 * k + j];                                              \
-            bad[j] += b[8 * k + j] - b[8 * k + j];                                             \
+            out[i * out_line + j] = a[8 * i + j];                                              \
+            bad[j] += a[8 * i + j] - a[8 * i + j];                                             \
         }                                                                                      \
     return !(bad[0] == 0 && bad[1] == 0 && bad[2] == 0 && bad[3] == 0                          \
              && bad[4] == 0 && bad[5] == 0 && bad[6] == 0 && bad[7] == 0);                     \
@@ -907,17 +978,19 @@ static inline double block_top(const void *coeffs, int f32, int64_t at, int64_t 
 }
 
 /* Quantise and cost one 8x8 block of coefficients (line elements per row)
- * under step: level = round_even(c / step) is np.round, stored lv_line
- * doubles per row; returns the block's coefficient bits — the sum of
- * 2*floor(log2|level|) + 3 over its non-zero levels, each an integer bit
- * length — or -1 on a level past LEVEL_LIMIT.  Most of a P-frame's blocks
- * hold nothing that reaches the cut: their levels are signed zeros, no
- * division. */
+ * whose largest magnitude is top (block_top), under step: level =
+ * round_even(c / step) is np.round, stored lv_line doubles per row; returns
+ * the block's coefficient bits — the sum of 2*floor(log2|level|) + 3 over
+ * its non-zero levels — or -1 on a level past LEVEL_LIMIT.  Below it a
+ * level is a whole number, so its floor(log2) is the unbiased exponent of
+ * the double (whose exponent field is 0 for a zero level): eight lanes a
+ * row, no branch.  Most of a P-frame's blocks hold nothing that reaches the
+ * cut: their levels are signed zeros, no division. */
 static inline __attribute__((always_inline)) int64_t quant_block(
-        const void *restrict coeffs, const int f32, int64_t at, int64_t line, double step,
+        const void *restrict coeffs, const int f32, int64_t at, int64_t line, double top, double step,
         double *restrict lv, int64_t lv_line) {
-    int64_t nbits = 0, unbounded = 0;
-    if (block_top(coeffs, f32, at, line) < ZERO_CUT * step) {
+    int64_t nbits[8] = {0}, unbounded[8] = {0}, total = 0, over = 0;
+    if (top < ZERO_CUT * step) {
         for (int64_t i = 0; i < 8; i++)
             for (int64_t j = 0; j < 8; j++)
                 lv[i * lv_line + j] = copysign(0.0, coeff_at(coeffs, f32, at + i * line + j));
@@ -927,12 +1000,15 @@ static inline __attribute__((always_inline)) int64_t quant_block(
         for (int64_t j = 0; j < 8; j++) {
             double level = round_even(coeff_at(coeffs, f32, at + i * line + j) / step);
             double mag = fabs(level);
-            unbounded |= !(mag < LEVEL_LIMIT);
-            if (mag > 0.0 && mag < LEVEL_LIMIT)
-                nbits += 2 * (63 - __builtin_clzll((uint64_t)mag)) + 3;
+            int64_t biased;
+            memcpy(&biased, &mag, sizeof biased);
+            biased >>= 52;
+            unbounded[j] |= !(mag < LEVEL_LIMIT);
+            nbits[j] += (2 * biased - 2043) & -(int64_t)(biased != 0);
             lv[i * lv_line + j] = level;
         }
-    return unbounded ? -1 : nbits;
+    for (int j = 0; j < 8; j++) total += nbits[j], over |= unbounded[j];
+    return over ? -1 : total;
 }
 
 /* transform_cost_bits' total of one 8x8 block: its coefficient bits and
@@ -957,7 +1033,8 @@ static inline __attribute__((always_inline)) int64_t quant_cost_any(
             for (int64_t i8 = 0; i8 < block; i8 += 8)
                 for (int64_t j8 = 0; j8 < block; j8 += 8) {
                     int64_t at = (R * block + i8) * line + C * block + j8;
-                    int64_t nbits = quant_block(coeffs, f32, at, line, step, levels + at, line);
+                    int64_t nbits = quant_block(coeffs, f32, at, line, block_top(coeffs, f32, at, line), step,
+                                                levels + at, line);
                     if (nbits < 0) return 1;
                     total += block_bits(nbits);
                 }
@@ -973,37 +1050,56 @@ int64_t quant_cost(const void *coeffs, int64_t f32, int64_t line, int64_t mb_row
     return quant_cost_any(coeffs, 0, line, mb_rows, mb_cols, block, q, levels, bits);
 }
 
-/* ---- rate control's probe (repro.codec.transform.QuantBitCounter) ----
- * Set-up, one pass over the coefficients: per 8x8 block its largest
+/* ---- rate control's probe (repro.codec.transform.QuantBitCounter) ---- */
+
+/* One 8x8 block's share of the set-up below: its largest magnitude into
+ * *top, and its magnitudes at or above cut appended to cand from n on.
+ * Returns the new n, or -1 on a NaN or infinite coefficient. */
+static inline __attribute__((always_inline)) int64_t rc_keep(
+        const void *coeffs, const int f32, int64_t at, int64_t line, double cut, double *top,
+        double *cand, int64_t n) {
+    *top = block_top(coeffs, f32, at, line);
+    if (!(*top < INFINITY)) return -1;
+    if (*top < cut) return n;
+    for (int64_t i = 0; i < 8; i++)
+        for (int64_t j = 0; j < 8; j++) {
+            double mag = fabs(coeff_at(coeffs, f32, at + i * line + j));
+            cand[n] = mag;  /* kept only if the count moves past it */
+            n += mag >= cut;
+        }
+    return n;
+}
+
+/* A macroblock's candidate list, from `from` to n, padded to whole chunks. */
+static inline int64_t rc_pad(double *cand, int64_t from, int64_t n) {
+    while ((n - from) % 8) cand[n++] = 0.0;
+    return n;
+}
+
+/* Set-up, one pass over the coefficients: per 8x8 block its largest
  * magnitude (block_max, macroblock-major: the per_mb blocks of macroblock 0,
  * then of macroblock 1, ...) and, per macroblock, the magnitudes at or
  * above ZERO_CUT of its step packed into cand — macroblock mb owns
- * cand[start[mb] .. start[mb + 1]).  cand needs room for every coefficient;
+ * cand[start[mb] .. start[mb + 1]), padded with +0.0 to a whole number of
+ * 8-lane chunks (a +0.0 quantises to level 0 and costs nothing; a
+ * macroblock's block * block coefficients are a whole number of chunks, so
+ * the padding never outgrows them).  cand needs room for every coefficient;
  * only what is kept gets written (and paged in).  Returns the number kept,
- * or -1 on a NaN or infinite coefficient. */
+ * padding included, or -1 on a NaN or infinite coefficient. */
 static inline __attribute__((always_inline)) int64_t rc_compact_any(
         const void *coeffs, const int f32, int64_t line, int64_t mb_rows, int64_t mb_cols,
         int64_t block, const double *step, double *block_max, double *cand, int64_t *start) {
     int64_t n = 0, b = 0;
-    for (int64_t R = 0; R < mb_rows; R++)
-        for (int64_t C = 0; C < mb_cols; C++) {
-            double cut = ZERO_CUT * step[R * mb_cols + C];
-            int64_t at = R * block * line + C * block;
-            start[R * mb_cols + C] = n;
-            for (int64_t i8 = 0; i8 < block; i8 += 8)
-                for (int64_t j8 = 0; j8 < block; j8 += 8) {
-                    double top = block_top(coeffs, f32, at + i8 * line + j8, line);
-                    if (!(top < INFINITY)) return -1;
-                    block_max[b++] = top;
-                    if (top < cut) continue;
-                    for (int64_t i = i8; i < i8 + 8; i++)
-                        for (int64_t j = j8; j < j8 + 8; j++) {
-                            double mag = fabs(coeff_at(coeffs, f32, at + i * line + j));
-                            cand[n] = mag;  /* kept only if the count moves past it */
-                            n += mag >= cut;
-                        }
-                }
-        }
+    for (int64_t mb = 0; mb < mb_rows * mb_cols; mb++) {
+        double cut = ZERO_CUT * step[mb];
+        int64_t at = (mb / mb_cols) * block * line + (mb % mb_cols) * block;
+        start[mb] = n;
+        for (int64_t i8 = 0; i8 < block && n >= 0; i8 += 8)
+            for (int64_t j8 = 0; j8 < block && n >= 0; j8 += 8)
+                n = rc_keep(coeffs, f32, at + i8 * line + j8, line, cut, block_max + b++, cand, n);
+        if (n < 0) return -1;
+        n = rc_pad(cand, start[mb], n);
+    }
     start[mb_rows * mb_cols] = n;
     return n;
 }
@@ -1020,18 +1116,26 @@ int64_t rc_compact(const void *coeffs, int64_t f32, int64_t line, int64_t mb_row
  * steps.  Quantising a magnitude is quantising the coefficient (divide and
  * round are odd), a block carries a coefficient iff its largest magnitude
  * rounds to a non-zero level (both are monotone), and the total is an
- * integer plus multiples of 0.25 — exact in any order.  The caller has
- * bounded every level below LEVEL_LIMIT. */
+ * integer plus multiples of 0.25 — exact in any order.  A candidate's level
+ * is a whole number below 2^31 (the caller bounds every level), so its
+ * floor(log2) is the unbiased exponent of the double, read from its bits:
+ * eight candidates a step, lane-wise, with no branch and no libm call.
+ * (Nothing under the cut needs skipping: it rounds to level 0.) */
 double rc_bits(const double *cand, const int64_t *start, const double *block_max,
                int64_t mbs, int64_t per_mb, const double *step) {
     int64_t coeff_bits = 0, coded = 0;
     for (int64_t mb = 0; mb < mbs; mb++) {
-        double s = step[mb], cut = ZERO_CUT * s;
-        for (int64_t k = start[mb]; k < start[mb + 1]; k++)
-            if (!(cand[k] < cut)) {
-                uint64_t level = (uint64_t)round_even(cand[k] / s);
-                if (level) coeff_bits += 2 * (63 - __builtin_clzll(level)) + 3;
+        double s = step[mb];
+        int64_t lane[8] = {0};
+        for (int64_t k = start[mb]; k < start[mb + 1]; k += 8)
+            for (int j = 0; j < 8; j++) {
+                double level = round_even(cand[k + j] / s);
+                int64_t biased;  /* the exponent field: 0 for level +0.0, 1023 + floor(log2) above */
+                memcpy(&biased, &level, sizeof biased);
+                biased >>= 52;
+                lane[j] += (2 * biased - 2043) & -(int64_t)(biased != 0);
             }
+        for (int j = 0; j < 8; j++) coeff_bits += lane[j];
         for (int64_t b = mb * per_mb; b < (mb + 1) * per_mb; b++)
             coded += round_even(block_max[b] / s) > 0.0;
     }
@@ -1068,43 +1172,225 @@ static inline int dequant_idct8(const double *lv, int64_t lv_line, double step, 
  * p + +-0.0 is p to the bit — unless p is -0.0 (the sum's sign would be the
  * residual's) or a NaN (the sum quiets it).  Returns 1 — the reference
  * answers — on those, on a level past LEVEL_LIMIT (as quant_cost does) and
- * on a non-finite residual. */
+ * on a non-finite residual.  recon_block is one 8x8 block, at plane offset
+ * at; coded says whether it holds a non-zero level. */
+static inline int recon_block(const float *restrict pred, const double *restrict levels, int64_t at,
+                              int64_t line, int coded, double step, float *restrict out) {
+    const float *p = pred + at;
+    float *o = out + at;
+    if (!coded) {
+        uint32_t unproven = 0;
+        for (int64_t i = 0; i < 8; i++)
+            for (int64_t j = 0; j < 8; j++) {
+                float v = p[i * line + j];
+                uint32_t pattern;
+                memcpy(&pattern, &v, sizeof pattern);
+                /* -0.0, or anything past +-inf */
+                unproven |= (pattern == 0x80000000u) | ((pattern & 0x7fffffffu) > 0x7f800000u);
+                v = v < 0.0f ? 0.0f : v;
+                o[i * line + j] = v > 255.0f ? 255.0f : v;
+            }
+        return unproven != 0;
+    }
+    double rec[64];
+    if (dequant_idct8(levels + at, line, step, rec)) return 1;
+    /* Sum, clip, narrow: three loops the vectoriser takes, where it leaves
+     * one with the clip's selects between the two conversions scalar. */
+    for (int64_t i = 0; i < 8; i++)
+        for (int64_t j = 0; j < 8; j++) rec[i * 8 + j] = (double)p[i * line + j] + rec[i * 8 + j];
+    for (int k = 0; k < 64; k++) {
+        double v = rec[k] < 0.0 ? 0.0 : rec[k];
+        rec[k] = v > 255.0 ? 255.0 : v;
+    }
+    for (int64_t i = 0; i < 8; i++)
+        for (int64_t j = 0; j < 8; j++) o[i * line + j] = (float)rec[i * 8 + j];
+    return 0;
+}
+
 int64_t reconstruct(const float *restrict pred, const double *restrict levels, int64_t rows8,
                     int64_t cols8, int64_t per_side, const double *restrict q, float *restrict out) {
     int64_t line = cols8 * 8, mb_cols = cols8 / per_side;
-    double rec[64];
     for (int64_t br = 0; br < rows8; br++)
         for (int64_t bc = 0; bc < cols8; bc++) {
             int64_t at = br * 8 * line + bc * 8;
-            const float *p = pred + at;
-            float *o = out + at;
             double top = block_top(levels, 0, at, line);
-            if (!(top < LEVEL_LIMIT)) return 1;
-            if (!(top > 0.0)) {
-                uint32_t unproven = 0;
-                for (int64_t i = 0; i < 8; i++)
-                    for (int64_t j = 0; j < 8; j++) {
-                        float v = p[i * line + j];
-                        uint32_t pattern;
-                        memcpy(&pattern, &v, sizeof pattern);
-                        /* -0.0, or anything past +-inf */
-                        unproven |= (pattern == 0x80000000u) | ((pattern & 0x7fffffffu) > 0x7f800000u);
-                        v = v < 0.0f ? 0.0f : v;
-                        o[i * line + j] = v > 255.0f ? 255.0f : v;
-                    }
-                if (unproven) return 1;
-                continue;
-            }
-            if (dequant_idct8(levels + at, line, q[(br / per_side) * mb_cols + bc / per_side], rec))
+            if (!(top < LEVEL_LIMIT)
+                || recon_block(pred, levels, at, line, top > 0.0, q[(br / per_side) * mb_cols + bc / per_side], out))
                 return 1;
-            for (int64_t i = 0; i < 8; i++)
-                for (int64_t j = 0; j < 8; j++) {
-                    double v = (double)p[i * line + j] + rec[i * 8 + j];
-                    v = v < 0.0 ? 0.0 : v;
-                    o[i * line + j] = (float)(v > 255.0 ? 255.0 : v);
-                }
         }
     return 0;
+}
+
+/* ---- P-frames (repro.codec.encoder._inter_encode_reference) ----
+ * One call per P-frame: motion_comp's prediction (mc_macroblock, one
+ * macroblock at a time), the float32 residual
+ * (one IEEE single subtraction per pixel, as numpy's frame - prediction) and
+ * its 8x8 DCT (dct8x8_f: scipy's bytes), rate control's search over the
+ * base QPs, then quant_cost and reconstruct at the chosen one.  Every stage
+ * is the routine the stand-alone hook runs, so each stage's bytes are that
+ * hook's; what any of them would decline, this declines whole.
+ *
+ * The steps come from the caller, computed by numpy's qstep (C's pow is not
+ * numpy's power in the last bit): a table of nq rows — one per base QP
+ * 0 .. nq - 1 when rate control searches, the one fixed QP otherwise — of k
+ * columns, the frame's distinct QP offsets; col[mb] is macroblock mb's. */
+
+/* How many QPs below the probe it was compacted at a candidate list stays
+ * complete (repro.kernels.cext._RC_DESCENT, argued there). */
+#define RC_DESCENT 5.0
+/* The largest magnitude the counter takes (_RateCounter's bound): no step is
+ * below qstep(0) = 0.625, so every level stays below 2^32 = LEVEL_LIMIT. */
+#define RC_LEVEL_BOUND 2147483648.0 /* 2^31 */
+
+/* QuantBitCounter over the frame's float32 coefficients, as _RateCounter
+ * drives rc_compact / rc_bits: compacted at the first probe, again whenever
+ * a probe goes more than RC_DESCENT QPs below the last compaction. */
+typedef struct {
+    const float *coeffs;
+    int64_t line, rows, cols, block, k, probes;
+    const double *table;
+    const int64_t *col;
+    double *step, *block_max, *cand, floor;
+    int64_t *start;
+} rc_state;
+
+static inline void rc_steps(const rc_state *s, int64_t qp) {
+    for (int64_t mb = 0; mb < s->rows * s->cols; mb++) s->step[mb] = s->table[qp * s->k + s->col[mb]];
+}
+
+/* Whether the frame fits budget at base QP qp: 1 / 0, or -1 — decline — on a
+ * coefficient whose level the counter cannot bound below 2^31. */
+static int rc_fits(rc_state *s, int64_t qp, double budget) {
+    int64_t per_mb = (s->block / 8) * (s->block / 8), blocks = s->rows * s->cols * per_mb;
+    rc_steps(s, qp);
+    if (!((double)qp >= s->floor)) {
+        s->floor = (double)qp - RC_DESCENT;
+        if (rc_compact_any(s->coeffs, 1, s->line, s->rows, s->cols, s->block, s->step, s->block_max,
+                           s->cand, s->start) < 0)
+            return -1;
+        for (int64_t b = 0; b < blocks; b++)
+            if (!(s->block_max[b] < RC_LEVEL_BOUND)) return -1;
+    }
+    s->probes++;
+    return rc_bits(s->cand, s->start, s->block_max, s->rows * s->cols, per_mb, s->step) <= budget;
+}
+
+/* VideoEncoder._rate_control, probe for probe: gallop outward from the hint
+ * (steps 1, 2, 4, ...) until the boundary is bracketed, or take the whole
+ * range without one (hint < 0), then bisect.  Returns the smallest base QP
+ * that fits (max_qp when none does), or -1 to decline. */
+static int64_t rc_search(rc_state *s, double budget, int64_t hint, int64_t max_qp) {
+    int64_t lo, hi, step = 1;
+    int f;
+    if (hint < 0) {
+        lo = 0, hi = max_qp;
+        if ((f = rc_fits(s, lo, budget)) != 0) return f < 0 ? -1 : lo;
+        if ((f = rc_fits(s, hi, budget)) != 1) return f < 0 ? -1 : hi;
+    } else {
+        lo = hi = hint;
+        if ((f = rc_fits(s, hi, budget)) < 0) return -1;
+        if (f) {
+            for (;;) {
+                if (hi == 0) return 0;
+                lo = hi - step > 0 ? hi - step : 0;
+                if ((f = rc_fits(s, lo, budget)) < 0) return -1;
+                if (!f) break;
+                hi = lo, step *= 2;
+            }
+        } else {
+            for (;;) {
+                if (lo == max_qp) return max_qp;
+                hi = lo + step < max_qp ? lo + step : max_qp;
+                if ((f = rc_fits(s, hi, budget)) < 0) return -1;
+                if (f) break;
+                lo = hi, step *= 2;
+            }
+        }
+    }
+    while (hi - lo > 1) {
+        int64_t mid = (lo + hi) / 2;
+        if ((f = rc_fits(s, mid, budget)) < 0) return -1;
+        if (f) hi = mid; else lo = mid;
+    }
+    return hi;
+}
+
+/* A rows x cols grid of block x block macroblocks: frame and ref are float32
+ * planes, mv the interleaved float64 field; with nq > 1 rate control picks
+ * the base QP (hint: the clamped hint, or -1 for none), else it is row 0.
+ * Writes levels (the plane's layout), each macroblock's bits and the float32
+ * reconstruction, and qp_probes = {chosen row, probes}.  Returns 1 — the
+ * reference answers — where a stage's hook would decline, or when scratch
+ * could not be allocated.
+ *
+ * Macroblock by macroblock, the first pass predicts the macroblock,
+ * transforms its residual and makes the rate counter's first compaction, at
+ * the QP the search probes first (the hint, else 0), while each block is
+ * still in cache;
+ * the pass after the search quantises, costs and reconstructs each 8x8
+ * block in turn (an all-zero block is one with no coefficient bits). */
+int64_t inter_encode(const float *frame, const float *ref, const double *mv, int64_t rows, int64_t cols,
+                     int64_t block, const double *table, int64_t nq, int64_t k, const int64_t *col,
+                     double budget, int64_t hint, double *levels, double *bits, float *recon,
+                     int64_t *qp_probes) {
+    int64_t h = rows * block, w = cols * block, n = h * w, mbs = rows * cols, failed = 1;
+    int64_t search = nq > 1, qp = search && hint > 0 ? hint : 0, kept = 0, b = 0;
+    /* the prediction, then motion compensation's border tile */
+    float *pred = malloc((size_t)(n + (block + 1) * (block + 1)) * sizeof(float));
+    double *scratch = malloc((size_t)(mbs + n / 64) * sizeof(double));
+    int64_t *start = malloc((size_t)(mbs + 1) * sizeof(int64_t));
+    if (!pred || !scratch || !start) goto done;
+    float *tile = pred + n;
+    /* The coefficients live in recon and the candidates in levels until the
+     * last pass, which consumes a block's coefficients before it writes the
+     * block's pixels, and needs the candidates no more. */
+    float *coeffs = recon;
+    rc_state s = {coeffs, w, rows, cols, block, k, 0, table, col, scratch, scratch + mbs, levels,
+                  search ? (double)qp - RC_DESCENT : INFINITY, start};
+    rc_steps(&s, qp);
+    for (int64_t mb = 0; mb < mbs; mb++) {
+        int64_t at0 = (mb / cols) * block * w + (mb % cols) * block;
+        double cut = ZERO_CUT * s.step[mb];
+        if (mc_macroblock(ref, mv, mb / cols, mb % cols, rows, cols, block, tile, pred)) goto done;
+        start[mb] = kept;
+        for (int64_t i8 = 0; i8 < block; i8 += 8)
+            for (int64_t j8 = 0; j8 < block; j8 += 8) {
+                int64_t at = at0 + i8 * w + j8;
+                float res[64];
+                for (int64_t i = 0; i < 8; i++)
+                    for (int64_t j = 0; j < 8; j++) res[i * 8 + j] = frame[at + i * w + j] - pred[at + i * w + j];
+                if (dct8x8_f(res, 8, coeffs + at, w, 0)) goto done;
+                if (!search) continue;
+                kept = rc_keep(coeffs, 1, at, w, cut, s.block_max + b, s.cand, kept);
+                if (kept < 0 || !(s.block_max[b++] < RC_LEVEL_BOUND)) goto done;
+            }
+        if (search) kept = rc_pad(s.cand, start[mb], kept);
+    }
+    start[mbs] = kept;
+    if (search && (qp = rc_search(&s, budget, hint, nq - 1)) < 0) goto done;
+    rc_steps(&s, qp);
+    b = 0;
+    for (int64_t mb = 0; mb < mbs; mb++) {
+        int64_t at0 = (mb / cols) * block * w + (mb % cols) * block;
+        double step = s.step[mb], total = 0.0;
+        for (int64_t i8 = 0; i8 < block; i8 += 8)
+            for (int64_t j8 = 0; j8 < block; j8 += 8) {
+                int64_t at = at0 + i8 * w + j8;
+                double top = search ? s.block_max[b++] : block_top(coeffs, 1, at, w);
+                int64_t nbits = quant_block(coeffs, 1, at, w, top, step, levels + at, w);
+                if (nbits < 0 || recon_block(pred, levels, at, w, nbits > 0, step, recon)) goto done;
+                total += block_bits(nbits);
+            }
+        bits[mb] = total;
+    }
+    qp_probes[0] = qp;
+    qp_probes[1] = s.probes;
+    failed = 0;
+done:
+    free(pred);
+    free(scratch);
+    free(start);
+    return failed;
 }
 
 /* intra_encode: a rows x cols grid of block x block macroblocks of frame,
@@ -1144,7 +1430,7 @@ int64_t intra_encode(const double *frame, const double *q, int64_t rows, int64_t
                 for (int64_t j8 = 0; j8 < block && !failed; j8 += 8) {
                     double *lv = levels + (r0 + i8) * stride + c0 + j8;
                     int64_t nbits = dct8x8_d(residual + i8 * block + j8, block, coef, 8, 0)
-                                    ? -1 : quant_block(coef, 0, 0, 8, step, lv, stride);
+                                    ? -1 : quant_block(coef, 0, 0, 8, block_top(coef, 0, 0, 8), step, lv, stride);
                     failed = nbits < 0 || dequant_idct8(lv, stride, step, rec);
                     if (failed) break;
                     clip_add8(p + i8 * block + j8, block, rec, recon + (r0 + i8) * stride + c0 + j8, stride);

@@ -1,6 +1,6 @@
 """Runtime-compiled C backend: the pattern search, MC, value noise, the
-renderer's surfaces, the 8x8 DCT, I-frames, the P-frame's transform tail,
-RANSAC's hypothesis loop and the foreground clustering.
+renderer's surfaces, the 8x8 DCT, I-frames, whole P-frames and their
+transform tail, RANSAC's hypothesis loop and the foreground clustering.
 
 The C is ``cext.c`` beside this module (shipped as package data), compiled
 as it stands on disk; this docstring argues why each of its routines is
@@ -47,8 +47,18 @@ that process loaded.
 - Motion compensation orders every multiply/add exactly as the reference's
   vectorised expression — as the sub-pel vertex does — and the source is
   compiled with ``-ffp-contract=off`` so no FMA contraction can change a
-  rounding.  Both pad the float32 reference to float64 in C (widening is
-  exact, so it is ``np.pad(..., mode="edge")`` of the widened plane).
+  rounding.  The search pads the float32 reference to float64 in C
+  (widening is exact, so it is ``np.pad(..., mode="edge")`` of the widened
+  plane); ``motion_comp`` reads the float32 plane in place instead: an
+  edge-padded plane repeats the nearest edge pixel, so a tap outside the
+  frame is the pixel at its clamped row and column.  Blocks whose taps all
+  fall inside (most of a frame) blend eight pixels a step straight from the
+  plane; a block crossing an edge first gathers its window through clamped
+  indices into a tile.  The weights' fractions are the component minus its
+  floor *as an integer*, as the reference forms them: ``-0.0 - 0`` keeps
+  the sign ``-0.0 - floor(-0.0)`` loses, and a zero weight's sign shows in
+  a sum of ``-0.0`` taps.  An output NaN (whose payload the order does not
+  pin) and a vector past ``_MV_REACH`` are declined.
 - Value noise is a per-array pipeline in NumPy — four lattice hashes per
   octave, each a dozen full-size temporaries; C keeps a point's octaves in
   registers and reuses a lattice cell's four hashes for the next point in
@@ -105,7 +115,9 @@ that process loaded.
   inside the sums), and so do other dtypes and shapes; scipy answers.
   Lines are independent, so a block's transform is the same whichever
   blocks are beside it — which is what lets the loops below transform one
-  block at a time.
+  block at a time.  Between the two axes, and after the second, the block
+  is transposed by a loop the vectoriser takes whole (moves, no
+  arithmetic).
 - I-frames (``intra_encode`` / ``intra_decode``) are one call per frame:
   macroblocks in raster order, which meets the same left / top
   dependencies as the reference's anti-diagonal wavefront, each block's
@@ -122,11 +134,33 @@ that process loaded.
   divides only the magnitudes that can still reach a non-zero level
   (``rate_counter``: one compacting pass, no sort), and a reconstruction
   that dequantises, inverse-transforms and clips in one call, transforming
-  only the 8x8 blocks that carry a level (``reconstruct``).  ``np.round``
+  only the 8x8 blocks that carry a level (``reconstruct``).  The probe's
+  candidates are costed eight at a time: each macroblock's list is padded
+  with +0.0 (level 0, no bits) to whole chunks, and a whole-number level's
+  ``floor(log2)`` is the unbiased exponent field of the double.  ``np.round``
   is the add-and-subtract-1.5*2^52 idiom (exact below 2^51, no libm call);
   a skipped block's pixel is the clipped prediction because its dense
   residual is all +-0.0 — unless the prediction pixel is ``-0.0`` or a
   NaN, or a step is infinite, and then the reference answers.
+- A P-frame (``inter_encode``, behind ``repro.codec.encoder._inter_encode``)
+  is one call: ``motion_comp``'s prediction (macroblock by macroblock, just
+  before the macroblock is transformed), the residual as one float32
+  subtraction per pixel (numpy's ``frame - prediction``), its DCT
+  (``dct8x8_f``), rate control's gallop-then-bisect search probe for probe
+  through the same compaction and ``rc_bits``, then ``quant_cost``'s and
+  ``reconstruct``'s per-block routines at the chosen QP.  Each stage is the
+  routine whose bytes the stand-alone hooks already prove, so the call's
+  bytes are ``_inter_encode_reference``'s by construction, and it declines
+  wherever a stage's hook would (a NaN prediction, a non-finite transform,
+  a level past the integer bit model, a ``-0.0`` prediction pixel under a
+  skipped block).  The quantiser steps are numpy's ``qstep``, computed by
+  the wrapper once per frame over the base QPs 0-51 (or CRF's one QP) and
+  the frame's distinct offsets: C's ``pow`` is not numpy's ``power`` in
+  the last bit.  The first pass also makes the rate counter's first
+  compaction (at the QP the search probes first) while each block is in
+  cache, and the coefficients and candidates live in the output arrays
+  (``recon`` and ``levels``) until the last pass, which consumes a block's
+  coefficients before writing its pixels.
 - RANSAC's hypothesis loop (``ransac_pairs``, behind ``ransac_linear``) is
   one call per system: draw a pair, solve it, score every equation, stop
   adaptively.  Its reference, ``_ransac_pairs_reference``, takes no BLAS or
@@ -184,10 +218,10 @@ that process loaded.
   ``numpy`` reference.
 
 Every kernel call is re-entrant: the C code keeps no state between calls
-and its scratch (the search's padded reference, blocks and memo, a
-macroblock's predictions, |differences| and residual, a rate counter's
-candidate list, the noise's lattice cells) is allocated per call or per
-counter,
+and its scratch (the search's padded reference, blocks and memo, MC's border
+tile, a macroblock's predictions, |differences| and residual, a rate
+counter's candidate list, a P-frame's prediction, the noise's lattice
+cells) is allocated per call or per counter,
 so concurrent encodes (``agent_workers > 1`` — ctypes drops the GIL
 around each call) cannot see each other's data; RANSAC's only shared state
 is the caller's generator, whose own lock it holds while it draws.
@@ -260,12 +294,16 @@ _ANGLE_EDGE = 1e-3
 #: Field components C clusters: a dot or product of two means stays finite.
 _MV_LIMIT = 2.0**500
 
+#: Motion vectors C compensates: a floored component and the tap indices
+#: built from it stay far inside int64.
+_MV_REACH = 2.0**31
+
 #: C entry points and their argument types (all return void but the ones in
 #: :data:`_RESTYPES`, which report input the reference must answer).
 _SIGNATURES = {
     "pairwise_rows": [_PTR, _I64, _I64, _PTR],
     "pattern_search": [_PTR, _PTR, _I64, _I64, _I64, _I64, _I64, _F64, _I64, _PTR, _I64, _PTR, _PTR],
-    "motion_comp": [_PTR, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR],
+    "motion_comp": [_PTR, _PTR, _I64, _I64, _I64, _PTR],
     "value_noise": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR],
     "render_surfaces": [_PTR, _I64, _I64, _PTR, _F64, _F64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR,
                         _PTR, _PTR, _PTR, _PTR, _PTR],
@@ -275,6 +313,8 @@ _SIGNATURES = {
     "rc_compact": [_PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR],
     "rc_bits": [_PTR, _PTR, _PTR, _I64, _I64, _PTR],
     "reconstruct": [_PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR],
+    "inter_encode": [_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR, _I64, _I64, _PTR, _F64, _I64, _PTR, _PTR, _PTR,
+                     _PTR],
     "intra_encode": [_PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR],
     "intra_decode": [_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR],
     "ransac_pairs": [_PTR, _PTR, _I64, _F64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR],
@@ -283,7 +323,7 @@ _SIGNATURES = {
 }
 _RESTYPES = {"pattern_search": _I64, "motion_comp": _I64, "value_noise": _I64,
              "render_surfaces": _I64, "render_sky": _I64, "dct8": _I64, "quant_cost": _I64, "rc_compact": _I64,
-             "rc_bits": _F64, "reconstruct": _I64, "intra_encode": _I64, "intra_decode": _I64,
+             "rc_bits": _F64, "reconstruct": _I64, "inter_encode": _I64, "intra_encode": _I64, "intra_decode": _I64,
              "ransac_pairs": _I64, "foreground_clusters": _I64}
 
 class _Unavailable(Exception):
@@ -583,24 +623,17 @@ class _CKernels:
 
         plane = np.ascontiguousarray(reference, dtype=np.float32)
         grid = _grid(plane, block, (np.float32,))
-        if grid is None or _grid(mv, tail=(2,)) != grid or not np.isfinite(mv).all():
-            # A field that does not tile the plane, or one C cannot floor to
-            # int64: what the reference makes of it (its exceptions
-            # included) is the answer.
-            return _motion_compensate_reference(reference, mv, block=block)
-        rows, cols = grid
-        rng = int(np.ceil(np.abs(mv).max())) + 2
-        if (plane.shape[0] + 2 * rng) * (plane.shape[1] + 2 * rng) * 8 >= 2**63:
-            # The padded plane's bytes would overflow C's int64 / size_t.
-            return _motion_compensate_reference(reference, mv, block=block)
-        mvx = np.ascontiguousarray(mv[..., 0], dtype=np.float64).ravel()
-        mvy = np.ascontiguousarray(mv[..., 1], dtype=np.float64).ravel()
-        out = np.empty(plane.shape, dtype=np.float32)
-        if self._lib.motion_comp(
-            plane.ctypes.data, mvx.ctypes.data, mvy.ctypes.data, rng, rows, cols, block, out.ctypes.data
-        ):
-            return _motion_compensate_reference(reference, mv, block=block)
-        return out
+        if grid is not None and _grid(mv, tail=(2,)) == grid:
+            vectors = np.ascontiguousarray(mv, dtype=np.float64)
+            out = np.empty(plane.shape, dtype=np.float32)
+            if (np.abs(vectors) < _MV_REACH).all() and not self._lib.motion_comp(
+                plane.ctypes.data, vectors.ctypes.data, *grid, block, out.ctypes.data
+            ):
+                return out
+        # A field that does not tile the plane, a vector C cannot floor to
+        # int64 (NaN, inf, past _MV_REACH), a NaN output pixel: what the
+        # reference makes of it (its exceptions included) is the answer.
+        return _motion_compensate_reference(reference, mv, block=block)
 
     def value_noise(self, x, y, *, seed, scale=1.0, octaves=1):
         """``value_noise_2d``: all octaves and lattice hashes of a point in one pass."""
@@ -792,6 +825,57 @@ class _CKernels:
         # a skipped block: the reference answers.
         return _reconstruct_reference(prediction, levels, qp_per_mb, mb_size=mb_size)
 
+    def inter_encode(self, frame, reference, mv, offsets, *, block, budget, base_qp, hint):
+        """``_inter_encode_reference`` in one call — ``(levels, bits_per_mb,
+        chosen_qp, probes, reconstruction)`` — or ``None`` when the reference
+        must answer: planes the C loops could not index as they stand (not
+        C-contiguous float32 of one grid), a field off the grid or a vector
+        past ``_MV_REACH``, an offset map off the grid or holding a NaN, not
+        exactly one of ``budget`` and ``base_qp``, and wherever a stage's own
+        hook declines (a NaN prediction pixel, a non-finite transform, a
+        level the bit model cannot cost in integers, a -0.0 prediction pixel
+        under a skipped block)."""
+        from repro.codec.encoder import _MAX_QP
+        from repro.codec.transform import qstep
+
+        grid = _grid(frame, block, (np.float32,))
+        if not (
+            grid is not None
+            and _grid(reference, block, (np.float32,)) == grid
+            and _grid(mv, tail=(2,)) == grid
+            and np.shape(offsets) == grid
+            and (budget is None) != (base_qp is None)
+        ):
+            return None
+        vectors = np.ascontiguousarray(mv, dtype=np.float64)
+        if not (np.abs(vectors) < _MV_REACH).all():
+            return None
+        # Every step numpy's qstep would compute for this frame — per base
+        # QP searched (or the one fixed QP) and distinct offset — so each is
+        # numpy's power, not C's pow.
+        offsets = np.asarray(offsets, dtype=np.float64).ravel()
+        distinct = np.unique(offsets)
+        chosen = None if base_qp is None else float(np.clip(base_qp, 0, _MAX_QP))
+        base = np.arange(_MAX_QP + 1.0) if chosen is None else np.array([chosen])
+        table = qstep(np.clip(base[:, None] + distinct, 0, _MAX_QP))
+        if not np.isfinite(table).all():
+            return None
+        column = np.searchsorted(distinct, offsets).astype(np.int64)
+        h, w = frame.shape
+        levels = np.empty((h // 8, 8, w // 8, 8), dtype=np.float64)
+        bits_per_mb = np.empty(grid, dtype=np.float64)
+        recon = np.empty((h, w), dtype=np.float32)
+        qp_probes = np.empty(2, dtype=np.int64)
+        if self._lib.inter_encode(
+            frame.ctypes.data, reference.ctypes.data, vectors.ctypes.data, *grid, block,
+            table.ctypes.data, *table.shape, column.ctypes.data,
+            0.0 if budget is None else float(budget), -1 if hint is None else min(max(int(hint), 0), _MAX_QP),
+            levels.ctypes.data, bits_per_mb.ctypes.data, recon.ctypes.data, qp_probes.ctypes.data,
+        ):
+            return None
+        qp, probes = qp_probes.tolist()
+        return levels, bits_per_mb, float(qp) if chosen is None else chosen, probes, recon
+
     def ransac_pairs(self, a, b, threshold, max_iterations, rng):
         """``_ransac_pairs_reference``: the whole hypothesis loop in one call,
         drawing from ``rng``'s bit generator under its lock, or ``None`` when
@@ -910,6 +994,45 @@ def _frame_bits_reference(coeffs, offsets):
     from repro.codec.transform import quantize, transform_cost_bits
 
     return lambda qp: float(transform_cost_bits(quantize(coeffs, np.clip(qp + offsets, 0.0, 51.0))).sum())
+
+
+def _same_coding(got, want) -> bool:
+    """Whether a coded P-frame — its arrays to the bit, its chosen QP and
+    probe count by value and type — is the reference's."""
+    return got is not None and len(got) == len(want) and all(
+        _same_bytes(g, w) if isinstance(w, np.ndarray) else type(g) is type(w) and g == w for g, w in zip(got, want)
+    )
+
+
+def _inter_cases(gen) -> list:
+    """``inter_encode`` cases: noise that moved, under quarter-pel fields
+    reaching up to 20 px past every frame edge and integer ones, offset maps
+    that are zero, fractional and saturating at QP 0 / 51; CBR budgets
+    between the ends, under QP 51's bits and over QP 0's, from no hint and
+    from hints on both sides of the answer; CRF QPs inside and past the
+    range."""
+    cases = []
+    for block, shape in ((16, (48, 64)), (8, (32, 40))):
+        grid = (shape[0] // block, shape[1] // block)
+        ref = gen.uniform(0.0, 255.0, size=shape).astype(np.float32)
+        frame = np.clip(np.roll(ref, (2, -3), axis=(0, 1)) + gen.normal(0.0, 6.0, size=shape), 0.0, 255.0)
+        frame = frame.astype(np.float32)
+        quarter = (gen.integers(-80, 81, size=(*grid, 2)) * 0.25).astype(np.float32)
+        whole = gen.integers(-20, 21, size=(*grid, 2)).astype(np.float32)
+        fractional = gen.uniform(-4.0, 9.0, size=grid)
+        saturating = gen.choice([-60.0, 0.0, 3.5, 60.0], size=grid)
+        runs = [
+            ("quarter-pel, no hint", quarter, fractional, dict(budget=9000.0, base_qp=None, hint=None)),
+            ("whole-pel, hint above", whole, np.zeros(grid), dict(budget=9000.0, base_qp=None, hint=51)),
+            ("quarter-pel, hint below", quarter, saturating, dict(budget=20000.0, base_qp=None, hint=2)),
+            ("under QP 51's bits", quarter, fractional, dict(budget=1.0, base_qp=None, hint=30)),
+            ("over QP 0's bits", whole, fractional, dict(budget=1e9, base_qp=None, hint=None)),
+            ("CRF", quarter, saturating, dict(budget=None, base_qp=23.5, hint=7)),
+            ("CRF past 51", whole, fractional, dict(budget=None, base_qp=80.0, hint=None)),
+        ]
+        cases += [(f"block {block}, {label}", (frame, ref, mv, offsets), dict(params, block=block))
+                  for label, mv, offsets, params in (runs if block == 16 else runs[::3])]
+    return cases
 
 
 def _remainder_cases(values) -> list:
@@ -1118,6 +1241,7 @@ def _probe_table() -> list[_ProbeRow]:
     """The self-probe: the pairwise sum, then one row per hook of
     :data:`KERNEL_NAMES`, over adversarial inputs from one seeded generator.
     The fault tests index it by hook name."""
+    from repro.codec.encoder import _inter_encode_reference
     from repro.codec.intra import _intra_decode_reference, _intra_encode_reference
     from repro.codec.motion import _motion_compensate_reference, _pattern_search_reference
     from repro.codec.transform import _quantize_cost_reference, _reconstruct_reference, _transform_reference
@@ -1159,6 +1283,25 @@ def _probe_table() -> list[_ProbeRow]:
         search += [(f"{method}, block {block}", (cur, ref), dict(params, method=method)) for method in _ME_METHODS]
         mv = (gen.integers(-28, 29, size=(shape[0] // block, shape[1] // block, 2)) * 0.25).astype(np.float32)
         compensate.append((f"block {block}", (ref, mv), dict(block=block)))
+    # Every block of a small frame on or past an edge, by up to twice the
+    # frame: the clamped taps of motion_comp's border tiles (a generator of
+    # its own, so the rows below draw what they always drew).
+    edges = np.random.default_rng(0xED)
+    plane = edges.uniform(0.0, 255.0, size=(32, 48)).astype(np.float32)
+    for quarter in (1, 4):
+        mv = (edges.integers(-64 * quarter, 64 * quarter + 1, size=(4, 6, 2)) / quarter).astype(np.float32)
+        compensate.append((f"block 8, past every edge, 1/{quarter} pel", (plane, mv), dict(block=8)))
+    # -0.0 vector components over -0.0 pixels: the sign of a zero weight
+    # shows in the sum.
+    signed = np.where(edges.uniform(size=(32, 48)) < 0.5, -0.0, plane).astype(np.float32)
+    mv = edges.choice([-0.0, 0.0, 0.5, -0.25, 1.0], size=(4, 6, 2)).astype(np.float32)
+    compensate.append(("block 8, -0.0 components and pixels", (signed, mv), dict(block=8)))
+    # Every block's window on the top-left corner (its taps one row up and
+    # one column left outside), then on the bottom-right one (all inside).
+    rows, cols = np.mgrid[0:4, 0:6] * 8.0
+    for where, dx, dy in (("top-left", cols + 0.25, rows + 0.5), ("bottom-right", cols - 39.75, rows - 23.5)):
+        mv = np.stack([dx, dy], axis=-1).astype(np.float32)
+        compensate.append((f"block 8, every window on the {where} corner", (plane, mv), dict(block=8)))
     # Value noise: the renderer's three call shapes over world-sized,
     # lattice-exact, negative and 2^40-scale coordinates, with seeds on
     # both sides of the uint64 wrap.
@@ -1263,14 +1406,16 @@ def _probe_table() -> list[_ProbeRow]:
         _ProbeRow("intra_decode", _intra_decode_reference, decode),
         _ProbeRow("ransac_pairs", _ransac_pairs_reference, _ransac_cases(gen), _same_draws, _on_a_copy),
         _ProbeRow("foreground_clusters", _packed_reference, _foreground_cases(gen)),
+        _ProbeRow("inter_encode", _inter_encode_reference, _inter_cases(gen), _same_coding),
     ]
 
 
 class CExtBackend(KernelBackend):
     """Compiled-C pattern search, motion compensation, value noise, the
     renderer's surfaces (``render_surfaces``), the 8x8 DCT (``transform``),
-    I-frames (``intra_encode`` / ``intra_decode``), the P-frame's
-    transform tail (``quantize_cost`` / ``rate_counter`` / ``reconstruct``),
+    I-frames (``intra_encode`` / ``intra_decode``), whole P-frames
+    (``inter_encode``) and their transform tail (``quantize_cost`` /
+    ``rate_counter`` / ``reconstruct``),
     RANSAC's hypothesis loop (``ransac_pairs``) and the foreground
     clustering (``foreground_clusters``), self-probed."""
 

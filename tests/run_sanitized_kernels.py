@@ -1,9 +1,11 @@
 """Run the kernel suites with ``src/repro/kernels/cext.c`` built under ASan + UBSan.
 
-The 15 C entry points of ``cext.c`` write through raw pointers — the motion
-search's per-block memo (a hash probe) and its in-C edge padding, the rate
-counter's candidate list, the 8x8 transform's and the I-frame loops' block
-walks over caller-given planes, the renderer's image, id-buffer,
+The 16 C entry points of ``cext.c`` write through raw pointers — the motion
+search's per-block memo (a hash probe) and its in-C edge padding, motion
+compensation's clamped border tiles, the rate counter's candidate list, the
+8x8 transform's, the I-frame loops' and the P-frame loop's block walks over
+caller-given planes (the P-frame's coefficients and candidates parked in
+its output arrays), the renderer's image, id-buffer,
 per-object statistics and sky gathers inside caller-given windows, and
 RANSAC's row gathers at drawn indices and its two masks, and the
 foreground clustering's BFS queue, linked block lists, label grid and hull
@@ -41,6 +43,7 @@ SUITES = [
     "test_noise_kernel.py",
     "test_codec_intra.py",
     "test_intra_kernels.py",
+    "test_inter_kernels.py",
     "test_transform_kernels.py",
     "test_golden_iframes.py",
     "test_golden_pframes.py",

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.codec.motion import (
     _BlockSadEvaluator,
+    _motion_compensate_reference,
     _pattern_search,
     _pattern_search_reference,
     estimate_motion,
@@ -502,6 +503,31 @@ class TestMotionCompensateBitExact:
         np.testing.assert_array_equal(
             motion_compensate(ref, mv, block=8), _ref_motion_compensate(ref, mv, block=8)
         )
+
+    def test_negative_zero_components_over_negative_zero_pixels(self):
+        """A zero bilinear weight's sign shows in a sum of -0.0 taps, so the
+        weights come from each component minus its floor taken as an
+        integer, as the reference forms them (``-0.0 - 0`` keeps the sign)."""
+        gen = np.random.default_rng(26)
+        ref = np.where(gen.uniform(size=(32, 48)) < 0.5, -0.0, gen.uniform(0, 255, size=(32, 48)))
+        mv = gen.choice([-0.0, 0.0, 0.5, -0.25, 1.0], size=(4, 6, 2)).astype(np.float32)
+        got = motion_compensate(ref.astype(np.float32), mv, block=8)
+        assert got.tobytes() == _motion_compensate_reference(ref.astype(np.float32), mv, block=8).tobytes()
+
+    @pytest.mark.parametrize("quarter", [1, 4], ids=["integer", "quarter-pel"])
+    def test_windows_on_and_past_every_edge(self, quarter):
+        """Blocks read in place, blocks whose window crosses an edge, and
+        windows exactly on the top-left (their taps one row up and one
+        column left outside) and bottom-right corners (all inside)."""
+        gen = np.random.default_rng(27)
+        ref = gen.uniform(0, 255, size=(32, 48)).astype(np.float32)
+        rows, cols = np.mgrid[0:4, 0:6] * 8.0
+        fields = [gen.integers(-64 * quarter, 64 * quarter + 1, size=(4, 6, 2)) / quarter,
+                  np.stack([cols + 0.25, rows + 0.5], axis=-1), np.stack([cols - 39.75, rows - 23.5], axis=-1)]
+        for mv in fields:
+            mv = mv.astype(np.float32)
+            got = motion_compensate(ref, mv, block=8)
+            assert got.tobytes() == _motion_compensate_reference(ref, mv, block=8).tobytes()
 
 
 def _mc_outcome(backend, plane, mv, block):

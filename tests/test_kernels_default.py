@@ -421,6 +421,13 @@ SOURCE_MUTATIONS = {
     # (complete at the probe that compacted them, short for every probe
     # below), a skipped block priced at half a bit.
     "round-half-away": ("return copysign((fabs(x) + 0x1.8p52) - 0x1.8p52, x);", "return round(x);", "quantize_cost"),
+    # Motion compensation: a tap past the right or bottom edge clamped one
+    # pixel short of it, and the bilinear weights formed from the floor as a
+    # double (a -0.0 component's weight loses its sign).
+    "clamp-one-short": ("    return v < 0 ? 0 : (v >= n ? n - 1 : v);", "    return v < 0 ? 0 : (v >= n ? n - 2 : v);",
+                        "motion_compensate"),
+    "zero-weight-sign": ("    double ax = vx - (double)fdx, ay = vy - (double)fdy;",
+                         "    double ax = vx - floor(vx), ay = vy - floor(vy);", "motion_compensate"),
     # The transform: pocketfft's rotation wr + i wi with wi one ulp low (= wr).
     "wi-as-wr": ("#define DCT_WI 0x1.6a09e667f3bcdp-1", "#define DCT_WI 0x1.6a09e667f3bccp-1", "transform"),
     "cut-at-half-a-step": ("#define ZERO_CUT 0.25", "#define ZERO_CUT 0.5", "rate_counter"),

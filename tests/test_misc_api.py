@@ -69,6 +69,18 @@ class TestEncoderValidation:
         with pytest.raises(ValueError, match="gop"):
             VideoEncoder(EncoderConfig(gop=gop))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    def test_lambda_mv_that_is_not_finite_and_non_negative_is_named(self, value):
+        """NaN / inf would silently turn the search off, a negative weight
+        reward long vectors."""
+        from repro.codec import EncoderConfig, estimate_motion
+
+        with pytest.raises(ValueError, match="lambda_mv"):
+            EncoderConfig(lambda_mv=value)
+        frame = np.zeros((32, 32), dtype=np.float32)
+        with pytest.raises(ValueError, match="lambda_mv"):
+            estimate_motion(frame, frame, lambda_mv=value)
+
     def test_detection_equality(self):
         a = Detection("car", (0, 0, 1, 1), 0.5)
         b = Detection("car", (0, 0, 1, 1), 0.5)
@@ -106,6 +118,51 @@ class TestCodecEntryChecks:
 
         with pytest.raises(ValueError, match=name):
             VideoEncoder().encode(self.FRAME, **{name: float("nan")})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_encode_rejects_a_precomputed_vector_that_is_not_finite(self, value):
+        from repro.codec import VideoEncoder
+        from repro.codec.motion import MotionEstimate
+
+        encoder = VideoEncoder()
+        encoder.encode(self.FRAME, base_qp=20.0)
+        mv = np.zeros((2, 3, 2), dtype=np.float32)
+        mv[1, 2, 0] = value
+        motion = MotionEstimate(mv=mv, sad=np.zeros((2, 3)), method="hex", elapsed=0.0)
+        with pytest.raises(ValueError, match="motion"):
+            encoder.encode(self.FRAME + 3.0, base_qp=20.0, motion=motion)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("frame_type", ["I", "P"])
+    def test_decode_rejects_levels_that_are_not_finite(self, frame_type, value):
+        from repro.codec import VideoDecoder, VideoEncoder
+
+        encoder, decoder = VideoEncoder(), VideoDecoder()
+        encoded = encoder.encode(self.FRAME, base_qp=20.0)
+        if frame_type == "P":
+            decoder.decode(encoded)
+            encoded = encoder.encode(self.FRAME + 3.0, base_qp=20.0)
+        encoded.levels = encoded.levels.copy()
+        encoded.levels[1, 2, 3, 4] = value
+        with pytest.raises(ValueError, match="levels"):
+            decoder.decode(encoded)
+
+    @pytest.mark.parametrize("corrupt", ["off the grid", "nan"])
+    def test_decode_rejects_a_motion_field_corrupted_in_transit(self, corrupt):
+        from repro.codec import VideoDecoder, VideoEncoder
+        from repro.codec.motion import MotionEstimate
+
+        encoder, decoder = VideoEncoder(), VideoDecoder()
+        decoder.decode(encoder.encode(self.FRAME, base_qp=20.0))
+        encoded = encoder.encode(self.FRAME + 3.0, base_qp=20.0)
+        mv = encoded.mv.copy()
+        if corrupt == "nan":
+            mv[0, 1, 1] = np.nan
+        else:
+            mv = mv[:, :2]
+        encoded.motion = MotionEstimate(mv=mv, sad=encoded.motion.sad, method="hex", elapsed=0.0)
+        with pytest.raises(ValueError, match="motion field"):
+            decoder.decode(encoded)
 
     @pytest.mark.parametrize("corrupt", [100.0, -100.0, np.nan], ids=["plus100", "minus100", "nan"])
     @pytest.mark.parametrize("frame_type", ["I", "P"])

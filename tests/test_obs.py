@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.codec.encoder import EncoderConfig, VideoEncoder
 from repro.obs import (
     NULL_TRACER,
@@ -287,7 +288,10 @@ class TestNullTracerOverhead:
     def test_live_tracer_records_encode_stages(self):
         frames = self._frames(n=3)
         tr = Tracer()
-        self._encode_loop(frames, tr)
+        # The stage sub-spans after ME are the reference's: where the
+        # inter_encode hook codes a P-frame they are one C call.
+        with kernels.use_backend("numpy"):
+            self._encode_loop(frames, tr)
         assert len(tr.frames) == 3
         # I-frame (gop=4, frame 0) has no mc span; P-frames do.
         assert "pipeline/encode" in tr.frames[0].spans
@@ -296,6 +300,11 @@ class TestNullTracerOverhead:
         for f in tr.frames:
             assert f.counters["bits"] > 0
             assert 0 <= f.counters["qp_mean"] <= 51
+            assert f.counters["rate_probes"] >= 1
+        # The default backend's gauges — bits, QPs, probes — are the same.
+        default = Tracer()
+        self._encode_loop(frames, default)
+        assert [f.counters for f in default.frames] == [f.counters for f in tr.frames]
 
 
 class TestSchemeTracing:

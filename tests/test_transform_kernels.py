@@ -614,6 +614,19 @@ class TestRateControlProperties:
             return seen[-1][1]
 
         monkeypatch.setattr(VideoEncoder, "_rate_control", staticmethod(recording))
+        # Where the inter_encode hook codes a P-frame, its search runs in C:
+        # record the hint it was handed and the QP it chose.
+        backend = kernels.active()
+        hook = backend.inter_encode
+        if hook is not None:
+
+            def recording_hook(*args, budget, hint, **kwargs):
+                out = hook(*args, budget=budget, hint=hint, **kwargs)
+                if out is not None and budget is not None:
+                    seen.append((hint, out[2]))
+                return out
+
+            monkeypatch.setattr(backend, "inter_encode", recording_hook)
         return seen
 
     def test_reset_and_a_fresh_encoder_forget_the_hint(self, searches):
