@@ -134,10 +134,10 @@ class VideoEncoder:
     """Stateful encoder over a frame sequence.
 
     ``tracer`` instruments the encode pipeline: span ``"encode"`` with
-    sub-spans ``me`` / ``mc`` / ``dct`` / ``rate_control`` / ``quant``,
-    plus per-frame bit, QP and rate-probe gauges.  A P-frame the
-    ``inter_encode`` kernel codes in one call has only ``me`` (the stages
-    after it are that one call).  The default no-op tracer costs nothing.
+    sub-spans ``dct`` / ``rate_control`` / ``quant`` on an I-frame and
+    ``me`` on a P-frame (everything after ME is one ``inter_encode`` call,
+    on every backend), plus per-frame bit, QP and rate-probe gauges.  The
+    default no-op tracer costs nothing.
     """
 
     def __init__(
@@ -257,7 +257,6 @@ class VideoEncoder:
                     budget=None if target_bits is None else float(target_bits) - overhead,
                     base_qp=base_qp,
                     hint=self._qp_hint,
-                    tracer=tr,
                 )
                 if target_bits is not None:
                     self._qp_hint = int(chosen_qp)
@@ -406,7 +405,6 @@ def _inter_encode(
     budget: float | None,
     base_qp: float | None,
     hint: int | None,
-    tracer: Tracer | NullTracer = NULL_TRACER,
 ) -> tuple[np.ndarray, np.ndarray, float, int, np.ndarray]:
     """A P-frame: ``frame`` predicted from ``reference`` under the motion
     field ``mv``, its residual transformed, quantised under ``offsets`` plus
@@ -415,13 +413,13 @@ def _inter_encode(
 
     Returns ``(levels, bits_per_mb, chosen_qp, probes, reconstruction)``:
     the backend's ``inter_encode`` hook in one call, or the reference
-    wherever the hook declines (``None``).  Only the reference records the
-    ``mc`` / ``dct`` / ``rate_control`` / ``quant`` sub-spans.
+    wherever the hook declines (``None``).  Neither records a sub-span: the
+    frame's ``encode`` span is the same on every backend.
     """
     impl = kernels.override("inter_encode")
     params = dict(block=block, budget=budget, base_qp=base_qp, hint=hint)
     out = None if impl is None else impl(frame, reference, mv, offsets, **params)
-    return _inter_encode_reference(frame, reference, mv, offsets, **params, tracer=tracer) if out is None else out
+    return _inter_encode_reference(frame, reference, mv, offsets, **params) if out is None else out
 
 
 def _inter_encode_reference(
@@ -434,23 +432,19 @@ def _inter_encode_reference(
     budget: float | None,
     base_qp: float | None,
     hint: int | None,
-    tracer: Tracer | NullTracer = NULL_TRACER,
 ) -> tuple[np.ndarray, np.ndarray, float, int, np.ndarray]:
     """Reference implementation of :func:`_inter_encode` (oracle and
     fallback): one dispatched stage per call."""
-    with tracer.span("mc"):
-        prediction = motion_compensate(reference, mv, block=block)
-    with tracer.span("dct"):
-        coeffs = dct_blocks(frame - prediction)
+    prediction = motion_compensate(reference, mv, block=block)
+    coeffs = dct_blocks(frame - prediction)
     probes = 0
     if base_qp is not None:
         chosen_qp = float(np.clip(base_qp, 0, _MAX_QP))
     else:
-        chosen_qp, probes = _rate_controlled(coeffs, offsets, block, budget, hint, tracer)
+        chosen_qp, probes = _rate_controlled(coeffs, offsets, block, budget, hint, NULL_TRACER)
     qp_map = np.clip(chosen_qp + offsets, 0, _MAX_QP)
-    with tracer.span("quant"):
-        levels, bits_per_mb = quantize_cost(coeffs, qp_map, mb_size=block)
-        reconstruction = reconstruct(prediction, levels, qp_map, mb_size=block)
+    levels, bits_per_mb = quantize_cost(coeffs, qp_map, mb_size=block)
+    reconstruction = reconstruct(prediction, levels, qp_map, mb_size=block)
     return levels, bits_per_mb, chosen_qp, probes, reconstruction
 
 

@@ -102,9 +102,8 @@ def intra_encode(
     and per-macroblock coefficient+mode bits.
     """
     impl = kernels.override("intra_encode")
-    if impl is not None:
-        return impl(frame, qp_map, block=block)
-    return _intra_encode_reference(frame, qp_map, block=block)
+    out = None if impl is None else impl(frame, qp_map, block=block)
+    return _intra_encode_reference(frame, qp_map, block=block) if out is None else out
 
 
 def _intra_encode_reference(
@@ -185,9 +184,8 @@ def intra_decode(
     residual is added — bit-exact with the encoder's reconstruction.
     """
     impl = kernels.override("intra_decode")
-    if impl is not None:
-        return impl(levels, modes, qp_map, block=block)
-    return _intra_decode_reference(levels, modes, qp_map, block=block)
+    out = None if impl is None else impl(levels, modes, qp_map, block=block)
+    return _intra_decode_reference(levels, modes, qp_map, block=block) if out is None else out
 
 
 def _intra_decode_reference(

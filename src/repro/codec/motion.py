@@ -337,8 +337,8 @@ def _pattern_search(
     ``None`` for what it cannot prove), else the reference below."""
     params = dict(method=method, search_range=search_range, block=block, lambda_mv=lambda_mv, subpel=subpel)
     impl = kernels.override("pattern_search")
-    found = impl(current, reference, **params) if impl is not None else None
-    return found if found is not None else _pattern_search_reference(current, reference, **params)
+    out = None if impl is None else impl(current, reference, **params)
+    return _pattern_search_reference(current, reference, **params) if out is None else out
 
 
 def _pattern_search_reference(
@@ -604,9 +604,8 @@ def motion_compensate(reference: np.ndarray, mv: np.ndarray, *, block: int = 16)
     MVs use bilinear interpolation, matching the sub-pixel search.
     """
     impl = kernels.override("motion_compensate")
-    if impl is not None:
-        return impl(reference, mv, block=block)
-    return _motion_compensate_reference(reference, mv, block=block)
+    out = None if impl is None else impl(reference, mv, block=block)
+    return _motion_compensate_reference(reference, mv, block=block) if out is None else out
 
 
 def _motion_compensate_reference(

@@ -159,9 +159,8 @@ def quantize_cost(
     read each coefficient once instead of sweeping the volume per step.
     """
     impl = kernels.override("quantize_cost")
-    if impl is not None:
-        return impl(coeffs, qp_per_mb, mb_size=mb_size)
-    return _quantize_cost_reference(coeffs, qp_per_mb, mb_size=mb_size)
+    out = None if impl is None else impl(coeffs, qp_per_mb, mb_size=mb_size)
+    return _quantize_cost_reference(coeffs, qp_per_mb, mb_size=mb_size) if out is None else out
 
 
 def _quantize_cost_reference(
@@ -184,9 +183,8 @@ def reconstruct(
     all ±0.0 and the pixel is the clipped prediction.
     """
     impl = kernels.override("reconstruct")
-    if impl is not None:
-        return impl(prediction, levels, qp_per_mb, mb_size=mb_size)
-    return _reconstruct_reference(prediction, levels, qp_per_mb, mb_size=mb_size)
+    out = None if impl is None else impl(prediction, levels, qp_per_mb, mb_size=mb_size)
+    return _reconstruct_reference(prediction, levels, qp_per_mb, mb_size=mb_size) if out is None else out
 
 
 def _reconstruct_reference(

@@ -260,10 +260,10 @@ def foreground_clusters(
     kwargs = dict(similarity=similarity, min_cluster_size=min_cluster_size, min_magnitude=min_magnitude, merge=merge,
                   max_angle=max_angle, max_magnitude_ratio=max_magnitude_ratio, max_distance=max_distance)
     impl = kernels.override("foreground_clusters")
-    packed = impl(*args, **kwargs) if impl is not None else None
-    if packed is None:
+    out = None if impl is None else impl(*args, **kwargs)
+    if out is None:
         return _foreground_clusters_reference(*args, **kwargs)
-    means, members, starts, mask = packed
+    means, members, starts, mask = out
     cols = mv.shape[1]
     blocks = [divmod(i, cols) for i in members.tolist()]
     bounds = starts.tolist()

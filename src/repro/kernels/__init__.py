@@ -2,36 +2,20 @@
 
 PR 5 vectorised the encoder hot loop as far as single-threaded NumPy goes;
 this package adds the next multiplier: two fixed backends, so that a
-compiled implementation of the extracted kernels — the codec's
-pattern search (DIA / HEX / UMH, a frame's whole search as one call),
-motion compensation, the 8x8 DCT and its inverse (``transform``: scipy's
-pocketfft arithmetic, replayed to its bytes), I-frames (``intra_encode`` /
-``intra_decode``: a frame per call), P-frames (``inter_encode``: MC, the
-residual's DCT, rate control's search, quantiser and reconstruction in one
-call) and the P-frame transform tail (``quantize_cost`` / ``rate_counter`` /
-``reconstruct``: everything between the forward DCT and the reconstruction,
-the IDCT included, which the decoder and the reference P-frame path call),
-the renderer's
-surfaces (``render_surfaces``: a frame's ground, billboards and sky, and
-each billboard's kept pixels, in two calls around numpy's ``arctan2``),
-the synthetic world's value noise, RANSAC's hypothesis loop
-(``ransac_pairs``: a rotation estimate's draws, 2x2 solves and scoring, from
-the caller's own generator) and the foreground clustering
-(``foreground_clusters``: a frame's region growing, merge fixpoint and
-convex contours) — be swapped in behind the ``KernelBackend`` seam.
+compiled implementation of each hook in :data:`KERNEL_NAMES` (the list
+says what each one does) can be swapped in behind the ``KernelBackend``
+seam.
 
-**Contract.**  ``cext`` must be *bit-identical* to the ``numpy``
-reference: the kernel bit-exactness suites (``tests/test_codec_kernels.py``,
-``tests/test_intra_kernels.py``, ``tests/test_inter_kernels.py``,
-``tests/test_transform_kernels.py``,
-``tests/test_noise_kernel.py``, ``tests/test_render_kernel.py``,
-``tests/test_ransac_kernel.py``, the clustering hook's section of
-``tests/test_foreground_oracle.py``) and the golden e2e digest, frames,
-I-frames, P-frames, MV fields, rotation estimates and foreground masks are
-parametrized over both backends, and a
-``cext`` that cannot prove itself (a failed self-probe, a missing compiler
-or source file) reports unavailable and the dispatch falls through to the
-reference implementation per kernel.
+**Contract.**  A hook returns ``None`` for any input it will not take,
+and the dispatch site in ``repro.*`` then answers with its ``_reference``
+body — the same bytes, the same exceptions; a hook never calls a
+reference itself.  ``cext`` must be *bit-identical* to the ``numpy``
+reference: the suites carrying the ``kernels`` pytest marker (``pytest
+-m kernels``: the per-hook oracle sweeps and the golden digests, frames,
+I-frames, P-frames, MV fields, rotation estimates and foreground masks)
+are parametrized over both backends, and a ``cext`` that cannot prove
+itself (a failed self-probe, a missing compiler or source file) reports
+unavailable and every dispatch runs its reference.
 
 **Default.**  Nothing is chosen at import.  The first kernel dispatch (or
 :func:`active`) resolves the default from what the host can prove:
@@ -52,41 +36,12 @@ second.  Each is built once, on first use.
     their own (already vectorised) implementations.  Always available;
     the fallback default, and what the tests compare every backend to.
 ``cext``
-    Runtime-compiled C (via the system ``cc``/``gcc``) for the whole
-    DIA/HEX/UMH search — one call per frame, every SAD through a per-block
-    memo — and motion compensation, for the 8x8 DCT / IDCT (pocketfft's
-    DCT-II / DCT-III, operation for operation, so the bytes are scipy's;
-    non-finite outputs are declined to scipy), for whole I-frames
-    (``intra_encode`` / ``intra_decode``: prediction, mode decision,
-    transforms, quantiser and clip in one call), for whole P-frames
-    (``inter_encode``: MC, residual DCT, rate control's search, quantiser
-    and reconstruction in one call, at the bytes of its stage-by-stage
-    reference), for the P-frame's
-    transform tail (``quantize_cost``, ``QuantBitCounter``'s probe, and a
-    ``reconstruct`` that dequantises, inverse-transforms and clips only the
-    coded 8x8 blocks), for the renderer's surfaces (geometry,
-    painter's-order visibility, one texture per visible pixel, the sky, each
-    billboard's kept-pixel count and bounding box), for value noise, for
-    RANSAC's hypothesis loop and for the foreground clustering (region
-    growing, the merge fixpoint and the contour fill in one call; a merge
-    angle it cannot decide as numpy's ``np.dot`` / ``np.arccos`` would is
-    declined to the reference).  The loop's reference is BLAS-free
-    (scalar 2x2 LU, an elementwise residual) so that C can replay it, and
-    C draws the pairs from the caller's generator exactly as numpy's
-    ``Generator.choice(n, 2, replace=False)`` does — a dependency on
-    numpy's ``choice`` the self-probe checks in every process.
-    The sky's azimuth alone stays NumPy on every backend, taken between the
-    kernel's two calls: ``np.arctan2`` is numpy's own SIMD code on AVX-512
-    hosts and differs from libm's ``atan2`` in the last bit, so no C
-    replica could match it everywhere.  Billboards are compiled only
-    where the proof holds — a face whose normal and u axis each have one
-    non-zero component, so that the reference's BLAS dot products are one
-    product each in any summation order (every preset object faces
-    ``(1, 0)`` or ``(0, 1)``); any other face is declined to the reference.
-    The C code replicates NumPy's pairwise summation, the lattice hash's
-    uint64 wrap-around and the exact IEEE operation order of the
-    reference; a self-probe before first use verifies bitwise agreement
-    and the backend reports unavailable otherwise.  Re-entrant; the
+    Runtime-compiled C (via the system ``cc``/``gcc``), one C call per
+    hook call; ``repro.kernels.cext`` argues, routine by routine, why each
+    is bit-identical to its reference (NumPy's pairwise summation,
+    scipy's pocketfft operation order, numpy's ``Generator.choice``
+    draws), and a self-probe before first use verifies it on this host's
+    object; the backend reports unavailable otherwise.  Re-entrant; the
     default when available.
 
 Thread-safety
@@ -121,11 +76,12 @@ AUTO = "auto"
 #: The two backends: the reference, then the compiled implementation.
 BACKENDS = ("numpy", "cext")
 
-#: The kernel hooks a backend may override (``None`` = reference path).
+#: The kernel hooks a backend may override (``None`` = reference path).  A
+#: bound hook returns ``None`` for an input it will not take, and the
+#: dispatch site answers with the reference.
 KERNEL_NAMES = (
     "motion_compensate",  # MV-field prediction (bilinear taps)
     "pattern_search",  # the whole DIA / HEX / UMH motion search of one frame
-    "value_noise",  # fractal 2-D value noise (repro.utils.noise: the textures' wherever render_surfaces declines)
     "render_surfaces",  # a frame's ground + billboards + sky: geometry, visibility, textures, per-object counts
     "transform",  # the 8x8 DCT / IDCT of block-major arrays (dct_blocks / idct_blocks)
     "intra_encode",  # a whole I-frame: DC/H/V mode decision, DCT, quantise, bits, reconstruct
@@ -153,7 +109,6 @@ class KernelBackend:
     # Kernel hooks — reference fallback when None.
     motion_compensate: Callable | None = None
     pattern_search: Callable | None = None
-    value_noise: Callable | None = None
     render_surfaces: Callable | None = None
     transform: Callable | None = None
     intra_encode: Callable | None = None
@@ -225,10 +180,10 @@ def active() -> KernelBackend:
 def override(kernel: str) -> Callable | None:
     """The active backend's hook for ``kernel``, or ``None`` (reference).
 
-    This is the per-call dispatch primitive the codec modules
-    (``motion``, ``transform``, ``intra``, ``encoder``), the renderer,
-    ``repro.utils.noise`` and ``repro.utils.ransac`` use; once the default is resolved it is a single
-    attribute lookup.
+    This is the per-call dispatch primitive of every site that dispatches a
+    :data:`KERNEL_NAMES` hook (``out = None if impl is None else impl(...)``,
+    then the reference when ``out is None``); once the default is resolved
+    it is a single attribute lookup.
     """
     inst = _active
     if inst is None:

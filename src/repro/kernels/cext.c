@@ -451,15 +451,15 @@ int64_t motion_comp(const float *restrict ref, const double *restrict mv, int64_
     return nan != 0;
 }
 
-/* Fractal value noise (repro.utils.noise) at one point: per octave o the
- * point is scaled by freq[o], the four lattice corners around it hashed
- * (splitmix64 avalanche; sterm[o] is that octave's seed * PRIME_S, and the
+/* Fractal value noise (repro.utils.noise.value_noise_2d) at one point, for
+ * the renderer's textures below: per octave o the point is scaled by
+ * freq[o], the four lattice corners around it hashed (splitmix64 avalanche; sterm[o] is that octave's seed * PRIME_S, and the
  * corners differ from the first by +PX, +PY, +PX+PY — uint64 wrap-around,
  * exact) and blended with the smoothstep fade.  Integer steps are exact;
  * every float step keeps the reference's operation order.  Returns 1
  * (out unspecified) when a lattice coordinate does not fit int64 — NaN,
  * +-inf, |u| >= 2^63 — where the C cast is undefined and numpy's is
- * platform-defined: the caller then takes the reference path. */
+ * platform-defined: the render call then declines the frame. */
 static inline double lattice(uint64_t h) {
     h ^= h >> 30; h *= 0xBF58476D1CE4E5B9ull;
     h ^= h >> 27; h *= 0x94D049BB133111EBull;
@@ -513,19 +513,6 @@ static inline int noise_at(double x, double y, const double *freq, const uint64_
     }
     *out = total / amp_sum;
     return 0;
-}
-
-/* value_noise_2d at n points; cells holds one lattice_cell per octave. */
-int64_t value_noise(const double *x, const double *y, int64_t n,
-                    const double *freq, const uint64_t *sterm, int64_t octaves,
-                    double *out) {
-    lattice_cell *cells = malloc((size_t)octaves * sizeof *cells);
-    if (!cells) return 1;
-    noise_cells_reset(cells, sterm, octaves);
-    int64_t bad = 0;
-    for (int64_t i = 0; i < n && !bad; i++) bad = noise_at(x[i], y[i], freq, sterm, octaves, cells, out + i);
-    free(cells);
-    return bad;
 }
 
 /* ---- the surfaces (repro.world.renderer) ----

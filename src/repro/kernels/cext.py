@@ -1,6 +1,7 @@
-"""Runtime-compiled C backend: the pattern search, MC, value noise, the
-renderer's surfaces, the 8x8 DCT, I-frames, whole P-frames and their
-transform tail, RANSAC's hypothesis loop and the foreground clustering.
+"""Runtime-compiled C backend: one C entry point behind each hook of
+:data:`repro.kernels.KERNEL_NAMES`, plus the renderer's second call, the
+rate counter's two and the pairwise sum the probe checks (all listed in
+:data:`_ENTRY_POINTS`).
 
 The C is ``cext.c`` beside this module (shipped as package data), compiled
 as it stands on disk; this docstring argues why each of its routines is
@@ -59,20 +60,20 @@ that process loaded.
   the sign ``-0.0 - floor(-0.0)`` loses, and a zero weight's sign shows in
   a sum of ``-0.0`` taps.  An output NaN (whose payload the order does not
   pin) and a vector past ``_MV_REACH`` are declined.
-- Value noise is a per-array pipeline in NumPy — four lattice hashes per
-  octave, each a dozen full-size temporaries; C keeps a point's octaves in
-  registers and reuses a lattice cell's four hashes for the next point in
-  the same cell (they are a pure function of the cell and the seed).  The
-  hash is uint64 wrap-around arithmetic (exact), the blend keeps the
-  reference's operation order, and a call holding a coordinate int64 cannot
-  represent (NaN, inf, ``|u| >= 2^63`` — an undefined cast in C) is
-  answered by the reference.
+- The textures' value noise (``noise_at``, inside the renderer's calls
+  below) is ``repro.utils.noise.value_noise_2d`` point by point: NumPy's
+  is a per-array pipeline — four lattice hashes per octave, each a dozen
+  full-size temporaries; C keeps a point's octaves in registers and reuses
+  a lattice cell's four hashes for the next point in the same cell (they
+  are a pure function of the cell and the seed).  The hash is uint64
+  wrap-around arithmetic (exact), the blend keeps the reference's
+  operation order, and a coordinate int64 cannot represent (NaN, inf,
+  ``|u| >= 2^63`` — an undefined cast in C) declines the frame.
 - The renderer's surfaces (``render_surfaces``) are two calls per frame
   over the world ray directions NumPy formed and the placed objects'
   per-scene table.  The first resolves the ground's ids and every placed
   object's mask far to near (ids and painted counts), then textures only
-  the pixels that kept their surface, through the value-noise routine
-  above, counting each object's kept pixels and their bounding box as it
+  the pixels that kept their surface, through ``noise_at`` above, counting each object's kept pixels and their bounding box as it
   goes, and gathers the sky pixels' x and z directions; the second shades
   the sky — norm, elevation, one octave of cloud noise, clip — from
   ``np.arctan2`` of those two contiguous arrays, taken in NumPy between the
@@ -220,8 +221,8 @@ that process loaded.
 Every kernel call is re-entrant: the C code keeps no state between calls
 and its scratch (the search's padded reference, blocks and memo, MC's border
 tile, a macroblock's predictions, |differences| and residual, a rate
-counter's candidate list, a P-frame's prediction, the noise's lattice
-cells) is allocated per call or per counter,
+counter's candidate list, a P-frame's prediction) is allocated per call or
+per counter,
 so concurrent encodes (``agent_workers > 1`` — ctypes drops the GIL
 around each call) cannot see each other's data; RANSAC's only shared state
 is the caller's generator, whose own lock it holds while it draws.
@@ -298,33 +299,30 @@ _MV_LIMIT = 2.0**500
 #: built from it stay far inside int64.
 _MV_REACH = 2.0**31
 
-#: C entry points and their argument types (all return void but the ones in
-#: :data:`_RESTYPES`, which report input the reference must answer).
-_SIGNATURES = {
-    "pairwise_rows": [_PTR, _I64, _I64, _PTR],
-    "pattern_search": [_PTR, _PTR, _I64, _I64, _I64, _I64, _I64, _F64, _I64, _PTR, _I64, _PTR, _PTR],
-    "motion_comp": [_PTR, _PTR, _I64, _I64, _I64, _PTR],
-    "value_noise": [_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR],
-    "render_surfaces": [_PTR, _I64, _I64, _PTR, _F64, _F64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR,
-                        _PTR, _PTR, _PTR, _PTR, _PTR],
-    "render_sky": [_PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR],
-    "dct8": [_PTR, _I64, _I64, _I64, _I64, _PTR],
-    "quant_cost": [_PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR],
-    "rc_compact": [_PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR],
-    "rc_bits": [_PTR, _PTR, _PTR, _I64, _I64, _PTR],
-    "reconstruct": [_PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR],
-    "inter_encode": [_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR, _I64, _I64, _PTR, _F64, _I64, _PTR, _PTR, _PTR,
-                     _PTR],
-    "intra_encode": [_PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR],
-    "intra_decode": [_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR],
-    "ransac_pairs": [_PTR, _PTR, _I64, _F64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR],
-    "foreground_clusters": [_PTR, _PTR, _PTR, _I64, _I64, _F64, _I64, _F64, _I64, _F64, _F64, _I64,
-                            _PTR, _PTR, _PTR, _PTR],
+#: Every C entry point: ``name: (restype, argtypes)``.  ``None`` is a void
+#: entry point; any other answers non-zero (or negative) for input the
+#: reference must answer.
+_ENTRY_POINTS = {
+    "pairwise_rows": (None, [_PTR, _I64, _I64, _PTR]),
+    "pattern_search": (_I64, [_PTR, _PTR, _I64, _I64, _I64, _I64, _I64, _F64, _I64, _PTR, _I64, _PTR, _PTR]),
+    "motion_comp": (_I64, [_PTR, _PTR, _I64, _I64, _I64, _PTR]),
+    "render_surfaces": (_I64, [_PTR, _I64, _I64, _PTR, _F64, _F64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR,
+                               _PTR, _PTR, _PTR, _PTR, _PTR]),
+    "render_sky": (_I64, [_PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR]),
+    "dct8": (_I64, [_PTR, _I64, _I64, _I64, _I64, _PTR]),
+    "quant_cost": (_I64, [_PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR]),
+    "rc_compact": (_I64, [_PTR, _I64, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR]),
+    "rc_bits": (_F64, [_PTR, _PTR, _PTR, _I64, _I64, _PTR]),
+    "reconstruct": (_I64, [_PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR]),
+    "inter_encode": (_I64, [_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR, _I64, _I64, _PTR, _F64, _I64, _PTR, _PTR,
+                            _PTR, _PTR]),
+    "intra_encode": (_I64, [_PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR]),
+    "intra_decode": (_I64, [_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR]),
+    "ransac_pairs": (_I64, [_PTR, _PTR, _I64, _F64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR]),
+    "foreground_clusters": (_I64, [_PTR, _PTR, _PTR, _I64, _I64, _F64, _I64, _F64, _I64, _F64, _F64, _I64,
+                                   _PTR, _PTR, _PTR, _PTR]),
 }
-_RESTYPES = {"pattern_search": _I64, "motion_comp": _I64, "value_noise": _I64,
-             "render_surfaces": _I64, "render_sky": _I64, "dct8": _I64, "quant_cost": _I64, "rc_compact": _I64,
-             "rc_bits": _F64, "reconstruct": _I64, "inter_encode": _I64, "intra_encode": _I64, "intra_decode": _I64,
-             "ransac_pairs": _I64, "foreground_clusters": _I64}
+
 
 class _Unavailable(Exception):
     """The shared object cannot be built or loaded; the message says why."""
@@ -416,10 +414,10 @@ def _compile(cache: Path, stem: str) -> Path:
 
 def _load(so_path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(so_path))
-    for name, argtypes in _SIGNATURES.items():
+    for name, (restype, argtypes) in _ENTRY_POINTS.items():
         func = getattr(lib, name)
+        func.restype = restype
         func.argtypes = argtypes
-        func.restype = _RESTYPES.get(name)
     return lib
 
 
@@ -581,7 +579,10 @@ _ME_MAX_RANGE = 127
 
 
 class _CKernels:
-    """ctypes call wrappers over one loaded library.
+    """ctypes call wrappers over one loaded library, one per hook of
+    :data:`KERNEL_NAMES`: each answers as its reference would, or returns
+    ``None`` for an input it will not take, and the dispatch site then runs
+    the reference.  No wrapper calls a reference itself.
 
     Holds nothing but the library handle and every call allocates its own
     scratch and outputs, so one instance serves any number of threads.
@@ -619,42 +620,21 @@ class _CKernels:
         return mv, sad
 
     def motion_compensate(self, reference, mv, *, block=16):
-        from repro.codec.motion import _motion_compensate_reference
-
+        """``motion_compensate``'s prediction, or ``None`` when the reference
+        must answer (its exceptions included): a field that does not tile
+        the plane, a vector C cannot floor to int64 (NaN, inf, past
+        ``_MV_REACH``), a NaN output pixel."""
         plane = np.ascontiguousarray(reference, dtype=np.float32)
         grid = _grid(plane, block, (np.float32,))
-        if grid is not None and _grid(mv, tail=(2,)) == grid:
-            vectors = np.ascontiguousarray(mv, dtype=np.float64)
-            out = np.empty(plane.shape, dtype=np.float32)
-            if (np.abs(vectors) < _MV_REACH).all() and not self._lib.motion_comp(
-                plane.ctypes.data, vectors.ctypes.data, *grid, block, out.ctypes.data
-            ):
-                return out
-        # A field that does not tile the plane, a vector C cannot floor to
-        # int64 (NaN, inf, past _MV_REACH), a NaN output pixel: what the
-        # reference makes of it (its exceptions included) is the answer.
-        return _motion_compensate_reference(reference, mv, block=block)
-
-    def value_noise(self, x, y, *, seed, scale=1.0, octaves=1):
-        """``value_noise_2d``: all octaves and lattice hashes of a point in one pass."""
-        from repro.utils.noise import _value_noise_2d_reference
-
-        if scale > 0 and octaves >= 1:
-            x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-            out = np.empty(x.shape, dtype=np.float64)
-            x = np.ascontiguousarray(x)
-            y = np.ascontiguousarray(y)
-            freqs, sterm = _noise_terms(seed, scale, octaves)
-            freqs = np.array(freqs, dtype=np.float64)
-            sterm = np.array(sterm, dtype=np.uint64)
-            if not self._lib.value_noise(
-                x.ctypes.data, y.ctypes.data, out.size,
-                freqs.ctypes.data, sterm.ctypes.data, octaves, out.ctypes.data,
-            ):
-                return out[()]  # 0-d -> scalar, as the reference's arithmetic yields
-        # Parameters the reference rejects (it raises), or a coordinate int64
-        # cannot hold (C leaves the cast undefined): the reference answers.
-        return _value_noise_2d_reference(x, y, seed=seed, scale=scale, octaves=octaves)
+        if grid is None or _grid(mv, tail=(2,)) != grid:
+            return None
+        vectors = np.ascontiguousarray(mv, dtype=np.float64)
+        if not (np.abs(vectors) < _MV_REACH).all():
+            return None
+        out = np.empty(plane.shape, dtype=np.float32)
+        if self._lib.motion_comp(plane.ctypes.data, vectors.ctypes.data, *grid, block, out.ctypes.data):
+            return None
+        return out
 
     def render_surfaces(self, dirs, origin, scene, placed):
         """``Renderer.render``'s surfaces — ground, placed objects, sky — and
@@ -731,69 +711,73 @@ class _CKernels:
         return out
 
     def intra_encode(self, frame, qp_map, *, block=16):
-        """``intra_encode``: the whole frame in one call."""
-        from repro.codec.intra import _MODE_BITS, _intra_encode_reference
+        """``intra_encode``: the whole frame in one call, or ``None`` when the
+        reference must answer (its exceptions included): arguments the C
+        loops could not index, a non-finite transform, a level too large to
+        cost in integers."""
+        from repro.codec.intra import _MODE_BITS
         from repro.codec.transform import qstep
 
         pixels = np.ascontiguousarray(frame, dtype=np.float64)
         qp = np.asarray(qp_map, dtype=float)
         grid = _grid(pixels, block, (np.float64,), maps=(qp,))
-        if grid is not None:
-            h, w = pixels.shape
-            q = qstep(qp)
-            levels = np.empty((h // 8, 8, w // 8, 8), dtype=np.float64)
-            modes = np.empty(grid, dtype=np.int8)
-            recon = np.empty_like(pixels)
-            bits_per_mb = np.empty(grid, dtype=np.float64)
-            if not self._lib.intra_encode(
-                pixels.ctypes.data, q.ctypes.data, *grid, block,
-                levels.ctypes.data, modes.ctypes.data, recon.ctypes.data, bits_per_mb.ctypes.data,
-            ):
-                bits_per_mb += _MODE_BITS
-                return levels, modes, recon, bits_per_mb
-        # Arguments the C loops could not index (whatever the reference makes
-        # of them, its exceptions included, is the answer), a non-finite
-        # transform or a level too large to cost in integers.
-        return _intra_encode_reference(frame, qp_map, block=block)
+        if grid is None:
+            return None
+        h, w = pixels.shape
+        q = qstep(qp)
+        levels = np.empty((h // 8, 8, w // 8, 8), dtype=np.float64)
+        modes = np.empty(grid, dtype=np.int8)
+        recon = np.empty_like(pixels)
+        bits_per_mb = np.empty(grid, dtype=np.float64)
+        if self._lib.intra_encode(
+            pixels.ctypes.data, q.ctypes.data, *grid, block,
+            levels.ctypes.data, modes.ctypes.data, recon.ctypes.data, bits_per_mb.ctypes.data,
+        ):
+            return None
+        bits_per_mb += _MODE_BITS
+        return levels, modes, recon, bits_per_mb
 
     def intra_decode(self, levels, modes, qp_map, *, block=16):
-        """``intra_decode``: the whole frame in one call."""
-        from repro.codec.intra import _intra_decode_reference
+        """``intra_decode``: the whole frame in one call, or ``None`` when the
+        reference must answer: modes that are not an integer array, levels
+        or maps off one grid, a non-finite transform."""
         from repro.codec.transform import qstep
 
+        if not (isinstance(modes, np.ndarray) and modes.dtype.kind in "iub"):
+            return None
         qp = np.asarray(qp_map, dtype=float)
-        grid = None
-        if isinstance(modes, np.ndarray) and modes.dtype.kind in "iub":
-            grid = _grid(levels, block, blocks=True, maps=(modes, qp))
-        if grid is not None:
-            coded = np.ascontiguousarray(levels, dtype=np.float64)
-            mode_map = np.ascontiguousarray(modes, dtype=np.int64)
-            q = qstep(qp)
-            recon = np.empty((grid[0] * block, grid[1] * block), dtype=np.float64)
-            if not self._lib.intra_decode(
-                coded.ctypes.data, mode_map.ctypes.data, q.ctypes.data, *grid, block, recon.ctypes.data,
-            ):
-                return recon
-        return _intra_decode_reference(levels, modes, qp_map, block=block)
+        grid = _grid(levels, block, blocks=True, maps=(modes, qp))
+        if grid is None:
+            return None
+        coded = np.ascontiguousarray(levels, dtype=np.float64)
+        mode_map = np.ascontiguousarray(modes, dtype=np.int64)
+        q = qstep(qp)
+        recon = np.empty((grid[0] * block, grid[1] * block), dtype=np.float64)
+        if self._lib.intra_decode(
+            coded.ctypes.data, mode_map.ctypes.data, q.ctypes.data, *grid, block, recon.ctypes.data,
+        ):
+            return None
+        return recon
 
     def quantize_cost(self, coeffs, qp_per_mb, *, mb_size=16):
-        """``quantize_cost``: one pass over the coefficients, float32 read in place."""
-        from repro.codec.transform import _quantize_cost_reference, qstep
+        """``quantize_cost``: one pass over the coefficients, float32 read in
+        place, or ``None`` when the reference must answer: geometry the C
+        loop could not index (the reference raises on it, or reads a layout
+        C does not), NaN / inf, a level too large to cost in integers."""
+        from repro.codec.transform import qstep
 
         q = qstep(np.ascontiguousarray(qp_per_mb, dtype=float))
         grid = _grid(coeffs, mb_size, (np.float32, np.float64), blocks=True, maps=(q,))
-        if grid is not None:
-            levels = np.empty(coeffs.shape, dtype=np.float64)
-            bits_per_mb = np.empty(grid, dtype=np.float64)
-            if not self._lib.quant_cost(
-                coeffs.ctypes.data, coeffs.dtype == np.float32, coeffs.shape[2] * 8, *grid, mb_size,
-                q.ctypes.data, levels.ctypes.data, bits_per_mb.ctypes.data,
-            ):
-                return levels, bits_per_mb
-        # Geometry the C loop could not index (the reference raises on it, or
-        # reads a layout C does not), or NaN / inf / a level too large to cost
-        # in integers: the reference answers.
-        return _quantize_cost_reference(coeffs, qp_per_mb, mb_size=mb_size)
+        if grid is None:
+            return None
+        levels = np.empty(coeffs.shape, dtype=np.float64)
+        bits_per_mb = np.empty(grid, dtype=np.float64)
+        if self._lib.quant_cost(
+            coeffs.ctypes.data, coeffs.dtype == np.float32, coeffs.shape[2] * 8, *grid, mb_size,
+            q.ctypes.data, levels.ctypes.data, bits_per_mb.ctypes.data,
+        ):
+            return None
+        return levels, bits_per_mb
 
     def rate_counter(self, coeffs, offsets, *, mb_size=16, max_qp=51.0):
         """``QuantBitCounter``'s probe, or ``None`` when its NumPy body must
@@ -806,24 +790,24 @@ class _CKernels:
 
     def reconstruct(self, prediction, levels, qp_per_mb, *, mb_size=16):
         """``reconstruct``: dequantise, inverse-transform and clip the coded
-        8x8 blocks, clip the prediction under the others, in one call."""
-        from repro.codec.transform import _reconstruct_reference, qstep
+        8x8 blocks, clip the prediction under the others, in one call — or
+        ``None`` when the reference must answer: a wrong shape / dtype /
+        stride, an infinite step (0 * inf is NaN, so an all-zero block under
+        it is not skippable), a level past the limit, a non-finite residual,
+        a -0.0 / NaN prediction pixel under a skipped block."""
+        from repro.codec.transform import qstep
 
         q = qstep(np.ascontiguousarray(qp_per_mb, dtype=float))
-        # Finite steps only: 0 * inf is NaN, so an all-zero block under such a
-        # step is not skippable.
         grid = _grid(levels, mb_size, (np.float64,), blocks=True, maps=(q,), finite=True)
-        if grid is not None and _grid(prediction, mb_size, (np.float32,)) == grid:
-            out = np.empty(prediction.shape, dtype=np.float32)
-            if not self._lib.reconstruct(
-                prediction.ctypes.data, levels.ctypes.data, levels.shape[0], levels.shape[2],
-                mb_size // 8, q.ctypes.data, out.ctypes.data,
-            ):
-                return out
-        # Wrong shape / dtype / stride, an infinite step, a level past the
-        # limit, a non-finite residual, or a -0.0 / NaN prediction pixel under
-        # a skipped block: the reference answers.
-        return _reconstruct_reference(prediction, levels, qp_per_mb, mb_size=mb_size)
+        if grid is None or _grid(prediction, mb_size, (np.float32,)) != grid:
+            return None
+        out = np.empty(prediction.shape, dtype=np.float32)
+        if self._lib.reconstruct(
+            prediction.ctypes.data, levels.ctypes.data, levels.shape[0], levels.shape[2],
+            mb_size // 8, q.ctypes.data, out.ctypes.data,
+        ):
+            return None
+        return out
 
     def inter_encode(self, frame, reference, mv, offsets, *, block, budget, base_qp, hint):
         """``_inter_encode_reference`` in one call — ``(levels, bits_per_mb,
@@ -1206,7 +1190,8 @@ def _foreground_cases(gen) -> list:
              max_distance=1),
         case("quarter-pel objects", objects(18, 30, True)),
         case("objects", objects(20, 34, False), min_cluster_size=1, max_distance=3),
-        case("-0.0 components", signed, seed_share=0.4, blocked_share=0.0, min_magnitude=0.0, similarity=0.25),
+        case("-0.0 components", signed, seed_share=0.4, blocked_share=0.0, min_magnitude=0.0, similarity=0.25,
+             min_cluster_size=1),
         case("dropped clusters stop growth", objects(12, 16, True), seed_share=0.5, min_cluster_size=4),
         case("one row", objects(1, 40, True), seed_share=0.3, min_cluster_size=1),
         case("one column", objects(30, 1, True), seed_share=0.3, min_cluster_size=1),
@@ -1247,7 +1232,6 @@ def _probe_table() -> list[_ProbeRow]:
     from repro.codec.transform import _quantize_cost_reference, _reconstruct_reference, _transform_reference
     from repro.core.clustering import _packed_reference
     from repro.geometry.camera import CameraIntrinsics
-    from repro.utils.noise import _value_noise_2d_reference
     from repro.utils.ransac import _ransac_pairs_reference
     from repro.world import EgoTrajectory, Renderer, Scene, SceneObject, StraightSegment, TurnSegment
     from repro.world import building, moving_car, parked_car, pedestrian
@@ -1302,14 +1286,6 @@ def _probe_table() -> list[_ProbeRow]:
     for where, dx, dy in (("top-left", cols + 0.25, rows + 0.5), ("bottom-right", cols - 39.75, rows - 23.5)):
         mv = np.stack([dx, dy], axis=-1).astype(np.float32)
         compensate.append((f"block 8, every window on the {where} corner", (plane, mv), dict(block=8)))
-    # Value noise: the renderer's three call shapes over world-sized,
-    # lattice-exact, negative and 2^40-scale coordinates, with seeds on
-    # both sides of the uint64 wrap.
-    px = np.concatenate([gen.uniform(-300.0, 300.0, 1500), gen.integers(-9, 9, 200) * 0.35,
-                         gen.normal(0.0, 2.0**40, 300)])
-    py = gen.permutation(px) * 0.7
-    noise = [(f"scale {scale}, octaves {octaves}", (px, py), dict(seed=seed, scale=scale, octaves=octaves))
-             for seed, scale, octaves in ((11, 1.5, 2), (-(2**70) - 3, 0.35, 1), (2**63 + 101, 0.6, 3))]
     # The renderer's ground and billboards on a small turning drive: every
     # kind's bands, both facings, a car hiding a pedestrian, objects cut by
     # the frame edge, ground fading into haze, contrasts that clip.
@@ -1397,7 +1373,6 @@ def _probe_table() -> list[_ProbeRow]:
         _ProbeRow("transform", _transform_reference, transform),
         _ProbeRow("pattern_search", _pattern_search_reference, search),
         _ProbeRow("motion_compensate", _motion_compensate_reference, compensate),
-        _ProbeRow("value_noise", _value_noise_2d_reference, noise),
         _ProbeRow("render_surfaces", _render_surfaces_reference, surfaces),
         _ProbeRow("quantize_cost", _quantize_cost_reference, quant),
         _ProbeRow("rate_counter", _frame_bits_reference, counter, _same_bits),
@@ -1411,13 +1386,8 @@ def _probe_table() -> list[_ProbeRow]:
 
 
 class CExtBackend(KernelBackend):
-    """Compiled-C pattern search, motion compensation, value noise, the
-    renderer's surfaces (``render_surfaces``), the 8x8 DCT (``transform``),
-    I-frames (``intra_encode`` / ``intra_decode``), whole P-frames
-    (``inter_encode``) and their transform tail (``quantize_cost`` /
-    ``rate_counter`` / ``reconstruct``),
-    RANSAC's hypothesis loop (``ransac_pairs``) and the foreground
-    clustering (``foreground_clusters``), self-probed."""
+    """Every hook of :data:`KERNEL_NAMES` in compiled C, bound once the
+    self-probe has passed."""
 
     name = "cext"
 

@@ -31,7 +31,7 @@ class StageStats:
     """Distribution of one span path or counter across frames.
 
     ``count`` is the number of frames the name appeared in (absences are
-    not counted as zeros — an I-frame has no ``encode/mc`` span at all).
+    not counted as zeros — an I-frame has no ``encode/me`` span at all).
     """
 
     count: int

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels
-
 __all__ = ["hash_lattice", "value_noise_1d", "value_noise_2d"]
 
 _PRIME_X = np.uint64(0x9E3779B97F4A7C15)
@@ -68,24 +66,11 @@ def value_noise_2d(
 
     Returns
     -------
-    Noise values in ``[0, 1]`` with the broadcast shape of ``x`` and ``y``.
+    Noise values in ``[0, 1]`` with the broadcast shape of ``x`` and ``y``
+    (a scalar for 0-d input).  The renderer's compiled surfaces
+    (``render_surfaces`` on ``cext``) sample this very function in C,
+    bit for bit.
     """
-    impl = kernels.override("value_noise")
-    if impl is not None:
-        return impl(x, y, seed=seed, scale=scale, octaves=octaves)
-    return _value_noise_2d_reference(x, y, seed=seed, scale=scale, octaves=octaves)
-
-
-def _value_noise_2d_reference(
-    x: np.ndarray,
-    y: np.ndarray,
-    *,
-    seed: int,
-    scale: float = 1.0,
-    octaves: int = 1,
-) -> np.ndarray:
-    """Reference implementation of :func:`value_noise_2d` (the oracle every
-    backend's ``value_noise`` kernel must match bit for bit)."""
     if scale <= 0:
         raise ValueError("scale must be positive")
     if octaves < 1:

@@ -114,10 +114,8 @@ def ransac_linear(
         return RansacResult(params=params, inliers=all_mask, iterations=0, residual=res)
 
     impl = kernels.override("ransac_pairs")
-    found = impl(a, b, threshold, max_iterations, rng) if impl is not None else None
-    it, best_mask, best_count = found if found is not None else _ransac_pairs_reference(
-        a, b, threshold, max_iterations, rng
-    )
+    out = None if impl is None else impl(a, b, threshold, max_iterations, rng)
+    it, best_mask, best_count = _ransac_pairs_reference(a, b, threshold, max_iterations, rng) if out is None else out
 
     if best_mask is None or best_count < max(p, int(np.ceil(min_inlier_ratio * n))):
         params = lstsq(all_mask)

@@ -264,8 +264,8 @@ def _render_surfaces(
     arguments (it returns ``None`` for what it cannot prove), else the
     reference below."""
     impl = kernels.override("render_surfaces")
-    found = impl(dirs, origin, scene, placed) if impl is not None else None
-    return found if found is not None else _render_surfaces_reference(dirs, origin, scene, placed)
+    out = None if impl is None else impl(dirs, origin, scene, placed)
+    return _render_surfaces_reference(dirs, origin, scene, placed) if out is None else out
 
 
 def _sky_gray(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray, seed: int) -> np.ndarray:

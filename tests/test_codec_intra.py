@@ -15,6 +15,8 @@ from repro.codec import (
 from repro.codec.intra import MODE_DC, MODE_HORIZONTAL, MODE_VERTICAL
 from repro.utils.noise import value_noise_2d
 
+pytestmark = pytest.mark.kernels
+
 
 def smooth(seed=0, shape=(48, 64)):
     yy, xx = np.mgrid[0 : shape[0], 0 : shape[1]]

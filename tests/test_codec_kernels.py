@@ -41,6 +41,8 @@ from repro.codec.transform import (
 )
 from repro.utils.integral import block_reduce_sum, shift_with_edge_pad, shifted_window
 
+pytestmark = pytest.mark.kernels
+
 # ---------------------------------------------------------------------------
 # Reference implementations (the pre-vectorisation semantics, kept simple).
 # ---------------------------------------------------------------------------

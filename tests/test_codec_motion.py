@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.codec import ME_METHODS, estimate_motion, motion_compensate, nonzero_mv_ratio
 from repro.utils.integral import shift_with_edge_pad
 
+pytestmark = pytest.mark.kernels
+
 
 def textured_frame(shape=(64, 96), seed=0):
     from repro.utils.noise import value_noise_2d

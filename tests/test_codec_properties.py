@@ -1,12 +1,15 @@
 """Hypothesis property tests over the codec end-to-end."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
 from repro.codec import EncoderConfig, VideoDecoder, VideoEncoder
 from repro.utils.noise import value_noise_2d
+
+pytestmark = pytest.mark.kernels
 
 
 def smooth_frame(seed: int, shape=(48, 64)) -> np.ndarray:

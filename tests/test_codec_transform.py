@@ -18,6 +18,8 @@ import repro.codec.encoder as encoder_module
 from repro import kernels
 from repro.codec.transform import dct_blocks, idct_blocks, reconstruct
 
+pytestmark = pytest.mark.kernels
+
 
 def textured(shape=(64, 64), seed=0):
     rng = np.random.default_rng(seed)

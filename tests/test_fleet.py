@@ -32,7 +32,7 @@ from repro.network import constant_trace, random_walk_trace
 from repro.stream import StreamConfig, StreamRunner
 from repro.world import nuscenes_like
 
-pytestmark = pytest.mark.timeout(300)
+pytestmark = [pytest.mark.timeout(300), pytest.mark.kernels]
 
 RES = (320, 192)  # quarter-size clips keep the fleets fast
 

@@ -32,6 +32,8 @@ from repro.geometry import CameraIntrinsics
 from repro.utils.convexhull import convex_hull, fill_convex_hull, monotone_chain, rasterize_polygon
 from repro.world import kitti_like, nuscenes_like, robotcar_like
 
+pytestmark = pytest.mark.kernels
+
 
 # ------------------------------------------------------------------ comparing
 

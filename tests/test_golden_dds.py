@@ -23,6 +23,8 @@ from repro.experiments import ground_truth_for, run_scheme, scaled_bandwidth
 from repro.network import constant_trace
 from repro.world import nuscenes_like
 
+pytestmark = pytest.mark.kernels
+
 BANDWIDTH_MBPS = 0.5
 
 #: Recorded at 04affcf (numpy and cext agreed there too).

@@ -16,7 +16,10 @@ policy, a detector recalibration), rerun with ``-s`` to print the new
 digest and update ``GOLDEN_DIGEST`` in the same PR, stating why.
 """
 
+import pytest
 from conftest import GOLDEN_CLIP_SEEDS, GOLDEN_N_FRAMES, e2e_digest, run_golden_batch
+
+pytestmark = pytest.mark.kernels
 
 N_CLIPS = len(GOLDEN_CLIP_SEEDS)
 N_FRAMES = GOLDEN_N_FRAMES

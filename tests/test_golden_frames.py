@@ -26,6 +26,8 @@ import pytest
 from repro import kernels
 from repro.world import kitti_like, nuscenes_like, robotcar_like
 
+pytestmark = pytest.mark.kernels
+
 RESOLUTION = (320, 192)
 FRAMES = (0, 7)
 

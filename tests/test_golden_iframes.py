@@ -19,6 +19,8 @@ from repro.codec import VideoDecoder, VideoEncoder, intra_encode
 from repro.utils.noise import hash_lattice
 from repro.world import kitti_like, nuscenes_like, robotcar_like
 
+pytestmark = pytest.mark.kernels
+
 
 def _dive_offsets(shape, delta):
     """A DiVE-style two-level map: a foreground box at 0, background at ``delta``."""

@@ -28,6 +28,8 @@ from repro.network import constant_trace
 from repro.network.trace import with_outages
 from repro.world import kitti_like, nuscenes_like, robotcar_like
 
+pytestmark = pytest.mark.kernels
+
 #: run -> clip builder (the two drives are ``benchmarks/perf/workloads.py``'s,
 #: nominal link; the presets run at their default resolution).
 RUNS = {

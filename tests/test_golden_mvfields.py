@@ -29,6 +29,8 @@ from repro.core import DiVEConfig, DiVEScheme
 from repro.experiments import run_scheme, scaled_bandwidth
 from repro.network import constant_trace
 
+pytestmark = pytest.mark.kernels
+
 METHODS = ("dia", "hex", "umh")
 EXHAUSTIVE = ("esa", "tesa")
 

@@ -29,6 +29,8 @@ from repro.network.trace import with_outages
 from repro.obs import Tracer
 from repro.world import kitti_like, nuscenes_like, robotcar_like
 
+pytestmark = pytest.mark.kernels
+
 N_FRAMES = 5  # frame 0 is the I-frame; 1-4 are pinned
 
 #: clip -> (builder, CBR target bits, background delta of the two-level map)

@@ -28,6 +28,8 @@ from repro.core import DiVEScheme
 from repro.experiments import run_scheme, scaled_bandwidth
 from repro.network import constant_trace
 
+pytestmark = pytest.mark.kernels
+
 
 def _state(rng):
     """A digest of a generator's whole state, buffered half-word included."""

@@ -22,6 +22,8 @@ from repro import kernels
 from repro.codec import VideoEncoder
 from repro.codec.encoder import _inter_encode, _inter_encode_reference
 
+pytestmark = pytest.mark.kernels
+
 #: The encoder's default search range: how far a field may reach past an edge.
 REACH = 16
 

@@ -29,6 +29,8 @@ from repro.codec.intra import (
     intra_encode,
 )
 
+pytestmark = pytest.mark.kernels
+
 
 def _content(kind, shape, seed=0):
     gen = np.random.default_rng(seed)

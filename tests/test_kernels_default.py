@@ -10,6 +10,7 @@ built for and cached per CPU (and built anyway by a compiler without
 binds no hook and leaves ``auto`` on the reference.
 """
 
+import ast
 import os
 import platform
 import shlex
@@ -26,11 +27,14 @@ import pytest
 from conftest import e2e_digest, run_golden_batch
 from test_golden_e2e import GOLDEN_DIGEST
 from test_golden_frames import annotation_tuples, frame_digest
+from test_render_kernel import _bits
 
 from repro import kernels
 from repro.codec import VideoDecoder, VideoEncoder
 from repro.kernels import cext
 from repro.world import nuscenes_like
+
+pytestmark = pytest.mark.kernels
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 #: The PATH the suite was started with, before ``fresh_host`` empties it.
@@ -402,6 +406,124 @@ def test_the_probe_table_has_a_row_per_hook():
     assert hooks[0] == "pairwise_rows" and sorted(hooks[1:]) == sorted(kernels.KERNEL_NAMES)
 
 
+def _declined(hook):
+    """An input ``hook``'s cext wrapper must decline, as ``(make, call,
+    dispatch)``: ``make()`` builds fresh arguments, ``call(bound, *args)``
+    hands them to the bound hook and ``dispatch(*args)`` to the site in
+    ``repro.*`` that dispatches it."""
+    from repro.codec.encoder import _inter_encode
+    from repro.codec.intra import intra_decode, intra_encode
+    from repro.codec.motion import _pattern_search, motion_compensate
+    from repro.codec.transform import QuantBitCounter, _transform, dct_blocks, quantize_cost, reconstruct
+    from repro.core.clustering import foreground_clusters
+    from repro.geometry import CameraIntrinsics
+    from repro.utils.ransac import ransac_linear
+    from repro.world import Renderer
+    from repro.world.renderer import _render_surfaces
+
+    gen = np.random.default_rng(46)
+    plane = gen.uniform(0.0, 255.0, size=(32, 48)).astype(np.float32)
+    qp = gen.uniform(10.0, 40.0, size=(2, 3))
+    coeffs = dct_blocks(plane - 128.0)
+    levels, modes, _, _ = intra_encode(plane.astype(np.float64), qp)
+    cluster_args = dict(similarity=1.5, min_cluster_size=1, min_magnitude=0.3, merge=True, max_angle=np.pi / 8,
+                        max_magnitude_ratio=2.5, max_distance=2)
+
+    if hook == "motion_compensate":  # a NaN vector: the reference raises
+        mv = np.zeros((2, 3, 2), dtype=np.float32)
+        mv[0, 1, 0] = np.nan
+        return lambda: (plane, mv), lambda h, *a: h(*a), motion_compensate
+    if hook == "pattern_search":  # a range the memo cannot key
+        params = dict(method="dia", search_range=128, block=16, lambda_mv=4.0, subpel=True)
+        return (lambda: (np.roll(plane, 2, axis=1), plane), lambda h, *a: h(*a, **params),
+                lambda *a: _pattern_search(*a, **params))
+    if hook == "render_surfaces":  # float32 directions
+        scene = nuscenes_like(3, n_frames=2).scene
+        _, dirs, origin, placed = Renderer(CameraIntrinsics(focal=20.0, width=24, height=16))._prepare(scene, 0.5)
+        return lambda: (dirs.astype(np.float32), origin, scene, placed), lambda h, *a: h(*a), _render_surfaces
+    if hook == "transform":  # a block whose output is not finite
+        blocks = gen.normal(size=(1, 8, 2, 8))
+        blocks[0, 3, 1, 5] = np.inf
+        return lambda: (blocks,), lambda h, b: h(b, inverse=False), lambda b: _transform(b, inverse=False)
+    if hook == "intra_encode":  # a NaN pixel
+        frame = plane.astype(np.float64)
+        frame[3, 5] = np.nan
+        return lambda: (frame, qp), lambda h, *a: h(*a), intra_encode
+    if hook == "intra_decode":  # float modes
+        return lambda: (levels, modes.astype(np.float64), qp), lambda h, *a: h(*a), intra_decode
+    if hook == "quantize_cost":  # a NaN coefficient
+        nan = coeffs.copy()
+        nan[1, 2, 3, 4] = np.nan
+        return lambda: (nan, qp), lambda h, *a: h(*a), quantize_cost
+    if hook == "rate_counter":  # coefficients in Fortran order: the NumPy body counts them
+        offsets = gen.uniform(-3.0, 3.0, size=(2, 3))
+
+        def totals(c, o):
+            counter = QuantBitCounter(c, o)
+            return [counter.bits_at(q) for q in (30.0, 12.0, 45.0)]
+
+        return lambda: (np.asfortranarray(coeffs), offsets), lambda h, *a: h(*a), totals
+    if hook == "reconstruct":  # a float64 prediction
+        return (lambda: (plane.astype(np.float64), quantize_cost(coeffs, qp)[0], qp), lambda h, *a: h(*a),
+                reconstruct)
+    if hook == "inter_encode":  # a float64 frame
+        params = dict(block=16, budget=6000.0, base_qp=None, hint=None)
+        return (lambda: (np.roll(plane, 3, axis=0).astype(np.float64), plane, np.zeros((2, 3, 2)), qp - 25.0),
+                lambda h, *a: h(*a, **params), lambda *a: _inter_encode(*a, **params))
+    if hook == "ransac_pairs":  # an iteration bound that is not an int
+
+        def fit(a, b, rng):
+            return ransac_linear(a, b, threshold=0.75, max_iterations=np.int64(64), rng=rng), rng.bit_generator.state
+
+        a = gen.normal(size=(40, 2))
+        b = a @ np.array([0.3, -0.2]) + gen.normal(0.0, 0.1, size=40)
+        return (lambda: (a, b, np.random.default_rng(5)), lambda h, a, b, rng: h(a, b, 0.75, np.int64(64), rng),
+                fit)
+    if hook == "foreground_clusters":  # a float32 field
+        mv = gen.normal(0.0, 2.0, size=(6, 9, 2)).astype(np.float32)
+        seeds = gen.uniform(size=(6, 9)) < 0.3
+        return (lambda: (mv, seeds, np.zeros((6, 9), dtype=bool)), lambda h, *a: h(*a, **cluster_args),
+                lambda mv, s, blocked: foreground_clusters(mv, s, blocked_mask=blocked, **cluster_args))
+    raise AssertionError(f"no declined input for {hook}")
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` answers, every float and array as its bytes — or
+    the exception it raises, by type and message."""
+    try:
+        return _bits(fn(*args))
+    except Exception as exc:  # the reference's exception is an answer too
+        return "raised", type(exc), str(exc)
+
+
+@pytest.mark.parametrize("hook", kernels.KERNEL_NAMES)
+def test_a_declined_input_gets_the_reference_answer(hook, cext):
+    """The one decline rule: a hook returns ``None`` for an input it will not
+    take, and the site that dispatches it answers — or raises — exactly as
+    on the reference backend."""
+    make, call, dispatch = _declined(hook)
+    assert call(getattr(cext, hook), *make()) is None
+    got = _outcome(dispatch, *make())
+    with kernels.use_backend("numpy"):
+        assert got == _outcome(dispatch, *make())
+
+
+def test_every_suite_that_picks_a_backend_is_marked():
+    """A test file that selects a kernel backend carries the ``kernels``
+    marker, so ``pytest -m kernels`` — what CI's bit-exactness,
+    compiler-hidden and sanitised steps run — cannot leave it out."""
+    unmarked = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        source = path.read_text(encoding="utf-8")
+        if not any(name in source for name in ("kernels.BACKENDS", "use_backend(", 'backend("cext")')):
+            continue
+        marks = [node.value for node in ast.parse(source).body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "pytestmark" for t in node.targets)]
+        if not any("pytest.mark.kernels" in ast.unparse(mark) for mark in marks):
+            unmarked.append(path.name)
+    assert not unmarked, f"select a backend without `pytestmark = pytest.mark.kernels`: {unmarked}"
+
+
 @pytest.mark.usefixtures("cext")
 @pytest.mark.parametrize("hook", kernels.KERNEL_NAMES)
 def test_a_hook_one_ulp_off_fails_the_probe(hook, monkeypatch, clip, on_the_reference):
@@ -453,6 +575,13 @@ SOURCE_MUTATIONS = {
     "growth-strict": ("if (gap <= similarity) {", "if (gap < similarity) {", "foreground_clusters"),
     "seed-mean-keeps-sign": ("double mx = (0.0 * 0 + mv[2 * s]) / 1, my = (0.0 * 0 + mv[2 * s + 1]) / 1;",
                              "double mx = mv[2 * s], my = mv[2 * s + 1];", "foreground_clusters"),
+    # The textures' value noise (noise_at, sampled inside render_surfaces): a
+    # negative coordinate's lattice cell not stepped down from its truncation,
+    # and a lattice cell reused for a point in another row of cells.
+    "noise-no-step-down": ("if (fu < 0.0) { fu = fu + 1.0; iu -= 1; }", "if (fu < 0.0) { fu = fu + 1.0; }",
+                           "render_surfaces"),
+    "noise-cell-keyed-on-iu": ("if (c->iu != iu || c->iv != iv) cell_fill", "if (c->iu != iu) cell_fill",
+                               "render_surfaces"),
 }
 
 

@@ -23,6 +23,8 @@ from repro.obs import (
 )
 from repro.obs.aggregate import StageStats
 
+pytestmark = pytest.mark.kernels
+
 
 def busy(seconds=0.001):
     end = time.perf_counter() + seconds
@@ -287,24 +289,27 @@ class TestNullTracerOverhead:
 
     def test_live_tracer_records_encode_stages(self):
         frames = self._frames(n=3)
-        tr = Tracer()
-        # The stage sub-spans after ME are the reference's: where the
-        # inter_encode hook codes a P-frame they are one C call.
-        with kernels.use_backend("numpy"):
-            self._encode_loop(frames, tr)
+        traced = {}
+        for name in kernels.BACKENDS:
+            if kernels.backend(name).available():
+                with kernels.use_backend(name):
+                    traced[name] = Tracer()
+                    self._encode_loop(frames, traced[name])
+        tr = traced["numpy"]
         assert len(tr.frames) == 3
-        # I-frame (gop=4, frame 0) has no mc span; P-frames do.
+        # I-frame (gop=4, frame 0) has no me span; P-frames do.
         assert "pipeline/encode" in tr.frames[0].spans
-        assert "pipeline/encode/mc" not in tr.frames[0].spans
-        assert "pipeline/encode/mc" in tr.frames[1].spans
+        assert "pipeline/encode/me" not in tr.frames[0].spans
+        assert "pipeline/encode/me" in tr.frames[1].spans
         for f in tr.frames:
             assert f.counters["bits"] > 0
             assert 0 <= f.counters["qp_mean"] <= 51
             assert f.counters["rate_probes"] >= 1
-        # The default backend's gauges — bits, QPs, probes — are the same.
-        default = Tracer()
-        self._encode_loop(frames, default)
-        assert [f.counters for f in default.frames] == [f.counters for f in tr.frames]
+        # Every backend records the same span paths and the same gauges —
+        # bits, QPs, probes — frame by frame.
+        for other in traced.values():
+            assert [sorted(f.spans) for f in other.frames] == [sorted(f.spans) for f in tr.frames]
+            assert [f.counters for f in other.frames] == [f.counters for f in tr.frames]
 
 
 class TestSchemeTracing:

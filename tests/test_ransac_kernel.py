@@ -21,6 +21,8 @@ import pytest
 from repro import kernels
 from repro.utils.ransac import _needed_table, _ransac_pairs_reference, ransac_linear
 
+pytestmark = pytest.mark.kernels
+
 BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64)
 
 

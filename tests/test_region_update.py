@@ -19,6 +19,8 @@ import _region_reference as ref
 from repro.codec import encoder
 from repro.codec.encoder import RegionUpdate, encode_region_update
 
+pytestmark = pytest.mark.kernels
+
 QPS = (0.0, 6.0, 18.5, 30.0, 51.0)
 
 

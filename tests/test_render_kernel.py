@@ -47,6 +47,8 @@ from repro.world import (
 )
 from repro.world.renderer import STAT_PAINTED, STAT_VISIBLE, Placed, _render_surfaces, _render_surfaces_reference
 
+pytestmark = pytest.mark.kernels
+
 PRESETS = {
     "nuscenes": lambda resolution: nuscenes_like(11, n_frames=12, **resolution),
     "robotcar": lambda resolution: robotcar_like(11, n_frames=12, **resolution),
@@ -71,12 +73,14 @@ def _assert_hook_matches(backend, renderer, scene, t):
 def _bits(value):
     """A record field with every float as its exact bits, so ``-0.0`` and
     ``0.0`` or two NaNs never compare equal by accident."""
-    if isinstance(value, float):
-        return value.hex()
+    if isinstance(value, (float, np.floating)):
+        return type(value).__name__, float(value).hex()
     if isinstance(value, np.ndarray):
         return value.dtype.str, value.shape, value.tobytes()
     if isinstance(value, (list, tuple)):
         return type(value).__name__, [_bits(v) for v in value]
+    if isinstance(value, dict):
+        return sorted((key, _bits(v)) for key, v in value.items())
     if hasattr(value, "__dataclass_fields__"):
         return type(value).__name__, [_bits(getattr(value, f)) for f in value.__dataclass_fields__]
     return type(value).__name__, value

@@ -1,6 +1,7 @@
 """Property tests for the renderer's ground-truth contracts."""
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,8 @@ from repro.world import (
     parked_car,
     pedestrian,
 )
+
+pytestmark = pytest.mark.kernels
 
 INTR = CameraIntrinsics(focal=278.0, width=320, height=192)
 

@@ -22,7 +22,7 @@ from repro.network import constant_trace, with_outages
 from repro.stream import BackpressureQueue, StreamConfig, StreamRunner, VirtualClock
 from repro.world import Clip, nuscenes_like
 
-pytestmark = pytest.mark.timeout(300)
+pytestmark = [pytest.mark.timeout(300), pytest.mark.kernels]
 
 RATE = 80_000.0  # bits/s -> a 10 kB payload takes exactly 1 s
 

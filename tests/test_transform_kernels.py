@@ -43,6 +43,8 @@ from repro.codec.transform import (
     transform_cost_bits,
 )
 
+pytestmark = pytest.mark.kernels
+
 
 def _coeffs(kind, grid, block=16, seed=0):
     """A block-major coefficient array for a ``grid`` of macroblocks."""

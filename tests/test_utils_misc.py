@@ -16,6 +16,8 @@ from repro.utils import (
     value_noise_2d,
 )
 
+pytestmark = pytest.mark.kernels
+
 
 class TestTriangleThreshold:
     def test_bimodal_separation(self):

@@ -21,6 +21,8 @@ from repro.world import (
 )
 from repro.world.scene import GROUND_ID, SKY_ID
 
+pytestmark = pytest.mark.kernels
+
 INTR = CameraIntrinsics(focal=278.0, width=320, height=192)
 
 
