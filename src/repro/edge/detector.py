@@ -85,6 +85,15 @@ def _sigmoid(x: float) -> float:
     return float(1.0 / (1.0 + np.exp(-x)))
 
 
+def _mse(decoded: np.ndarray, raw: np.ndarray, where: np.ndarray | None = None) -> float:
+    """The mean squared difference in float64, over the pixels ``where``
+    selects (all by default).  ``np.subtract`` widens each operand exactly,
+    so these are the bytes of the difference of two widened copies, without
+    the copies."""
+    diff = np.subtract(decoded, raw, dtype=np.float64)
+    return float(np.mean((diff if where is None else diff[where]) ** 2))
+
+
 class QualityAwareDetector:
     """The surrogate detector (see module docstring)."""
 
@@ -119,6 +128,10 @@ class QualityAwareDetector:
         if decoded.shape != raw.shape:
             raise ValueError(f"decoded shape {decoded.shape} != raw frame shape {raw.shape}")
         m = self.model
+        # The raw frame scored against itself (ground truth): every MSE is
+        # exactly 0, so each object's quality is 1.0 and no false positive
+        # fires — unless a pixel is NaN or inf, whose difference is NaN.
+        lossless = decoded is raw and bool(np.isfinite(raw).all())
         detections: list[Detection] = []
         # Every draw the annotations may need, and the false positives' count
         # draw as the last row (object id -1, salt 0).
@@ -129,7 +142,7 @@ class QualityAwareDetector:
             region_dec = decoded[y0:y1, x0:x1]
             if region_raw.size == 0:
                 continue
-            quality = self._quality(region_dec, region_raw)
+            quality = 1.0 if lossless else self._quality(region_dec, region_raw)
             p = (
                 quality
                 * _sigmoid((ann.pixel_count - m.size_midpoint) / m.size_slope)
@@ -153,16 +166,18 @@ class QualityAwareDetector:
                     object_id=ann.object_id,
                 )
             )
-        detections.extend(self._false_positives(decoded, record, draws[-1][0]))
+        if not lossless:
+            detections.extend(self._false_positives(decoded, record, draws[-1][0]))
         detections.sort(key=lambda d: -d.confidence)
         return detections
 
     def ground_truth(self, record: FrameRecord) -> list[Detection]:
-        """The detector's output on the raw frame — the paper's GT."""
+        """The detector's output on the raw frame — the paper's GT (no
+        distortion to measure: see :meth:`detect`)."""
         return self.detect(record.image, record)
 
     def _quality(self, decoded_region: np.ndarray, raw_region: np.ndarray) -> float:
-        mse = float(np.mean((decoded_region.astype(np.float64) - raw_region.astype(np.float64)) ** 2))
+        mse = _mse(decoded_region, raw_region)
         if mse < 1e-6:
             return 1.0
         psnr = 10.0 * np.log10(255.0**2 / mse)
@@ -175,9 +190,7 @@ class QualityAwareDetector:
         background = record.id_buffer <= GROUND_ID
         if not background.any():
             return []
-        mse = float(
-            np.mean((decoded.astype(np.float64) - record.image.astype(np.float64))[background] ** 2)
-        )
+        mse = _mse(decoded, record.image, background)
         if mse < 1e-6:
             return []
         psnr = 10.0 * np.log10(255.0**2 / mse)

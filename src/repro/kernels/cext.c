@@ -451,71 +451,7 @@ int64_t motion_comp(const float *restrict ref, const double *restrict mv, int64_
     return nan != 0;
 }
 
-/* Fractal value noise (repro.utils.noise.value_noise_2d) at one point, for
- * the renderer's textures below: per octave o the point is scaled by
- * freq[o], the four lattice corners around it hashed (splitmix64 avalanche; sterm[o] is that octave's seed * PRIME_S, and the
- * corners differ from the first by +PX, +PY, +PX+PY — uint64 wrap-around,
- * exact) and blended with the smoothstep fade.  Integer steps are exact;
- * every float step keeps the reference's operation order.  Returns 1
- * (out unspecified) when a lattice coordinate does not fit int64 — NaN,
- * +-inf, |u| >= 2^63 — where the C cast is undefined and numpy's is
- * platform-defined: the render call then declines the frame. */
-static inline double lattice(uint64_t h) {
-    h ^= h >> 30; h *= 0xBF58476D1CE4E5B9ull;
-    h ^= h >> 27; h *= 0x94D049BB133111EBull;
-    h ^= h >> 31;
-    return (double)(h >> 11) / 9007199254740992.0;
-}
-
-/* The four hashed corners of the lattice cell an octave's last point fell
- * in (a pure function of the cell and the seed term): a point in the same
- * cell reuses them.  noise_cells_reset fills them for cell (INT64_MIN,
- * INT64_MIN), so they are always the hashes of the cell they name. */
-typedef struct { int64_t iu, iv; double v00, v10, v01, v11; } lattice_cell;
-
-#define NOISE_PX 0x9E3779B97F4A7C15ull
-#define NOISE_PY 0xC2B2AE3D27D4EB4Full
-
-static inline void cell_fill(lattice_cell *c, int64_t iu, int64_t iv, uint64_t sterm) {
-    uint64_t h = (uint64_t)iu * NOISE_PX + (uint64_t)iv * NOISE_PY + sterm;
-    c->iu = iu; c->iv = iv;
-    c->v00 = lattice(h); c->v10 = lattice(h + NOISE_PX);
-    c->v01 = lattice(h + NOISE_PY); c->v11 = lattice(h + NOISE_PX + NOISE_PY);
-}
-
-static void noise_cells_reset(lattice_cell *cells, const uint64_t *sterm, int64_t octaves) {
-    for (int64_t o = 0; o < octaves; o++) cell_fill(cells + o, INT64_MIN, INT64_MIN, sterm[o]);
-}
-
-static inline int noise_at(double x, double y, const double *freq, const uint64_t *sterm,
-                           int64_t octaves, lattice_cell *cells, double *out) {
-    const double lim = 9223372036854775808.0;  /* 2^63 */
-    double total = 0.0, amp = 1.0, amp_sum = 0.0;
-    for (int64_t o = 0; o < octaves; o++) {
-        double u = x * freq[o], v = y * freq[o];
-        if (!(u >= -lim && u < lim && v >= -lim && v < lim)) return 1;
-        /* floor() as truncate-and-step-down, no libm call: u - trunc(u) is
-         * exact, and where it is negative, adding 1 rounds the same real
-         * number u - floor(u) once, as the reference's subtraction does. */
-        int64_t iu = (int64_t)u, iv = (int64_t)v;
-        double fu = u - (double)iu, fv = v - (double)iv;
-        if (fu < 0.0) { fu = fu + 1.0; iu -= 1; }
-        if (fv < 0.0) { fv = fv + 1.0; iv -= 1; }
-        double su = fu * fu * (3.0 - 2.0 * fu);
-        double sv = fv * fv * (3.0 - 2.0 * fv);
-        lattice_cell *c = cells + o;
-        if (c->iu != iu || c->iv != iv) cell_fill(c, iu, iv, sterm[o]);
-        double top = c->v00 + su * (c->v10 - c->v00);
-        double bot = c->v01 + su * (c->v11 - c->v01);
-        total += amp * (top + sv * (bot - top));
-        amp_sum += amp;
-        amp *= 0.5;
-    }
-    *out = total / amp_sum;
-    return 0;
-}
-
-/* ---- the surfaces (repro.world.renderer) ----
+/* ---- the surfaces (repro.world.renderer), eight pixels at a time ----
  * Two calls paint what _render_surfaces_reference paints.  render_surfaces
  * resolves visibility first — the ground's id, then every placed
  * billboard's mask far to near (ids and painted counts) — and only then
@@ -525,54 +461,167 @@ static inline int noise_at(double x, double y, const double *freq, const uint64_
  * way, and gathers the sky pixels' x and z directions, in raster order, for
  * the caller's np.arctan2.  render_sky then shades the sky pixels from
  * those azimuths.  Both write the float32 image: the (float) of the double
- * the reference computes is astype's rounding. */
+ * the reference computes is astype's rounding.
+ *
+ * Billboard masks are tested, and every textured pixel shaded, LANES at a
+ * time: a surface's pixels are gathered in raster order into a batch
+ * (their indices in at[]), and each full batch — then the short last one,
+ * padded with copies of its first pixel — runs lane by lane in GCC vector
+ * types, and only its real lanes are stored.  Each step is lane-wise IEEE
+ * arithmetic, an exact integer step, a compare or a bitwise select, in the
+ * reference's operation order, so a lane computes the very double the
+ * reference does (argued in cext.py).  Vectors cross calls by pointer only:
+ * a vector argument's ABI differs between the two flag lists (-Wpsabi),
+ * inlined or not. */
+#define LANES 8
+#define LANE_FN static inline __attribute__((always_inline))
+typedef double f64x8 __attribute__((vector_size(LANES * sizeof(double))));
+typedef int64_t i64x8 __attribute__((vector_size(LANES * sizeof(int64_t))));
+typedef uint64_t u64x8 __attribute__((vector_size(LANES * sizeof(uint64_t))));
+typedef float f32x8 __attribute__((vector_size(LANES * sizeof(float))));
+
+/* Every lane v; m ? a : b in each lane, m all ones or all zeros (a
+ * compare's lane) — bits moved, none changed; fabs. */
+#define SPLAT8(v) ((f64x8){(v), (v), (v), (v), (v), (v), (v), (v)})
+#define SELECT8(m, a, b) ((f64x8)(((m) & (i64x8)(a)) | (~(m) & (i64x8)(b))))
+#define FABS8(v) ((f64x8)((i64x8)(v) & INT64_MAX))
+
 #define SURFACE_SKY 0
 #define SURFACE_GROUND 1
 #define GROUND_HAZE 165.0
 
+LANE_FN int all8(const i64x8 *m) {
+    int64_t all = -1;
+    for (int k = 0; k < LANES; k++) all &= (*m)[k];
+    return all != 0;
+}
+
+LANE_FN int any8(const i64x8 *m) {
+    int64_t any = 0;
+    for (int k = 0; k < LANES; k++) any |= (*m)[k];
+    return any != 0;
+}
+
+/* A batch's ray directions, by component, into d[0..2]; lanes from n on
+ * repeat lane 0.  Each vector is built from eight scalars in registers (a
+ * vector loaded over eight scalar stores waits for all of them). */
+LANE_FN void gather8(const double *dirs, int64_t *at, int64_t n, f64x8 *d) {
+    for (int64_t k = n; k < LANES; k++) at[k] = at[0];
+    const double *p0 = dirs + 3 * at[0], *p1 = dirs + 3 * at[1], *p2 = dirs + 3 * at[2], *p3 = dirs + 3 * at[3];
+    const double *p4 = dirs + 3 * at[4], *p5 = dirs + 3 * at[5], *p6 = dirs + 3 * at[6], *p7 = dirs + 3 * at[7];
+    for (int c = 0; c < 3; c++) d[c] = (f64x8){p0[c], p1[c], p2[c], p3[c], p4[c], p5[c], p6[c], p7[c]};
+}
+
+/* A batch's n real lanes into the float32 image (the (float) of each). */
+LANE_FN void store8(float *image, const int64_t *at, int64_t n, const f64x8 *gray) {
+    f32x8 narrow = __builtin_convertvector(*gray, f32x8);
+    for (int64_t k = 0; k < n; k++) image[at[k]] = narrow[k];
+}
+
+/* Fractal value noise (repro.utils.noise.value_noise_2d) at eight points,
+ * for the textures below: per octave o the points are scaled by freq[o],
+ * the four lattice corners around each hashed (splitmix64 avalanche;
+ * sterm[o] is that octave's seed * PRIME_S, and the corners differ from the
+ * first by +PX, +PY, +PX+PY — uint64 wrap-around, exact) and blended with
+ * the smoothstep fade.  Integer steps are exact; every float step keeps the
+ * reference's operation order.  Returns 1 (out unspecified) when a lane's
+ * lattice coordinate does not fit int64 — NaN, +-inf, |u| >= 2^63 — where
+ * the C cast is undefined and numpy's is platform-defined: the render call
+ * then declines the frame. */
+#define NOISE_PX 0x9E3779B97F4A7C15ull
+#define NOISE_PY 0xC2B2AE3D27D4EB4Full
+
+LANE_FN void lattice8(const u64x8 *corner, uint64_t offset, f64x8 *out) {
+    u64x8 h = *corner + offset;
+    h ^= h >> 30; h *= 0xBF58476D1CE4E5B9ull;
+    h ^= h >> 27; h *= 0x94D049BB133111EBull;
+    h ^= h >> 31;
+    /* h >> 11 < 2^53 converts exactly, as int64 too */
+    *out = __builtin_convertvector((i64x8)(h >> 11), f64x8) / 9007199254740992.0;
+}
+
+LANE_FN int noise8(const f64x8 *x, const f64x8 *y, const double *freq, const uint64_t *sterm, int64_t octaves,
+                   f64x8 *out) {
+    const double lim = 9223372036854775808.0;  /* 2^63 */
+    f64x8 total = SPLAT8(0.0), v00, v10, v01, v11;
+    double amp = 1.0, amp_sum = 0.0;
+    for (int64_t o = 0; o < octaves; o++) {
+        f64x8 u = *x * freq[o], v = *y * freq[o];
+        i64x8 fits = (u >= -lim) & (u < lim) & (v >= -lim) & (v < lim);
+        if (!all8(&fits)) return 1;
+        /* floor() as truncate-and-step-down, no libm call: u - trunc(u) is
+         * exact, and where it is negative, adding 1 rounds the same real
+         * number u - floor(u) once, as the reference's subtraction does. */
+        i64x8 iu = __builtin_convertvector(u, i64x8), iv = __builtin_convertvector(v, i64x8);
+        f64x8 fu = u - __builtin_convertvector(iu, f64x8), fv = v - __builtin_convertvector(iv, f64x8);
+        i64x8 du = fu < 0.0, dv = fv < 0.0;  /* -1 in a lane that steps down */
+        fu = SELECT8(du, fu + 1.0, fu); iu += du;
+        fv = SELECT8(dv, fv + 1.0, fv); iv += dv;
+        f64x8 su = fu * fu * (3.0 - 2.0 * fu), sv = fv * fv * (3.0 - 2.0 * fv);
+        u64x8 h = (u64x8)iu * NOISE_PX + (u64x8)iv * NOISE_PY + sterm[o];
+        lattice8(&h, 0, &v00);
+        lattice8(&h, NOISE_PX, &v10);
+        lattice8(&h, NOISE_PY, &v01);
+        lattice8(&h, NOISE_PX + NOISE_PY, &v11);
+        f64x8 top = v00 + su * (v10 - v00), bot = v01 + su * (v11 - v01);
+        total += amp * (top + sv * (bot - top));
+        amp_sum += amp;
+        amp *= 0.5;
+    }
+    *out = total / amp_sum;
+    return 0;
+}
+
 /* np.mod(a, b) for the shaders' divisors b = 2, 2.5 and 6: numpy's
  * npy_divmod remainder, fmod moved into the divisor's sign (np.mod(-1e-17,
- * 6.0) is 6.0) and +0.0 for an exact multiple.  Below 2^51 in magnitude it
- * takes no libm call.  q = trunc(a / b) is fmod's truncated quotient: a / b
- * rounds onto an integer k only when a = k b (k b is no power of two, so an
- * a below it is a whole ulp of k b below, and that over b is more than half
- * an ulp of k).  |q| <= 2^50, so q * b is exact (5q and 3q stay below 2^53),
- * and so is a - q * b (Sterbenz: q * b lies in [a / 2, 2a] once q is
- * non-zero) — fmod's remainder.  Had the quotient rounded up, the sign step
- * would still land on the same exact value.  Larger, NaN and +-inf take
- * fmod. */
-static inline double np_mod(double a, double b) {
-    double mod;
-    if (fabs(a) < 0x1p51) {
-        double q = (double)(int64_t)(a / b);
-        mod = a - q * b;
-    } else {
-        mod = fmod(a, b);
+ * 6.0) is 6.0) and +0.0 for an exact multiple.  Below 2^51 in magnitude a
+ * lane takes no libm call.  q = trunc(a / b) is fmod's truncated quotient:
+ * a / b rounds onto an integer k only when a = k b (k b is no power of two,
+ * so an a below it is a whole ulp of k b below, and that over b is more
+ * than half an ulp of k).  |q| <= 2^50, so q * b is exact (5q and 3q stay
+ * below 2^53), and so is a - q * b (Sterbenz: q * b lies in [a / 2, 2a]
+ * once q is non-zero) — fmod's remainder.  Had the quotient rounded up, the
+ * sign step would still land on the same exact value.  A larger lane, NaN
+ * and +-inf take fmod, one by one (their quotient lane divides 0, so no
+ * conversion overflows). */
+LANE_FN void np_mod8(const f64x8 *a, double b, f64x8 *out) {
+    i64x8 exact = FABS8(*a) < 0x1p51;
+    f64x8 q = __builtin_convertvector(__builtin_convertvector(SELECT8(exact, *a, SPLAT8(0.0)) / b, i64x8), f64x8);
+    f64x8 mod = *a - q * b;
+    if (!all8(&exact))
+        for (int k = 0; k < LANES; k++)
+            if (!exact[k]) mod[k] = fmod((*a)[k], b);
+    mod = SELECT8(mod == 0.0, SPLAT8(0.0), mod);
+    *out = SELECT8(mod < 0.0, mod + b, mod);
+}
+
+/* np.clip's compares, in place: a NaN and -0.0 come through as they are. */
+LANE_FN void np_clip8(f64x8 *v, double lo, double hi) {
+    *v = SELECT8(*v < lo, SPLAT8(lo), SELECT8(*v > hi, SPLAT8(hi), *v));
+}
+
+/* ground_texture at world (x, z), weighted into the haze by the depth tg:
+ * gfreq / gsterm hold the base noise's two octaves, then the fine noise's
+ * one. */
+LANE_FN int ground8(const f64x8 *tg, const f64x8 *x, const f64x8 *z, const double *gfreq,
+                    const uint64_t *gsterm, double max_depth, double fade, double weather, f64x8 *out) {
+    f64x8 base, fine, dash, weight;
+    if (noise8(x, z, gfreq, gsterm, 2, &base) || noise8(x, z, gfreq + 2, gsterm + 2, 1, &fine)) return 1;
+    f64x8 gray = (80.0 + 45.0 * base) + 12.0 * (fine - 0.5);
+    /* dashed lanes at x = -+1.75 (the remainder only where a lane can use
+     * it), solid edge lines at x = -+5.25 */
+    i64x8 mark = (FABS8(*x - -1.75) < 0.12) | (FABS8(*x - 1.75) < 0.12);
+    if (any8(&mark)) {
+        np_mod8(z, 6.0, &dash);
+        mark &= dash < 3.0;
     }
-    if (!mod) return copysign(0.0, b);
-    return (b < 0.0) != (mod < 0.0) ? mod + b : mod;
-}
-
-/* np.clip's compares: a NaN and -0.0 come through as they are. */
-static inline double np_clip(double v, double lo, double hi) {
-    return v < lo ? lo : v > hi ? hi : v;
-}
-
-/* ground_texture at world (x, z): gfreq / gsterm hold the base noise's two
- * octaves, then the fine noise's one. */
-static inline int ground_gray(double x, double z, const double *gfreq, const uint64_t *gsterm,
-                              lattice_cell *cells, double weather, double *out) {
-    double base, fine;
-    if (noise_at(x, z, gfreq, gsterm, 2, cells, &base)
-        || noise_at(x, z, gfreq + 2, gsterm + 2, 1, cells + 2, &fine))
-        return 1;
-    double gray = (80.0 + 45.0 * base) + 12.0 * (fine - 0.5);
-    /* dashed lanes at x = -+1.75 (the dash test only where it can matter),
-     * solid edge lines at x = -+5.25 */
-    if (((fabs(x - -1.75) < 0.12 || fabs(x - 1.75) < 0.12) && np_mod(z, 6.0) < 3.0)
-        || fabs(x - -5.25) < 0.12 || fabs(x - 5.25) < 0.12)
-        gray = 225.0;
-    *out = np_clip(105.0 + (gray - 105.0) * weather, 0.0, 255.0);
+    mark |= (FABS8(*x - -5.25) < 0.12) | (FABS8(*x - 5.25) < 0.12);
+    gray = SELECT8(mark, SPLAT8(225.0), gray);
+    gray = 105.0 + (gray - 105.0) * weather;
+    np_clip8(&gray, 0.0, 255.0);
+    weight = (max_depth - *tg) / fade;
+    np_clip8(&weight, 0.0, 1.0);
+    *out = weight * gray + (1.0 - weight) * GROUND_HAZE;
     return 0;
 }
 
@@ -590,51 +639,74 @@ enum { FACE_Y0, FACE_Y1, FACE_X0, FACE_X1, FACE_KIND, FACE_ID, FACE_SIZE };
  * (zeros when it kept none) — renderer.STAT_*. */
 enum { STAT_PAINTED, STAT_VISIBLE, STAT_X0, STAT_Y0, STAT_X1, STAT_Y1, STAT_SIZE };
 
-/* The ray d from o against a billboard: tt = num / (d . normal), with num =
+/* Rays d from o against a billboard: tt = num / (d . normal), with num =
  * (point - o) . normal (face_num), the point o + d tt, u = (that point -
  * point) . u_dir and the height above the ground; writes the texture
- * coordinates (u from the left edge, height) and returns the reference's
- * mask.  normal and u_dir each hold one non-zero component (the wrapper
- * declines any other face), so every other product is an exact +-0 — or a
- * NaN / inf, which the reference's BLAS dot products meet too — and each
- * dot product equals the reference's in any summation order, but for the
- * sign of an all-zero sum; that sign only reaches a non-finite or +-0 tt,
- * which the mask drops either way, or |u| and the left-edge coordinate
- * u + half width. */
+ * coordinates (u from the left edge, height) and the reference's mask.
+ * normal and u_dir each hold one non-zero component (the wrapper declines
+ * any other face), so every other product is an exact +-0 — or a NaN /
+ * inf, which the reference's BLAS dot products meet too — and each dot
+ * product equals the reference's in any summation order, but for the sign
+ * of an all-zero sum; that sign only reaches a non-finite or +-0 tt, which
+ * the mask drops either way, or |u| and the left-edge coordinate u + half
+ * width. */
 static inline double face_num(const double *g, const double *o) {
     const double *pt = g + GEO_POINT, *n = g + GEO_NORMAL;
     return ((pt[0] - o[0]) * n[0] + (pt[1] - o[1]) * n[1]) + (pt[2] - o[2]) * n[2];
 }
 
-static inline int face_hit(const double *g, double num, const double *d, const double *o, double *tu,
-                           double *th) {
+LANE_FN void face8(const double *g, double num, const f64x8 *d, const double *o, f64x8 *tu, f64x8 *th,
+                   i64x8 *hit) {
     const double *pt = g + GEO_POINT, *n = g + GEO_NORMAL, *ud = g + GEO_UDIR;
-    double tt = num / ((d[0] * n[0] + d[1] * n[1]) + d[2] * n[2]);
-    double p0 = o[0] + d[0] * tt, p1 = o[1] + d[1] * tt, p2 = o[2] + d[2] * tt;
-    double u = ((p0 - pt[0]) * ud[0] + (p1 - pt[1]) * ud[1]) + (p2 - pt[2]) * ud[2];
+    f64x8 tt = num / ((d[0] * n[0] + d[1] * n[1]) + d[2] * n[2]);
+    f64x8 p0 = o[0] + d[0] * tt, p1 = o[1] + d[1] * tt, p2 = o[2] + d[2] * tt;
+    f64x8 u = ((p0 - pt[0]) * ud[0] + (p1 - pt[1]) * ud[1]) + (p2 - pt[2]) * ud[2];
     *tu = u + g[GEO_HALF];
     *th = -p1;
-    return isfinite(tt) && tt > 0.1 && fabs(u) <= g[GEO_HALF] && *th >= 0.0 && *th <= g[GEO_HEIGHT];
+    *hit = (FABS8(tt) <= 0x1.fffffffffffffp+1023) & (tt > 0.1) & (FABS8(u) <= g[GEO_HALF]) & (*th >= 0.0)
+           & (*th <= g[GEO_HEIGHT]);
 }
 
 /* object_texture at face coordinates (u, h): three octaves of noise under
  * the object's own seed terms, the kind's bands, the weather contrast. */
-static inline int object_gray(double u, double h, const double *g, int64_t kind, const double *ofreq,
-                              const uint64_t *osterm, lattice_cell *cells, double weather, double *out) {
-    double noise;
-    if (noise_at(u, h, ofreq, osterm, 3, cells, &noise)) return 1;
-    double base = g[GEO_BASE], gray = base + g[GEO_CONTRAST] * (noise - 0.5);
+LANE_FN int object8(const f64x8 *u, const f64x8 *h, const double *g, int64_t kind, const double *ofreq,
+                    const uint64_t *osterm, double weather, f64x8 *out) {
+    f64x8 noise, wu, wh;
+    if (noise8(u, h, ofreq, osterm, 3, &noise)) return 1;
+    double base = g[GEO_BASE];
+    f64x8 gray = base + g[GEO_CONTRAST] * (noise - 0.5);
     if (kind == 1) {  /* window grid */
-        double wu = np_mod(u, 2.0), wh = np_mod(h, 2.5);
-        if (wu > 0.5 && wu < 1.7 && wh > 0.8 && wh < 2.1) gray = gray - 65.0;
+        np_mod8(u, 2.0, &wu);
+        np_mod8(h, 2.5, &wh);
+        gray = SELECT8((wu > 0.5) & (wu < 1.7) & (wh > 0.8) & (wh < 2.1), gray - 65.0, gray);
     } else if (kind == 2) {  /* wheel / shadow band, window band */
-        if (h < 0.35) gray = gray - 55.0;
-        if (h > 1.1) gray = gray + 40.0;
+        gray = SELECT8(*h < 0.35, gray - 55.0, gray);
+        gray = SELECT8(*h > 1.1, gray + 40.0, gray);
     } else if (kind == 3) {  /* head / torso / legs */
-        if (h > 1.45) gray = gray + 35.0;
-        if (h < 0.75) gray = gray - 30.0;
+        gray = SELECT8(*h > 1.45, gray + 35.0, gray);
+        gray = SELECT8(*h < 0.75, gray - 30.0, gray);
     }
-    *out = np_clip(base + (gray - base) * weather, 0.0, 255.0);
+    *out = base + (gray - base) * weather;
+    np_clip8(out, 0.0, 255.0);
+    return 0;
+}
+
+/* One batch of a surface, n pixels: the ground's (object NULL) or those a
+ * billboard kept. */
+LANE_FN int shade8(const double *dirs, int64_t *at, int64_t n, const double *o, const double *object,
+                   int64_t kind, double num, double max_depth, double fade, double weather, const double *freq,
+                   const uint64_t *sterm, float *image) {
+    f64x8 d[3], gray, tu, th;
+    i64x8 hit;
+    gather8(dirs, at, n, d);
+    if (object) {
+        face8(object, num, d, o, &tu, &th, &hit);
+        if (object8(&tu, &th, object, kind, freq, sterm, weather, &gray)) return 1;
+    } else {
+        f64x8 tg = -o[1] / d[1], x = o[0] + tg * d[0], z = o[2] + tg * d[2];
+        if (ground8(&tg, &x, &z, freq, sterm, max_depth, fade, weather, &gray)) return 1;
+    }
+    store8(image, at, n, &gray);
     return 0;
 }
 
@@ -652,9 +724,10 @@ int64_t render_surfaces(const double *dirs, int64_t h, int64_t w, const double *
                         const uint64_t *gsterm, int64_t n_obj, const int64_t *face,
                         const double *geo, const uint64_t *osterm,
                         float *image, int32_t *ids, int64_t *stats, double *sky_x, double *sky_z) {
-    int64_t n = h * w, n_sky = 0;
-    double fade = max_depth - 0.7 * max_depth, tu, th;
-    lattice_cell cells[3];
+    int64_t n = h * w, n_sky = 0, at[LANES], m = 0;
+    double fade = max_depth - 0.7 * max_depth;
+    f64x8 d[3], tu, th;
+    i64x8 hit;
     for (int64_t i = 0; i < n; i++) {
         double dy = dirs[3 * i + 1], tg = -o[1] / dy;
         ids[i] = dy > 1e-9 && tg > 0.0 ? SURFACE_GROUND : SURFACE_SKY;
@@ -665,51 +738,64 @@ int64_t render_surfaces(const double *dirs, int64_t h, int64_t w, const double *
         double num = face_num(g, o);
         int64_t painted = 0;
         for (int64_t y = f[FACE_Y0]; y < f[FACE_Y1]; y++)
-            for (int64_t x = f[FACE_X0]; x < f[FACE_X1]; x++)
-                if (face_hit(g, num, dirs + 3 * (y * w + x), o, &tu, &th)) {
-                    ids[y * w + x] = (int32_t)f[FACE_ID];
-                    painted++;
-                }
+            for (int64_t x = f[FACE_X0]; x < f[FACE_X1]; x += LANES) {
+                m = f[FACE_X1] - x < LANES ? f[FACE_X1] - x : LANES;
+                for (int64_t j = 0; j < m; j++) at[j] = y * w + x + j;
+                gather8(dirs, at, m, d);
+                face8(g, num, d, o, &tu, &th, &hit);
+                for (int64_t j = 0; j < m; j++)
+                    if (hit[j]) {
+                        ids[at[j]] = (int32_t)f[FACE_ID];
+                        painted++;
+                    }
+            }
         stats[k * STAT_SIZE + STAT_PAINTED] = painted;
     }
-    noise_cells_reset(cells, gsterm, 3);
+    m = 0;
     for (int64_t i = 0; i < n; i++) {
-        const double *d = dirs + 3 * i;
+        const double *di = dirs + 3 * i;
         if (ids[i] == SURFACE_SKY) {
-            sky_x[n_sky] = d[0];
-            sky_z[n_sky++] = d[2];
+            sky_x[n_sky] = di[0];
+            sky_z[n_sky++] = di[2];
         }
         if (ids[i] != SURFACE_GROUND) continue;
-        double tg = -o[1] / d[1], tex;
-        if (!(tg <= max_depth)) {
+        if (!(-o[1] / di[1] <= max_depth)) {
             image[i] = (float)GROUND_HAZE;
             continue;
         }
-        if (ground_gray(o[0] + tg * d[0], o[2] + tg * d[2], freq, gsterm, cells, weather, &tex)) return -1;
-        double weight = np_clip((max_depth - tg) / fade, 0.0, 1.0);
-        image[i] = (float)(weight * tex + (1.0 - weight) * GROUND_HAZE);
+        at[m++] = i;
+        if (m == LANES) {
+            if (shade8(dirs, at, m, o, NULL, 0, 0.0, max_depth, fade, weather, freq, gsterm, image)) return -1;
+            m = 0;
+        }
     }
+    if (m && shade8(dirs, at, m, o, NULL, 0, 0.0, max_depth, fade, weather, freq, gsterm, image)) return -1;
     /* Ids are unique, so a pixel holding object k's id is one of its mask's. */
     for (int64_t k = 0; k < n_obj; k++) {
         const int64_t *f = face + k * FACE_SIZE;
         const double *g = geo + k * GEO_SIZE;
+        const uint64_t *sterm = osterm + 3 * k;
         int64_t *s = stats + k * STAT_SIZE;
         int64_t kept = 0, x0 = f[FACE_X1], x1 = f[FACE_X0], y0 = 0, y1 = 0;
-        double num = face_num(g, o), tex;
-        noise_cells_reset(cells, osterm + 3 * k, 3);
+        double num = face_num(g, o);
+        m = 0;
         for (int64_t y = f[FACE_Y0]; y < f[FACE_Y1]; y++)
             for (int64_t x = f[FACE_X0]; x < f[FACE_X1]; x++) {
                 int64_t i = y * w + x;
                 if (ids[i] != f[FACE_ID]) continue;
-                face_hit(g, num, dirs + 3 * i, o, &tu, &th);
-                if (object_gray(tu, th, g, f[FACE_KIND], freq + 3, osterm + 3 * k, cells, weather, &tex))
-                    return -1;
-                image[i] = (float)tex;
                 if (!kept++) y0 = y;
                 y1 = y + 1;
                 if (x < x0) x0 = x;
                 if (x >= x1) x1 = x + 1;
+                at[m++] = i;
+                if (m == LANES) {
+                    if (shade8(dirs, at, m, o, g, f[FACE_KIND], num, 0.0, 0.0, weather, freq + 3, sterm, image))
+                        return -1;
+                    m = 0;
+                }
             }
+        if (m && shade8(dirs, at, m, o, g, f[FACE_KIND], num, 0.0, 0.0, weather, freq + 3, sterm, image))
+            return -1;
         s[STAT_VISIBLE] = kept;
         s[STAT_X0] = kept ? x0 : 0;
         s[STAT_Y0] = y0;
@@ -719,27 +805,48 @@ int64_t render_surfaces(const double *dirs, int64_t h, int64_t w, const double *
     return n_sky;
 }
 
-/* sky_texture over the pixels render_surfaces left as sky (ids), in raster
- * order, each from its np.arctan2 azimuth: the direction's norm and
- * elevation, the gradient, one octave of cloud noise, the clip.  freq and
- * gsterm are render_surfaces' arrays, the sky's octave last.  Returns 1 —
- * the reference answers — on a noise coordinate int64 cannot hold. */
+/* sky_texture over one batch of n sky pixels, from their np.arctan2
+ * azimuths: the direction's norm and elevation, the gradient, one octave
+ * of cloud noise, the clip. */
+LANE_FN int sky8(const double *dirs, int64_t *at, int64_t n, const double *azimuth, const double *sfreq,
+                 const uint64_t *sterm, float *image) {
+    f64x8 d[3], az, norm, clouds, gradient;
+    gather8(dirs, at, n, d);
+    memcpy(&az, azimuth, sizeof az);
+    f64x8 sq = (d[0] * d[0] + d[1] * d[1]) + d[2] * d[2];
+    for (int k = 0; k < LANES; k++) norm[k] = sqrt(sq[k]);
+    f64x8 elevation = -d[1] / norm, u = az * 8.0, v = elevation * 8.0;
+    if (noise8(&u, &v, sfreq, sterm, 1, &clouds)) return 1;
+    gradient = elevation / 0.6;
+    np_clip8(&gradient, 0.0, 1.0);
+    f64x8 sky = (190.0 + 50.0 * gradient) + 18.0 * (clouds - 0.5);
+    np_clip8(&sky, 0.0, 255.0);
+    store8(image, at, n, &sky);
+    return 0;
+}
+
+/* The sky over the pixels render_surfaces left as sky (ids), in raster
+ * order, each from its azimuth.  freq and gsterm are render_surfaces'
+ * arrays, the sky's octave last.  Returns 1 — the reference answers — on a
+ * noise coordinate int64 cannot hold. */
 int64_t render_sky(const double *dirs, int64_t n, const int32_t *ids, const double *azimuth,
                    const double *freq, const uint64_t *gsterm, float *image) {
     const double *sfreq = freq + 6;
     const uint64_t *sterm = gsterm + 3;
-    lattice_cell cell;
-    noise_cells_reset(&cell, sterm, 1);
-    for (int64_t i = 0, j = 0; i < n; i++) {
+    int64_t at[LANES], m = 0, j = 0;
+    double tail[LANES];
+    for (int64_t i = 0; i < n; i++) {
         if (ids[i] != SURFACE_SKY) continue;
-        const double *d = dirs + 3 * i;
-        double norm = sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]);
-        double elevation = -d[1] / norm, clouds;
-        if (noise_at(azimuth[j++] * 8.0, elevation * 8.0, sfreq, sterm, 1, &cell, &clouds)) return 1;
-        double gradient = 190.0 + 50.0 * np_clip(elevation / 0.6, 0.0, 1.0);
-        image[i] = (float)np_clip(gradient + 18.0 * (clouds - 0.5), 0.0, 255.0);
+        at[m++] = i;
+        j++;
+        if (m == LANES) {
+            if (sky8(dirs, at, m, azimuth + j - LANES, sfreq, sterm, image)) return 1;
+            m = 0;
+        }
     }
-    return 0;
+    if (!m) return 0;
+    for (int64_t k = 0; k < LANES; k++) tail[k] = azimuth[j - m + (k < m ? k : 0)];
+    return sky8(dirs, at, m, tail, sfreq, sterm, image);
 }
 
 /* ---- the 8x8 DCT (repro.codec.transform: dct_blocks / idct_blocks) ----

@@ -32,8 +32,9 @@ Bit-exactness is engineered, then verified.  The source is compiled for the
 host's own vector unit (``-march=native``: SSE2 pairs on a baseline x86-64,
 four or eight doubles a register under AVX2 / AVX-512), and no width changes
 a bit: every vectorised loop is element-wise — vector add, sub, mul, div,
-abs, compare and float32 -> float64 give each lane exactly what the
-scalar instruction would — no reduction is re-bracketed across lanes (GCC never
+sqrt, abs, compare, float32 <-> float64, int64 <-> float64 and the uint64
+multiply's low half give each lane exactly what the scalar instruction
+would — no reduction is re-bracketed across lanes (GCC never
 reassociates FP without ``-ffast-math``; the pairwise sums below name their
 eight lanes), ``-ffp-contract=off`` keeps FMA out although the host has it,
 and the libm calls are the same calls.  The object differs per CPU, so the
@@ -60,31 +61,48 @@ that process loaded.
   the sign ``-0.0 - floor(-0.0)`` loses, and a zero weight's sign shows in
   a sum of ``-0.0`` taps.  An output NaN (whose payload the order does not
   pin) and a vector past ``_MV_REACH`` are declined.
-- The textures' value noise (``noise_at``, inside the renderer's calls
-  below) is ``repro.utils.noise.value_noise_2d`` point by point: NumPy's
-  is a per-array pipeline — four lattice hashes per octave, each a dozen
-  full-size temporaries; C keeps a point's octaves in registers and reuses
-  a lattice cell's four hashes for the next point in the same cell (they
-  are a pure function of the cell and the seed).  The hash is uint64
-  wrap-around arithmetic (exact), the blend keeps the reference's
-  operation order, and a coordinate int64 cannot represent (NaN, inf,
-  ``|u| >= 2^63`` — an undefined cast in C) declines the frame.
+- The textures' value noise (``noise8``, inside the renderer's calls
+  below) is ``repro.utils.noise.value_noise_2d`` at eight points at once,
+  one per lane of GCC vector types: NumPy's is a per-array pipeline — four
+  lattice hashes per octave, each a dozen full-size temporaries — and C
+  keeps eight points' octaves in vector registers.  Lanes change no bit,
+  because every step is the IEEE or integer operation the reference
+  applies to that point, in its order: the truncating conversion to int64
+  and a step down where ``u - trunc(u)`` is negative (the reference's
+  ``floor``: ``u - trunc(u)`` is exact, and adding 1 rounds ``u -
+  floor(u)`` once, as the reference's subtraction does); the smoothstep
+  ``fu * fu * (3 - 2 fu)``; the splitmix hash in uint64 wrap-around
+  arithmetic (exact); ``(double)(h >> 11) / 2^53`` (exact: the integer is
+  below 2^53, the divisor a power of two); the lerps and the octave blend.
+  Compares decide per lane and selects move bits.  The scalar code this
+  replaced reused a lattice cell's four hashes for the next point in the
+  same cell; the hashes are a pure function of the cell and the seed, so
+  that memo was a cache, and hashing every point changes no bit.  A
+  coordinate int64 cannot represent in any lane (NaN, inf, ``|u| >=
+  2^63`` — an undefined cast in C) declines the frame.
 - The renderer's surfaces (``render_surfaces``) are two calls per frame
   over the world ray directions NumPy formed and the placed objects'
   per-scene table.  The first resolves the ground's ids and every placed
-  object's mask far to near (ids and painted counts), then textures only
-  the pixels that kept their surface, through ``noise_at`` above, counting each object's kept pixels and their bounding box as it
-  goes, and gathers the sky pixels' x and z directions; the second shades
+  object's mask far to near (ids and painted counts, the mask eight
+  pixels of a window row at a time), then textures only the pixels that
+  kept their surface, counting each object's kept pixels and their
+  bounding box as it goes, and gathers the sky pixels' x and z directions;
+  the second shades
   the sky — norm, elevation, one octave of cloud noise, clip — from
   ``np.arctan2`` of those two contiguous arrays, taken in NumPy between the
   calls.  That azimuth is the reference's own call on the same values:
   numpy computes ``arctan2`` with its own SIMD code on AVX-512 hosts, not
-  bit-identical to libm's ``atan2``.  Each per-pixel step is elementwise
-  IEEE arithmetic in the reference's order, written straight to the
-  float32 image (``(float)`` of a double is ``astype``'s rounding);
-  ``np.mod`` is numpy's ``npy_divmod`` remainder, exact without ``fmod``
-  for the shaders' divisors 2, 2.5 and 6 below ``2^51`` (argued at
-  ``np_mod`` in ``cext.c``), and ``np.clip`` is its two compares.  The
+  bit-identical to libm's ``atan2``.  Each surface's pixels are gathered
+  in raster order and shaded eight to a batch through ``noise8`` above; a
+  surface's short last batch repeats its first pixel in the spare lanes,
+  whose results are dropped (a repeated pixel cannot decline a frame its
+  first lane would not).  Each per-pixel step is elementwise IEEE
+  arithmetic in the reference's order, written straight to the float32
+  image (``(float)`` of a double is ``astype``'s rounding); ``np.mod`` is
+  numpy's ``npy_divmod`` remainder, exact without ``fmod`` for the
+  shaders' divisors 2, 2.5 and 6 below ``2^51`` (argued at ``np_mod8`` in
+  ``cext.c``) — a lane at or past it, or NaN, takes ``fmod`` on its own —
+  and ``np.clip`` is its two compares, as selects.  The
   reference forms a face's ``d . normal``, ``(point - origin) . normal``
   and ``(p - point) . u_dir`` with ``@`` — BLAS dot products whose
   summation order and FMA use C cannot reproduce — so the kernel takes
@@ -964,6 +982,11 @@ def _same_answer(got, want) -> bool:
     return got is not None and _same_bytes(got, want)
 
 
+def _same_or_declined(got, want) -> bool:
+    """:func:`_same_answer`, or both declined (``None``)."""
+    return got is want is None or _same_answer(got, want)
+
+
 def _same_bits(got, want) -> bool:
     """Whether a rate counter answers ``want``'s bit total at every base QP
     of a walk as rate control's: down inside what the first compaction
@@ -1057,6 +1080,55 @@ def _remainder_cases(values) -> list:
         ("remainders, ground z", (ground, np.array([0.0, -1.0, -0.0]), scene, nothing), {}),
         ("remainders, building faces", (rays, np.zeros(3), scene, Placed.by_hand(faces, windows, 0.0)), {}),
     ]
+
+
+def _lane_cases(gen) -> tuple[list, object]:
+    """``render_surfaces`` cases for the kernel's eight-pixel batches, and the
+    scene of the last one: small frames where no surface covers a multiple
+    of eight pixels (every surface ends on a short, padded batch); ground
+    rays in rows of eight, one batch each, with a negative x and z in each
+    lane position in turn, and on the dashed lane lines with one lane per
+    batch, in each position in turn, past 2^51 (the remainder's ``fmod``
+    fix-up); and, last, ground rays with one lane's noise coordinate past
+    int64, a frame the kernel must decline whole."""
+    from repro.geometry.camera import CameraIntrinsics
+    from repro.world import EgoTrajectory, Renderer, Scene, StraightSegment, building, parked_car, pedestrian
+    from repro.world.renderer import Placed
+
+    cases = []
+    scene = Scene(trajectory=EgoTrajectory([StraightSegment(1.0, 8.0)]), texture_seed=6,
+                  objects=[building(-4.0, 13.0, seed=11), parked_car(1.1, 8.0, seed=12), pedestrian(-0.8, 6.0, seed=13)])
+    for width, height in ((23, 13), (29, 17)):
+        _, dirs, origin, placed = Renderer(CameraIntrinsics(focal=12.0, width=width, height=height))._prepare(scene, 0.2)
+        cases.append((f"{width}x{height} frame, short last batches", (dirs, origin, scene, placed), {}))
+
+    def ground(x, z):
+        """Rays meeting the ground at world (x, z), raster order: from 1 m
+        above it, a ray with dy = 1 lands at its own x and z."""
+        rays = np.empty((*np.shape(z), 3))
+        rays[..., 0], rays[..., 1], rays[..., 2] = x, 1.0, z
+        return rays
+
+    nothing = Placed.by_hand([], [], 0.0)
+    origin = np.array([0.0, -1.0, 0.0])
+    # Row b < 8: lane b negative; then a row all negative, one alternating.
+    signs = np.vstack([1.0 - 2.0 * np.eye(8), -np.ones(8), np.resize([1.0, -1.0], 8)])
+    xz = gen.uniform(0.0, 40.0, size=(2, 10, 8)) * signs
+    cases.append(("negative x and z in every lane", (ground(xz[0], xz[1]), origin, scene, nothing), {}))
+    # Lane b of row b on a multiple of 6 (a dash starts) or half a period
+    # past one (it ends), both signs, past 2^51; the other lanes small.
+    z = gen.uniform(-30.0, 30.0, size=(8, 8))
+    k = 2**49 + gen.integers(0, 2**40, size=8)
+    z[np.arange(8), np.arange(8)] = (6.0 * k + np.resize([0.0, 3.0, 0.0, 3.0], 8)) * np.resize([1, 1, -1, -1], 8)
+    lines = np.resize([1.75, -1.75], (8, 8))
+    cases.append(("one lane per batch past 2^51", (ground(lines, z), origin, scene, nothing), {}))
+    # The fine octave (x / 0.35) of one lane past 2^63, under a scene of its
+    # own: the row's reference answers that scene with the decline.
+    declined = dataclasses.replace(scene)
+    z = gen.uniform(-30.0, 30.0, size=(3, 8))
+    z[1, 5] = 2.0**62
+    cases.append(("one lane's noise coordinate past int64", (ground(lines[:3], z), origin, declined, nothing), {}))
+    return cases, declined
 
 
 def _same_draws(got, want) -> bool:
@@ -1222,10 +1294,17 @@ class _ProbeRow(NamedTuple):
     call: Callable = _call
 
 
+def _rng(inputs: str) -> np.random.Generator:
+    """The generator of the probe inputs named ``inputs`` (a row's, or the
+    data rows share): what one row draws never moves another's inputs."""
+    return np.random.default_rng([0xCE, *inputs.encode()])
+
+
 def _probe_table() -> list[_ProbeRow]:
     """The self-probe: the pairwise sum, then one row per hook of
-    :data:`KERNEL_NAMES`, over adversarial inputs from one seeded generator.
-    The fault tests index it by hook name."""
+    :data:`KERNEL_NAMES`, over adversarial inputs, each row's from a seeded
+    generator of its own (:func:`_rng`).  The fault tests index it by hook
+    name."""
     from repro.codec.encoder import _inter_encode_reference
     from repro.codec.intra import _intra_decode_reference, _intra_encode_reference
     from repro.codec.motion import _motion_compensate_reference, _pattern_search_reference
@@ -1238,13 +1317,13 @@ def _probe_table() -> list[_ProbeRow]:
     from repro.world.objects import pole
     from repro.world.renderer import _render_surfaces_reference
 
-    gen = np.random.default_rng(0xCE)
+    gen = _rng("pairwise_rows")
     # Pairwise summation, adversarial magnitudes.
     pairwise = [(f"n={n}", (np.exp(gen.normal(0.0, 12.0, size=(64, n))),), {}) for n in (49, 64, 200, 256, 1024)]
     # The 8x8 DCT both ways in both precisions: integer levels, signed zeros
     # among subnormals, magnitudes over decades, and up to where the type
     # nearly overflows (not past it: the hook declines a non-finite output).
-    transform = []
+    transform, gen = [], _rng("transform")
     for dtype, big in ((np.float64, 1e290), (np.float32, 1e30)):
         tiny = float(np.finfo(dtype).smallest_subnormal)
         contents = {
@@ -1258,18 +1337,18 @@ def _probe_table() -> list[_ProbeRow]:
                       for content, blocks in contents.items() for inverse in (False, True)]
     # The three pattern searches and MC: content that moved (so the seed
     # grid, the predictors and the window's edge all bite) under noise.
-    search, compensate = [], []
+    search, compensate, gen, mc = [], [], _rng("pattern_search"), _rng("motion_compensate")
     for block, shape in ((16, (96, 128)), (8, (48, 64))):
         ref = gen.uniform(0, 255, size=shape).astype(np.float32)
         cur = np.roll(ref, (3, -7), axis=(0, 1))
         cur = np.clip(cur + gen.normal(0, 9, size=shape), 0, 255).astype(np.float32)
         params = dict(search_range=10, block=block, lambda_mv=4.0, subpel=True)
         search += [(f"{method}, block {block}", (cur, ref), dict(params, method=method)) for method in _ME_METHODS]
-        mv = (gen.integers(-28, 29, size=(shape[0] // block, shape[1] // block, 2)) * 0.25).astype(np.float32)
-        compensate.append((f"block {block}", (ref, mv), dict(block=block)))
+        plane = mc.uniform(0, 255, size=shape).astype(np.float32)
+        mv = (mc.integers(-28, 29, size=(shape[0] // block, shape[1] // block, 2)) * 0.25).astype(np.float32)
+        compensate.append((f"block {block}", (plane, mv), dict(block=block)))
     # Every block of a small frame on or past an edge, by up to twice the
-    # frame: the clamped taps of motion_comp's border tiles (a generator of
-    # its own, so the rows below draw what they always drew).
+    # frame: the clamped taps of motion_comp's border tiles.
     edges = np.random.default_rng(0xED)
     plane = edges.uniform(0.0, 255.0, size=(32, 48)).astype(np.float32)
     for quarter in (1, 4):
@@ -1311,11 +1390,21 @@ def _probe_table() -> list[_ProbeRow]:
         for k in (1, 3, 2**20 + 1, 2**47 + 5, 2**50, 2**52 + 3):
             edges += [k * b, np.nextafter(k * b, 0.0), np.nextafter(k * b, np.inf)]
     surfaces += _remainder_cases(edges + [-v for v in edges])
+    lanes, declined = _lane_cases(_rng("render_surfaces"))
+    surfaces += lanes
+
+    def surfaces_reference(dirs, origin, scene, placed):
+        """The reference, or ``None`` for the frame the kernel must decline
+        (a lane's noise coordinate past int64, where numpy's cast is
+        platform-defined)."""
+        return None if scene is declined else _render_surfaces_reference(dirs, origin, scene, placed)
+
     # The P-frame's transform tail on a 3 x 4 grid: coefficients on a
     # lattice of half steps (every rounding tie) and spread over decades,
     # two thirds of the blocks empty, one holding a single coefficient
     # and one only negative zeros; float64 and float32; QP maps that are
     # fractional, saturated at 0 / 51, and sixes (exact power-of-two steps).
+    gen, predictions = _rng("transform tail"), _rng("reconstruct")
     lattice = gen.integers(-9, 10, size=(6, 8, 8, 8)) * 0.3125
     wide = gen.normal(0.0, 1.0, size=(6, 8, 8, 8)) * np.exp(gen.normal(0.0, 2.5, size=(6, 8, 8, 8)))
     keep = gen.uniform(size=(6, 1, 8, 1)) < 0.35
@@ -1337,9 +1426,9 @@ def _probe_table() -> list[_ProbeRow]:
             counter.append((where, (c, qp - 20.0), {}))
             # Predictions that clip at both ends and sit on the bounds, under
             # the coded levels, under none and under a level in every block.
-            prediction = gen.uniform(-40.0, 295.0, size=(48, 64)).astype(np.float32)
-            prediction[gen.uniform(size=(48, 64)) < 0.1] = 0.0
-            prediction[gen.uniform(size=(48, 64)) < 0.1] = 255.0
+            prediction = predictions.uniform(-40.0, 295.0, size=(48, 64)).astype(np.float32)
+            prediction[predictions.uniform(size=(48, 64)) < 0.1] = 0.0
+            prediction[predictions.uniform(size=(48, 64)) < 0.1] = 255.0
             levels = _quantize_cost_reference(c, qp)[0]
             for kind, lv in (("coded", levels), ("none coded", np.zeros_like(levels)), ("all coded", levels + 1.0)):
                 recon.append((f"{where}, {kind}", (prediction, lv, qp), {}))
@@ -1347,6 +1436,7 @@ def _probe_table() -> list[_ProbeRow]:
     # one row, one column, ragged), content where all three SADs tie
     # (flat), where H or V wins (ramp), exact arithmetic (steps) and
     # noise, under fractional and 0/51-saturated QP maps.
+    gen = _rng("intra")
     yy, xx = np.mgrid[0:48, 0:64]
     contents = {"flat": np.full((48, 64), 77.0), "ramp": (xx * 2.75 + (yy // 7) * 9.5) % 256.0,
                 "steps": gen.integers(0, 8, size=(48, 64)) * 32.0, "noise": gen.uniform(0.0, 255.0, size=(48, 64))}
@@ -1373,15 +1463,16 @@ def _probe_table() -> list[_ProbeRow]:
         _ProbeRow("transform", _transform_reference, transform),
         _ProbeRow("pattern_search", _pattern_search_reference, search),
         _ProbeRow("motion_compensate", _motion_compensate_reference, compensate),
-        _ProbeRow("render_surfaces", _render_surfaces_reference, surfaces),
+        _ProbeRow("render_surfaces", surfaces_reference, surfaces, _same_or_declined),
         _ProbeRow("quantize_cost", _quantize_cost_reference, quant),
         _ProbeRow("rate_counter", _frame_bits_reference, counter, _same_bits),
         _ProbeRow("reconstruct", _reconstruct_reference, recon),
         _ProbeRow("intra_encode", encode_reference, encode),
         _ProbeRow("intra_decode", _intra_decode_reference, decode),
-        _ProbeRow("ransac_pairs", _ransac_pairs_reference, _ransac_cases(gen), _same_draws, _on_a_copy),
-        _ProbeRow("foreground_clusters", _packed_reference, _foreground_cases(gen)),
-        _ProbeRow("inter_encode", _inter_encode_reference, _inter_cases(gen), _same_coding),
+        _ProbeRow("ransac_pairs", _ransac_pairs_reference, _ransac_cases(_rng("ransac_pairs")), _same_draws,
+                  _on_a_copy),
+        _ProbeRow("foreground_clusters", _packed_reference, _foreground_cases(_rng("foreground_clusters"))),
+        _ProbeRow("inter_encode", _inter_encode_reference, _inter_cases(_rng("inter_encode")), _same_coding),
     ]
 
 

@@ -110,3 +110,57 @@ class TestDetectionProbability:
         model = DetectorModel()
         assert _sigmoid((43 - model.psnr_midpoint) / model.psnr_slope) > 0.97
         assert _sigmoid((14 - model.psnr_midpoint) / model.psnr_slope) < 0.05
+
+
+def _outcome(fn, *args):
+    """``repr`` of what ``fn(*args)`` answers (every field of every
+    detection, floats to the last bit), or the exception it raises."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # the measured path's exception is an answer too
+        return "raised", type(exc), str(exc)
+
+
+class TestGroundTruth:
+    """Ground truth scores the raw frame against itself, so it skips the
+    distortion it already knows (quality 1.0, no false positives) — with
+    the answer of the measured path, ``detect`` on a copy of the frame."""
+
+    @pytest.mark.parametrize("preset", ["nuscenes", "robotcar"])
+    def test_a_rendered_frame_gets_the_measured_answer(self, preset):
+        from repro.world import nuscenes_like, robotcar_like
+
+        clip = {"nuscenes": nuscenes_like, "robotcar": robotcar_like}[preset](11, n_frames=4, resolution=(160, 96))
+        det = QualityAwareDetector(DetectorModel(fp_per_frame=5.0), seed=3)
+        for record in clip.frames():
+            assert record.annotations
+            assert _outcome(det.ground_truth, record) == _outcome(det.detect, record.image.copy(), record)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    @pytest.mark.parametrize("where", ["in the box", "in the background"])
+    def test_a_nan_and_an_inf_pixel_take_the_measured_path(self, where):
+        """``inf - inf`` is NaN: a non-finite raw pixel is no lossless
+        region, and the measured path's answer (NaN boxes, or the error of a
+        NaN background PSNR) is ground truth's too."""
+        det = QualityAwareDetector(seed=1)
+        record = make_record(seed=4)
+        (y, x), (y2, x2) = ((50, 50), (70, 61)) if where == "in the box" else ((5, 5), (100, 120))
+        record.image[y, x], record.image[y2, x2] = np.nan, np.inf
+        want = _outcome(det.detect, record.image.copy(), record)
+        assert "nan" in str(want).lower()
+        assert _outcome(det.ground_truth, record) == want
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_background_mse_is_the_widened_copies(dtype):
+    """``_mse`` subtracts in float64 without widening copies: bitwise the
+    mean of the two widened frames' difference, gathered."""
+    from repro.edge.detector import _mse
+
+    record = make_record(seed=7)
+    background = record.id_buffer <= 1
+    for sigma in (0.5, 9.0, 60.0):
+        decoded = degrade(record.image, sigma, seed=int(sigma)).astype(dtype)
+        widened = decoded.astype(np.float64) - record.image.astype(np.float64)
+        assert _mse(decoded, record.image, background).hex() == float(np.mean(widened[background] ** 2)).hex()
+        assert _mse(decoded, record.image).hex() == float(np.mean(widened**2)).hex()

@@ -3,7 +3,8 @@
 ``value_noise_2d`` (``repro.utils.noise``) does not dispatch: it is the
 reference the textures of ``_render_surfaces_reference`` call, and on
 ``cext`` the ``render_surfaces`` hook samples the same noise in C
-(``noise_at`` in ``cext.c``) for every ground and billboard pixel it keeps.
+(``noise8`` in ``cext.c``, eight pixels at a time) for every ground and
+billboard pixel it keeps.
 So the C noise is pinned through that hook: rays from 1 m above the ground
 that meet it at ``tg = 1`` put a ground pixel at any world ``(x, z)`` (the
 ground's two textures: seed, scale 1.5, two octaves; seed + 101, scale
@@ -15,7 +16,7 @@ bytes; on ``cext`` the hook must also have answered, not declined, unless
 a noise coordinate is one int64 cannot hold.  The dispatch tests carry the
 ``kernel_backend`` fixture (``numpy``, which binds no hook, passes through
 the reference trivially); ``tests/test_kernels_default.py`` shows that a
-``noise_at`` with one wrong line never gets bound.  The checks of
+``noise8`` with one wrong line never gets bound.  The checks of
 ``value_noise_2d`` itself — layouts, shapes, ``value_noise_1d``, bad
 parameters — run on both backends too: no backend may change it.
 """
