@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Explore the codec substrate: rate-distortion curves and GoP structures.
+"""Explore the codec substrate: rate-distortion curves and motion search.
 
 Sweeps QP over a rendered driving frame sequence and prints the
-rate-distortion table (bits vs PSNR/SSIM), compares the five motion-search
-methods on one frame, and quantifies the B-frame bits-vs-latency trade-off
-that justifies DiVE's I/P-only streaming.
+rate-distortion table (bits vs PSNR/SSIM), then compares the five
+motion-search methods on one frame pair.
 
 Run:  python examples/codec_playground.py
 """
@@ -13,10 +12,8 @@ import numpy as np
 
 from repro.codec import (
     EncoderConfig,
-    GopStructure,
     ME_METHODS,
     VideoEncoder,
-    encode_gop_sequence,
     estimate_motion,
     psnr,
     ssim,
@@ -26,7 +23,7 @@ from repro.world import nuscenes_like
 
 
 def main() -> None:
-    clip = nuscenes_like(seed=4, n_frames=14, resolution=(320, 192))
+    clip = nuscenes_like(seed=4, n_frames=8, resolution=(320, 192))
     frames = [clip.frame(i).image for i in range(clip.n_frames)]
 
     # --- Rate-distortion sweep --------------------------------------
@@ -58,25 +55,6 @@ def main() -> None:
         ["method", "time (ms)", "eta (non-zero ratio)", "max |MV| (px)"],
         rows,
         title="Motion-search methods on one frame pair",
-    )
-
-    # --- B-frame trade-off -------------------------------------------
-    fps = clip.fps
-    rows = []
-    for b in (0, 1, 2):
-        structure = GopStructure(gop_length=12, b_frames=b)
-        encoded = encode_gop_sequence(frames[:13], structure=structure, base_qp=24.0)
-        total_kb = sum(f.bits for f in encoded) / 8 / 1000
-        quality = float(np.mean([psnr(raw, f.reconstruction) for raw, f in zip(frames, encoded)]))
-        rows.append([b, total_kb, quality, structure.structural_delay(fps) * 1000])
-    print_table(
-        ["B-frames", "total kB (13 frames)", "mean PSNR (dB)", "added latency (ms)"],
-        rows,
-        title="GoP structure trade-off (why DiVE streams I/P-only)",
-    )
-    print(
-        "\nB-frames buy bits but each adds a full frame interval of capture-"
-        "\nto-send latency — unusable for a real-time analytics uplink."
     )
 
 

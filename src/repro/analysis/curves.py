@@ -1,48 +1,12 @@
-"""Precision-recall curves and per-frame series."""
+"""Per-frame series of a run."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.baselines.base import SchemeRun
-from repro.edge.detector import Detection
-from repro.edge.evaluation import match_greedy
 
-__all__ = ["pr_curve", "response_time_series"]
-
-
-def pr_curve(
-    predictions_per_frame: list[list[Detection]],
-    ground_truth_per_frame: list[list[Detection]],
-    *,
-    kind: str,
-    iou_threshold: float = 0.5,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Precision-recall curve for one class over a clip.
-
-    Returns ``(recall, precision, thresholds)`` — the PR points swept over
-    the confidence threshold, recall non-decreasing.  AP (as computed by
-    :func:`repro.edge.evaluation.average_precision`) is the all-point
-    integral under this curve.
-    """
-    if len(predictions_per_frame) != len(ground_truth_per_frame):
-        raise ValueError("prediction and ground-truth lists must align per frame")
-    records: list[tuple[float, bool]] = []
-    n_gt = 0
-    for preds, gts in zip(predictions_per_frame, ground_truth_per_frame):
-        preds_k = [p for p in preds if p.kind == kind]
-        gts_k = [g for g in gts if g.kind == kind]
-        n_gt += len(gts_k)
-        records.extend(match_greedy(preds_k, gts_k, iou_threshold=iou_threshold))
-    if not records or n_gt == 0:
-        return np.zeros(0), np.zeros(0), np.zeros(0)
-    records.sort(key=lambda r: -r[0])
-    conf = np.array([r[0] for r in records])
-    tp = np.cumsum([r[1] for r in records])
-    fp = np.cumsum([not r[1] for r in records])
-    recall = tp / n_gt
-    precision = tp / np.maximum(tp + fp, 1)
-    return recall, precision, conf
+__all__ = ["response_time_series"]
 
 
 def response_time_series(run: SchemeRun) -> tuple[np.ndarray, np.ndarray, list[str]]:

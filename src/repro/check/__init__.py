@@ -1,10 +1,9 @@
 """Project-specific static analysis.
 
-An AST rule engine (:mod:`repro.check.engine`) running four per-module
-rules in one walk of each module — S001 uncontrolled entropy, S003
-dtype-less codec allocations and S011 loop-constant codec allocations
-(:mod:`repro.check.rules`), and S012 lock discipline
-(:mod:`repro.check.concurrency`).  Each rule is kept because it found a
+An AST rule engine (:mod:`repro.check.engine`) running three per-module
+rules in one walk of each module — S001 uncontrolled entropy and S011
+loop-constant codec allocations (:mod:`repro.check.rules`), and S012 lock
+discipline (:mod:`repro.check.concurrency`).  Each rule is kept because it found a
 real bug in this tree.  Run it as ``repro lint [--format json]
 [paths]``; suppress inline with ``# repro: noqa[S001]``.
 

@@ -171,7 +171,7 @@ def register(cls: type[Rule]) -> type[Rule]:
 def all_rules() -> list[Rule]:
     """Fresh instances of every registered rule, ordered by id."""
     import repro.check.concurrency  # noqa: F401  (registers S012)
-    import repro.check.rules  # noqa: F401  (registers S001, S003, S011)
+    import repro.check.rules  # noqa: F401  (registers S001, S011)
 
     return [cls() for _, cls in sorted(_REGISTRY.items())]
 

@@ -1,7 +1,8 @@
 """The DiVE-specific rule set.
 
-Four rules, each kept because it found a real bug in this tree (the census
-is in EXPERIMENTS.md, "PR 28").  Rule ids are stable; suppress a
+Three rules, each kept because it found a real bug in this tree (the
+census is in EXPERIMENTS.md, "PR 28", with the later replay that retired
+S003, dtype-less codec allocations).  Rule ids are stable; suppress a
 deliberate violation inline with ``# repro: noqa[S001]``.
 
 ==== ====================== ======== =======================================
@@ -15,9 +16,6 @@ S001 uncontrolled-entropy   error    every literal entropy source: unseeded
                                      ``utcnow`` / ``today`` and the wall
                                      clocks ``time.time()`` /
                                      ``time.monotonic()``
-S003 dtype-less-alloc       warning  ``np.zeros/empty/ones`` without an
-                                     explicit dtype in ``codec/`` (silent
-                                     float64 upcast of pixel data)
 S011 loop-constant-alloc    warning  ``np.zeros/np.empty`` with a constant
                                      shape allocated inside a loop body in
                                      ``codec/`` — hoist the buffer
@@ -35,7 +33,7 @@ from typing import Iterator
 
 from repro.check.engine import ModuleContext, Rule, dotted_name, register
 
-__all__ = ["DtypeLessAllocRule", "LoopConstantAllocRule", "UncontrolledEntropyRule"]
+__all__ = ["LoopConstantAllocRule", "UncontrolledEntropyRule"]
 
 _SEEDED_GENERATOR = "use a seeded np.random.default_rng(...) or thread a Generator"
 _WALL_CLOCK = "time spans with time.perf_counter() and decide on the simulated clock"
@@ -109,29 +107,6 @@ class UncontrolledEntropyRule(Rule):
                 yield node, f"{written}() without a seed breaks reproducibility; pass a seed or thread a Generator"
         elif name in _ENTROPY_CALLS:
             yield node, f"{written}() is {_ENTROPY_CALLS[name]}"
-
-
-@register
-class DtypeLessAllocRule(Rule):
-    id = "S003"
-    name = "dtype-less-alloc"
-    severity = "warning"
-    description = (
-        "np.zeros/np.empty/np.ones default to float64; codec arrays must "
-        "state their dtype so pixel/level buffers do not silently upcast."
-    )
-    scope = ("codec",)
-    node_types = (ast.Call,)
-
-    def check(self, node: ast.Call, ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
-        name = dotted_name(node.func)
-        if name not in ("np.zeros", "np.empty", "np.ones", "numpy.zeros", "numpy.empty", "numpy.ones"):
-            return
-        if len(node.args) >= 2:  # positional dtype
-            return
-        if any(kw.arg == "dtype" for kw in node.keywords):
-            return
-        yield node, f"{name}(...) without an explicit dtype allocates float64; state the dtype"
 
 
 def _is_const_int(node: ast.AST) -> bool:

@@ -2,14 +2,15 @@
 
 Run ``python -m repro --help``.  Subcommands map one-to-one onto the
 experiment entry points (``table1``, ``fig06`` ... ``fig17``, ``ablation``,
-``scalability``) plus a ``demo`` that streams one clip through DiVE.
+``scalability``) plus a ``demo`` that runs one clip through DiVE.
 Every experiment accepts ``--clips`` / ``--frames`` to trade fidelity for
 time; results print as the same text tables the benchmark suite emits.
 ``lint`` runs the project-specific static analyser,
 ``report`` joins a trace JSONL and a metrics JSONL into one run
 report, ``fleet`` runs a multi-tenant fleet against one
 shared cell and batching edge, and ``top`` is the live telemetry dashboard over a
-streaming run (``--once`` for a CI snapshot).
+streaming run (``--once`` for a CI snapshot) — the one command that drives
+the streaming runtime (:mod:`repro.stream`).
 """
 
 from __future__ import annotations
@@ -86,16 +87,7 @@ def _cmd_demo(args: argparse.Namespace) -> str:
     maker = {"nuscenes": nuscenes_like, "robotcar": robotcar_like}[args.dataset]
     clip = maker(args.seed, n_frames=args.frames)
     trace = constant_trace(scaled_bandwidth(args.bandwidth, clip))
-    stream = None
-    if args.streaming:
-        from repro.stream import StreamConfig
-
-        stream = StreamConfig(
-            queue_capacity=args.queue_capacity,
-            policy=args.policy,
-            deadline=args.deadline,
-        )
-    result = run_scheme(DiVEScheme(), clip, trace, ground_truth=ground_truth_for(clip), stream=stream)
+    result = run_scheme(DiVEScheme(), clip, trace)
     rows = [
         ["mAP", result.map],
         ["AP car", result.ap["car"]],
@@ -104,20 +96,7 @@ def _cmd_demo(args: argparse.Namespace) -> str:
         ["uplink kB", result.total_bytes / 1000],
         ["drop rate", result.drop_rate],
     ]
-    if result.stream is not None:
-        stats = result.stream
-        rows += [
-            ["stream delivered", stats.delivered],
-            ["stream degraded", stats.degraded],
-            ["stream dropped", stats.dropped],
-            ["stream late", stats.late],
-            ["stream blocked (ms)", stats.blocked_time * 1000],
-            ["stream wall (s)", stats.wall_time],
-        ]
-    title = f"DiVE on {clip.name} @ {args.bandwidth:g} Mbps"
-    if args.streaming:
-        title += f" [streaming: {args.policy}]"
-    return format_table(["metric", "value"], rows, title=title)
+    return format_table(["metric", "value"], rows, title=f"DiVE on {clip.name} @ {args.bandwidth:g} Mbps")
 
 
 def _cmd_table1(args: argparse.Namespace) -> str:
@@ -538,7 +517,7 @@ def _cmd_scalability(args: argparse.Namespace) -> str:
 
 
 _COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], str], str]] = {
-    "demo": (_cmd_demo, "Stream one synthetic clip through DiVE and print its metrics"),
+    "demo": (_cmd_demo, "Run one synthetic clip through DiVE and print its metrics"),
     "analyze": (_cmd_analyze, "Foreground-extraction quality report + quick-look sparklines"),
     "trace": (_cmd_trace, "Traced run: write a JSONL frame trace + per-stage latency/bits summary"),
     "table1": (_cmd_table1, "Table I — dataset summary"),
@@ -573,23 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--bandwidth", type=_bandwidth, default=2.0, help="paper-scale Mbps")
         if name == "demo":
-            p.add_argument(
-                "--streaming",
-                action="store_true",
-                help="run through the streaming runtime (repro.stream)",
-            )
-            p.add_argument(
-                "--queue-capacity", type=int, default=None,
-                help="uplink queue bound; omit for unbounded (batch-equivalent)",
-            )
-            p.add_argument(
-                "--policy", choices=("block", "degrade-qp", "drop-oldest"), default="block",
-                help="backpressure policy at a full uplink queue",
-            )
-            p.add_argument(
-                "--deadline", type=float, default=None,
-                help="per-frame deadline in seconds (capture -> result) for late accounting",
-            )
             _add_backend_args(p)
         if name == "trace":
             p.add_argument("--scheme", choices=("dive", "dds", "eaar", "o3"), default="dive")

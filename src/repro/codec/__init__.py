@@ -28,13 +28,10 @@ from repro.codec.motion import (
 from repro.codec.transform import dequantize, qstep, quantize, transform_cost_bits
 from repro.codec.encoder import EncodedFrame, EncoderConfig, RegionUpdate, VideoEncoder, encode_region_update
 from repro.codec.decoder import VideoDecoder
-from repro.codec.gop import BFrameEncodedFrame, GopStructure, encode_gop_sequence
 from repro.codec.intra import intra_decode, intra_encode, intra_predict_block
 from repro.codec.metrics import psnr, region_psnr, ssim
 
 __all__ = [
-    "BFrameEncodedFrame",
-    "GopStructure",
     "ME_METHODS",
     "EncodedFrame",
     "EncoderConfig",
@@ -43,7 +40,6 @@ __all__ = [
     "VideoDecoder",
     "VideoEncoder",
     "dequantize",
-    "encode_gop_sequence",
     "encode_region_update",
     "estimate_motion",
     "intra_decode",

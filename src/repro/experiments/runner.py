@@ -39,10 +39,6 @@ class EvaluationResult:
         Fraction of frames whose upload was abandoned.
     run:
         The underlying per-frame results.
-    stream:
-        Streaming truth accounting (:class:`repro.stream.StreamStats`)
-        when the run went through the streaming runtime; ``None`` for
-        batch runs.
     """
 
     scheme: str
@@ -52,7 +48,6 @@ class EvaluationResult:
     total_bytes: int
     drop_rate: float
     run: SchemeRun = field(repr=False)
-    stream: object | None = field(default=None, repr=False)
 
     @property
     def map(self) -> float:
@@ -65,7 +60,7 @@ def truth_clip(clip: Clip, *, detector_seed: int = 7) -> ScoredClip:
     Every record the facade hands out is passed through
     ``QualityAwareDetector.ground_truth`` once; ``.scores()`` is then the
     clip's ground truth without a second render.  The one ground-truth
-    mechanism of the batch, stream and fleet drivers alike.
+    mechanism of the batch and fleet drivers alike.
     """
     return ScoredClip(clip, QualityAwareDetector(seed=detector_seed).ground_truth)
 
@@ -83,7 +78,6 @@ def run_scheme(
     detector_seed: int = 7,
     ground_truth: list[list[Detection]] | None = None,
     tracer: Tracer | NullTracer | None = None,
-    stream=None,
 ) -> EvaluationResult:
     """Run one scheme on one clip and evaluate it.
 
@@ -95,11 +89,6 @@ def run_scheme(
     ``tracer`` (a :class:`repro.obs.Tracer`) is threaded through the scheme
     and the server so the run emits a per-frame trace.  When omitted the
     scheme keeps whatever tracer it already has (the no-op by default).
-
-    ``stream`` — a :class:`repro.stream.StreamConfig` (or ``True`` for the
-    defaults) — routes the run through the streaming runtime
-    (:class:`repro.stream.StreamRunner`); the result then carries the
-    streaming truth accounting in :attr:`EvaluationResult.stream`.
     """
     if tracer is not None:
         scheme.use_tracer(tracer)
@@ -113,24 +102,10 @@ def run_scheme(
         QualityAwareDetector(seed=detector_seed),
         tracer=scheme.tracer,
     )
-    stats = None
-    if stream is not None and stream is not False:
-        from repro.stream import StreamConfig, StreamRunner
-
-        config = StreamConfig() if stream is True else stream
-        result = StreamRunner(scheme, config).run(clip, trace, server)
-        run, stats = result.run, result.stats
-        if tracer is not None and tracer.enabled:
-            tracer.meta.setdefault("stream", []).append(
-                {"scheme": scheme.name, "clip": clip.name, **stats.summary()}
-            )
-    else:
-        run = scheme.run(clip, trace, server)
+    run = scheme.run(clip, trace, server)
     if ground_truth is None:
         ground_truth = clip.scores()
-    evaluated = evaluate_run(run, clip, detector_seed=detector_seed, ground_truth=ground_truth)
-    evaluated.stream = stats
-    return evaluated
+    return evaluate_run(run, clip, detector_seed=detector_seed, ground_truth=ground_truth)
 
 
 def evaluate_run(

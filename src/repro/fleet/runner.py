@@ -78,6 +78,16 @@ _MAKERS = {"nuscenes": nuscenes_like, "robotcar": robotcar_like, "kitti": kitti_
 #: Per-agent uplink demand shapes.
 UPLINKS = ("constant", "walk", "markov")
 
+#: The bursty-outage overlay ``cell_outages`` puts on the cell's capacity
+#: trace, in seconds: each outage's length, their period, the first's start.
+_CELL_OUTAGE_DURATION = 0.25
+_CELL_OUTAGE_INTERVAL = 0.75
+_CELL_OUTAGE_FIRST = 0.25
+
+#: Extra seconds after each agent's clip during which it still contends
+#: for cell capacity (queued uploads draining).
+_DRAIN_MARGIN = 5.0
+
 
 @dataclass(frozen=True)
 class AgentSpec:
@@ -126,7 +136,7 @@ class FleetConfig:
         active agents; ``None`` disables the shared cell entirely — each
         agent keeps its full demand trace (bit-identical to running
         without a cell).
-    cell_outages, cell_outage_*:
+    cell_outages:
         The bursty-outage overlay on the capacity trace.
     workers, max_batch, max_wait, batch_overhead:
         The shared edge's detector workers and batching knobs (see
@@ -145,9 +155,6 @@ class FleetConfig:
         its ground truth use it).
     agent_workers:
         Phase-1 thread-pool width — wall-clock only, never results.
-    drain_margin:
-        Extra seconds after each agent's clip during which it still
-        contends for cell capacity (queued uploads draining).
     """
 
     n_agents: int = 4
@@ -161,9 +168,6 @@ class FleetConfig:
     uplink: str = "constant"
     cell_mbps: float | None = None
     cell_outages: bool = False
-    cell_outage_duration: float = 0.25
-    cell_outage_interval: float = 0.75
-    cell_outage_first: float = 0.25
     workers: int = 2
     max_batch: int = 4
     max_wait: float = 0.0
@@ -176,7 +180,6 @@ class FleetConfig:
     deadline: float | None = None
     detector_seed: int = 7
     agent_workers: int = 1
-    drain_margin: float = 5.0
 
     def validate(self) -> None:
         if self.n_agents < 1:
@@ -205,8 +208,6 @@ class FleetConfig:
             raise ValueError(f"deadline must be positive or None, got {self.deadline}")
         if self.agent_workers < 1:
             raise ValueError(f"agent_workers must be >= 1, got {self.agent_workers}")
-        if not self.drain_margin > 0.0:
-            raise ValueError(f"drain_margin must be positive, got {self.drain_margin}")
         self._batcher()  # the edge knobs, checked by the one constructor that takes them
 
     def _batcher(self, metrics=NULL_REGISTRY) -> BatchingEdgeServer:
@@ -319,7 +320,7 @@ class FleetRunner:
     def _demand_for(self, spec: AgentSpec, clip: Clip) -> BandwidthTrace:
         cfg = self.config
         bps = scaled_bandwidth(cfg.demand_mbps, clip)
-        duration = clip.duration + cfg.drain_margin
+        duration = clip.duration + _DRAIN_MARGIN
         if cfg.uplink == "walk":
             return random_walk_trace(bps, duration=duration, seed=spec.clip_seed)
         if cfg.uplink == "markov":
@@ -340,21 +341,21 @@ class FleetRunner:
         capacity_bps = cfg.cell_mbps * float(np.mean(per_label))
         capacity = constant_trace(capacity_bps)
         horizon = max(
-            spec.start + clip.duration + cfg.drain_margin
+            spec.start + clip.duration + _DRAIN_MARGIN
             for spec, clip in zip(specs, clips)
         )
         if cfg.cell_outages:
             capacity = with_outages(
                 capacity,
-                outage_duration=cfg.cell_outage_duration,
-                interval=cfg.cell_outage_interval,
-                first_outage=cfg.cell_outage_first,
+                outage_duration=_CELL_OUTAGE_DURATION,
+                interval=_CELL_OUTAGE_INTERVAL,
+                first_outage=_CELL_OUTAGE_FIRST,
                 horizon=horizon,
             )
         slices = [
             CellSlice(
                 agent=spec.agent, demand=demand, start=spec.start,
-                duration=clip.duration + cfg.drain_margin,
+                duration=clip.duration + _DRAIN_MARGIN,
             )
             for spec, clip, demand in zip(specs, clips, demands)
         ]

@@ -254,7 +254,11 @@ the temp dir is the fallback when the home is read-only).  A directory
 that is not owned by this user with mode 0700 is never loaded from, and
 the object is written under a unique name and moved into place
 atomically, named after its own content hash, so concurrent first runs
-cannot load a half-written file and a truncated one is rebuilt.
+cannot load a half-written file and a truncated one is rebuilt.  Each
+load refreshes its object's mtime and deletes every ``kernels-*.so`` in
+the cache that no process has loaded for :data:`_CACHE_MAX_AGE` — under
+any stem, but only by age: the objects of other sources, flag lists and
+CPUs that are still in use stay.
 Hosts without a C compiler, or without the source file, report the
 backend unavailable, with the reason in :meth:`CExtBackend.why_unavailable`.
 """
@@ -301,6 +305,9 @@ _NATIVE = "-march=native"
 _CFLAGS = ["-O2", _NATIVE, "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno",
            "-Werror=implicit-function-declaration"]
 _COMPILERS = ("cc", "gcc", "clang")
+
+#: Seconds after its last load that a cached object is deleted (30 days).
+_CACHE_MAX_AGE = 30 * 24 * 3600.0
 
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
@@ -475,15 +482,35 @@ def _build_library() -> ctypes.CDLL:
         # file is only loaded once it matches the content hash in its name.
         try:
             if _digest(so_path.read_bytes()) == so_path.stem.rpartition("-")[2]:
-                return _load(so_path)
+                lib = _load(so_path)
+                break
         except (OSError, AttributeError):
             pass
         so_path.unlink(missing_ok=True)
-    so_path = _compile(cache, stem)
+    else:
+        so_path = _compile(cache, stem)
+        try:
+            lib = _load(so_path)
+        except (OSError, AttributeError) as exc:
+            raise _Unavailable(f"cannot load {so_path}: {exc}") from None
+    _prune_cache(cache, so_path)
+    return lib
+
+
+def _prune_cache(cache: Path, loaded: Path) -> None:
+    """Mark ``loaded`` as just used, and delete every cached object, of any
+    stem, whose mtime is :data:`_CACHE_MAX_AGE` older than that."""
     try:
-        return _load(so_path)
-    except (OSError, AttributeError) as exc:
-        raise _Unavailable(f"cannot load {so_path}: {exc}") from None
+        os.utime(loaded)
+        cutoff = loaded.stat().st_mtime - _CACHE_MAX_AGE
+    except OSError:
+        return
+    for so_path in cache.glob("kernels-*.so"):
+        try:
+            if so_path.stat().st_mtime < cutoff:
+                so_path.unlink()
+        except OSError:  # another process deleted it first
+            pass
 
 
 def _grid(array, block=None, dtypes=None, *, blocks=False, tail=(), maps=(), finite=False):

@@ -10,7 +10,6 @@ estimator of Section III-D1.
 from repro.network.estimator import BandwidthEstimator
 from repro.network.link import TransmissionResult, UplinkSimulator
 from repro.network.trace import BandwidthTrace, constant_trace, markov_trace, random_walk_trace, with_outages
-from repro.network.trace_io import load_trace_csv, save_trace_csv
 
 __all__ = [
     "BandwidthEstimator",
@@ -18,8 +17,6 @@ __all__ = [
     "TransmissionResult",
     "UplinkSimulator",
     "constant_trace",
-    "load_trace_csv",
-    "save_trace_csv",
     "markov_trace",
     "random_walk_trace",
     "with_outages",

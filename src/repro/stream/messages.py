@@ -135,16 +135,3 @@ class StreamStats:
                 f":bytes={r.bytes_sent}:rt={r.result_time:.6f}"
             )
         return hashlib.sha256(";".join(parts).encode()).hexdigest()
-
-    def summary(self) -> dict[str, float]:
-        """Flat numbers for tables."""
-        return {
-            "frames": self.frames,
-            "delivered": self.delivered,
-            "degraded": self.degraded,
-            "dropped": self.dropped,
-            "local": self.local,
-            "late": self.late,
-            "blocked_time": round(self.blocked_time, 6),
-            "virtual_makespan": round(self.virtual_makespan, 6),
-        }

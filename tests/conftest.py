@@ -19,9 +19,11 @@ import pytest
 
 from repro import kernels
 from repro.core import DiVEScheme
-from repro.experiments import ground_truth_for, run_scheme, scaled_bandwidth
+from repro.edge import EdgeServer, QualityAwareDetector
+from repro.experiments import evaluate_run, ground_truth_for, run_scheme, scaled_bandwidth, truth_clip
 from repro.network import constant_trace
 from repro.obs import Tracer
+from repro.stream import StreamConfig, StreamRunner
 from repro.world import nuscenes_like
 
 GOLDEN_CLIP_SEEDS = (0, 1)
@@ -78,6 +80,23 @@ def run_golden_batch(clips, ground_truths):
             run_scheme(DiVEScheme(), clip, trace, ground_truth=gt, tracer=tracer)
         )
     return results, tracer
+
+
+def run_streamed(scheme, clip, trace, *, ground_truth=None, tracer=None):
+    """``run_scheme`` through a relaxed :class:`StreamRunner` (unbounded
+    queue, no deadline): ``(evaluated, stats)``.
+
+    Ground truth is scored on the frames the run fetches
+    (``truth_clip``) unless it is passed in, as ``run_scheme`` does.
+    """
+    if tracer is not None:
+        scheme.use_tracer(tracer)
+    source = clip if ground_truth is not None else truth_clip(clip)
+    server = EdgeServer(QualityAwareDetector(seed=7), tracer=scheme.tracer)
+    result = StreamRunner(scheme, StreamConfig()).run(source, trace, server)
+    if ground_truth is None:
+        ground_truth = source.scores()
+    return evaluate_run(result.run, clip, ground_truth=ground_truth), result.stats
 
 
 @pytest.fixture(scope="session")

@@ -5,58 +5,12 @@ import pytest
 
 from repro.analysis import (
     foreground_quality,
-    pr_curve,
     render_series,
     response_time_series,
     sparkline,
 )
 from repro.baselines.base import FrameResult, SchemeRun
-from repro.edge import Detection, average_precision
 from repro.world import nuscenes_like
-
-
-class TestPRCurve:
-    def gts(self):
-        return [[Detection("car", (0, 0, 10, 10), 1.0), Detection("car", (20, 20, 30, 30), 1.0)]]
-
-    def test_perfect_curve(self):
-        preds = [[Detection("car", (0, 0, 10, 10), 0.9), Detection("car", (20, 20, 30, 30), 0.8)]]
-        recall, precision, conf = pr_curve(preds, self.gts(), kind="car")
-        assert recall[-1] == pytest.approx(1.0)
-        assert (precision == 1.0).all()
-        assert (np.diff(conf) <= 0).all()
-
-    def test_fp_drops_precision(self):
-        preds = [[Detection("car", (0, 0, 10, 10), 0.9), Detection("car", (50, 50, 60, 60), 0.8)]]
-        recall, precision, _ = pr_curve(preds, self.gts(), kind="car")
-        assert precision[-1] == pytest.approx(0.5)
-        assert recall[-1] == pytest.approx(0.5)
-
-    def test_recall_nondecreasing(self):
-        rng = np.random.default_rng(0)
-        preds = [
-            [Detection("car", (x, x, x + 10, x + 10), float(rng.random())) for x in range(0, 50, 10)]
-        ]
-        recall, _, _ = pr_curve(preds, self.gts(), kind="car")
-        assert (np.diff(recall) >= 0).all()
-
-    def test_consistent_with_ap(self):
-        preds = [[Detection("car", (0, 0, 10, 10), 0.9), Detection("car", (50, 50, 60, 60), 0.8)]]
-        recall, precision, _ = pr_curve(preds, self.gts(), kind="car")
-        ap = average_precision(preds, self.gts(), kind="car")
-        # All-point AP equals the integral under the (interpolated) curve.
-        interp = np.maximum.accumulate(precision[::-1])[::-1]
-        r = np.concatenate([[0.0], recall])
-        p = np.concatenate([[interp[0]], interp])
-        assert ap == pytest.approx(float(np.sum((r[1:] - r[:-1]) * p[1:])))
-
-    def test_empty(self):
-        recall, precision, conf = pr_curve([[]], [[]], kind="car")
-        assert recall.size == 0
-
-    def test_misaligned(self):
-        with pytest.raises(ValueError):
-            pr_curve([[]], [[], []], kind="car")
 
 
 class TestResponseSeries:

@@ -83,33 +83,6 @@ FIXTURES = {
         "import time\nstart = time.time()\n",
         "import time\nstart = time.perf_counter()\n",
     ),
-    "S003": (
-        "S003",
-        "src/repro/codec/x.py",
-        "import numpy as np\nbuf = np.zeros((4, 4))\n",
-        "import numpy as np\nbuf = np.zeros((4, 4), dtype=np.float32)\n",
-    ),
-    "S003-encoder-117c3aa": (
-        "S003",
-        "src/repro/codec/encoder.py",
-        (
-            "import numpy as np\n"
-            "class VideoEncoder:\n"
-            "    def encode(self, frame, qp_offsets=None):\n"
-            "        mb_shape = (frame.shape[0] // 16, frame.shape[1] // 16)\n"
-            "        offsets = np.zeros(mb_shape) if qp_offsets is None else np.asarray(qp_offsets, dtype=float)\n"
-        ),
-        (
-            "import numpy as np\n"
-            "class VideoEncoder:\n"
-            "    def encode(self, frame, qp_offsets=None):\n"
-            "        mb_shape = (frame.shape[0] // 16, frame.shape[1] // 16)\n"
-            "        offsets = (\n"
-            "            np.zeros(mb_shape, dtype=np.float64) if qp_offsets is None\n"
-            "            else np.asarray(qp_offsets, dtype=np.float64)\n"
-            "        )\n"
-        ),
-    ),
     "S010": (
         "S001",
         "src/repro/utils/x.py",
@@ -223,7 +196,7 @@ class TestRuleFixtures:
         assert findings == [], f"false positive on {case}: {findings}"
 
     def test_every_registered_rule_has_a_fixture(self):
-        assert [r.id for r in all_rules()] == ["S001", "S003", "S011", "S012"]
+        assert [r.id for r in all_rules()] == ["S001", "S011", "S012"]
         assert {rule for rule, *_ in FIXTURES.values()} == {r.id for r in all_rules()}
 
 
@@ -285,7 +258,7 @@ class TestRuleDetails:
         assert check_source(src, path="src/repro/stream/x.py") == []
 
     def test_scope_limits_rule_to_directory(self):
-        src = "import numpy as np\nbuf = np.zeros((4, 4))\n"
+        src = "import numpy as np\nfor i in range(3):\n    buf = np.zeros((4, 4))\n"
         assert check_source(src, path="src/repro/codec/x.py")
         assert check_source(src, path="src/repro/analysis/x.py") == []
 
@@ -306,7 +279,7 @@ class TestRuleDetails:
         monkeypatch.chdir(tmp_path)
         through_parents = found(check_paths([f"codec/repro/{d}" for d in dirs]), "codec/repro")
         absolute = found(check_paths([root / d for d in dirs]), root)
-        assert from_root == [("S003", "src/repro/codec/enc.py", 3), ("S011", "src/repro/codec/enc.py", 3)]
+        assert from_root == [("S011", "src/repro/codec/enc.py", 3)]
         assert through_parents == from_root
         assert absolute == from_root
 
@@ -439,7 +412,7 @@ class TestNoqa:
         assert check_source(src, path="a.py") == []
 
     def test_noqa_for_other_rule_does_not_suppress(self):
-        src = "import numpy as np\nrng = np.random.default_rng()  # repro: noqa[S003]\n"
+        src = "import numpy as np\nrng = np.random.default_rng()  # repro: noqa[S011]\n"
         assert [f.rule for f in check_source(src, path="a.py")] == ["S001"]
 
     def test_noqa_only_covers_its_own_line(self):
@@ -534,7 +507,7 @@ class TestCliLint:
         rc = main(["lint", "--list-rules"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert [line.split()[0] for line in out.splitlines()] == ["S001", "S003", "S011", "S012"]
+        assert [line.split()[0] for line in out.splitlines()] == ["S001", "S011", "S012"]
 
     def test_missing_path_is_a_named_error(self, capsys, tmp_path):
         from repro.cli import main

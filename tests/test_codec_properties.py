@@ -24,25 +24,43 @@ def drifting_sequence(seed: int, n: int, shape=(48, 64)):
         yield (255 * value_noise_2d(xx + i, yy, seed=seed, scale=6.0, octaves=2)).astype(np.float32)
 
 
+def static_scene_with_a_moving_patch(seed: int, n: int, shape=(48, 64), size=8):
+    """A still, textured background (mid-contrast value noise) with one
+    ``size``-pixel patch, its contrast inverted, sliding 3 px a frame: most
+    of each P-frame has nothing to code."""
+    yy, xx = np.mgrid[0 : shape[0], 0 : shape[1]]
+    background = (128 + 96 * (value_noise_2d(xx, yy, seed=seed, scale=8.0, octaves=2) - 0.5)).astype(np.float32)
+    for i in range(n):
+        frame = background.copy()
+        patch = frame[16 : 16 + size, 8 + 3 * i : 8 + 3 * i + size]
+        patch[...] = 255.0 - patch
+        yield frame
+
+
 def closed_loop_on_both_backends(config, frames, **encode_args):
     """Encode + decode ``frames`` on the ``numpy`` reference and on ``cext``
     (when this host has it): under each the decoder reproduces the encoder's
     reconstruction bit-for-bit, and the two backends' streams are the same
-    bytes."""
-    streams = []
+    bytes.  Returns the reference's encoded frames."""
+    streams, reference = [], None
     for backend in kernels.BACKENDS:
         if not kernels.backend(backend).available():
             continue
         with kernels.use_backend(backend):
             enc = VideoEncoder(config)
             dec = VideoDecoder()
-            stream = []
+            stream, encoded_frames = [], []
             for frame in frames:
                 encoded = enc.encode(frame, **encode_args)
                 np.testing.assert_array_equal(dec.decode(encoded), encoded.reconstruction)
-                stream.append((encoded.frame_type, encoded.bits, encoded.reconstruction.tobytes()))
+                stream.append((encoded.frame_type, encoded.bits, encoded.levels.tobytes(),
+                               encoded.reconstruction.tobytes()))
+                encoded_frames.append(encoded)
         streams.append(stream)
+        if reference is None:
+            reference = encoded_frames
     assert all(stream == streams[0] for stream in streams)
+    return reference
 
 
 class TestEncodeDecodeConsistency:
@@ -59,6 +77,19 @@ class TestEncodeDecodeConsistency:
         closed_loop_on_both_backends(
             EncoderConfig(gop=gop, search_range=8), list(drifting_sequence(seed, n_frames)), base_qp=float(qp)
         )
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(20, 51))
+    def test_skip_heavy_p_frames(self, seed, qp):
+        """A still scene with one small moving patch: at least two thirds of
+        the P-frames' 8x8 level blocks are all zero, so the closed loop runs
+        ``reconstruct``'s skip path on both backends."""
+        encoded = closed_loop_on_both_backends(
+            EncoderConfig(search_range=8), list(static_scene_with_a_moving_patch(seed, 4)), base_qp=float(qp)
+        )
+        levels = np.stack([e.levels for e in encoded if e.frame_type == "P"])
+        assert len(levels) == 3
+        assert (~levels.any(axis=(2, 4))).mean() >= 2 / 3
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000), st.integers(0, 500))

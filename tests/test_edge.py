@@ -84,6 +84,11 @@ class TestAveragePrecision:
         preds = [[Detection("car", (0, 0, 10, 10), 0.9)]]
         assert average_precision(preds, gt, kind="car") == pytest.approx(0.5)
 
+    def test_a_false_positive_below_the_hit_keeps_its_precision(self):
+        gt = [[Detection("car", (0, 0, 10, 10), 1.0), Detection("car", (20, 20, 30, 30), 1.0)]]
+        preds = [[Detection("car", (0, 0, 10, 10), 0.9), Detection("car", (50, 50, 60, 60), 0.8)]]
+        assert average_precision(preds, gt, kind="car") == 0.5
+
     def test_frame_alignment_checked(self):
         with pytest.raises(ValueError):
             average_precision([[]], [[], []], kind="car")

@@ -24,6 +24,7 @@ from repro.experiments import (
     run_table1,
     scaled_bandwidth,
 )
+from conftest import run_streamed
 from repro.experiments.config import dataset_clips
 from repro.world import nuscenes_like
 
@@ -173,6 +174,14 @@ class TestGroundTruthAtCapture:
 
     N = 6
 
+    @staticmethod
+    def _run(stream, *args, **kwargs):
+        """``run_scheme``, or with ``stream`` the same run through a relaxed
+        ``StreamRunner``."""
+        from repro.experiments import run_scheme
+
+        return run_scheme(*args, **kwargs) if stream is None else run_streamed(*args, **kwargs)[0]
+
     def _inputs(self):
         from repro.network import constant_trace
 
@@ -182,20 +191,19 @@ class TestGroundTruthAtCapture:
     @pytest.mark.parametrize("scheme", ["dive", "dds", "eaar", "o3"])
     @pytest.mark.parametrize("stream", [None, True])
     def test_renders_each_frame_once(self, render_calls, scheme, stream):
-        from repro.experiments import ground_truth_for, run_scheme
+        from repro.experiments import ground_truth_for
         from repro.fleet import SCHEMES
 
         clip, trace = self._inputs()
-        result = run_scheme(SCHEMES[scheme](), clip, trace, stream=stream)
+        result = self._run(stream, SCHEMES[scheme](), clip, trace)
         assert sorted(render_calls) == list(range(self.N))
-        reference = run_scheme(
-            SCHEMES[scheme](), clip, trace, stream=stream,
-            ground_truth=ground_truth_for(self._inputs()[0]))
+        reference = self._run(
+            stream, SCHEMES[scheme](), clip, trace, ground_truth=ground_truth_for(self._inputs()[0]))
         assert result.ap == reference.ap
 
     def test_collected_truth_and_map_match_the_two_pass_values(self):
         from repro.core import DiVEScheme
-        from repro.experiments import ground_truth_for, run_scheme, truth_clip
+        from repro.experiments import ground_truth_for, truth_clip
 
         clip, trace = self._inputs()
         scored = truth_clip(clip)
@@ -204,7 +212,7 @@ class TestGroundTruthAtCapture:
         # mAP of this run at the commit before truth moved to capture.
         for stream in (None, True):
             fresh, _ = self._inputs()
-            assert run_scheme(DiVEScheme(), fresh, trace, stream=stream).map == 0.41666666666666663
+            assert self._run(stream, DiVEScheme(), fresh, trace).map == 0.41666666666666663
 
     def test_passed_ground_truth_bypasses_the_facade(self, render_calls):
         from repro.core import DiVEScheme

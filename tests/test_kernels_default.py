@@ -292,6 +292,30 @@ class TestBuiltForThisCpu:
         assert foreign.read_bytes() == foreign_bytes
         assert sorted(cache.iterdir()) == sorted([own, foreign])
 
+    def test_a_load_refreshes_its_object_and_deletes_only_stale_ones(self, fresh_host, monkeypatch):
+        """Objects of other stems (other sources, flag lists, CPUs) are
+        deleted by age alone: one unloaded for longer than the limit goes, a
+        recent one stays; the object loaded is touched, even when it was
+        itself older than the limit."""
+        _restore_compiler(monkeypatch)
+        cache = cext._cache_dir()
+        stale, recent = cache / "kernels-0000000000000000-0.so", cache / "kernels-1111111111111111-1.so"
+        for path in (stale, recent):
+            path.write_bytes(b"an object built from another source")
+        day, written = 24 * 3600.0, recent.stat().st_mtime
+        os.utime(stale, (written - cext._CACHE_MAX_AGE - day,) * 2)
+        os.utime(recent, (written - cext._CACHE_MAX_AGE + day,) * 2)
+        assert kernels.backend("cext").available(), kernels.backend("cext").why_unavailable()
+        (own,) = set(cache.iterdir()) - {recent}
+        assert own.name.startswith(cext._stem(cext._SOURCE.read_bytes()) + "-")
+        assert own.stat().st_mtime >= written
+        long_unused = written - 2 * cext._CACHE_MAX_AGE
+        os.utime(own, (long_unused,) * 2)
+        _fresh_cext(monkeypatch)
+        assert kernels.backend("cext").available(), kernels.backend("cext").why_unavailable()
+        assert sorted(cache.iterdir()) == sorted([own, recent])
+        assert own.stat().st_mtime >= written
+
     def test_a_compiler_that_rejects_march_native_still_builds(self, fresh_host, monkeypatch):
         """The one retry drops only ``-march=native``: same source, same
         stem, and the object passes the same self-probe."""

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.codec.gop import GopStructure
 from repro.world import EgoTrajectory, Scene, StraightSegment, parked_car
 from repro.world.scene import GROUND_ID, SKY_ID
 
@@ -45,17 +44,6 @@ class TestSceneCorners:
     def test_duration(self):
         scene = Scene(trajectory=EgoTrajectory([StraightSegment(2.5, 5.0)]))
         assert scene.duration == pytest.approx(2.5)
-
-
-class TestGopCorners:
-    def test_single_frame(self):
-        s = GopStructure(gop_length=6, b_frames=2)
-        assert s.anchors(1) == [0]
-        assert s.encode_order(1) == [0]
-
-    def test_b0_encode_order_is_display_order(self):
-        s = GopStructure(gop_length=4, b_frames=0)
-        assert s.encode_order(9) == list(range(9))
 
 
 class TestClipIteration:

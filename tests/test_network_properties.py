@@ -83,57 +83,3 @@ class TestUplinkProperties:
         assert link.queue_wait(0.2) == pytest.approx(0.8)
         assert link.queue_wait(2.0) == 0.0
 
-
-class TestTraceIO:
-    def test_roundtrip_exact(self, tmp_path):
-        from repro.network import load_trace_csv, save_trace_csv
-
-        tr = random_walk_trace(2e6, duration=8.0, seed=9)
-        p = tmp_path / "trace.csv"
-        save_trace_csv(tr, p)
-        back = load_trace_csv(p)
-        np.testing.assert_array_equal(back.times, tr.times)
-        np.testing.assert_array_equal(back.rates, tr.rates)
-
-    def test_bad_header(self, tmp_path):
-        from repro.network import load_trace_csv
-
-        p = tmp_path / "bad.csv"
-        p.write_text("a,b\n0,1\n")
-        with pytest.raises(ValueError):
-            load_trace_csv(p)
-
-    def test_non_numeric(self, tmp_path):
-        from repro.network import load_trace_csv
-
-        p = tmp_path / "bad.csv"
-        p.write_text("time_s,rate_bps\n0.0,fast\n")
-        with pytest.raises(ValueError):
-            load_trace_csv(p)
-
-    def test_empty(self, tmp_path):
-        from repro.network import load_trace_csv
-
-        p = tmp_path / "empty.csv"
-        p.write_text("time_s,rate_bps\n")
-        with pytest.raises(ValueError):
-            load_trace_csv(p)
-
-    @pytest.mark.parametrize("row, column", [
-        ("2.0,nan", "rates"), ("2.0,inf", "rates"), ("nan,1e6", "times"), ("inf,1e6", "times"),
-    ])
-    def test_a_cell_that_is_not_finite(self, tmp_path, row, column):
-        from repro.network import load_trace_csv
-
-        p = tmp_path / "bad.csv"
-        p.write_text(f"time_s,rate_bps\n0.0,1e6\n1.0,2e6\n{row}\n")
-        with pytest.raises(ValueError, match=f"{column} must be finite"):
-            load_trace_csv(p)
-
-    def test_invariants_enforced(self, tmp_path):
-        from repro.network import load_trace_csv
-
-        p = tmp_path / "bad.csv"
-        p.write_text("time_s,rate_bps\n1.0,1000\n2.0,1000\n")  # must start at 0
-        with pytest.raises(ValueError):
-            load_trace_csv(p)

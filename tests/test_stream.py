@@ -16,7 +16,7 @@ from repro.baselines.base import AnalyticsScheme, SchemeRun
 from repro.core import DiVEScheme
 from repro.edge.detector import QualityAwareDetector
 from repro.edge.server import EdgeServer
-from repro.experiments import run_scheme, scaled_bandwidth
+from repro.experiments import scaled_bandwidth
 from repro.fleet import FleetConfig, FleetRunner
 from repro.network import constant_trace, with_outages
 from repro.stream import BackpressureQueue, StreamConfig, StreamRunner, VirtualClock
@@ -148,13 +148,18 @@ def _strict_run(policy: str):
     return StreamRunner(DiVEScheme(), config).run(clip, trace, server)
 
 
+def _counts(stats):
+    return (stats.frames, stats.delivered, stats.degraded, stats.dropped, stats.local,
+            stats.late, stats.blocked_time, stats.virtual_makespan)
+
+
 @pytest.mark.parametrize("policy", ["drop-oldest", "degrade-qp"])
 def test_determinism_across_reruns(policy):
     """Two runs of one configuration make identical virtual-time decisions."""
     first = _strict_run(policy)
     again = _strict_run(policy)
     assert first.stats.digest() == again.stats.digest()
-    assert first.stats.summary() == again.stats.summary()
+    assert _counts(first.stats) == _counts(again.stats)
     assert [f.bytes_sent for f in first.run.frames] == [
         f.bytes_sent for f in again.run.frames]
     assert [f.source for f in first.run.frames] == [
@@ -289,29 +294,3 @@ def test_faults_propagate_as_raised(monkeypatch, driver, site, make_error):
         monkeypatch.undo()
         serial = FleetRunner(replace(fleet_config, agent_workers=1)).run()
         assert run().digest() == serial.digest()
-
-
-def test_run_scheme_stream_integration():
-    """run_scheme(stream=...) returns stream stats and batch-equal results."""
-    clip = nuscenes_like(0, n_frames=6, resolution=(192, 96))
-    trace = constant_trace(scaled_bandwidth(2.0, clip))
-    batch = run_scheme(DiVEScheme(), clip, trace)
-    stream = run_scheme(DiVEScheme(), clip, trace, stream=StreamConfig())
-    assert batch.stream is None
-    assert stream.stream is not None
-    assert stream.stream.frames == 6
-    assert stream.ap == batch.ap
-    assert stream.total_bytes == batch.total_bytes
-
-
-def test_cli_streaming_demo(capsys):
-    from repro.cli import main
-
-    code = main([
-        "demo", "--streaming", "--frames", "4",
-        "--queue-capacity", "2", "--policy", "drop-oldest",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "streaming: drop-oldest" in out
-    assert "stream delivered" in out

@@ -8,7 +8,7 @@ runner's interposers leaked into the scheme's arithmetic.
 
 import pytest
 
-from conftest import GOLDEN_BANDWIDTH_MBPS, e2e_digest
+from conftest import GOLDEN_BANDWIDTH_MBPS, e2e_digest, run_streamed
 from repro.baselines import O3Scheme
 from repro.core import DiVEScheme
 from repro.experiments import run_scheme, scaled_bandwidth
@@ -33,23 +33,19 @@ def _frame_key(f):
 def test_stream_matches_golden_digest(golden_clips, golden_ground_truth):
     """A relaxed StreamRunner run reproduces the exact golden digest."""
     tracer = Tracer()
-    results = []
+    results, stats = [], []
     for clip, gt in zip(golden_clips, golden_ground_truth):
         trace = constant_trace(scaled_bandwidth(GOLDEN_BANDWIDTH_MBPS, clip))
-        results.append(
-            run_scheme(
-                DiVEScheme(), clip, trace, ground_truth=gt, tracer=tracer,
-                stream=StreamConfig(),
-            )
-        )
+        result, stat = run_streamed(DiVEScheme(), clip, trace, ground_truth=gt, tracer=tracer)
+        results.append(result)
+        stats.append(stat)
     assert e2e_digest(results, tracer) == GOLDEN_DIGEST
-    for result in results:
-        stats = result.stream
-        assert stats is not None
+    for clip, stat in zip(golden_clips, stats):
+        assert stat.frames == clip.n_frames
         # Relaxed limits: truth never diverges from belief.
-        assert stats.degraded == 0
-        assert stats.late == 0
-        assert stats.blocked_time == 0.0
+        assert stat.degraded == 0
+        assert stat.late == 0
+        assert stat.blocked_time == 0.0
 
 
 @pytest.mark.timeout(600)
@@ -58,10 +54,7 @@ def test_stream_matches_batch_per_frame_o3(golden_clips, golden_ground_truth):
     clip, gt = golden_clips[0], golden_ground_truth[0]
     trace = constant_trace(scaled_bandwidth(GOLDEN_BANDWIDTH_MBPS, clip))
     batch = run_scheme(O3Scheme(), clip, trace, ground_truth=gt)
-    stream = run_scheme(
-        O3Scheme(), clip, trace, ground_truth=gt,
-        stream=StreamConfig(),
-    )
+    stream, _ = run_streamed(O3Scheme(), clip, trace, ground_truth=gt)
     assert [_frame_key(f) for f in batch.run.frames] == [
         _frame_key(f) for f in stream.run.frames
     ]
