@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.codec.motion import estimate_motion
 from repro.edge.detector import Detection
 from repro.edge.server import EdgeServer
 from repro.network.link import UplinkSimulator
@@ -26,7 +28,10 @@ from repro.network.trace import BandwidthTrace
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.world.datasets import Clip
 
-__all__ = ["AnalyticsScheme", "FrameResult", "LatencyModel", "PendingResults", "SchemeRun"]
+if TYPE_CHECKING:
+    from repro.core.tracking import MotionVectorTracker
+
+__all__ = ["AnalyticsScheme", "FrameResult", "LatencyModel", "PendingResults", "SchemeRun", "track_motion"]
 
 
 @dataclass(frozen=True)
@@ -201,3 +206,24 @@ class AnalyticsScheme(abc.ABC):
         frame at urban speeds, so the window must grow with resolution.
         """
         return max(16, int(round(clip.intrinsics.width / 20.0)))
+
+
+def track_motion(
+    tracker: MotionVectorTracker,
+    frame: np.ndarray,
+    prev: np.ndarray | None,
+    *,
+    method: str,
+    search_range: int,
+    tracer: Tracer | NullTracer,
+) -> list[Detection]:
+    """The detections ``tracker`` holds for ``frame``: moved by the raw-to-raw
+    motion from ``prev``, the previous captured frame, or as they are when
+    there is none (a clip's first frame).
+
+    The baselines call this only on the frames whose result is tracked, so
+    the motion search runs only where something reads it.
+    """
+    if prev is None:
+        return tracker.detections
+    return tracker.track(estimate_motion(frame, prev, method=method, search_range=search_range, tracer=tracer).mv)

@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.base import AnalyticsScheme, FrameResult, LatencyModel, SchemeRun
+from repro.baselines.base import AnalyticsScheme, FrameResult, LatencyModel, SchemeRun, track_motion
 from repro.codec.encoder import EncoderConfig, RegionUpdate, VideoEncoder
 from repro.core.tracking import MotionVectorTracker
-from repro.codec.motion import estimate_motion
 from repro.edge.detector import Detection
 from repro.edge.server import EdgeServer
 from repro.network.estimator import BandwidthEstimator
@@ -94,19 +93,14 @@ class DDSScheme(AnalyticsScheme):
         force_intra = False
         needs_server_reset = False
         prev_raw = None
+        me = dict(method=cfg.me_method, search_range=search_range, tracer=self.tracer)
 
         for i in range(clip.n_frames):
             with self.tracer.frame(i):
                 record = clip.frame(i)
                 t_cap = record.time
                 frame = record.image
-                motion = None
-                if prev_raw is not None:
-                    motion = estimate_motion(
-                        frame, prev_raw, method=cfg.me_method,
-                        search_range=search_range, tracer=self.tracer,
-                    )
-                prev_raw = frame
+                prev, prev_raw = prev_raw, frame
 
                 # ---- Pass 1: low-quality full frame -------------------------
                 bandwidth = estimator.estimate(t_cap)
@@ -125,7 +119,7 @@ class DDSScheme(AnalyticsScheme):
                         estimator.record_outage(tx1.start_time + cfg.hol_timeout)
                     force_intra = True
                     needs_server_reset = True
-                    detections = tracker.track(motion.mv) if motion is not None else tracker.detections
+                    detections = track_motion(tracker, frame, prev, **me)
                     self._finish_frame(
                         run,
                         FrameResult(

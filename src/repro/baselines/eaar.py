@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.base import AnalyticsScheme, FrameResult, LatencyModel, PendingResults, SchemeRun
+from repro.baselines.base import (
+    AnalyticsScheme, FrameResult, LatencyModel, PendingResults, SchemeRun, track_motion,
+)
 from repro.codec.encoder import EncoderConfig, VideoEncoder
-from repro.codec.motion import estimate_motion
 from repro.core.tracking import MotionVectorTracker
 from repro.edge.detector import Detection
 from repro.edge.server import EdgeServer
@@ -73,6 +74,7 @@ class EAARScheme(AnalyticsScheme):
         pending = PendingResults()
         run = SchemeRun(scheme=self.name, clip_name=clip.name)
         prev_raw = None
+        me = dict(method=cfg.me_method, search_range=search_range, tracer=self.tracer)
         cached: list[Detection] = []
         block = encoder.config.block
         grid_shape = (clip.intrinsics.height // block, clip.intrinsics.width // block)
@@ -86,13 +88,7 @@ class EAARScheme(AnalyticsScheme):
                     tracker.update(detections)
                     cached = detections
 
-                motion = None
-                if prev_raw is not None:
-                    motion = estimate_motion(
-                        frame, prev_raw, method=cfg.me_method,
-                        search_range=search_range, tracer=self.tracer,
-                    )
-                prev_raw = frame
+                prev, prev_raw = prev_raw, frame
 
                 if i % cfg.key_interval == 0:
                     offsets = self._roi_offsets(cached, grid_shape, block)
@@ -103,7 +99,7 @@ class EAARScheme(AnalyticsScheme):
                     skip_stale = uplink.queue_wait(enqueue_time) > cfg.hol_timeout
                     tx = None if skip_stale else uplink.transmit(i, encoded.size_bytes, enqueue_time)
                     if tx is None or tx.dropped:
-                        detections = tracker.track(motion.mv) if motion is not None else tracker.detections
+                        detections = track_motion(tracker, frame, prev, **me)
                         self._finish_frame(
                             run,
                             FrameResult(
@@ -131,10 +127,7 @@ class EAARScheme(AnalyticsScheme):
                         )
                     )
                 else:
-                    if motion is not None:
-                        detections = tracker.track(motion.mv)
-                    else:
-                        detections = tracker.detections
+                    detections = track_motion(tracker, frame, prev, **me)
                     self._finish_frame(
                         run,
                         FrameResult(

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.baselines.base import AnalyticsScheme, FrameResult, LatencyModel, PendingResults, SchemeRun
+from repro.baselines.base import (
+    AnalyticsScheme, FrameResult, LatencyModel, PendingResults, SchemeRun, track_motion,
+)
 from repro.codec.encoder import EncoderConfig, VideoEncoder
-from repro.codec.motion import estimate_motion
 from repro.core.tracking import MotionVectorTracker
 from repro.edge.server import EdgeServer
 from repro.network.estimator import BandwidthEstimator
@@ -67,6 +68,7 @@ class O3Scheme(AnalyticsScheme):
         pending = PendingResults()
         run = SchemeRun(scheme=self.name, clip_name=clip.name)
         prev_raw = None
+        me = dict(method=cfg.me_method, search_range=search_range, tracer=self.tracer)
 
         for i in range(clip.n_frames):
             with self.tracer.frame(i):
@@ -79,13 +81,7 @@ class O3Scheme(AnalyticsScheme):
                 for _, _, detections in pending.due(t_cap):
                     tracker.update(detections)
 
-                motion = None
-                if prev_raw is not None:
-                    motion = estimate_motion(
-                        frame, prev_raw, method=cfg.me_method,
-                        search_range=search_range, tracer=self.tracer,
-                    )
-                prev_raw = frame
+                prev, prev_raw = prev_raw, frame
 
                 if i % cfg.key_interval == 0:
                     # Key frame: intra-coded upload at the interval's bandwidth
@@ -99,7 +95,7 @@ class O3Scheme(AnalyticsScheme):
                     if tx is None or tx.dropped:
                         if tx is not None:
                             estimator.record_outage(tx.start_time + cfg.hol_timeout)
-                        detections = tracker.track(motion.mv) if motion is not None else tracker.detections
+                        detections = track_motion(tracker, frame, prev, **me)
                         self._finish_frame(
                             run,
                             FrameResult(
@@ -128,12 +124,8 @@ class O3Scheme(AnalyticsScheme):
                         )
                     )
                 else:
-                    if motion is not None:
-                        detections = tracker.track(motion.mv)
-                        source = "tracked" if detections or tracker.frames_since_update else "none"
-                    else:
-                        detections = tracker.detections
-                        source = "cached"
+                    detections = track_motion(tracker, frame, prev, **me)  # frame 0 is a key frame
+                    source = "tracked" if detections or tracker.frames_since_update else "none"
                     self._finish_frame(
                         run,
                         FrameResult(

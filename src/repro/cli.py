@@ -41,6 +41,7 @@ from repro.experiments import (
     run_table1,
     scaled_bandwidth,
 )
+from repro.experiments.fig06 import MIN_FRAMES as FIG06_MIN_FRAMES
 from repro.experiments.fig07 import collect_fields
 
 __all__ = ["build_parser", "main"]
@@ -87,7 +88,7 @@ def _cmd_demo(args: argparse.Namespace) -> str:
     maker = {"nuscenes": nuscenes_like, "robotcar": robotcar_like}[args.dataset]
     clip = maker(args.seed, n_frames=args.frames)
     trace = constant_trace(scaled_bandwidth(args.bandwidth, clip))
-    result = run_scheme(DiVEScheme(), clip, trace)
+    result = run_scheme(DiVEScheme(), clip, trace, detector_seed=args.detector_seed)
     rows = [
         ["mAP", result.map],
         ["AP car", result.ap["car"]],
@@ -556,6 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "trace":
             p.add_argument("--scheme", choices=("dive", "dds", "eaar", "o3"), default="dive")
             p.add_argument("--output", default="trace.jsonl", help="JSONL trace output path")
+        if name == "fig06":
+            p.set_defaults(frames=60)  # the figure suite's; a stop needs at least FIG06_MIN_FRAMES
         if name in ("fig16", "fig17"):
             p.set_defaults(figure=16 if name == "fig16" else 17)
     lint = sub.add_parser(
@@ -670,6 +673,10 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_top(args)
     if args.command == "fleet":
         return _cmd_fleet(args)
+    if args.command == "fig06" and args.frames < FIG06_MIN_FRAMES:
+        print(f"error: Fig 6 needs --frames {FIG06_MIN_FRAMES} or more for its clips to fit a stop, "
+              f"got {args.frames}", file=sys.stderr)
+        return 2
     func, _ = _COMMANDS[args.command]
     print(func(args))
     return 0

@@ -8,7 +8,6 @@ what differential encoding is all about).
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 __all__ = ["psnr", "region_psnr", "ssim"]
 
@@ -69,6 +68,8 @@ def ssim(
         raise ValueError(f"shape mismatch: {reference.shape} vs {test.shape}")
     if window < 3 or window % 2 == 0:
         raise ValueError("window must be an odd integer >= 3")
+    from scipy.ndimage import uniform_filter  # here, so that importing the codec loads no scipy module
+
     c1 = (0.01 * max_level) ** 2
     c2 = (0.03 * max_level) ** 2
     mu_r = uniform_filter(reference, window)

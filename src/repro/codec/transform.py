@@ -12,8 +12,9 @@ grow with residual energy.
 
 The transform and everything after it dispatch through :mod:`repro.kernels`:
 :func:`dct_blocks` / :func:`idct_blocks` (one ``transform`` hook; the
-reference is scipy's pocketfft, whose 8-point DCT-II / DCT-III a compiled
-backend replays operation for operation, to its bytes),
+reference replays scipy's pocketfft 8-point DCT-II / DCT-III in numpy,
+operation for operation, as a compiled backend does in C, so both give
+``scipy.fft.dctn`` / ``idctn``'s bytes without importing scipy),
 :func:`quantize_cost` (quantise + bit cost in one pass), :func:`reconstruct`
 (dequantise + IDCT + clip, the one spelling encoder and decoder share) and
 :class:`QuantBitCounter` (rate control's probe).  The step-by-step functions
@@ -26,7 +27,6 @@ bitwise, and the fallback.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from repro import kernels
 
@@ -84,11 +84,122 @@ def _transform(blocks: np.ndarray, *, inverse: bool) -> np.ndarray:
     return _transform_reference(blocks, inverse=inverse) if out is None else out
 
 
+#: The input types pocketfft computes in, and so the replay's.
+_REPLAY_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+#: pocketfft's constants for length 8, as ``cext.c``'s ``DCT_TW`` / ``DCT_WR``
+#: / ``DCT_WI`` / ``DCT_SQRT2`` spell them: the pre- / post-rotation twiddles
+#: cos(k pi / 16), k = 1 ... 7, the radix-2 rotation wr + i wi (one ulp apart
+#: in double) and sqrt(2), as doubles; each line function rounds them to the
+#: input's type, as pocketfft's float32 plan holds them.
+_DCT_TW = tuple(
+    float.fromhex(h)
+    for h in (
+        "0x1.f6297cff75cb0p-1", "0x1.d906bcf328d46p-1", "0x1.a9b66290ea1a3p-1", "0x1.6a09e667f3bccp-1",
+        "0x1.1c73b39ae68c8p-1", "0x1.87de2a6aea963p-2", "0x1.8f8b83c69a60ap-3",
+    )
+)
+_DCT_WR = float.fromhex("0x1.6a09e667f3bccp-1")
+_DCT_WI = float.fromhex("0x1.6a09e667f3bcdp-1")
+_DCT_SQRT2 = float.fromhex("0x1.6a09e667f3bcdp+0")
+
+
 def _transform_reference(blocks: np.ndarray, *, inverse: bool) -> np.ndarray:
     """Reference implementation of :func:`_transform` (oracle and fallback):
-    scipy's pocketfft DCT-II / DCT-III along axes 1 and 3, in the input's
-    own precision for float32 / float64."""
+    ``scipy.fft.dctn`` / ``idctn(blocks, axes=(1, 3), norm="ortho")``.
+
+    For native float32 / float64 ``(r8, 8, c8, 8)`` blocks that is pocketfft's
+    8-point DCT-II / DCT-III along axis 1, the 2-D scale 1/16 applied in that
+    first pass, then along axis 3, every operation in the input's own type —
+    which :func:`_dct2_lines` / :func:`_dct3_lines` replay, every line of
+    every block at once, so no scipy module is loaded.  The replay's answer
+    stands when all of it is finite; otherwise (a NaN's sign and payload
+    depend on more than the operation order) and for any other input — a
+    dtype, byte order or shape the replay does not take, or no blocks —
+    scipy, imported here on first need, answers.
+    """
+    if (
+        isinstance(blocks, np.ndarray)
+        and blocks.dtype in _REPLAY_DTYPES
+        and blocks.ndim == 4
+        and blocks.shape[1] == blocks.shape[3] == _TRANSFORM
+        and blocks.size
+    ):
+        lines = _dct3_lines if inverse else _dct2_lines
+        # (i, j, r8, c8): axis 1's lines are the columns of x[0] ... x[7].
+        x = np.ascontiguousarray(blocks.transpose(1, 3, 0, 2))
+        y, out = np.empty_like(x), np.empty(blocks.shape, blocks.dtype)
+        with np.errstate(all="ignore"):  # an overflow is scipy's to answer, below
+            lines(x, y, scale=x.dtype.type(0.0625))
+            # y is (k1, j, r8, c8); axis 3's lines run along j, and land in
+            # ``out`` (r8, k1, c8, k3) seen as (k3, k1, r8, c8).
+            lines(y.transpose(1, 0, 2, 3), out.transpose(3, 1, 0, 2))
+            if np.isfinite(out).all():
+                return out
+    from scipy.fft import dctn, idctn
+
     return (idctn if inverse else dctn)(blocks, axes=(1, 3), norm="ortho")
+
+
+def _dct2_lines(x: np.ndarray, y: np.ndarray, *, scale: np.generic | None = None) -> None:
+    """pocketfft's 8-point DCT-II of every line ``x[0][...], ..., x[7][...]``
+    into ``y[0] ... y[7]``, scaled by ``scale`` before the post-rotation:
+    ``cext.c``'s ``dct2_lines``, statement for statement (its real FFT of
+    length 8, radix 4 then 2, between the DCT's pre- and post-rotation), in
+    ``x``'s type."""
+    t = x.dtype.type
+    tw = [t(v) for v in _DCT_TW]
+    wr, wi, two, half = t(_DCT_WR), t(_DCT_WI), t(2), t(0.5)
+    c0, c7 = x[0] * two, x[7] * two
+    c1, c2 = x[2] + x[1], x[2] - x[1]
+    c3, c4 = x[4] + x[3], x[4] - x[3]
+    c5, c6 = x[6] + x[5], x[6] - x[5]
+    # radix 2
+    h0, h4, h3, h7, h1, r = c0 + c7, c0 - c7, two * c3, -(two * c4), c1 + c5, c1 - c5
+    i, h2 = c2 + c6, c2 - c6
+    h6, h5 = wr * i + wi * r, wr * r - wi * i
+    # radix 4
+    a, b, p, q = h0 + h3, h0 - h3, two * h1, two * h2
+    o = [a + p, None, b - q, None, a - p, None, b + q, None]
+    a, b, p, q = h4 + h7, h4 - h7, two * h5, two * h6
+    o[1], o[5], o[7], o[3] = a + p, a - p, b + q, b - q
+    if scale is not None:
+        o = [v * scale for v in o]
+    for k in (1, 2, 3):
+        t1 = tw[k - 1] * o[8 - k] + tw[7 - k] * o[k]
+        t2 = tw[k - 1] * o[k] - tw[7 - k] * o[8 - k]
+        np.multiply(half, t1 + t2, out=y[k])
+        np.multiply(half, t1 - t2, out=y[8 - k])
+    np.multiply(o[4], tw[3], out=y[4])
+    np.multiply(o[0], t(_DCT_SQRT2) * half, out=y[0])
+
+
+def _dct3_lines(x: np.ndarray, y: np.ndarray, *, scale: np.generic | None = None) -> None:
+    """pocketfft's 8-point DCT-III, as :func:`_dct2_lines` is its DCT-II
+    (``cext.c``'s ``dct3_lines``): pre-rotation, radix 4 then 2, ``scale``."""
+    t = x.dtype.type
+    tw = [t(v) for v in _DCT_TW]
+    wr, wi, two = t(_DCT_WR), t(_DCT_WI), t(2)
+    c0, c4 = x[0] * t(_DCT_SQRT2), x[4] * (two * tw[3])
+    t1, t2 = x[1] + x[7], x[1] - x[7]
+    c1, c7 = tw[0] * t2 + tw[6] * t1, tw[0] * t1 - tw[6] * t2
+    t1, t2 = x[2] + x[6], x[2] - x[6]
+    c2, c6 = tw[1] * t2 + tw[5] * t1, tw[1] * t1 - tw[5] * t2
+    t1, t2 = x[3] + x[5], x[3] - x[5]
+    c3, c5 = tw[2] * t2 + tw[4] * t1, tw[2] * t1 - tw[4] * t2
+    # radix 4
+    r1, h2, r2, h1 = c6 + c2, c6 - c2, c0 + c4, c0 - c4
+    h0, h3 = r2 + r1, r2 - r1
+    r1, r2 = c7 + c3, c1 + c5
+    h6, h5, h4, h7 = c7 - c3, c1 - c5, r2 + r1, r2 - r1
+    # radix 2
+    r, i = wr * h5 + wi * h6, wr * h6 - wi * h5
+    o = [h0 + h4, h1 + r, i + h2, h3, -h7, h1 - r, i - h2, h0 - h4]
+    if scale is not None:
+        o = [v * scale for v in o]
+    y[0], y[7] = o[0], o[7]
+    for k in (1, 3, 5):
+        np.subtract(o[k], o[k + 1], out=y[k])
+        np.add(o[k], o[k + 1], out=y[k + 1])
 
 
 def _expand_qstep(qp_per_mb: np.ndarray, mb_size: int, blocks: np.ndarray) -> np.ndarray:

@@ -17,7 +17,13 @@ from repro.codec.motion import estimate_motion, nonzero_mv_ratio
 from repro.experiments.config import ExperimentConfig
 from repro.world.datasets import Clip, nuscenes_like
 
-__all__ = ["EgoMotionStudy", "run_fig06"]
+__all__ = ["MIN_FRAMES", "EgoMotionStudy", "run_fig06"]
+
+#: The shortest clip that fits a stop: a nuScenes-like clip lasts
+#: ``n_frames / 12 + 0.5`` s, and its urban trajectory stops only with more
+#: than 2 s left after a first leg of at least 1 s, so below 31 frames no
+#: clip has a stopped frame.
+MIN_FRAMES = 31
 
 
 @dataclass
@@ -69,6 +75,8 @@ def _clip_etas(clip: Clip) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def run_fig06(config: ExperimentConfig | None = None, *, threshold: float = 0.15) -> EgoMotionStudy:
     """Reproduce Fig 6 on nuScenes-like clips with red-light stops."""
     config = config or ExperimentConfig()
+    if config.n_frames < MIN_FRAMES:
+        raise ValueError(f"Fig 6 needs clips of at least {MIN_FRAMES} frames to fit a stop, got {config.n_frames}")
     eta_moving: list[float] = []
     eta_stopped: list[float] = []
     series = None

@@ -116,7 +116,11 @@ that process loaded.
   frame, an id the int32 id-buffer cannot hold or that repeats, or a noise
   coordinate past int64 is declined to ``_render_surfaces_reference``.
 - The 8x8 DCT (``transform``, behind ``dct_blocks`` / ``idct_blocks``)
-  is scipy's own arithmetic.  ``dctn`` / ``idctn(axes=(1, 3),
+  is scipy's own arithmetic, as is its reference: ``_transform_reference``
+  replays the same sequence in numpy, a vector operation per statement
+  over every line, so the two agree by construction and both agree with
+  scipy, which ``TestTransformIsScipys`` checks against the installed
+  release.  ``dctn`` / ``idctn(axes=(1, 3),
   norm="ortho")`` runs pocketfft's 8-point DCT-II / DCT-III along axis 1
   with the 2-D scale 1/16 folded into that first pass, then along axis 3,
   in float32 for float32 input and float64 for float64; each 8-point line
@@ -131,7 +135,8 @@ that process loaded.
   bit, signed zeros and subnormals included.  What the order does not pin
   is a NaN's payload: the hook declines any block whose output is not
   finite (an inf or NaN input always reaches one, as does an overflow
-  inside the sums), and so do other dtypes and shapes; scipy answers.
+  inside the sums), and so do other dtypes and shapes; the reference
+  answers, handing what its replay does not pin to scipy.
   Lines are independent, so a block's transform is the same whichever
   blocks are beside it — which is what lets the loops below transform one
   block at a time.  Between the two axes, and after the second, the block

@@ -24,6 +24,12 @@ class TestParser:
         assert args.dataset == "robotcar"
         assert args.bandwidth == 3.5
 
+    def test_fig06_defaults_to_clips_that_fit_a_stop(self):
+        from repro.experiments.fig06 import MIN_FRAMES
+
+        assert build_parser().parse_args(["fig06"]).frames == 60 >= MIN_FRAMES
+        assert build_parser().parse_args(["fig07"]).frames == 24
+
     def test_fig16_vs_17_dataset(self):
         assert build_parser().parse_args(["fig16"]).figure == 16
         assert build_parser().parse_args(["fig17"]).figure == 17
@@ -75,6 +81,38 @@ class TestMain:
         )
         assert "mAP" in out
         assert "response time" in out
+
+    def test_demo_scores_with_the_detector_seed(self, capsys):
+        """``--detector-seed`` reaches the run and its ground truth: the
+        printed mAP is ``run_scheme(..., detector_seed=3)``'s, not seed 7's."""
+        from repro.core import DiVEScheme
+        from repro.experiments import run_scheme, scaled_bandwidth
+        from repro.network import constant_trace
+        from repro.world import nuscenes_like
+
+        clip = nuscenes_like(0, n_frames=6)
+        trace = constant_trace(scaled_bandwidth(2.0, clip))
+        maps = {seed: run_scheme(DiVEScheme(), clip, trace, detector_seed=seed).map for seed in (3, 7)}
+        assert f"{maps[3]:.3f}" != f"{maps[7]:.3f}"
+        assert main(["demo", "--frames", "6", "--detector-seed", "3"]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("mAP "))
+        assert row.split()[1] == f"{maps[3]:.3f}"
+
+    def test_fig06_too_short_for_a_stop_is_one_error_line(self, capsys):
+        from repro.experiments.fig06 import MIN_FRAMES
+
+        assert main(["fig06", "--clips", "1", "--frames", str(MIN_FRAMES - 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: Fig 6 needs --frames {MIN_FRAMES} or more for its clips to fit a stop, got {MIN_FRAMES - 1}\n"
+        )
+
+    def test_fig06_at_the_minimum_prints_the_figure(self, capsys):
+        from repro.experiments.fig06 import MIN_FRAMES
+
+        assert main(["fig06", "--clips", "1", "--frames", str(MIN_FRAMES)]) == 0
+        assert "judgement accuracy" in capsys.readouterr().out
 
     def test_table1_runs(self, capsys):
         rc = main(["table1", "--clips", "1", "--frames", "4"])

@@ -84,6 +84,12 @@ class TestFig06:
         times, etas, moving = study.series
         assert len(times) == len(etas) == len(moving)
 
+    def test_clips_too_short_for_a_stop_are_refused_before_rendering(self):
+        from repro.experiments.fig06 import MIN_FRAMES
+
+        with pytest.raises(ValueError, match=f"at least {MIN_FRAMES} frames"):
+            run_fig06(ExperimentConfig(n_clips=1, n_frames=MIN_FRAMES - 1))
+
 
 class TestFig07And10:
     @pytest.fixture(scope="class")

@@ -79,7 +79,7 @@ class TestLazyResolution:
         """Importing the package spawns no process and dlopens no library;
         the first ``active()`` is what resolves the default."""
         script = (
-            "import sys, ctypes, numpy, scipy.fft\n"
+            "import sys, ctypes, numpy\n"
             "seen = []\n"
             "def hook(event, args):\n"
             "    if event in ('subprocess.Popen', 'os.posix_spawn', 'os.fork', 'os.exec',\n"
@@ -92,6 +92,30 @@ class TestLazyResolution:
             "name = repro.kernels.active().name\n"
             "assert name in ('cext', 'numpy'), name\n"
             "assert (name == 'cext') == any(e == 'ctypes.dlopen' for e, _ in seen), seen\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_a_run_loads_no_scipy(self):
+        """Importing the package, resolving the default backend (with its
+        self-probe) and a DiVE run on either backend load no scipy module:
+        the transform's reference is numpy's replay of pocketfft."""
+        script = (
+            "import sys\n"
+            "import repro, repro.codec, repro.experiments\n"
+            "from repro import kernels\n"
+            "from repro.core import DiVEScheme\n"
+            "from repro.network import constant_trace\n"
+            "from repro.world import nuscenes_like\n"
+            "clip = nuscenes_like(0, n_frames=4, resolution=(160, 96))\n"
+            "for name in (kernels.active().name, 'numpy'):\n"
+            "    with kernels.use_backend(name):\n"
+            "        repro.experiments.run_scheme(DiVEScheme(), clip, constant_trace(1e6))\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
         )
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         done = subprocess.run(

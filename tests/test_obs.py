@@ -336,7 +336,8 @@ class TestSchemeTracing:
         tracer = Tracer()
         assert outcome(tracer=tracer) == outcome()
         summary = summarize(tracer.frames)
-        assert {"me", "encode"} <= set(summary.spans)
+        # On a link that drops nothing, DDS's one motion search is its encoder's.
+        assert {"encode/me" if scheme_key == "dds" else "me", "encode"} <= set(summary.spans)
         if scheme_key == "dive":
             # Frame 0 has no reference frame, so ME fires on n-1 frames.
             for stage in ("me", "foreground", "qp_map"):

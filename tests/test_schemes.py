@@ -76,6 +76,34 @@ class TestSchemeContracts:
         assert res.run.drop_rate > 0
 
 
+class TestBaselineMotionSearch:
+    @pytest.mark.parametrize("factory", [DDSScheme, EAARScheme, O3Scheme])
+    def test_raw_motion_is_estimated_only_for_tracked_frames(self, factory, clip, gt, monkeypatch):
+        """The raw-to-raw motion search runs once per frame whose result the
+        tracker gives — dropped uploads included — and on no frame the edge
+        answered (the encoder's own search is not this one)."""
+        import repro.baselines.base as base
+
+        calls = []
+        real = base.estimate_motion
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["method"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(base, "estimate_motion", counted)
+        dies = BandwidthTrace(np.array([0.0, 0.3]), np.array([scaled_bandwidth(3.0, clip), 0.0]))
+        counts, dropped = [], []
+        for trace in (dies, good_trace(clip)):
+            calls.clear()
+            frames = run_scheme(factory(), clip, trace, detector_seed=3, ground_truth=gt).run.frames
+            assert len(calls) == sum(f.index > 0 and f.source != "edge" for f in frames)
+            counts.append(len(calls))
+            dropped.append(sum(f.dropped for f in frames))
+        assert dropped[0] > 0  # the drop branch searches too
+        assert min(counts) < clip.n_frames - 1  # ... and an answered frame does not
+
+
 class TestDiVE:
     def test_sources_are_edge_on_good_link(self, clip, gt):
         res = run_scheme(DiVEScheme(), clip, good_trace(clip), detector_seed=3, ground_truth=gt)
