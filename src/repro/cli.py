@@ -213,7 +213,7 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
     clip = maker(args.seed, n_frames=args.frames)
     report = foreground_quality(clip)
     trace = constant_trace(scaled_bandwidth(args.bandwidth, clip))
-    result = run_scheme(DiVEScheme(), clip, trace, ground_truth=ground_truth_for(clip))
+    result = run_scheme(DiVEScheme(), clip, trace, detector_seed=args.detector_seed)
     times, responses, _ = response_time_series(result.run)
 
     lines = [

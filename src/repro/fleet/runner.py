@@ -362,11 +362,18 @@ class FleetRunner:
         return SharedCell(capacity).allocate(slices)
 
     def run_agents(self, specs: tuple[AgentSpec, ...]) -> list[_AgentRun]:
-        """Phase 1: every agent's belief run (parallel over agents)."""
+        """Phase 1: every agent's belief run (parallel over agents).
+
+        Every clip is built up front (the shared cell needs each one's
+        duration and pixel count), but none has rendered yet; each is
+        released as soon as its agent's run, calls and truth are taken,
+        so at most one rendered clip per pool thread is alive at a time
+        and the returned runs hold none.
+        """
         cfg = self.config
         for spec in specs:
             spec.validate()
-        clips = [self._clip_for(spec) for spec in specs]
+        clips: list[Clip | None] = [self._clip_for(spec) for spec in specs]
         demands = [self._demand_for(spec, clip) for spec, clip in zip(specs, clips)]
         uplinks = self._allocate_uplinks(specs, clips, demands)
 
@@ -378,6 +385,7 @@ class FleetRunner:
                 downlink_latency=cfg.downlink_latency,
             ))
             scored = truth_clip(clips[i], detector_seed=cfg.detector_seed)
+            clips[i] = None  # ``scored`` holds the clip until this agent returns
             run = SCHEMES[spec.scheme]().run(scored, uplinks[i], recording)
             return _AgentRun(spec=spec, run=run, calls=recording.calls, truth=scored.scores())
 

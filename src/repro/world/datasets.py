@@ -42,7 +42,9 @@ class Clip:
     """A renderable video clip with ground truth.
 
     Frames are rendered lazily and a small LRU cache keeps the most recent
-    ones (video pipelines touch ``frame(i-1)`` and ``frame(i)`` together).
+    ones.  No scheme re-reads a frame (each fetches every index once and
+    keeps its own previous frame); the cache serves repeat passes over
+    short clips (Fig 9's per-method ME timing, Fig 12) and :meth:`preload`.
     """
 
     name: str
@@ -117,8 +119,8 @@ class ScoredClip:
     on whichever thread fetched the frame (the scheme's, in every
     driver), on the record that fetch produced anyway, so scoring a clip
     never costs a second render.  Only the per-index result is kept,
-    never the record: a retained record pins the frame's image, depth and
-    id buffers.  ``score`` must be a pure function of the record;
+    never the record: a retained record pins the frame's image and id
+    buffer.  ``score`` must be a pure function of the record;
     everything but the fetch methods and :meth:`scores` is the wrapped
     clip's.
     """

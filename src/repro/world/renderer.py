@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
+import weakref
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -39,6 +41,29 @@ __all__ = ["Renderer"]
 #: pixels it kept, and their bounding box ``[x0, x1) x [y0, y1)`` (zeros
 #: when it kept none).
 STAT_PAINTED, STAT_VISIBLE, STAT_X0, STAT_Y0, STAT_X1, STAT_Y1 = range(6)
+
+#: One read-only camera-frame ray table per intrinsics, shared by every
+#: renderer of that camera and freed with the last of them.
+_RAY_TABLES: weakref.WeakValueDictionary[CameraIntrinsics, np.ndarray] = weakref.WeakValueDictionary()
+_RAY_TABLES_LOCK = threading.Lock()
+
+
+def _ray_table(intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Camera-frame ray directions ``(H, W, 3)`` with unit z — the
+    plane-intersection parameter t then equals camera depth directly —
+    built on the first request for ``intrinsics`` and read-only."""
+    with _RAY_TABLES_LOCK:
+        table = _RAY_TABLES.get(intrinsics)
+        if table is None:
+            w, h = intrinsics.width, intrinsics.height
+            x, y = intrinsics.centered_from_pixels(np.arange(w, dtype=float), np.arange(h, dtype=float))
+            table = np.empty((h, w, 3))
+            table[..., 0] = x / intrinsics.focal
+            table[..., 1] = (y / intrinsics.focal)[:, None]
+            table[..., 2] = 1.0
+            table.setflags(write=False)
+            _RAY_TABLES[intrinsics] = table
+        return table
 
 
 class ObjectTable(NamedTuple):
@@ -106,7 +131,11 @@ class Placed(NamedTuple):
 
 
 class Renderer:
-    """Renders frames of a scene through a pinhole camera."""
+    """Renders frames of a scene through a pinhole camera.
+
+    Renderers of equal intrinsics share one read-only ray table, so a
+    clip's renderer costs its object table, not a frame of rays.
+    """
 
     def __init__(self, intrinsics: CameraIntrinsics, *, min_annotation_pixels: int = 8):
         """
@@ -120,14 +149,7 @@ class Renderer:
         """
         self.intrinsics = intrinsics
         self.min_annotation_pixels = int(min_annotation_pixels)
-        w, h = intrinsics.width, intrinsics.height
-        x, y = intrinsics.centered_from_pixels(np.arange(w, dtype=float), np.arange(h, dtype=float))
-        # Camera-frame ray directions with unit z: the plane-intersection
-        # parameter t then equals camera depth directly.
-        self._dirs_cam = np.empty((h, w, 3))
-        self._dirs_cam[..., 0] = x / intrinsics.focal
-        self._dirs_cam[..., 1] = (y / intrinsics.focal)[:, None]
-        self._dirs_cam[..., 2] = 1.0
+        self._dirs_cam = _ray_table(intrinsics)
         self._table: ObjectTable | None = None
 
     def render(self, scene: Scene, t: float, *, frame_index: int = 0) -> FrameRecord:

@@ -98,6 +98,28 @@ class TestMain:
         row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("mAP "))
         assert row.split()[1] == f"{maps[3]:.3f}"
 
+    def test_analyze_runs_with_the_detector_seed(self, capsys, monkeypatch):
+        import repro.cli
+
+        seen = []
+        original = repro.cli.run_scheme
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(repro.cli, "run_scheme", spy)
+        assert main(["analyze", "--frames", "6", "--detector-seed", "3"]) == 0
+        assert [kwargs.get("detector_seed") for kwargs in seen] == [3]
+        assert "ground_truth" not in seen[0]
+        assert "end-to-end: mAP=" in capsys.readouterr().out
+
+    def test_analyze_renders_each_frame_once_per_pass(self, capsys, render_calls):
+        """The foreground report walks the clip once and the run once; the
+        run scores its ground truth on the frames it fetches."""
+        assert main(["analyze", "--frames", "8"]) == 0
+        assert sorted(render_calls) == sorted(list(range(8)) * 2)
+
     def test_fig06_too_short_for_a_stop_is_one_error_line(self, capsys):
         from repro.experiments.fig06 import MIN_FRAMES
 

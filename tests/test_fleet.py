@@ -486,3 +486,68 @@ class TestScalabilityRewrite:
         assert set(by) == {("DiVE", 1), ("DiVE", 4)}
         assert by[("DiVE", 4)].response_time >= by[("DiVE", 1)].response_time - 1e-9
         assert by[("DiVE", 4)].inference_load > by[("DiVE", 1)].inference_load
+
+
+class TestMemoryIsFlatInAgents:
+    """Phase 1 releases each agent's clip (its rendered frames) once the
+    agent's run is taken, and clips of one camera share one ray table,
+    so a fleet's memory does not grow with its number of agents."""
+
+    @staticmethod
+    def _config(n_agents, **overrides):
+        return FleetConfig(
+            n_agents=n_agents, n_frames=4, schemes=("dive", "dds", "eaar", "o3"),
+            resolution=(96, 64), **overrides,
+        )
+
+    def _traced_peak(self, n_agents):
+        import gc
+        import tracemalloc
+
+        config = self._config(n_agents)
+        specs = config.specs()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            FleetRunner(config).run_agents(specs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_does_not_grow_with_agents(self):
+        self._traced_peak(2)  # lazy imports and first-call caches
+        two, eight = self._traced_peak(2), self._traced_peak(8)
+        assert eight <= 1.25 * two, f"2 agents peak {two / 1e6:.2f} MB, 8 agents {eight / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("agent_workers", [1, 2])
+    def test_each_clip_is_released_after_its_agent(self, monkeypatch, agent_workers):
+        """When an agent starts, the clips of the agents before it are gone
+        but for those still running on other pool threads; none outlives
+        ``run_agents``."""
+        import gc
+        import weakref
+
+        import repro.fleet.runner as runner
+
+        clips, alive_before = [], []
+        clip_for, truth_clip = FleetRunner._clip_for, runner.truth_clip
+
+        def tracked(self, spec):
+            clip = clip_for(self, spec)
+            clips.append(weakref.ref(clip))
+            return clip
+
+        def counted(clip, **kwargs):
+            gc.collect()
+            index = next(i for i, ref in enumerate(clips) if ref() is clip)
+            alive_before.append(sum(ref() is not None for ref in clips[:index]))
+            return truth_clip(clip, **kwargs)
+
+        monkeypatch.setattr(FleetRunner, "_clip_for", tracked)
+        monkeypatch.setattr(runner, "truth_clip", counted)
+        config = self._config(4, agent_workers=agent_workers)
+        runs = FleetRunner(config).run_agents(config.specs())
+        gc.collect()
+        assert len(runs) == len(clips) == len(alive_before) == 4
+        assert max(alive_before) <= agent_workers - 1, alive_before
+        assert [ref() for ref in clips] == [None] * 4

@@ -177,6 +177,74 @@ class TestRenderer:
         assert rec.ego.speed == pytest.approx(8.0, rel=1e-6)
 
 
+class TestRayTable:
+    """Renderers of one camera share one read-only ray table, freed with
+    the last renderer that uses it.  Intrinsics no other test uses keep
+    the table's lifetime this test's own."""
+
+    CAMERA = CameraIntrinsics(focal=41.0, width=48, height=32)
+
+    def test_equal_intrinsics_share_one_table(self):
+        first = Renderer(self.CAMERA)
+        second = Renderer(CameraIntrinsics(focal=41.0, width=48, height=32))
+        assert second._dirs_cam is first._dirs_cam
+        assert first._dirs_cam.shape == (32, 48, 3)
+
+    def test_table_is_read_only(self):
+        table = Renderer(self.CAMERA)._dirs_cam
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 0.0
+
+    def test_other_intrinsics_get_their_own_table(self):
+        table = Renderer(self.CAMERA)._dirs_cam
+        for other in (CameraIntrinsics(focal=42.0, width=48, height=32),
+                      CameraIntrinsics(focal=41.0, width=64, height=32)):
+            assert Renderer(other)._dirs_cam is not table
+
+    def test_table_is_freed_with_the_last_renderer(self):
+        import gc
+        import weakref
+
+        renderers = [Renderer(self.CAMERA), Renderer(self.CAMERA)]
+        table = weakref.ref(renderers[0]._dirs_cam)
+        values = renderers[0]._dirs_cam.copy()
+        renderers.pop()
+        gc.collect()
+        assert table() is not None
+        renderers.clear()
+        gc.collect()
+        assert table() is None
+        np.testing.assert_array_equal(Renderer(self.CAMERA)._dirs_cam, values)  # rebuilt on demand
+
+    @pytest.mark.timeout(60)
+    def test_renderers_built_on_many_threads_share_one_table(self):
+        import sys
+        import threading
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for focal in (43.0, 44.0, 45.0):
+                camera = CameraIntrinsics(focal=focal, width=48, height=32)
+                start = threading.Barrier(8)
+                renderers = []
+
+                def build():
+                    start.wait(timeout=10)
+                    renderers.append(Renderer(camera))
+
+                threads = [threading.Thread(target=build) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(renderers) == 8
+                assert len({id(r._dirs_cam) for r in renderers}) == 1
+        finally:
+            sys.setswitchinterval(switch)
+
+
 class TestDatasets:
     def test_nuscenes_preset_properties(self):
         clip = nuscenes_like(3, n_frames=6)
